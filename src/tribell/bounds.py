@@ -238,115 +238,189 @@ def mabk_two_outcome(beta: float) -> float:
 # ---------------------------------------------------------------------------
 # asymmetric CHSH one-outcome
 
-def _g_asym(x: float, alpha: float) -> float:
-    s2 = x * x / 4.0 - alpha * alpha
-    if s2 <= 0.0:
-        return 0.0
-    s = np.sqrt(s2)
-    if s >= 1.0:
-        return 1.0
-    return 1.0 - h(0.5 + 0.5 * s)
+_TANGENT_LANES = 16  # alphas solved together; bounds the scan's working set
+_ZOOM_POINTS = 17  # alpha points per refinement round of best_alpha_bound
+_ALPHA_TOL = 1e-12  # where round(alpha, 12) merges the tangent keys
 
 
-def _g_asym_deriv(x: float, alpha: float) -> float:
+def _g_asym_and_deriv(x, alpha):
+    """g = 1 - h(1/2 + s/2) with s = sqrt(x^2/4 - alpha^2), and dg/dx,
+    elementwise.  g is 0 where s^2 <= 0 and 1 where 1/2 + s/2 rounds to 1;
+    dg/dx is 0 outside 0 < s^2 < 1 and where 1/2 + s/2 rounds to 1."""
     s2 = x * x / 4.0 - alpha * alpha
-    if s2 <= 0.0 or s2 >= 1.0:
-        return 0.0
-    s = np.sqrt(s2)
+    s = np.sqrt(np.maximum(s2, 0.0))
     u = 0.5 + 0.5 * s
-    if u >= 1.0:  # s rounds to 1 at the quantum bound
-        return 0.0
-    return -hprime(u) * x / (8.0 * s)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = 1.0 - (-u * np.log2(u) - (1.0 - u) * np.log2(1.0 - u))
+        dg = -np.log2((1.0 - u) / u) * x / (8.0 * s)
+    top = u >= 1.0
+    return (np.where(s2 <= 0.0, 0.0, np.where(top, 1.0, g)),
+            np.where((s2 <= 0.0) | (s2 >= 1.0) | top, 0.0, dg))
+
+
+def _g_asym(x, alpha):
+    return _g_asym_and_deriv(x, alpha)[0]
+
+
+def _tangency(x, alpha):
+    g, dg = _g_asym_and_deriv(x, alpha)
+    return dg * (x - 2.0) - g
+
+
+def _tangent_block(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tangents for one block of lanes (one alpha each): scan a 1200-point x
+    grid, linear plus log-clustered at the quantum bound, for the first
+    sign change of the tangency residual, then bisect every bracketed lane
+    until its midpoint rounds onto an endpoint."""
+    qb = 2.0 * np.hypot(1.0, alpha)
+    xs = np.concatenate([
+        np.linspace(2.0 + 1e-9, qb, 800, axis=1),
+        qb[:, None] - (qb - 2.0)[:, None] * np.logspace(-13, 0, 400),
+    ], axis=1)
+    # repeated x (from the clip) cannot form a sign change, so no dedup
+    xs = np.sort(np.clip(xs, 2.0 + 1e-12, (qb - 1e-16)[:, None]), axis=1)
+    fs = _tangency(xs, alpha[:, None])
+    crossing = (fs[:, :-1] < 0.0) & (fs[:, 1:] >= 0.0)
+    bracketed = crossing.any(axis=1)
+    first = np.argmax(crossing, axis=1)
+    lanes = np.arange(alpha.size)
+    a, b = xs[lanes, first], xs[lanes, first + 1]
+    for _ in range(200):
+        m = 0.5 * (a + b)
+        live = bracketed & (m != a) & (m != b)
+        if not live.any():
+            break
+        below = _tangency(m, alpha) < 0.0
+        a = np.where(live & below, m, a)
+        b = np.where(live & ~below, m, b)
+    bstar = 0.5 * (a + b)
+    found = bracketed & (np.abs(_tangency(bstar, alpha)) <= 1e-10)
+    with np.errstate(divide="ignore"):
+        chord = 1.0 / (qb - 2.0)
+    return (np.where(found, bstar, qb),
+            np.where(found, _g_asym_and_deriv(bstar, alpha)[1], chord))
+
+
+def _asym_tangents(alpha) -> tuple[np.ndarray, np.ndarray]:
+    """(beta*, slope) of the tangent line through (2, 0) to g(., |alpha|)
+    for a 1-d array of alpha, solved _TANGENT_LANES lanes at a time.
+
+    When the tangency point is numerically indistinguishable from the
+    quantum bound qb (small alpha), the chord from (2, 0) to (qb, 1) is the
+    envelope.
+    """
+    alpha = np.abs(np.asarray(alpha, dtype=float))
+    if not np.all(np.isfinite(alpha)):
+        raise ValidationError("alpha must be finite")
+    bstar, slope = np.empty_like(alpha), np.empty_like(alpha)
+    for i in range(0, alpha.size, _TANGENT_LANES):
+        block = slice(i, i + _TANGENT_LANES)
+        bstar[block], slope[block] = _tangent_block(alpha[block])
+    return bstar, slope
 
 
 @functools.lru_cache(maxsize=4096)
 def asym_tangent(alpha: float) -> tuple[float, float]:
     """(beta*, slope) of the tangent line through (2, 0) to g for |alpha| < 1.
 
-    When the tangency point is numerically indistinguishable from the quantum
-    bound (small alpha), the chord from (2, 0) to (qb, 1) is the envelope.
+    A memoized scalar wrapper over the batched solver `_asym_tangents`.
+    best_alpha_bound calls that solver directly on arrays of alpha (and its
+    beta_fn on arrays of alpha), so its search does not pass through this
+    cache.  When the tangency point is numerically indistinguishable from
+    the quantum bound (small alpha), the chord from (2, 0) to (qb, 1) is the
+    envelope.
     """
-    alpha = abs(alpha)
-    qb = 2.0 * np.hypot(1.0, alpha)
+    bstar, slope = _asym_tangents([alpha])
+    return float(bstar[0]), float(slope[0])
 
-    def f(x):
-        return _g_asym_deriv(x, alpha) * (x - 2.0) - _g_asym(x, alpha)
 
-    xs = np.concatenate([
-        np.linspace(2.0 + 1e-9, qb, 800),
-        qb - (qb - 2.0) * np.logspace(-13, 0, 400),
-    ])
-    xs = np.unique(np.clip(xs, 2.0 + 1e-12, qb - 1e-16))
-    fs = np.array([f(x) for x in xs])
-    for i in range(len(xs) - 1):
-        if fs[i] < 0.0 <= fs[i + 1]:
-            a, b = xs[i], xs[i + 1]
-            for _ in range(200):
-                m = 0.5 * (a + b)
-                if f(m) < 0.0:
-                    a = m
-                else:
-                    b = m
-                if b - a < 1e-16:
-                    break
-            bstar = 0.5 * (a + b)
-            if abs(f(bstar)) <= 1e-10:
-                return bstar, _g_asym_deriv(bstar, alpha)
-            break
-    return qb, 1.0 / (qb - 2.0)
+def _tangents_for(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tangents keyed by round(alpha, 12), as asym_chsh_one_outcome keys
+    them, where 1e-12 <= alpha < 1 (NaN elsewhere, where none is used)."""
+    bstar, slope = np.full(alpha.shape, np.nan), np.full(alpha.shape, np.nan)
+    need = (alpha >= 1e-12) & (alpha < 1.0)
+    keys, inverse = np.unique(np.round(alpha[need], 12), return_inverse=True)
+    b, s = _asym_tangents(keys)
+    bstar[need], slope[need] = b[inverse], s[inverse]
+    return bstar, slope
+
+
+def _asym_one_outcome(beta, alpha, bstar, slope):
+    """Elementwise bound at violations beta <= qb for alpha >= 0: 0 for
+    alpha < 1e-12, g above the tangent point (and for alpha >= 1), the
+    tangent line (floored at 0) below it."""
+    with np.errstate(invalid="ignore"):
+        line = np.maximum(slope * (beta - 2.0), 0.0)
+    out = np.where((alpha < 1.0) & (beta < bstar), line, _g_asym(beta, alpha))
+    return np.where(alpha < 1e-12, 0.0, out)
 
 
 def asym_chsh_one_outcome(beta: float, alpha: float) -> float:
     """Tight one-outcome bound for the asymmetric CHSH inequality; piecewise
     linear below beta* when |alpha| < 1, g(beta) otherwise."""
+    if not np.isfinite(beta):
+        raise ValidationError(f"beta={beta!r} is not finite")
+    if not np.isfinite(alpha):
+        raise ValidationError(f"alpha={alpha!r} is not finite")
     alpha = abs(alpha)
     qb = 2.0 * np.hypot(1.0, alpha)
     if beta > qb + _DOMAIN_SLACK:
         raise ValidationError(f"beta={beta!r} above the quantum bound {qb!r}")
     beta = min(beta, qb)
-    if alpha < 1e-12:
-        return 0.0
-    if alpha >= 1.0:
-        return _g_asym(beta, alpha)
-    bstar, slope = asym_tangent(round(alpha, 12))
-    if beta < bstar:
-        return max(slope * (beta - 2.0), 0.0)
-    return _g_asym(beta, alpha)
+    bstar, slope = asym_tangent(round(alpha, 12)) if 1e-12 <= alpha < 1.0 \
+        else (np.nan, np.nan)
+    return float(_asym_one_outcome(beta, alpha, bstar, slope))
 
 
-def best_alpha_bound(beta_fn: Callable[[float], float], alpha_lo: float = 0.0,
-                     alpha_hi: float = 4.0, grid_points: int = 401) -> tuple[float, float]:
+@functools.lru_cache(maxsize=8)
+def _grid_tangents(alpha_lo: float, alpha_hi: float,
+                   grid_points: int) -> tuple[np.ndarray, tuple]:
+    grid = np.linspace(alpha_lo, alpha_hi, grid_points)
+    tangents = _tangents_for(np.abs(grid))
+    for arr in (grid, *tangents):
+        arr.flags.writeable = False  # shared by every caller in the process
+    return grid, tangents
+
+
+def _alpha_values(beta_fn, alphas: np.ndarray, tangents=None) -> np.ndarray:
+    """asym_chsh_one_outcome(min(beta_fn(alpha), qb), alpha) for an array of
+    alpha, with beta_fn called once on the whole array."""
+    beta = np.minimum(beta_fn(alphas), 2.0 * np.hypot(1.0, alphas))
+    if not np.all(np.isfinite(beta)):
+        raise ValidationError("beta_fn returned a non-finite violation")
+    alpha = np.abs(alphas)
+    if tangents is None:
+        tangents = _tangents_for(alpha)
+    return _asym_one_outcome(beta, alpha, *tangents)
+
+
+def best_alpha_bound(beta_fn: Callable[[np.ndarray], np.ndarray],
+                     alpha_lo: float = 0.0, alpha_hi: float = 4.0,
+                     grid_points: int = 401) -> tuple[float, float]:
     """Maximize asym_chsh_one_outcome(beta_fn(alpha), alpha) over alpha.
 
-    beta_fn maps alpha to the achievable violation (at the caller's noise
-    level).  Grid search plus golden-section refinement; never returns less
-    than the alpha=1 value.
+    beta_fn maps an array of alpha to the achievable violations (at the
+    caller's noise level), elementwise.  The whole grid is evaluated in one
+    batch, its tangents solved once per process; the best grid cell is then
+    zoomed in batches of _ZOOM_POINTS until the alpha bracket is narrower
+    than 1e-12.  Never returns less than the alpha=1 value.
     """
-    def val(a):
-        spec_qb = 2.0 * np.hypot(1.0, a)
-        return asym_chsh_one_outcome(min(beta_fn(a), spec_qb), a)
-
-    grid = np.linspace(alpha_lo, alpha_hi, grid_points)
-    vals = np.array([val(a) for a in grid])
+    grid, tangents = _grid_tangents(alpha_lo, alpha_hi, grid_points)
+    vals = _alpha_values(beta_fn, grid, tangents)
     i = int(np.argmax(vals))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, grid_points - 1)]
-    gr = (np.sqrt(5.0) - 1.0) / 2.0
-    c = hi - gr * (hi - lo)
-    d = lo + gr * (hi - lo)
-    for _ in range(120):
-        if val(c) > val(d):
-            hi = d
-        else:
-            lo = c
-        c = hi - gr * (hi - lo)
-        d = lo + gr * (hi - lo)
-    refined = 0.5 * (lo + hi)
-    candidates = [(float(vals[i]), float(grid[i])), (val(refined), refined)]
+    best = (vals[i], grid[i])  # (value, alpha): ties go to the larger alpha
+    k0, k1 = max(i - 1, 0), min(i + 1, grid_points - 1)
+    lo, hi, v_lo, v_hi = grid[k0], grid[k1], vals[k0], vals[k1]
+    while hi - lo >= _ALPHA_TOL:
+        pts = np.linspace(lo, hi, _ZOOM_POINTS)
+        v = np.concatenate([[v_lo], _alpha_values(beta_fn, pts[1:-1]), [v_hi]])
+        j = int(np.argmax(v))
+        best = max(best, (v[j], pts[j]))
+        k0, k1 = max(j - 1, 0), min(j + 1, _ZOOM_POINTS - 1)
+        lo, hi, v_lo, v_hi = pts[k0], pts[k1], v[k0], v[k1]
     if alpha_lo <= 1.0 <= alpha_hi:
-        candidates.append((val(1.0), 1.0))
-    best_v, best_a = max(candidates)
-    return best_a, best_v
+        best = max(best, (_alpha_values(beta_fn, np.array([1.0]))[0], 1.0))
+    return float(best[1]), float(best[0])
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -75,9 +76,7 @@ def _bound_fn(args):
             return "bound-two", bounds.holz_two_outcome, ("conjectured",)
         if spec.kind == "mabk":
             return "bound-two", bounds.mabk_two_outcome, ()
-        return "bound-two", \
-            lambda b: rates.two_outcome_numeric(
-                "chsh" if spec.kind == "asym-chsh" else spec.kind, b), \
+        return "bound-two", lambda b: rates._two_outcome_bound(spec, b)[0], \
             ("non-certified",)
     table = {
         "holz": bounds.holz_one_outcome,
@@ -325,10 +324,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_finite(args) -> None:
+    for name in ("beta", "alpha", "gamma"):
+        value = getattr(args, name, None)
+        if value is not None and not math.isfinite(value):
+            raise ValidationError(f"--{name}={value!r} is not finite")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_finite(args)
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

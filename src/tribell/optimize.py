@@ -153,6 +153,10 @@ class OptConfig:
     refine_polls: int = 160
     feasibility_tol: float = 1e-7
 
+    def __post_init__(self):
+        if self.restarts < 1:
+            raise ValidationError(f"restarts={self.restarts!r} must be at least 1")
+
 
 @dataclass
 class OptResult:
@@ -332,7 +336,7 @@ def _block_starts(beta: float, parity: bool, cfg: OptConfig):
         z[8:12] = rng.uniform(-np.pi / 2, np.pi / 2, size=4)
         z[12] = rng.uniform(0.0, np.pi)
         starts.append(z)
-    return starts[: max(cfg.restarts, 1)]
+    return starts[: cfg.restarts]
 
 
 def _scale_rho_to_beta(rho: np.ndarray, v: np.ndarray, beta: float) -> np.ndarray:
@@ -456,7 +460,7 @@ def minimize_chsh_two_outcome(beta: float, cfg: OptConfig = OptConfig(),
         z[:4] = rng.normal(size=4)
         z[4:] = rng.uniform(-np.pi, np.pi, size=4)
         starts.append(z)
-    starts = starts[: max(cfg.restarts, 1)]
+    starts = starts[: cfg.restarts]
     if warm_starts:
         starts[1:1] = [_pack_warm(w) if isinstance(w, OptResult) else np.asarray(w)
                        for w in warm_starts]
@@ -500,7 +504,8 @@ def convex_hull_lower(points) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 3:
         raise ValidationError("need at least 3 (x, y) points")
-    pts = pts[np.argsort(pts[:, 0], kind="stable")]
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    pts = pts[np.r_[True, np.diff(pts[:, 0]) != 0.0]]  # lowest y per x
     hull: list[np.ndarray] = []
     for p in pts:
         while len(hull) >= 2:

@@ -208,7 +208,91 @@ class TestAsymChsh:
             asym_chsh_one_outcome(2.9, 1.0)
 
 
+# (alpha, beta*, slope) from the scalar 1200-point scan and bisection that
+# preceded the batched solver; alpha <= 0.35 and alpha = 0.4 take the chord
+# fallback
+TANGENT_TABLE = [
+    (1e-06, 2.000000000001, 999911107320.27),
+    (0.001, 2.00000099999975, 1000000.2498825096),
+    (0.01, 2.000099997500125, 10000.249993770207),
+    (0.05, 2.0024984394500787, 400.24984394499387),
+    (0.1, 2.009975124224178, 100.249378105606),
+    (0.123456789, 2.015183940736121, 65.85905578655931),
+    (0.15, 2.0223748416156684, 44.69305379572976),
+    (0.2, 2.039607805437114, 25.247548783981877),
+    (0.25, 2.0615528128088303, 16.246211251235316),
+    (0.3, 2.08806130178211, 11.355725838283627),
+    (0.35, 2.118962010041709, 8.406044918452471),
+    (0.4, 2.1540659228538015, 6.49072800445907),
+    (0.45, 2.1931636753651516, 5.17673914535045),
+    (0.5, 2.235969896273306, 4.2359004439910475),
+    (0.55, 2.281894267153711, 3.5383471911371216),
+    (0.6, 2.3296690259161563, 3.0051692304926667),
+    (0.65, 2.3771019311941464, 2.585685958106655),
+    (0.7, 2.421104185047483, 2.2459251791840007),
+    (0.75, 2.457785714302797, 1.962316636054424),
+    (0.8, 2.4822755121455353, 1.7178089817771371),
+    (0.85, 2.4878644048890743, 1.4990436264400893),
+    (0.9, 2.463379463970437, 1.2934378065127343),
+    (0.95, 2.382976571377413, 1.0826244612417175),
+    (0.99, 2.199930365849177, 0.8643034716793483),
+    (0.999, 2.0674940427653166, 0.7640311288001965),
+]
+
+
+class TestAsymTangentTable:
+    def test_batched_matches_recorded_scan(self):
+        alphas, bstar, slope = (np.array(c) for c in zip(*TANGENT_TABLE))
+        got_b, got_s = bounds._asym_tangents(alphas)
+        assert got_b == pytest.approx(bstar, rel=1e-12, abs=1e-12)
+        assert got_s == pytest.approx(slope, rel=1e-12, abs=1e-12)
+
+    def test_scalar_wrapper_matches_recorded_scan(self):
+        for alpha, bstar, slope in TANGENT_TABLE:
+            assert asym_tangent(alpha) == pytest.approx((bstar, slope),
+                                                        rel=1e-12, abs=1e-12)
+
+    def test_chord_fallback(self):
+        for alpha in (1e-6, 1e-3, 0.01, 0.05, 0.2, 0.4):
+            qb = 2.0 * np.hypot(1.0, alpha)
+            assert asym_tangent(alpha) == (qb, 1.0 / (qb - 2.0))
+
+    def test_non_finite_alpha_rejected(self):
+        with pytest.raises(ValidationError, match="alpha"):
+            bounds._asym_tangents([0.5, np.nan])
+
+
+class TestAsymNonFinite:
+    @pytest.mark.parametrize("beta, alpha, name", [
+        (np.nan, 0.5, "beta"), (-np.inf, 2.0, "beta"), (2.5, np.nan, "alpha"),
+        (2.5, np.inf, "alpha")])
+    def test_rejected_with_name(self, beta, alpha, name):
+        with pytest.raises(ValidationError, match=name):
+            asym_chsh_one_outcome(beta, alpha)
+
+    def test_best_alpha_rejects_nan_violation(self):
+        with pytest.raises(ValidationError, match="non-finite"):
+            best_alpha_bound(lambda a: np.where(a > 0.5, np.nan, 2.5))
+
+
 class TestBestAlpha:
+    @pytest.mark.parametrize("noise, p", [("local", 0.9), ("local", 0.95),
+                                          ("local", 0.99), ("global", 0.85),
+                                          ("global", 0.95)])
+    def test_never_below_dense_grid(self, noise, p):
+        scale = p * p if noise == "local" else p
+
+        def beta_fn(a):
+            return 2.0 * np.hypot(1.0, a) * scale
+
+        def val(a):
+            return asym_chsh_one_outcome(min(beta_fn(a), 2.0 * np.hypot(1.0, a)), a)
+
+        alpha, bound = best_alpha_bound(beta_fn)
+        brute = max(val(a) for a in np.linspace(0.0, 4.0, 4001))
+        assert bound >= brute - 1e-12
+        assert val(alpha) == pytest.approx(bound, abs=1e-12)
+
     def test_no_noise_reaches_one(self):
         _, bound = best_alpha_bound(lambda a: 2.0 * np.hypot(1.0, a))
         assert bound == pytest.approx(1.0, abs=1e-9)

@@ -46,6 +46,14 @@ class TestBound:
         assert len(lines) == 12
         assert lines[1].startswith("bound-one,holz,,,1.0,0.0")
 
+    def test_two_outcome_asym_alpha_rejected(self, capsys):
+        code, out, err = run_cli(["bound", "--inequality", "asym-chsh",
+                                  "--alpha", "2", "--two-outcome",
+                                  "--beta", "4.2"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "alpha=1" in err
+
     def test_missing_beta(self, capsys):
         code, _, err = run_cli(["bound", "--inequality", "holz"], capsys)
         assert code == 2
@@ -78,6 +86,14 @@ class TestThreshold:
         assert code == 0
         assert float(out) == pytest.approx(0.934, abs=1e-3)
 
+    @pytest.mark.parametrize("noise, want", [("local", "0.922846317"),
+                                             ("global", "0.851644993")])
+    def test_asym_chsh_dicka(self, capsys, noise, want):
+        code, out, _ = run_cli(["threshold", "--rate", "dicka", "--inequality",
+                                "asym-chsh", "--noise", noise], capsys)
+        assert code == 0
+        assert out.strip() == want
+
     def test_numeric_failure_exit_code(self, capsys):
         code, _, err = run_cli(["threshold", "--rate", "dire-spot",
                                 "--inequality", "mabk", "--noise", "local",
@@ -94,6 +110,12 @@ class TestOptimize:
         assert code == 0
         assert "entropy 1.600876" in out
         assert "converged True" in out
+
+    def test_zero_restarts_rejected(self, capsys):
+        code, _, err = run_cli(["optimize", "--inequality", "chsh", "--beta",
+                                "2.7", "--restarts", "0"], capsys)
+        assert code == 2
+        assert "restarts" in err
 
     def test_unknown_minimizer(self, capsys):
         code, _, err = run_cli(["optimize", "--inequality", "mabk", "--beta",
@@ -133,6 +155,22 @@ class TestVerify:
         assert "[FAIL]" not in out
         # the known MABK two-outcome concavity is reported, not fatal
         assert "KNOWN-FAIL" in out
+
+
+class TestNonFiniteArguments:
+    @pytest.mark.parametrize("argv, name", [
+        (["bound", "--beta", "nan"], "--beta"),
+        (["bound", "--inequality", "asym-chsh", "--beta", "inf"], "--beta"),
+        (["bound", "--inequality", "asym-chsh", "--alpha", "nan",
+          "--beta", "2.5"], "--alpha"),
+        (["rate", "--dire", "spot", "--p", "0.9", "--gamma", "inf"], "--gamma"),
+        (["threshold", "--rate", "dicka", "--gamma", "nan"], "--gamma"),
+    ])
+    def test_rejected_with_name(self, capsys, argv, name):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert name in err and "not finite" in err
 
 
 class TestEntryPoint:

@@ -165,6 +165,20 @@ class TestConvexHull:
         with pytest.raises(ValidationError):
             convex_hull_lower([[0, 0], [1, 1]])
 
+    @pytest.mark.parametrize("ys", [(0.2, 0.5), (0.5, 0.2)])
+    def test_repeated_x_keeps_lowest(self, ys):
+        pts = [[0.0, 0.0], [0.5, 0.1], [1.0, ys[0]], [1.0, ys[1]]]
+        hull = convex_hull_lower(pts)
+        assert np.allclose(hull, [[0.0, 0.0], [0.5, 0.1], [1.0, 0.2]])
+        with np.errstate(all="raise"):
+            optimize.hull_knots(hull)
+
+
+class TestOptConfig:
+    def test_zero_restarts_rejected(self):
+        with pytest.raises(ValidationError, match="restarts"):
+            OptConfig(restarts=0)
+
 
 class TestVerifyTightness:
     def test_holz_grid(self):
