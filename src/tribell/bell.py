@@ -11,7 +11,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .qmath import as_matrix, kron_all
-from .states import BlockDiagState, MeasurementSettings, obs_matrix
+from .states import (BlockDiagState, MeasurementSettings, _block_correlators,
+                     obs_matrix)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -142,24 +143,25 @@ def holz_reduced_value(state: BlockDiagState, b0: float, a1: float, c_minus: flo
     )
 
 
+def _vbar(rho: np.ndarray, t: np.ndarray, b0: np.ndarray, parity: bool) -> np.ndarray:
+    """Batched holz_vbar (parity=False) / parity_vbar (parity=True) over
+    block coordinates rho (n,2,2,2), t (n,2,2) and angles b0 (n,)."""
+    xxx, zxx, zzi, ziz, izz = _block_correlators(rho, t)
+    sb, cb = np.sin(b0), np.cos(b0)
+    if parity:
+        return np.abs(sb) * np.hypot(zxx, xxx) - cb * zzi
+    return np.sqrt(sb * sb * (zxx ** 2 + xxx ** 2) + (ziz + cb * izz) ** 2) - cb * zzi
+
+
 def holz_vbar(state: BlockDiagState, b0: float) -> float:
     """Maximum of the reduced Holz value over the free angles a1 and c-."""
-    c = state.correlators()
-    sb, cb = np.sin(b0), np.cos(b0)
-    return float(
-        np.sqrt(sb * sb * (c["ZXX"] ** 2 + c["XXX"] ** 2)
-                + (c["ZIZ"] + cb * c["IZZ"]) ** 2)
-        - cb * c["ZZI"]
-    )
+    return float(_vbar(state.rho[None], state.t[None], np.array([b0]), parity=False)[0])
 
 
 def parity_vbar(state: BlockDiagState, b0: float) -> float:
     """Parity-CHSH analogue of holz_vbar: the reduced value with c- frozen at 0,
     maximized over a1 only."""
-    c = state.correlators()
-    return float(
-        abs(np.sin(b0)) * np.hypot(c["ZXX"], c["XXX"]) - np.cos(b0) * c["ZZI"]
-    )
+    return float(_vbar(state.rho[None], state.t[None], np.array([b0]), parity=True)[0])
 
 
 def reduced_settings(b0: float, a1: float, c_minus: float) -> MeasurementSettings:

@@ -22,6 +22,14 @@ SQRT2 = np.sqrt(2.0)
 _DOMAIN_SLACK = 1e-9
 
 
+def _check_beta(beta: float, qb: float, qb_name: str) -> None:
+    """Reject a non-finite beta or one above the quantum bound qb."""
+    if not np.isfinite(beta):
+        raise ValidationError(f"beta={beta!r} is not finite")
+    if beta > qb + _DOMAIN_SLACK:
+        raise ValidationError(f"beta={beta!r} above the quantum bound {qb_name}")
+
+
 # ---------------------------------------------------------------------------
 # root finding: coarse scan for a bracket, then bisection with secant polish
 
@@ -68,8 +76,7 @@ def find_root(f: Callable[[float], float], lo: float, hi: float,
 
 def holz_one_outcome(beta: float) -> float:
     """1 - h[(beta + 1 + sqrt(beta^2 + 2 beta - 3))/4] on [1, 3/2]; 0 below 1."""
-    if beta > 1.5 + _DOMAIN_SLACK:
-        raise ValidationError(f"beta={beta!r} above the quantum bound 3/2")
+    _check_beta(beta, 1.5, "3/2")
     if beta <= 1.0:
         return 0.0
     beta = min(beta, 1.5)
@@ -186,8 +193,7 @@ def _holz_tangent_slope() -> float:
 def holz_two_outcome(beta: float) -> float:
     """Conjectured tight bound on the two-outcome entropy for the Holz test:
     eta on [1, sqrt2], a tangent segment on (sqrt2, beta*], theta above."""
-    if beta > 1.5 + _DOMAIN_SLACK:
-        raise ValidationError(f"beta={beta!r} above the quantum bound 3/2")
+    _check_beta(beta, 1.5, "3/2")
     if beta <= 1.0:
         return 0.0
     beta = min(beta, 1.5)
@@ -202,8 +208,7 @@ def holz_two_outcome(beta: float) -> float:
 # Parity-CHSH one-outcome (tight)
 
 def parity_chsh_one_outcome(beta: float) -> float:
-    if beta > SQRT2 + _DOMAIN_SLACK:
-        raise ValidationError(f"beta={beta!r} above the quantum bound sqrt2")
+    _check_beta(beta, SQRT2, "sqrt2")
     if beta <= 1.0:
         return 0.0
     beta = min(beta, SQRT2)
@@ -214,8 +219,7 @@ def parity_chsh_one_outcome(beta: float) -> float:
 # MABK one- and two-outcome
 
 def mabk_one_outcome(beta: float) -> float:
-    if beta > 4.0 + _DOMAIN_SLACK:
-        raise ValidationError(f"beta={beta!r} above the quantum bound 4")
+    _check_beta(beta, 4.0, "4")
     if beta <= 2.0 * SQRT2:
         return 0.0
     beta = min(beta, 4.0)
@@ -227,8 +231,7 @@ def mabk_f(beta: float) -> float:
 
 
 def mabk_two_outcome(beta: float) -> float:
-    if beta > 4.0 + _DOMAIN_SLACK:
-        raise ValidationError(f"beta={beta!r} above the quantum bound 4")
+    _check_beta(beta, 4.0, "4")
     if beta <= 2.0:
         return 0.0
     f = mabk_f(min(beta, 4.0))
@@ -358,14 +361,11 @@ def _asym_one_outcome(beta, alpha, bstar, slope):
 def asym_chsh_one_outcome(beta: float, alpha: float) -> float:
     """Tight one-outcome bound for the asymmetric CHSH inequality; piecewise
     linear below beta* when |alpha| < 1, g(beta) otherwise."""
-    if not np.isfinite(beta):
-        raise ValidationError(f"beta={beta!r} is not finite")
     if not np.isfinite(alpha):
         raise ValidationError(f"alpha={alpha!r} is not finite")
     alpha = abs(alpha)
     qb = 2.0 * np.hypot(1.0, alpha)
-    if beta > qb + _DOMAIN_SLACK:
-        raise ValidationError(f"beta={beta!r} above the quantum bound {qb!r}")
+    _check_beta(beta, qb, repr(qb))
     beta = min(beta, qb)
     bstar, slope = asym_tangent(round(alpha, 12)) if 1e-12 <= alpha < 1.0 \
         else (np.nan, np.nan)
@@ -446,8 +446,7 @@ def solve_beta_star_colbeck() -> float:
 def colbeck_recycled_two_outcome(beta: float) -> float:
     """Conjectured bound on H(AB|XYE) for CHSH with recycled inputs:
     linear below beta*_C, g1 above."""
-    if beta > 2.0 * SQRT2 + _DOMAIN_SLACK:
-        raise ValidationError(f"beta={beta!r} above the quantum bound 2*sqrt2")
+    _check_beta(beta, 2.0 * SQRT2, "2*sqrt2")
     if beta <= 2.0:
         return 0.0
     beta = min(beta, 2.0 * SQRT2)

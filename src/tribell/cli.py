@@ -13,7 +13,6 @@ import csv
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -58,8 +57,8 @@ def _write_csv(path, rows, sort_key):
 
 
 def _map_parallel(fn, xs):
-    with ThreadPoolExecutor() as pool:
-        return list(pool.map(fn, xs))
+    # serial: the work holds the GIL; perfbench/tracing.py wraps this name
+    return [fn(x) for x in xs]
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bound", help="evaluate an entropy bound at a violation")
     common(p)
-    p.add_argument("--one-outcome", action="store_true", default=True)
     p.add_argument("--two-outcome", action="store_true")
     p.add_argument("--recycled", action="store_true")
     p.add_argument("--beta", type=float)

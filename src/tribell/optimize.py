@@ -15,6 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .bell import _vbar
 from .errors import ValidationError
 from .qmath import binary_entropy as h
 from .states import BlockDiagState, tau_state
@@ -52,9 +53,6 @@ _BLOCK = np.array(_BLOCK)
 _KIND = np.array(_KIND)
 _SIGN = np.array(_SIGN, dtype=float) / SQRT2
 
-_SGN_J = np.array([[1.0, 1.0], [-1.0, -1.0]])
-_SGN_K = np.array([[1.0, -1.0], [1.0, -1.0]])
-
 
 def _xlog2x(a: np.ndarray) -> np.ndarray:
     safe = np.where(a > 1e-18, a, 1.0)
@@ -74,26 +72,6 @@ def _split_block_vars(z: np.ndarray):
     rho = (w / s).reshape(-1, 2, 2, 2)
     t = z[:, 8:12].reshape(-1, 2, 2)
     return rho, t, z[:, 12]
-
-
-def _block_correlators(rho: np.ndarray, t: np.ndarray):
-    d = rho[:, 0] - rho[:, 1]
-    tot = rho[:, 0] + rho[:, 1]
-    c2, s2 = np.cos(2.0 * t), np.sin(2.0 * t)
-    xxx = (d * c2).sum(axis=(1, 2))
-    zxx = (d * s2).sum(axis=(1, 2))
-    zzi = (d * c2 * _SGN_J).sum(axis=(1, 2))
-    ziz = (d * c2 * _SGN_K).sum(axis=(1, 2))
-    izz = (tot * _SGN_J * _SGN_K).sum(axis=(1, 2))
-    return xxx, zxx, zzi, ziz, izz
-
-
-def _vbar(rho: np.ndarray, t: np.ndarray, b0: np.ndarray, parity: bool) -> np.ndarray:
-    xxx, zxx, zzi, ziz, izz = _block_correlators(rho, t)
-    sb, cb = np.sin(b0), np.cos(b0)
-    if parity:
-        return np.abs(sb) * np.hypot(zxx, xxx) - cb * zzi
-    return np.sqrt(sb * sb * (zxx ** 2 + xxx ** 2) + (ziz + cb * izz) ** 2) - cb * zzi
 
 
 def _two_outcome_entropy(rho: np.ndarray, t: np.ndarray, b0: np.ndarray) -> np.ndarray:

@@ -77,61 +77,20 @@ def partial_trace(rho, qubit_count: int, keep) -> np.ndarray:
     return t.reshape(d, d)
 
 
-def eig_hermitian(h, tol: float = 1e-12, max_sweeps: int = 60):
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
+def eig_hermitian(h):
+    """Eigendecomposition of a Hermitian matrix (LAPACK via np.linalg.eigh).
 
     Returns (eigenvalues descending, eigenvectors as matching columns).
-    Iterates until the off-diagonal Frobenius norm drops below
-    tol * max(1, ||h||_F).
     """
-    a = ensure_hermitian(h).copy()
+    a = ensure_hermitian(h)
     n = a.shape[0]
     if n > MAX_DIM:
         raise ValidationError(f"dimension {n} exceeds the {MAX_DIM} limit")
-    v = np.eye(n, dtype=complex)
-    if n == 1:
-        return np.array([a[0, 0].real]), v
-    scale = max(1.0, float(np.linalg.norm(a)))
-
-    def offdiag_norm(m):
-        off = m - np.diag(np.diag(m))
-        return float(np.linalg.norm(off))
-
-    for _ in range(max_sweeps):
-        if offdiag_norm(a) <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                r = abs(apq)
-                if r <= 1e-300 or r <= (tol * scale) / (n * n):
-                    continue
-                ph = apq / r
-                # zero a[p,q]: phase out, then a real rotation of angle theta
-                theta = 0.5 * np.arctan2(2.0 * r, (a[q, q] - a[p, p]).real)
-                c, s = np.cos(theta), np.sin(theta)
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * np.conj(ph) * col_q
-                a[:, q] = s * ph * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * ph * row_q
-                a[q, :] = s * np.conj(ph) * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * np.conj(ph) * vq
-                v[:, q] = s * ph * vp + c * vq
-    else:
-        raise NumericError(
-            f"Jacobi did not converge in {max_sweeps} sweeps "
-            f"(off-diagonal norm {offdiag_norm(a):.3e})"
-        )
-    w = np.diag(a).real.copy()
-    order = np.argsort(-w, kind="stable")
-    return w[order], v[:, order]
+    try:
+        w, v = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"eigh failed on a {n}x{n} matrix: {exc}") from exc
+    return w[::-1], v[:, ::-1]
 
 
 def _entropy_of_eigenvalues(w: np.ndarray) -> float:

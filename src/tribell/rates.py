@@ -28,18 +28,6 @@ SQRT2 = np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
-class DireConfig:
-    """Spot-checking configuration: test probability and input-bit cost."""
-
-    gamma: float = GAMMA_DEFAULT
-    recycled: bool = False
-
-    def __post_init__(self):
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValidationError(f"gamma={self.gamma!r} outside [0, 1]")
-
-
-@dataclass(frozen=True)
 class RateResult:
     rate: float
     beta_at_p: float
@@ -175,6 +163,9 @@ def dicka_rate(spec: BellSpec, noise: NoiseModel) -> RateResult:
         return RateResult(bounds.parity_chsh_one_outcome(beta) - h(q), beta,
                           "parity-chsh-one")
     if spec.kind == "asym-chsh":
+        if abs(spec.alpha - 1.0) > 1e-12:
+            raise ValidationError(
+                "DICKA maximizes the asym-chsh bound over alpha; alpha must be 1")
         scale = noise.p if noise.kind == "global" else noise.p ** 2
 
         def beta_fn(alpha):

@@ -216,6 +216,24 @@ def optimal_settings(spec: "BellSpec") -> MeasurementSettings:
     raise ValidationError(f"unknown inequality kind {kind!r}")
 
 
+_SGN_J = np.array([[1.0, 1.0], [-1.0, -1.0]])
+_SGN_K = np.array([[1.0, -1.0], [1.0, -1.0]])
+
+
+def _block_correlators(rho: np.ndarray, t: np.ndarray):
+    """Batched BlockDiagState.correlators: rho (n,2,2,2), t (n,2,2) ->
+    (XXX, ZXX, ZZI, ZIZ, IZZ), each of shape (n,)."""
+    d = rho[:, 0] - rho[:, 1]
+    tot = rho[:, 0] + rho[:, 1]
+    c2, s2 = np.cos(2.0 * t), np.sin(2.0 * t)
+    xxx = (d * c2).sum(axis=(1, 2))
+    zxx = (d * s2).sum(axis=(1, 2))
+    zzi = (d * c2 * _SGN_J).sum(axis=(1, 2))
+    ziz = (d * c2 * _SGN_K).sum(axis=(1, 2))
+    izz = (tot * _SGN_J * _SGN_K).sum(axis=(1, 2))
+    return xxx, zxx, zzi, ziz, izz
+
+
 @dataclass(frozen=True)
 class BlockDiagState:
     """Three-qubit state block-diagonal in the GHZ basis.
@@ -304,18 +322,9 @@ class BlockDiagState:
 
     def correlators(self) -> dict[str, float]:
         """The five expectation values entering the reduced Holz Bell value."""
-        d = self.rho[0] - self.rho[1]
-        tot = self.rho[0] + self.rho[1]
-        c2, s2 = np.cos(2 * self.t), np.sin(2 * self.t)
-        sj = np.array([[1.0, 1.0], [-1.0, -1.0]])
-        sk = np.array([[1.0, -1.0], [1.0, -1.0]])
-        return {
-            "XXX": float((d * c2).sum()),
-            "ZXX": float((d * s2).sum()),
-            "ZZI": float((d * c2 * sj).sum()),
-            "ZIZ": float((d * c2 * sk).sum()),
-            "IZZ": float((tot * sj * sk).sum()),
-        }
+        vals = _block_correlators(self.rho[None], self.t[None])
+        names = ("XXX", "ZXX", "ZZI", "ZIZ", "IZZ")
+        return {k: float(v[0]) for k, v in zip(names, vals)}
 
 
 def tau_state(nu: float) -> BlockDiagState:

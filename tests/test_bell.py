@@ -9,6 +9,7 @@ from tribell.bell import (BellValue, bell_value, correlator, holz_reduced_value,
 from tribell.errors import ValidationError
 from tribell.states import (BlockDiagState, ghz_state, optimal_settings,
                             settings_from_angles, tau_state)
+from tribell.verification import random_block_states
 
 I2, X, Y, Z = states.I2, states.X, states.Y, states.Z
 
@@ -194,6 +195,22 @@ class TestReducedForms:
                        for a1 in np.linspace(0, 2 * np.pi, 721))
             assert pv >= best - 1e-9
             assert pv <= best + 1e-4  # grid resolution of the a1 scan
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_scalar_forms_equal_batched_rows(self, seed):
+        sts = random_block_states(200, seed)
+        rho = np.stack([st.rho for st in sts])
+        t = np.stack([st.t for st in sts])
+        b0 = np.random.default_rng(seed).uniform(0.0, np.pi, len(sts))
+        cols = states._block_correlators(rho, t)
+        holz = bell._vbar(rho, t, b0, parity=False)
+        parity = bell._vbar(rho, t, b0, parity=True)
+        for i, st in enumerate(sts):
+            c = st.correlators()
+            assert [c[k] for k in ("XXX", "ZXX", "ZZI", "ZIZ", "IZZ")] == \
+                [col[i] for col in cols]
+            assert holz_vbar(st, b0[i]) == holz[i]
+            assert parity_vbar(st, b0[i]) == parity[i]
 
 
 class TestSampledInequalities:

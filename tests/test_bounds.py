@@ -262,6 +262,18 @@ class TestAsymTangentTable:
             bounds._asym_tangents([0.5, np.nan])
 
 
+@pytest.mark.parametrize("fn, qb", [
+    (holz_one_outcome, 1.5), (holz_two_outcome, 1.5),
+    (parity_chsh_one_outcome, SQRT2), (mabk_one_outcome, 4.0),
+    (mabk_two_outcome, 4.0), (colbeck_recycled_two_outcome, 2.0 * SQRT2)])
+def test_scalar_bounds_reject_bad_beta(fn, qb):
+    for beta in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValidationError, match="not finite"):
+            fn(beta)
+    with pytest.raises(ValidationError, match="above the quantum bound"):
+        fn(qb + 1e-6)
+
+
 class TestAsymNonFinite:
     @pytest.mark.parametrize("beta, alpha, name", [
         (np.nan, 0.5, "beta"), (-np.inf, 2.0, "beta"), (2.5, np.nan, "alpha"),

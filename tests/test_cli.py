@@ -19,8 +19,8 @@ def run_cli(args, capsys):
 
 class TestBound:
     def test_holz_one_outcome_at_max(self, capsys):
-        code, out, _ = run_cli(["bound", "--inequality", "holz", "--one-outcome",
-                                "--beta", "1.5"], capsys)
+        code, out, _ = run_cli(["bound", "--inequality", "holz", "--beta", "1.5"],
+                               capsys)
         assert code == 0
         assert out.strip() == "1.0"
 
@@ -77,6 +77,22 @@ class TestRate:
                                 "--p", "1.0"], capsys)
         assert code == 2
         assert "DICKA" in err
+
+    def test_asym_dicka_alpha_one(self, capsys):
+        code, out, _ = run_cli(["rate", "--dicka", "--inequality", "asym-chsh",
+                                "--alpha", "1", "--p", "0.95"], capsys)
+        assert code == 0
+        assert out.strip() == "0.137485256"
+
+    @pytest.mark.parametrize("argv", [
+        ["rate", "--dicka", "--p", "0.95", "--alpha", "2"],
+        ["threshold", "--rate", "dicka", "--alpha", "3"],
+    ])
+    def test_asym_dicka_alpha_rejected(self, capsys, argv):
+        code, out, err = run_cli(argv + ["--inequality", "asym-chsh"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "alpha must be 1" in err
 
 
 class TestThreshold:

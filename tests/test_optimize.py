@@ -27,6 +27,16 @@ def eta_oracle(beta):
     return 2.0 + float((ps * np.log2(ps)).sum())
 
 
+@pytest.mark.parametrize("minimizer, beta, entropy", [
+    (minimize_holz_two_outcome, 1.3, 0.5815920961394627),
+    (minimize_parity_two_outcome, 1.2, 0.6496711750133672),
+])
+def test_fixed_seed_entropy_pinned(minimizer, beta, entropy):
+    # fixed-seed values; any change to the objective or the search moves them
+    got = minimizer(beta, OptConfig(restarts=8, seed=0)).entropy
+    assert got == pytest.approx(entropy, rel=1e-12, abs=0.0)
+
+
 class TestHolzMinimizer:
     def test_max_violation_matches_analytic(self):
         r = minimize_holz_two_outcome(1.5, CFG)

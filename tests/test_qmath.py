@@ -117,18 +117,31 @@ class TestEigHermitian:
 
     def test_reconstruction_random(self):
         rng = np.random.default_rng(11)
-        for _ in range(20):
-            g = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        for d in [8] * 20 + [64]:
+            g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
             hm = (g + g.conj().T) / 2
             w, v = qmath.eig_hermitian(hm)
             assert np.max(np.abs((v * w) @ v.conj().T - hm)) < 1e-9
-            assert np.max(np.abs(v.conj().T @ v - np.eye(8))) < 1e-9
+            assert np.max(np.abs(v.conj().T @ v - np.eye(d))) < 1e-9
             assert np.max(np.abs(hm @ v - v * w)) < 1e-9
             assert abs(w.sum() - np.trace(hm).real) < 1e-9
+            assert np.all(np.diff(w) <= 0.0)
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValidationError):
             qmath.eig_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
+
+    def test_dimension_cap(self):
+        with pytest.raises(ValidationError, match="limit"):
+            qmath.eig_hermitian(np.eye(65))
+
+    def test_linalg_error_becomes_numeric_error(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(NumericError, match="did not converge"):
+            qmath.eig_hermitian(Z)
 
 
 class TestVonNeumann:
@@ -210,12 +223,3 @@ class TestShannonEntropy:
     def test_sum_validation(self):
         with pytest.raises(ValidationError):
             qmath.shannon_entropy([0.5, 0.4])
-
-
-def test_jacobi_nonconvergence_guard():
-    # pathological tolerance forces the sweep limit
-    rng = np.random.default_rng(19)
-    g = rng.normal(size=(6, 6))
-    hm = (g + g.T) / 2
-    with pytest.raises(NumericError):
-        qmath.eig_hermitian(hm, tol=1e-30, max_sweeps=1)
