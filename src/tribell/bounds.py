@@ -8,7 +8,6 @@ clamps to 0 below it, since the rate formulas evaluate there routinely.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -455,36 +454,3 @@ def colbeck_recycled_two_outcome(beta: float) -> float:
         return _colbeck_g1_deriv(bstar) * (beta - 2.0)
     return colbeck_g1(beta)
 
-
-# ---------------------------------------------------------------------------
-# curve registry used by the verification suites
-
-@dataclass(frozen=True)
-class BoundCurve:
-    name: str
-    fn: Callable[[float], float]
-    domain: tuple[float, float]
-    max_value: float
-    conjectured: bool = False
-
-
-def bound_curves() -> list[BoundCurve]:
-    """Every analytical bound curve, with its domain and endpoint value."""
-    curves = [
-        BoundCurve("holz-one", holz_one_outcome, (1.0, 1.5), 1.0),
-        BoundCurve("holz-two", holz_two_outcome, (1.0, 1.5),
-                   theta_at_optimum(1.5), conjectured=True),
-        BoundCurve("parity-chsh-one", parity_chsh_one_outcome, (1.0, SQRT2), 1.0),
-        BoundCurve("mabk-one", mabk_one_outcome, (2.0, 4.0), 1.0),
-        BoundCurve("mabk-two", mabk_two_outcome, (2.0, 4.0), 2.0),
-        BoundCurve("colbeck-recycled", colbeck_recycled_two_outcome,
-                   (2.0, 2.0 * SQRT2), colbeck_g1(2.0 * SQRT2), conjectured=True),
-    ]
-    for alpha in (0.5, 1.0, 2.0):
-        lb = 2.0 * max(1.0, alpha)
-        qb = 2.0 * np.hypot(1.0, alpha)
-        curves.append(BoundCurve(
-            f"asym-chsh-one(alpha={alpha})",
-            lambda b, a=alpha: asym_chsh_one_outcome(b, a),
-            (lb, qb), 1.0))
-    return curves

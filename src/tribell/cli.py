@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from . import bounds, optimize, rates, verification
+from . import optimize, rates, verification
 from .bell import spec_by_name
 from .errors import NumericError, ValidationError
 from .states import NoiseModel
@@ -61,74 +61,56 @@ def _map_parallel(fn, xs):
     return [fn(x) for x in xs]
 
 
+def _sweep_csv(args, quantity, value) -> int:
+    """Write value(p) = (value, beta, flags) over the --grid of p to --out."""
+    grid = _parse_grid(args.grid)
+    rows = [(quantity, args.inequality, args.noise, p, beta, val, " ".join(flags))
+            for p, (val, beta, flags) in zip(grid, _map_parallel(value, grid))]
+    _write_csv(args.out, rows, sort_key=lambda r: r[3])
+    return 0
+
+
 # ---------------------------------------------------------------------------
 # bound
 
-def _bound_fn(args):
-    spec = spec_by_name(args.inequality, args.alpha)
-    if args.recycled:
-        if args.inequality != "chsh":
-            raise ValidationError("the recycled-input bound exists only for chsh")
-        return "bound-recycled", lambda b: bounds.colbeck_recycled_two_outcome(b), ()
-    if args.two_outcome:
-        if spec.kind == "holz":
-            return "bound-two", bounds.holz_two_outcome, ("conjectured",)
-        if spec.kind == "mabk":
-            return "bound-two", bounds.mabk_two_outcome, ()
-        return "bound-two", lambda b: rates._two_outcome_bound(spec, b)[0], \
-            ("non-certified",)
-    table = {
-        "holz": bounds.holz_one_outcome,
-        "parity-chsh": bounds.parity_chsh_one_outcome,
-        "mabk": bounds.mabk_one_outcome,
-    }
-    if spec.kind in table:
-        return "bound-one", table[spec.kind], ()
-    return "bound-one", lambda b: bounds.asym_chsh_one_outcome(b, spec.alpha), ()
-
-
 def cmd_bound(args) -> int:
-    quantity, fn, flags = _bound_fn(args)
+    outcome = "recycled" if args.recycled else "two" if args.two_outcome else "one"
+    curve = rates.bound_curve(spec_by_name(args.inequality, args.alpha), outcome)
     if args.grid is not None:
         grid = _parse_grid(args.grid)
-        vals = _map_parallel(fn, grid)
-        rows = [(quantity, args.inequality, "", "", b, v, " ".join(flags))
+        vals = _map_parallel(curve.fn, grid)
+        # `bound --recycled` CSVs have never carried the curve's conjectured
+        # flag; perfbench/golden_csv.json pins their bytes (ROADMAP item 5)
+        flags = "" if args.recycled else " ".join(curve.flags)
+        rows = [(f"bound-{outcome}", args.inequality, "", "", b, v, flags)
                 for b, v in zip(grid, vals)]
         _write_csv(args.out, rows, sort_key=lambda r: r[4])
         return 0
     if args.beta is None:
         raise ValidationError("provide --beta or --grid")
-    print(_fmt(fn(args.beta)))
+    print(_fmt(curve.fn(args.beta)))
     return 0
 
 
 # ---------------------------------------------------------------------------
 # rate
 
-def _rate_result(args, p):
-    noise = NoiseModel(args.noise, p)
-    spec = spec_by_name(args.inequality, args.alpha)
-    if args.dicka:
-        return "rate-dicka", rates.dicka_rate(spec, noise)
-    if args.dire == "recycled":
-        return "rate-dire-recycled", rates.dire_rate_recycled(noise)
-    return "rate-dire-spot", rates.dire_rate_spot(spec, noise, args.gamma)
+def _rate_value(args, kind, spec, p):
+    r = rates.rate(kind, spec, NoiseModel(args.noise, p), args.gamma)
+    return r.rate, r.beta_at_p, r.flags
 
 
 def cmd_rate(args) -> int:
     if not args.dicka and args.dire is None:
         raise ValidationError("choose --dicka or --dire {spot,recycled}")
+    kind = "dicka" if args.dicka else f"dire-{args.dire}"
+    spec = spec_by_name(args.inequality, args.alpha)
     if args.grid is not None:
-        grid = _parse_grid(args.grid)
-        results = _map_parallel(lambda p: _rate_result(args, p), grid)
-        rows = [(q, args.inequality, args.noise, p, r.beta_at_p, r.rate,
-                 " ".join(r.flags)) for p, (q, r) in zip(grid, results)]
-        _write_csv(args.out, rows, sort_key=lambda r: r[3])
-        return 0
+        return _sweep_csv(args, f"rate-{kind}",
+                          lambda p: _rate_value(args, kind, spec, p))
     if args.p is None:
         raise ValidationError("provide --p or --grid")
-    _, res = _rate_result(args, args.p)
-    print(_fmt(res.rate))
+    print(_fmt(_rate_value(args, kind, spec, args.p)[0]))
     return 0
 
 
@@ -151,7 +133,7 @@ def cmd_optimize(args) -> int:
         if args.out is None:
             raise ValidationError("--regen-tables needs --out FILE")
         curves = {}
-        for ineq in ("parity-chsh", "chsh"):
+        for ineq in rates.NUMERIC_CURVES:
             curves[ineq] = rates.generate_two_outcome_table(
                 ineq, points=args.points, restarts=args.restarts, seed=args.seed)
         payload = {"curves": curves}
@@ -204,53 +186,28 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # sweep (figure reproduction over p)
 
-def _sweep_value(args, quantity, p):
+def _sweep_value(args, spec, p):
+    kind = args.quantity.removeprefix("rate-")
+    if kind in rates.RATE_KINDS:
+        return _rate_value(args, kind, spec, p)
     noise = NoiseModel(args.noise, p)
-    spec = spec_by_name(args.inequality, args.alpha)
-    if quantity == "beta":
-        return rates.beta_of_p(spec, noise), "", ()
-    if quantity == "bound-one":
-        if spec.kind == "asym-chsh" and args.optimize_alpha:
-            scale = p if args.noise == "global" else p * p
-            alpha, val = bounds.best_alpha_bound(
-                lambda a: 2.0 * np.hypot(1.0, a) * scale)
-            return val, 2.0 * np.hypot(1.0, alpha) * scale, ()
-        beta = rates.beta_of_p(spec, noise)
-        fns = {
-            "holz": bounds.holz_one_outcome,
-            "parity-chsh": bounds.parity_chsh_one_outcome,
-            "mabk": bounds.mabk_one_outcome,
-        }
-        if spec.kind in fns:
-            return fns[spec.kind](min(beta, spec.quantum_bound)), beta, ()
-        return bounds.asym_chsh_one_outcome(min(beta, spec.quantum_bound),
-                                            spec.alpha), beta, ()
-    if quantity == "bound-two":
-        beta = rates.beta_of_p(spec, noise)
-        val, used, conjectured = rates._two_outcome_bound(spec, beta)
-        flags = (("conjectured",) if conjectured else ()) + \
-            (("non-certified",) if used.startswith("numeric") else ())
-        return val, beta, flags
-    if quantity == "rate-dicka":
-        r = rates.dicka_rate(spec, noise)
-        return r.rate, r.beta_at_p, r.flags
-    if quantity == "rate-dire-spot":
-        r = rates.dire_rate_spot(spec, noise, args.gamma)
-        return r.rate, r.beta_at_p, r.flags
-    if quantity == "rate-dire-recycled":
-        r = rates.dire_rate_recycled(noise)
-        return r.rate, r.beta_at_p, r.flags
-    raise ValidationError(f"unknown quantity {quantity!r}")
+    if args.optimize_alpha:
+        _, val, beta = rates.best_alpha_one_outcome(noise)
+        return val, beta, ()
+    beta = rates.beta_of_p(spec, noise)
+    if args.quantity == "beta":
+        return beta, "", ()
+    curve = rates.bound_curve(spec, args.quantity.removeprefix("bound-"))
+    return curve.fn(beta), beta, curve.flags
 
 
 def cmd_sweep(args) -> int:
-    grid = _parse_grid(args.grid)
-    results = _map_parallel(lambda p: _sweep_value(args, args.quantity, p), grid)
-    rows = [(args.quantity, args.inequality, args.noise, p, beta, val,
-             " ".join(flags))
-            for p, (val, beta, flags) in zip(grid, results)]
-    _write_csv(args.out, rows, sort_key=lambda r: r[3])
-    return 0
+    spec = spec_by_name(args.inequality, args.alpha)
+    if args.optimize_alpha and (args.quantity != "bound-one"
+                                or spec.kind != "asym-chsh"):
+        raise ValidationError("--optimize-alpha applies only to --quantity "
+                              "bound-one with --inequality chsh or asym-chsh")
+    return _sweep_csv(args, args.quantity, lambda p: _sweep_value(args, spec, p))
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("threshold", help="threshold p where a rate turns positive")
     common(p, noise=True, gamma_default=0.0)
-    p.add_argument("--rate", choices=["dicka", "dire-spot", "dire-recycled"],
-                   required=True)
+    p.add_argument("--rate", choices=rates.RATE_KINDS, required=True)
     p.set_defaults(func=cmd_threshold)
 
     p = sub.add_parser("optimize", help="two-outcome entropy minimization")
@@ -311,8 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="sweep a quantity over p to CSV")
     common(p, noise=True)
     p.add_argument("--quantity", required=True,
-                   choices=["beta", "bound-one", "bound-two", "rate-dicka",
-                            "rate-dire-spot", "rate-dire-recycled"])
+                   choices=["beta", "bound-one", "bound-two"]
+                   + [f"rate-{kind}" for kind in rates.RATE_KINDS])
     p.add_argument("--optimize-alpha", action="store_true",
                    help="maximize asym-chsh bounds over alpha at each p")
     p.add_argument("--grid", required=True, help="p grid start:stop:steps")

@@ -15,12 +15,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .bell import _vbar
+from .bell import _vbar, spec_by_name
+from .centropy import cond_entropy
 from .errors import ValidationError
 from .qmath import binary_entropy as h
+from .rates import bound_curve
 from .states import BlockDiagState, tau_state
-from . import bounds as bounds_mod
-from .centropy import cond_entropy
 
 SQRT2 = np.sqrt(2.0)
 
@@ -534,6 +534,7 @@ def verify_tightness(ineq: str, nu_grid) -> TightnessReport:
     the family's maximal violation must both equal 1 - h(nu)."""
     if ineq not in ("holz", "parity-chsh"):
         raise ValidationError("tightness families exist for holz and parity-chsh")
+    curve = bound_curve(spec_by_name(ineq), "one")
     nus = np.asarray(list(nu_grid), dtype=float)
     ent_err = np.empty(len(nus))
     bound_err = np.empty(len(nus))
@@ -545,10 +546,9 @@ def verify_tightness(ineq: str, nu_grid) -> TightnessReport:
         ce = cond_entropy(state.to_matrix(), [0], [z_obs])
         if ineq == "holz":
             beta_nu = 2.0 * nu + 1.0 / (2.0 * nu) - 1.0
-            bnd = bounds_mod.holz_one_outcome(min(beta_nu, 1.5))
         else:
             beta_nu = np.hypot(2.0 * nu - 1.0, 1.0)
-            bnd = bounds_mod.parity_chsh_one_outcome(min(beta_nu, SQRT2))
+        bnd = curve.fn(beta_nu)
         ent_err[i] = abs(ce - expected)
         bound_err[i] = abs(bnd - expected)
         rows.append((float(nu), float(beta_nu), float(ce), float(bnd), float(expected)))

@@ -8,11 +8,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds
-from .bell import (bell_value, holz_reduced_value, spec_by_name)
+from .bell import (asym_chsh, bell_value, chsh, holz, holz_reduced_value, mabk,
+                   parity_chsh, spec_by_name)
 from .centropy import cond_entropy
 from .optimize import verify_tightness
 from .qmath import binary_entropy as h
-from .states import BlockDiagState, Z, settings_from_angles
+from .rates import bound_curve
+from .states import BlockDiagState, Z, _block_correlators, settings_from_angles
 
 SQRT2 = np.sqrt(2.0)
 
@@ -63,8 +65,8 @@ def check_appendix_b(samples: int = 10_000, seed: int = 11,
     (beta > 1, where the inequality is nontrivial) is well sampled.
     """
     rng = np.random.default_rng(seed)
-    worst = np.inf
-    used = 0
+    rhos, ts = np.empty((samples, 2, 2, 2)), np.empty((samples, 2, 2))
+    angles = np.empty((3, samples))
     for i in range(samples):
         if i % 2 == 0:
             conc = 0.35 if i % 4 == 0 else 1.0
@@ -86,16 +88,16 @@ def check_appendix_b(samples: int = 10_000, seed: int = 11,
                 + rng.normal(0.0, 0.3)
             cm = np.arcsin(min(1.0 / (2 * nu), 1.0)) + rng.normal(0.0, 0.3)
         st = BlockDiagState(rho, t)
-        c = st.correlators()
-        beta = ((np.cos(a1) * c["ZXX"] + np.sin(a1) * c["XXX"])
-                * np.cos(bm) * np.cos(cm)
-                + np.sin(bm) * c["ZZI"] + np.sin(cm) * c["ZIZ"]
-                - np.sin(bm) * np.sin(cm) * c["IZZ"])
-        if beta <= 1.0:
-            continue
-        used += 1
-        rhs = beta / 2.0 - 0.5 + 0.5 * np.sqrt(beta * beta + 2.0 * beta - 3.0)
-        worst = min(worst, abs(c["XXX"]) - rhs)
+        rhos[i], ts[i], angles[:, i] = st.rho, st.t, (a1, bm, cm)
+    xxx, zxx, zzi, ziz, izz = _block_correlators(rhos, ts)
+    a1, bm, cm = angles
+    beta = ((np.cos(a1) * zxx + np.sin(a1) * xxx) * np.cos(bm) * np.cos(cm)
+            + np.sin(bm) * zzi + np.sin(cm) * ziz - np.sin(bm) * np.sin(cm) * izz)
+    side = beta > 1.0
+    used = int(np.count_nonzero(side))
+    beta = beta[side]
+    rhs = beta / 2.0 - 0.5 + 0.5 * np.sqrt(beta * beta + 2.0 * beta - 3.0)
+    worst = float(np.min(np.abs(xxx[side]) - rhs, initial=np.inf))
     passed = used > 0 and worst >= -tol
     return CheckResult("appendix-b-xxx-vs-beta", passed,
                        f"{used} violating-side samples, min margin {worst:.3e}")
@@ -121,11 +123,11 @@ def check_uncertainty(samples: int = 1_000, seed: int = 17,
                       tol: float = 1e-9) -> CheckResult:
     """H(Z|E) >= 1 - h((1+|<XXX>|)/2) on random block-diagonal states."""
     states = random_block_states(samples, seed)
-    worst = np.inf
-    for st in states:
-        lhs = cond_entropy(st.to_matrix(), [0], [Z])
-        rhs = 1.0 - h((1.0 + abs(st.correlators()["XXX"])) / 2.0)
-        worst = min(worst, lhs - rhs)
+    lhs = np.array([cond_entropy(st.to_matrix(), [0], [Z]) for st in states])
+    xxx = _block_correlators(np.array([st.rho for st in states]),
+                             np.array([st.t for st in states]))[0]
+    rhs = np.array([1.0 - h((1.0 + abs(x)) / 2.0) for x in xxx])
+    worst = float(np.min(lhs - rhs))
     return CheckResult("uncertainty-relation", worst >= -tol,
                        f"min margin {worst:.3e}")
 
@@ -171,17 +173,27 @@ def check_tightness(points: int = 50, tol: float = 1e-9) -> CheckResult:
 
 
 def check_bound_curves(grid: int = 200) -> list[CheckResult]:
-    """Zero at the classical bound, endpoint value at the quantum bound,
-    monotone, and convex (second differences >= -1e-7) for every curve."""
+    """Zero at the classical bound, the expected value at the quantum bound,
+    monotone, and convex (second differences >= -1e-7) for every analytical
+    curve of the registry."""
+    expected = [  # (spec, outcome, value at the quantum bound)
+        (holz(), "one", 1.0),
+        (holz(), "two", bounds.theta_at_optimum(1.5)),
+        (parity_chsh(), "one", 1.0),
+        (mabk(), "one", 1.0),
+        (mabk(), "two", 2.0),
+        (chsh(), "recycled", bounds.colbeck_g1(2.0 * SQRT2)),
+    ] + [(asym_chsh(alpha), "one", 1.0) for alpha in (0.5, 1.0, 2.0)]
     out = []
-    for curve in bounds.bound_curves():
+    for spec, outcome, max_value in expected:
+        curve = bound_curve(spec, outcome)
         lo, hi = curve.domain
         xs = np.linspace(lo, hi, grid)
         ys = np.array([curve.fn(x) for x in xs])
         d2min = float(np.min(ys[:-2] - 2.0 * ys[1:-1] + ys[2:]))
         mono = bool(np.all(np.diff(ys) >= -1e-12))
         zero_ok = abs(ys[0]) <= 1e-9
-        max_ok = abs(ys[-1] - curve.max_value) <= 1e-9
+        max_ok = abs(ys[-1] - max_value) <= 1e-9
         convex_ok = d2min >= -1e-7
         passed = mono and zero_ok and max_ok and convex_ok
         expected_failure = (not convex_ok) and mono and zero_ok and max_ok \
@@ -189,7 +201,7 @@ def check_bound_curves(grid: int = 200) -> list[CheckResult]:
         out.append(CheckResult(
             f"curve-shape:{curve.name}", passed,
             f"min 2nd-diff {d2min:.3e}, monotone {mono}, "
-            f"f(lo)={ys[0]:.3e}, f(hi)={ys[-1]:.9f} (expect {curve.max_value:.9f})",
+            f"f(lo)={ys[0]:.3e}, f(hi)={ys[-1]:.9f} (expect {max_value:.9f})",
             expected_failure=expected_failure))
     return out
 

@@ -224,6 +224,54 @@ class TestSampledInequalities:
 
         assert check_appendix_b(samples=2000, seed=63).passed
 
+    def test_appendix_b_batched_equals_scalar_loop(self):
+        from tribell.verification import check_appendix_b
+
+        # the per-state loop the batched check replaced, drawing the same states
+        rng = np.random.default_rng(5)
+        worst, used = np.inf, 0
+        for i in range(600):
+            if i % 2 == 0:
+                conc = 0.35 if i % 4 == 0 else 1.0
+                rho = rng.dirichlet([conc] * 8).reshape(2, 2, 2)
+                t = rng.uniform(-np.pi / 2, np.pi / 2, size=(2, 2))
+                a1, bm, cm = rng.uniform(0.0, 2.0 * np.pi, size=3)
+            else:
+                nu = rng.uniform(0.5, 1.0)
+                eps = rng.uniform(0.0, 0.15)
+                rho = np.full((2, 2, 2), eps / 8.0)
+                rho[0, 0, 0] += (1.0 - eps) * nu
+                rho[0, 1, 1] += (1.0 - eps) * (1.0 - nu)
+                rho = rho / rho.sum()
+                t = rng.normal(0.0, 0.15, size=(2, 2))
+                t[1, 1] += np.pi / 2
+                a1 = np.pi / 2 + rng.normal(0.0, 0.3)
+                bm = np.arctan2(1.0, np.sqrt(max(4 * nu * nu - 1.0, 1e-12))) \
+                    + rng.normal(0.0, 0.3)
+                cm = np.arcsin(min(1.0 / (2 * nu), 1.0)) + rng.normal(0.0, 0.3)
+            c = BlockDiagState(rho, t).correlators()
+            beta = ((np.cos(a1) * c["ZXX"] + np.sin(a1) * c["XXX"])
+                    * np.cos(bm) * np.cos(cm)
+                    + np.sin(bm) * c["ZZI"] + np.sin(cm) * c["ZIZ"]
+                    - np.sin(bm) * np.sin(cm) * c["IZZ"])
+            if beta > 1.0:
+                used += 1
+                rhs = beta / 2 - 0.5 + 0.5 * np.sqrt(beta * beta + 2 * beta - 3)
+                worst = min(worst, abs(c["XXX"]) - rhs)
+        assert check_appendix_b(samples=600, seed=5).detail == \
+            f"{used} violating-side samples, min margin {worst:.3e}"
+
+    def test_uncertainty_batched_equals_scalar_loop(self):
+        from tribell.centropy import cond_entropy
+        from tribell.verification import check_uncertainty
+
+        h = qmath.binary_entropy
+        worst = min(cond_entropy(st.to_matrix(), [0], [states.Z])
+                    - (1.0 - h((1 + abs(st.correlators()["XXX"])) / 2))
+                    for st in random_block_states(150, 7))
+        assert check_uncertainty(samples=150, seed=7).detail == \
+            f"min margin {worst:.3e}"
+
     def test_appendix_c_inequalities_sample(self):
         from tribell.verification import check_appendix_c
 

@@ -353,7 +353,18 @@ class TestRootFinding:
 
 class TestCurveRegistry:
     def test_every_curve_covers_contract(self):
-        names = {c.name for c in bounds.bound_curves()}
+        from tribell.bell import asym_chsh, spec_by_name
+        from tribell.rates import bound_curve
+
+        specs = [spec_by_name(n) for n in ("holz", "parity-chsh", "mabk", "chsh")]
+        specs += [asym_chsh(0.5), asym_chsh(2.0)]
+        names = set()
+        for spec in specs:
+            for outcome in ("one", "two", "recycled"):
+                try:
+                    names.add(bound_curve(spec, outcome).name)
+                except ValidationError:
+                    pass
         assert {"holz-one", "holz-two", "parity-chsh-one", "mabk-one",
                 "mabk-two", "colbeck-recycled"} <= names
         assert any("alpha=0.5" in n for n in names)

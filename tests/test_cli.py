@@ -6,6 +6,8 @@ import sys
 import numpy as np
 import pytest
 
+from tribell import bounds
+from tribell.bell import spec_by_name
 from tribell.cli import main
 
 RUN = [sys.executable, "-m", "tribell.cli"]
@@ -58,6 +60,32 @@ class TestBound:
         code, _, err = run_cli(["bound", "--inequality", "holz"], capsys)
         assert code == 2
         assert "beta" in err
+
+
+# what `bound --beta <quantum bound>` prints per inequality and outcome flag
+# (None: exit 2); asym-chsh at its default alpha=1 is CHSH
+AT_QUANTUM_BOUND = {
+    "holz": ("1.0", "1.81127812", None),
+    "parity-chsh": ("1.0", "1.60087604", None),
+    "mabk": ("1.0", "2.0", None),
+    "chsh": ("1.0", "1.60087602", "1.60087604"),
+    "asym-chsh": ("1.0", "1.60087602", "1.60087604"),
+}
+OUTCOME_FLAGS = ([], ["--two-outcome"], ["--recycled"])
+
+
+class TestBoundDomain:
+    @pytest.mark.parametrize("ineq", sorted(AT_QUANTUM_BOUND))
+    @pytest.mark.parametrize("which", range(3))
+    def test_quantum_bound_edge(self, capsys, ineq, which):
+        qb = float(spec_by_name(ineq).quantum_bound)
+        argv = ["bound", "--inequality", ineq] + OUTCOME_FLAGS[which]
+        for beta in (repr(qb + 1e-6), "nan"):
+            code, out, _ = run_cli(argv + ["--beta", beta], capsys)
+            assert (code, out) == (2, "")
+        code, out, _ = run_cli(argv + ["--beta", repr(qb)], capsys)
+        want = AT_QUANTUM_BOUND[ineq][which]
+        assert (code, out.strip()) == ((2, "") if want is None else (0, want))
 
 
 class TestRate:
@@ -161,6 +189,30 @@ class TestSweepDeterminism:
         assert code == 0
         for line in out.read_text().splitlines()[1:]:
             assert line.split(",")[6] == "conjectured"
+
+
+class TestSweepOptimizeAlpha:
+    @pytest.mark.parametrize("quantity, ineq", [
+        ("bound-one", "holz"), ("bound-two", "chsh"), ("rate-dicka", "asym-chsh"),
+        ("beta", "chsh"),
+    ])
+    def test_rejected_where_ignored(self, tmp_path, capsys, quantity, ineq):
+        out = tmp_path / "s.csv"
+        code, _, err = run_cli(["sweep", "--quantity", quantity, "--inequality",
+                                ineq, "--optimize-alpha", "--grid", "0.9:1:3",
+                                "--out", str(out)], capsys)
+        assert code == 2
+        assert "--optimize-alpha" in err
+        assert not out.exists()
+
+    def test_chsh_bound_one(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        code, _, _ = run_cli(["sweep", "--quantity", "bound-one", "--inequality",
+                              "chsh", "--optimize-alpha", "--grid", "0.95:0.95:1",
+                              "--out", str(out)], capsys)
+        assert code == 0
+        value = float(out.read_text().splitlines()[1].split(",")[5])
+        assert value > bounds.asym_chsh_one_outcome(2 * np.sqrt(2) * 0.95 ** 2, 1.0)
 
 
 class TestVerify:

@@ -1,10 +1,12 @@
 """rates: honest violations, QBER, DICKA/DIRE rates, thresholds, tables."""
 
+import json
+
 import numpy as np
 import pytest
 
 from tribell import bounds, rates
-from tribell.bell import spec_by_name
+from tribell.bell import asym_chsh, spec_by_name
 from tribell.errors import NumericError, ValidationError
 from tribell.rates import (beta_of_p, beta_of_p_closed_form, dicka_rate,
                            dire_rate_recycled, dire_rate_spot, qber,
@@ -108,7 +110,7 @@ class TestDireSpot:
             spec = spec_by_name(ineq)
             nm = NoiseModel("local", 0.93)
             r = dire_rate_spot(spec, nm, 0.0)
-            bound, _, _ = rates._two_outcome_bound(spec, beta_of_p(spec, nm))
+            bound = rates.bound_curve(spec, "two").fn(beta_of_p(spec, nm))
             assert r.rate == bound
 
     def test_input_bit_costs(self):
@@ -207,3 +209,142 @@ class TestNumericTables:
     def test_unknown_table(self):
         with pytest.raises(ValidationError):
             two_outcome_numeric("mabk", 3.0)
+
+    @pytest.mark.parametrize("ineq", ["parity-chsh", "chsh"])
+    def test_domain_checked(self, ineq):
+        qb = spec_by_name(ineq).quantum_bound
+        for beta in (np.nan, np.inf, qb + 1e-6):
+            with pytest.raises(ValidationError):
+                two_outcome_numeric(ineq, beta)
+
+
+# (inequality, outcome) -> (name, flags) of every curve in the registry
+REGISTRY = {
+    ("holz", "one"): ("holz-one", ()),
+    ("holz", "two"): ("holz-two", ("conjectured",)),
+    ("parity-chsh", "one"): ("parity-chsh-one", ()),
+    ("parity-chsh", "two"): ("numeric:parity-chsh-two", ("non-certified",)),
+    ("mabk", "one"): ("mabk-one", ()),
+    ("mabk", "two"): ("mabk-two", ()),
+    ("chsh", "one"): ("asym-chsh-one(alpha=1.0)", ()),
+    ("chsh", "two"): ("numeric:chsh-two", ("non-certified",)),
+    ("chsh", "recycled"): ("colbeck-recycled", ("conjectured",)),
+}
+
+
+class TestBoundCurveRegistry:
+    @pytest.mark.parametrize("ineq", ["holz", "parity-chsh", "mabk", "chsh"])
+    @pytest.mark.parametrize("outcome", ["one", "two", "recycled"])
+    def test_entries(self, ineq, outcome):
+        spec = spec_by_name(ineq)
+        if (ineq, outcome) not in REGISTRY:
+            with pytest.raises(ValidationError):
+                rates.bound_curve(spec, outcome)
+            return
+        curve = rates.bound_curve(spec, outcome)
+        assert (curve.name, curve.flags) == REGISTRY[(ineq, outcome)]
+        assert curve.domain == (spec.local_bound, spec.quantum_bound)
+        lo, qb = curve.domain
+        assert curve.fn(lo) == 0.0
+        assert curve.fn(qb + 1e-10) == curve.fn(qb)  # clamped within the slack
+        for beta in (np.nan, np.inf, qb + 1e-6):
+            with pytest.raises(ValidationError):
+                curve.fn(beta)
+
+    def test_asym_alpha(self):
+        curve = rates.bound_curve(asym_chsh(0.5), "one")
+        assert curve.name == "asym-chsh-one(alpha=0.5)"
+        assert curve.fn(2.2) == bounds.asym_chsh_one_outcome(2.2, 0.5)
+        for outcome in ("two", "recycled"):
+            with pytest.raises(ValidationError, match="alpha=1"):
+                rates.bound_curve(asym_chsh(2.0), outcome)
+
+    def test_unknown_outcome(self):
+        with pytest.raises(ValidationError):
+            rates.bound_curve(spec_by_name("holz"), "three")
+
+    def test_rate_results_carry_curve(self):
+        nm = NoiseModel("local", 0.95)
+        for ineq in ("holz", "parity-chsh"):
+            r = dicka_rate(spec_by_name(ineq), nm)
+            assert (r.bound_used, r.flags) == REGISTRY[(ineq, "one")]
+        for ineq in ("holz", "parity-chsh", "mabk", "chsh"):
+            r = dire_rate_spot(spec_by_name(ineq), nm, 0.0)
+            assert (r.bound_used, r.flags) == REGISTRY[(ineq, "two")]
+        r = dire_rate_recycled(nm)
+        assert (r.bound_used, r.flags) == REGISTRY[("chsh", "recycled")]
+
+
+class TestRateDispatch:
+    def test_kinds(self):
+        spec, nm = spec_by_name("holz"), NoiseModel("global", 0.97)
+        assert rates.rate("dicka", spec, nm) == dicka_rate(spec, nm)
+        assert rates.rate("dire-spot", spec, nm, 0.01) == dire_rate_spot(spec, nm, 0.01)
+        assert rates.rate("dire-recycled", spec, nm) == dire_rate_recycled(nm)
+
+    def test_unknown_kind(self):
+        with pytest.raises(ValidationError):
+            rates.rate("dire-batch", spec_by_name("holz"), NoiseModel("local", 1.0))
+
+
+def _shipped_tables() -> dict:
+    rates._load_tables.cache_clear()
+    return json.loads(json.dumps(rates._load_tables()))
+
+
+def _break(field, fn):
+    def edit(data):
+        fn(data["curves"]["chsh"][field])
+    return edit
+
+
+class TestTableFile:
+    @pytest.fixture
+    def use_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "tables.json"
+
+        def use(text):
+            path.write_text(text)
+            monkeypatch.setenv(rates.TABLE_ENV, str(path))
+            rates._load_tables.cache_clear()
+            return path
+
+        yield use
+        monkeypatch.delenv(rates.TABLE_ENV, raising=False)
+        rates._load_tables.cache_clear()
+
+    def test_good_file_is_used(self, use_file):
+        data = _shipped_tables()
+        curve = data["curves"]["parity-chsh"]
+        curve["value"] = [0.5 * v for v in curve["value"]]
+        use_file(json.dumps(data))
+        shipped = np.interp(1.3, curve["beta"], curve["value"])
+        assert two_outcome_numeric("parity-chsh", 1.3) == pytest.approx(shipped)
+
+    @pytest.mark.parametrize("edit, why", [
+        (lambda d: d["curves"].pop("parity-chsh"), "KeyError: 'parity-chsh'"),
+        (lambda d: d.pop("curves"), "KeyError: 'curves'"),
+        (_break("beta", lambda b: b.pop()), "differ in length"),
+        (_break("value", lambda v: v.append(1.7)), "differ in length"),
+        (_break("beta", lambda b: b.__setitem__(5, b[4])), "strictly increasing"),
+        (_break("beta", lambda b: b.__setitem__(-1, 2.9)), "must run from"),
+        (_break("beta", lambda b: b.__setitem__(0, 2.0 + 1e-9)), "must run from"),
+        (_break("value", lambda v: v.__setitem__(0, 1e-6)), "is not 0"),
+        (_break("value", lambda v: v.__setitem__(-1, 2.5)), r"leave \[0, 2\]"),
+        (_break("value", lambda v: v.__setitem__(1, -1e-3)), r"leave \[0, 2\]"),
+        (_break("value", lambda v: v.__setitem__(3, None)), r"leave \[0, 2\]"),
+        (_break("value", lambda v: v.__setitem__(100, v[100] + 0.3)),
+         "leave .* or decrease"),
+    ])
+    def test_malformed_rejected(self, use_file, edit, why):
+        data = _shipped_tables()
+        edit(data)
+        path = use_file(json.dumps(data))
+        with pytest.raises(ValidationError, match=str(path)) as info:
+            two_outcome_numeric("chsh", 2.5)
+        info.match(why)
+
+    def test_unreadable_rejected(self, use_file):
+        path = use_file("{not json")
+        with pytest.raises(ValidationError, match=str(path)):
+            two_outcome_numeric("chsh", 2.5)
