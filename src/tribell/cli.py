@@ -143,14 +143,10 @@ def cmd_optimize(args) -> int:
         return 0
     if args.inequality not in optimize.MINIMIZERS:
         raise ValidationError(f"no two-outcome minimizer for {args.inequality!r}")
-    minimizer = optimize.MINIMIZERS[args.inequality]
     if args.grid is not None:
-        grid = _parse_grid(args.grid)
+        grid = _parse_grid(args.grid)[::-1]  # descending: warm starts come from above
         rows = []
-        warm = None
-        for b in grid[::-1]:
-            res = minimizer(float(b), cfg, warm_starts=warm)
-            warm = [res]
+        for b, res in zip(grid, optimize.sweep_two_outcome(args.inequality, grid, cfg)):
             flags = ["non-certified"] + (["infeasible"] if not res.converged else [])
             rows.append(("optimize-two", args.inequality, "", "", b,
                          res.entropy, " ".join(flags)))
@@ -158,7 +154,7 @@ def cmd_optimize(args) -> int:
         return 0
     if args.beta is None:
         raise ValidationError("provide --beta or --grid")
-    res = minimizer(args.beta, cfg)
+    res = optimize.MINIMIZERS[args.inequality](args.beta, cfg)
     print(f"entropy {_fmt(res.entropy)} achieved-beta {_fmt(res.achieved_beta)} "
           f"converged {res.converged} restarts {res.restarts_used}")
     return 0

@@ -4,8 +4,10 @@ Parity-CHSH, CHSH), convex-hull post-processing, and tightness sweeps.
 The search is a multi-start derivative-free pattern search over an interior
 feasible parametrization: block eigenvalues enter through normalized squares
 of free variables, angles are unconstrained, and the Bell constraint is
-enforced by a quadratic penalty that is doubled whenever a local solve ends
-infeasible.  Identical seed and config give bit-identical results.
+enforced by a quadratic penalty that grows whenever a local solve ends
+infeasible.  One driver (`_multistart`) serves all three inequalities; each
+supplies only its Bell value, its entropy objective and its structured
+starts.  Identical seed and config give bit-identical results.
 """
 
 from __future__ import annotations
@@ -20,38 +22,20 @@ from .centropy import cond_entropy
 from .errors import ValidationError
 from .qmath import binary_entropy as h
 from .rates import bound_curve
-from .states import BlockDiagState, tau_state
+from .states import BlockDiagState, _block_eigenvectors, tau_state
 
-SQRT2 = np.sqrt(2.0)
-
-# eigenvector assembly templates for the GHZ-block family: each of the 8
-# eigenvector columns has 4 nonzero computational components, +-cos(t)/sqrt2
-# or +-sin(t)/sqrt2 of its block
-_ROWS, _COLS, _BLOCK, _KIND, _SIGN = [], [], [], [], []
-for _j in (0, 1):
-    for _k in (0, 1):
-        _blk = 2 * _j + _k
-        _m0 = (0 << 2) | (_j << 1) | _k
-        _m1 = (1 << 2) | (_j << 1) | _k
-        _r_jk = (0 << 2) | (_j << 1) | _k
-        _r_njk = (1 << 2) | ((1 - _j) << 1) | (1 - _k)
-        _r_nj = (0 << 2) | ((1 - _j) << 1) | (1 - _k)
-        _r_neg = (1 << 2) | (_j << 1) | _k
-        for col, entries in (
-            (_m0, [(_r_jk, 0, +1), (_r_njk, 0, +1), (_r_nj, 1, +1), (_r_neg, 1, -1)]),
-            (_m1, [(_r_jk, 1, -1), (_r_njk, 1, -1), (_r_nj, 0, +1), (_r_neg, 0, -1)]),
-        ):
-            for row, kind, sign in entries:
-                _ROWS.append(row)
-                _COLS.append(col)
-                _BLOCK.append(_blk)
-                _KIND.append(kind)
-                _SIGN.append(sign)
-_ROWS = np.array(_ROWS)
-_COLS = np.array(_COLS)
-_BLOCK = np.array(_BLOCK)
-_KIND = np.array(_KIND)
-_SIGN = np.array(_SIGN, dtype=float) / SQRT2
+# search schedule: a main pattern-search stage at PENALTY, then up to
+# PENALTY_ROUNDS - 1 refine stages, each PENALTY_GROWTH times heavier, then a
+# polish of the winners at PENALTY * 1e4
+PENALTY = 1e3
+PENALTY_GROWTH = 8.0
+PENALTY_ROUNDS = 3
+RADIUS = 0.3
+REFINE_RADIUS = 3e-3
+RADIUS_FLOOR = 1e-9
+MAIN_POLLS = 400
+REFINE_POLLS = 160
+FEASIBILITY_TOL = 1e-7
 
 
 def _xlog2x(a: np.ndarray) -> np.ndarray:
@@ -64,12 +48,29 @@ def _h_vec(x: np.ndarray) -> np.ndarray:
     return -_xlog2x(x) - _xlog2x(1.0 - x)
 
 
-def _split_block_vars(z: np.ndarray):
-    """z: (n, 13) -> (rho (n,2,2,2), t (n,2,2), b0 (n,))."""
-    w = z[:, :8] ** 2
+def _weights(z: np.ndarray, k: int) -> np.ndarray:
+    """Normalized squares of the first k variables of every row."""
+    w = z[:, :k] ** 2
     s = w.sum(axis=1, keepdims=True)
     s = np.where(s <= 0.0, 1.0, s)
-    rho = (w / s).reshape(-1, 2, 2, 2)
+    return w / s
+
+
+def _beta_scale(v: np.ndarray, beta: float) -> np.ndarray:
+    """Mixing weight s that brings a degree-1 homogeneous Bell value v down to
+    beta wherever v > beta (see _mixed)."""
+    return np.where(v > beta, beta / np.where(v > 0.0, v, 1.0), 1.0)
+
+
+def _mixed(w: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Row-wise s * w + (1 - s) * uniform for weights w (n, ...)."""
+    s = s.reshape((-1,) + (1,) * (w.ndim - 1))
+    return s * w + (1.0 - s) / w[0].size
+
+
+def _split_block_vars(z: np.ndarray):
+    """z: (n, 13) -> (rho (n,2,2,2), t (n,2,2), b0 (n,))."""
+    rho = _weights(z, 8).reshape(-1, 2, 2, 2)
     t = z[:, 8:12].reshape(-1, 2, 2)
     return rho, t, z[:, 12]
 
@@ -78,12 +79,7 @@ def _two_outcome_entropy(rho: np.ndarray, t: np.ndarray, b0: np.ndarray) -> np.n
     """H(A0 B0|E) for block-diagonal states, Alice measuring Z and Bob the
     x-z observable at angle b0; assembled from rank-2 Eve blocks per outcome."""
     n = rho.shape[0]
-    cs, sn = np.cos(t).reshape(n, 4), np.sin(t).reshape(n, 4)
-    pick = np.where(_KIND[None, :] == 0, cs[:, _BLOCK], sn[:, _BLOCK])
-    coef = _SIGN[None, :] * pick
-    V = np.zeros((n, 8, 8))
-    V[:, _ROWS, _COLS] = coef
-    W = V * np.sqrt(rho.reshape(n, 8))[:, None, :]
+    W = _block_eigenvectors(t) * np.sqrt(rho.reshape(n, 8))[:, None, :]
     Wr = W.reshape(n, 2, 2, 2, 8)
     half = 0.5 * b0
     u = np.empty((n, 2, 2))
@@ -121,15 +117,6 @@ def _canonicalize_block_vars(z: np.ndarray) -> np.ndarray:
 class OptConfig:
     restarts: int = 64
     seed: int = 0
-    penalty: float = 1e3
-    penalty_growth: float = 8.0
-    penalty_rounds: int = 3
-    radius: float = 0.3
-    refine_radius: float = 3e-3
-    radius_floor: float = 1e-9
-    main_polls: int = 400
-    refine_polls: int = 160
-    feasibility_tol: float = 1e-7
 
     def __post_init__(self):
         if self.restarts < 1:
@@ -152,9 +139,9 @@ class OptResult:
         return None
 
 
-def _pattern_search_lockstep(f_batch, x0: np.ndarray, cfg: OptConfig,
-                             radius: float, max_polls: int,
-                             canon: Optional[Callable] = None) -> tuple[np.ndarray, np.ndarray]:
+def _pattern_search_lockstep(f_batch, x0: np.ndarray, radius: float,
+                             max_polls: int, canon: Optional[Callable] = None
+                             ) -> tuple[np.ndarray, np.ndarray]:
     """Coordinate pattern search run on all restarts simultaneously.
 
     Every poll step evaluates the +-radius coordinate moves of every active
@@ -168,7 +155,7 @@ def _pattern_search_lockstep(f_batch, x0: np.ndarray, cfg: OptConfig,
     r = np.full(m, float(radius))
     steps = np.concatenate([np.eye(d), -np.eye(d)])  # (2d, d)
     for _ in range(max_polls):
-        active = r > cfg.radius_floor
+        active = r > RADIUS_FLOOR
         if not np.any(active):
             break
         idx = np.where(active)[0]
@@ -212,22 +199,78 @@ def _snap_to_anchor(x: np.ndarray, anchor: np.ndarray, deficit_batch) -> np.ndar
     return x
 
 
-def _multistart(f_batch_factory, starts, cfg: OptConfig, deficit_batch, canon=None):
-    """Best-of-restarts local search.  The Bell constraint is exactly
-    eliminated on the feasible side (scale-free direction, inside the
-    objective); on the infeasible side a quadratic penalty steers back and
-    final points are snapped to feasibility along the segment to the first
-    start, which is always a feasible anchor."""
+def _check_beta(ineq: str, beta: float) -> float:
+    """beta clamped to the quantum bound; ValidationError outside
+    (local bound, quantum bound + 1e-9]."""
+    spec = spec_by_name(ineq)
+    lo, qb = spec.local_bound, spec.quantum_bound
+    if not lo < beta <= qb + 1e-9:
+        raise ValidationError(f"beta={beta!r} outside ({lo!r}, {qb!r}] for {ineq}")
+    return min(beta, qb)
+
+
+def _random_starts(seed: int, count: int, weights: int, angles) -> list:
+    """`count` seeded starts: `weights` standard normals, then for every
+    (low, high, size) in `angles` that many uniform draws."""
+    starts = []
+    for child in np.random.SeedSequence(seed).spawn(max(count, 0)):
+        rng = np.random.default_rng(child)
+        starts.append(np.concatenate(
+            [rng.normal(size=weights)]
+            + [rng.uniform(lo, hi, size=k) for lo, hi, k in angles]))
+    return starts
+
+
+def _pack(weights, *angles) -> np.ndarray:
+    """Search variables: square roots of the weights, then the angles."""
+    return np.concatenate([np.sqrt(np.clip(np.ravel(weights), 0.0, None))]
+                          + [np.ravel(a) for a in angles])
+
+
+def _pack_warm(res: OptResult) -> np.ndarray:
+    a = res.argmin
+    if "rho" in a:
+        return _pack(a["rho"], a["t"], a["b0"])
+    return _pack(a["lambdas"], a["phi"])
+
+
+def _multistart(beta: float, cfg: OptConfig, warm_starts, value, objective,
+                starts: list, layout, canon=None):
+    """Best-of-restarts local search for min objective(z, value(z), beta)
+    subject to value(z) >= beta.
+
+    `starts` are the inequality's structured starts, the first of them
+    feasible; seeded random ones laid out as `layout` (see _random_starts)
+    fill them up to cfg.restarts, and the warm starts go in after the first.
+    `objective` is the entropy of the state mixed down to beta, so the
+    constraint is exactly eliminated on the feasible side; on the infeasible
+    side a quadratic penalty steers back and final points are snapped to
+    feasibility along the segment to the first start.
+    Returns (x, entropy, feasible, restarts used).
+    """
+    starts = starts + _random_starts(cfg.seed, cfg.restarts - len(starts), *layout)
+    starts = starts[: cfg.restarts]
+    starts[1:1] = [_pack_warm(w) for w in warm_starts or ()]
     x = np.array(starts, dtype=float)
     anchor = x[0].copy()
-    raw_f = f_batch_factory(0.0)
 
+    def deficit(z):
+        return beta - value(z)
+
+    def penalized(pw):
+        def f(z):
+            v = value(z)
+            gap = np.clip(beta - v, 0.0, None)
+            return objective(z, v, beta) + pw * gap * gap
+        return f
+
+    raw_f = penalized(0.0)
     best_x, best_raw, best_feas = None, None, None
 
     def remember(xc):
         nonlocal best_x, best_raw, best_feas
         raw = raw_f(xc)
-        feas = deficit_batch(xc) <= cfg.feasibility_tol
+        feas = deficit(xc) <= FEASIBILITY_TOL
         if best_x is None:
             best_x, best_raw, best_feas = xc.copy(), raw.copy(), feas.copy()
             return
@@ -236,134 +279,82 @@ def _multistart(f_batch_factory, starts, cfg: OptConfig, deficit_batch, canon=No
         best_raw[better] = raw[better]
         best_feas[better] = feas[better]
 
-    remember(_snap_to_anchor(x, anchor, deficit_batch))
-    x, _ = _pattern_search_lockstep(f_batch_factory(cfg.penalty), x, cfg,
-                                    radius=cfg.radius, max_polls=cfg.main_polls,
-                                    canon=canon)
-    x = _snap_to_anchor(x, anchor, deficit_batch)
+    remember(_snap_to_anchor(x, anchor, deficit))
+    x, _ = _pattern_search_lockstep(penalized(PENALTY), x, RADIUS, MAIN_POLLS,
+                                    canon)
+    x = _snap_to_anchor(x, anchor, deficit)
     remember(x)
-    pw = cfg.penalty * cfg.penalty_growth
-    for _ in range(max(cfg.penalty_rounds - 1, 0)):
-        x, _ = _pattern_search_lockstep(f_batch_factory(pw), x, cfg,
-                                        radius=cfg.refine_radius,
-                                        max_polls=cfg.refine_polls, canon=canon)
-        x = _snap_to_anchor(x, anchor, deficit_batch)
+    pw = PENALTY * PENALTY_GROWTH
+    for _ in range(PENALTY_ROUNDS - 1):
+        x, _ = _pattern_search_lockstep(penalized(pw), x, REFINE_RADIUS,
+                                        REFINE_POLLS, canon)
+        x = _snap_to_anchor(x, anchor, deficit)
         remember(x)
-        if np.all(deficit_batch(x) <= 0.0):
+        if np.all(deficit(x) <= 0.0):
             break
-        pw *= cfg.penalty_growth
+        pw *= PENALTY_GROWTH
     # polish the winners once more at a tight radius and huge weight
-    x, _ = _pattern_search_lockstep(f_batch_factory(cfg.penalty * 1e4), best_x,
-                                    cfg, radius=1e-4,
-                                    max_polls=cfg.refine_polls, canon=canon)
-    x = _snap_to_anchor(x, anchor, deficit_batch)
+    x, _ = _pattern_search_lockstep(penalized(PENALTY * 1e4), best_x, 1e-4,
+                                    REFINE_POLLS, canon)
+    x = _snap_to_anchor(x, anchor, deficit)
     remember(x)
-    order = np.lexsort((best_raw, ~best_feas))
-    i = int(order[0])
-    return best_x[i], float(best_raw[i]), bool(best_feas[i])
+    i = int(np.lexsort((best_raw, ~best_feas))[0])
+    return best_x[i], float(best_raw[i]), bool(best_feas[i]), len(starts)
 
 
-def pack_block_vars(rho, t, b0) -> np.ndarray:
-    z = np.empty(13)
-    z[:8] = np.sqrt(np.clip(np.asarray(rho, dtype=float).reshape(-1), 0.0, None))
-    z[8:12] = np.asarray(t, dtype=float).reshape(-1)
-    z[12] = b0
-    return z
+# ---------------------------------------------------------------------------
+# Holz and Parity-CHSH: GHZ-block states and Bob's angle b0
+
+def _block_objective(z: np.ndarray, v: np.ndarray, beta: float) -> np.ndarray:
+    rho, t, b0 = _split_block_vars(z)
+    return _two_outcome_entropy(_mixed(rho, _beta_scale(v, beta)), t, b0)
 
 
-def pack_chsh_vars(lambdas, phi) -> np.ndarray:
-    z = np.empty(8)
-    z[:4] = np.sqrt(np.clip(np.asarray(lambdas, dtype=float).reshape(-1), 0.0, None))
-    z[4:8] = np.asarray(phi, dtype=float).reshape(-1)
-    return z
-
-
-def _pack_warm(res: "OptResult") -> np.ndarray:
-    if "rho" in res.argmin:
-        return pack_block_vars(res.argmin["rho"], res.argmin["t"], res.argmin["b0"])
-    return pack_chsh_vars(res.argmin["lambdas"], res.argmin["phi"])
-
-
-def _block_starts(beta: float, parity: bool, cfg: OptConfig):
-    starts = []
-    pack = pack_block_vars
-
+def _block_starts(beta: float, parity: bool) -> list:
+    """GHZ at its optimal b0 (the feasible anchor), the tau family at beta,
+    a two-eigenvalue state with rotated blocks, and the uniform state."""
     ghz_rho = np.zeros((2, 2, 2))
     ghz_rho[0, 0, 0] = 1.0
     if parity:
         nu = min(0.5 * (1.0 + np.sqrt(max(beta * beta - 1.0, 0.0))), 1.0)
         b0_tau = np.arctan2(max(2 * nu - 1, 1e-6), -1.0)
-        starts.append(pack(ghz_rho, np.zeros((2, 2)), 3 * np.pi / 4))
+        b0_ghz = 3 * np.pi / 4
     else:
         nu = min(0.25 * (beta + 1.0 + np.sqrt(max(beta * beta + 2 * beta - 3.0, 0.0))), 1.0)
         b0_tau = np.arctan2(np.sqrt(max(4 * nu * nu - 1.0, 1e-12)), -1.0)
-        starts.append(pack(ghz_rho, np.zeros((2, 2)), 2 * np.pi / 3))
+        b0_ghz = 2 * np.pi / 3
     tau = tau_state(max(nu, 0.5))
-    starts.append(pack(tau.rho, tau.t, b0_tau))
     two_block = np.zeros((2, 2, 2))
     two_block[0, 0, 0] = nu
     two_block[1, 0, 0] = 1.0 - nu
-    starts.append(pack(two_block, np.full((2, 2), 0.3), 2 * np.pi / 3))
-    starts.append(pack(np.full((2, 2, 2), 0.125), np.full((2, 2), 0.2), np.pi / 2))
-
-    ss = np.random.SeedSequence(cfg.seed)
-    for child in ss.spawn(max(cfg.restarts - len(starts), 0)):
-        rng = np.random.default_rng(child)
-        z = np.empty(13)
-        z[:8] = rng.normal(size=8)
-        z[8:12] = rng.uniform(-np.pi / 2, np.pi / 2, size=4)
-        z[12] = rng.uniform(0.0, np.pi)
-        starts.append(z)
-    return starts[: cfg.restarts]
+    return [_pack(ghz_rho, np.zeros((2, 2)), b0_ghz),
+            _pack(tau.rho, tau.t, b0_tau),
+            _pack(two_block, np.full((2, 2), 0.3), 2 * np.pi / 3),
+            _pack(np.full((2, 2, 2), 0.125), np.full((2, 2), 0.2), np.pi / 2)]
 
 
-def _scale_rho_to_beta(rho: np.ndarray, v: np.ndarray, beta: float) -> np.ndarray:
-    """Mix towards the maximally mixed block state so the (degree-1
-    homogeneous) Bell value drops exactly to beta wherever v >= beta."""
-    s = np.where(v > beta, beta / np.where(v > 0.0, v, 1.0), 1.0)
-    return s[:, None, None, None] * rho + (1.0 - s[:, None, None, None]) / 8.0
+def _minimize_block_family(ineq: str, beta: float, cfg: OptConfig,
+                           warm_starts) -> OptResult:
+    parity = ineq == "parity-chsh"
 
+    def value(z):
+        return _vbar(*_split_block_vars(z), parity)
 
-def _minimize_block_family(beta: float, cfg: OptConfig, parity: bool,
-                           warm_starts=None) -> OptResult:
-    spec_name = "parity-chsh" if parity else "holz"
-    qb = SQRT2 if parity else 1.5
-    if not 1.0 < beta <= qb + 1e-9:
-        raise ValidationError(f"beta={beta!r} outside (1, {qb!r}]")
-    beta = min(beta, qb)
-
-    def factory(pw):
-        def f(z):
-            rho, t, b0 = _split_block_vars(z)
-            v = _vbar(rho, t, b0, parity)
-            ent = _two_outcome_entropy(_scale_rho_to_beta(rho, v, beta), t, b0)
-            gap = np.clip(beta - v, 0.0, None)
-            return ent + pw * gap * gap
-        return f
-
-    def deficit(x):
-        rho, t, b0 = _split_block_vars(x)
-        return beta - _vbar(rho, t, b0, parity)
-
-    starts = _block_starts(beta, parity, cfg)
-    if warm_starts:
-        starts[1:1] = [_pack_warm(w) if isinstance(w, OptResult) else np.asarray(w)
-                       for w in warm_starts]
-    x, raw, feasible = _multistart(factory, starts, cfg, deficit,
-                                   canon=_canonicalize_block_vars)
+    beta = _check_beta(ineq, beta)
+    x, raw, feasible, used = _multistart(
+        beta, cfg, warm_starts, value, _block_objective, _block_starts(beta, parity),
+        (8, [(-np.pi / 2, np.pi / 2, 4), (0.0, np.pi, 1)]), _canonicalize_block_vars)
     rho, t, b0 = _split_block_vars(x[None, :])
-    v = _vbar(rho, t, b0, parity)
-    rho_s = _scale_rho_to_beta(rho, v, beta)
+    rho_s = _mixed(rho, _beta_scale(value(x[None, :]), beta))
     state = BlockDiagState(rho_s[0], t[0])
-    achieved = float(_vbar(rho_s, t, b0, parity)[0])
     return OptResult(
         entropy=float(np.clip(raw, 0.0, 2.0)),
         argmin={"rho": state.rho, "t": state.t, "b0": float(b0[0])},
-        achieved_beta=achieved,
+        achieved_beta=float(_vbar(rho_s, t, b0, parity)[0]),
         converged=feasible,
-        restarts_used=len(starts),
+        restarts_used=used,
         beta_target=beta,
-        ineq=spec_name,
+        ineq=ineq,
     )
 
 
@@ -371,86 +362,59 @@ def minimize_holz_two_outcome(beta: float, cfg: OptConfig = OptConfig(),
                               warm_starts=None) -> OptResult:
     """Minimize H(A0 B0|E) over block-diagonal states and the angle b0 subject
     to the angle-maximized Holz value reaching beta."""
-    return _minimize_block_family(beta, cfg, parity=False, warm_starts=warm_starts)
+    return _minimize_block_family("holz", beta, cfg, warm_starts)
 
 
 def minimize_parity_two_outcome(beta: float, cfg: OptConfig = OptConfig(),
                                 warm_starts=None) -> OptResult:
     """Same machinery with Charlie's difference angle frozen at zero."""
-    return _minimize_block_family(beta, cfg, parity=True, warm_starts=warm_starts)
+    return _minimize_block_family("parity-chsh", beta, cfg, warm_starts)
 
 
-def _chsh_parts(z: np.ndarray, beta: float):
-    """(scaled entropy, raw Bell value, scaled weights); wherever the raw
-    value exceeds beta the Bell-diagonal weights are mixed towards uniform so
-    the (linear) value hits beta exactly."""
-    w = z[:, :4] ** 2
-    s = w.sum(axis=1, keepdims=True)
-    s = np.where(s <= 0.0, 1.0, s)
-    lam = w / s
-    pa0, pa1, pb0, pb1 = z[:, 4], z[:, 5], z[:, 6], z[:, 7]
-    d1 = lam[:, 0] - lam[:, 2]
-    d2 = lam[:, 1] - lam[:, 3]
+# ---------------------------------------------------------------------------
+# CHSH: Bell-diagonal states and four x-y measurement angles
 
-    def corr(pa, pb):
-        return np.cos(pa + pb) * d1 + np.cos(pa - pb) * d2
+def _chsh_corr(lam: np.ndarray, z: np.ndarray, a: int, b: int) -> np.ndarray:
+    """<A_a B_b> for Bell-diagonal weights lam and the angles z[:, 4:8]."""
+    pa, pb = z[:, 4 + a], z[:, 6 + b]
+    return (np.cos(pa + pb) * (lam[:, 0] - lam[:, 2])
+            + np.cos(pa - pb) * (lam[:, 1] - lam[:, 3]))
 
-    c00 = corr(pa0, pb0)
-    v = c00 + corr(pa0, pb1) + corr(pa1, pb0) - corr(pa1, pb1)
-    scale = np.where(v > beta, beta / np.where(v > 0.0, v, 1.0), 1.0)
-    lam_s = scale[:, None] * lam + (1.0 - scale[:, None]) / 4.0
-    p = (1.0 + scale * c00) / 4.0
-    ent = 1.0 + _h_vec(2.0 * p) + _xlog2x(lam_s).sum(axis=1)
-    return ent, v, lam_s
+
+def _chsh_value(z: np.ndarray) -> np.ndarray:
+    lam = _weights(z, 4)
+    return (_chsh_corr(lam, z, 0, 0) + _chsh_corr(lam, z, 0, 1)
+            + _chsh_corr(lam, z, 1, 0) - _chsh_corr(lam, z, 1, 1))
+
+
+def _chsh_objective(z: np.ndarray, v: np.ndarray, beta: float) -> np.ndarray:
+    """1 + h(2p) - H({lambda_ij}) of the weights mixed towards uniform so the
+    (linear) CHSH value hits beta."""
+    lam = _weights(z, 4)
+    s = _beta_scale(v, beta)
+    p = (1.0 + s * _chsh_corr(lam, z, 0, 0)) / 4.0
+    return 1.0 + _h_vec(2.0 * p) + _xlog2x(_mixed(lam, s)).sum(axis=1)
 
 
 def minimize_chsh_two_outcome(beta: float, cfg: OptConfig = OptConfig(),
                               warm_starts=None) -> OptResult:
     """Minimize 1 + h(2p) - H({lambda_ij}) over Bell-diagonal states and four
     x-y measurement angles subject to the CHSH value equalling beta."""
-    if not 2.0 < beta <= 2.0 * SQRT2 + 1e-9:
-        raise ValidationError(f"beta={beta!r} outside (2, 2*sqrt2]")
-    beta = min(beta, 2.0 * SQRT2)
-
-    def factory(pw):
-        def f(z):
-            ent, v, _ = _chsh_parts(z, beta)
-            gap = np.clip(beta - v, 0.0, None)
-            return ent + pw * gap * gap
-        return f
-
-    def deficit(x):
-        _, v, _ = _chsh_parts(x, beta)
-        return beta - v
-
-    starts = []
-    z = np.zeros(8)
-    z[0] = 1.0
-    z[4:8] = [0.0, np.pi / 2, -np.pi / 4, np.pi / 4]  # feasible anchor, v = 2*sqrt2
-    starts.append(z)
-    z = np.zeros(8)
-    z[0] = z[1] = np.sqrt(0.5)
-    starts.append(z)
-    ss = np.random.SeedSequence(cfg.seed)
-    for child in ss.spawn(max(cfg.restarts - len(starts), 0)):
-        rng = np.random.default_rng(child)
-        z = np.empty(8)
-        z[:4] = rng.normal(size=4)
-        z[4:] = rng.uniform(-np.pi, np.pi, size=4)
-        starts.append(z)
-    starts = starts[: cfg.restarts]
-    if warm_starts:
-        starts[1:1] = [_pack_warm(w) if isinstance(w, OptResult) else np.asarray(w)
-                       for w in warm_starts]
-
-    x, raw, feasible = _multistart(factory, starts, cfg, deficit)
-    _, v, lam_s = _chsh_parts(x[None, :], beta)
+    beta = _check_beta("chsh", beta)
+    starts = [np.array([1.0, 0, 0, 0, 0.0, np.pi / 2, -np.pi / 4, np.pi / 4]),  # v = 2 sqrt2
+              np.array([np.sqrt(0.5), np.sqrt(0.5), 0, 0, 0, 0, 0, 0])]
+    x, raw, feasible, used = _multistart(beta, cfg, warm_starts, _chsh_value,
+                                         _chsh_objective, starts,
+                                         (4, [(-np.pi, np.pi, 4)]))
+    z = x[None, :]
+    v = _chsh_value(z)
+    lam_s = _mixed(_weights(z, 4), _beta_scale(v, beta))
     return OptResult(
         entropy=float(np.clip(raw, 0.0, 2.0)),
         argmin={"lambdas": lam_s[0].reshape(2, 2), "phi": x[4:8].copy()},
         achieved_beta=float(min(v[0], beta)),
         converged=feasible,
-        restarts_used=len(starts),
+        restarts_used=used,
         beta_target=beta,
         ineq="chsh",
     )
@@ -464,11 +428,17 @@ MINIMIZERS = {
 
 
 def sweep_two_outcome(ineq: str, betas, cfg: OptConfig = OptConfig()) -> list[OptResult]:
-    """Minimize at every beta in the grid, warm-starting each solve is not
-    needed: restarts include structured feasible seeds per point."""
+    """Minimize at every beta in the given order, warm-starting each solve
+    from the previous result; every beta is checked before the first solve."""
     if ineq not in MINIMIZERS:
         raise ValidationError(f"no two-outcome minimizer for {ineq!r}")
-    return [MINIMIZERS[ineq](float(b), cfg) for b in betas]
+    betas = [float(b) for b in betas]
+    for b in betas:
+        _check_beta(ineq, b)
+    results = []
+    for b in betas:
+        results.append(MINIMIZERS[ineq](b, cfg, warm_starts=results[-1:]))
+    return results
 
 
 # ---------------------------------------------------------------------------

@@ -108,8 +108,11 @@ def _load_tables() -> dict:
             spec = spec_by_name(ineq)
             beta = np.asarray(data["curves"][ineq]["beta"], dtype=float)
             value = np.asarray(data["curves"][ineq]["value"], dtype=float)
-            if beta.ndim != 1 or beta.shape != value.shape or beta.size < 2:
+            if beta.ndim != 1 or beta.shape != value.shape:
                 raise ValueError(f"{ineq}: 'beta' and 'value' differ in length")
+            if beta.size < 2:
+                raise ValueError(f"{ineq}: {beta.size} point(s), a table needs"
+                                 " at least 2")
             if not np.all(np.diff(beta) > 0.0):
                 raise ValueError(f"{ineq}: beta is not strictly increasing")
             if max(abs(beta[0] - spec.local_bound),
@@ -146,18 +149,13 @@ def generate_two_outcome_table(ineq: str, points: int = 200,
 
     if ineq not in NUMERIC_CURVES:
         raise ValidationError(f"no numeric two-outcome curve for {ineq!r}")
+    if points < 2:
+        raise ValidationError(f"a table needs at least 2 points, got {points}")
     spec = spec_by_name(ineq)
-    minimizer = optimize.MINIMIZERS[ineq]
     grid = np.linspace(spec.local_bound, spec.quantum_bound, points)
     cfg = optimize.OptConfig(restarts=restarts, seed=seed)
-    values = np.zeros(points)
-    warm = None
-    for i in range(points - 1, 0, -1):
-        res = minimizer(float(grid[i]), cfg, warm_starts=warm)
-        values[i] = res.entropy
-        warm = [res]
-    values = np.maximum.accumulate(values)
-    values[0] = 0.0
+    descending = optimize.sweep_two_outcome(ineq, grid[:0:-1], cfg)
+    values = np.maximum.accumulate([0.0] + [r.entropy for r in descending[::-1]])
     return {"beta": grid.tolist(), "value": values.tolist(),
             "restarts": restarts, "seed": seed}
 
@@ -269,10 +267,9 @@ def dire_rate_spot(spec: BellSpec, noise: NoiseModel,
     return RateResult(rate, beta, curve.name, curve.flags)
 
 
-def dire_rate_recycled(noise: NoiseModel) -> RateResult:
+def dire_rate_recycled(spec: BellSpec, noise: NoiseModel) -> RateResult:
     """Recycled-input CHSH protocol: the conjectured H(AB|XYE) bound, no test
-    cost."""
-    spec = spec_by_name("chsh")
+    cost; ValidationError for any inequality but CHSH."""
     curve = bound_curve(spec, "recycled")
     beta = beta_of_p(spec, noise)
     return RateResult(curve.fn(beta), beta, curve.name, curve.flags)
@@ -286,7 +283,7 @@ def rate(kind: str, spec: BellSpec, noise: NoiseModel,
     if kind == "dire-spot":
         return dire_rate_spot(spec, noise, gamma)
     if kind == "dire-recycled":
-        return dire_rate_recycled(noise)
+        return dire_rate_recycled(spec, noise)
     raise ValidationError(f"unknown rate kind {kind!r}")
 
 

@@ -234,6 +234,25 @@ def _block_correlators(rho: np.ndarray, t: np.ndarray):
     return xxx, zxx, zzi, ziz, izz
 
 
+def _block_eigenvectors(t: np.ndarray) -> np.ndarray:
+    """Batched BlockDiagState.eigenvectors: t (n,2,2) -> (n,8,8).  Block
+    b = 2j+k mixes the GHZ-basis elements (0,j,k) and (1,~j,~k), whose
+    nonzero components sit on rows b, 7-b and 3-b, 4+b."""
+    n = t.shape[0]
+    # times 1/sqrt2, the GHZ-basis entries, so the columns equal
+    # cos(t) psi0 + sin(t) psi1 bit for bit
+    c = np.cos(t).reshape(n, 4) * (1.0 / SQRT2)
+    s = np.sin(t).reshape(n, 4) * (1.0 / SQRT2)
+    b = np.arange(4)
+    v = np.zeros((n, 8, 8))
+    # column b: cos(t) psi0 + sin(t) psi1; column 4+b: -sin(t) psi0 + cos(t) psi1
+    v[:, b, b] = v[:, 7 - b, b] = v[:, 3 - b, 4 + b] = c
+    v[:, 3 - b, b] = s
+    v[:, 4 + b, b] = v[:, b, 4 + b] = v[:, 7 - b, 4 + b] = -s
+    v[:, 4 + b, 4 + b] = -c
+    return v
+
+
 @dataclass(frozen=True)
 class BlockDiagState:
     """Three-qubit state block-diagonal in the GHZ basis.
@@ -305,15 +324,7 @@ class BlockDiagState:
 
     def eigenvectors(self) -> np.ndarray:
         """Columns: eigenvector of rho[i,j,k] in the computational basis, index i*4+j*2+k."""
-        v = np.zeros((8, 8))
-        for j in (0, 1):
-            for k in (0, 1):
-                c, s = np.cos(self.t[j, k]), np.sin(self.t[j, k])
-                psi0 = ghz_basis_vector(0, j, k).real
-                psi1 = ghz_basis_vector(1, 1 - j, 1 - k).real
-                v[:, (0 << 2) | (j << 1) | k] = c * psi0 + s * psi1
-                v[:, (1 << 2) | (j << 1) | k] = -s * psi0 + c * psi1
-        return v
+        return _block_eigenvectors(self.t[None])[0]
 
     def to_matrix(self) -> np.ndarray:
         v = self.eigenvectors()

@@ -123,7 +123,7 @@ def holz_sweep():
     cfg = OptConfig(restarts=64, seed=2026)
     grid = np.concatenate([np.linspace(1.0, 1.4, 21)[1:],
                            np.linspace(1.4, 1.5, 10)])
-    results = optimize.sweep_two_outcome("holz", grid, cfg)
+    results = [optimize.minimize_holz_two_outcome(float(b), cfg) for b in grid]
     return grid, results
 
 

@@ -1,16 +1,24 @@
 """CLI: commands, CSV format, determinism, exit codes."""
 
+import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tribell import bounds
+import tribell
+from tribell import bounds, optimize, rates
 from tribell.bell import spec_by_name
 from tribell.cli import main
 
 RUN = [sys.executable, "-m", "tribell.cli"]
+# the child interpreter imports the same tribell as this one
+SRC = str(Path(tribell.__file__).resolve().parents[1])
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    [SRC] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
 
 
 def run_cli(args, capsys):
@@ -90,10 +98,24 @@ class TestBoundDomain:
 
 class TestRate:
     def test_dire_recycled_noiseless(self, capsys):
-        code, out, _ = run_cli(["rate", "--dire", "recycled", "--noise", "global",
-                                "--p", "1.0"], capsys)
+        code, out, _ = run_cli(["rate", "--dire", "recycled", "--inequality",
+                                "chsh", "--noise", "global", "--p", "1.0"], capsys)
         assert code == 0
         assert float(out) == pytest.approx(1.6008760, abs=1e-6)
+
+    @pytest.mark.parametrize("argv", [
+        ["rate", "--dire", "recycled", "--p", "1.0"],
+        ["threshold", "--rate", "dire-recycled"],
+        ["sweep", "--quantity", "rate-dire-recycled", "--grid", "0.9:1:3"],
+    ])
+    def test_recycled_needs_chsh(self, tmp_path, capsys, argv):
+        out_csv = tmp_path / "r.csv"
+        extra = ["--out", str(out_csv)] if argv[0] == "sweep" else []
+        code, out, err = run_cli(argv + ["--inequality", "holz"] + extra, capsys)
+        assert code == 2
+        assert out == ""
+        assert "recycled" in err
+        assert not out_csv.exists()
 
     def test_dicka_needs_mode(self, capsys):
         code, _, err = run_cli(["rate", "--inequality", "holz", "--p", "0.9"],
@@ -165,6 +187,64 @@ class TestOptimize:
         code, _, err = run_cli(["optimize", "--inequality", "mabk", "--beta",
                                 "3.0"], capsys)
         assert code == 2
+
+    def test_grid_csv_pinned(self, tmp_path, capsys):
+        # warm-started descending sweep; fixed-seed bytes
+        path = tmp_path / "g.csv"
+        code, _, _ = run_cli(["optimize", "--inequality", "holz", "--grid",
+                              "1.05:1.5:5", "--restarts", "8", "--seed", "0",
+                              "--out", str(path)], capsys)
+        assert code == 0
+        assert path.read_text() == (
+            "quantity,inequality,noise,p,beta,value,flags\n"
+            "optimize-two,holz,,,1.05,0.0752579666,non-certified\n"
+            "optimize-two,holz,,,1.1625,0.27093067,non-certified\n"
+            "optimize-two,holz,,,1.275,0.516855263,non-certified\n"
+            "optimize-two,holz,,,1.3875,0.863843106,non-certified\n"
+            "optimize-two,holz,,,1.5,1.81127811,non-certified\n")
+
+    def test_grid_at_classical_bound_rejected_before_solving(
+            self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setitem(optimize.MINIMIZERS, "holz",
+                            lambda *a, **k: calls.append(a))
+        path = tmp_path / "fig3.csv"
+        code, out, err = run_cli(["optimize", "--inequality", "holz", "--grid",
+                                  "1.0:1.5:60", "--out", str(path)], capsys)
+        assert (code, out, calls) == (2, "", [])
+        assert "beta=1.0" in err
+        assert not path.exists()
+
+    @pytest.mark.parametrize("points", ["0", "1"])
+    def test_regen_too_few_points(self, tmp_path, capsys, monkeypatch, points):
+        calls = []
+        for ineq in rates.NUMERIC_CURVES:
+            monkeypatch.setitem(optimize.MINIMIZERS, ineq,
+                                lambda *a, **k: calls.append(a))
+        path = tmp_path / "t.json"
+        code, out, err = run_cli(["optimize", "--regen-tables", "--points", points,
+                                  "--out", str(path)], capsys)
+        assert (code, out, calls) == (2, "", [])
+        assert "at least 2 points" in err
+        assert not path.exists()
+
+    def test_regen_round_trip(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "t.json"
+        code, _, _ = run_cli(["optimize", "--regen-tables", "--points", "6",
+                              "--restarts", "4", "--seed", "7",
+                              "--out", str(path)], capsys)
+        assert code == 0
+        curves = json.loads(path.read_text())["curves"]
+        monkeypatch.setenv(rates.TABLE_ENV, str(path))
+        rates._load_tables.cache_clear()
+        try:
+            for ineq, curve in curves.items():
+                assert len(curve["beta"]) == 6
+                got = [rates.two_outcome_numeric(ineq, b) for b in curve["beta"]]
+                assert got == curve["value"]
+        finally:
+            monkeypatch.delenv(rates.TABLE_ENV)
+            rates._load_tables.cache_clear()
 
 
 class TestSweepDeterminism:
@@ -245,12 +325,14 @@ class TestEntryPoint:
     def test_module_invocation(self):
         proc = subprocess.run(RUN + ["bound", "--inequality", "parity-chsh",
                                      "--beta", "1.2"],
-                              capture_output=True, text=True, timeout=120)
+                              capture_output=True, text=True, timeout=120,
+                              env=ENV)
         assert proc.returncode == 0
         float(proc.stdout)
 
     def test_usage_error_exit_2(self):
         proc = subprocess.run(RUN + ["bound", "--inequality", "svetlichny",
                                      "--beta", "1.0"],
-                              capture_output=True, text=True, timeout=120)
+                              capture_output=True, text=True, timeout=120,
+                              env=ENV)
         assert proc.returncode == 2

@@ -129,18 +129,21 @@ class TestDireSpot:
             dire_rate_spot(spec_by_name("mabk"), NoiseModel("local", 1.0), 1.5)
 
 
+CHSH = spec_by_name("chsh")
+
+
 class TestDireRecycled:
     def test_noiseless(self):
-        r = dire_rate_recycled(NoiseModel("global", 1.0))
+        r = dire_rate_recycled(CHSH, NoiseModel("global", 1.0))
         assert r.rate == pytest.approx(1.6008760, abs=1e-6)
         assert r.conjectured
 
     def test_zero_at_global_sqrt_half(self):
-        r = dire_rate_recycled(NoiseModel("global", 2 ** -0.5))
+        r = dire_rate_recycled(CHSH, NoiseModel("global", 2 ** -0.5))
         assert r.rate == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_at_local_fourth_root(self):
-        r = dire_rate_recycled(NoiseModel("local", 2 ** -0.25))
+        r = dire_rate_recycled(CHSH, NoiseModel("local", 2 ** -0.25))
         assert r.rate == pytest.approx(0.0, abs=1e-12)
 
 
@@ -271,7 +274,7 @@ class TestBoundCurveRegistry:
         for ineq in ("holz", "parity-chsh", "mabk", "chsh"):
             r = dire_rate_spot(spec_by_name(ineq), nm, 0.0)
             assert (r.bound_used, r.flags) == REGISTRY[(ineq, "two")]
-        r = dire_rate_recycled(nm)
+        r = dire_rate_recycled(spec_by_name("chsh"), nm)
         assert (r.bound_used, r.flags) == REGISTRY[("chsh", "recycled")]
 
 
@@ -280,7 +283,10 @@ class TestRateDispatch:
         spec, nm = spec_by_name("holz"), NoiseModel("global", 0.97)
         assert rates.rate("dicka", spec, nm) == dicka_rate(spec, nm)
         assert rates.rate("dire-spot", spec, nm, 0.01) == dire_rate_spot(spec, nm, 0.01)
-        assert rates.rate("dire-recycled", spec, nm) == dire_rate_recycled(nm)
+        chsh = spec_by_name("chsh")
+        assert rates.rate("dire-recycled", chsh, nm) == dire_rate_recycled(chsh, nm)
+        with pytest.raises(ValidationError, match="recycled"):
+            rates.rate("dire-recycled", spec, nm)
 
     def test_unknown_kind(self):
         with pytest.raises(ValidationError):
@@ -335,6 +341,8 @@ class TestTableFile:
         (_break("value", lambda v: v.__setitem__(3, None)), r"leave \[0, 2\]"),
         (_break("value", lambda v: v.__setitem__(100, v[100] + 0.3)),
          "leave .* or decrease"),
+        (lambda d: d["curves"]["chsh"].update(beta=[2.0], value=[0.0]),
+         "1 point"),
     ])
     def test_malformed_rejected(self, use_file, edit, why):
         data = _shipped_tables()

@@ -197,6 +197,25 @@ class TestBlockDiagState:
                     if not allowed:
                         assert abs(g[a, b]) < 1e-12
 
+    def test_eigenvectors_match_ghz_basis_rotation(self):
+        # reference: column (i,j,k) rotates psi0 = |GHZ_0jk>, psi1 =
+        # |GHZ_1,~j,~k> by t[j,k]; the batched builder gives the same bits
+        rng = np.random.default_rng(41)
+        t = rng.uniform(-4, 4, size=(50, 2, 2))
+        fast = states._block_eigenvectors(t)
+        for n in range(len(t)):
+            ref = np.zeros((8, 8))
+            for j in (0, 1):
+                for k in (0, 1):
+                    c, s = np.cos(t[n, j, k]), np.sin(t[n, j, k])
+                    psi0 = ghz_basis_vector(0, j, k).real
+                    psi1 = ghz_basis_vector(1, 1 - j, 1 - k).real
+                    ref[:, 2 * j + k] = c * psi0 + s * psi1
+                    ref[:, 4 + 2 * j + k] = -s * psi0 + c * psi1
+            assert np.array_equal(fast[n], ref)
+            st = BlockDiagState(np.full((2, 2, 2), 0.125), t[n])
+            assert np.array_equal(st.eigenvectors(), ref)
+
     def test_eigen_convention_enforced(self):
         rho = np.zeros((2, 2, 2))
         rho[0, 0, 0] = 0.2
