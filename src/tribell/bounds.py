@@ -1,5 +1,5 @@
 """Closed-form conditional-entropy lower bounds as functions of the Bell
-violation, with the internal root-finding they require.
+violation, with the roots they require (all from qmath.bracketed_roots).
 
 Each one/two-outcome bound is 0 at the classical bound of its inequality and
 clamps to 0 below it, since the rate formulas evaluate there routinely.
@@ -12,10 +12,10 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NumericError, ValidationError
+from .errors import ValidationError
 from .qmath import binary_entropy as h
 from .qmath import binary_entropy_deriv as hprime
-from .qmath import shannon_entropy
+from .qmath import bracketed_root, bracketed_roots, shannon_entropy
 
 SQRT2 = np.sqrt(2.0)
 _DOMAIN_SLACK = 1e-9
@@ -27,47 +27,6 @@ def _check_beta(beta: float, qb: float, qb_name: str) -> None:
         raise ValidationError(f"beta={beta!r} is not finite")
     if beta > qb + _DOMAIN_SLACK:
         raise ValidationError(f"beta={beta!r} above the quantum bound {qb_name}")
-
-
-# ---------------------------------------------------------------------------
-# root finding: coarse scan for a bracket, then bisection with secant polish
-
-def find_root(f: Callable[[float], float], lo: float, hi: float,
-              scan_points: int = 1000, tol: float = 1e-10) -> float:
-    xs = np.linspace(lo, hi, scan_points)
-    prev_x, prev_f = xs[0], f(xs[0])
-    bracket = None
-    for x in xs[1:]:
-        fx = f(x)
-        if np.isfinite(prev_f) and np.isfinite(fx) and prev_f * fx <= 0.0:
-            bracket = (prev_x, x, prev_f, fx)
-            break
-        prev_x, prev_f = x, fx
-    if bracket is None:
-        raise NumericError(
-            f"no sign change on [{lo}, {hi}] (f(lo)={f(lo):.3e}, f(hi)={f(hi):.3e})"
-        )
-    a, b, fa, fb = bracket
-    for _ in range(200):
-        m = 0.5 * (a + b)
-        fm = f(m)
-        if fa * fm <= 0.0:
-            b, fb = m, fm
-        else:
-            a, fa = m, fm
-        if b - a < tol:
-            break
-    # secant polish inside the bracket
-    x0, x1 = a, b
-    f0, f1 = fa, fb
-    for _ in range(8):
-        if f1 == f0:
-            break
-        x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
-        if not a <= x2 <= b:
-            break
-        x0, f0, x1, f1 = x1, f1, x2, f(x2)
-    return x1 if abs(f1) <= abs(f(0.5 * (a + b))) else 0.5 * (a + b)
 
 
 # ---------------------------------------------------------------------------
@@ -151,15 +110,7 @@ def solve_x(beta: float) -> float:
         return a
     if fb <= 0.0:
         return b
-    for _ in range(200):
-        m = 0.5 * (a + b)
-        if _dtheta_dx(beta, m) <= 0.0:
-            a = m
-        else:
-            b = m
-        if b - a < 1e-15:
-            break
-    return 0.5 * (a + b)
+    return bracketed_root(functools.partial(_dtheta_dx, beta), a, b)
 
 
 def theta_at_optimum(beta: float) -> float:
@@ -180,7 +131,7 @@ def solve_beta_star_holz() -> float:
     def tangency(b):
         return _dtheta_dbeta(b) * (b - SQRT2) - (theta_at_optimum(b) - 1.0)
 
-    return find_root(tangency, 1.42, 1.4995, scan_points=200, tol=1e-11)
+    return bracketed_root(tangency, 1.42, 1.4995)
 
 
 @functools.lru_cache(maxsize=1)
@@ -272,8 +223,8 @@ def _tangency(x, alpha):
 def _tangent_block(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Tangents for one block of lanes (one alpha each): scan a 1200-point x
     grid, linear plus log-clustered at the quantum bound, for the first
-    sign change of the tangency residual, then bisect every bracketed lane
-    until its midpoint rounds onto an endpoint."""
+    sign change of the tangency residual, then solve the bracketed lanes
+    with qmath.bracketed_roots."""
     qb = 2.0 * np.hypot(1.0, alpha)
     xs = np.concatenate([
         np.linspace(2.0 + 1e-9, qb, 800, axis=1),
@@ -282,20 +233,16 @@ def _tangent_block(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # repeated x (from the clip) cannot form a sign change, so no dedup
     xs = np.sort(np.clip(xs, 2.0 + 1e-12, (qb - 1e-16)[:, None]), axis=1)
     fs = _tangency(xs, alpha[:, None])
-    crossing = (fs[:, :-1] < 0.0) & (fs[:, 1:] >= 0.0)
+    crossing = (fs[:, :-1] <= 0.0) & (fs[:, 1:] > 0.0)
     bracketed = crossing.any(axis=1)
-    first = np.argmax(crossing, axis=1)
-    lanes = np.arange(alpha.size)
-    a, b = xs[lanes, first], xs[lanes, first + 1]
-    for _ in range(200):
-        m = 0.5 * (a + b)
-        live = bracketed & (m != a) & (m != b)
-        if not live.any():
-            break
-        below = _tangency(m, alpha) < 0.0
-        a = np.where(live & below, m, a)
-        b = np.where(live & ~below, m, b)
-    bstar = 0.5 * (a + b)
+    lanes = np.flatnonzero(bracketed)
+    first = np.argmax(crossing[lanes], axis=1)
+    hi = bracketed_roots(lambda x: _tangency(x, alpha[lanes]),
+                         xs[lanes, first], xs[lanes, first + 1])
+    bstar = qb.copy()
+    # the rounded midpoint of the final bracket (two adjacent floats): near
+    # alpha = 0.4 the residual moves ~1e-10 per ulp, so the end kept matters
+    bstar[lanes] = 0.5 * (np.nextafter(hi, -np.inf) + hi)
     found = bracketed & (np.abs(_tangency(bstar, alpha)) <= 1e-10)
     with np.errstate(divide="ignore"):
         chord = 1.0 / (qb - 2.0)
@@ -439,7 +386,7 @@ def solve_beta_star_colbeck() -> float:
     def f(x):
         return _colbeck_g1_deriv(x) * (x - 2.0) - colbeck_g1(x)
 
-    return find_root(f, 2.0 + 1e-6, 2.0 * SQRT2 - 1e-9, scan_points=1000, tol=1e-11)
+    return bracketed_root(f, 2.0 + 1e-6, 2.0 * SQRT2 - 1e-9)
 
 
 def colbeck_recycled_two_outcome(beta: float) -> float:

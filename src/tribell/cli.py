@@ -164,6 +164,8 @@ def cmd_optimize(args) -> int:
 # verify
 
 def cmd_verify(args) -> int:
+    if args.samples < 1:
+        raise ValidationError(f"--samples must be at least 1, got {args.samples}")
     results = verification.run_all(samples=args.samples)
     failed = 0
     for r in results:
@@ -274,18 +276,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_finite(args) -> None:
+def _check_args(args) -> None:
     for name in ("beta", "alpha", "gamma"):
         value = getattr(args, name, None)
         if value is not None and not math.isfinite(value):
             raise ValidationError(f"--{name}={value!r} is not finite")
+    if getattr(args, "grid", None) is not None and args.out is None:
+        raise ValidationError("--grid needs --out FILE")
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_finite(args)
+        _check_args(args)
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

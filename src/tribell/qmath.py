@@ -1,4 +1,5 @@
-"""Dense complex linear algebra on small matrices plus entropy primitives.
+"""Dense complex linear algebra on small matrices, entropy primitives and
+the one bracketed root finder.
 
 All entropies are base-2 (bits).  Matrices are plain complex numpy arrays;
 dimensions are capped at 64 (six qubits), which is all the rest of the
@@ -141,3 +142,57 @@ def shannon_entropy(weights) -> float:
     w = validate_probability_vector(weights)
     w = w[w > 0.0]
     return float(-(w * np.log2(w)).sum()) if w.size else 0.0
+
+
+def bracketed_roots(f, lo, hi) -> np.ndarray:
+    """Sign changes of f, one per lane, to the last ulp: ITP (Oliveira and
+    Takahashi, ACM TOMS 47, 2020; k1 = 0.2/(hi - lo), k2 = 2, n0 = 1) around
+    Chandrupatla's inverse quadratic interpolation (Adv. Eng. Softw. 28, 1997).
+
+    f maps an array of x (one per lane) to values elementwise, with
+    f(lo) <= 0 < f(hi) in every lane; a flat zero is the low side (negate
+    a decreasing f).  A lane stops when its midpoint rounds onto an
+    endpoint and returns its upper end, the smallest x evaluated with
+    f(x) > 0.  ITP keeps each bracket within one halving of bisection's;
+    a point that rounds onto an endpoint moves one ulp inside, which ends
+    a lane whose newest point has f = 0 next to the edge of {f > 0}.
+    """
+    x1, x2 = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    f1, f2 = f(x1), f(x2)
+    bad = ~((f1 <= 0.0) & (f2 > 0.0))
+    if bad.any():
+        i = np.flatnonzero(bad)[0]
+        raise NumericError(
+            f"f does not change sign on [{float(x1[i])!r}, {float(x2[i])!r}]: "
+            f"f(lo)={float(f1[i]):.6g}, f(hi)={float(f2[i]):.6g}")
+    x3, f3 = x1, np.full_like(x1, np.nan)  # x1: newest end, x3: dropped
+    k1 = 0.2 / (x2 - x1)
+    ulp = np.spacing(np.maximum(np.abs(x1), np.abs(x2)))
+    cap = ulp * 2.0 ** np.ceil(np.log2((x2 - x1) / ulp))  # ITP: next width cap
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        while True:
+            a, b = np.minimum(x1, x2), np.maximum(x1, x2)
+            mid, width = 0.5 * (a + b), b - a
+            if np.all((mid == a) | (mid == b)):
+                return np.where(f1 <= 0.0, x2, x1)
+            xi, phi = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
+            t = (f1 / (f2 - f1) * f3 / (f2 - f3)
+                 + (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f3 - f2))
+            iqi = (1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi))
+            guess = np.where(iqi, x1 + t * (x2 - x1), mid)
+            r, cap = np.maximum(cap - 0.5 * width, 0.0), 0.5 * cap
+            step = np.maximum(np.abs(mid - guess) - k1 * width * width, 0.0)
+            x = mid - np.sign(mid - guess) * np.minimum(step, r)
+            x = np.where(np.isnan(x), mid,
+                         np.clip(x, np.nextafter(a, b), np.nextafter(b, a)))
+            y = f(x)
+            same = (y <= 0.0) == (f1 <= 0.0)
+            x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
+            x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
+            x1, f1 = x, y
+
+
+def bracketed_root(f, lo: float, hi: float) -> float:
+    """bracketed_roots for one lane, with f mapping a float to a float."""
+    return float(bracketed_roots(lambda x: np.array([f(float(x[0]))]),
+                                 [lo], [hi])[0])

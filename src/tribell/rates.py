@@ -2,10 +2,11 @@
 threshold finding in the depolarization parameter p, and the registry that
 picks the entropy bound curve for each inequality and outcome.
 
-Rates are signed; thresholds are located by bisecting the signed rate.  The
-two-outcome bounds for Parity-CHSH and CHSH are numeric curves produced by
-the optimizer, shipped as a monotone 200-point table and linearly
-interpolated (regenerate via the CLI).
+Rates are signed; a threshold is the sign change of the signed rate, found
+to the last ulp by qmath.bracketed_root.  The two-outcome bounds for
+Parity-CHSH and CHSH are numeric curves produced by the optimizer, shipped
+as a monotone 200-point table and linearly interpolated (regenerate via the
+CLI).
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from typing import Callable
 
 import numpy as np
 
-from . import bounds
+from . import bounds, qmath
 from .bell import BellSpec, bell_value, spec_by_name
-from .errors import NumericError, ValidationError
+from .errors import ValidationError
 from .qmath import binary_entropy as h
 from .states import NoiseModel, ghz_state, optimal_settings
 
@@ -277,7 +278,10 @@ def dire_rate_recycled(spec: BellSpec, noise: NoiseModel) -> RateResult:
 
 def rate(kind: str, spec: BellSpec, noise: NoiseModel,
          gamma: float = GAMMA_DEFAULT) -> RateResult:
-    """The rate of one of RATE_KINDS; gamma is dire-spot's test fraction."""
+    """The rate of one of RATE_KINDS; gamma in [0, 1] is dire-spot's test
+    fraction, and is range-checked for every kind."""
+    if not 0.0 <= gamma <= 1.0:
+        raise ValidationError(f"gamma={gamma!r} outside [0, 1]")
     if kind == "dicka":
         return dicka_rate(spec, noise)
     if kind == "dire-spot":
@@ -287,22 +291,11 @@ def rate(kind: str, spec: BellSpec, noise: NoiseModel,
     raise ValidationError(f"unknown rate kind {kind!r}")
 
 
-def threshold_p(rate_fn, bracket: tuple[float, float] = (0.0, 1.0),
-                tol: float = 1e-6) -> float:
-    """Smallest p in the bracket where the signed rate turns positive."""
-    lo, hi = bracket
-    r_lo, r_hi = rate_fn(lo), rate_fn(hi)
-    if not (r_lo <= 0.0 < r_hi):
-        raise NumericError(
-            f"rate does not change sign on [{lo}, {hi}]: "
-            f"rate({lo})={r_lo:.6g}, rate({hi})={r_hi:.6g}")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if rate_fn(mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def threshold_p(rate_fn, bracket: tuple[float, float] = (0.0, 1.0)) -> float:
+    """Smallest p evaluated in the bracket whose signed rate is positive,
+    one ulp above the largest p evaluated whose rate is not; NumericError
+    unless rate_fn(lo) <= 0 < rate_fn(hi)."""
+    return qmath.bracketed_root(rate_fn, *bracket)
 
 
 def rate_function(kind: str, ineq: str, noise_kind: str,

@@ -7,13 +7,14 @@ import pytest
 from tribell import bounds
 from tribell.bounds import (asym_chsh_one_outcome, asym_tangent,
                             best_alpha_bound, colbeck_g1,
-                            colbeck_recycled_two_outcome, eta, find_root,
+                            colbeck_recycled_two_outcome, eta,
                             holz_one_outcome, holz_two_outcome,
                             mabk_one_outcome, mabk_two_outcome,
                             parity_chsh_one_outcome, solve_beta_star_colbeck,
                             solve_beta_star_holz, solve_x, theta,
                             theta_at_optimum)
 from tribell.errors import NumericError, ValidationError
+from tribell.qmath import bracketed_root, bracketed_roots
 
 SQRT2 = np.sqrt(2.0)
 
@@ -341,14 +342,73 @@ class TestColbeck:
             colbeck_recycled_two_outcome(2.9)
 
 
+def _bisection_steps(f, lo, hi):
+    """f evaluations of plain bisection run until the midpoint rounds onto
+    an endpoint, the stopping rule of bracketed_roots."""
+    calls = 2
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        calls += 1
+        if f(mid) <= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return calls
+
+
 class TestRootFinding:
     def test_simple_root(self):
-        assert find_root(lambda x: x * x - 2.0, 0.0, 2.0) == pytest.approx(
+        assert bracketed_root(lambda x: x * x - 2.0, 0.0, 2.0) == pytest.approx(
             SQRT2, abs=1e-10)
 
     def test_no_bracket(self):
         with pytest.raises(NumericError):
-            find_root(lambda x: 1.0 + x * x, -1.0, 1.0)
+            bracketed_root(lambda x: 1.0 + x * x, -1.0, 1.0)
+
+    def test_no_bracket_names_it(self):
+        with pytest.raises(NumericError, match=r"\[0\.5, 2\.0\].*f\(lo\)=0\.25"):
+            bracketed_root(lambda x: x * x, 0.5, 2.0)
+        with pytest.raises(NumericError, match=r"\[-3\.0, -2\.0\]"):
+            bracketed_roots(lambda x: x, np.array([-1.0, -3.0]),
+                            np.array([1.0, -2.0]))
+
+    def test_flat_zero_returns_edge(self):
+        # f <= 0 is the low side, so the answer is the smallest float with f > 0
+        edge = 0.3
+        root = bracketed_root(lambda x: max(x - edge, 0.0), 0.0, 1.0)
+        assert root == np.nextafter(edge, 1.0)
+
+    def test_decreasing_through_negation(self):
+        root = bracketed_root(lambda x: -(np.exp(-x) - 0.5), 0.0, 2.0)
+        assert np.exp(-root) - 0.5 < 0.0 <= np.exp(-np.nextafter(root, 0.0)) - 0.5
+        assert root == pytest.approx(np.log(2.0), abs=1e-15)
+
+    @pytest.mark.parametrize("f, lo, hi", [
+        (lambda x: x * x - 2.0, 0.0, 2.0),
+        (lambda x: x - np.cos(x), 0.0, 1.0),
+        (lambda x: np.exp(x) - 3.0, -1.0, 4.0),
+        (lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0),
+        (lambda x: np.log(x) + 1.0, 1e-3, 10.0),
+    ])
+    def test_steps_at_most_bisection(self, f, lo, hi):
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return f(x)
+
+        root = bracketed_root(counted, lo, hi)
+        assert f(root) > 0.0 >= f(np.nextafter(root, -np.inf))
+        assert len(calls) <= _bisection_steps(f, lo, hi)
+
+    def test_batched_equals_scalar_bit_for_bit(self):
+        c = np.array([2.0, 3.0, 0.5, 10.0, 7.25, 0.0])
+        lo = np.array([0.0, 1.0, -2.0, 0.0, 1.5, -1.0])
+        hi = np.array([2.0, 1.5, 1.0, 100.0, 2.0, 0.5])
+        got = bracketed_roots(lambda x: x * x * x - c, lo, hi)
+        for i in range(c.size):
+            want = bracketed_root(lambda x: x * x * x - c[i], lo[i], hi[i])
+            assert got[i] == want
 
 
 class TestCurveRegistry:

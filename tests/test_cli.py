@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import tribell
-from tribell import bounds, optimize, rates
+from tribell import bounds, cli, optimize, rates, verification
 from tribell.bell import spec_by_name
 from tribell.cli import main
 
@@ -144,6 +144,18 @@ class TestRate:
         assert out == ""
         assert "alpha must be 1" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["rate", "--dicka", "--gamma", "5", "--p", "0.95"],
+        ["rate", "--dire", "recycled", "--inequality", "chsh", "--gamma", "-1",
+         "--p", "1.0"],
+        ["threshold", "--rate", "dicka", "--gamma", "2"],
+    ])
+    def test_gamma_range_checked_for_every_kind(self, capsys, argv):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert "gamma" in err and "outside [0, 1]" in err
+
 
 class TestThreshold:
     def test_holz_dicka_local(self, capsys):
@@ -152,11 +164,25 @@ class TestThreshold:
         assert code == 0
         assert float(out) == pytest.approx(0.934, abs=1e-3)
 
-    @pytest.mark.parametrize("noise, want", [("local", "0.922846317"),
-                                             ("global", "0.851644993")])
+    @pytest.mark.parametrize("noise, want", [("local", "0.922846169"),
+                                             ("global", "0.851645052")])
     def test_asym_chsh_dicka(self, capsys, noise, want):
         code, out, _ = run_cli(["threshold", "--rate", "dicka", "--inequality",
                                 "asym-chsh", "--noise", noise], capsys)
+        assert code == 0
+        assert out.strip() == want
+
+    # the thresholds with a closed form print its 9 digits
+    @pytest.mark.parametrize("kind, ineq, noise, want", [
+        ("dire-spot", "mabk", "local", "0.793700526"),  # 2^(-1/3)
+        ("dire-spot", "mabk", "global", "0.5"),
+        ("dire-spot", "holz", "global", "0.666666667"),  # 2/3
+        ("dire-recycled", "chsh", "local", "0.840896415"),  # 2^(-1/4)
+        ("dire-recycled", "chsh", "global", "0.707106781"),  # 2^(-1/2)
+    ])
+    def test_analytic_closed_form_digits(self, capsys, kind, ineq, noise, want):
+        code, out, _ = run_cli(["threshold", "--rate", kind, "--inequality",
+                                ineq, "--noise", noise], capsys)
         assert code == 0
         assert out.strip() == want
 
@@ -303,6 +329,34 @@ class TestVerify:
         assert "[FAIL]" not in out
         # the known MABK two-outcome concavity is reported, not fatal
         assert "KNOWN-FAIL" in out
+
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_samples_below_one_rejected(self, capsys, monkeypatch, samples):
+        monkeypatch.setattr(verification, "run_all",
+                            lambda **k: pytest.fail("run_all called"))
+        code, out, err = run_cli(["verify", "--samples", samples], capsys)
+        assert code == 2
+        assert out == ""
+        assert "--samples" in err
+
+
+class TestGridNeedsOut:
+    @pytest.mark.parametrize("argv", [
+        ["bound", "--inequality", "holz", "--grid", "1:1.5:3"],
+        ["rate", "--dicka", "--grid", "0.9:1:3"],
+        ["optimize", "--inequality", "chsh", "--grid", "2.5:2.6:2",
+         "--restarts", "2"],
+    ])
+    def test_fails_before_computing(self, capsys, monkeypatch, argv):
+        def boom(*a, **k):
+            pytest.fail("computed without --out")
+
+        monkeypatch.setattr(cli, "_map_parallel", boom)
+        monkeypatch.setattr(optimize, "sweep_two_outcome", boom)
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert "--out" in err
 
 
 class TestNonFiniteArguments:
