@@ -128,17 +128,22 @@ def cmd_threshold(args) -> int:
 # optimize
 
 def cmd_optimize(args) -> int:
+    if args.alpha != 1.0:
+        raise ValidationError(f"--alpha={args.alpha!r}: no minimizer depends on alpha")
+    if args.points is not None and not args.regen_tables:
+        raise ValidationError("--points applies only with --regen-tables")
+    if args.beta is not None and args.grid is not None:
+        raise ValidationError("--beta and --grid exclude each other")
     cfg = optimize.OptConfig(restarts=args.restarts, seed=args.seed)
     if args.regen_tables:
         if args.out is None:
             raise ValidationError("--regen-tables needs --out FILE")
-        curves = {}
-        for ineq in rates.NUMERIC_CURVES:
-            curves[ineq] = rates.generate_two_outcome_table(
-                ineq, points=args.points, restarts=args.restarts, seed=args.seed)
-        payload = {"curves": curves}
+        points = 200 if args.points is None else args.points
+        curves = {ineq: rates.generate_two_outcome_table(
+            ineq, points=points, restarts=args.restarts, seed=args.seed)
+            for ineq in rates.NUMERIC_CURVES}
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1)
+            json.dump({"curves": curves}, fh, indent=1)
         print(f"wrote {args.out}; export {rates.TABLE_ENV}={args.out} to use it")
         return 0
     if args.inequality not in optimize.MINIMIZERS:
@@ -255,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--regen-tables", action="store_true",
                    help="regenerate the numeric two-outcome tables JSON")
-    p.add_argument("--points", type=int, default=200)
+    p.add_argument("--points", type=int, help="table points (default 200)")
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("verify", help="run the property-check suites")

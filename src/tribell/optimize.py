@@ -6,8 +6,10 @@ feasible parametrization: block eigenvalues enter through normalized squares
 of free variables, angles are unconstrained, and the Bell constraint is
 enforced by a quadratic penalty that grows whenever a local solve ends
 infeasible.  One driver (`_multistart`) serves all three inequalities; each
-supplies only its Bell value, its entropy objective and its structured
-starts.  Identical seed and config give bit-identical results.
+supplies its Bell value, one pass giving value and entropy together, and its
+structured starts.  The Holz/Parity entropy is closed-form in the 2x2 Gram
+blocks of Charlie's conditional states (`_two_outcome_entropy`).  Identical
+seed and config give bit-identical results.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .centropy import cond_entropy
 from .errors import ValidationError
 from .qmath import binary_entropy as h
 from .rates import bound_curve
-from .states import BlockDiagState, _block_eigenvectors, tau_state
+from .states import BlockDiagState, tau_state
 
 # search schedule: a main pattern-search stage at PENALTY, then up to
 # PENALTY_ROUNDS - 1 refine stages, each PENALTY_GROWTH times heavier, then a
@@ -41,11 +43,6 @@ FEASIBILITY_TOL = 1e-7
 def _xlog2x(a: np.ndarray) -> np.ndarray:
     safe = np.where(a > 1e-18, a, 1.0)
     return a * np.log2(safe)
-
-
-def _h_vec(x: np.ndarray) -> np.ndarray:
-    x = np.clip(x, 0.0, 1.0)
-    return -_xlog2x(x) - _xlog2x(1.0 - x)
 
 
 def _weights(z: np.ndarray, k: int) -> np.ndarray:
@@ -77,26 +74,27 @@ def _split_block_vars(z: np.ndarray):
 
 def _two_outcome_entropy(rho: np.ndarray, t: np.ndarray, b0: np.ndarray) -> np.ndarray:
     """H(A0 B0|E) for block-diagonal states, Alice measuring Z and Bob the
-    x-z observable at angle b0; assembled from rank-2 Eve blocks per outcome."""
+    x-z observable at angle b0.  Eve purifies ABC, so given (A0, B0) = (a, o)
+    her state has the spectrum of Charlie's 2x2 Gram block <a, u_o|rho|a, u_o>:
+    its diagonal mixes the weights D[a, j, k] (half a GHZ-basis weight of
+    block (j, k), half one of (~j, ~k)) over Bob's bit j by cos^2(b0/2),
+    sin^2(b0/2), and its off-diagonal entry is +-sin(b0) ZXX / 8."""
     n = rho.shape[0]
-    W = _block_eigenvectors(t) * np.sqrt(rho.reshape(n, 8))[:, None, :]
-    Wr = W.reshape(n, 2, 2, 2, 8)
-    half = 0.5 * b0
-    u = np.empty((n, 2, 2))
-    u[:, 0, 0] = np.cos(half)
-    u[:, 0, 1] = np.sin(half)
-    u[:, 1, 0] = np.sin(half)
-    u[:, 1, 1] = -np.cos(half)
-    T = np.einsum("nob,nabcm->naocm", u, Wr)
-    G = np.einsum("naocm,naodm->naocd", T, T)
-    g00, g11, g01 = G[..., 0, 0], G[..., 1, 1], G[..., 0, 1]
-    tr = g00 + g11
-    disc = np.sqrt(np.clip((g00 - g11) ** 2 + 4.0 * g01 ** 2, 0.0, None))
-    lam = np.stack([(tr + disc) / 2.0, (tr - disc) / 2.0], axis=-1).reshape(n, -1)
-    lam = np.clip(lam, 0.0, None)
-    h_blocks = -_xlog2x(lam).sum(axis=1)
-    h_e = -_xlog2x(rho.reshape(n, 8)).sum(axis=1)
-    return h_blocks - h_e
+    c2, s2 = np.cos(t) ** 2, np.sin(t) ** 2
+    lam0 = c2 * rho[:, 0] + s2 * rho[:, 1]  # GHZ-basis weight of (0, j, k)
+    lam1 = s2 * rho[:, 0] + c2 * rho[:, 1]  # GHZ-basis weight of (1, ~j, ~k)
+    diag = 0.5 * np.stack([lam0 + lam1[:, ::-1, ::-1],
+                           lam1 + lam0[:, ::-1, ::-1]], axis=1)  # D[a, j, k]
+    cu = np.cos(0.5 * b0)[:, None, None] ** 2  # Bob's eigenvector weights
+    su = np.sin(0.5 * b0)[:, None, None] ** 2
+    g = np.stack([cu * diag[:, :, 0] + su * diag[:, :, 1],
+                  su * diag[:, :, 0] + cu * diag[:, :, 1]], axis=2)  # G[a, o][k, k]
+    zxx = (np.sin(2.0 * t) * (rho[:, 0] - rho[:, 1])).sum(axis=(1, 2))
+    g01 = (np.sin(b0) * zxx / 8.0)[:, None, None]
+    tr = g[..., 0] + g[..., 1]
+    disc = np.sqrt((g[..., 0] - g[..., 1]) ** 2 + 4.0 * g01 ** 2)
+    lam = np.clip(np.stack([(tr + disc) / 2.0, (tr - disc) / 2.0], axis=-1), 0.0, None)
+    return _xlog2x(rho.reshape(n, 8)).sum(axis=1) - _xlog2x(lam.reshape(n, 8)).sum(axis=1)
 
 
 def _canonicalize_block_vars(z: np.ndarray) -> np.ndarray:
@@ -234,18 +232,17 @@ def _pack_warm(res: OptResult) -> np.ndarray:
     return _pack(a["lambdas"], a["phi"])
 
 
-def _multistart(beta: float, cfg: OptConfig, warm_starts, value, objective,
+def _multistart(beta: float, cfg: OptConfig, warm_starts, value, evaluate,
                 starts: list, layout, canon=None):
-    """Best-of-restarts local search for min objective(z, value(z), beta)
-    subject to value(z) >= beta.
-
+    """Best-of-restarts local search for the entropy subject to the Bell
+    value reaching beta.  `evaluate(z, beta)` gives every row's Bell value and
+    the entropy of its state mixed down to beta, so the constraint is exactly
+    eliminated on the feasible side; on the infeasible side a quadratic
+    penalty steers back and final points are snapped to feasibility along the
+    segment to the first start, which needs only `value(z)`.
     `starts` are the inequality's structured starts, the first of them
     feasible; seeded random ones laid out as `layout` (see _random_starts)
     fill them up to cfg.restarts, and the warm starts go in after the first.
-    `objective` is the entropy of the state mixed down to beta, so the
-    constraint is exactly eliminated on the feasible side; on the infeasible
-    side a quadratic penalty steers back and final points are snapped to
-    feasibility along the segment to the first start.
     Returns (x, entropy, feasible, restarts used).
     """
     starts = starts + _random_starts(cfg.seed, cfg.restarts - len(starts), *layout)
@@ -259,25 +256,22 @@ def _multistart(beta: float, cfg: OptConfig, warm_starts, value, objective,
 
     def penalized(pw):
         def f(z):
-            v = value(z)
+            v, ent = evaluate(z, beta)
             gap = np.clip(beta - v, 0.0, None)
-            return objective(z, v, beta) + pw * gap * gap
+            return ent + pw * gap * gap
         return f
 
-    raw_f = penalized(0.0)
-    best_x, best_raw, best_feas = None, None, None
+    best_x, best_raw, best_feas = x.copy(), np.full(len(x), np.inf), np.zeros(len(x), bool)
 
     def remember(xc):
-        nonlocal best_x, best_raw, best_feas
-        raw = raw_f(xc)
-        feas = deficit(xc) <= FEASIBILITY_TOL
-        if best_x is None:
-            best_x, best_raw, best_feas = xc.copy(), raw.copy(), feas.copy()
-            return
+        """Keep every restart's best point; returns the rows' deficits."""
+        v, raw = evaluate(xc, beta)
+        feas = beta - v <= FEASIBILITY_TOL
         better = (feas & ~best_feas) | ((feas == best_feas) & (raw < best_raw))
         best_x[better] = xc[better]
         best_raw[better] = raw[better]
         best_feas[better] = feas[better]
+        return beta - v
 
     remember(_snap_to_anchor(x, anchor, deficit))
     x, _ = _pattern_search_lockstep(penalized(PENALTY), x, RADIUS, MAIN_POLLS,
@@ -289,8 +283,7 @@ def _multistart(beta: float, cfg: OptConfig, warm_starts, value, objective,
         x, _ = _pattern_search_lockstep(penalized(pw), x, REFINE_RADIUS,
                                         REFINE_POLLS, canon)
         x = _snap_to_anchor(x, anchor, deficit)
-        remember(x)
-        if np.all(deficit(x) <= 0.0):
+        if np.all(remember(x) <= 0.0):
             break
         pw *= PENALTY_GROWTH
     # polish the winners once more at a tight radius and huge weight
@@ -304,11 +297,6 @@ def _multistart(beta: float, cfg: OptConfig, warm_starts, value, objective,
 
 # ---------------------------------------------------------------------------
 # Holz and Parity-CHSH: GHZ-block states and Bob's angle b0
-
-def _block_objective(z: np.ndarray, v: np.ndarray, beta: float) -> np.ndarray:
-    rho, t, b0 = _split_block_vars(z)
-    return _two_outcome_entropy(_mixed(rho, _beta_scale(v, beta)), t, b0)
-
 
 def _block_starts(beta: float, parity: bool) -> list:
     """GHZ at its optimal b0 (the feasible anchor), the tau family at beta,
@@ -340,9 +328,14 @@ def _minimize_block_family(ineq: str, beta: float, cfg: OptConfig,
     def value(z):
         return _vbar(*_split_block_vars(z), parity)
 
+    def evaluate(z, beta):
+        rho, t, b0 = _split_block_vars(z)
+        v = _vbar(rho, t, b0, parity)
+        return v, _two_outcome_entropy(_mixed(rho, _beta_scale(v, beta)), t, b0)
+
     beta = _check_beta(ineq, beta)
     x, raw, feasible, used = _multistart(
-        beta, cfg, warm_starts, value, _block_objective, _block_starts(beta, parity),
+        beta, cfg, warm_starts, value, evaluate, _block_starts(beta, parity),
         (8, [(-np.pi / 2, np.pi / 2, 4), (0.0, np.pi, 1)]), _canonicalize_block_vars)
     rho, t, b0 = _split_block_vars(x[None, :])
     rho_s = _mixed(rho, _beta_scale(value(x[None, :]), beta))
@@ -381,19 +374,21 @@ def _chsh_corr(lam: np.ndarray, z: np.ndarray, a: int, b: int) -> np.ndarray:
             + np.cos(pa - pb) * (lam[:, 1] - lam[:, 3]))
 
 
-def _chsh_value(z: np.ndarray) -> np.ndarray:
+def _chsh_terms(z: np.ndarray):
+    """(weights, <A0 B0>, CHSH value) of every row."""
     lam = _weights(z, 4)
-    return (_chsh_corr(lam, z, 0, 0) + _chsh_corr(lam, z, 0, 1)
-            + _chsh_corr(lam, z, 1, 0) - _chsh_corr(lam, z, 1, 1))
+    a0b0 = _chsh_corr(lam, z, 0, 0)
+    return lam, a0b0, (a0b0 + _chsh_corr(lam, z, 0, 1)
+                       + _chsh_corr(lam, z, 1, 0) - _chsh_corr(lam, z, 1, 1))
 
 
-def _chsh_objective(z: np.ndarray, v: np.ndarray, beta: float) -> np.ndarray:
-    """1 + h(2p) - H({lambda_ij}) of the weights mixed towards uniform so the
-    (linear) CHSH value hits beta."""
-    lam = _weights(z, 4)
+def _chsh_evaluate(z: np.ndarray, beta: float):
+    """CHSH value, and 1 + h(2p) - H({lambda_ij}) of the weights mixed
+    towards uniform so the (linear) CHSH value hits beta."""
+    lam, a0b0, v = _chsh_terms(z)
     s = _beta_scale(v, beta)
-    p = (1.0 + s * _chsh_corr(lam, z, 0, 0)) / 4.0
-    return 1.0 + _h_vec(2.0 * p) + _xlog2x(_mixed(lam, s)).sum(axis=1)
+    q = np.clip((1.0 + s * a0b0) / 2.0, 0.0, 1.0)  # 2p
+    return v, 1.0 + (-_xlog2x(q) - _xlog2x(1.0 - q)) + _xlog2x(_mixed(lam, s)).sum(axis=1)
 
 
 def minimize_chsh_two_outcome(beta: float, cfg: OptConfig = OptConfig(),
@@ -403,12 +398,12 @@ def minimize_chsh_two_outcome(beta: float, cfg: OptConfig = OptConfig(),
     beta = _check_beta("chsh", beta)
     starts = [np.array([1.0, 0, 0, 0, 0.0, np.pi / 2, -np.pi / 4, np.pi / 4]),  # v = 2 sqrt2
               np.array([np.sqrt(0.5), np.sqrt(0.5), 0, 0, 0, 0, 0, 0])]
-    x, raw, feasible, used = _multistart(beta, cfg, warm_starts, _chsh_value,
-                                         _chsh_objective, starts,
+    x, raw, feasible, used = _multistart(beta, cfg, warm_starts,
+                                         lambda z: _chsh_terms(z)[2],
+                                         _chsh_evaluate, starts,
                                          (4, [(-np.pi, np.pi, 4)]))
-    z = x[None, :]
-    v = _chsh_value(z)
-    lam_s = _mixed(_weights(z, 4), _beta_scale(v, beta))
+    lam, _, v = _chsh_terms(x[None, :])
+    lam_s = _mixed(lam, _beta_scale(v, beta))
     return OptResult(
         entropy=float(np.clip(raw, 0.0, 2.0)),
         argmin={"lambdas": lam_s[0].reshape(2, 2), "phi": x[4:8].copy()},

@@ -273,6 +273,37 @@ class TestOptimize:
             rates._load_tables.cache_clear()
 
 
+class TestOptimizeRefusesIgnoredOptions:
+    """Options `optimize` would drop exit 2, naming the option, before any
+    solve."""
+
+    def refused(self, argv, monkeypatch, capsys):
+        def solve(*a, **k):
+            pytest.fail("solved despite an ignored option")
+
+        for ineq in list(optimize.MINIMIZERS):
+            monkeypatch.setitem(optimize.MINIMIZERS, ineq, solve)
+        code, out, err = run_cli(["optimize", "--inequality", "holz"] + argv,
+                                 capsys)
+        assert (code, out) == (2, "")
+        return err
+
+    def test_alpha(self, monkeypatch, capsys):
+        err = self.refused(["--beta", "1.3", "--alpha", "3"], monkeypatch, capsys)
+        assert "--alpha" in err
+
+    def test_points_without_regen(self, monkeypatch, capsys):
+        err = self.refused(["--beta", "1.3", "--points", "50"], monkeypatch, capsys)
+        assert "--points" in err
+
+    def test_beta_with_grid(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "g.csv"
+        err = self.refused(["--beta", "1.3", "--grid", "1.1:1.2:2",
+                            "--out", str(path)], monkeypatch, capsys)
+        assert "--beta" in err and "--grid" in err
+        assert not path.exists()
+
+
 class TestSweepDeterminism:
     def test_byte_identical_and_sorted(self, tmp_path, capsys):
         a = tmp_path / "a.csv"

@@ -37,6 +37,63 @@ def test_fixed_seed_entropy_pinned(minimizer, beta, entropy):
     assert got == pytest.approx(entropy, rel=1e-12, abs=0.0)
 
 
+def test_chsh_fixed_seed_pinned():
+    # fixed-seed values; any change to the CHSH objective or the search moves them
+    r = minimize_chsh_two_outcome(2.4, OptConfig(restarts=8, seed=0))
+    assert r.entropy == pytest.approx(0.49236301966187557, rel=1e-12, abs=0.0)
+    assert r.achieved_beta == pytest.approx(2.4, rel=1e-12, abs=0.0)
+    assert r.converged
+
+
+def _einsum_gram(rho, t, b0):
+    """Charlie's Gram blocks G[a, o] (n, 2, 2, 2, 2) the long way: the 8x8
+    eigenvector matrix scaled by sqrt(rho), contracted with Bob's
+    eigenvectors u_o of cos(b0) Z + sin(b0) X."""
+    n = rho.shape[0]
+    w = states._block_eigenvectors(t) * np.sqrt(rho.reshape(n, 8))[:, None, :]
+    c, s = np.cos(0.5 * b0), np.sin(0.5 * b0)
+    u = np.stack([np.stack([c, s], -1), np.stack([s, -c], -1)], 1)  # u[n, o, b]
+    proj = np.einsum("nob,nabcm->naocm", u, w.reshape(n, 2, 2, 2, 8))
+    return np.einsum("naocm,naodm->naocd", proj, proj)
+
+
+def _oracle_rows():
+    """2000 random rows, then pure GHZ, uniform and rank-deficient rho at
+    t in {0, +-pi/2, random} and b0 in {0, pi/2, pi}."""
+    rng = np.random.default_rng(11)
+    n = 2000
+    rhos = [rng.dirichlet([0.6] * 8, n)]
+    ts = [rng.uniform(-np.pi / 2, np.pi / 2, (n, 4))]
+    b0s = [rng.uniform(0.0, np.pi, n)]
+    ghz = np.eye(8)[0]
+    deficient = rng.dirichlet([1.0] * 8) * (np.arange(8) % 3 != 1)
+    for r in (ghz, np.full(8, 0.125), deficient / deficient.sum()):
+        for t in (0.0, np.pi / 2, -np.pi / 2, rng.uniform(-np.pi / 2, np.pi / 2, 4)):
+            for b0 in (0.0, np.pi / 2, np.pi):
+                rhos.append(r[None])
+                ts.append(np.broadcast_to(t, (1, 4)))
+                b0s.append([b0])
+    return (np.concatenate(rhos).reshape(-1, 2, 2, 2),
+            np.concatenate(ts).reshape(-1, 2, 2), np.concatenate(b0s))
+
+
+def test_closed_form_matches_einsum_gram():
+    rho, t, b0 = _oracle_rows()
+    gram = _einsum_gram(rho, t, b0)
+    lam = np.clip(np.linalg.eigvalsh(gram), 0.0, None).reshape(len(b0), -1)
+    safe = np.where(lam > 0.0, lam, 1.0)
+    h_blocks = -(lam * np.log2(safe)).sum(axis=1)
+    w = rho.reshape(-1, 8)
+    h_e = -(w * np.log2(np.where(w > 0.0, w, 1.0))).sum(axis=1)
+    fast = optimize._two_outcome_entropy(rho, t, b0)
+    np.testing.assert_allclose(fast, h_blocks - h_e, rtol=0.0, atol=1e-13)
+    # every off-diagonal Gram entry is sin(b0) ZXX / 8 up to sign
+    zxx = states._block_correlators(rho, t)[1]
+    off = np.broadcast_to((np.abs(np.sin(b0) * zxx) / 8.0)[:, None, None],
+                          gram.shape[:3])
+    np.testing.assert_allclose(np.abs(gram[..., 0, 1]), off, rtol=0.0, atol=1e-13)
+
+
 class TestHolzMinimizer:
     def test_max_violation_matches_analytic(self):
         r = minimize_holz_two_outcome(1.5, CFG)
