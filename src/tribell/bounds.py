@@ -191,7 +191,6 @@ def mabk_two_outcome(beta: float) -> float:
 # ---------------------------------------------------------------------------
 # asymmetric CHSH one-outcome
 
-_TANGENT_LANES = 16  # alphas solved together; bounds the scan's working set
 _ZOOM_POINTS = 17  # alpha points per refinement round of best_alpha_bound
 _ALPHA_TOL = 1e-12  # where round(alpha, 12) merges the tangent keys
 
@@ -220,52 +219,37 @@ def _tangency(x, alpha):
     return dg * (x - 2.0) - g
 
 
-def _tangent_block(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Tangents for one block of lanes (one alpha each): scan a 1200-point x
-    grid, linear plus log-clustered at the quantum bound, for the first
-    sign change of the tangency residual, then solve the bracketed lanes
-    with qmath.bracketed_roots."""
+def _asym_tangents(alpha) -> tuple[np.ndarray, np.ndarray]:
+    """(beta*, slope) of the tangent line through (2, 0) to g(., |alpha|)
+    for a 1-d array of alpha.
+
+    The tangency residual F = g'(x)(x - 2) - g has F' = g''(x)(x - 2), so
+    it has one sign change (up to rounding next to its root) on
+    [2 + 1e-12, qb - 1e-13 (qb - 2)]; the upper end leaves out the drop to
+    F = -1 at qb itself, where dg = 0 because s^2 >= 1.  One
+    qmath.bracketed_roots call solves every lane bracketed there.  A lane
+    not bracketed there, or whose residual at the root exceeds 1e-10, has
+    its tangency point numerically indistinguishable from the quantum bound
+    qb (small alpha); the chord from (2, 0) to (qb, 1) is its envelope.
+    """
+    alpha = np.abs(np.asarray(alpha, dtype=float))
+    if not np.all(np.isfinite(alpha)):
+        raise ValidationError("alpha must be finite")
     qb = 2.0 * np.hypot(1.0, alpha)
-    xs = np.concatenate([
-        np.linspace(2.0 + 1e-9, qb, 800, axis=1),
-        qb[:, None] - (qb - 2.0)[:, None] * np.logspace(-13, 0, 400),
-    ], axis=1)
-    # repeated x (from the clip) cannot form a sign change, so no dedup
-    xs = np.sort(np.clip(xs, 2.0 + 1e-12, (qb - 1e-16)[:, None]), axis=1)
-    fs = _tangency(xs, alpha[:, None])
-    crossing = (fs[:, :-1] <= 0.0) & (fs[:, 1:] > 0.0)
-    bracketed = crossing.any(axis=1)
+    lo, hi = np.full_like(alpha, 2.0 + 1e-12), qb - 1e-13 * (qb - 2.0)
+    bracketed = (lo < hi) & (_tangency(lo, alpha) <= 0.0) \
+        & (_tangency(hi, alpha) > 0.0)
     lanes = np.flatnonzero(bracketed)
-    first = np.argmax(crossing[lanes], axis=1)
-    hi = bracketed_roots(lambda x: _tangency(x, alpha[lanes]),
-                         xs[lanes, first], xs[lanes, first + 1])
+    root = bracketed_roots(lambda x: _tangency(x, alpha[lanes]), lo[lanes], hi[lanes])
     bstar = qb.copy()
     # the rounded midpoint of the final bracket (two adjacent floats): near
     # alpha = 0.4 the residual moves ~1e-10 per ulp, so the end kept matters
-    bstar[lanes] = 0.5 * (np.nextafter(hi, -np.inf) + hi)
+    bstar[lanes] = 0.5 * (np.nextafter(root, -np.inf) + root)
     found = bracketed & (np.abs(_tangency(bstar, alpha)) <= 1e-10)
     with np.errstate(divide="ignore"):
         chord = 1.0 / (qb - 2.0)
     return (np.where(found, bstar, qb),
             np.where(found, _g_asym_and_deriv(bstar, alpha)[1], chord))
-
-
-def _asym_tangents(alpha) -> tuple[np.ndarray, np.ndarray]:
-    """(beta*, slope) of the tangent line through (2, 0) to g(., |alpha|)
-    for a 1-d array of alpha, solved _TANGENT_LANES lanes at a time.
-
-    When the tangency point is numerically indistinguishable from the
-    quantum bound qb (small alpha), the chord from (2, 0) to (qb, 1) is the
-    envelope.
-    """
-    alpha = np.abs(np.asarray(alpha, dtype=float))
-    if not np.all(np.isfinite(alpha)):
-        raise ValidationError("alpha must be finite")
-    bstar, slope = np.empty_like(alpha), np.empty_like(alpha)
-    for i in range(0, alpha.size, _TANGENT_LANES):
-        block = slice(i, i + _TANGENT_LANES)
-        bstar[block], slope[block] = _tangent_block(alpha[block])
-    return bstar, slope
 
 
 @functools.lru_cache(maxsize=4096)
@@ -275,9 +259,7 @@ def asym_tangent(alpha: float) -> tuple[float, float]:
     A memoized scalar wrapper over the batched solver `_asym_tangents`.
     best_alpha_bound calls that solver directly on arrays of alpha (and its
     beta_fn on arrays of alpha), so its search does not pass through this
-    cache.  When the tangency point is numerically indistinguishable from
-    the quantum bound (small alpha), the chord from (2, 0) to (qb, 1) is the
-    envelope.
+    cache.
     """
     bstar, slope = _asym_tangents([alpha])
     return float(bstar[0]), float(slope[0])
@@ -318,14 +300,16 @@ def asym_chsh_one_outcome(beta: float, alpha: float) -> float:
     return float(_asym_one_outcome(beta, alpha, bstar, slope))
 
 
-@functools.lru_cache(maxsize=8)
-def _grid_tangents(alpha_lo: float, alpha_hi: float,
-                   grid_points: int) -> tuple[np.ndarray, tuple]:
-    grid = np.linspace(alpha_lo, alpha_hi, grid_points)
-    tangents = _tangents_for(np.abs(grid))
-    for arr in (grid, *tangents):
+_ALPHA_GRID = np.linspace(0.0, 4.0, 401)  # best_alpha_bound's first batch
+_ALPHA_GRID.flags.writeable = False
+
+
+@functools.lru_cache(maxsize=1)
+def _grid_tangents() -> tuple[np.ndarray, np.ndarray]:
+    tangents = _tangents_for(_ALPHA_GRID)
+    for arr in tangents:
         arr.flags.writeable = False  # shared by every caller in the process
-    return grid, tangents
+    return tangents
 
 
 def _alpha_values(beta_fn, alphas: np.ndarray, tangents=None) -> np.ndarray:
@@ -340,22 +324,22 @@ def _alpha_values(beta_fn, alphas: np.ndarray, tangents=None) -> np.ndarray:
     return _asym_one_outcome(beta, alpha, *tangents)
 
 
-def best_alpha_bound(beta_fn: Callable[[np.ndarray], np.ndarray],
-                     alpha_lo: float = 0.0, alpha_hi: float = 4.0,
-                     grid_points: int = 401) -> tuple[float, float]:
+def best_alpha_bound(beta_fn: Callable[[np.ndarray], np.ndarray]
+                     ) -> tuple[float, float]:
     """Maximize asym_chsh_one_outcome(beta_fn(alpha), alpha) over alpha.
 
     beta_fn maps an array of alpha to the achievable violations (at the
-    caller's noise level), elementwise.  The whole grid is evaluated in one
-    batch, its tangents solved once per process; the best grid cell is then
-    zoomed in batches of _ZOOM_POINTS until the alpha bracket is narrower
-    than 1e-12.  Never returns less than the alpha=1 value.
+    caller's noise level), elementwise.  The 401-point grid on [0, 4] is
+    evaluated in one batch, its tangents solved once per process; the best
+    grid cell is then zoomed in batches of _ZOOM_POINTS until the alpha
+    bracket is narrower than 1e-12.  Never returns less than the alpha=1
+    value.
     """
-    grid, tangents = _grid_tangents(alpha_lo, alpha_hi, grid_points)
-    vals = _alpha_values(beta_fn, grid, tangents)
+    grid = _ALPHA_GRID
+    vals = _alpha_values(beta_fn, grid, _grid_tangents())
     i = int(np.argmax(vals))
     best = (vals[i], grid[i])  # (value, alpha): ties go to the larger alpha
-    k0, k1 = max(i - 1, 0), min(i + 1, grid_points - 1)
+    k0, k1 = max(i - 1, 0), min(i + 1, grid.size - 1)
     lo, hi, v_lo, v_hi = grid[k0], grid[k1], vals[k0], vals[k1]
     while hi - lo >= _ALPHA_TOL:
         pts = np.linspace(lo, hi, _ZOOM_POINTS)
@@ -364,8 +348,7 @@ def best_alpha_bound(beta_fn: Callable[[np.ndarray], np.ndarray],
         best = max(best, (v[j], pts[j]))
         k0, k1 = max(j - 1, 0), min(j + 1, _ZOOM_POINTS - 1)
         lo, hi, v_lo, v_hi = pts[k0], pts[k1], v[k0], v[k1]
-    if alpha_lo <= 1.0 <= alpha_hi:
-        best = max(best, (_alpha_values(beta_fn, np.array([1.0]))[0], 1.0))
+    best = max(best, (_alpha_values(beta_fn, np.array([1.0]))[0], 1.0))
     return float(best[1]), float(best[0])
 
 

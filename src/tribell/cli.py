@@ -104,7 +104,7 @@ def cmd_rate(args) -> int:
     if not args.dicka and args.dire is None:
         raise ValidationError("choose --dicka or --dire {spot,recycled}")
     kind = "dicka" if args.dicka else f"dire-{args.dire}"
-    spec = spec_by_name(args.inequality, args.alpha)
+    spec = spec_by_name(args.inequality)
     if args.grid is not None:
         return _sweep_csv(args, f"rate-{kind}",
                           lambda p: _rate_value(args, kind, spec, p))
@@ -119,7 +119,7 @@ def cmd_rate(args) -> int:
 
 def cmd_threshold(args) -> int:
     fn = rates.rate_function(args.rate, args.inequality, args.noise,
-                             gamma=args.gamma, alpha=args.alpha)
+                             gamma=args.gamma)
     print(_fmt(rates.threshold_p(fn)))
     return 0
 
@@ -128,12 +128,8 @@ def cmd_threshold(args) -> int:
 # optimize
 
 def cmd_optimize(args) -> int:
-    if args.alpha != 1.0:
-        raise ValidationError(f"--alpha={args.alpha!r}: no minimizer depends on alpha")
     if args.points is not None and not args.regen_tables:
         raise ValidationError("--points applies only with --regen-tables")
-    if args.beta is not None and args.grid is not None:
-        raise ValidationError("--beta and --grid exclude each other")
     cfg = optimize.OptConfig(restarts=args.restarts, seed=args.seed)
     if args.regen_tables:
         if args.out is None:
@@ -223,15 +219,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, noise=False, gamma_default=rates.GAMMA_DEFAULT):
         p.add_argument("--inequality", choices=INEQS, default="holz")
-        p.add_argument("--alpha", type=float, default=1.0)
         if noise:
             p.add_argument("--noise", choices=["local", "global"], default="local")
             p.add_argument("--gamma", type=float, default=gamma_default)
 
     p = sub.add_parser("bound", help="evaluate an entropy bound at a violation")
     common(p)
-    p.add_argument("--two-outcome", action="store_true")
-    p.add_argument("--recycled", action="store_true")
+    p.add_argument("--alpha", type=float, default=1.0)
+    outcome = p.add_mutually_exclusive_group()
+    outcome.add_argument("--two-outcome", action="store_true")
+    outcome.add_argument("--recycled", action="store_true")
     p.add_argument("--beta", type=float)
     p.add_argument("--grid", help="beta grid start:stop:steps (CSV output)")
     p.add_argument("--out", help="CSV path for --grid")
@@ -269,6 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="sweep a quantity over p to CSV")
     common(p, noise=True)
+    p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--quantity", required=True,
                    choices=["beta", "bound-one", "bound-two"]
                    + [f"rate-{kind}" for kind in rates.RATE_KINDS])
@@ -286,7 +284,12 @@ def _check_args(args) -> None:
         value = getattr(args, name, None)
         if value is not None and not math.isfinite(value):
             raise ValidationError(f"--{name}={value!r} is not finite")
-    if getattr(args, "grid", None) is not None and args.out is None:
+    if getattr(args, "grid", None) is None:
+        return
+    for name in ("beta", "p"):
+        if getattr(args, name, None) is not None:
+            raise ValidationError(f"--{name} and --grid exclude each other")
+    if args.out is None:
         raise ValidationError("--grid needs --out FILE")
 
 

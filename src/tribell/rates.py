@@ -298,8 +298,7 @@ def threshold_p(rate_fn, bracket: tuple[float, float] = (0.0, 1.0)) -> float:
     return qmath.bracketed_root(rate_fn, *bracket)
 
 
-def rate_function(kind: str, ineq: str, noise_kind: str,
-                  gamma: float = 0.0, alpha: float = 1.0):
+def rate_function(kind: str, ineq: str, noise_kind: str, gamma: float = 0.0):
     """p -> signed rate closure for threshold finding and sweeps."""
-    spec = spec_by_name(ineq, alpha)
+    spec = spec_by_name(ineq)
     return lambda p: rate(kind, spec, NoiseModel(noise_kind, p), gamma).rate

@@ -263,6 +263,57 @@ class TestAsymTangentTable:
             bounds._asym_tangents([0.5, np.nan])
 
 
+def _scan_tangents(alpha):
+    """The solver that bounds._asym_tangents replaced: scan a 1200-point x
+    grid, linear plus log-clustered at the quantum bound, for the first
+    sign change of the tangency residual, then solve that grid cell."""
+    alpha = np.abs(np.asarray(alpha, dtype=float))
+    qb = 2.0 * np.hypot(1.0, alpha)
+    xs = np.concatenate([
+        np.linspace(2.0 + 1e-9, qb, 800, axis=1),
+        qb[:, None] - (qb - 2.0)[:, None] * np.logspace(-13, 0, 400),
+    ], axis=1)
+    xs = np.sort(np.clip(xs, 2.0 + 1e-12, (qb - 1e-16)[:, None]), axis=1)
+    fs = bounds._tangency(xs, alpha[:, None])
+    crossing = (fs[:, :-1] <= 0.0) & (fs[:, 1:] > 0.0)
+    bracketed = crossing.any(axis=1)
+    lanes = np.flatnonzero(bracketed)
+    first = np.argmax(crossing[lanes], axis=1)
+    hi = bracketed_roots(lambda x: bounds._tangency(x, alpha[lanes]),
+                         xs[lanes, first], xs[lanes, first + 1])
+    bstar = qb.copy()
+    bstar[lanes] = 0.5 * (np.nextafter(hi, -np.inf) + hi)
+    found = bracketed & (np.abs(bounds._tangency(bstar, alpha)) <= 1e-10)
+    with np.errstate(divide="ignore"):
+        chord = 1.0 / (qb - 2.0)
+    return (np.where(found, bstar, qb),
+            np.where(found, bounds._g_asym_and_deriv(bstar, alpha)[1], chord))
+
+
+class TestTangentsMatchScan:
+    """One bracket per lane finds the scan's first crossing: the residual
+    changes sign once on the bracket."""
+
+    def test_grid_random_and_table_alphas(self):
+        grid = bounds._ALPHA_GRID[(bounds._ALPHA_GRID >= 1e-12)
+                                  & (bounds._ALPHA_GRID < 1.0)]
+        alphas = np.concatenate([grid, np.random.default_rng(8).random(300),
+                                 [row[0] for row in TANGENT_TABLE]])
+        assert alphas.size == 99 + 300 + 25
+        got_b, got_s = bounds._asym_tangents(alphas)
+        want_b, want_s = _scan_tangents(alphas)
+        qb = 2.0 * np.hypot(1.0, alphas)
+        np.testing.assert_array_equal(got_b == qb, want_b == qb)  # chord lanes
+        assert np.max(np.abs(got_b - want_b)) <= 4e-15
+        assert np.max(np.abs(got_s - want_s) / want_s) <= 4e-15
+
+    def test_edge_alphas_bit_identical(self):
+        # hi <= lo in every lane; qb rounds to 2 at alpha = 1e-12 and 1e-8
+        alphas = np.array([1e-12, 1e-8, 3e-8, 1e-7])
+        for got, want in zip(bounds._asym_tangents(alphas), _scan_tangents(alphas)):
+            np.testing.assert_array_equal(got, want)
+
+
 @pytest.mark.parametrize("fn, qb", [
     (holz_one_outcome, 1.5), (holz_two_outcome, 1.5),
     (parity_chsh_one_outcome, SQRT2), (mabk_one_outcome, 4.0),

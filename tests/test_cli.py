@@ -27,6 +27,16 @@ def run_cli(args, capsys):
     return code, out.out, out.err
 
 
+def assert_usage_error(capsys, args, *names):
+    """argparse refuses args (exit 2, nothing on stdout), naming each of names."""
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    out = capsys.readouterr()
+    assert (exc.value.code, out.out) == (2, "")
+    for name in names:
+        assert name in out.err
+
+
 class TestBound:
     def test_holz_one_outcome_at_max(self, capsys):
         code, out, _ = run_cli(["bound", "--inequality", "holz", "--beta", "1.5"],
@@ -129,20 +139,19 @@ class TestRate:
         assert "DICKA" in err
 
     def test_asym_dicka_alpha_one(self, capsys):
-        code, out, _ = run_cli(["rate", "--dicka", "--inequality", "asym-chsh",
-                                "--alpha", "1", "--p", "0.95"], capsys)
+        # DICKA maximizes over alpha itself, so `rate` takes no --alpha
+        argv = ["rate", "--dicka", "--inequality", "asym-chsh", "--p", "0.95"]
+        code, out, _ = run_cli(argv, capsys)
         assert code == 0
         assert out.strip() == "0.137485256"
+        assert_usage_error(capsys, argv + ["--alpha", "1"], "--alpha")
 
     @pytest.mark.parametrize("argv", [
         ["rate", "--dicka", "--p", "0.95", "--alpha", "2"],
         ["threshold", "--rate", "dicka", "--alpha", "3"],
     ])
     def test_asym_dicka_alpha_rejected(self, capsys, argv):
-        code, out, err = run_cli(argv + ["--inequality", "asym-chsh"], capsys)
-        assert code == 2
-        assert out == ""
-        assert "alpha must be 1" in err
+        assert_usage_error(capsys, argv + ["--inequality", "asym-chsh"], "--alpha")
 
     @pytest.mark.parametrize("argv", [
         ["rate", "--dicka", "--gamma", "5", "--p", "0.95"],
@@ -288,9 +297,9 @@ class TestOptimizeRefusesIgnoredOptions:
         assert (code, out) == (2, "")
         return err
 
-    def test_alpha(self, monkeypatch, capsys):
-        err = self.refused(["--beta", "1.3", "--alpha", "3"], monkeypatch, capsys)
-        assert "--alpha" in err
+    def test_alpha(self, capsys):
+        assert_usage_error(capsys, ["optimize", "--inequality", "holz",
+                                    "--beta", "1.3", "--alpha", "3"], "--alpha")
 
     def test_points_without_regen(self, monkeypatch, capsys):
         err = self.refused(["--beta", "1.3", "--points", "50"], monkeypatch, capsys)
@@ -388,6 +397,29 @@ class TestGridNeedsOut:
         assert code == 2
         assert out == ""
         assert "--out" in err
+
+
+class TestPointWithGridRefused:
+    @pytest.mark.parametrize("argv, point", [
+        (["bound", "--inequality", "holz", "--beta", "1.2", "--grid", "1:1.5:3"],
+         "--beta"),
+        (["rate", "--dicka", "--p", "0.95", "--grid", "0.9:1:2"], "--p"),
+    ])
+    def test_fails_before_computing(self, tmp_path, capsys, monkeypatch,
+                                    argv, point):
+        monkeypatch.setattr(cli, "_map_parallel",
+                            lambda *a: pytest.fail("computed despite " + point))
+        path = tmp_path / "g.csv"
+        code, out, err = run_cli(argv + ["--out", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert point in err and "--grid" in err
+        assert not path.exists()
+
+
+def test_bound_two_outcome_excludes_recycled(capsys):
+    assert_usage_error(capsys, ["bound", "--inequality", "chsh", "--beta", "2.7",
+                                "--two-outcome", "--recycled"],
+                       "--two-outcome", "--recycled")
 
 
 class TestNonFiniteArguments:
