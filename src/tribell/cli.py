@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -74,6 +75,7 @@ def _sweep_csv(args, quantity, value) -> int:
 # bound
 
 def cmd_bound(args) -> int:
+    """evaluate an entropy bound at a violation"""
     outcome = "recycled" if args.recycled else "two" if args.two_outcome else "one"
     curve = rates.bound_curve(spec_by_name(args.inequality, args.alpha), outcome)
     if args.grid is not None:
@@ -86,8 +88,6 @@ def cmd_bound(args) -> int:
                 for b, v in zip(grid, vals)]
         _write_csv(args.out, rows, sort_key=lambda r: r[4])
         return 0
-    if args.beta is None:
-        raise ValidationError("provide --beta or --grid")
     print(_fmt(curve.fn(args.beta)))
     return 0
 
@@ -101,15 +101,12 @@ def _rate_value(args, kind, spec, p):
 
 
 def cmd_rate(args) -> int:
-    if not args.dicka and args.dire is None:
-        raise ValidationError("choose --dicka or --dire {spot,recycled}")
+    """DICKA or DIRE rate at a noise level"""
     kind = "dicka" if args.dicka else f"dire-{args.dire}"
     spec = spec_by_name(args.inequality)
     if args.grid is not None:
         return _sweep_csv(args, f"rate-{kind}",
                           lambda p: _rate_value(args, kind, spec, p))
-    if args.p is None:
-        raise ValidationError("provide --p or --grid")
     print(_fmt(_rate_value(args, kind, spec, args.p)[0]))
     return 0
 
@@ -118,6 +115,7 @@ def cmd_rate(args) -> int:
 # threshold
 
 def cmd_threshold(args) -> int:
+    """threshold p where a rate turns positive"""
     fn = rates.rate_function(args.rate, args.inequality, args.noise,
                              gamma=args.gamma)
     print(_fmt(rates.threshold_p(fn)))
@@ -128,22 +126,16 @@ def cmd_threshold(args) -> int:
 # optimize
 
 def cmd_optimize(args) -> int:
-    if args.points is not None and not args.regen_tables:
-        raise ValidationError("--points applies only with --regen-tables")
+    """two-outcome entropy minimization"""
     cfg = optimize.OptConfig(restarts=args.restarts, seed=args.seed)
     if args.regen_tables:
-        if args.out is None:
-            raise ValidationError("--regen-tables needs --out FILE")
-        points = 200 if args.points is None else args.points
         curves = {ineq: rates.generate_two_outcome_table(
-            ineq, points=points, restarts=args.restarts, seed=args.seed)
+            ineq, points=args.points, restarts=args.restarts, seed=args.seed)
             for ineq in rates.NUMERIC_CURVES}
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump({"curves": curves}, fh, indent=1)
         print(f"wrote {args.out}; export {rates.TABLE_ENV}={args.out} to use it")
         return 0
-    if args.inequality not in optimize.MINIMIZERS:
-        raise ValidationError(f"no two-outcome minimizer for {args.inequality!r}")
     if args.grid is not None:
         grid = _parse_grid(args.grid)[::-1]  # descending: warm starts come from above
         rows = []
@@ -153,8 +145,6 @@ def cmd_optimize(args) -> int:
                          res.entropy, " ".join(flags)))
         _write_csv(args.out, rows, sort_key=lambda r: r[4])
         return 0
-    if args.beta is None:
-        raise ValidationError("provide --beta or --grid")
     res = optimize.MINIMIZERS[args.inequality](args.beta, cfg)
     print(f"entropy {_fmt(res.entropy)} achieved-beta {_fmt(res.achieved_beta)} "
           f"converged {res.converged} restarts {res.restarts_used}")
@@ -165,8 +155,7 @@ def cmd_optimize(args) -> int:
 # verify
 
 def cmd_verify(args) -> int:
-    if args.samples < 1:
-        raise ValidationError(f"--samples must be at least 1, got {args.samples}")
+    """run the property-check suites"""
     results = verification.run_all(samples=args.samples)
     failed = 0
     for r in results:
@@ -201,101 +190,112 @@ def _sweep_value(args, spec, p):
 
 
 def cmd_sweep(args) -> int:
+    """sweep a quantity over p to CSV"""
     spec = spec_by_name(args.inequality, args.alpha)
-    if args.optimize_alpha and (args.quantity != "bound-one"
-                                or spec.kind != "asym-chsh"):
-        raise ValidationError("--optimize-alpha applies only to --quantity "
-                              "bound-one with --inequality chsh or asym-chsh")
     return _sweep_csv(args, args.quantity, lambda p: _sweep_value(args, spec, p))
 
 
 # ---------------------------------------------------------------------------
+# options
+
+def _opt(commands, flags, when=None, domain=None, **spec):
+    spec.setdefault("default", False if spec.get("action") == "store_true" else None)
+    return commands.split(), flags.split(), when, domain, spec
+
+
+UNIT = (lambda x: 0.0 <= x <= 1.0, "outside [0, 1]")
+DIR = (lambda p: os.path.isdir(os.path.dirname(p) or "."), "is in no existing directory")
+
+# Every option once: the commands that take it; its flag (two flags exclude
+# each other); when a command reads it, as a test on the parsed arguments and
+# the words that end "FLAG applies only" (with no default, it must then be
+# given); a test its values pass, and why one fails; its argparse spec.
+OPTIONS = [
+    _opt("bound rate threshold sweep", "--inequality", choices=INEQS, default="holz"),
+    _opt("optimize", "--inequality", (lambda a: not a.regen_tables, "without --regen-tables"),
+         (lambda name: name in optimize.MINIMIZERS, "has no two-outcome minimizer"),
+         choices=INEQS, default="holz"),
+    _opt("rate threshold sweep", "--noise", choices=["local", "global"], default="local"),
+    _opt("rate", "--gamma", (lambda a: a.dire == "spot", "with --dire spot"), UNIT,
+         type=float, default=rates.GAMMA_DEFAULT),
+    _opt("threshold", "--gamma", (lambda a: a.rate == "dire-spot", "with --rate dire-spot"),
+         UNIT, type=float, default=0.0),
+    _opt("sweep", "--gamma", (lambda a: a.quantity == "rate-dire-spot",
+                              "with --quantity rate-dire-spot"), UNIT,
+         type=float, default=rates.GAMMA_DEFAULT),
+    _opt("bound sweep", "--alpha",
+         (lambda a: a.inequality == "asym-chsh" and not getattr(a, "optimize_alpha", False),
+          "with --inequality asym-chsh (sweep: without --optimize-alpha)"),
+         type=float, default=1.0),
+    _opt("bound", "--two-outcome --recycled", action="store_true"),
+    _opt("rate", "--dicka", action="store_true"),
+    _opt("rate", "--dire", (lambda a: not a.dicka, "without --dicka"),
+         choices=["spot", "recycled"]),
+    _opt("threshold", "--rate", choices=rates.RATE_KINDS, required=True),
+    _opt("sweep", "--quantity", required=True, choices=["beta", "bound-one", "bound-two"]
+         + [f"rate-{kind}" for kind in rates.RATE_KINDS]),
+    _opt("sweep", "--optimize-alpha",
+         (lambda a: a.quantity == "bound-one" and a.inequality in ("chsh", "asym-chsh"),
+          "to --quantity bound-one with --inequality chsh or asym-chsh"),
+         action="store_true", help="maximize asym-chsh bounds over alpha at each p"),
+    _opt("bound", "--beta", (lambda a: a.grid is None, "without --grid"), type=float),
+    _opt("optimize", "--beta", (lambda a: a.grid is None and not a.regen_tables,
+                                "without --grid or --regen-tables"), type=float),
+    _opt("rate", "--p", (lambda a: a.grid is None, "without --grid"), type=float),
+    _opt("bound optimize", "--grid", help="beta grid start:stop:steps (CSV output)"),
+    _opt("rate", "--grid", help="p grid start:stop:steps (CSV output)"),
+    _opt("sweep", "--grid", required=True, help="p grid start:stop:steps"),
+    _opt("bound rate", "--out", (lambda a: a.grid is not None, "with --grid"), DIR,
+         help="CSV path for --grid"),
+    _opt("optimize", "--out", (lambda a: a.grid is not None or a.regen_tables,
+                               "with --grid or --regen-tables"), DIR,
+         help="CSV/JSON output path"),
+    _opt("sweep", "--out", None, DIR, required=True),
+    _opt("optimize", "--restarts", type=int, default=64),
+    _opt("optimize", "--seed", type=int, default=0),
+    _opt("optimize", "--regen-tables", (lambda a: a.grid is None, "without --grid"),
+         action="store_true", help="regenerate the numeric two-outcome tables JSON"),
+    _opt("optimize", "--points", (lambda a: a.regen_tables, "with --regen-tables"),
+         type=int, default=200, help="table points (default 200)"),
+    _opt("verify", "--samples", None, (lambda n: n >= 2, "is below 2"), type=int, default=10000),
+]
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tribell",
         description="Tripartite Bell inequalities: entropy bounds and DI rates")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, noise=False, gamma_default=rates.GAMMA_DEFAULT):
-        p.add_argument("--inequality", choices=INEQS, default="holz")
-        if noise:
-            p.add_argument("--noise", choices=["local", "global"], default="local")
-            p.add_argument("--gamma", type=float, default=gamma_default)
-
-    p = sub.add_parser("bound", help="evaluate an entropy bound at a violation")
-    common(p)
-    p.add_argument("--alpha", type=float, default=1.0)
-    outcome = p.add_mutually_exclusive_group()
-    outcome.add_argument("--two-outcome", action="store_true")
-    outcome.add_argument("--recycled", action="store_true")
-    p.add_argument("--beta", type=float)
-    p.add_argument("--grid", help="beta grid start:stop:steps (CSV output)")
-    p.add_argument("--out", help="CSV path for --grid")
-    p.set_defaults(func=cmd_bound)
-
-    p = sub.add_parser("rate", help="DICKA or DIRE rate at a noise level")
-    common(p, noise=True)
-    p.add_argument("--dicka", action="store_true")
-    p.add_argument("--dire", choices=["spot", "recycled"])
-    p.add_argument("--p", type=float)
-    p.add_argument("--grid", help="p grid start:stop:steps (CSV output)")
-    p.add_argument("--out", help="CSV path for --grid")
-    p.set_defaults(func=cmd_rate)
-
-    p = sub.add_parser("threshold", help="threshold p where a rate turns positive")
-    common(p, noise=True, gamma_default=0.0)
-    p.add_argument("--rate", choices=rates.RATE_KINDS, required=True)
-    p.set_defaults(func=cmd_threshold)
-
-    p = sub.add_parser("optimize", help="two-outcome entropy minimization")
-    common(p)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--grid", help="beta grid start:stop:steps (CSV output)")
-    p.add_argument("--out", help="CSV/JSON output path")
-    p.add_argument("--restarts", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--regen-tables", action="store_true",
-                   help="regenerate the numeric two-outcome tables JSON")
-    p.add_argument("--points", type=int, help="table points (default 200)")
-    p.set_defaults(func=cmd_optimize)
-
-    p = sub.add_parser("verify", help="run the property-check suites")
-    p.add_argument("--samples", type=int, default=10_000)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("sweep", help="sweep a quantity over p to CSV")
-    common(p, noise=True)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--quantity", required=True,
-                   choices=["beta", "bound-one", "bound-two"]
-                   + [f"rate-{kind}" for kind in rates.RATE_KINDS])
-    p.add_argument("--optimize-alpha", action="store_true",
-                   help="maximize asym-chsh bounds over alpha at each p")
-    p.add_argument("--grid", required=True, help="p grid start:stop:steps")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_sweep)
-
+    for command in ("bound", "rate", "threshold", "optimize", "verify", "sweep"):
+        func = globals()[f"cmd_{command}"]
+        p = sub.add_parser(command, help=func.__doc__)
+        p.set_defaults(func=func)
+        for commands, flags, _, _, spec in OPTIONS:
+            if command in commands:
+                group = p if len(flags) == 1 else p.add_mutually_exclusive_group()
+                for flag in flags:
+                    group.add_argument(flag, **spec)
     return parser
 
 
 def _check_args(args) -> None:
-    for name in ("beta", "alpha", "gamma"):
-        value = getattr(args, name, None)
-        if value is not None and not math.isfinite(value):
-            raise ValidationError(f"--{name}={value!r} is not finite")
-    if getattr(args, "grid", None) is None:
-        return
-    for name in ("beta", "p"):
-        if getattr(args, name, None) is not None:
-            raise ValidationError(f"--{name} and --grid exclude each other")
-    if args.out is None:
-        raise ValidationError("--grid needs --out FILE")
+    """Refuse, naming the option, a value outside its domain (floats must be finite),
+    away from its default where not read, or missing where it must be given."""
+    for commands, flags, when, domain, spec in OPTIONS:
+        for flag in flags if args.command in commands else ():
+            value = getattr(args, flag[2:].replace("-", "_"))
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValidationError(f"{flag}={value!r} is not finite")
+            if domain and value is not None and not domain[0](value):
+                raise ValidationError(f"{flag}={value!r} {domain[1]}")
+            if when and not when[0](args) and value != spec["default"]:
+                raise ValidationError(f"{flag} applies only {when[1]}")
+            if when and when[0](args) and value is None:
+                raise ValidationError(f"{flag} is required {when[1]}")
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         _check_args(args)
         return args.func(args)

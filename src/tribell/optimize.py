@@ -119,6 +119,8 @@ class OptConfig:
     def __post_init__(self):
         if self.restarts < 1:
             raise ValidationError(f"restarts={self.restarts!r} must be at least 1")
+        if self.seed < 0:
+            raise ValidationError(f"seed={self.seed!r} must be non-negative")
 
 
 @dataclass

@@ -1,10 +1,14 @@
 """CLI: commands, CSV format, determinism, exit codes."""
 
+import argparse
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -370,6 +374,15 @@ class TestVerify:
         # the known MABK two-outcome concavity is reported, not fatal
         assert "KNOWN-FAIL" in out
 
+    def test_single_sample_rejected(self, capsys, monkeypatch):
+        # the one draw is a random state, so appendix B would see no
+        # violating-side sample and report a failure
+        monkeypatch.setattr(verification, "run_all",
+                            lambda **k: pytest.fail("run_all called"))
+        code, out, err = run_cli(["verify", "--samples", "1"], capsys)
+        assert (code, out) == (2, "")
+        assert "--samples" in err
+
     @pytest.mark.parametrize("samples", ["0", "-5"])
     def test_samples_below_one_rejected(self, capsys, monkeypatch, samples):
         monkeypatch.setattr(verification, "run_all",
@@ -422,6 +435,37 @@ def test_bound_two_outcome_excludes_recycled(capsys):
                        "--two-outcome", "--recycled")
 
 
+class TestOutDirectoryMissing:
+    @pytest.mark.parametrize("argv", [
+        ["bound", "--inequality", "holz", "--grid", "1:1.5:3"],
+        ["rate", "--dicka", "--grid", "0.9:1:3"],
+        ["sweep", "--quantity", "beta", "--grid", "0.9:1:3"],
+        ["optimize", "--inequality", "chsh", "--grid", "2.5:2.6:2"],
+        ["optimize", "--regen-tables"],
+    ])
+    def test_fails_before_computing(self, tmp_path, capsys, monkeypatch, argv):
+        def boom(*a, **k):
+            pytest.fail("computed although --out cannot be written")
+
+        monkeypatch.setattr(cli, "_map_parallel", boom)
+        monkeypatch.setattr(optimize, "sweep_two_outcome", boom)
+        monkeypatch.setattr(rates, "generate_two_outcome_table", boom)
+        path = tmp_path / "missing" / "out.csv"
+        code, out, err = run_cli(argv + ["--out", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert "--out" in err
+        assert not path.parent.exists()
+
+
+def test_negative_seed_refused(capsys, monkeypatch):
+    monkeypatch.setitem(optimize.MINIMIZERS, "holz",
+                        lambda *a, **k: pytest.fail("solved with a negative seed"))
+    code, out, err = run_cli(["optimize", "--inequality", "holz", "--beta", "1.3",
+                              "--seed", "-1"], capsys)
+    assert (code, out) == (2, "")
+    assert "seed" in err
+
+
 class TestNonFiniteArguments:
     @pytest.mark.parametrize("argv, name", [
         (["bound", "--beta", "nan"], "--beta"),
@@ -453,3 +497,142 @@ class TestEntryPoint:
                               capture_output=True, text=True, timeout=120,
                               env=ENV)
         assert proc.returncode == 2
+
+
+# ---------------------------------------------------------------------------
+# every option acts or is refused
+
+def subparsers():
+    """command -> its subparser, read from cli.build_parser()."""
+    action = next(a for a in cli.build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+# valid argument lists of each command; every option is tried in each
+CONTEXTS = {
+    "bound": [["--beta", "1.2"], ["--grid", "1:1.5:3", "--out", "{tmp}/g.csv"],
+              ["--inequality", "asym-chsh", "--beta", "2.5"]],
+    "rate": [["--dicka", "--p", "0.9"],
+             ["--dire", "spot", "--grid", "0.9:1:3", "--out", "{tmp}/g.csv"]],
+    "threshold": [["--rate", "dicka"], ["--rate", "dire-spot"]],
+    "optimize": [["--beta", "1.3"], ["--grid", "1.1:1.3:3", "--out", "{tmp}/g.csv"],
+                 ["--regen-tables", "--out", "{tmp}/t.json"]],
+    "verify": [[]],
+    "sweep": [["--quantity", quantity, "--inequality", ineq, "--grid", "0.9:1:3",
+               "--out", "{tmp}/g.csv"] + extra
+              for quantity, ineq, extra in [("bound-one", "holz", []),
+                                            ("rate-dire-spot", "holz", []),
+                                            ("bound-one", "asym-chsh", []),
+                                            ("bound-one", "chsh", ["--optimize-alpha"])]],
+}
+# a valid non-default value for each option that takes one and has no
+# choices; an option missing here fails the test below
+VALUES = {"gamma": "0.25", "alpha": "0.5", "beta": "1.25", "p": "0.95",
+          "grid": "0.9:0.95:2", "out": "{tmp}/other.csv", "restarts": "3", "seed": "5",
+          "points": "5", "samples": "50"}
+
+
+def option_cases():
+    """(command, context index, the option's flag and value) for every option
+    of every command, in every context that does not already set it."""
+    for command, parser in subparsers().items():
+        for i, context in enumerate(CONTEXTS[command]):
+            current = parser.parse_args(context)
+            for action in parser._actions:
+                if not action.option_strings or action.dest == "help":
+                    continue
+                flag, now = action.option_strings[0], getattr(current, action.dest)
+                if action.nargs == 0:
+                    if now == action.default:
+                        yield command, i, [flag]
+                elif action.choices:
+                    yield command, i, [flag, next(c for c in action.choices if c != now)]
+                else:
+                    yield command, i, [flag, VALUES[action.dest]]
+
+
+class TestEveryOptionActsOrIsRefused:
+    """Each option set away from its default either changes what reaches the
+    library (the recorded calls) or what is printed, or `main` exits 2 naming
+    it before any library call."""
+
+    @pytest.fixture
+    def record(self, monkeypatch):
+        calls = []
+
+        def data(x):
+            if callable(x):  # a sort key or a closure, new on every run
+                return "<fn>"
+            return x.tolist() if isinstance(x, np.ndarray) else x
+
+        def recorder(name, result):
+            def call(*args, **kwargs):
+                calls.append(repr((name, [data(a) for a in args],
+                                   {k: data(v) for k, v in kwargs.items()})))
+                return result(*args) if callable(result) else result
+            return call
+
+        rate = SimpleNamespace(rate=0.5, beta_at_p=1.0, flags=())
+        opt = SimpleNamespace(entropy=0.5, achieved_beta=1.0, converged=True,
+                              restarts_used=1)
+        for name in ("dicka_rate", "dire_rate_spot", "dire_rate_recycled"):
+            monkeypatch.setattr(rates, name, recorder(name, rate))
+        monkeypatch.setattr(rates, "bound_curve", recorder("bound_curve", SimpleNamespace(
+            fn=recorder("fn", 0.5), flags=())))
+        monkeypatch.setattr(rates, "beta_of_p", recorder("beta_of_p", 2.0))
+        monkeypatch.setattr(rates, "best_alpha_one_outcome",
+                            recorder("best_alpha", (1.0, 0.5, 2.5)))
+        monkeypatch.setattr(rates, "threshold_p", lambda fn: fn(0.9))
+        monkeypatch.setattr(rates, "generate_two_outcome_table",
+                            recorder("table", {}))
+        for ineq in list(optimize.MINIMIZERS):
+            monkeypatch.setitem(optimize.MINIMIZERS, ineq, recorder(ineq, opt))
+        monkeypatch.setattr(optimize, "sweep_two_outcome", recorder(
+            "sweep_two_outcome", lambda ineq, grid, cfg: [opt] * len(grid)))
+        monkeypatch.setattr(verification, "run_all", recorder("run_all", []))
+        monkeypatch.setattr(cli, "_write_csv", recorder("write_csv", None))
+        return calls
+
+    @pytest.mark.parametrize("command, context, extra", list(option_cases()),
+                             ids=lambda case: str(case).replace(" ", ""))
+    def test_option(self, tmp_path, capsys, record, command, context, extra):
+        def run(argv):
+            record.clear()
+            try:
+                code = main([a.format(tmp=tmp_path) for a in argv])
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            return code, out, err, list(record)
+
+        base = [command] + CONTEXTS[command][context]
+        code0, out0, _, calls0 = run(base)
+        assert code0 == 0 and calls0
+        code, out, err, calls = run(base + extra)
+        if code == 2:
+            assert extra[0] in err and out == "" and calls == []
+        else:
+            assert code == 0
+            assert (calls, out) != (calls0, out0), f"{extra} changed nothing"
+
+
+def readme_command_lines():
+    text = Path(__file__).resolve().parents[1].joinpath("README.md").read_text()
+    for block in re.findall(r"^```\n(.*?)^```", text, flags=re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            while words and "=" in words[0]:  # VAR=value prefixes
+                words.pop(0)
+            if words[:1] == ["tribell"]:
+                yield words[1:]
+
+
+@pytest.mark.parametrize("argv", list(readme_command_lines()), ids=" ".join)
+def test_readme_examples_pass_the_option_check(tmp_path, monkeypatch, argv):
+    reached = []
+    for command in subparsers():
+        monkeypatch.setattr(cli, f"cmd_{command}", lambda args: reached.append(args) or 0)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    assert [args.command for args in reached] == [argv[0]]

@@ -246,6 +246,11 @@ class TestOptConfig:
         with pytest.raises(ValidationError, match="restarts"):
             OptConfig(restarts=0)
 
+    def test_negative_seed_rejected(self):
+        # np.random.SeedSequence would fail later with a bare ValueError
+        with pytest.raises(ValidationError, match="seed"):
+            OptConfig(seed=-1)
+
 
 class TestVerifyTightness:
     def test_holz_grid(self):
