@@ -86,16 +86,54 @@ class BellValue:
             )
 
 
+def _expectation(rho: np.ndarray, terms) -> float:
+    """sum_k c_k Tr[rho O_k] over (c_k, O_k) terms, summed left to right;
+    every trace is checked for shape and a vanishing imaginary part."""
+    total = None
+    for coef, op in terms:
+        if op.shape != rho.shape:
+            raise ValidationError(
+                f"operator dim {op.shape[0]} != state dim {rho.shape[0]}")
+        val = complex(np.trace(rho @ op))
+        if abs(val.imag) > 1e-10:
+            raise ValidationError(f"correlator has imaginary part {val.imag:.3e}")
+        term = coef * val.real
+        total = term if total is None else total + term
+    return total
+
+
 def correlator(rho, observables) -> float:
     """Tr[rho (O_1 x O_2 x ...)]; entries of `observables` may be None (identity)."""
     rho = as_matrix(rho)
-    op = kron_all(*(obs_matrix(o) for o in observables))
-    if op.shape != rho.shape:
-        raise ValidationError(f"operator dim {op.shape[0]} != state dim {rho.shape[0]}")
-    val = complex(np.trace(rho @ op))
-    if abs(val.imag) > 1e-10:
-        raise ValidationError(f"correlator has imaginary part {val.imag:.3e}")
-    return float(val.real)
+    return _expectation(rho, [(1.0, kron_all(*(obs_matrix(o) for o in observables)))])
+
+
+def bell_terms(spec: BellSpec, settings: MeasurementSettings) -> list[tuple[float, np.ndarray]]:
+    """The Bell operator as (coefficient, observable string) terms; their
+    weighted expectations, summed in this order, give the Bell value."""
+    a0, a1 = (o.matrix for o in settings.alice)
+    b0, b1 = (o.matrix for o in settings.bob)
+    if spec.kind == "asym-chsh":
+        al = spec.alpha
+        terms = [(al, [a0, b0]), (al, [a0, b1]), (1.0, [a1, b0]), (-1.0, [a1, b1])]
+    else:
+        if settings.charlie is None:
+            raise ValidationError(f"{spec.kind} needs settings for three parties")
+        c0, c1 = (o.matrix for o in settings.charlie)
+        bp, bm = settings.b_plus(), settings.b_minus()
+        if spec.kind == "holz":
+            cp, cm = settings.c_plus(), settings.c_minus()
+            terms = [(1.0, [a1, bp, cp]), (-1.0, [a0, bm, None]),
+                     (-1.0, [a0, None, cm]), (-1.0, [None, bm, cm])]
+        elif spec.kind == "parity-chsh":
+            terms = [(1.0, [a1, bm, c0]), (1.0, [a0, bp, None])]
+        elif spec.kind == "mabk":
+            terms = [(1.0, [a0, b0, c1]), (1.0, [a0, b1, c0]),
+                     (1.0, [a1, b0, c0]), (-1.0, [a1, b1, c1])]
+        else:
+            raise ValidationError(f"unknown inequality kind {spec.kind!r}")
+    return [(coef, kron_all(*(obs_matrix(o) for o in string)))
+            for coef, string in terms]
 
 
 def bell_value(spec: BellSpec, rho, settings: MeasurementSettings) -> BellValue:
@@ -105,31 +143,7 @@ def bell_value(spec: BellSpec, rho, settings: MeasurementSettings) -> BellValue:
         raise ValidationError(
             f"{spec.kind} needs a {spec.parties}-qubit state, got dim {rho.shape[0]}"
         )
-    a0, a1 = (o.matrix for o in settings.alice)
-    b0, b1 = (o.matrix for o in settings.bob)
-    if spec.kind == "asym-chsh":
-        al = spec.alpha
-        beta = (al * correlator(rho, [a0, b0]) + al * correlator(rho, [a0, b1])
-                + correlator(rho, [a1, b0]) - correlator(rho, [a1, b1]))
-        return BellValue(beta, spec)
-    if settings.charlie is None:
-        raise ValidationError(f"{spec.kind} needs settings for three parties")
-    c0, c1 = (o.matrix for o in settings.charlie)
-    if spec.kind == "holz":
-        bp, bm = settings.b_plus(), settings.b_minus()
-        cp, cm = settings.c_plus(), settings.c_minus()
-        beta = (correlator(rho, [a1, bp, cp]) - correlator(rho, [a0, bm, None])
-                - correlator(rho, [a0, None, cm]) - correlator(rho, [None, bm, cm]))
-        return BellValue(beta, spec)
-    if spec.kind == "parity-chsh":
-        bp, bm = settings.b_plus(), settings.b_minus()
-        beta = correlator(rho, [a1, bm, c0]) + correlator(rho, [a0, bp, None])
-        return BellValue(beta, spec)
-    if spec.kind == "mabk":
-        beta = (correlator(rho, [a0, b0, c1]) + correlator(rho, [a0, b1, c0])
-                + correlator(rho, [a1, b0, c0]) - correlator(rho, [a1, b1, c1]))
-        return BellValue(beta, spec)
-    raise ValidationError(f"unknown inequality kind {spec.kind!r}")
+    return BellValue(_expectation(rho, bell_terms(spec, settings)), spec)
 
 
 def holz_reduced_value(state: BlockDiagState, b0: float, a1: float, c_minus: float) -> float:

@@ -204,7 +204,8 @@ def _opt(commands, flags, when=None, domain=None, **spec):
 
 
 UNIT = (lambda x: 0.0 <= x <= 1.0, "outside [0, 1]")
-DIR = (lambda p: os.path.isdir(os.path.dirname(p) or "."), "is in no existing directory")
+OUT_PATH = (lambda p: os.path.isdir(os.path.dirname(p) or ".") and not os.path.isdir(p),
+            "is a directory or is in no existing directory")
 
 # Every option once: the commands that take it; its flag (two flags exclude
 # each other); when a command reads it, as a test on the parsed arguments and
@@ -245,12 +246,12 @@ OPTIONS = [
     _opt("bound optimize", "--grid", help="beta grid start:stop:steps (CSV output)"),
     _opt("rate", "--grid", help="p grid start:stop:steps (CSV output)"),
     _opt("sweep", "--grid", required=True, help="p grid start:stop:steps"),
-    _opt("bound rate", "--out", (lambda a: a.grid is not None, "with --grid"), DIR,
+    _opt("bound rate", "--out", (lambda a: a.grid is not None, "with --grid"), OUT_PATH,
          help="CSV path for --grid"),
     _opt("optimize", "--out", (lambda a: a.grid is not None or a.regen_tables,
-                               "with --grid or --regen-tables"), DIR,
+                               "with --grid or --regen-tables"), OUT_PATH,
          help="CSV/JSON output path"),
-    _opt("sweep", "--out", None, DIR, required=True),
+    _opt("sweep", "--out", None, OUT_PATH, required=True),
     _opt("optimize", "--restarts", type=int, default=64),
     _opt("optimize", "--seed", type=int, default=0),
     _opt("optimize", "--regen-tables", (lambda a: a.grid is None, "without --grid"),

@@ -22,10 +22,10 @@ from typing import Callable
 import numpy as np
 
 from . import bounds, qmath
-from .bell import BellSpec, bell_value, spec_by_name
+from .bell import BellSpec, BellValue, _expectation, bell_terms, correlator, spec_by_name
 from .errors import ValidationError
 from .qmath import binary_entropy as h
-from .states import NoiseModel, ghz_state, optimal_settings
+from .states import NoiseModel, Z, ghz_state, optimal_settings
 
 GAMMA_DEFAULT = 3.3e-4  # the 0.033% test-round fraction used in the figures
 SQRT2 = np.sqrt(2.0)
@@ -50,26 +50,32 @@ def qber(noise: NoiseModel) -> float:
     return (1.0 - noise.p) / 2.0
 
 
+def _noisy_ghz(parties: int, noise: NoiseModel) -> np.ndarray:
+    """The depolarized GHZ state (the Bell state Phi+ for two parties)."""
+    return noise.apply(ghz_state(parties), parties)
+
+
 def qber_from_state(noise: NoiseModel, parties: int = 3) -> float:
     """Q computed from first principles: the Z(x)Z disagreement probability of
     the first two parties on the depolarized GHZ/Bell state."""
-    rho = noise.apply(ghz_state(parties), parties)
-    from .states import Z
-
     obs = [Z, Z] + [None] * (parties - 2)
-    from .bell import correlator
-
-    return (1.0 - correlator(rho, obs)) / 2.0
+    return (1.0 - correlator(_noisy_ghz(parties, noise), obs)) / 2.0
 
 
-def _noisy_state(spec: BellSpec, noise: NoiseModel):
-    return noise.apply(ghz_state(spec.parties), spec.parties)
+@lru_cache(maxsize=64)  # asym-chsh specs carry an arbitrary alpha
+def _honest_terms(spec: BellSpec) -> tuple[tuple[float, np.ndarray], ...]:
+    """The read-only Bell terms of optimal_settings(spec)."""
+    terms = tuple(bell_terms(spec, optimal_settings(spec)))
+    for _, op in terms:
+        op.setflags(write=False)
+    return terms
 
 
 def beta_of_p(spec: BellSpec, noise: NoiseModel) -> float:
     """Bell value of the honest strategy: optimal settings on the depolarized
     GHZ (or Bell) state."""
-    return bell_value(spec, _noisy_state(spec, noise), optimal_settings(spec)).beta
+    rho = _noisy_ghz(spec.parties, noise)
+    return BellValue(_expectation(rho, _honest_terms(spec)), spec).beta
 
 
 def beta_of_p_closed_form(spec: BellSpec, noise: NoiseModel) -> float:

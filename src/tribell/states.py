@@ -4,6 +4,7 @@ the GHZ-basis block-diagonal family, and angle-parametrized observables."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -71,11 +72,22 @@ def depolarize_local(rho, p: float, qubit_count: int) -> np.ndarray:
     c0 = (1.0 + 3.0 * p) / 4.0
     c1 = (1.0 - p) / 4.0
     out = rho
-    for q in range(qubit_count):
-        ops = [kron_all(*(P if j == q else I2 for j in range(qubit_count)))
-               for P in (X, Y, Z)]
+    for ops in _pauli_strings(qubit_count):
         out = c0 * out + c1 * sum(op @ out @ op for op in ops)
     return out
+
+
+@lru_cache(maxsize=4)
+def _pauli_strings(qubit_count: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """Per qubit q, the read-only strings (X_q, Y_q, Z_q) with identities on
+    every other qubit, built once per qubit count."""
+    strings = tuple(tuple(kron_all(*(P if j == q else I2 for j in range(qubit_count)))
+                          for P in (X, Y, Z))
+                    for q in range(qubit_count))
+    for ops in strings:
+        for op in ops:
+            op.setflags(write=False)
+    return strings
 
 
 def depolarize_global(rho, p: float) -> np.ndarray:

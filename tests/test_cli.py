@@ -435,26 +435,42 @@ def test_bound_two_outcome_excludes_recycled(capsys):
                        "--two-outcome", "--recycled")
 
 
-class TestOutDirectoryMissing:
-    @pytest.mark.parametrize("argv", [
-        ["bound", "--inequality", "holz", "--grid", "1:1.5:3"],
-        ["rate", "--dicka", "--grid", "0.9:1:3"],
-        ["sweep", "--quantity", "beta", "--grid", "0.9:1:3"],
-        ["optimize", "--inequality", "chsh", "--grid", "2.5:2.6:2"],
-        ["optimize", "--regen-tables"],
-    ])
-    def test_fails_before_computing(self, tmp_path, capsys, monkeypatch, argv):
-        def boom(*a, **k):
-            pytest.fail("computed although --out cannot be written")
+OUT_ARGVS = [
+    ["bound", "--inequality", "holz", "--grid", "1:1.5:3"],
+    ["rate", "--dicka", "--grid", "0.9:1:3"],
+    ["sweep", "--quantity", "beta", "--grid", "0.9:1:3"],
+    ["optimize", "--inequality", "chsh", "--grid", "2.5:2.6:2"],
+    ["optimize", "--regen-tables"],
+]
 
-        monkeypatch.setattr(cli, "_map_parallel", boom)
-        monkeypatch.setattr(optimize, "sweep_two_outcome", boom)
-        monkeypatch.setattr(rates, "generate_two_outcome_table", boom)
+
+def refused_out(argv, path, capsys, monkeypatch) -> str:
+    """Run argv with --out path; assert exit 2 naming --out before computing."""
+    def boom(*a, **k):
+        pytest.fail("computed although --out cannot be written")
+
+    monkeypatch.setattr(cli, "_map_parallel", boom)
+    monkeypatch.setattr(optimize, "sweep_two_outcome", boom)
+    monkeypatch.setattr(rates, "generate_two_outcome_table", boom)
+    code, out, err = run_cli(argv + ["--out", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert "--out" in err
+    return err
+
+
+class TestOutDirectoryMissing:
+    @pytest.mark.parametrize("argv", OUT_ARGVS)
+    def test_fails_before_computing(self, tmp_path, capsys, monkeypatch, argv):
         path = tmp_path / "missing" / "out.csv"
-        code, out, err = run_cli(argv + ["--out", str(path)], capsys)
-        assert (code, out) == (2, "")
-        assert "--out" in err
+        refused_out(argv, path, capsys, monkeypatch)
         assert not path.parent.exists()
+
+
+class TestOutIsDirectory:
+    @pytest.mark.parametrize("argv", OUT_ARGVS)
+    def test_fails_before_computing(self, tmp_path, capsys, monkeypatch, argv):
+        assert "is a directory" in refused_out(argv, tmp_path, capsys, monkeypatch)
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_negative_seed_refused(capsys, monkeypatch):

@@ -5,14 +5,17 @@ import json
 import numpy as np
 import pytest
 
-from tribell import bounds, rates
+from tribell import bounds, rates, states
 from tribell.bell import asym_chsh, spec_by_name
 from tribell.errors import NumericError, ValidationError
+from tribell.qmath import kron_all
 from tribell.rates import (beta_of_p, beta_of_p_closed_form, dicka_rate,
                            dire_rate_recycled, dire_rate_spot, qber,
                            qber_from_state, rate_function, threshold_p,
                            two_outcome_numeric)
-from tribell.states import NoiseModel
+from tribell.states import (I2, NoiseModel, X, Y, Z, depolarize_global,
+                            depolarize_local, ghz_state, obs_matrix,
+                            optimal_settings)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -46,6 +49,86 @@ class TestBetaOfP:
             == pytest.approx(2.0, abs=1e-12)
         assert beta_of_p(spec_by_name("holz"), NoiseModel("global", 2 / 3)) \
             == pytest.approx(1.0, abs=1e-12)
+
+
+def fresh_depolarize_local(rho, p, n):
+    """depolarize_local with its Pauli strings built on every call."""
+    c0 = (1.0 + 3.0 * p) / 4.0
+    c1 = (1.0 - p) / 4.0
+    out = rho
+    for q in range(n):
+        ops = [kron_all(*(P if j == q else I2 for j in range(n))) for P in (X, Y, Z)]
+        out = c0 * out + c1 * sum(op @ out @ op for op in ops)
+    return out
+
+
+def fresh_beta_of_p(spec, noise):
+    """beta_of_p with every operator built on every call: the noise channel's
+    Pauli strings and each Bell term's observable string, summed as written."""
+    n = spec.parties
+    rho = (fresh_depolarize_local(ghz_state(n), noise.p, n) if noise.kind == "local"
+           else depolarize_global(ghz_state(n), noise.p))
+
+    def corr(*observables):
+        op = kron_all(*(obs_matrix(o) for o in observables))
+        return float(complex(np.trace(rho @ op)).real)
+
+    s = optimal_settings(spec)
+    a0, a1 = (o.matrix for o in s.alice)
+    b0, b1 = (o.matrix for o in s.bob)
+    if spec.kind == "asym-chsh":
+        al = spec.alpha
+        return (al * corr(a0, b0) + al * corr(a0, b1)
+                + corr(a1, b0) - corr(a1, b1))
+    c0, c1 = (o.matrix for o in s.charlie)
+    bp, bm = s.b_plus(), s.b_minus()
+    if spec.kind == "holz":
+        cp, cm = s.c_plus(), s.c_minus()
+        return (corr(a1, bp, cp) - corr(a0, bm, None)
+                - corr(a0, None, cm) - corr(None, bm, cm))
+    if spec.kind == "parity-chsh":
+        return corr(a1, bm, c0) + corr(a0, bp, None)
+    return (corr(a0, b0, c1) + corr(a0, b1, c0)
+            + corr(a1, b0, c0) - corr(a1, b1, c1))
+
+
+class TestBetaOfPBitIdentical:
+    """The operators beta_of_p builds once per process give the bits of the
+    per-call construction."""
+
+    PS = np.concatenate([np.linspace(0.0, 1.0, 2001),
+                         np.random.default_rng(2024).random(500)])
+
+    @pytest.mark.parametrize("ineq, alpha", [
+        ("holz", 1.0), ("parity-chsh", 1.0), ("mabk", 1.0), ("chsh", 1.0),
+        ("asym-chsh", 0.3), ("asym-chsh", 2.0)])
+    @pytest.mark.parametrize("noise", ["local", "global"])
+    def test_beta_of_p(self, ineq, alpha, noise):
+        spec = spec_by_name(ineq, alpha)
+        got = np.array([beta_of_p(spec, NoiseModel(noise, p)) for p in self.PS])
+        want = np.array([fresh_beta_of_p(spec, NoiseModel(noise, p)) for p in self.PS])
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_depolarize_local(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(50):
+            g = rng.normal(size=(2 ** n, 2 ** n)) + 1j * rng.normal(size=(2 ** n, 2 ** n))
+            rho = g @ g.conj().T
+            rho /= np.trace(rho).real
+            p = rng.random()
+            got = depolarize_local(rho, p, n)
+            np.testing.assert_array_equal(got.view(np.uint64),
+                                          fresh_depolarize_local(rho, p, n).view(np.uint64))
+
+    def test_cached_operators_are_read_only(self):
+        ops = [op for _, op in rates._honest_terms(spec_by_name("holz"))]
+        ops += [op for string in states._pauli_strings(3) for op in string]
+        for op in ops:
+            with pytest.raises(ValueError):
+                op[0, 0] = 7.0
+        assert beta_of_p(spec_by_name("holz"), NoiseModel("local", 1.0)) \
+            == pytest.approx(1.5, abs=1e-12)
 
 
 class TestQber:
