@@ -252,11 +252,13 @@ OPTIONS = [
                                "with --grid or --regen-tables"), OUT_PATH,
          help="CSV/JSON output path"),
     _opt("sweep", "--out", None, OUT_PATH, required=True),
-    _opt("optimize", "--restarts", type=int, default=64),
-    _opt("optimize", "--seed", type=int, default=0),
+    _opt("optimize", "--restarts", None, (lambda n: n >= 1, "is below 1"),
+         type=int, default=64),
+    _opt("optimize", "--seed", None, (lambda n: n >= 0, "is negative"), type=int, default=0),
     _opt("optimize", "--regen-tables", (lambda a: a.grid is None, "without --grid"),
          action="store_true", help="regenerate the numeric two-outcome tables JSON"),
     _opt("optimize", "--points", (lambda a: a.regen_tables, "with --regen-tables"),
+         (lambda n: n >= 2, "is below 2: a table needs at least 2 points"),
          type=int, default=200, help="table points (default 200)"),
     _opt("verify", "--samples", None, (lambda n: n >= 2, "is below 2"), type=int, default=10000),
 ]

@@ -6,10 +6,12 @@ feasible parametrization: block eigenvalues enter through normalized squares
 of free variables, angles are unconstrained, and the Bell constraint is
 enforced by a quadratic penalty that grows whenever a local solve ends
 infeasible.  One driver (`_multistart`) serves all three inequalities; each
-supplies its Bell value, one pass giving value and entropy together, and its
-structured starts.  The Holz/Parity entropy is closed-form in the 2x2 Gram
-blocks of Charlie's conditional states (`_two_outcome_entropy`).  Identical
-seed and config give bit-identical results.
+supplies its Bell value, one pass giving value and entropy together, a poll
+giving them for every candidate of a coordinate poll, and its structured
+starts.  The Holz/Parity entropy is closed-form in the 2x2 Gram blocks of
+Charlie's conditional states (`_two_outcome_entropy`), and one column-major
+kernel evaluates it for single rows and polls alike.  Identical seed and
+config give bit-identical results.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .bell import _vbar, spec_by_name
+from .bell import spec_by_name
 from .centropy import cond_entropy
 from .errors import ValidationError
 from .qmath import binary_entropy as h
@@ -65,11 +67,126 @@ def _mixed(w: np.ndarray, s: np.ndarray) -> np.ndarray:
     return s * w + (1.0 - s) / w[0].size
 
 
-def _split_block_vars(z: np.ndarray):
-    """z: (n, 13) -> (rho (n,2,2,2), t (n,2,2), b0 (n,))."""
-    rho = _weights(z, 8).reshape(-1, 2, 2, 2)
-    t = z[:, 8:12].reshape(-1, 2, 2)
-    return rho, t, z[:, 12]
+# The Holz/Parity objective works on columns: 13 rows of variables (8
+# weights, the four angles t[j, k], Bob's angle b0) by n candidates.  Its
+# trig enters as the cos and sin rows of the stacked angles (2t, t, b0,
+# b0/2), laid out as below.  Sums are written out in the order numpy's
+# reductions take: pairwise for (n, 8), left to right for (n, 2, 2).
+_COS2T, _COST, _COSB, _COSH = slice(0, 4), slice(4, 8), 8, 9
+_SIN2T, _SINT, _SINB, _SINH = slice(10, 14), slice(14, 18), 18, 19
+_HALF_ANGLE_WEIGHTS = [_COSH, _SINH]
+_ANGLE_ROWS = np.array([0, 1, 2, 3, 0, 1, 2, 3, 4, 4])  # the angle behind each
+_ANGLE_SCALE = np.array([2.0, 2.0, 2.0, 2.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.5])[:, None]
+_PLUS_MINUS = np.array([1.0, -1.0])[:, None]
+
+
+def _trig(a: np.ndarray) -> np.ndarray:
+    """(5, n) angles t00, t01, t10, t11, b0 -> the (20, n) cos and sin rows
+    of the stacked (2t, t, b0, b0/2)."""
+    ang = a[_ANGLE_ROWS] * _ANGLE_SCALE  # 1.0 * t is t
+    out = np.empty((20, ang.shape[1]))
+    np.cos(ang, out=out[:10])
+    np.sin(ang, out=out[10:])
+    return out
+
+
+def _sum4(x: np.ndarray) -> np.ndarray:
+    return ((x[0, 0] + x[0, 1]) + x[1, 0]) + x[1, 1]
+
+
+def _sum8(x: np.ndarray) -> np.ndarray:
+    return ((x[0] + x[1]) + (x[2] + x[3])) + ((x[4] + x[5]) + (x[6] + x[7]))
+
+
+def _block_value(rho: np.ndarray, trig: np.ndarray, parity: bool) -> np.ndarray:
+    """bell._vbar on columns rho (2, 2, 2, n): the block correlators XXX,
+    ZXX, ZZI, ZIZ and IZZ (states._SGN_J and _SGN_K as subtractions), then
+    the angle-maximized Holz or Parity-CHSH value."""
+    d, tot = rho[0] - rho[1], rho[0] + rho[1]
+    p = d * trig[_COS2T].reshape(2, 2, -1)
+    xxx = _sum4(p)
+    zxx = _sum4(d * trig[_SIN2T].reshape(2, 2, -1))
+    zzi = ((p[0, 0] + p[0, 1]) - p[1, 0]) - p[1, 1]
+    ziz = ((p[0, 0] - p[0, 1]) + p[1, 0]) - p[1, 1]
+    izz = ((tot[0, 0] - tot[0, 1]) - tot[1, 0]) + tot[1, 1]
+    sb, cb = trig[_SINB], trig[_COSB]
+    if parity:
+        return np.abs(sb) * np.hypot(zxx, xxx) - cb * zzi
+    return np.sqrt(sb * sb * (zxx ** 2 + xxx ** 2) + (ziz + cb * izz) ** 2) - cb * zzi
+
+
+def _block_entropy(rho: np.ndarray, trig: np.ndarray) -> np.ndarray:
+    """H(A0 B0|E) on columns rho (2, 2, 2, n); see _two_outcome_entropy.
+    D[1, j, k] is D[0, ~j, ~k] with its operands commuted, so G[1, o] is
+    G[0, 1-o] with its diagonal swapped and has the same eigenvalues bit for
+    bit: only G[0, 0] and G[0, 1] are solved, and the pairwise 8-term sum of
+    the eigenvalue entropies is S + S."""
+    ct, st = trig[_COST].reshape(2, 2, -1) ** 2, trig[_SINT].reshape(2, 2, -1) ** 2
+    lam0 = ct * rho[0] + st * rho[1]  # GHZ-basis weight of (0, j, k)
+    lam1 = st * rho[0] + ct * rho[1]  # GHZ-basis weight of (1, ~j, ~k)
+    diag = 0.5 * (lam0 + lam1[::-1, ::-1])  # D[0, j, k]
+    cs = trig[_HALF_ANGLE_WEIGHTS] ** 2  # Bob's eigenvector weights cu, su
+    g = cs[:, None] * diag[0] + cs[::-1, None] * diag[1]  # diagonal of G[0, o]: (o, k, n)
+    zxx = _sum4(trig[_SIN2T].reshape(2, 2, -1) * (rho[0] - rho[1]))
+    g01 = trig[_SINB] * zxx / 8.0
+    tr = g[:, 0] + g[:, 1]
+    disc = np.sqrt((g[:, 0] - g[:, 1]) ** 2 + 4.0 * g01 ** 2)
+    # (tr +- disc) / 2 as tr + (+-1 * disc): (o, +-, n)
+    e = _xlog2x(np.maximum((tr[:, None] + _PLUS_MINUS * disc[:, None]) / 2.0, 0.0))
+    half = (e[0, 0] + e[0, 1]) + (e[1, 0] + e[1, 1])
+    return _sum8(_xlog2x(rho.reshape(8, -1))) - (half + half)
+
+
+def _block_rho(w: np.ndarray) -> np.ndarray:
+    """_weights on columns: squared weights (8, n) -> rho (2, 2, 2, n)."""
+    s = _sum8(w)
+    return (w / np.where(s <= 0.0, 1.0, s)).reshape(2, 2, 2, -1)
+
+
+def _block_columns(z: np.ndarray):
+    """Rows z (n, 13) -> (rho (2, 2, 2, n), trig (20, n))."""
+    zt = z.T
+    return _block_rho(zt[:8] ** 2), _trig(zt[8:])
+
+
+def _block_kernel(rho: np.ndarray, trig: np.ndarray, beta: float, parity: bool):
+    """Bell value of every column, and the entropy of its state mixed down
+    to beta."""
+    v = _block_value(rho, trig, parity)
+    s = _beta_scale(v, beta)
+    return v, _block_entropy(s * rho + (1.0 - s) / 8, trig)
+
+
+def _block_evaluate(z: np.ndarray, beta: float, parity: bool):
+    """The kernel on rows z (n, 13): (value, entropy), each (n,)."""
+    return _block_kernel(*_block_columns(z), beta, parity)
+
+
+# A poll candidate moves one variable by +r or -r (see _poll_steps), so per
+# restart each variable takes three values, x + r * _STEP3.  _POLL_INDEX
+# (13, 26) picks, for every variable and candidate, which; the gathers below
+# apply it to the 8 weight rows and to the 20 trig rows (by the variable
+# behind each).
+_STEP3 = np.array([0.0, 1.0, -1.0])
+_POLL_INDEX = np.hstack([np.eye(13, dtype=np.intp), 2 * np.eye(13, dtype=np.intp)])
+_WEIGHT_GATHER = (np.arange(8)[:, None], _POLL_INDEX[:8])
+_TRIG_GATHER = (np.arange(20)[:, None], _POLL_INDEX[8 + np.tile(_ANGLE_ROWS, 2)])
+
+
+def _block_poll(x: np.ndarray, r: np.ndarray, beta: float, parity: bool):
+    """The kernel on every candidate of a coordinate poll of the restarts
+    x (k, 13) at radii r (k,): (value, entropy), each (k, 26).  Squares and
+    trig are taken of the three values per variable and gathered into the
+    candidates.  Where a candidate leaves a variable alone this holds
+    x + 0.0, and the -e half of the materialized candidates x + -0.0: they
+    differ only in the sign of a zero, which the objective never sees
+    (weights enter squared, angles through cosines and squared or absolute
+    sines)."""
+    u = x.T[:, None, :] + r * _STEP3[:, None]  # (13, 3, k)
+    rho = _block_rho((u[:8] ** 2)[_WEIGHT_GATHER].reshape(8, -1))
+    trig = _trig(u[8:].reshape(5, -1)).reshape(20, 3, -1)[_TRIG_GATHER].reshape(20, -1)
+    v, ent = _block_kernel(rho, trig, beta, parity)
+    return v.reshape(26, -1).T, ent.reshape(26, -1).T
 
 
 def _two_outcome_entropy(rho: np.ndarray, t: np.ndarray, b0: np.ndarray) -> np.ndarray:
@@ -79,22 +196,8 @@ def _two_outcome_entropy(rho: np.ndarray, t: np.ndarray, b0: np.ndarray) -> np.n
     its diagonal mixes the weights D[a, j, k] (half a GHZ-basis weight of
     block (j, k), half one of (~j, ~k)) over Bob's bit j by cos^2(b0/2),
     sin^2(b0/2), and its off-diagonal entry is +-sin(b0) ZXX / 8."""
-    n = rho.shape[0]
-    c2, s2 = np.cos(t) ** 2, np.sin(t) ** 2
-    lam0 = c2 * rho[:, 0] + s2 * rho[:, 1]  # GHZ-basis weight of (0, j, k)
-    lam1 = s2 * rho[:, 0] + c2 * rho[:, 1]  # GHZ-basis weight of (1, ~j, ~k)
-    diag = 0.5 * np.stack([lam0 + lam1[:, ::-1, ::-1],
-                           lam1 + lam0[:, ::-1, ::-1]], axis=1)  # D[a, j, k]
-    cu = np.cos(0.5 * b0)[:, None, None] ** 2  # Bob's eigenvector weights
-    su = np.sin(0.5 * b0)[:, None, None] ** 2
-    g = np.stack([cu * diag[:, :, 0] + su * diag[:, :, 1],
-                  su * diag[:, :, 0] + cu * diag[:, :, 1]], axis=2)  # G[a, o][k, k]
-    zxx = (np.sin(2.0 * t) * (rho[:, 0] - rho[:, 1])).sum(axis=(1, 2))
-    g01 = (np.sin(b0) * zxx / 8.0)[:, None, None]
-    tr = g[..., 0] + g[..., 1]
-    disc = np.sqrt((g[..., 0] - g[..., 1]) ** 2 + 4.0 * g01 ** 2)
-    lam = np.clip(np.stack([(tr + disc) / 2.0, (tr - disc) / 2.0], axis=-1), 0.0, None)
-    return _xlog2x(rho.reshape(n, 8)).sum(axis=1) - _xlog2x(lam.reshape(n, 8)).sum(axis=1)
+    angles = np.concatenate([np.reshape(t, (-1, 4)).T, np.reshape(b0, (1, -1))])
+    return _block_entropy(np.moveaxis(rho, 0, -1), _trig(angles))
 
 
 def _canonicalize_block_vars(z: np.ndarray) -> np.ndarray:
@@ -139,44 +242,65 @@ class OptResult:
         return None
 
 
-def _pattern_search_lockstep(f_batch, x0: np.ndarray, radius: float,
+def _poll_steps(d: int) -> np.ndarray:
+    """The 2d moves of a coordinate poll: +e_0 ... +e_{d-1}, -e_0 ... -e_{d-1}."""
+    return np.concatenate([np.eye(d), -np.eye(d)])
+
+
+def _pattern_search_lockstep(poll, x0: np.ndarray, f0: np.ndarray, radius: float,
                              max_polls: int, canon: Optional[Callable] = None
-                             ) -> tuple[np.ndarray, np.ndarray]:
+                             ) -> np.ndarray:
     """Coordinate pattern search run on all restarts simultaneously.
 
     Every poll step evaluates the +-radius coordinate moves of every active
-    restart in a single batched objective call; each restart accepts its best
-    improving move, shrinking its own radius when stuck or when improvements
-    become marginal.
+    restart in a single batched call, `poll(x, r)` -> the (k, 2d) objective
+    values of the candidates x + r * step of k restarts (steps in
+    _poll_steps order); f0 holds the values at x0.  Each restart accepts its
+    best improving move, shrinking its own radius when stuck or when
+    improvements become marginal.
     """
     x = x0.copy()
     m, d = x.shape
-    fx = f_batch(x).copy()
+    fx = f0.copy()
     r = np.full(m, float(radius))
-    steps = np.concatenate([np.eye(d), -np.eye(d)])  # (2d, d)
+    steps = _poll_steps(d)
     for _ in range(max_polls):
-        active = r > RADIUS_FLOOR
-        if not np.any(active):
+        idx = np.flatnonzero(r > RADIUS_FLOOR)
+        if not idx.size:
             break
-        idx = np.where(active)[0]
-        cands = x[idx, None, :] + r[idx, None, None] * steps[None, :, :]
-        vals = f_batch(cands.reshape(-1, d)).reshape(len(idx), 2 * d)
+        vals = poll(x[idx], r[idx])
         j = np.argmin(vals, axis=1)
         best = vals[np.arange(len(idx)), j]
         gain = fx[idx] - best
         improved = gain > 1e-14
         moved = idx[improved]
         if moved.size:
-            x[moved] = cands[improved, j[improved], :]
+            xm = x[moved] + r[moved, None] * steps[j[improved]]
+            x[moved] = xm if canon is None else canon(xm)
             fx[moved] = best[improved]
-            if canon is not None:
-                x[moved] = canon(x[moved])
             # marginal gains no longer hold the radius up
             r[moved] = np.where(gain[improved] > 1e-7 * (1.0 + r[moved]),
                                 r[moved], r[moved] * 0.5)
         stuck = idx[~improved]
         r[stuck] *= 0.5
-    return x, fx
+    return x
+
+
+def _penalized(v: np.ndarray, ent: np.ndarray, beta: float, pw: float) -> np.ndarray:
+    """Entropy plus pw times the squared shortfall of the Bell value."""
+    gap = np.maximum(beta - v, 0.0)
+    return ent + pw * gap * gap
+
+
+def _materialized_poll(evaluate, d: int):
+    """The generic poll: `evaluate` on every candidate row."""
+    steps = _poll_steps(d)
+
+    def poll(x, r, beta):
+        cands = x[:, None, :] + r[:, None, None] * steps
+        v, ent = evaluate(cands.reshape(-1, d), beta)
+        return v.reshape(len(x), 2 * d), ent.reshape(len(x), 2 * d)
+    return poll
 
 
 def _snap_to_anchor(x: np.ndarray, anchor: np.ndarray, deficit_batch) -> np.ndarray:
@@ -235,13 +359,15 @@ def _pack_warm(res: OptResult) -> np.ndarray:
 
 
 def _multistart(beta: float, cfg: OptConfig, warm_starts, value, evaluate,
-                starts: list, layout, canon=None):
+                poll, starts: list, layout, canon=None):
     """Best-of-restarts local search for the entropy subject to the Bell
     value reaching beta.  `evaluate(z, beta)` gives every row's Bell value and
     the entropy of its state mixed down to beta, so the constraint is exactly
     eliminated on the feasible side; on the infeasible side a quadratic
     penalty steers back and final points are snapped to feasibility along the
-    segment to the first start, which needs only `value(z)`.
+    segment to the first start, which needs only `value(z)`.  `poll(x, r,
+    beta)` gives the same pair, each (k, 2d), for the candidates of a
+    coordinate poll (see _pattern_search_lockstep).
     `starts` are the inequality's structured starts, the first of them
     feasible; seeded random ones laid out as `layout` (see _random_starts)
     fill them up to cfg.restarts, and the warm starts go in after the first.
@@ -256,12 +382,10 @@ def _multistart(beta: float, cfg: OptConfig, warm_starts, value, evaluate,
     def deficit(z):
         return beta - value(z)
 
-    def penalized(pw):
-        def f(z):
-            v, ent = evaluate(z, beta)
-            gap = np.clip(beta - v, 0.0, None)
-            return ent + pw * gap * gap
-        return f
+    def search(x0, pw, radius, polls):
+        return _pattern_search_lockstep(
+            lambda xa, ra: _penalized(*poll(xa, ra, beta), beta, pw),
+            x0, _penalized(*evaluate(x0, beta), beta, pw), radius, polls, canon)
 
     best_x, best_raw, best_feas = x.copy(), np.full(len(x), np.inf), np.zeros(len(x), bool)
 
@@ -276,21 +400,18 @@ def _multistart(beta: float, cfg: OptConfig, warm_starts, value, evaluate,
         return beta - v
 
     remember(_snap_to_anchor(x, anchor, deficit))
-    x, _ = _pattern_search_lockstep(penalized(PENALTY), x, RADIUS, MAIN_POLLS,
-                                    canon)
+    x = search(x, PENALTY, RADIUS, MAIN_POLLS)
     x = _snap_to_anchor(x, anchor, deficit)
     remember(x)
     pw = PENALTY * PENALTY_GROWTH
     for _ in range(PENALTY_ROUNDS - 1):
-        x, _ = _pattern_search_lockstep(penalized(pw), x, REFINE_RADIUS,
-                                        REFINE_POLLS, canon)
+        x = search(x, pw, REFINE_RADIUS, REFINE_POLLS)
         x = _snap_to_anchor(x, anchor, deficit)
         if np.all(remember(x) <= 0.0):
             break
         pw *= PENALTY_GROWTH
     # polish the winners once more at a tight radius and huge weight
-    x, _ = _pattern_search_lockstep(penalized(PENALTY * 1e4), best_x, 1e-4,
-                                    REFINE_POLLS, canon)
+    x = search(best_x, PENALTY * 1e4, 1e-4, REFINE_POLLS)
     x = _snap_to_anchor(x, anchor, deficit)
     remember(x)
     i = int(np.lexsort((best_raw, ~best_feas))[0])
@@ -327,25 +448,22 @@ def _minimize_block_family(ineq: str, beta: float, cfg: OptConfig,
                            warm_starts) -> OptResult:
     parity = ineq == "parity-chsh"
 
-    def value(z):
-        return _vbar(*_split_block_vars(z), parity)
-
-    def evaluate(z, beta):
-        rho, t, b0 = _split_block_vars(z)
-        v = _vbar(rho, t, b0, parity)
-        return v, _two_outcome_entropy(_mixed(rho, _beta_scale(v, beta)), t, b0)
-
     beta = _check_beta(ineq, beta)
     x, raw, feasible, used = _multistart(
-        beta, cfg, warm_starts, value, evaluate, _block_starts(beta, parity),
+        beta, cfg, warm_starts,
+        lambda z: _block_value(*_block_columns(z), parity),
+        lambda z, beta: _block_evaluate(z, beta, parity),
+        lambda x, r, beta: _block_poll(x, r, beta, parity),
+        _block_starts(beta, parity),
         (8, [(-np.pi / 2, np.pi / 2, 4), (0.0, np.pi, 1)]), _canonicalize_block_vars)
-    rho, t, b0 = _split_block_vars(x[None, :])
-    rho_s = _mixed(rho, _beta_scale(value(x[None, :]), beta))
-    state = BlockDiagState(rho_s[0], t[0])
+    rho, trig = _block_columns(x[None, :])
+    s = _beta_scale(_block_value(rho, trig, parity), beta)
+    rho_s = s * rho + (1.0 - s) / 8
+    state = BlockDiagState(rho_s[..., 0], x[8:12].reshape(2, 2))
     return OptResult(
         entropy=float(np.clip(raw, 0.0, 2.0)),
-        argmin={"rho": state.rho, "t": state.t, "b0": float(b0[0])},
-        achieved_beta=float(_vbar(rho_s, t, b0, parity)[0]),
+        argmin={"rho": state.rho, "t": state.t, "b0": float(x[12])},
+        achieved_beta=float(_block_value(rho_s, trig, parity)[0]),
         converged=feasible,
         restarts_used=used,
         beta_target=beta,
@@ -402,7 +520,8 @@ def minimize_chsh_two_outcome(beta: float, cfg: OptConfig = OptConfig(),
               np.array([np.sqrt(0.5), np.sqrt(0.5), 0, 0, 0, 0, 0, 0])]
     x, raw, feasible, used = _multistart(beta, cfg, warm_starts,
                                          lambda z: _chsh_terms(z)[2],
-                                         _chsh_evaluate, starts,
+                                         _chsh_evaluate,
+                                         _materialized_poll(_chsh_evaluate, 8), starts,
                                          (4, [(-np.pi, np.pi, 4)]))
     lam, _, v = _chsh_terms(x[None, :])
     lam_s = _mixed(lam, _beta_scale(v, beta))

@@ -301,6 +301,18 @@ class TestOptimizeRefusesIgnoredOptions:
         assert (code, out) == (2, "")
         return err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["--beta", "1.3", "--restarts", "0"], "--restarts"),
+        (["--beta", "1.3", "--restarts", "-4"], "--restarts"),
+        (["--beta", "1.3", "--seed", "-1"], "--seed"),
+        (["--regen-tables", "--points", "1", "--out", "{tmp}/t.json"], "--points"),
+        (["--regen-tables", "--points", "0", "--out", "{tmp}/t.json"], "--points"),
+    ])
+    def test_out_of_domain(self, tmp_path, monkeypatch, capsys, argv, flag):
+        err = self.refused([a.format(tmp=tmp_path) for a in argv], monkeypatch, capsys)
+        assert err.startswith(f"error: {flag}=")
+        assert list(tmp_path.iterdir()) == []
+
     def test_alpha(self, capsys):
         assert_usage_error(capsys, ["optimize", "--inequality", "holz",
                                     "--beta", "1.3", "--alpha", "3"], "--alpha")

@@ -1,5 +1,7 @@
 """optimize: entropy minimizers, convex hull, tightness sweeps."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,110 @@ def test_chsh_fixed_seed_pinned():
     assert r.entropy == pytest.approx(0.49236301966187557, rel=1e-12, abs=0.0)
     assert r.achieved_beta == pytest.approx(2.4, rel=1e-12, abs=0.0)
     assert r.converged
+
+
+def _argmin_digest(res):
+    h = hashlib.sha256()
+    for key in sorted(res.argmin):
+        h.update(np.ascontiguousarray(res.argmin[key], dtype=float).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("minimizer, beta, entropy, achieved, digest", [
+    (minimize_holz_two_outcome, 1.45, "1.3622533176531373", "1.45",
+     "8b3eacaa5e7f7c5997064bb750113ce85feb0b979d9f691cd028ab9dd1434659"),
+    (minimize_parity_two_outcome, 1.3, "1.0020954572785492", "1.3",
+     "9ef20b951f0e06755a1988f5f91167128d7649628989f7faa316923d9e4a345b"),
+    (minimize_chsh_two_outcome, 2.7, "1.0832790770862877", "2.7",
+     "1d43902fac0bc1262893e3f3ef6c823f83427f78238cc2afcee5d75656c2b6d8"),
+])
+def test_fixed_seed_bits_pinned(minimizer, beta, entropy, achieved, digest):
+    # recorded with the row-wise objective that the column poll kernel
+    # replaced: the kernel must not move a single bit of any result
+    res = minimizer(beta, OptConfig(restarts=8, seed=5))
+    assert (repr(res.entropy), repr(res.achieved_beta), res.converged) == (
+        entropy, achieved, True)
+    assert _argmin_digest(res) == digest
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+def _poll_incumbents():
+    """Seeded random block rows with radii 1e-9 to 0.3, then edge rows: an
+    angle of -0.0, t = +-pi/2, b0 = 0 and pi, all-zero weights (the s <= 0
+    guard) and a single nonzero weight."""
+    rng = np.random.default_rng(12)
+    x = np.column_stack([rng.normal(size=(40, 8)),
+                         rng.uniform(-np.pi / 2, np.pi / 2, (40, 4)),
+                         rng.uniform(0.0, np.pi, 40)])
+    edges = np.tile(x[:1], (7, 1))
+    edges[0, 9] = edges[0, 12] = -0.0
+    edges[1, 8:12] = [np.pi / 2, -np.pi / 2, np.pi / 2, -np.pi / 2]
+    edges[2, 12] = 0.0
+    edges[3, 12] = np.pi
+    edges[4, :8] = 0.0
+    edges[5, :8] = 0.0
+    edges[5, 3] = 0.7
+    edges[6, :8] = 0.0
+    edges[6, [8, 12]] = -0.0
+    x = np.vstack([x, edges])
+    return x, np.geomspace(1e-9, 0.3, len(x))
+
+
+@pytest.mark.parametrize("parity, beta", [(False, 1.3), (True, 1.2)])
+def test_poll_kernel_matches_materialized_candidates(parity, beta):
+    # the oracle: every candidate x + r * step materialized as a row
+    x, r = _poll_incumbents()
+    steps = optimize._poll_steps(13)
+    cands = (x[:, None, :] + r[:, None, None] * steps).reshape(-1, 13)
+    v_rows, ent_rows = optimize._block_evaluate(cands, beta, parity)
+    v, ent = optimize._block_poll(x, r, beta, parity)
+    assert v.shape == ent.shape == (len(x), 26)
+    np.testing.assert_array_equal(_bits(v), _bits(v_rows.reshape(len(x), 26)))
+    np.testing.assert_array_equal(_bits(ent), _bits(ent_rows.reshape(len(x), 26)))
+    for pw in (optimize.PENALTY, optimize.PENALTY * 1e4):
+        np.testing.assert_array_equal(
+            _bits(optimize._penalized(v, ent, beta, pw)),
+            _bits(optimize._penalized(v_rows, ent_rows, beta, pw).reshape(len(x), 26)))
+
+
+def _numpy_entropy(rho, t, b0):
+    """The Gram-block closed form with numpy's own reductions, solving all
+    eight blocks G[a, o]."""
+    n = rho.shape[0]
+    c2, s2 = np.cos(t) ** 2, np.sin(t) ** 2
+    lam0 = c2 * rho[:, 0] + s2 * rho[:, 1]
+    lam1 = s2 * rho[:, 0] + c2 * rho[:, 1]
+    diag = 0.5 * np.stack([lam0 + lam1[:, ::-1, ::-1],
+                           lam1 + lam0[:, ::-1, ::-1]], axis=1)
+    cu = np.cos(0.5 * b0)[:, None, None] ** 2
+    su = np.sin(0.5 * b0)[:, None, None] ** 2
+    g = np.stack([cu * diag[:, :, 0] + su * diag[:, :, 1],
+                  su * diag[:, :, 0] + cu * diag[:, :, 1]], axis=2)
+    zxx = (np.sin(2.0 * t) * (rho[:, 0] - rho[:, 1])).sum(axis=(1, 2))
+    g01 = (np.sin(b0) * zxx / 8.0)[:, None, None]
+    tr = g[..., 0] + g[..., 1]
+    disc = np.sqrt((g[..., 0] - g[..., 1]) ** 2 + 4.0 * g01 ** 2)
+    lam = np.clip(np.stack([(tr + disc) / 2.0, (tr - disc) / 2.0], axis=-1), 0.0, None)
+    return (optimize._xlog2x(rho.reshape(n, 8)).sum(axis=1)
+            - optimize._xlog2x(lam.reshape(n, 8)).sum(axis=1))
+
+
+@pytest.mark.parametrize("parity", [False, True])
+def test_row_kernel_matches_numpy_reductions(parity):
+    # the value against bell._vbar, the entropy against all eight Gram
+    # blocks summed by numpy, on the poll rows and the Gram oracle rows
+    x, r = _poll_incumbents()
+    z = (x[:, None, :] + r[:, None, None] * optimize._poll_steps(13)).reshape(-1, 13)
+    rho = optimize._weights(z, 8).reshape(-1, 2, 2, 2)
+    t, b0 = z[:, 8:12].reshape(-1, 2, 2), z[:, 12]
+    v_rows, _ = optimize._block_evaluate(z, 1.3, parity)
+    np.testing.assert_array_equal(_bits(v_rows), _bits(bell._vbar(rho, t, b0, parity)))
+    for rho, t, b0 in [(rho, t, b0), _oracle_rows()]:
+        np.testing.assert_array_equal(_bits(optimize._two_outcome_entropy(rho, t, b0)),
+                                      _bits(_numpy_entropy(rho, t, b0)))
 
 
 def _einsum_gram(rho, t, b0):
