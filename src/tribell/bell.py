@@ -11,8 +11,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .qmath import as_matrix, kron_all
-from .states import (BlockDiagState, MeasurementSettings, _block_correlators,
-                     obs_matrix)
+from .states import (_COSB, _SINB, BlockDiagState, MeasurementSettings,
+                     _block_correlators, obs_matrix)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -146,36 +146,39 @@ def bell_value(spec: BellSpec, rho, settings: MeasurementSettings) -> BellValue:
     return BellValue(_expectation(rho, bell_terms(spec, settings)), spec)
 
 
-def holz_reduced_value(state: BlockDiagState, b0: float, a1: float, c_minus: float) -> float:
-    """Holz Bell value in the reduced frame (a0=0, b+=c+=pi/2, b1=pi-b0)."""
-    c = state.correlators()
-    return float(
-        (np.cos(a1) * c["ZXX"] + np.sin(a1) * c["XXX"]) * np.sin(b0) * np.cos(c_minus)
-        - np.cos(b0) * c["ZZI"]
-        + np.sin(c_minus) * c["ZIZ"]
-        + np.cos(b0) * np.sin(c_minus) * c["IZZ"]
-    )
+def _block_reduced_value(rho: np.ndarray, trig: np.ndarray, a1, c_minus) -> np.ndarray:
+    """holz_reduced_value on the columns rho (2, 2, 2, n) and trig (20, n)
+    of states._block_trig, whose b0 row holds Bob's angle."""
+    xxx, zxx, zzi, ziz, izz = _block_correlators(rho, trig)
+    sb, cb, sc = trig[_SINB], trig[_COSB], np.sin(c_minus)
+    return ((np.cos(a1) * zxx + np.sin(a1) * xxx) * sb * np.cos(c_minus)
+            - cb * zzi + sc * ziz + cb * sc * izz)
 
 
-def _vbar(rho: np.ndarray, t: np.ndarray, b0: np.ndarray, parity: bool) -> np.ndarray:
-    """Batched holz_vbar (parity=False) / parity_vbar (parity=True) over
-    block coordinates rho (n,2,2,2), t (n,2,2) and angles b0 (n,)."""
-    xxx, zxx, zzi, ziz, izz = _block_correlators(rho, t)
-    sb, cb = np.sin(b0), np.cos(b0)
+def _block_vbar(rho: np.ndarray, trig: np.ndarray, parity: bool) -> np.ndarray:
+    """The reduced value on columns, maximized over a1 and c- (Holz,
+    parity=False) or over a1 with c- frozen at 0 (Parity-CHSH)."""
+    xxx, zxx, zzi, ziz, izz = _block_correlators(rho, trig)
+    sb, cb = trig[_SINB], trig[_COSB]
     if parity:
         return np.abs(sb) * np.hypot(zxx, xxx) - cb * zzi
     return np.sqrt(sb * sb * (zxx ** 2 + xxx ** 2) + (ziz + cb * izz) ** 2) - cb * zzi
 
 
+def holz_reduced_value(state: BlockDiagState, b0: float, a1: float, c_minus: float) -> float:
+    """Holz Bell value in the reduced frame (a0=0, b+=c+=pi/2, b1=pi-b0)."""
+    return float(_block_reduced_value(*state._columns(b0), a1, c_minus)[0])
+
+
 def holz_vbar(state: BlockDiagState, b0: float) -> float:
     """Maximum of the reduced Holz value over the free angles a1 and c-."""
-    return float(_vbar(state.rho[None], state.t[None], np.array([b0]), parity=False)[0])
+    return float(_block_vbar(*state._columns(b0), parity=False)[0])
 
 
 def parity_vbar(state: BlockDiagState, b0: float) -> float:
     """Parity-CHSH analogue of holz_vbar: the reduced value with c- frozen at 0,
     maximized over a1 only."""
-    return float(_vbar(state.rho[None], state.t[None], np.array([b0]), parity=True)[0])
+    return float(_block_vbar(*state._columns(b0), parity=True)[0])
 
 
 def reduced_settings(b0: float, a1: float, c_minus: float) -> MeasurementSettings:

@@ -76,6 +76,11 @@ def cq_decomposition(rho, measured_parties, observables) -> CqDecomposition:
     Eve's unnormalized conditional for outcome o has entries
     sqrt(w_m w_m') <m'| Pi_o |m> over the eigenbasis {|m>} of rho.
     """
+    return _cq_decomposition(rho, measured_parties, observables)[1]
+
+
+def _cq_decomposition(rho, measured_parties, observables):
+    """cq_decomposition, and the nonzero eigenvalues of rho it was built from."""
     measured = [int(q) for q in measured_parties]
     if not measured:
         raise ValidationError("measured_parties must be non-empty")
@@ -101,7 +106,7 @@ def cq_decomposition(rho, measured_parties, observables) -> CqDecomposition:
         block = np.outer(sqw, sqw) * g
         blocks.append(block)
         probs.append(float(np.trace(block).real))
-    return CqDecomposition(np.array(probs), blocks)
+    return w, CqDecomposition(np.array(probs), blocks)
 
 
 def _block_entropy(blocks) -> float:
@@ -118,7 +123,6 @@ def _block_entropy(blocks) -> float:
 
 def cond_entropy(rho, measured_parties, observables) -> float:
     """H(outcomes|E) in bits, E being the purifying system of rho."""
-    w, _ = _spectrum(rho)
+    w, cq = _cq_decomposition(rho, measured_parties, observables)
     h_e = float(-(w * np.log2(w)).sum())
-    cq = cq_decomposition(rho, measured_parties, observables)
     return _block_entropy(cq.eve_conditionals) - h_e

@@ -6,12 +6,13 @@ feasible parametrization: block eigenvalues enter through normalized squares
 of free variables, angles are unconstrained, and the Bell constraint is
 enforced by a quadratic penalty that grows whenever a local solve ends
 infeasible.  One driver (`_multistart`) serves all three inequalities; each
-supplies its Bell value, one pass giving value and entropy together, a poll
+supplies one row evaluation giving Bell value and entropy together, a poll
 giving them for every candidate of a coordinate poll, and its structured
-starts.  The Holz/Parity entropy is closed-form in the 2x2 Gram blocks of
-Charlie's conditional states (`_two_outcome_entropy`), and one column-major
-kernel evaluates it for single rows and polls alike.  Identical seed and
-config give bit-identical results.
+starts.  For Holz and Parity-CHSH the value is the angle-maximized reduced
+form `bell._block_vbar` and the entropy is closed-form in the 2x2 Gram
+blocks of Charlie's conditional states (`_two_outcome_entropy`); one kernel
+on the column layout of `states._block_trig` evaluates both for single rows
+and polls alike.  Identical seed and config give bit-identical results.
 """
 
 from __future__ import annotations
@@ -21,12 +22,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .bell import spec_by_name
+from .bell import _block_vbar, spec_by_name
 from .centropy import cond_entropy
 from .errors import ValidationError
 from .qmath import binary_entropy as h
 from .rates import bound_curve
-from .states import BlockDiagState, tau_state
+from .states import (_ANGLE_ROWS, _COSH, _SINB, _SINH, BlockDiagState,
+                     _block_lambdas, _block_trig, _block_zxx, tau_state)
 
 # search schedule: a main pattern-search stage at PENALTY, then up to
 # PENALTY_ROUNDS - 1 refine stages, each PENALTY_GROWTH times heavier, then a
@@ -68,51 +70,14 @@ def _mixed(w: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 # The Holz/Parity objective works on columns: 13 rows of variables (8
-# weights, the four angles t[j, k], Bob's angle b0) by n candidates.  Its
-# trig enters as the cos and sin rows of the stacked angles (2t, t, b0,
-# b0/2), laid out as below.  Sums are written out in the order numpy's
-# reductions take: pairwise for (n, 8), left to right for (n, 2, 2).
-_COS2T, _COST, _COSB, _COSH = slice(0, 4), slice(4, 8), 8, 9
-_SIN2T, _SINT, _SINB, _SINH = slice(10, 14), slice(14, 18), 18, 19
-_HALF_ANGLE_WEIGHTS = [_COSH, _SINH]
-_ANGLE_ROWS = np.array([0, 1, 2, 3, 0, 1, 2, 3, 4, 4])  # the angle behind each
-_ANGLE_SCALE = np.array([2.0, 2.0, 2.0, 2.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.5])[:, None]
+# weights, the four angles t[j, k], Bob's angle b0) by n candidates, with the
+# trig rows of states._block_trig.  Sums over the 8 weights are written out
+# pairwise, the order numpy's reductions take.
 _PLUS_MINUS = np.array([1.0, -1.0])[:, None]
-
-
-def _trig(a: np.ndarray) -> np.ndarray:
-    """(5, n) angles t00, t01, t10, t11, b0 -> the (20, n) cos and sin rows
-    of the stacked (2t, t, b0, b0/2)."""
-    ang = a[_ANGLE_ROWS] * _ANGLE_SCALE  # 1.0 * t is t
-    out = np.empty((20, ang.shape[1]))
-    np.cos(ang, out=out[:10])
-    np.sin(ang, out=out[10:])
-    return out
-
-
-def _sum4(x: np.ndarray) -> np.ndarray:
-    return ((x[0, 0] + x[0, 1]) + x[1, 0]) + x[1, 1]
 
 
 def _sum8(x: np.ndarray) -> np.ndarray:
     return ((x[0] + x[1]) + (x[2] + x[3])) + ((x[4] + x[5]) + (x[6] + x[7]))
-
-
-def _block_value(rho: np.ndarray, trig: np.ndarray, parity: bool) -> np.ndarray:
-    """bell._vbar on columns rho (2, 2, 2, n): the block correlators XXX,
-    ZXX, ZZI, ZIZ and IZZ (states._SGN_J and _SGN_K as subtractions), then
-    the angle-maximized Holz or Parity-CHSH value."""
-    d, tot = rho[0] - rho[1], rho[0] + rho[1]
-    p = d * trig[_COS2T].reshape(2, 2, -1)
-    xxx = _sum4(p)
-    zxx = _sum4(d * trig[_SIN2T].reshape(2, 2, -1))
-    zzi = ((p[0, 0] + p[0, 1]) - p[1, 0]) - p[1, 1]
-    ziz = ((p[0, 0] - p[0, 1]) + p[1, 0]) - p[1, 1]
-    izz = ((tot[0, 0] - tot[0, 1]) - tot[1, 0]) + tot[1, 1]
-    sb, cb = trig[_SINB], trig[_COSB]
-    if parity:
-        return np.abs(sb) * np.hypot(zxx, xxx) - cb * zzi
-    return np.sqrt(sb * sb * (zxx ** 2 + xxx ** 2) + (ziz + cb * izz) ** 2) - cb * zzi
 
 
 def _block_entropy(rho: np.ndarray, trig: np.ndarray) -> np.ndarray:
@@ -121,14 +86,11 @@ def _block_entropy(rho: np.ndarray, trig: np.ndarray) -> np.ndarray:
     G[0, 1-o] with its diagonal swapped and has the same eigenvalues bit for
     bit: only G[0, 0] and G[0, 1] are solved, and the pairwise 8-term sum of
     the eigenvalue entropies is S + S."""
-    ct, st = trig[_COST].reshape(2, 2, -1) ** 2, trig[_SINT].reshape(2, 2, -1) ** 2
-    lam0 = ct * rho[0] + st * rho[1]  # GHZ-basis weight of (0, j, k)
-    lam1 = st * rho[0] + ct * rho[1]  # GHZ-basis weight of (1, ~j, ~k)
-    diag = 0.5 * (lam0 + lam1[::-1, ::-1])  # D[0, j, k]
-    cs = trig[_HALF_ANGLE_WEIGHTS] ** 2  # Bob's eigenvector weights cu, su
+    lam0, lam1 = _block_lambdas(rho, trig)
+    diag = 0.5 * (lam0 + lam1)  # D[0, j, k]
+    cs = trig[[_COSH, _SINH]] ** 2  # Bob's eigenvector weights cu, su
     g = cs[:, None] * diag[0] + cs[::-1, None] * diag[1]  # diagonal of G[0, o]: (o, k, n)
-    zxx = _sum4(trig[_SIN2T].reshape(2, 2, -1) * (rho[0] - rho[1]))
-    g01 = trig[_SINB] * zxx / 8.0
+    g01 = trig[_SINB] * _block_zxx(rho[0] - rho[1], trig) / 8.0
     tr = g[:, 0] + g[:, 1]
     disc = np.sqrt((g[:, 0] - g[:, 1]) ** 2 + 4.0 * g01 ** 2)
     # (tr +- disc) / 2 as tr + (+-1 * disc): (o, +-, n)
@@ -146,13 +108,13 @@ def _block_rho(w: np.ndarray) -> np.ndarray:
 def _block_columns(z: np.ndarray):
     """Rows z (n, 13) -> (rho (2, 2, 2, n), trig (20, n))."""
     zt = z.T
-    return _block_rho(zt[:8] ** 2), _trig(zt[8:])
+    return _block_rho(zt[:8] ** 2), _block_trig(zt[8:])
 
 
 def _block_kernel(rho: np.ndarray, trig: np.ndarray, beta: float, parity: bool):
     """Bell value of every column, and the entropy of its state mixed down
     to beta."""
-    v = _block_value(rho, trig, parity)
+    v = _block_vbar(rho, trig, parity)
     s = _beta_scale(v, beta)
     return v, _block_entropy(s * rho + (1.0 - s) / 8, trig)
 
@@ -184,7 +146,7 @@ def _block_poll(x: np.ndarray, r: np.ndarray, beta: float, parity: bool):
     sines)."""
     u = x.T[:, None, :] + r * _STEP3[:, None]  # (13, 3, k)
     rho = _block_rho((u[:8] ** 2)[_WEIGHT_GATHER].reshape(8, -1))
-    trig = _trig(u[8:].reshape(5, -1)).reshape(20, 3, -1)[_TRIG_GATHER].reshape(20, -1)
+    trig = _block_trig(u[8:].reshape(5, -1)).reshape(20, 3, -1)[_TRIG_GATHER].reshape(20, -1)
     v, ent = _block_kernel(rho, trig, beta, parity)
     return v.reshape(26, -1).T, ent.reshape(26, -1).T
 
@@ -197,7 +159,7 @@ def _two_outcome_entropy(rho: np.ndarray, t: np.ndarray, b0: np.ndarray) -> np.n
     block (j, k), half one of (~j, ~k)) over Bob's bit j by cos^2(b0/2),
     sin^2(b0/2), and its off-diagonal entry is +-sin(b0) ZXX / 8."""
     angles = np.concatenate([np.reshape(t, (-1, 4)).T, np.reshape(b0, (1, -1))])
-    return _block_entropy(np.moveaxis(rho, 0, -1), _trig(angles))
+    return _block_entropy(np.moveaxis(rho, 0, -1), _block_trig(angles))
 
 
 def _canonicalize_block_vars(z: np.ndarray) -> np.ndarray:
@@ -305,7 +267,9 @@ def _materialized_poll(evaluate, d: int):
 
 def _snap_to_anchor(x: np.ndarray, anchor: np.ndarray, deficit_batch) -> np.ndarray:
     """Restore feasibility of every row by bisecting along the segment towards
-    a known feasible anchor (deficit <= 0 means feasible)."""
+    a known feasible anchor (deficit <= 0 means feasible).  The bisection
+    stops once every lane's midpoint rounds onto an end: lo is infeasible,
+    so no lane's hi, all it returns, can move after that."""
     bad = deficit_batch(x) > 0.0
     if not np.any(bad):
         return x
@@ -315,6 +279,8 @@ def _snap_to_anchor(x: np.ndarray, anchor: np.ndarray, deficit_batch) -> np.ndar
     seg = anchor[None, :] - xb
     for _ in range(80):
         mid = 0.5 * (lo + hi)
+        if np.all((mid == lo) | (mid == hi)):
+            break
         ok = deficit_batch(xb + mid[:, None] * seg) <= 0.0
         hi = np.where(ok, mid, hi)
         lo = np.where(ok, lo, mid)
@@ -358,16 +324,15 @@ def _pack_warm(res: OptResult) -> np.ndarray:
     return _pack(a["lambdas"], a["phi"])
 
 
-def _multistart(beta: float, cfg: OptConfig, warm_starts, value, evaluate,
-                poll, starts: list, layout, canon=None):
+def _multistart(beta: float, cfg: OptConfig, warm_starts, evaluate, poll,
+                starts: list, layout, canon=None):
     """Best-of-restarts local search for the entropy subject to the Bell
     value reaching beta.  `evaluate(z, beta)` gives every row's Bell value and
     the entropy of its state mixed down to beta, so the constraint is exactly
     eliminated on the feasible side; on the infeasible side a quadratic
     penalty steers back and final points are snapped to feasibility along the
-    segment to the first start, which needs only `value(z)`.  `poll(x, r,
-    beta)` gives the same pair, each (k, 2d), for the candidates of a
-    coordinate poll (see _pattern_search_lockstep).
+    segment to the first start.  `poll(x, r, beta)` gives the same pair for
+    the (k, 2d) candidates of a coordinate poll (_pattern_search_lockstep).
     `starts` are the inequality's structured starts, the first of them
     feasible; seeded random ones laid out as `layout` (see _random_starts)
     fill them up to cfg.restarts, and the warm starts go in after the first.
@@ -380,7 +345,7 @@ def _multistart(beta: float, cfg: OptConfig, warm_starts, value, evaluate,
     anchor = x[0].copy()
 
     def deficit(z):
-        return beta - value(z)
+        return beta - evaluate(z, beta)[0]
 
     def search(x0, pw, radius, polls):
         return _pattern_search_lockstep(
@@ -451,19 +416,18 @@ def _minimize_block_family(ineq: str, beta: float, cfg: OptConfig,
     beta = _check_beta(ineq, beta)
     x, raw, feasible, used = _multistart(
         beta, cfg, warm_starts,
-        lambda z: _block_value(*_block_columns(z), parity),
         lambda z, beta: _block_evaluate(z, beta, parity),
         lambda x, r, beta: _block_poll(x, r, beta, parity),
         _block_starts(beta, parity),
         (8, [(-np.pi / 2, np.pi / 2, 4), (0.0, np.pi, 1)]), _canonicalize_block_vars)
     rho, trig = _block_columns(x[None, :])
-    s = _beta_scale(_block_value(rho, trig, parity), beta)
+    s = _beta_scale(_block_vbar(rho, trig, parity), beta)
     rho_s = s * rho + (1.0 - s) / 8
     state = BlockDiagState(rho_s[..., 0], x[8:12].reshape(2, 2))
     return OptResult(
         entropy=float(np.clip(raw, 0.0, 2.0)),
         argmin={"rho": state.rho, "t": state.t, "b0": float(x[12])},
-        achieved_beta=float(_block_value(rho_s, trig, parity)[0]),
+        achieved_beta=float(_block_vbar(rho_s, trig, parity)[0]),
         converged=feasible,
         restarts_used=used,
         beta_target=beta,
@@ -519,7 +483,6 @@ def minimize_chsh_two_outcome(beta: float, cfg: OptConfig = OptConfig(),
     starts = [np.array([1.0, 0, 0, 0, 0.0, np.pi / 2, -np.pi / 4, np.pi / 4]),  # v = 2 sqrt2
               np.array([np.sqrt(0.5), np.sqrt(0.5), 0, 0, 0, 0, 0, 0])]
     x, raw, feasible, used = _multistart(beta, cfg, warm_starts,
-                                         lambda z: _chsh_terms(z)[2],
                                          _chsh_evaluate,
                                          _materialized_poll(_chsh_evaluate, 8), starts,
                                          (4, [(-np.pi, np.pi, 4)]))

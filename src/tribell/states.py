@@ -228,22 +228,53 @@ def optimal_settings(spec: "BellSpec") -> MeasurementSettings:
     raise ValidationError(f"unknown inequality kind {kind!r}")
 
 
-_SGN_J = np.array([[1.0, 1.0], [-1.0, -1.0]])
-_SGN_K = np.array([[1.0, -1.0], [1.0, -1.0]])
+# The block-diagonal family on columns: rho (2, 2, 2, n) for n states, and
+# the cos and sin rows of their stacked angles (2t, t, b0, b0/2), Bob's angle
+# b0 included, laid out as below.  Sums over the (2, 2) blocks run left to
+# right, the order numpy's reductions take.
+_COS2T, _COST, _COSB, _COSH = slice(0, 4), slice(4, 8), 8, 9
+_SIN2T, _SINT, _SINB, _SINH = slice(10, 14), slice(14, 18), 18, 19
+_ANGLE_ROWS = np.array([0, 1, 2, 3, 0, 1, 2, 3, 4, 4])  # the angle behind each
+_ANGLE_SCALE = np.array([2.0, 2.0, 2.0, 2.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.5])[:, None]
 
 
-def _block_correlators(rho: np.ndarray, t: np.ndarray):
-    """Batched BlockDiagState.correlators: rho (n,2,2,2), t (n,2,2) ->
-    (XXX, ZXX, ZZI, ZIZ, IZZ), each of shape (n,)."""
-    d = rho[:, 0] - rho[:, 1]
-    tot = rho[:, 0] + rho[:, 1]
-    c2, s2 = np.cos(2.0 * t), np.sin(2.0 * t)
-    xxx = (d * c2).sum(axis=(1, 2))
-    zxx = (d * s2).sum(axis=(1, 2))
-    zzi = (d * c2 * _SGN_J).sum(axis=(1, 2))
-    ziz = (d * c2 * _SGN_K).sum(axis=(1, 2))
-    izz = (tot * _SGN_J * _SGN_K).sum(axis=(1, 2))
+def _block_trig(a: np.ndarray) -> np.ndarray:
+    """(5, n) angles t00, t01, t10, t11, b0 -> the (20, n) cos and sin rows
+    of the stacked (2t, t, b0, b0/2)."""
+    ang = a[_ANGLE_ROWS] * _ANGLE_SCALE  # 1.0 * t is t
+    out = np.empty((20, ang.shape[1]))
+    np.cos(ang, out=out[:10])
+    np.sin(ang, out=out[10:])
+    return out
+
+
+def _sum4(x: np.ndarray) -> np.ndarray:
+    return ((x[0, 0] + x[0, 1]) + x[1, 0]) + x[1, 1]
+
+
+def _block_zxx(d: np.ndarray, trig: np.ndarray) -> np.ndarray:
+    """<ZXX> from the eigenvalue differences d = rho[0] - rho[1] (2, 2, n)."""
+    return _sum4(d * trig[_SIN2T].reshape(2, 2, -1))
+
+
+def _block_correlators(rho: np.ndarray, trig: np.ndarray):
+    """(XXX, ZXX, ZZI, ZIZ, IZZ) of the columns rho (2, 2, 2, n), trig
+    (20, n), each (n,); Z on Bob's bit j and on Charlie's bit k enters as a
+    subtraction."""
+    d, tot = rho[0] - rho[1], rho[0] + rho[1]
+    p = d * trig[_COS2T].reshape(2, 2, -1)
+    xxx, zxx = _sum4(p), _block_zxx(d, trig)
+    zzi = ((p[0, 0] + p[0, 1]) - p[1, 0]) - p[1, 1]
+    ziz = ((p[0, 0] - p[0, 1]) + p[1, 0]) - p[1, 1]
+    izz = ((tot[0, 0] - tot[0, 1]) - tot[1, 0]) + tot[1, 1]
     return xxx, zxx, zzi, ziz, izz
+
+
+def _block_lambdas(rho: np.ndarray, trig: np.ndarray):
+    """GHZ-basis weights of the columns, (lambda[0], lambda[1]) each (2, 2, n)."""
+    ct, st = trig[_COST].reshape(2, 2, -1) ** 2, trig[_SINT].reshape(2, 2, -1) ** 2
+    lam1 = st * rho[0] + ct * rho[1]  # block (j, k)'s weight of (1, ~j, ~k)
+    return ct * rho[0] + st * rho[1], lam1[::-1, ::-1]
 
 
 def _block_eigenvectors(t: np.ndarray) -> np.ndarray:
@@ -314,17 +345,14 @@ class BlockDiagState:
                 t[j, k] = 0.5 * np.arctan2(2.0 * r[j, k], l0 - l1)
         return cls(rho, t)
 
+    def _columns(self, b0: float = 0.0):
+        """This state, with Bob's angle b0, as one column: (rho, trig)."""
+        return self.rho[..., None], _block_trig(np.append(self.t, b0)[:, None])
+
     @property
     def lambdas(self) -> np.ndarray:
         """GHZ-basis diagonal weights lambda[i, j, k]."""
-        lam = np.zeros((2, 2, 2))
-        c2 = np.cos(self.t) ** 2
-        s2 = np.sin(self.t) ** 2
-        for j in (0, 1):
-            for k in (0, 1):
-                lam[0, j, k] = c2[j, k] * self.rho[0, j, k] + s2[j, k] * self.rho[1, j, k]
-                lam[1, 1 - j, 1 - k] = s2[j, k] * self.rho[0, j, k] + c2[j, k] * self.rho[1, j, k]
-        return lam
+        return np.stack(_block_lambdas(*self._columns()))[..., 0]
 
     @property
     def r(self) -> np.ndarray:
@@ -345,7 +373,7 @@ class BlockDiagState:
 
     def correlators(self) -> dict[str, float]:
         """The five expectation values entering the reduced Holz Bell value."""
-        vals = _block_correlators(self.rho[None], self.t[None])
+        vals = _block_correlators(*self._columns())
         names = ("XXX", "ZXX", "ZZI", "ZIZ", "IZZ")
         return {k: float(v[0]) for k, v in zip(names, vals)}
 

@@ -8,13 +8,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds
-from .bell import (asym_chsh, bell_value, chsh, holz, holz_reduced_value, mabk,
-                   parity_chsh, spec_by_name)
+from .bell import (_block_reduced_value, asym_chsh, bell_value, chsh, holz,
+                   holz_reduced_value, mabk, parity_chsh, spec_by_name)
 from .centropy import cond_entropy
 from .optimize import verify_tightness
 from .qmath import binary_entropy as h
 from .rates import bound_curve
-from .states import BlockDiagState, Z, _block_correlators, settings_from_angles
+from .states import (BlockDiagState, Z, _block_correlators, _block_trig,
+                     settings_from_angles)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -65,14 +66,14 @@ def check_appendix_b(samples: int = 10_000, seed: int = 11,
     (beta > 1, where the inequality is nontrivial) is well sampled.
     """
     rng = np.random.default_rng(seed)
-    rhos, ts = np.empty((samples, 2, 2, 2)), np.empty((samples, 2, 2))
-    angles = np.empty((3, samples))
+    rhos, angles = np.empty((2, 2, 2, samples)), np.empty((5, samples))
+    a1, cm = np.empty(samples), np.empty(samples)
     for i in range(samples):
         if i % 2 == 0:
             conc = 0.35 if i % 4 == 0 else 1.0
             rho = rng.dirichlet([conc] * 8).reshape(2, 2, 2)
             t = rng.uniform(-np.pi / 2, np.pi / 2, size=(2, 2))
-            a1, bm, cm = rng.uniform(0.0, 2.0 * np.pi, size=3)
+            a1[i], bm, cm[i] = rng.uniform(0.0, 2.0 * np.pi, size=3)
         else:
             # tau-like state plus noise, angles jittered around its optimum
             nu = rng.uniform(0.5, 1.0)
@@ -83,16 +84,16 @@ def check_appendix_b(samples: int = 10_000, seed: int = 11,
             rho = rho / rho.sum()
             t = rng.normal(0.0, 0.15, size=(2, 2))
             t[1, 1] += np.pi / 2
-            a1 = np.pi / 2 + rng.normal(0.0, 0.3)
+            a1[i] = np.pi / 2 + rng.normal(0.0, 0.3)
             bm = np.arctan2(1.0, np.sqrt(max(4 * nu * nu - 1.0, 1e-12))) \
                 + rng.normal(0.0, 0.3)
-            cm = np.arcsin(min(1.0 / (2 * nu), 1.0)) + rng.normal(0.0, 0.3)
+            cm[i] = np.arcsin(min(1.0 / (2 * nu), 1.0)) + rng.normal(0.0, 0.3)
         st = BlockDiagState(rho, t)
-        rhos[i], ts[i], angles[:, i] = st.rho, st.t, (a1, bm, cm)
-    xxx, zxx, zzi, ziz, izz = _block_correlators(rhos, ts)
-    a1, bm, cm = angles
-    beta = ((np.cos(a1) * zxx + np.sin(a1) * xxx) * np.cos(bm) * np.cos(cm)
-            + np.sin(bm) * zzi + np.sin(cm) * ziz - np.sin(bm) * np.sin(cm) * izz)
+        # Bob's drawn angle bm is the reduced frame's b0 - pi/2
+        rhos[..., i], angles[:, i] = st.rho, np.append(st.t, bm + np.pi / 2)
+    trig = _block_trig(angles)
+    beta = _block_reduced_value(rhos, trig, a1, cm)
+    xxx = _block_correlators(rhos, trig)[0]
     side = beta > 1.0
     used = int(np.count_nonzero(side))
     beta = beta[side]
@@ -124,8 +125,7 @@ def check_uncertainty(samples: int = 1_000, seed: int = 17,
     """H(Z|E) >= 1 - h((1+|<XXX>|)/2) on random block-diagonal states."""
     states = random_block_states(samples, seed)
     lhs = np.array([cond_entropy(st.to_matrix(), [0], [Z]) for st in states])
-    xxx = _block_correlators(np.array([st.rho for st in states]),
-                             np.array([st.t for st in states]))[0]
+    xxx = np.array([st.correlators()["XXX"] for st in states])
     rhs = np.array([1.0 - h((1.0 + abs(x)) / 2.0) for x in xxx])
     worst = float(np.min(lhs - rhs))
     return CheckResult("uncertainty-relation", worst >= -tol,

@@ -26,6 +26,12 @@ def naive_expectation(rho, ops):
     return total.real
 
 
+def _columns(rho, t, b0):
+    """Rows rho (n, 2, 2, 2), t (n, 2, 2), b0 (n,) -> columns (rho, trig)."""
+    angles = np.vstack([np.reshape(t, (-1, 4)).T, b0])
+    return np.moveaxis(rho, 0, -1), states._block_trig(angles)
+
+
 def random_block_state(rng):
     return BlockDiagState(rng.dirichlet([0.6] * 8).reshape(2, 2, 2),
                           rng.uniform(-np.pi / 2, np.pi / 2, size=(2, 2)))
@@ -202,15 +208,35 @@ class TestReducedForms:
         rho = np.stack([st.rho for st in sts])
         t = np.stack([st.t for st in sts])
         b0 = np.random.default_rng(seed).uniform(0.0, np.pi, len(sts))
-        cols = states._block_correlators(rho, t)
-        holz = bell._vbar(rho, t, b0, parity=False)
-        parity = bell._vbar(rho, t, b0, parity=True)
+        columns = _columns(rho, t, b0)
+        cols = states._block_correlators(*columns)
+        holz = bell._block_vbar(*columns, parity=False)
+        parity = bell._block_vbar(*columns, parity=True)
         for i, st in enumerate(sts):
             c = st.correlators()
             assert [c[k] for k in ("XXX", "ZXX", "ZZI", "ZIZ", "IZZ")] == \
                 [col[i] for col in cols]
             assert holz_vbar(st, b0[i]) == holz[i]
             assert parity_vbar(st, b0[i]) == parity[i]
+
+    def test_reduced_value_bits(self):
+        # the scalar wrapper against the formula on the correlator dict, and
+        # the columns against the scalar wrapper, bit for bit
+        sts = random_block_states(200, 3)
+        rng = np.random.default_rng(3)
+        b0, a1, cm = rng.uniform(0.0, 2.0 * np.pi, (3, len(sts)))
+        cols = bell._block_reduced_value(
+            *_columns(np.stack([st.rho for st in sts]), np.stack([st.t for st in sts]), b0),
+            a1, cm)
+        for i, st in enumerate(sts):
+            c = st.correlators()
+            want = float((np.cos(a1[i]) * c["ZXX"] + np.sin(a1[i]) * c["XXX"])
+                         * np.sin(b0[i]) * np.cos(cm[i])
+                         - np.cos(b0[i]) * c["ZZI"]
+                         + np.sin(cm[i]) * c["ZIZ"]
+                         + np.cos(b0[i]) * np.sin(cm[i]) * c["IZZ"])
+            got = holz_reduced_value(st, float(b0[i]), float(a1[i]), float(cm[i]))
+            assert got == want == cols[i]
 
 
 class TestSampledInequalities:

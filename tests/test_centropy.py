@@ -141,6 +141,24 @@ class TestCondEntropy:
             want = oracle_cond_entropy(rho, [0, 1], [oa, ob])
             assert got == pytest.approx(want, abs=1e-9)
 
+    def test_one_spectrum_of_rho_per_call(self, monkeypatch):
+        rng = np.random.default_rng(83)
+        rho = random_density(rng, 8)
+        ob = np.cos(0.4) * Z + np.sin(0.4) * X
+        # two spectra of rho, as cond_entropy once took them
+        w, _ = centropy._spectrum(rho)
+        blocks = cq_decomposition(rho, [0, 1], [Z, ob]).eve_conditionals
+        want = centropy._block_entropy(blocks) - float(-(w * np.log2(w)).sum())
+        calls = []
+
+        def counted(m):
+            calls.append(m.shape)
+            return qmath.eig_hermitian(m)
+        monkeypatch.setattr(centropy, "eig_hermitian", counted)
+        got = cond_entropy(rho, [0, 1], [Z, ob])
+        assert len(calls) == 5  # rho once, then its four conditional blocks
+        assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
+
     def test_pure_state_equals_outcome_entropy(self):
         rng = np.random.default_rng(89)
         for _ in range(10):

@@ -136,19 +136,89 @@ def _numpy_entropy(rho, t, b0):
             - optimize._xlog2x(lam.reshape(n, 8)).sum(axis=1))
 
 
+def _numpy_correlators(rho, t):
+    """The block correlators XXX, ZXX, ZZI, ZIZ and IZZ of rows rho
+    (n, 2, 2, 2), t (n, 2, 2) with numpy's own reductions, the signs of Z on
+    Bob's and Charlie's bits as +-1 factors."""
+    sgn_j = np.array([[1.0, 1.0], [-1.0, -1.0]])
+    sgn_k = np.array([[1.0, -1.0], [1.0, -1.0]])
+    d, tot = rho[:, 0] - rho[:, 1], rho[:, 0] + rho[:, 1]
+    c2, s2 = np.cos(2.0 * t), np.sin(2.0 * t)
+    return ((d * c2).sum(axis=(1, 2)), (d * s2).sum(axis=(1, 2)),
+            (d * c2 * sgn_j).sum(axis=(1, 2)), (d * c2 * sgn_k).sum(axis=(1, 2)),
+            (tot * sgn_j * sgn_k).sum(axis=(1, 2)))
+
+
+def _numpy_vbar(rho, t, b0, parity):
+    """The angle-maximized Holz (Parity-CHSH) value of rows, from
+    _numpy_correlators."""
+    xxx, zxx, zzi, ziz, izz = _numpy_correlators(rho, t)
+    sb, cb = np.sin(b0), np.cos(b0)
+    if parity:
+        return np.abs(sb) * np.hypot(zxx, xxx) - cb * zzi
+    return np.sqrt(sb * sb * (zxx ** 2 + xxx ** 2) + (ziz + cb * izz) ** 2) - cb * zzi
+
+
+def _columns(rho, t, b0):
+    """Rows rho (n, 2, 2, 2), t (n, 2, 2), b0 (n,) -> columns (rho, trig)."""
+    angles = np.vstack([np.reshape(t, (-1, 4)).T, b0])
+    return np.moveaxis(rho, 0, -1), states._block_trig(angles)
+
+
 @pytest.mark.parametrize("parity", [False, True])
 def test_row_kernel_matches_numpy_reductions(parity):
-    # the value against bell._vbar, the entropy against all eight Gram
-    # blocks summed by numpy, on the poll rows and the Gram oracle rows
+    # the value against the row-major numpy reductions, the entropy against
+    # all eight Gram blocks summed by numpy, on the poll rows and the Gram
+    # oracle rows
     x, r = _poll_incumbents()
     z = (x[:, None, :] + r[:, None, None] * optimize._poll_steps(13)).reshape(-1, 13)
     rho = optimize._weights(z, 8).reshape(-1, 2, 2, 2)
     t, b0 = z[:, 8:12].reshape(-1, 2, 2), z[:, 12]
     v_rows, _ = optimize._block_evaluate(z, 1.3, parity)
-    np.testing.assert_array_equal(_bits(v_rows), _bits(bell._vbar(rho, t, b0, parity)))
+    np.testing.assert_array_equal(_bits(v_rows), _bits(_numpy_vbar(rho, t, b0, parity)))
+    np.testing.assert_array_equal(_bits(bell._block_vbar(*_columns(rho, t, b0), parity)),
+                                  _bits(v_rows))
     for rho, t, b0 in [(rho, t, b0), _oracle_rows()]:
         np.testing.assert_array_equal(_bits(optimize._two_outcome_entropy(rho, t, b0)),
                                       _bits(_numpy_entropy(rho, t, b0)))
+
+
+def _snap_all_rounds(x, anchor, deficit_batch):
+    """_snap_to_anchor with all 80 bisection rounds."""
+    bad = deficit_batch(x) > 0.0
+    xb = x[bad]
+    lo, hi = np.zeros(len(xb)), np.ones(len(xb))
+    seg = anchor[None, :] - xb
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        ok = deficit_batch(xb + mid[:, None] * seg) <= 0.0
+        hi = np.where(ok, mid, hi)
+        lo = np.where(ok, lo, mid)
+    x = x.copy()
+    x[bad] = xb + hi[:, None] * seg
+    return x
+
+
+@pytest.mark.parametrize("parity, beta", [(False, 1.45), (True, 1.3)])
+def test_snap_stops_early_with_the_same_bits(parity, beta):
+    x, _ = _poll_incumbents()
+    anchor = optimize._block_starts(beta, parity)[0]
+    calls = []
+
+    def deficit(z):
+        calls.append(len(z))
+        return beta - optimize._block_evaluate(z, beta, parity)[0]
+    # rows a step short of the boundary cross it near the start of their
+    # segments, so their lanes need more rounds than the others
+    snapped = _snap_all_rounds(x, anchor, deficit)
+    x = np.vstack([x, snapped + 1e-3 * (x - snapped)])
+    calls.clear()
+    got = optimize._snap_to_anchor(x, anchor, deficit)
+    early = len(calls)
+    want = _snap_all_rounds(x, anchor, deficit)
+    assert len(calls) - early == 81 and early < 81
+    assert np.count_nonzero(deficit(x) > 0.0) > len(x) // 2
+    np.testing.assert_array_equal(_bits(got), _bits(want))
 
 
 def _einsum_gram(rho, t, b0):
@@ -194,7 +264,7 @@ def test_closed_form_matches_einsum_gram():
     fast = optimize._two_outcome_entropy(rho, t, b0)
     np.testing.assert_allclose(fast, h_blocks - h_e, rtol=0.0, atol=1e-13)
     # every off-diagonal Gram entry is sin(b0) ZXX / 8 up to sign
-    zxx = states._block_correlators(rho, t)[1]
+    zxx = states._block_correlators(*_columns(rho, t, b0))[1]
     off = np.broadcast_to((np.abs(np.sin(b0) * zxx) / 8.0)[:, None, None],
                           gram.shape[:3])
     np.testing.assert_allclose(np.abs(gram[..., 0, 1]), off, rtol=0.0, atol=1e-13)

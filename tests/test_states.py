@@ -174,6 +174,22 @@ class TestBlockDiagState:
             assert np.max(np.abs(back.rho - st.rho)) < 1e-9
             assert np.max(np.abs(back.to_matrix() - st.to_matrix())) < 1e-9
 
+    def test_lambdas_bits_equal_double_loop(self):
+        rng = np.random.default_rng(41)
+        sts = [tau_state(0.75), tau_state(1.0),
+               BlockDiagState(np.full(8, 0.125), [[0.0, np.pi / 2], [-np.pi / 2, -0.0]])]
+        sts += [BlockDiagState(rng.dirichlet([0.7] * 8).reshape(2, 2, 2),
+                               rng.uniform(-np.pi, np.pi, size=(2, 2))) for _ in range(200)]
+        for st in sts:
+            lam = np.zeros((2, 2, 2))
+            c2, s2 = np.cos(st.t) ** 2, np.sin(st.t) ** 2
+            for j in (0, 1):
+                for k in (0, 1):
+                    lam[0, j, k] = c2[j, k] * st.rho[0, j, k] + s2[j, k] * st.rho[1, j, k]
+                    lam[1, 1 - j, 1 - k] = (s2[j, k] * st.rho[0, j, k]
+                                            + c2[j, k] * st.rho[1, j, k])
+            np.testing.assert_array_equal(st.lambdas.view(np.uint64), lam.view(np.uint64))
+
     def test_matrix_is_valid_state_with_block_support(self):
         rng = np.random.default_rng(37)
         izz = qmath.kron_all(I2, Z, Z)
