@@ -1,5 +1,5 @@
 """Non-convex entropy minimizations at fixed Bell violation (Holz,
-Parity-CHSH, CHSH), convex-hull post-processing, and tightness sweeps.
+Parity-CHSH, CHSH) and convex-hull post-processing.
 
 The search is a multi-start derivative-free pattern search over an interior
 feasible parametrization: block eigenvalues enter through normalized squares
@@ -17,16 +17,13 @@ and polls alike.  Identical seed and config give bit-identical results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .bell import _block_vbar, spec_by_name
-from .centropy import cond_entropy
 from .errors import ValidationError
-from .qmath import binary_entropy as h
-from .rates import bound_curve
 from .states import (_ANGLE_ROWS, _COSH, _SINB, _SINH, BlockDiagState,
                      _block_lambdas, _block_trig, _block_zxx, tau_state)
 
@@ -557,48 +554,3 @@ def hull_knots(hull: np.ndarray, slope_tol: float = 1e-6) -> np.ndarray:
     out = [xs[i + 1] for i in range(len(slopes) - 1)
            if slopes[i + 1] - slopes[i] > slope_tol]
     return np.array(out)
-
-
-# ---------------------------------------------------------------------------
-# tightness verification sweeps
-
-@dataclass
-class TightnessReport:
-    ineq: str
-    nu: np.ndarray
-    cond_entropy_err: np.ndarray
-    bound_err: np.ndarray
-    tolerance: float = 1e-9
-    rows: list = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return bool(np.max(self.cond_entropy_err) <= self.tolerance
-                    and np.max(self.bound_err) <= self.tolerance)
-
-
-def verify_tightness(ineq: str, nu_grid) -> TightnessReport:
-    """Check that tau(nu) attains the one-outcome bound of the given
-    inequality: cond_entropy(tau(nu), Z) and the analytic bound evaluated at
-    the family's maximal violation must both equal 1 - h(nu)."""
-    if ineq not in ("holz", "parity-chsh"):
-        raise ValidationError("tightness families exist for holz and parity-chsh")
-    curve = bound_curve(spec_by_name(ineq), "one")
-    nus = np.asarray(list(nu_grid), dtype=float)
-    ent_err = np.empty(len(nus))
-    bound_err = np.empty(len(nus))
-    rows = []
-    z_obs = np.array([[1, 0], [0, -1]], dtype=complex)
-    for i, nu in enumerate(nus):
-        expected = 1.0 - h(nu)
-        state = tau_state(nu)
-        ce = cond_entropy(state.to_matrix(), [0], [z_obs])
-        if ineq == "holz":
-            beta_nu = 2.0 * nu + 1.0 / (2.0 * nu) - 1.0
-        else:
-            beta_nu = np.hypot(2.0 * nu - 1.0, 1.0)
-        bnd = curve.fn(beta_nu)
-        ent_err[i] = abs(ce - expected)
-        bound_err[i] = abs(bnd - expected)
-        rows.append((float(nu), float(beta_nu), float(ce), float(bnd), float(expected)))
-    return TightnessReport(ineq, nus, ent_err, bound_err, rows=rows)

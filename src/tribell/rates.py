@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import bounds, qmath
+from . import bounds, optimize, qmath
 from .bell import BellSpec, BellValue, _expectation, bell_terms, correlator, spec_by_name
 from .errors import ValidationError
 from .qmath import binary_entropy as h
@@ -152,8 +152,6 @@ def generate_two_outcome_table(ineq: str, points: int = 200,
                                restarts: int = 16, seed: int = 7) -> dict:
     """Regenerate one numeric curve with the optimizer (descending beta with
     warm starts), made monotone and pinned to 0 at the classical bound."""
-    from . import optimize
-
     if ineq not in NUMERIC_CURVES:
         raise ValidationError(f"no numeric two-outcome curve for {ineq!r}")
     if points < 2:

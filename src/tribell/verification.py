@@ -1,5 +1,5 @@
 """Property suites behind the CLI `verify` command: sampled operator
-inequalities, tightness sweeps, and bound-curve shape checks."""
+inequalities, the tau-family tightness sweeps, and bound-curve shape checks."""
 
 from __future__ import annotations
 
@@ -11,13 +11,15 @@ from . import bounds
 from .bell import (_block_reduced_value, asym_chsh, bell_value, chsh, holz,
                    holz_reduced_value, mabk, parity_chsh, spec_by_name)
 from .centropy import cond_entropy
-from .optimize import verify_tightness
+from .errors import ValidationError
 from .qmath import binary_entropy as h
 from .rates import bound_curve
 from .states import (BlockDiagState, Z, _block_correlators, _block_trig,
-                     settings_from_angles)
+                     settings_from_angles, tau_state)
 
 SQRT2 = np.sqrt(2.0)
+# the largest violation a sampled or swept property may show and still pass
+CHECK_TOL = 1e-9
 
 # the analytic MABK two-outcome bound is genuinely concave in a small window
 # above its classical bound; its convexity check is reported but expected to fail
@@ -30,6 +32,11 @@ class CheckResult:
     passed: bool
     detail: str
     expected_failure: bool = False
+
+    def __post_init__(self):
+        # numpy comparisons give numpy bools, which json cannot serialize
+        object.__setattr__(self, "passed", bool(self.passed))
+        object.__setattr__(self, "expected_failure", bool(self.expected_failure))
 
     @property
     def ok(self) -> bool:
@@ -56,8 +63,7 @@ def random_density_matrices(count: int, dim: int, seed: int) -> np.ndarray:
     return rho / tr[:, None, None]
 
 
-def check_appendix_b(samples: int = 10_000, seed: int = 11,
-                     tol: float = 1e-9) -> CheckResult:
+def check_appendix_b(samples: int = 10_000, seed: int = 11) -> CheckResult:
     """|<XXX>| >= beta/2 - 1/2 + sqrt(beta^2 + 2 beta - 3)/2 whenever the
     reduced Holz value beta exceeds 1.
 
@@ -99,13 +105,12 @@ def check_appendix_b(samples: int = 10_000, seed: int = 11,
     beta = beta[side]
     rhs = beta / 2.0 - 0.5 + 0.5 * np.sqrt(beta * beta + 2.0 * beta - 3.0)
     worst = float(np.min(np.abs(xxx[side]) - rhs, initial=np.inf))
-    passed = used > 0 and worst >= -tol
+    passed = used > 0 and worst >= -CHECK_TOL
     return CheckResult("appendix-b-xxx-vs-beta", passed,
                        f"{used} violating-side samples, min margin {worst:.3e}")
 
 
-def check_appendix_c(samples: int = 10_000, seed: int = 13,
-                     tol: float = 1e-9) -> CheckResult:
+def check_appendix_c(samples: int = 10_000, seed: int = 13) -> CheckResult:
     """<XXX>^2+<XXY>^2 <= 1 and <XYY>^2+<XYX>^2 <= 1 on random 3-qubit states."""
     from .qmath import kron_all
     from .states import X, Y
@@ -115,25 +120,23 @@ def check_appendix_c(samples: int = 10_000, seed: int = 13,
     vals = [np.einsum("sij,ji->s", rho, op).real for op in ops]
     m1 = np.max(vals[0] ** 2 + vals[1] ** 2)
     m2 = np.max(vals[2] ** 2 + vals[3] ** 2)
-    passed = m1 <= 1.0 + tol and m2 <= 1.0 + tol
+    passed = m1 <= 1.0 + CHECK_TOL and m2 <= 1.0 + CHECK_TOL
     return CheckResult("appendix-c-pair-correlators", passed,
                        f"max sums {m1:.12f}, {m2:.12f}")
 
 
-def check_uncertainty(samples: int = 1_000, seed: int = 17,
-                      tol: float = 1e-9) -> CheckResult:
+def check_uncertainty(samples: int = 1_000, seed: int = 17) -> CheckResult:
     """H(Z|E) >= 1 - h((1+|<XXX>|)/2) on random block-diagonal states."""
     states = random_block_states(samples, seed)
     lhs = np.array([cond_entropy(st.to_matrix(), [0], [Z]) for st in states])
     xxx = np.array([st.correlators()["XXX"] for st in states])
     rhs = np.array([1.0 - h((1.0 + abs(x)) / 2.0) for x in xxx])
     worst = float(np.min(lhs - rhs))
-    return CheckResult("uncertainty-relation", worst >= -tol,
+    return CheckResult("uncertainty-relation", worst >= -CHECK_TOL,
                        f"min margin {worst:.3e}")
 
 
-def check_quantum_bounds(samples: int = 500, seed: int = 19,
-                         tol: float = 1e-9) -> CheckResult:
+def check_quantum_bounds(samples: int = 500, seed: int = 19) -> CheckResult:
     """beta never exceeds the quantum bound on random states and settings.
 
     One-sided: the asymmetric functionals reach values below -quantum_bound
@@ -156,11 +159,50 @@ def check_quantum_bounds(samples: int = 500, seed: int = 19,
             beta = bell_value(spec, rho, st).beta
             top = abs(beta) if symmetric else beta
             worst = max(worst, top - spec.quantum_bound)
-    return CheckResult("quantum-bound-sanity", worst <= tol,
+    return CheckResult("quantum-bound-sanity", worst <= CHECK_TOL,
                        f"max overshoot {worst:.3e}")
 
 
-def check_tightness(points: int = 50, tol: float = 1e-9) -> CheckResult:
+@dataclass
+class TightnessReport:
+    ineq: str
+    nu: np.ndarray
+    cond_entropy_err: np.ndarray
+    bound_err: np.ndarray
+    rows: list
+
+    @property
+    def passed(self) -> bool:
+        return bool(np.max(self.cond_entropy_err) <= CHECK_TOL
+                    and np.max(self.bound_err) <= CHECK_TOL)
+
+
+def verify_tightness(ineq: str, nu_grid) -> TightnessReport:
+    """Check that tau(nu) attains the one-outcome bound of the given
+    inequality: cond_entropy(tau(nu), Z) and the analytic bound evaluated at
+    the family's maximal violation must both equal 1 - h(nu)."""
+    if ineq not in ("holz", "parity-chsh"):
+        raise ValidationError("tightness families exist for holz and parity-chsh")
+    curve = bound_curve(spec_by_name(ineq), "one")
+    nus = np.asarray(list(nu_grid), dtype=float)
+    ent_err = np.empty(len(nus))
+    bound_err = np.empty(len(nus))
+    rows = []
+    for i, nu in enumerate(nus):
+        expected = 1.0 - h(nu)
+        ce = cond_entropy(tau_state(nu).to_matrix(), [0], [Z])
+        if ineq == "holz":
+            beta_nu = 2.0 * nu + 1.0 / (2.0 * nu) - 1.0
+        else:
+            beta_nu = np.hypot(2.0 * nu - 1.0, 1.0)
+        bnd = curve.fn(beta_nu)
+        ent_err[i] = abs(ce - expected)
+        bound_err[i] = abs(bnd - expected)
+        rows.append((float(nu), float(beta_nu), float(ce), float(bnd), float(expected)))
+    return TightnessReport(ineq, nus, ent_err, bound_err, rows)
+
+
+def check_tightness(points: int = 50) -> CheckResult:
     nus = np.linspace(0.5, 1.0, points)
     detail = []
     ok = True
@@ -206,8 +248,7 @@ def check_bound_curves(grid: int = 200) -> list[CheckResult]:
     return out
 
 
-def check_reduced_value_consistency(samples: int = 100, seed: int = 23,
-                                    tol: float = 1e-9) -> CheckResult:
+def check_reduced_value_consistency(samples: int = 100, seed: int = 23) -> CheckResult:
     """holz_reduced_value agrees with the full Bell functional."""
     from .bell import reduced_settings
 
@@ -220,7 +261,7 @@ def check_reduced_value_consistency(samples: int = 100, seed: int = 23,
         red = holz_reduced_value(st, b0, a1, cm)
         full = bell_value(spec, st.to_matrix(), reduced_settings(b0, a1, cm)).beta
         worst = max(worst, abs(red - full))
-    return CheckResult("reduced-vs-full-holz", worst <= tol,
+    return CheckResult("reduced-vs-full-holz", worst <= CHECK_TOL,
                        f"max |reduced - full| {worst:.3e}")
 
 

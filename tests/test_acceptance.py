@@ -95,8 +95,8 @@ def test_criterion_3_table3_dire_thresholds():
 
 def test_criterion_4_tightness_sweeps():
     nus = np.linspace(0.5, 1.0, 50)
-    rep_h = optimize.verify_tightness("holz", nus)
-    rep_p = optimize.verify_tightness("parity-chsh", nus)
+    rep_h = verification.verify_tightness("holz", nus)
+    rep_p = verification.verify_tightness("parity-chsh", nus)
     ok = rep_h.passed and rep_p.passed
     assert _report("4 (tau-family tightness)", ok,
                    f"holz max err {np.max(rep_h.cond_entropy_err):.2e}/"

@@ -1,11 +1,14 @@
-"""centropy: purification and exact conditional entropies, validated against
-an independent joint-matrix construction built on numpy's own eigensolver."""
+"""centropy: exact conditional entropies, validated against an independent
+oracle that purifies the state, measures the purification and diagonalizes
+Eve's conditionals with numpy's own eigensolver."""
+
+from itertools import product
 
 import numpy as np
 import pytest
 
 from tribell import centropy, qmath, states
-from tribell.centropy import cond_entropy, cq_decomposition, purify
+from tribell.centropy import cond_entropy
 from tribell.errors import ValidationError
 from tribell.states import ghz_state, tau_state
 
@@ -24,40 +27,70 @@ def random_density(rng, d):
     return rho / np.trace(rho).real
 
 
-def oracle_cond_entropy(rho, measured, observables):
-    """Independent path: numpy eigh purification, explicit joint cq matrix."""
+def projector(n, measured, observables, outcome):
+    """Pi_o on n qubits: (1 +- O) / 2 on each measured party, 1 elsewhere."""
+    ops = [np.eye(2, dtype=complex)] * n
+    for q, o, bit in zip(measured, observables, outcome):
+        ops[q] = (np.eye(2) + (1 if bit == 0 else -1) * o) / 2.0
+    pi = np.eye(1, dtype=complex)
+    for op in ops:
+        pi = np.kron(pi, op)
+    return pi
+
+
+def entropy(m):
+    lam = np.linalg.eigvalsh(m)
+    lam = lam[lam > 1e-13]
+    return float(-(lam * np.log2(lam)).sum())
+
+
+def oracle_purify(rho):
+    """sum_m sqrt(w_m) |m>|m> over the eigenbasis of rho; the purifying
+    register has dimension rank(rho) padded to a power of two."""
     w, v = np.linalg.eigh(rho)
     keep = w > 1e-12
     w, v = w[keep], v[:, keep]
-    n = int(round(np.log2(rho.shape[0])))
-    h_e = float(-(w * np.log2(w)).sum())
-    from itertools import product
+    d_e = 1
+    while d_e < len(w):
+        d_e *= 2
+    psi = np.zeros((rho.shape[0], d_e), dtype=complex)
+    psi[:, :len(w)] = v * np.sqrt(w)
+    return psi.reshape(-1)
 
-    lam_all = []
+
+def oracle_eve_conditionals(rho, measured, observables):
+    """Measure the parties on the purification; Eve's unnormalized state for
+    outcome o is Tr_parties[(Pi_o x 1)|psi><psi|(Pi_o x 1)]."""
+    d = rho.shape[0]
+    n = int(round(np.log2(d)))
+    psi = oracle_purify(rho).reshape(d, -1)
+    out = []
     for outcome in product((0, 1), repeat=len(measured)):
-        ops = [np.eye(2, dtype=complex)] * n
-        for idx, q in enumerate(measured):
-            o = observables[idx]
-            ops[q] = (np.eye(2) + (1 if outcome[idx] == 0 else -1) * o) / 2.0
-        pi = np.eye(1, dtype=complex)
-        for op in ops:
-            pi = np.kron(pi, op)
-        block = np.outer(np.sqrt(w), np.sqrt(w)) * (v.conj().T @ pi @ v)
-        ev = np.linalg.eigvalsh(block)
-        lam_all.extend(x for x in ev if x > 1e-13)
-    lam_all = np.array(lam_all)
-    return float(-(lam_all * np.log2(lam_all)).sum()) - h_e
+        phi = projector(n, measured, observables, outcome) @ psi
+        out.append(phi.T @ phi.conj())
+    return out
+
+
+def oracle_cond_entropy(rho, measured, observables):
+    """H(outcomes E) - H(E) on the explicit purification."""
+    d = rho.shape[0]
+    psi = oracle_purify(rho).reshape(d, -1)
+    h_e = entropy(psi.T @ psi.conj())
+    blocks = oracle_eve_conditionals(rho, measured, observables)
+    return sum(entropy(b) for b in blocks) - h_e
 
 
 class TestPurify:
+    """The oracle's purification."""
+
     def test_pure_input_trivial_register(self):
         rho = ghz_state(3)
-        psi = purify(rho)
+        psi = oracle_purify(rho)
         assert psi.shape == (8,)
         assert np.max(np.abs(np.outer(psi, psi.conj()) - rho)) < 1e-9
 
     def test_maximally_mixed_gives_bell_state(self):
-        psi = purify(np.eye(2) / 2).reshape(2, 2)
+        psi = oracle_purify(np.eye(2) / 2).reshape(2, 2)
         # maximally entangled: both Schmidt coefficients 1/sqrt(2)
         s = np.linalg.svd(psi, compute_uv=False)
         assert np.allclose(s, [1 / np.sqrt(2)] * 2, atol=1e-12)
@@ -66,7 +99,7 @@ class TestPurify:
         rng = np.random.default_rng(71)
         for _ in range(100):
             rho = random_density(rng, 8)
-            psi = purify(rho)
+            psi = oracle_purify(rho)
             total = len(psi)
             n_tot = int(round(np.log2(total)))
             joint = np.outer(psi, psi.conj())
@@ -75,26 +108,36 @@ class TestPurify:
 
 
 class TestCqDecomposition:
+    """The oracle's Eve conditionals, and the spectral identity that lets
+    cond_entropy skip them."""
+
     def test_traces_sum_to_one_and_psd(self):
         rng = np.random.default_rng(73)
         rho = random_density(rng, 8)
-        cq = cq_decomposition(rho, [0, 1], [Z, X])
-        assert abs(cq.outcome_probs.sum() - 1.0) < 1e-9
-        for block in cq.eve_conditionals:
-            w, _ = qmath.eig_hermitian(block)
-            assert w.min() > -1e-10
+        blocks = oracle_eve_conditionals(rho, [0, 1], [Z, X])
+        traces = [np.trace(b).real for b in blocks]
+        assert abs(sum(traces) - 1.0) < 1e-9
+        for block, outcome in zip(blocks, product((0, 1), repeat=2)):
+            pi = projector(3, [0, 1], [Z, X], outcome)
+            assert np.trace(pi @ rho).real == pytest.approx(np.trace(block).real,
+                                                             abs=1e-12)
+            assert np.linalg.eigvalsh(block).min() > -1e-10
 
-    def test_non_involution_rejected(self):
-        with pytest.raises(ValidationError):
-            cq_decomposition(ghz_state(3), [0], [0.5 * Z])
-
-    def test_party_validation(self):
-        with pytest.raises(ValidationError):
-            cq_decomposition(ghz_state(3), [], [])
-        with pytest.raises(ValidationError):
-            cq_decomposition(ghz_state(3), [3], [Z])
-        with pytest.raises(ValidationError):
-            cq_decomposition(ghz_state(3), [0, 0], [Z, Z])
+    def test_eve_spectrum_is_projected_state_spectrum(self):
+        # Eve's conditional and Pi_o rho Pi_o share their nonzero spectrum
+        rng = np.random.default_rng(75)
+        for rank in (1, 3, 8):
+            g = rng.normal(size=(8, rank)) + 1j * rng.normal(size=(8, rank))
+            rho = g @ g.conj().T
+            rho /= np.trace(rho).real
+            ob = np.cos(1.1) * Z + np.sin(1.1) * X
+            blocks = oracle_eve_conditionals(rho, [0, 2], [X, ob])
+            for block, outcome in zip(blocks, product((0, 1), repeat=2)):
+                pi = projector(3, [0, 2], [X, ob], outcome)
+                want = np.linalg.eigvalsh(pi @ rho @ pi)
+                got = np.linalg.eigvalsh(block)
+                want, got = want[want > 1e-12], got[got > 1e-12]
+                np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
 
 
 class TestCondEntropy:
@@ -145,10 +188,7 @@ class TestCondEntropy:
         rng = np.random.default_rng(83)
         rho = random_density(rng, 8)
         ob = np.cos(0.4) * Z + np.sin(0.4) * X
-        # two spectra of rho, as cond_entropy once took them
-        w, _ = centropy._spectrum(rho)
-        blocks = cq_decomposition(rho, [0, 1], [Z, ob]).eve_conditionals
-        want = centropy._block_entropy(blocks) - float(-(w * np.log2(w)).sum())
+        want = oracle_cond_entropy(rho, [0, 1], [Z, ob])
         calls = []
 
         def counted(m):
@@ -156,8 +196,8 @@ class TestCondEntropy:
             return qmath.eig_hermitian(m)
         monkeypatch.setattr(centropy, "eig_hermitian", counted)
         got = cond_entropy(rho, [0, 1], [Z, ob])
-        assert len(calls) == 5  # rho once, then its four conditional blocks
-        assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
+        assert len(calls) == 5  # rho once, then one projected state per outcome
+        assert got == pytest.approx(want, abs=1e-13)
 
     def test_pure_state_equals_outcome_entropy(self):
         rng = np.random.default_rng(89)
@@ -168,8 +208,9 @@ class TestCondEntropy:
             angle = rng.uniform(0, 2 * np.pi)
             ob = np.cos(angle) * Z + np.sin(angle) * X
             got = cond_entropy(rho, [0, 1], [Z, ob])
-            cq = cq_decomposition(rho, [0, 1], [Z, ob])
-            probs = cq.outcome_probs[cq.outcome_probs > 1e-15]
+            probs = np.array([np.trace(projector(3, [0, 1], [Z, ob], o) @ rho).real
+                              for o in product((0, 1), repeat=2)])
+            probs = probs[probs > 1e-15]
             outcome_entropy = float(-(probs * np.log2(probs)).sum())
             assert got == pytest.approx(outcome_entropy, abs=1e-9)
 
@@ -191,3 +232,42 @@ class TestCondEntropy:
         from tribell.verification import check_uncertainty
 
         assert check_uncertainty(samples=200, seed=101).passed
+
+    def test_party_validation(self):
+        ghz = ghz_state(3)
+        for parties, obs, match in (([], [], "non-empty"),
+                                    ([0, 0], [Z, Z], "duplicate"),
+                                    ([0], [Z, X], "one observable"),
+                                    ([3], [Z], "out of range"),
+                                    ([-1], [Z], "out of range")):
+            with pytest.raises(ValidationError, match=match):
+                cond_entropy(ghz, parties, obs)
+
+    def test_non_involution_rejected(self):
+        with pytest.raises(ValidationError, match="observable 0 is not an involution"):
+            cond_entropy(ghz_state(3), [0], [0.5 * Z])
+
+    def test_non_hermitian_observable_rejected(self):
+        # an involution with real eigenvalues +-1, but not Hermitian
+        bad = np.array([[1, 1], [0, -1]])
+        with pytest.raises(ValidationError, match="observable 0 is not Hermitian"):
+            cond_entropy(ghz_state(3), [0], [bad])
+        with pytest.raises(ValidationError, match="observable 1 is not Hermitian"):
+            cond_entropy(ghz_state(3), [0, 2], [Z, bad])
+        with pytest.raises(ValidationError, match=r"observable 0 has shape \(4, 4\)"):
+            cond_entropy(ghz_state(3), [0], [np.kron(Z, Z)])
+
+    def test_accepts_state_within_hermitian_tolerance(self):
+        # the projector onto cos(pi/8)|0> + sin(pi/8)|1> amplifies the
+        # anti-Hermitian part of rho by about 1.46
+        rho = np.eye(2) / 2 + 0.49e-10j * np.ones((2, 2))
+        got = cond_entropy(rho, [0], [(Z + X) / np.sqrt(2)])
+        assert got == pytest.approx(0.0, abs=1e-9)
+
+    def test_state_validation(self):
+        for rho, match in ((np.diag([0.7, 0.5, -0.2, 0.0]), "not PSD"),
+                           (np.eye(3) / 3, "power of two"),
+                           (np.eye(4) / 2, "trace"),
+                           (np.array([[0.5, 0.1], [0.3, 0.5]]), "not Hermitian")):
+            with pytest.raises(ValidationError, match=match):
+                cond_entropy(rho, [0], [Z])

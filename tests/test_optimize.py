@@ -10,7 +10,8 @@ from tribell.errors import ValidationError
 from tribell.optimize import (OptConfig, convex_hull_lower, hull_value,
                               minimize_chsh_two_outcome,
                               minimize_holz_two_outcome,
-                              minimize_parity_two_outcome, verify_tightness)
+                              minimize_parity_two_outcome)
+from tribell.verification import verify_tightness
 
 SQRT2 = np.sqrt(2.0)
 CFG = OptConfig(restarts=16, seed=1)
