@@ -4,6 +4,7 @@ the entropy optimizer."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -12,7 +13,8 @@ import numpy as np
 from .errors import ValidationError
 from .qmath import as_matrix, kron_all
 from .states import (_COSB, _SINB, BlockDiagState, MeasurementSettings,
-                     _block_correlators, obs_matrix)
+                     _block_correlators, half_combo, obs_matrix,
+                     observable_matrices)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -71,19 +73,64 @@ def spec_by_name(name: str, alpha: float = 1.0) -> BellSpec:
     raise ValidationError(f"unknown inequality {name!r}")
 
 
+def _check_beta(lo: float, hi: float, spec: BellSpec) -> None:
+    """Bell values from lo to hi must be finite and, one-sided, at most the
+    quantum bound: asymmetric functionals (Holz, Parity-CHSH) reach values
+    below -quantum_bound already classically."""
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValidationError(f"non-finite Bell value in [{lo!r}, {hi!r}]")
+    if hi > spec.quantum_bound + 1e-9:
+        raise ValidationError(
+            f"beta={hi!r} exceeds the quantum bound {spec.quantum_bound!r}")
+
+
 @dataclass(frozen=True)
 class BellValue:
     beta: float
     spec: BellSpec
 
     def __post_init__(self):
-        # one-sided: asymmetric functionals (Holz, Parity-CHSH) reach values
-        # below -quantum_bound already classically
-        if self.beta > self.spec.quantum_bound + 1e-9:
-            raise ValidationError(
-                f"beta={self.beta!r} exceeds the quantum bound "
-                f"{self.spec.quantum_bound!r}"
-            )
+        _check_beta(self.beta, self.beta, self.spec)
+
+
+# Every inequality as (coefficient, one observable per party) terms, summed
+# in this order.  A party's observable is 0 or 1 (its two settings), "+" or
+# "-" (half their sum or difference) or None (the identity); the
+# coefficient "alpha" stands for the spec's alpha.
+_TERMS = {
+    "asym-chsh": (("alpha", (0, 0)), ("alpha", (0, 1)), (1.0, (1, 0)), (-1.0, (1, 1))),
+    "holz": ((1.0, (1, "+", "+")), (-1.0, (0, "-", None)),
+             (-1.0, (0, None, "-")), (-1.0, (None, "-", "-"))),
+    "parity-chsh": ((1.0, (1, "-", 0)), (1.0, (0, "+", None))),
+    "mabk": ((1.0, (0, 0, 1)), (1.0, (0, 1, 0)), (1.0, (1, 0, 0)), (-1.0, (1, 1, 1))),
+}
+
+
+def _party_observables(pair: np.ndarray) -> dict:
+    """A party's two observables, pair (..., 2, 2, 2), by their _TERMS name."""
+    o0, o1 = pair[..., 0, :, :], pair[..., 1, :, :]
+    return {0: o0, 1: o1, "+": half_combo(o0, o1, +1.0), "-": half_combo(o0, o1, -1.0),
+            None: None}
+
+
+def _terms(spec: BellSpec, pairs) -> list:
+    """spec's (coefficient, per-party observables) terms for the parties'
+    observable pairs (..., 2, 2, 2); None stands for the identity."""
+    if spec.kind not in _TERMS:
+        raise ValidationError(f"unknown inequality kind {spec.kind!r}")
+    if len(pairs) < spec.parties:
+        raise ValidationError(f"{spec.kind} needs settings for three parties")
+    named = [_party_observables(pair) for pair in pairs]
+    return [(spec.alpha if coef == "alpha" else coef,
+             [named[q][o] for q, o in enumerate(string)])
+            for coef, string in _TERMS[spec.kind]]
+
+
+def _settings_pairs(settings: MeasurementSettings) -> list:
+    """Each party's two observable matrices, stacked (2, 2, 2)."""
+    parties = [settings.alice, settings.bob] + \
+        ([settings.charlie] if settings.charlie is not None else [])
+    return [np.stack([o.matrix for o in pair]) for pair in parties]
 
 
 def _expectation(rho: np.ndarray, terms) -> float:
@@ -102,48 +149,87 @@ def _expectation(rho: np.ndarray, terms) -> float:
     return total
 
 
+_LETTERS = "abcdefghijklmnopqrstuvwxyz"
+
+
+def _party_expectation(rho: np.ndarray, ops) -> np.ndarray:
+    """Re Tr[rho (O_1 x O_2 x ...)] for states rho (..., d, d) and per-party
+    observables ops[q] (..., 2, 2) or None (the identity), as one einsum over
+    rho's qubit axes: no operator on the whole space is built.  The
+    imaginary part must vanish."""
+    m = len(ops)
+    if rho.shape[-1] != 2 ** m:
+        raise ValidationError(f"operator dim {2 ** m} != state dim {rho.shape[-1]}")
+    rows, cols = _LETTERS[:m], _LETTERS[m:2 * m]
+    # Tr[rho O] = sum rho[i, j] O[j, i]; an identity factor joins its two axes
+    cols = "".join(r if o is None else c for r, c, o in zip(rows, cols, ops))
+    subs = ["..." + rows + cols] + ["..." + c + r for r, c, o in zip(rows, cols, ops)
+                                     if o is not None]
+    val = np.einsum(",".join(subs) + "->...", rho.reshape(rho.shape[:-2] + (2,) * (2 * m)),
+                    *(o for o in ops if o is not None))
+    imag = np.max(np.abs(val.imag), initial=0.0)
+    if imag > 1e-10:
+        raise ValidationError(f"correlator has imaginary part {imag:.3e}")
+    return val.real
+
+
+def _bell_sum(spec: BellSpec, rho: np.ndarray, pairs) -> np.ndarray:
+    """Bell values of states rho (..., d, d) under the parties' observable
+    pairs (..., 2, 2, 2), the terms summed in _TERMS order."""
+    total = None
+    for coef, ops in _terms(spec, pairs):
+        term = coef * _party_expectation(rho, ops)
+        total = term if total is None else total + term
+    return total
+
+
 def correlator(rho, observables) -> float:
-    """Tr[rho (O_1 x O_2 x ...)]; entries of `observables` may be None (identity)."""
+    """Tr[rho (O_1 x O_2 x ...)] for 2x2 observables O_q; entries of
+    `observables` may be None (identity)."""
     rho = as_matrix(rho)
-    return _expectation(rho, [(1.0, kron_all(*(obs_matrix(o) for o in observables)))])
+    ops = [None if o is None else obs_matrix(o) for o in observables]
+    for q, o in enumerate(ops):
+        if o is not None and o.shape != (2, 2):
+            raise ValidationError(f"observable {q} has shape {o.shape}, not (2, 2)")
+    return float(_party_expectation(rho, ops))
 
 
 def bell_terms(spec: BellSpec, settings: MeasurementSettings) -> list[tuple[float, np.ndarray]]:
     """The Bell operator as (coefficient, observable string) terms; their
     weighted expectations, summed in this order, give the Bell value."""
-    a0, a1 = (o.matrix for o in settings.alice)
-    b0, b1 = (o.matrix for o in settings.bob)
-    if spec.kind == "asym-chsh":
-        al = spec.alpha
-        terms = [(al, [a0, b0]), (al, [a0, b1]), (1.0, [a1, b0]), (-1.0, [a1, b1])]
-    else:
-        if settings.charlie is None:
-            raise ValidationError(f"{spec.kind} needs settings for three parties")
-        c0, c1 = (o.matrix for o in settings.charlie)
-        bp, bm = settings.b_plus(), settings.b_minus()
-        if spec.kind == "holz":
-            cp, cm = settings.c_plus(), settings.c_minus()
-            terms = [(1.0, [a1, bp, cp]), (-1.0, [a0, bm, None]),
-                     (-1.0, [a0, None, cm]), (-1.0, [None, bm, cm])]
-        elif spec.kind == "parity-chsh":
-            terms = [(1.0, [a1, bm, c0]), (1.0, [a0, bp, None])]
-        elif spec.kind == "mabk":
-            terms = [(1.0, [a0, b0, c1]), (1.0, [a0, b1, c0]),
-                     (1.0, [a1, b0, c0]), (-1.0, [a1, b1, c1])]
-        else:
-            raise ValidationError(f"unknown inequality kind {spec.kind!r}")
     return [(coef, kron_all(*(obs_matrix(o) for o in string)))
-            for coef, string in terms]
+            for coef, string in _terms(spec, _settings_pairs(settings))]
+
+
+def _check_dim(spec: BellSpec, dim: int) -> None:
+    if dim != 2 ** spec.parties:
+        raise ValidationError(
+            f"{spec.kind} needs a {spec.parties}-qubit state, got dim {dim}")
 
 
 def bell_value(spec: BellSpec, rho, settings: MeasurementSettings) -> BellValue:
     rho = as_matrix(rho)
-    dim = 2 ** spec.parties
-    if rho.shape[0] != dim:
+    _check_dim(spec, rho.shape[0])
+    return BellValue(float(_bell_sum(spec, rho, _settings_pairs(settings))), spec)
+
+
+def bell_values(spec: BellSpec, rho, angles, plane: str = "xz") -> np.ndarray:
+    """Bell values of n (state, settings) rows: rho (n, d, d) and angles
+    (n, 2 * parties), each party's two angles in turn in one plane (the
+    order of settings_from_angles).  Checked as BellValue checks one."""
+    rho = np.asarray(rho, dtype=complex)
+    angles = np.asarray(angles, dtype=float)
+    if rho.ndim != 3 or rho.shape[1] != rho.shape[2]:
+        raise ValidationError(f"expected a stack of square matrices, got shape {rho.shape}")
+    _check_dim(spec, rho.shape[1])
+    if angles.shape != (rho.shape[0], 2 * spec.parties):
         raise ValidationError(
-            f"{spec.kind} needs a {spec.parties}-qubit state, got dim {rho.shape[0]}"
-        )
-    return BellValue(_expectation(rho, bell_terms(spec, settings)), spec)
+            f"expected angles of shape {(rho.shape[0], 2 * spec.parties)}, got {angles.shape}")
+    obs = observable_matrices(plane, angles).reshape(-1, spec.parties, 2, 2, 2)
+    beta = _bell_sum(spec, rho, [obs[:, q] for q in range(spec.parties)])
+    if beta.size:
+        _check_beta(float(np.min(beta)), float(np.max(beta)), spec)  # NaN propagates
+    return beta
 
 
 def _block_reduced_value(rho: np.ndarray, trig: np.ndarray, a1, c_minus) -> np.ndarray:
@@ -181,12 +267,17 @@ def parity_vbar(state: BlockDiagState, b0: float) -> float:
     return float(_block_vbar(*state._columns(b0), parity=True)[0])
 
 
+def reduced_angles(b0, a1, c_minus) -> np.ndarray:
+    """The six angles (a0, a1, b0, b1, c0, c1) of the reduced Holz
+    parametrization, along the last axis for arrays of (b0, a1, c_minus)."""
+    b0, a1, c_minus = np.broadcast_arrays(*(np.asarray(x, dtype=float)
+                                            for x in (b0, a1, c_minus)))
+    return np.stack([np.zeros_like(b0), a1, b0, np.pi - b0,
+                     np.pi / 2 + c_minus, np.pi / 2 - c_minus], axis=-1)
+
+
 def reduced_settings(b0: float, a1: float, c_minus: float) -> MeasurementSettings:
     """Full six-angle settings matching the reduced Holz parametrization."""
     from .states import settings_from_angles
 
-    return settings_from_angles(
-        0.0, a1,
-        b0, np.pi - b0,
-        np.pi / 2 + c_minus, np.pi / 2 - c_minus,
-    )
+    return settings_from_angles(*reduced_angles(b0, a1, c_minus))

@@ -14,25 +14,20 @@ import numpy as np
 
 from .errors import ValidationError
 from .qmath import (
-    EIG_NEGATIVE_TOL,
     HERMITIAN_TOL,
     eig_hermitian,
     ensure_density_matrix,
     kron_all,
+    spectrum_entropy,
 )
 from .states import I2, obs_matrix
 
-RANK_TOL = 1e-12
 INVOLUTION_TOL = 1e-10
 
 
 def _entropy(m) -> float:
-    """-Tr m log2 m in bits, eigenvalues up to RANK_TOL dropped."""
-    w, _ = eig_hermitian(m)
-    if np.any(w < -EIG_NEGATIVE_TOL):
-        raise ValidationError(f"state is not PSD (eigenvalue {w.min():.3e})")
-    w = w[w > RANK_TOL]
-    return float(-(w * np.log2(w)).sum())
+    """-Tr m log2 m in bits (qmath.spectrum_entropy of its eigenvalues)."""
+    return float(spectrum_entropy(eig_hermitian(m)[0]))
 
 
 def _measurement_projectors(observables) -> list:

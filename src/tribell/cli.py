@@ -9,6 +9,7 @@ seeds give byte-identical files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -48,9 +49,25 @@ def _parse_grid(text: str) -> np.ndarray:
     return np.linspace(a, b, n)
 
 
+@contextlib.contextmanager
+def _overwrite(path):
+    """Open path for writing text in place and cut it to what was written.
+
+    open(path, "w") truncates an existing file to zero bytes first, and
+    ext4 (auto_da_alloc) then waits on close until the new bytes reach the
+    disk: tens of milliseconds per file, against under one for writing over
+    the old bytes."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w", newline="", encoding="utf-8") as fh:
+        try:
+            yield fh
+        finally:  # never leave the old file's tail behind the new bytes
+            fh.truncate()
+
+
 def _write_csv(path, rows, sort_key):
     rows = sorted(rows, key=sort_key)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _overwrite(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
         for row in rows:
@@ -132,7 +149,7 @@ def cmd_optimize(args) -> int:
         curves = {ineq: rates.generate_two_outcome_table(
             ineq, points=args.points, restarts=args.restarts, seed=args.seed)
             for ineq in rates.NUMERIC_CURVES}
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with _overwrite(args.out) as fh:
             json.dump({"curves": curves}, fh, indent=1)
         print(f"wrote {args.out}; export {rates.TABLE_ENV}={args.out} to use it")
         return 0

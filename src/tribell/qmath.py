@@ -16,6 +16,7 @@ MAX_DIM = 64
 HERMITIAN_TOL = 1e-10
 TRACE_TOL = 1e-9
 EIG_NEGATIVE_TOL = 1e-10
+RANK_TOL = 1e-12  # eigenvalues at or below it count as zero in entropies
 
 
 def as_matrix(a) -> np.ndarray:
@@ -94,19 +95,25 @@ def eig_hermitian(h):
     return w[::-1], v[:, ::-1]
 
 
-def _entropy_of_eigenvalues(w: np.ndarray) -> float:
+def spectrum_entropy(w) -> np.ndarray:
+    """-sum w log2 w in bits along the last axis of an eigenvalue spectrum
+    w; eigenvalues at or below RANK_TOL are dropped, and one below
+    -EIG_NEGATIVE_TOL raises.  Where the dropped eigenvalues come last (a
+    descending spectrum), the masked sum gives the bits of summing the kept
+    terms alone."""
     w = np.asarray(w, dtype=float)
     if np.any(w < -EIG_NEGATIVE_TOL):
-        raise ValidationError(f"matrix is not PSD (eigenvalue {w.min():.3e})")
-    w = w[w > 0.0]
-    return float(-(w * np.log2(w)).sum()) if w.size else 0.0
+        raise ValidationError(f"state is not PSD (eigenvalue {w.min():.3e})")
+    kept = w > RANK_TOL
+    terms = w * np.log2(np.where(kept, w, 1.0))
+    return -np.add.reduce(terms, axis=-1, where=kept, initial=0.0)
 
 
 def von_neumann_entropy(rho) -> float:
-    """-Tr[rho log2 rho]; eigenvalues in [-1e-10, 0) are clamped to 0."""
+    """-Tr[rho log2 rho]; eigenvalues at or below RANK_TOL are dropped."""
     rho = ensure_density_matrix(rho)
     w, _ = eig_hermitian(rho)
-    s = _entropy_of_eigenvalues(w)
+    s = float(spectrum_entropy(w))
     return min(max(s, 0.0), np.log2(rho.shape[0]))
 
 

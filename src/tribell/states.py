@@ -127,15 +127,31 @@ class Observable:
     angle: float
 
     def __post_init__(self):
-        if self.plane not in ("xz", "xy"):
-            raise ValidationError(f"unknown plane {self.plane!r}")
+        _check_observables(self.plane, self.angle)
 
     @property
     def matrix(self) -> np.ndarray:
-        c, s = np.cos(self.angle), np.sin(self.angle)
-        if self.plane == "xz":
-            return c * Z + s * X
-        return c * X + s * Y
+        return observable_matrices(self.plane, self.angle)
+
+
+def _check_observables(plane: str, angles) -> np.ndarray:
+    if plane not in ("xz", "xy"):
+        raise ValidationError(f"unknown plane {plane!r}")
+    angles = np.asarray(angles, dtype=float)
+    if not np.all(np.isfinite(angles)):
+        raise ValidationError(f"non-finite observable angle in {angles!r}")
+    return angles
+
+
+def observable_matrices(plane: str, angles) -> np.ndarray:
+    """The Observable matrices of an array of angles in one plane, stacked:
+    shape angles.shape + (2, 2)."""
+    angles = _check_observables(plane, angles)
+    c = np.cos(angles)[..., None, None]
+    s = np.sin(angles)[..., None, None]
+    if plane == "xz":
+        return c * Z + s * X
+    return c * X + s * Y
 
 
 def obs_matrix(o) -> np.ndarray:
@@ -145,6 +161,12 @@ def obs_matrix(o) -> np.ndarray:
     if isinstance(o, Observable):
         return o.matrix
     return as_matrix(o)
+
+
+def half_combo(m0: np.ndarray, m1: np.ndarray, sign: float) -> np.ndarray:
+    """Half the sum (sign +1.0) or difference (sign -1.0) of two observable
+    matrices, or of two stacks of them."""
+    return 0.5 * (m0 + sign * m1)
 
 
 @dataclass(frozen=True)
@@ -161,7 +183,7 @@ class MeasurementSettings:
 
     @staticmethod
     def _combo(pair: tuple[Observable, Observable], sign: float) -> np.ndarray:
-        return 0.5 * (pair[0].matrix + sign * pair[1].matrix)
+        return half_combo(pair[0].matrix, pair[1].matrix, sign)
 
     def b_plus(self) -> np.ndarray:
         return self._combo(self.bob, +1.0)
@@ -296,6 +318,33 @@ def _block_eigenvectors(t: np.ndarray) -> np.ndarray:
     return v
 
 
+def _block_matrices(rho: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The columns rho (2, 2, 2, n), t (2, 2, n) as n real 8x8 density
+    matrices in the computational basis, (n, 8, 8)."""
+    v = _block_eigenvectors(np.moveaxis(t, -1, 0))
+    w = np.moveaxis(rho, -1, 0).reshape(-1, 1, 8)
+    return (v * w) @ np.swapaxes(v, 1, 2)
+
+
+def _sorted_blocks(rho: np.ndarray, t: np.ndarray):
+    """Check and order the columns rho (2, 2, 2, n), t (2, 2, n) of n block
+    states: every block eigenvalue >= -1e-10 (then clipped at 0), each
+    state's eigenvalues sum to 1 within 1e-10, and rho[0, j, k] >=
+    rho[1, j, k], where swapping a block's eigenvalues rotates its t by
+    pi/2.  Returns new arrays."""
+    if np.any(rho < -1e-10):
+        raise ValidationError(f"negative block eigenvalue {rho.min():.3e}")
+    rho = np.clip(rho, 0.0, None)
+    total = rho.sum(axis=(0, 1, 2))
+    bad = np.abs(total - 1.0) > 1e-10
+    if np.any(bad):
+        raise ValidationError(f"block eigenvalues sum to {total[bad][0]!r}")
+    swap = rho[0] < rho[1]
+    r0 = np.where(swap, rho[1], rho[0])
+    r1 = np.where(swap, rho[0], rho[1])
+    return np.stack([r0, r1]), np.where(swap, t + np.pi / 2, t)
+
+
 @dataclass(frozen=True)
 class BlockDiagState:
     """Three-qubit state block-diagonal in the GHZ basis.
@@ -311,22 +360,10 @@ class BlockDiagState:
     t: np.ndarray = field(repr=False)    # shape (2, 2)
 
     def __post_init__(self):
-        rho = np.asarray(self.rho, dtype=float).reshape(2, 2, 2).copy()
-        t = np.asarray(self.t, dtype=float).reshape(2, 2).copy()
-        if np.any(rho < -1e-10):
-            raise ValidationError(f"negative block eigenvalue {rho.min():.3e}")
-        rho = np.clip(rho, 0.0, None)
-        if abs(rho.sum() - 1.0) > 1e-10:
-            raise ValidationError(f"block eigenvalues sum to {rho.sum()!r}")
-        # enforce rho_0jk >= rho_1jk; swapping eigenvalues rotates t by pi/2
-        swap = rho[0] < rho[1]
-        if np.any(swap):
-            r0 = np.where(swap, rho[1], rho[0])
-            r1 = np.where(swap, rho[0], rho[1])
-            rho = np.stack([r0, r1])
-            t = np.where(swap, t + np.pi / 2, t)
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "t", t)
+        rho, t = _sorted_blocks(np.asarray(self.rho, dtype=float).reshape(2, 2, 2, 1),
+                                np.asarray(self.t, dtype=float).reshape(2, 2, 1))
+        object.__setattr__(self, "rho", rho[..., 0])
+        object.__setattr__(self, "t", t[..., 0])
 
     @classmethod
     def from_lambda_r(cls, lambdas, r) -> "BlockDiagState":
@@ -367,9 +404,7 @@ class BlockDiagState:
         return _block_eigenvectors(self.t[None])[0]
 
     def to_matrix(self) -> np.ndarray:
-        v = self.eigenvectors()
-        w = self.rho.reshape(-1)
-        return (v * w) @ v.T + 0j
+        return _block_matrices(self.rho[..., None], self.t[..., None])[0] + 0j
 
     def correlators(self) -> dict[str, float]:
         """The five expectation values entering the reduced Holz Bell value."""

@@ -8,14 +8,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds
-from .bell import (_block_reduced_value, asym_chsh, bell_value, chsh, holz,
-                   holz_reduced_value, mabk, parity_chsh, spec_by_name)
+from .bell import (_block_reduced_value, _party_expectation, asym_chsh, bell_values,
+                   chsh, holz, mabk, parity_chsh, reduced_angles, spec_by_name)
 from .centropy import cond_entropy
 from .errors import ValidationError
 from .qmath import binary_entropy as h
+from .qmath import spectrum_entropy
 from .rates import bound_curve
-from .states import (BlockDiagState, Z, _block_correlators, _block_trig,
-                     settings_from_angles, tau_state)
+from .states import (X, Y, Z, BlockDiagState, _block_correlators, _block_matrices,
+                     _block_trig, _sorted_blocks, tau_state)
 
 SQRT2 = np.sqrt(2.0)
 # the largest violation a sampled or swept property may show and still pass
@@ -43,16 +44,27 @@ class CheckResult:
         return self.passed or self.expected_failure
 
 
-def random_block_states(count: int, seed: int):
-    """Deterministic mix of broad and near-pure GHZ-block-diagonal states."""
+def _random_block_columns(count: int, seed: int):
+    """random_block_states as checked and sorted columns rho (2, 2, 2, n),
+    t (2, 2, n)."""
     rng = np.random.default_rng(seed)
-    out = []
+    rho, t = np.empty((2, 2, 2, count)), np.empty((2, 2, count))
     for i in range(count):
         conc = 0.35 if i % 2 == 0 else 1.0
-        rho = rng.dirichlet([conc] * 8).reshape(2, 2, 2)
-        t = rng.uniform(-np.pi / 2, np.pi / 2, size=(2, 2))
-        out.append(BlockDiagState(rho, t))
-    return out
+        rho[..., i] = rng.dirichlet([conc] * 8).reshape(2, 2, 2)
+        t[..., i] = rng.uniform(-np.pi / 2, np.pi / 2, size=(2, 2))
+    return _sorted_blocks(rho, t)
+
+
+def _trig(t: np.ndarray, b0) -> np.ndarray:
+    """states._block_trig of the columns t (2, 2, n) with Bob's angles b0."""
+    return _block_trig(np.vstack([t.reshape(4, -1), np.broadcast_to(b0, t.shape[-1:])]))
+
+
+def random_block_states(count: int, seed: int):
+    """Deterministic mix of broad and near-pure GHZ-block-diagonal states."""
+    rho, t = _random_block_columns(count, seed)
+    return [BlockDiagState(rho[..., i], t[..., i]) for i in range(count)]
 
 
 def random_density_matrices(count: int, dim: int, seed: int) -> np.ndarray:
@@ -72,14 +84,14 @@ def check_appendix_b(samples: int = 10_000, seed: int = 11) -> CheckResult:
     (beta > 1, where the inequality is nontrivial) is well sampled.
     """
     rng = np.random.default_rng(seed)
-    rhos, angles = np.empty((2, 2, 2, samples)), np.empty((5, samples))
-    a1, cm = np.empty(samples), np.empty(samples)
+    rhos, ts = np.empty((2, 2, 2, samples)), np.empty((2, 2, samples))
+    a1, bm, cm = np.empty(samples), np.empty(samples), np.empty(samples)
     for i in range(samples):
         if i % 2 == 0:
             conc = 0.35 if i % 4 == 0 else 1.0
             rho = rng.dirichlet([conc] * 8).reshape(2, 2, 2)
             t = rng.uniform(-np.pi / 2, np.pi / 2, size=(2, 2))
-            a1[i], bm, cm[i] = rng.uniform(0.0, 2.0 * np.pi, size=3)
+            a1[i], bm[i], cm[i] = rng.uniform(0.0, 2.0 * np.pi, size=3)
         else:
             # tau-like state plus noise, angles jittered around its optimum
             nu = rng.uniform(0.5, 1.0)
@@ -91,13 +103,13 @@ def check_appendix_b(samples: int = 10_000, seed: int = 11) -> CheckResult:
             t = rng.normal(0.0, 0.15, size=(2, 2))
             t[1, 1] += np.pi / 2
             a1[i] = np.pi / 2 + rng.normal(0.0, 0.3)
-            bm = np.arctan2(1.0, np.sqrt(max(4 * nu * nu - 1.0, 1e-12))) \
+            bm[i] = np.arctan2(1.0, np.sqrt(max(4 * nu * nu - 1.0, 1e-12))) \
                 + rng.normal(0.0, 0.3)
             cm[i] = np.arcsin(min(1.0 / (2 * nu), 1.0)) + rng.normal(0.0, 0.3)
-        st = BlockDiagState(rho, t)
-        # Bob's drawn angle bm is the reduced frame's b0 - pi/2
-        rhos[..., i], angles[:, i] = st.rho, np.append(st.t, bm + np.pi / 2)
-    trig = _block_trig(angles)
+        rhos[..., i], ts[..., i] = rho, t
+    rhos, ts = _sorted_blocks(rhos, ts)
+    # Bob's drawn angle bm is the reduced frame's b0 - pi/2
+    trig = _trig(ts, bm + np.pi / 2)
     beta = _block_reduced_value(rhos, trig, a1, cm)
     xxx = _block_correlators(rhos, trig)[0]
     side = beta > 1.0
@@ -112,12 +124,9 @@ def check_appendix_b(samples: int = 10_000, seed: int = 11) -> CheckResult:
 
 def check_appendix_c(samples: int = 10_000, seed: int = 13) -> CheckResult:
     """<XXX>^2+<XXY>^2 <= 1 and <XYY>^2+<XYX>^2 <= 1 on random 3-qubit states."""
-    from .qmath import kron_all
-    from .states import X, Y
-
     rho = random_density_matrices(samples, 8, seed)
-    ops = [kron_all(X, X, X), kron_all(X, X, Y), kron_all(X, Y, Y), kron_all(X, Y, X)]
-    vals = [np.einsum("sij,ji->s", rho, op).real for op in ops]
+    vals = [_party_expectation(rho, ops)
+            for ops in ((X, X, X), (X, X, Y), (X, Y, Y), (X, Y, X))]
     m1 = np.max(vals[0] ** 2 + vals[1] ** 2)
     m2 = np.max(vals[2] ** 2 + vals[3] ** 2)
     passed = m1 <= 1.0 + CHECK_TOL and m2 <= 1.0 + CHECK_TOL
@@ -127,13 +136,23 @@ def check_appendix_c(samples: int = 10_000, seed: int = 13) -> CheckResult:
 
 def check_uncertainty(samples: int = 1_000, seed: int = 17) -> CheckResult:
     """H(Z|E) >= 1 - h((1+|<XXX>|)/2) on random block-diagonal states."""
-    states = random_block_states(samples, seed)
-    lhs = np.array([cond_entropy(st.to_matrix(), [0], [Z]) for st in states])
-    xxx = np.array([st.correlators()["XXX"] for st in states])
+    rho, t = _random_block_columns(samples, seed)
+    lhs = _block_z_entropy(rho, t)
+    xxx = _block_correlators(rho, _trig(t, 0.0))[0]
     rhs = np.array([1.0 - h((1.0 + abs(x)) / 2.0) for x in xxx])
     worst = float(np.min(lhs - rhs))
     return CheckResult("uncertainty-relation", worst >= -CHECK_TOL,
                        f"min margin {worst:.3e}")
+
+
+def _block_z_entropy(rho: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """cond_entropy(., [0], [Z]) of the block columns rho (2, 2, 2, n),
+    t (2, 2, n): Alice's Z outcome o leaves Eve the spectrum of rho's o-th
+    diagonal 4x4 block, and S(rho) is the entropy of the block eigenvalues."""
+    m = _block_matrices(rho, t)
+    spectra = np.linalg.eigvalsh(np.stack([m[:, :4, :4], m[:, 4:, 4:]], axis=1))
+    return (spectrum_entropy(spectra).sum(axis=1)
+            - spectrum_entropy(np.moveaxis(rho, -1, 0).reshape(-1, 8)))
 
 
 def check_quantum_bounds(samples: int = 500, seed: int = 19) -> CheckResult:
@@ -146,19 +165,13 @@ def check_quantum_bounds(samples: int = 500, seed: int = 19) -> CheckResult:
     worst = -np.inf
     for offset, name in enumerate(("holz", "parity-chsh", "mabk", "chsh")):
         spec = spec_by_name(name)
-        dim = 2 ** spec.parties
-        rhos = random_density_matrices(samples, dim, seed + 100 + offset)
-        symmetric = name in ("mabk", "chsh")
-        for rho in rhos:
-            angles = rng.uniform(0.0, 2.0 * np.pi, size=6)
-            plane = "xy" if name == "mabk" else "xz"
-            if spec.parties == 3:
-                st = settings_from_angles(*angles, plane=plane)
-            else:
-                st = settings_from_angles(*angles[:4], plane=plane)
-            beta = bell_value(spec, rho, st).beta
-            top = abs(beta) if symmetric else beta
-            worst = max(worst, top - spec.quantum_bound)
+        rhos = random_density_matrices(samples, 2 ** spec.parties, seed + 100 + offset)
+        # six angles a row for every inequality: the same draws as one row at a time
+        angles = rng.uniform(0.0, 2.0 * np.pi, size=(samples, 6))
+        plane = "xy" if name == "mabk" else "xz"
+        beta = bell_values(spec, rhos, angles[:, :2 * spec.parties], plane)
+        top = np.abs(beta) if name in ("mabk", "chsh") else beta
+        worst = max(worst, float(np.max(top)) - spec.quantum_bound)
     return CheckResult("quantum-bound-sanity", worst <= CHECK_TOL,
                        f"max overshoot {worst:.3e}")
 
@@ -250,17 +263,12 @@ def check_bound_curves(grid: int = 200) -> list[CheckResult]:
 
 def check_reduced_value_consistency(samples: int = 100, seed: int = 23) -> CheckResult:
     """holz_reduced_value agrees with the full Bell functional."""
-    from .bell import reduced_settings
-
     rng = np.random.default_rng(seed)
-    states = random_block_states(samples, seed)
-    spec = spec_by_name("holz")
-    worst = 0.0
-    for st in states:
-        b0, a1, cm = rng.uniform(0.0, 2.0 * np.pi, size=3)
-        red = holz_reduced_value(st, b0, a1, cm)
-        full = bell_value(spec, st.to_matrix(), reduced_settings(b0, a1, cm)).beta
-        worst = max(worst, abs(red - full))
+    rho, t = _random_block_columns(samples, seed)
+    b0, a1, cm = rng.uniform(0.0, 2.0 * np.pi, size=(samples, 3)).T
+    red = _block_reduced_value(rho, _trig(t, b0), a1, cm)
+    full = bell_values(holz(), _block_matrices(rho, t), reduced_angles(b0, a1, cm))
+    worst = float(np.max(np.abs(red - full), initial=0.0))
     return CheckResult("reduced-vs-full-holz", worst <= CHECK_TOL,
                        f"max |reduced - full| {worst:.3e}")
 

@@ -9,7 +9,7 @@ from tribell.bell import (BellValue, bell_value, correlator, holz_reduced_value,
 from tribell.errors import ValidationError
 from tribell.states import (BlockDiagState, ghz_state, optimal_settings,
                             settings_from_angles, tau_state)
-from tribell.verification import random_block_states
+from tribell.verification import random_block_states, random_density_matrices
 
 I2, X, Y, Z = states.I2, states.X, states.Y, states.Z
 
@@ -82,6 +82,55 @@ class TestCorrelator:
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
             correlator(ghz_state(3), [X, X])
+
+    def test_factor_must_be_a_qubit_observable(self):
+        with pytest.raises(ValidationError, match="not \\(2, 2\\)"):
+            correlator(ghz_state(3), [np.kron(Z, Z), X])
+
+
+class TestBatchedBellValues:
+    """bell_values contracts 2x2 observables with rho's qubit axes; the
+    Kronecker terms of bell_terms are its oracle."""
+
+    @pytest.mark.parametrize("ineq, alpha, plane", [
+        ("holz", 1.0, "xz"), ("parity-chsh", 1.0, "xz"), ("mabk", 1.0, "xy"),
+        ("chsh", 1.0, "xz"), ("asym-chsh", 0.5, "xz"), ("asym-chsh", 2.0, "xz")])
+    def test_matches_kronecker_terms(self, ineq, alpha, plane):
+        spec = spec_by_name(ineq, alpha)
+        rng = np.random.default_rng(int(10 * alpha) + len(ineq))
+        rho = random_density_matrices(40, 2 ** spec.parties, 3)
+        angles = rng.uniform(0.0, 2.0 * np.pi, size=(40, 2 * spec.parties))
+        settings = [settings_from_angles(*a, plane=plane) for a in angles]
+        want = [bell._expectation(r, bell.bell_terms(spec, st))
+                for r, st in zip(rho, settings)]
+        np.testing.assert_allclose(bell.bell_values(spec, rho, angles, plane), want,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose([bell_value(spec, r, st).beta
+                                    for r, st in zip(rho, settings)], want,
+                                   rtol=0, atol=1e-12)
+
+    def test_shapes_checked(self):
+        rho = random_density_matrices(3, 8, 1)
+        with pytest.raises(ValidationError, match="angles of shape"):
+            bell.bell_values(spec_by_name("holz"), rho, np.zeros((3, 4)))
+        with pytest.raises(ValidationError, match="3-qubit"):
+            bell.bell_values(spec_by_name("holz"), rho[:, :4, :4], np.zeros((3, 6)))
+
+
+class TestNonFinite:
+    def test_nan_angle_rejected(self):
+        with pytest.raises(ValidationError, match="non-finite"):
+            bell_value(spec_by_name("holz"), ghz_state(3),
+                       settings_from_angles(np.nan, 0, 0, 0, 0, 0))
+        angles = np.zeros((2, 6))
+        angles[1, 3] = np.inf
+        with pytest.raises(ValidationError, match="non-finite"):
+            bell.bell_values(spec_by_name("holz"), np.stack([ghz_state(3)] * 2), angles)
+
+    @pytest.mark.parametrize("beta", [np.nan, np.inf, -np.inf])
+    def test_bell_value_rejects_non_finite_beta(self, beta):
+        with pytest.raises(ValidationError, match="non-finite"):
+            BellValue(float(beta), spec_by_name("holz"))
 
 
 class TestBellValue:

@@ -342,6 +342,17 @@ class TestSweepDeterminism:
         ps = [float(l.split(",")[3]) for l in lines[1:]]
         assert ps == sorted(ps)
 
+    def test_overwrite_keeps_only_the_new_bytes(self, tmp_path, capsys):
+        fresh, reused = tmp_path / "fresh.csv", tmp_path / "reused.csv"
+        args = ["sweep", "--quantity", "rate-dicka", "--inequality", "holz",
+                "--noise", "local", "--grid"]
+        assert run_cli(args + ["0.9:1:7", "--out", str(fresh)], capsys)[0] == 0
+        assert run_cli(args + ["0.9:1:21", "--out", str(reused)], capsys)[0] == 0
+        longer = reused.stat().st_size
+        assert run_cli(args + ["0.9:1:7", "--out", str(reused)], capsys)[0] == 0
+        assert reused.stat().st_size < longer
+        assert reused.read_bytes() == fresh.read_bytes()
+
     def test_flags_column(self, tmp_path, capsys):
         out = tmp_path / "dire.csv"
         code, _, _ = run_cli(["sweep", "--quantity", "rate-dire-spot",

@@ -144,7 +144,44 @@ class TestEigHermitian:
             qmath.eig_hermitian(Z)
 
 
+class TestSpectrumEntropy:
+    def test_along_last_axis(self):
+        rng = np.random.default_rng(4)
+        w = rng.dirichlet([0.5] * 4, size=(3, 2))
+        got = qmath.spectrum_entropy(w)
+        assert got.shape == (3, 2)
+        for idx in np.ndindex(3, 2):
+            assert got[idx] == pytest.approx(-np.sum(w[idx] * np.log2(w[idx])), abs=1e-15)
+
+    def test_drops_at_or_below_rank_tol(self):
+        assert qmath.spectrum_entropy([0.5, 0.5, qmath.RANK_TOL, 0.0, -1e-11]) == 1.0
+        assert qmath.spectrum_entropy([0.0, 0.0]) == 0.0
+
+    def test_descending_spectrum_bits_equal_kept_terms_alone(self):
+        # cond_entropy's entropies keep the bits of summing the kept terms
+        rng = np.random.default_rng(6)
+        for _ in range(2000):
+            m = rng.choice([2, 4, 8, 16])
+            k = rng.integers(1, m + 1)
+            w = np.sort(np.concatenate([rng.dirichlet([0.5] * k),
+                                        rng.uniform(-1e-13, 1e-12, m - k)]))[::-1]
+            kept = w[w > qmath.RANK_TOL]
+            want = -(kept * np.log2(kept)).sum()
+            got = qmath.spectrum_entropy(w)
+            assert got.view(np.uint64) == np.float64(want).view(np.uint64)
+
+    def test_negative_eigenvalue_raises(self):
+        with pytest.raises(ValidationError, match="not PSD"):
+            qmath.spectrum_entropy([[0.5, 0.5], [1.0 + 2e-10, -2e-10]])
+
+
 class TestVonNeumann:
+    def test_tiny_eigenvalues_dropped(self):
+        # 1e-13 * log2(1e-13) would add 4.3e-12 bits
+        got = qmath.von_neumann_entropy(np.diag([1.0 - 1e-13, 1e-13]))
+        assert got == float(qmath.spectrum_entropy([1.0 - 1e-13]))
+        assert got < 1e-12
+
     def test_maximally_mixed_qubit(self):
         assert qmath.von_neumann_entropy(np.eye(2) / 2) == pytest.approx(1.0, abs=1e-12)
 

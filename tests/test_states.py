@@ -139,6 +139,28 @@ class TestObservable:
     def test_bad_plane(self):
         with pytest.raises(ValidationError):
             Observable("yz", 0.0)
+        with pytest.raises(ValidationError):
+            states.observable_matrices("yz", [0.0])
+
+    @pytest.mark.parametrize("angle", [np.nan, np.inf, -np.inf])
+    def test_non_finite_angle(self, angle):
+        with pytest.raises(ValidationError, match="non-finite"):
+            Observable("xz", angle)
+        with pytest.raises(ValidationError, match="non-finite"):
+            states.observable_matrices("xy", [0.0, angle])
+
+    @pytest.mark.parametrize("plane", ["xz", "xy"])
+    def test_stack_bits_equal_single_matrices(self, plane):
+        angles = np.concatenate([np.linspace(0, 2 * np.pi, 13),
+                                 np.random.default_rng(8).uniform(-9, 9, 200)])
+        stack = states.observable_matrices(plane, angles.reshape(-1, 1))
+        assert stack.shape == (len(angles), 1, 2, 2)
+        for a, m in zip(angles, stack[:, 0]):
+            c, s = np.cos(a), np.sin(a)
+            want = c * Z + s * X if plane == "xz" else c * X + s * Y
+            np.testing.assert_array_equal(m.view(np.uint64), want.view(np.uint64))
+            np.testing.assert_array_equal(Observable(plane, a).matrix.view(np.uint64),
+                                          want.view(np.uint64))
 
 
 class TestMeasurementSettings:
@@ -243,6 +265,30 @@ class TestBlockDiagState:
                   + 0.8 * np.outer(ghz_basis_vector(1, 1, 1),
                                    ghz_basis_vector(1, 1, 1)))
         assert np.max(np.abs(st.to_matrix() - direct)) < 1e-12
+
+    def test_sorted_blocks_batch_equals_single_states(self):
+        rng = np.random.default_rng(12)
+        n = 300
+        rho = rng.dirichlet([0.5] * 8, size=n).T.reshape(2, 2, 2, n)
+        rho[:, 0, 1, :5] = 0.0625  # equal pairs stay in place
+        rho /= rho.sum(axis=(0, 1, 2))
+        t = rng.uniform(-np.pi, np.pi, size=(2, 2, n))
+        swap = rho[0] < rho[1]
+        assert swap.any() and (~swap).any()
+        got_rho, got_t = states._sorted_blocks(rho, t)
+        for i in range(n):
+            st = BlockDiagState(rho[..., i], t[..., i])
+            for a, b in ((got_rho[..., i], st.rho), (got_t[..., i], st.t)):
+                np.testing.assert_array_equal(np.ascontiguousarray(a).view(np.uint64),
+                                              b.view(np.uint64))
+        np.testing.assert_array_equal(got_rho[0], np.maximum(rho[0], rho[1]))
+        np.testing.assert_array_equal(got_t, np.where(swap, t + np.pi / 2, t))
+
+    def test_sorted_blocks_checks_every_column(self):
+        rho = np.full((2, 2, 2, 3), 0.125)
+        rho[0, 0, 0, 2] = 0.2
+        with pytest.raises(ValidationError, match="sum to"):
+            states._sorted_blocks(rho, np.zeros((2, 2, 3)))
 
     def test_validation(self):
         with pytest.raises(ValidationError):
