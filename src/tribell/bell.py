@@ -166,7 +166,7 @@ def _party_expectation(rho: np.ndarray, ops) -> np.ndarray:
     subs = ["..." + rows + cols] + ["..." + c + r for r, c, o in zip(rows, cols, ops)
                                      if o is not None]
     val = np.einsum(",".join(subs) + "->...", rho.reshape(rho.shape[:-2] + (2,) * (2 * m)),
-                    *(o for o in ops if o is not None))
+                    *(o for o in ops if o is not None), optimize="greedy")
     imag = np.max(np.abs(val.imag), initial=0.0)
     if imag > 1e-10:
         raise ValidationError(f"correlator has imaginary part {imag:.3e}")

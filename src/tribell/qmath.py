@@ -27,19 +27,24 @@ def as_matrix(a) -> np.ndarray:
 
 
 def ensure_hermitian(a, tol: float = HERMITIAN_TOL) -> np.ndarray:
-    m = as_matrix(a)
-    dev = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
+    """A square matrix, or a stack (..., d, d) of them, checked Hermitian."""
+    m = np.asarray(a, dtype=complex)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValidationError(f"expected square matrices, got shape {m.shape}")
+    dev = np.max(np.abs(m - np.swapaxes(m, -1, -2).conj()), initial=0.0)
     if dev > tol:
         raise ValidationError(f"matrix is not Hermitian (max deviation {dev:.3e} > {tol:.0e})")
     return m
 
 
 def ensure_density_matrix(a, trace_tol: float = TRACE_TOL) -> np.ndarray:
-    """Validate Hermiticity and unit trace; PSD is checked where eigenvalues are taken."""
+    """Validate Hermiticity and unit trace of a matrix or a stack of them;
+    PSD is checked where eigenvalues are taken."""
     m = ensure_hermitian(a)
-    tr = float(np.trace(m).real)
-    if abs(tr - 1.0) > trace_tol:
-        raise ValidationError(f"trace is {tr!r}, expected 1 within {trace_tol:.0e}")
+    tr = np.trace(m, axis1=-2, axis2=-1).real.ravel()
+    bad = np.flatnonzero(np.abs(tr - 1.0) > trace_tol)
+    if bad.size:
+        raise ValidationError(f"trace is {float(tr[bad[0]])!r}, expected 1 within {trace_tol:.0e}")
     return m
 
 
@@ -79,20 +84,18 @@ def partial_trace(rho, qubit_count: int, keep) -> np.ndarray:
     return t.reshape(d, d)
 
 
-def eig_hermitian(h):
-    """Eigendecomposition of a Hermitian matrix (LAPACK via np.linalg.eigh).
-
-    Returns (eigenvalues descending, eigenvectors as matching columns).
-    """
+def eig_hermitian(h) -> np.ndarray:
+    """Eigenvalues of a Hermitian matrix, or of a stack (..., d, d) of them,
+    descending along the last axis (LAPACK via np.linalg.eigvalsh)."""
     a = ensure_hermitian(h)
-    n = a.shape[0]
+    n = a.shape[-1]
     if n > MAX_DIM:
         raise ValidationError(f"dimension {n} exceeds the {MAX_DIM} limit")
     try:
-        w, v = np.linalg.eigh(a)
+        w = np.linalg.eigvalsh(a)
     except np.linalg.LinAlgError as exc:
-        raise NumericError(f"eigh failed on a {n}x{n} matrix: {exc}") from exc
-    return w[::-1], v[:, ::-1]
+        raise NumericError(f"eigvalsh failed on {n}x{n} matrices: {exc}") from exc
+    return w[..., ::-1]
 
 
 def spectrum_entropy(w) -> np.ndarray:
@@ -111,9 +114,8 @@ def spectrum_entropy(w) -> np.ndarray:
 
 def von_neumann_entropy(rho) -> float:
     """-Tr[rho log2 rho]; eigenvalues at or below RANK_TOL are dropped."""
-    rho = ensure_density_matrix(rho)
-    w, _ = eig_hermitian(rho)
-    s = float(spectrum_entropy(w))
+    rho = ensure_density_matrix(as_matrix(rho))
+    s = float(spectrum_entropy(eig_hermitian(rho)))
     return min(max(s, 0.0), np.log2(rho.shape[0]))
 
 

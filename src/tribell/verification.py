@@ -10,10 +10,9 @@ import numpy as np
 from . import bounds
 from .bell import (_block_reduced_value, _party_expectation, asym_chsh, bell_values,
                    chsh, holz, mabk, parity_chsh, reduced_angles, spec_by_name)
-from .centropy import cond_entropy
+from .centropy import cond_entropies
 from .errors import ValidationError
 from .qmath import binary_entropy as h
-from .qmath import spectrum_entropy
 from .rates import bound_curve
 from .states import (X, Y, Z, BlockDiagState, _block_correlators, _block_matrices,
                      _block_trig, _sorted_blocks, tau_state)
@@ -137,22 +136,12 @@ def check_appendix_c(samples: int = 10_000, seed: int = 13) -> CheckResult:
 def check_uncertainty(samples: int = 1_000, seed: int = 17) -> CheckResult:
     """H(Z|E) >= 1 - h((1+|<XXX>|)/2) on random block-diagonal states."""
     rho, t = _random_block_columns(samples, seed)
-    lhs = _block_z_entropy(rho, t)
+    lhs = cond_entropies(_block_matrices(rho, t), [0], Z[None])
     xxx = _block_correlators(rho, _trig(t, 0.0))[0]
     rhs = np.array([1.0 - h((1.0 + abs(x)) / 2.0) for x in xxx])
     worst = float(np.min(lhs - rhs))
     return CheckResult("uncertainty-relation", worst >= -CHECK_TOL,
                        f"min margin {worst:.3e}")
-
-
-def _block_z_entropy(rho: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """cond_entropy(., [0], [Z]) of the block columns rho (2, 2, 2, n),
-    t (2, 2, n): Alice's Z outcome o leaves Eve the spectrum of rho's o-th
-    diagonal 4x4 block, and S(rho) is the entropy of the block eigenvalues."""
-    m = _block_matrices(rho, t)
-    spectra = np.linalg.eigvalsh(np.stack([m[:, :4, :4], m[:, 4:, 4:]], axis=1))
-    return (spectrum_entropy(spectra).sum(axis=1)
-            - spectrum_entropy(np.moveaxis(rho, -1, 0).reshape(-1, 8)))
 
 
 def check_quantum_bounds(samples: int = 500, seed: int = 19) -> CheckResult:
@@ -192,27 +181,19 @@ class TightnessReport:
 
 def verify_tightness(ineq: str, nu_grid) -> TightnessReport:
     """Check that tau(nu) attains the one-outcome bound of the given
-    inequality: cond_entropy(tau(nu), Z) and the analytic bound evaluated at
-    the family's maximal violation must both equal 1 - h(nu)."""
+    inequality: H(Z|E) of tau(nu) and the analytic bound evaluated at the
+    family's maximal violation must both equal 1 - h(nu)."""
     if ineq not in ("holz", "parity-chsh"):
         raise ValidationError("tightness families exist for holz and parity-chsh")
     curve = bound_curve(spec_by_name(ineq), "one")
     nus = np.asarray(list(nu_grid), dtype=float)
-    ent_err = np.empty(len(nus))
-    bound_err = np.empty(len(nus))
-    rows = []
-    for i, nu in enumerate(nus):
-        expected = 1.0 - h(nu)
-        ce = cond_entropy(tau_state(nu).to_matrix(), [0], [Z])
-        if ineq == "holz":
-            beta_nu = 2.0 * nu + 1.0 / (2.0 * nu) - 1.0
-        else:
-            beta_nu = np.hypot(2.0 * nu - 1.0, 1.0)
-        bnd = curve.fn(beta_nu)
-        ent_err[i] = abs(ce - expected)
-        bound_err[i] = abs(bnd - expected)
-        rows.append((float(nu), float(beta_nu), float(ce), float(bnd), float(expected)))
-    return TightnessReport(ineq, nus, ent_err, bound_err, rows)
+    expected = np.array([1.0 - h(nu) for nu in nus])
+    ce = cond_entropies(np.stack([tau_state(nu).to_matrix() for nu in nus]), [0], Z[None])
+    beta = (2.0 * nus + 1.0 / (2.0 * nus) - 1.0 if ineq == "holz"
+            else np.hypot(2.0 * nus - 1.0, 1.0))  # the family's maximal violation
+    bnd = np.array([curve.fn(b) for b in beta])
+    rows = [tuple(map(float, row)) for row in zip(nus, beta, ce, bnd, expected)]
+    return TightnessReport(ineq, nus, np.abs(ce - expected), np.abs(bnd - expected), rows)
 
 
 def check_tightness(points: int = 50) -> CheckResult:

@@ -14,9 +14,10 @@ import pytest
 
 from tribell import bounds, optimize, rates, verification
 from tribell.bell import bell_value, spec_by_name
+from tribell.centropy import cond_entropy
 from tribell.optimize import OptConfig, convex_hull_lower, hull_knots
 from tribell.rates import rate_function, threshold_p
-from tribell.states import ghz_state, optimal_settings
+from tribell.states import ghz_state, optimal_settings, settings_from_angles
 
 SQRT2 = np.sqrt(2.0)
 
@@ -206,3 +207,28 @@ def test_criterion_8_full_convexity_as_stated():
     _report("8 (every curve convex, as stated)", not failing,
             "violations: " + ", ".join(failing))
     assert not failing
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the shipped Parity-CHSH two-outcome curve is not a lower bound: a "
+    "Bell-diagonal AB state with Charlie in |+> reaches beta=1.200058 with "
+    "H(A0B0|E)=0.49147, 0.158 bits below the curve's 0.64987 (ROADMAP item 11)"))
+def test_parity_chsh_two_outcome_curve_is_a_lower_bound():
+    # CHSH(A, B)/2 = beta embedded in Parity-CHSH: C0 = C1 = X on |+>
+    lam = np.array([0.8616, 0.1382, 0.0, 0.0002])
+    lam /= lam.sum()
+    rho_ab = np.zeros((4, 4))
+    for i in (0, 1):
+        for j in (0, 1):
+            v = np.zeros(4)  # (|0 j> + (-1)^i |1 ~j>) / sqrt(2)
+            v[j], v[2 + (1 - j)] = 1.0, (-1.0) ** i
+            rho_ab += lam[2 * i + j] * np.outer(v, v) / 2.0
+    rho = np.kron(rho_ab, np.full((2, 2), 0.5))
+    spec = spec_by_name("parity-chsh")
+    settings = settings_from_angles(-0.1077, 0.9792, -0.0940, 0.9992, 0.0, 0.0, plane="xy")
+    beta = bell_value(spec, rho, settings).beta
+    entropy = cond_entropy(rho, [0, 1], [settings.alice[0], settings.bob[0]])
+    curve = rates.bound_curve(spec, "two").fn(beta)
+    _report("11 (Parity-CHSH two-outcome curve is a lower bound)", curve <= entropy + 1e-9,
+            f"beta {beta:.6f}, H(A0B0|E) {entropy:.5f}, curve {curve:.5f}")
+    assert curve <= entropy + 1e-9

@@ -9,7 +9,7 @@ import pytest
 
 from tribell import centropy, qmath, states
 from tribell.centropy import cond_entropy
-from tribell.errors import ValidationError
+from tribell.errors import NumericError, ValidationError
 from tribell.states import ghz_state, tau_state
 
 I2, X, Y, Z = states.I2, states.X, states.Y, states.Z
@@ -185,19 +185,20 @@ class TestCondEntropy:
             assert got == pytest.approx(want, abs=1e-9)
 
     def test_one_spectrum_of_rho_per_call(self, monkeypatch):
+        # one eigensolve over the stack of states, one over all their blocks
         rng = np.random.default_rng(83)
-        rho = random_density(rng, 8)
+        rho = np.stack([random_density(rng, 8) for _ in range(3)])
         ob = np.cos(0.4) * Z + np.sin(0.4) * X
-        want = oracle_cond_entropy(rho, [0, 1], [Z, ob])
+        want = [oracle_cond_entropy(r, [0, 1], [Z, ob]) for r in rho]
         calls = []
 
         def counted(m):
             calls.append(m.shape)
             return qmath.eig_hermitian(m)
         monkeypatch.setattr(centropy, "eig_hermitian", counted)
-        got = cond_entropy(rho, [0, 1], [Z, ob])
-        assert len(calls) == 5  # rho once, then one projected state per outcome
-        assert got == pytest.approx(want, abs=1e-13)
+        got = centropy.cond_entropies(rho, [0, 1], np.stack([Z, ob]))
+        assert calls == [(3, 8, 8), (3, 4, 2, 2)]
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
 
     def test_pure_state_equals_outcome_entropy(self):
         rng = np.random.default_rng(89)
@@ -271,3 +272,75 @@ class TestCondEntropy:
                            (np.array([[0.5, 0.1], [0.3, 0.5]]), "not Hermitian")):
             with pytest.raises(ValidationError, match=match):
                 cond_entropy(rho, [0], [Z])
+
+
+def random_observables(rng, shape):
+    """Random Hermitian involutions n.sigma, stacked shape + (2, 2)."""
+    v = rng.normal(size=shape + (3,))
+    v /= np.linalg.norm(v, axis=-1, keepdims=True)
+    return np.einsum("...i,ijk->...jk", v, np.stack([X, Y, Z]))
+
+
+class TestCondEntropies:
+    """The batched kernel against the purification oracle."""
+
+    def test_matches_oracle(self):
+        rng = np.random.default_rng(101)
+        cases = [(8, [0, 1]), (8, [1, 0]), (8, [2, 0]), (8, [0, 1, 2]), (8, [1]),
+                 (4, [0, 1]), (4, [1]), (2, [0]), (16, [3, 1])]
+        for d, measured in cases:
+            rho = []
+            for rank in (1, 2, d):  # pure, rank-deficient and full rank
+                g = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+                rho.append(g @ g.conj().T / np.sum(np.abs(g) ** 2))
+            rho = np.stack(rho * 2)
+            per_state = random_observables(rng, (len(rho), len(measured)))
+            for obs in (per_state, per_state[0]):  # one set per state, then shared
+                got = centropy.cond_entropies(rho, measured, obs)
+                want = [oracle_cond_entropy(r, measured, o)
+                        for r, o in zip(rho, np.broadcast_to(obs, per_state.shape))]
+                np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+    def test_batch_equals_one_state_calls(self):
+        rng = np.random.default_rng(103)
+        rho = np.stack([random_density(rng, 8) for _ in range(50)])
+        obs = random_observables(rng, (50, 2))
+        got = centropy.cond_entropies(rho, [2, 0], obs)
+        want = [cond_entropy(r, [2, 0], o) for r, o in zip(rho, obs)]
+        np.testing.assert_array_equal(got, want)
+
+    def test_plus_minus_identity_rejected(self):
+        rho = np.stack([ghz_state(3)] * 2)
+        for sign in (1, -1):
+            with pytest.raises(ValidationError, match="observable 1 is [+]-1"):
+                centropy.cond_entropies(rho, [0, 1], np.stack([Z, sign * I2]))
+            obs = np.stack([[Z, X], [X, sign * I2]])  # per state: the second's B
+            with pytest.raises(ValidationError, match="observable 1 is [+]-1"):
+                centropy.cond_entropies(rho, [0, 1], obs)
+            with pytest.raises(ValidationError, match="observable 0 is [+]-1"):
+                cond_entropy(ghz_state(3), [2], [sign * I2])
+
+    def test_observable_stack_shape(self):
+        rho = np.stack([ghz_state(3)] * 3)
+        with pytest.raises(ValidationError, match="one observable per measured party"):
+            centropy.cond_entropies(rho, [0, 1], np.stack([Z, X, Z]))
+        with pytest.raises(ValidationError, match=r"\(3, 2, 2, 2\), not \(2, 2, 2, 2\)"):
+            centropy.cond_entropies(rho, [0, 1], np.stack([[Z, X]] * 2))
+        with pytest.raises(ValidationError, match="stack of states"):
+            centropy.cond_entropies(ghz_state(3), [0], Z[None])
+
+    def test_dimension_cap(self):
+        big = np.eye(qmath.MAX_DIM + 1)[None] / (qmath.MAX_DIM + 1)
+        with pytest.raises(ValidationError, match="power of two"):
+            centropy.cond_entropies(big, [0], Z[None])
+        seven_qubits = np.eye(128)[None] / 128
+        with pytest.raises(ValidationError, match="limit"):
+            centropy.cond_entropies(seven_qubits, [0], Z[None])
+
+    def test_linalg_error_becomes_numeric_error(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        with pytest.raises(NumericError, match="did not converge"):
+            centropy.cond_entropies(np.stack([ghz_state(3)] * 4), [0], Z[None])

@@ -108,24 +108,25 @@ class TestPartialTrace:
 
 class TestEigHermitian:
     def test_pauli_z(self):
-        w, _ = qmath.eig_hermitian(Z)
-        assert np.allclose(w, [1, -1])
+        assert np.allclose(qmath.eig_hermitian(Z), [1, -1])
 
     def test_already_diagonal_sorted_descending(self):
-        w, _ = qmath.eig_hermitian(np.diag([3.0, 1.0, 2.0]))
-        assert np.allclose(w, [3, 2, 1])
+        assert np.allclose(qmath.eig_hermitian(np.diag([3.0, 1.0, 2.0])), [3, 2, 1])
 
-    def test_reconstruction_random(self):
+    def test_spectrum_of_rotated_diagonal_descending(self):
+        # U diag(w) U^dagger for random unitaries U, one matrix and stacks
         rng = np.random.default_rng(11)
-        for d in [8] * 20 + [64]:
-            g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-            hm = (g + g.conj().T) / 2
-            w, v = qmath.eig_hermitian(hm)
-            assert np.max(np.abs((v * w) @ v.conj().T - hm)) < 1e-9
-            assert np.max(np.abs(v.conj().T @ v - np.eye(d))) < 1e-9
-            assert np.max(np.abs(hm @ v - v * w)) < 1e-9
-            assert abs(w.sum() - np.trace(hm).real) < 1e-9
-            assert np.all(np.diff(w) <= 0.0)
+        for shape in [(8,)] * 10 + [(64,), (5, 8), (3, 2, 4)]:
+            d = shape[-1]
+            g = rng.normal(size=shape[:-1] + (d, d)) + 1j * rng.normal(size=shape[:-1] + (d, d))
+            u, _ = np.linalg.qr(g)
+            w = np.sort(rng.normal(size=shape))[..., ::-1]
+            hm = (u * w[..., None, :]) @ np.swapaxes(u, -1, -2).conj()
+            hm = (hm + np.swapaxes(hm, -1, -2).conj()) / 2
+            got = qmath.eig_hermitian(hm)
+            assert got.shape == shape
+            assert np.max(np.abs(got - w)) < 1e-9
+            assert np.all(np.diff(got, axis=-1) <= 0.0)
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValidationError):
@@ -134,14 +135,25 @@ class TestEigHermitian:
     def test_dimension_cap(self):
         with pytest.raises(ValidationError, match="limit"):
             qmath.eig_hermitian(np.eye(65))
+        with pytest.raises(ValidationError, match="limit"):
+            qmath.eig_hermitian(np.stack([np.eye(65)] * 2))
 
     def test_linalg_error_becomes_numeric_error(self, monkeypatch):
         def fail(a):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(np.linalg, "eigh", fail)
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
         with pytest.raises(NumericError, match="did not converge"):
             qmath.eig_hermitian(Z)
+
+    def test_stack_validation(self):
+        good = np.stack([Z, np.eye(2)])
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            qmath.eig_hermitian(np.stack([good, [Z, [[0, 1], [0, 0]]]]))
+        with pytest.raises(ValidationError, match="square"):
+            qmath.eig_hermitian(np.zeros((2, 2, 3)))
+        with pytest.raises(ValidationError, match="trace is 2.0"):
+            qmath.ensure_density_matrix(np.stack([np.eye(2) / 2, np.eye(2)]))
 
 
 class TestSpectrumEntropy:

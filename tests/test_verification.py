@@ -7,8 +7,10 @@ import re
 import numpy as np
 
 from tribell import verification
-from tribell.centropy import cond_entropy
-from tribell.states import Z, BlockDiagState, tau_state
+from tribell.centropy import cond_entropies
+from tribell.states import Z, BlockDiagState, _block_matrices, tau_state
+
+from test_centropy import oracle_cond_entropy
 
 
 def test_run_all_results_serialize_to_json():
@@ -62,12 +64,8 @@ def test_run_all_2000_lines_pinned():
         assert errs and max(errs) <= 1e-14, line
 
 
-def _block_columns(states):
-    return (np.stack([st.rho for st in states], axis=-1),
-            np.stack([st.t for st in states], axis=-1))
-
-
 def test_batched_z_entropy_matches_cond_entropy():
+    # check_uncertainty's H(Z|E): the kernel on the block matrices
     rng = np.random.default_rng(29)
     states = verification.random_block_states(60, 31)
     for rank in (1, 2, 3, 5):  # pure and rank-deficient block states
@@ -78,6 +76,8 @@ def test_batched_z_entropy_matches_cond_entropy():
                                          rng.uniform(-np.pi, np.pi, size=(2, 2))))
     states.append(tau_state(1.0))
     states.append(tau_state(0.75))
-    got = verification._block_z_entropy(*_block_columns(states))
-    want = [cond_entropy(st.to_matrix(), [0], [Z]) for st in states]
+    rho = _block_matrices(np.stack([st.rho for st in states], axis=-1),
+                          np.stack([st.t for st in states], axis=-1))
+    got = cond_entropies(rho, [0], Z[None])
+    want = [oracle_cond_entropy(m, [0], [Z]) for m in rho]
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
