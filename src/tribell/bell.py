@@ -1,20 +1,25 @@
-"""Bell functionals: correlators and Bell values for the Holz, Parity-CHSH,
-MABK and asymmetric-CHSH inequalities, plus the reduced Holz forms used by
-the entropy optimizer."""
+"""Bell functionals: Bell values for the Holz, Parity-CHSH, MABK and
+asymmetric-CHSH inequalities, plus the reduced Holz forms used by the
+entropy optimizer.
+
+Settings are angle rows, each party's two angles in turn in one plane (see
+states.observable_matrices); bell_values evaluates n (state, row) pairs at
+once, and bell_value is its one-row case."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .errors import ValidationError
 from .qmath import as_matrix, kron_all
-from .states import (_COSB, _SINB, BlockDiagState, MeasurementSettings,
-                     _block_correlators, half_combo, obs_matrix,
-                     observable_matrices)
+from .states import _COSB, _SINB, I2, BlockDiagState, _block_correlators, observable_matrices
+
+__all__ = ["BellSpec", "holz", "parity_chsh", "mabk", "asym_chsh", "chsh", "spec_by_name",
+           "BellValue", "bell_terms", "bell_value", "bell_values", "holz_reduced_value",
+           "reduced_angles"]
 
 SQRT2 = np.sqrt(2.0)
 
@@ -30,6 +35,8 @@ class BellSpec:
     alpha: float = 1.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.local_bound, self.quantum_bound, self.alpha))):
+            raise ValidationError(f"non-finite bound or alpha in {self!r}")
         if self.local_bound >= self.quantum_bound:
             raise ValidationError("local bound must lie below the quantum bound")
 
@@ -60,6 +67,9 @@ def chsh() -> BellSpec:
 
 
 def spec_by_name(name: str, alpha: float = 1.0) -> BellSpec:
+    """The named inequality; alpha is asym-chsh's and must be 1 for any other."""
+    if name != "asym-chsh" and alpha != 1.0:
+        raise ValidationError(f"{name} takes no alpha, got alpha={alpha!r}")
     table = {
         "holz": holz,
         "parity-chsh": parity_chsh,
@@ -109,8 +119,7 @@ _TERMS = {
 def _party_observables(pair: np.ndarray) -> dict:
     """A party's two observables, pair (..., 2, 2, 2), by their _TERMS name."""
     o0, o1 = pair[..., 0, :, :], pair[..., 1, :, :]
-    return {0: o0, 1: o1, "+": half_combo(o0, o1, +1.0), "-": half_combo(o0, o1, -1.0),
-            None: None}
+    return {0: o0, 1: o1, "+": 0.5 * (o0 + o1), "-": 0.5 * (o0 - o1), None: None}
 
 
 def _terms(spec: BellSpec, pairs) -> list:
@@ -118,19 +127,20 @@ def _terms(spec: BellSpec, pairs) -> list:
     observable pairs (..., 2, 2, 2); None stands for the identity."""
     if spec.kind not in _TERMS:
         raise ValidationError(f"unknown inequality kind {spec.kind!r}")
-    if len(pairs) < spec.parties:
-        raise ValidationError(f"{spec.kind} needs settings for three parties")
     named = [_party_observables(pair) for pair in pairs]
     return [(spec.alpha if coef == "alpha" else coef,
              [named[q][o] for q, o in enumerate(string)])
             for coef, string in _TERMS[spec.kind]]
 
 
-def _settings_pairs(settings: MeasurementSettings) -> list:
-    """Each party's two observable matrices, stacked (2, 2, 2)."""
-    parties = [settings.alice, settings.bob] + \
-        ([settings.charlie] if settings.charlie is not None else [])
-    return [np.stack([o.matrix for o in pair]) for pair in parties]
+def _observable_pairs(spec: BellSpec, angles, plane: str, shape: tuple) -> list:
+    """Each party's observable pair (..., 2, 2, 2) of angle rows, which must
+    have the given shape (..., 2 * parties)."""
+    angles = np.asarray(angles, dtype=float)
+    if angles.shape != shape:
+        raise ValidationError(f"expected angles of shape {shape}, got {angles.shape}")
+    obs = observable_matrices(plane, angles).reshape(shape[:-1] + (spec.parties, 2, 2, 2))
+    return [obs[..., q, :, :, :] for q in range(spec.parties)]
 
 
 def _expectation(rho: np.ndarray, terms) -> float:
@@ -183,22 +193,13 @@ def _bell_sum(spec: BellSpec, rho: np.ndarray, pairs) -> np.ndarray:
     return total
 
 
-def correlator(rho, observables) -> float:
-    """Tr[rho (O_1 x O_2 x ...)] for 2x2 observables O_q; entries of
-    `observables` may be None (identity)."""
-    rho = as_matrix(rho)
-    ops = [None if o is None else obs_matrix(o) for o in observables]
-    for q, o in enumerate(ops):
-        if o is not None and o.shape != (2, 2):
-            raise ValidationError(f"observable {q} has shape {o.shape}, not (2, 2)")
-    return float(_party_expectation(rho, ops))
-
-
-def bell_terms(spec: BellSpec, settings: MeasurementSettings) -> list[tuple[float, np.ndarray]]:
-    """The Bell operator as (coefficient, observable string) terms; their
-    weighted expectations, summed in this order, give the Bell value."""
-    return [(coef, kron_all(*(obs_matrix(o) for o in string)))
-            for coef, string in _terms(spec, _settings_pairs(settings))]
+def bell_terms(spec: BellSpec, angles, plane: str = "xz") -> list[tuple[float, np.ndarray]]:
+    """The Bell operator of one settings row as (coefficient, observable
+    string) terms; their weighted expectations, summed in this order, give
+    the Bell value."""
+    pairs = _observable_pairs(spec, angles, plane, (2 * spec.parties,))
+    return [(coef, kron_all(*(I2 if o is None else o for o in string)))
+            for coef, string in _terms(spec, pairs)]
 
 
 def _check_dim(spec: BellSpec, dim: int) -> None:
@@ -207,29 +208,26 @@ def _check_dim(spec: BellSpec, dim: int) -> None:
             f"{spec.kind} needs a {spec.parties}-qubit state, got dim {dim}")
 
 
-def bell_value(spec: BellSpec, rho, settings: MeasurementSettings) -> BellValue:
-    rho = as_matrix(rho)
-    _check_dim(spec, rho.shape[0])
-    return BellValue(float(_bell_sum(spec, rho, _settings_pairs(settings))), spec)
-
-
 def bell_values(spec: BellSpec, rho, angles, plane: str = "xz") -> np.ndarray:
     """Bell values of n (state, settings) rows: rho (n, d, d) and angles
-    (n, 2 * parties), each party's two angles in turn in one plane (the
-    order of settings_from_angles).  Checked as BellValue checks one."""
+    (n, 2 * parties), each party's two angles in turn in one plane.
+    Checked as BellValue checks one."""
     rho = np.asarray(rho, dtype=complex)
-    angles = np.asarray(angles, dtype=float)
     if rho.ndim != 3 or rho.shape[1] != rho.shape[2]:
         raise ValidationError(f"expected a stack of square matrices, got shape {rho.shape}")
     _check_dim(spec, rho.shape[1])
-    if angles.shape != (rho.shape[0], 2 * spec.parties):
-        raise ValidationError(
-            f"expected angles of shape {(rho.shape[0], 2 * spec.parties)}, got {angles.shape}")
-    obs = observable_matrices(plane, angles).reshape(-1, spec.parties, 2, 2, 2)
-    beta = _bell_sum(spec, rho, [obs[:, q] for q in range(spec.parties)])
+    pairs = _observable_pairs(spec, angles, plane, (rho.shape[0], 2 * spec.parties))
+    beta = _bell_sum(spec, rho, pairs)
     if beta.size:
         _check_beta(float(np.min(beta)), float(np.max(beta)), spec)  # NaN propagates
     return beta
+
+
+def bell_value(spec: BellSpec, rho, angles, plane: str = "xz") -> BellValue:
+    """The Bell value of one state under one settings row: the one-row case
+    of bell_values."""
+    rows = np.asarray(angles, dtype=float)[None]
+    return BellValue(float(bell_values(spec, as_matrix(rho)[None], rows, plane)[0]), spec)
 
 
 def _block_reduced_value(rho: np.ndarray, trig: np.ndarray, a1, c_minus) -> np.ndarray:
@@ -256,17 +254,6 @@ def holz_reduced_value(state: BlockDiagState, b0: float, a1: float, c_minus: flo
     return float(_block_reduced_value(*state._columns(b0), a1, c_minus)[0])
 
 
-def holz_vbar(state: BlockDiagState, b0: float) -> float:
-    """Maximum of the reduced Holz value over the free angles a1 and c-."""
-    return float(_block_vbar(*state._columns(b0), parity=False)[0])
-
-
-def parity_vbar(state: BlockDiagState, b0: float) -> float:
-    """Parity-CHSH analogue of holz_vbar: the reduced value with c- frozen at 0,
-    maximized over a1 only."""
-    return float(_block_vbar(*state._columns(b0), parity=True)[0])
-
-
 def reduced_angles(b0, a1, c_minus) -> np.ndarray:
     """The six angles (a0, a1, b0, b1, c0, c1) of the reduced Holz
     parametrization, along the last axis for arrays of (b0, a1, c_minus)."""
@@ -274,10 +261,3 @@ def reduced_angles(b0, a1, c_minus) -> np.ndarray:
                                             for x in (b0, a1, c_minus)))
     return np.stack([np.zeros_like(b0), a1, b0, np.pi - b0,
                      np.pi / 2 + c_minus, np.pi / 2 - c_minus], axis=-1)
-
-
-def reduced_settings(b0: float, a1: float, c_minus: float) -> MeasurementSettings:
-    """Full six-angle settings matching the reduced Holz parametrization."""
-    from .states import settings_from_angles
-
-    return settings_from_angles(*reduced_angles(b0, a1, c_minus))

@@ -17,6 +17,12 @@ from .qmath import binary_entropy as h
 from .qmath import binary_entropy_deriv as hprime
 from .qmath import bracketed_root, bracketed_roots, shannon_entropy
 
+__all__ = ["holz_one_outcome", "eta", "theta", "theta_x_domain", "solve_x", "theta_at_optimum",
+           "solve_beta_star_holz", "holz_two_outcome", "parity_chsh_one_outcome",
+           "mabk_one_outcome", "mabk_f", "mabk_two_outcome", "asym_tangent",
+           "asym_chsh_one_outcome", "best_alpha_bound", "colbeck_g1", "solve_beta_star_colbeck",
+           "colbeck_recycled_two_outcome"]
+
 SQRT2 = np.sqrt(2.0)
 _DOMAIN_SLACK = 1e-9
 

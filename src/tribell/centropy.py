@@ -15,7 +15,9 @@ from .bell import _LETTERS
 from .errors import ValidationError
 from .qmath import (HERMITIAN_TOL, as_matrix, eig_hermitian, ensure_density_matrix,
                     spectrum_entropy)
-from .states import I2, obs_matrix
+from .states import I2
+
+__all__ = ["INVOLUTION_TOL", "cond_entropies", "cond_entropy"]
 
 INVOLUTION_TOL = 1e-10
 
@@ -81,8 +83,8 @@ def cond_entropies(rho, measured_parties, observables) -> np.ndarray:
 
 def cond_entropy(rho, measured_parties, observables) -> float:
     """H(outcomes|E) in bits of one state rho: the one-state case of
-    cond_entropies, with observables given as matrices or Observables."""
-    ops = [obs_matrix(o) for o in observables]
+    cond_entropies, with one 2x2 observable matrix per measured party."""
+    ops = [as_matrix(o) for o in observables]
     for i, m in enumerate(ops):
         if m.shape != (2, 2):
             raise ValidationError(f"observable {i} has shape {m.shape}, not (2, 2)")

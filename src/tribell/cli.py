@@ -23,6 +23,9 @@ from .bell import spec_by_name
 from .errors import NumericError, ValidationError
 from .states import NoiseModel
 
+__all__ = ["cmd_bound", "cmd_rate", "cmd_threshold", "cmd_optimize", "cmd_verify", "cmd_sweep",
+           "OPTIONS", "build_parser", "main"]
+
 INEQS = ["holz", "parity-chsh", "mabk", "chsh", "asym-chsh"]
 CSV_HEADER = ["quantity", "inequality", "noise", "p", "beta", "value", "flags"]
 

@@ -1,5 +1,7 @@
 """Shared exception types."""
 
+__all__ = ["ValidationError", "NumericError"]
+
 
 class ValidationError(ValueError):
     """Input violates a documented precondition or invariant."""

@@ -27,6 +27,10 @@ from .errors import ValidationError
 from .states import (_ANGLE_ROWS, _COSH, _SINB, _SINH, BlockDiagState,
                      _block_lambdas, _block_trig, _block_zxx, tau_state)
 
+__all__ = ["OptConfig", "OptResult", "minimize_holz_two_outcome", "minimize_parity_two_outcome",
+           "minimize_chsh_two_outcome", "MINIMIZERS", "sweep_two_outcome", "convex_hull_lower",
+           "hull_value", "hull_knots"]
+
 # search schedule: a main pattern-search stage at PENALTY, then up to
 # PENALTY_ROUNDS - 1 refine stages, each PENALTY_GROWTH times heavier, then a
 # polish of the winners at PENALTY * 1e4

@@ -12,6 +12,11 @@ import numpy as np
 
 from .errors import NumericError, ValidationError
 
+__all__ = ["MAX_DIM", "HERMITIAN_TOL", "TRACE_TOL", "EIG_NEGATIVE_TOL", "RANK_TOL", "as_matrix",
+           "ensure_hermitian", "ensure_density_matrix", "kron", "kron_all", "eig_hermitian",
+           "spectrum_entropy", "binary_entropy", "binary_entropy_deriv",
+           "validate_probability_vector", "shannon_entropy", "bracketed_roots", "bracketed_root"]
+
 MAX_DIM = 64
 HERMITIAN_TOL = 1e-10
 TRACE_TOL = 1e-9
@@ -64,26 +69,6 @@ def kron_all(*mats) -> np.ndarray:
     return out
 
 
-def partial_trace(rho, qubit_count: int, keep) -> np.ndarray:
-    """Trace out all qubits not in `keep` (qubit 0 is the leftmost tensor factor)."""
-    rho = as_matrix(rho)
-    if rho.shape[0] != 2 ** qubit_count:
-        raise ValidationError(f"dimension {rho.shape[0]} != 2^{qubit_count}")
-    keep = sorted(set(int(q) for q in keep))
-    if not keep:
-        raise ValidationError("keep must be non-empty")
-    if keep[0] < 0 or keep[-1] >= qubit_count:
-        raise IndexError(f"keep={keep} out of range for {qubit_count} qubits")
-    n = qubit_count
-    t = rho.reshape([2] * (2 * n))
-    # contract row/column axes of every traced qubit
-    traced = [q for q in range(n) if q not in keep]
-    for q in sorted(traced, reverse=True):
-        t = np.trace(t, axis1=q, axis2=q + (t.ndim // 2))
-    d = 2 ** len(keep)
-    return t.reshape(d, d)
-
-
 def eig_hermitian(h) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, or of a stack (..., d, d) of them,
     descending along the last axis (LAPACK via np.linalg.eigvalsh)."""
@@ -110,13 +95,6 @@ def spectrum_entropy(w) -> np.ndarray:
     kept = w > RANK_TOL
     terms = w * np.log2(np.where(kept, w, 1.0))
     return -np.add.reduce(terms, axis=-1, where=kept, initial=0.0)
-
-
-def von_neumann_entropy(rho) -> float:
-    """-Tr[rho log2 rho]; eigenvalues at or below RANK_TOL are dropped."""
-    rho = ensure_density_matrix(as_matrix(rho))
-    s = float(spectrum_entropy(eig_hermitian(rho)))
-    return min(max(s, 0.0), np.log2(rho.shape[0]))
 
 
 def binary_entropy(x: float) -> float:

@@ -22,10 +22,15 @@ from typing import Callable
 import numpy as np
 
 from . import bounds, optimize, qmath
-from .bell import BellSpec, BellValue, _expectation, bell_terms, correlator, spec_by_name
+from .bell import BellSpec, BellValue, _expectation, bell_terms, spec_by_name
 from .errors import ValidationError
 from .qmath import binary_entropy as h
-from .states import NoiseModel, Z, ghz_state, optimal_settings
+from .states import NoiseModel, ghz_state, optimal_settings
+
+__all__ = ["GAMMA_DEFAULT", "RateResult", "qber", "beta_of_p", "beta_of_p_closed_form",
+           "TABLE_ENV", "NUMERIC_CURVES", "two_outcome_numeric", "generate_two_outcome_table",
+           "BoundCurve", "bound_curve", "RATE_KINDS", "best_alpha_one_outcome", "dicka_rate",
+           "dire_rate_spot", "dire_rate_recycled", "rate", "threshold_p", "rate_function"]
 
 GAMMA_DEFAULT = 3.3e-4  # the 0.033% test-round fraction used in the figures
 SQRT2 = np.sqrt(2.0)
@@ -55,17 +60,10 @@ def _noisy_ghz(parties: int, noise: NoiseModel) -> np.ndarray:
     return noise.apply(ghz_state(parties), parties)
 
 
-def qber_from_state(noise: NoiseModel, parties: int = 3) -> float:
-    """Q computed from first principles: the Z(x)Z disagreement probability of
-    the first two parties on the depolarized GHZ/Bell state."""
-    obs = [Z, Z] + [None] * (parties - 2)
-    return (1.0 - correlator(_noisy_ghz(parties, noise), obs)) / 2.0
-
-
 @lru_cache(maxsize=64)  # asym-chsh specs carry an arbitrary alpha
 def _honest_terms(spec: BellSpec) -> tuple[tuple[float, np.ndarray], ...]:
     """The read-only Bell terms of optimal_settings(spec)."""
-    terms = tuple(bell_terms(spec, optimal_settings(spec)))
+    terms = tuple(bell_terms(spec, *optimal_settings(spec)))
     for _, op in terms:
         op.setflags(write=False)
     return terms

@@ -1,11 +1,15 @@
 """State and measurement constructors: GHZ/Bell states, depolarizing noise,
-the GHZ-basis block-diagonal family, and angle-parametrized observables."""
+the GHZ-basis block-diagonal family, and the observables of angle rows.
+
+A measurement setting is one row of angles, each party's two angles in turn,
+with one Bloch plane for every angle ("xz": Z cos + X sin, "xy": X cos +
+Y sin); `observable_matrices` turns rows into 2x2 observables."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -14,6 +18,10 @@ from .qmath import as_matrix, kron_all
 
 if TYPE_CHECKING:  # pragma: no cover
     from .bell import BellSpec
+
+__all__ = ["I2", "X", "Y", "Z", "ghz_vector", "ghz_state", "depolarize_local",
+           "depolarize_global", "NoiseModel", "observable_matrices", "optimal_settings",
+           "BlockDiagState", "tau_state"]
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -34,22 +42,6 @@ def ghz_vector(qubit_count: int = 3) -> np.ndarray:
 
 def ghz_state(qubit_count: int = 3) -> np.ndarray:
     v = ghz_vector(qubit_count)
-    return np.outer(v, v.conj())
-
-
-def ghz_basis_vector(i: int, j: int, k: int) -> np.ndarray:
-    """(|0,j,k> + (-1)^i |1,~j,~k>)/sqrt(2)."""
-    if not all(b in (0, 1) for b in (i, j, k)):
-        raise ValidationError("bits must be 0 or 1")
-    v = np.zeros(8, dtype=complex)
-    v[(0 << 2) | (j << 1) | k] = 1.0 / SQRT2
-    v[(1 << 2) | ((1 - j) << 1) | (1 - k)] = (-1.0) ** i / SQRT2
-    return v
-
-
-def ghz_basis_state(i: int, j: int, k: int) -> np.ndarray:
-    """Rank-1 projector onto the GHZ-basis element (i, j, k)."""
-    v = ghz_basis_vector(i, j, k)
     return np.outer(v, v.conj())
 
 
@@ -116,37 +108,14 @@ class NoiseModel:
         return depolarize_global(rho, self.p)
 
 
-@dataclass(frozen=True)
-class Observable:
-    """Binary qubit observable in either the x-z or x-y Bloch plane.
-
-    plane "xz": Z cos(angle) + X sin(angle);  plane "xy": X cos(angle) + Y sin(angle).
-    """
-
-    plane: str
-    angle: float
-
-    def __post_init__(self):
-        _check_observables(self.plane, self.angle)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return observable_matrices(self.plane, self.angle)
-
-
-def _check_observables(plane: str, angles) -> np.ndarray:
+def observable_matrices(plane: str, angles) -> np.ndarray:
+    """The observables of an array of angles in one plane, stacked: shape
+    angles.shape + (2, 2)."""
     if plane not in ("xz", "xy"):
         raise ValidationError(f"unknown plane {plane!r}")
     angles = np.asarray(angles, dtype=float)
     if not np.all(np.isfinite(angles)):
         raise ValidationError(f"non-finite observable angle in {angles!r}")
-    return angles
-
-
-def observable_matrices(plane: str, angles) -> np.ndarray:
-    """The Observable matrices of an array of angles in one plane, stacked:
-    shape angles.shape + (2, 2)."""
-    angles = _check_observables(plane, angles)
     c = np.cos(angles)[..., None, None]
     s = np.sin(angles)[..., None, None]
     if plane == "xz":
@@ -154,100 +123,25 @@ def observable_matrices(plane: str, angles) -> np.ndarray:
     return c * X + s * Y
 
 
-def obs_matrix(o) -> np.ndarray:
-    """Accept an Observable, a 2x2 matrix, or None (identity)."""
-    if o is None:
-        return I2
-    if isinstance(o, Observable):
-        return o.matrix
-    return as_matrix(o)
-
-
-def half_combo(m0: np.ndarray, m1: np.ndarray, sign: float) -> np.ndarray:
-    """Half the sum (sign +1.0) or difference (sign -1.0) of two observable
-    matrices, or of two stacks of them."""
-    return 0.5 * (m0 + sign * m1)
-
-
-@dataclass(frozen=True)
-class MeasurementSettings:
-    """Two observables per party; charlie is None for bipartite scenarios."""
-
-    alice: tuple[Observable, Observable]
-    bob: tuple[Observable, Observable]
-    charlie: Optional[tuple[Observable, Observable]] = None
-
-    @property
-    def parties(self) -> int:
-        return 2 if self.charlie is None else 3
-
-    @staticmethod
-    def _combo(pair: tuple[Observable, Observable], sign: float) -> np.ndarray:
-        return half_combo(pair[0].matrix, pair[1].matrix, sign)
-
-    def b_plus(self) -> np.ndarray:
-        return self._combo(self.bob, +1.0)
-
-    def b_minus(self) -> np.ndarray:
-        return self._combo(self.bob, -1.0)
-
-    def c_plus(self) -> np.ndarray:
-        if self.charlie is None:
-            raise ValidationError("no third party in these settings")
-        return self._combo(self.charlie, +1.0)
-
-    def c_minus(self) -> np.ndarray:
-        if self.charlie is None:
-            raise ValidationError("no third party in these settings")
-        return self._combo(self.charlie, -1.0)
-
-    def combo_angles(self) -> dict[str, float]:
-        """Half-sum/half-difference angles of each party's pair of observables."""
-        out = {}
-        pairs = {"a": self.alice, "b": self.bob}
-        if self.charlie is not None:
-            pairs["c"] = self.charlie
-        for name, (o0, o1) in pairs.items():
-            out[name + "+"] = 0.5 * (o0.angle + o1.angle)
-            out[name + "-"] = 0.5 * (o0.angle - o1.angle)
-        return out
-
-
-def settings_from_angles(a0, a1, b0, b1, c0=None, c1=None, plane: str = "xz") -> MeasurementSettings:
-    charlie = None
-    if c0 is not None:
-        charlie = (Observable(plane, c0), Observable(plane, c1))
-    return MeasurementSettings(
-        alice=(Observable(plane, a0), Observable(plane, a1)),
-        bob=(Observable(plane, b0), Observable(plane, b1)),
-        charlie=charlie,
-    )
-
-
-def optimal_settings(spec: "BellSpec") -> MeasurementSettings:
-    """Measurement settings that reach the quantum bound on the noiseless GHZ/Phi+ state."""
+def optimal_settings(spec: "BellSpec") -> tuple[np.ndarray, str]:
+    """(angles, plane): a settings row that reaches the quantum bound on the
+    noiseless GHZ/Phi+ state, each party's two angles in turn."""
     kind = spec.kind
     if kind == "holz":
         # A0=Z, A1=X; B+=C+=(sqrt3/2)X, B-=C-=-(1/2)Z  => b0=c0=2pi/3, b1=c1=pi/3
-        return settings_from_angles(0.0, np.pi / 2,
-                                    2 * np.pi / 3, np.pi / 3,
-                                    2 * np.pi / 3, np.pi / 3)
-    if kind == "parity-chsh":
+        angles, plane = (0.0, np.pi / 2, 2 * np.pi / 3, np.pi / 3, 2 * np.pi / 3, np.pi / 3), "xz"
+    elif kind == "parity-chsh":
         # A0=Z, A1=X; B+=(1/sqrt2)Z, B-=(1/sqrt2)X; C0=C1=X
-        return settings_from_angles(0.0, np.pi / 2,
-                                    np.pi / 4, -np.pi / 4,
-                                    np.pi / 2, np.pi / 2)
-    if kind == "mabk":
+        angles, plane = (0.0, np.pi / 2, np.pi / 4, -np.pi / 4, np.pi / 2, np.pi / 2), "xz"
+    elif kind == "mabk":
         # x-y plane: A0=B0=Y, A1=B1=X, C0=-Y, C1=-X
-        return settings_from_angles(np.pi / 2, 0.0,
-                                    np.pi / 2, 0.0,
-                                    3 * np.pi / 2, np.pi,
-                                    plane="xy")
-    if kind == "asym-chsh":
-        alpha = spec.alpha
-        b = np.arctan2(1.0, alpha)
-        return settings_from_angles(0.0, np.pi / 2, b, -b)
-    raise ValidationError(f"unknown inequality kind {kind!r}")
+        angles, plane = (np.pi / 2, 0.0, np.pi / 2, 0.0, 3 * np.pi / 2, np.pi), "xy"
+    elif kind == "asym-chsh":
+        b = np.arctan2(1.0, spec.alpha)
+        angles, plane = (0.0, np.pi / 2, b, -b), "xz"
+    else:
+        raise ValidationError(f"unknown inequality kind {kind!r}")
+    return np.array(angles, dtype=float), plane
 
 
 # The block-diagonal family on columns: rho (2, 2, 2, n) for n states, and
@@ -300,7 +194,8 @@ def _block_lambdas(rho: np.ndarray, trig: np.ndarray):
 
 
 def _block_eigenvectors(t: np.ndarray) -> np.ndarray:
-    """Batched BlockDiagState.eigenvectors: t (n,2,2) -> (n,8,8).  Block
+    """The eigenvectors of n block states as columns, index i*4+j*2+k for
+    rho[i, j, k]: t (n,2,2) -> (n,8,8).  Block
     b = 2j+k mixes the GHZ-basis elements (0,j,k) and (1,~j,~k), whose
     nonzero components sit on rows b, 7-b and 3-b, 4+b."""
     n = t.shape[0]
@@ -395,13 +290,6 @@ class BlockDiagState:
     def r(self) -> np.ndarray:
         """Real coherences r[j, k] between (0,j,k) and (1,~j,~k)."""
         return 0.5 * np.sin(2.0 * self.t) * (self.rho[0] - self.rho[1])
-
-    def eigenvalues(self) -> np.ndarray:
-        return self.rho.reshape(-1).copy()
-
-    def eigenvectors(self) -> np.ndarray:
-        """Columns: eigenvector of rho[i,j,k] in the computational basis, index i*4+j*2+k."""
-        return _block_eigenvectors(self.t[None])[0]
 
     def to_matrix(self) -> np.ndarray:
         return _block_matrices(self.rho[..., None], self.t[..., None])[0] + 0j

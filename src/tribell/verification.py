@@ -14,8 +14,12 @@ from .centropy import cond_entropies
 from .errors import ValidationError
 from .qmath import binary_entropy as h
 from .rates import bound_curve
-from .states import (X, Y, Z, BlockDiagState, _block_correlators, _block_matrices,
-                     _block_trig, _sorted_blocks, tau_state)
+from .states import X, Y, Z, _block_correlators, _block_matrices, _block_trig, _sorted_blocks
+
+__all__ = ["CHECK_TOL", "KNOWN_NONCONVEX", "CheckResult", "random_density_matrices",
+           "check_appendix_b", "check_appendix_c", "check_uncertainty", "check_quantum_bounds",
+           "TightnessReport", "verify_tightness", "check_tightness", "check_bound_curves",
+           "check_reduced_value_consistency", "run_all"]
 
 SQRT2 = np.sqrt(2.0)
 # the largest violation a sampled or swept property may show and still pass
@@ -44,8 +48,8 @@ class CheckResult:
 
 
 def _random_block_columns(count: int, seed: int):
-    """random_block_states as checked and sorted columns rho (2, 2, 2, n),
-    t (2, 2, n)."""
+    """A deterministic mix of broad and near-pure GHZ-block-diagonal states,
+    as checked and sorted columns rho (2, 2, 2, n), t (2, 2, n)."""
     rng = np.random.default_rng(seed)
     rho, t = np.empty((2, 2, 2, count)), np.empty((2, 2, count))
     for i in range(count):
@@ -58,12 +62,6 @@ def _random_block_columns(count: int, seed: int):
 def _trig(t: np.ndarray, b0) -> np.ndarray:
     """states._block_trig of the columns t (2, 2, n) with Bob's angles b0."""
     return _block_trig(np.vstack([t.reshape(4, -1), np.broadcast_to(b0, t.shape[-1:])]))
-
-
-def random_block_states(count: int, seed: int):
-    """Deterministic mix of broad and near-pure GHZ-block-diagonal states."""
-    rho, t = _random_block_columns(count, seed)
-    return [BlockDiagState(rho[..., i], t[..., i]) for i in range(count)]
 
 
 def random_density_matrices(count: int, dim: int, seed: int) -> np.ndarray:
@@ -187,8 +185,14 @@ def verify_tightness(ineq: str, nu_grid) -> TightnessReport:
         raise ValidationError("tightness families exist for holz and parity-chsh")
     curve = bound_curve(spec_by_name(ineq), "one")
     nus = np.asarray(list(nu_grid), dtype=float)
+    if not np.all((nus >= 0.5) & (nus <= 1.0)):
+        raise ValidationError(f"nu outside [1/2, 1] in {nus!r}")
     expected = np.array([1.0 - h(nu) for nu in nus])
-    ce = cond_entropies(np.stack([tau_state(nu).to_matrix() for nu in nus]), [0], Z[None])
+    # tau(nu) as columns: nu on (0,0,0), 1-nu on (1,0,0), which block (1,1)
+    # holds as its eigenvalue rho[0, 1, 1] rotated by t = pi/2
+    rho, t = np.zeros((2, 2, 2, nus.size)), np.zeros((2, 2, nus.size))
+    rho[0, 0, 0], rho[0, 1, 1], t[1, 1] = nus, 1.0 - nus, np.pi / 2
+    ce = cond_entropies(_block_matrices(*_sorted_blocks(rho, t)), [0], Z[None])
     beta = (2.0 * nus + 1.0 / (2.0 * nus) - 1.0 if ineq == "holz"
             else np.hypot(2.0 * nus - 1.0, 1.0))  # the family's maximal violation
     bnd = np.array([curve.fn(b) for b in beta])

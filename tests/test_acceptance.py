@@ -17,7 +17,7 @@ from tribell.bell import bell_value, spec_by_name
 from tribell.centropy import cond_entropy
 from tribell.optimize import OptConfig, convex_hull_lower, hull_knots
 from tribell.rates import rate_function, threshold_p
-from tribell.states import ghz_state, optimal_settings, settings_from_angles
+from tribell.states import ghz_state, observable_matrices, optimal_settings
 
 SQRT2 = np.sqrt(2.0)
 
@@ -33,11 +33,11 @@ def test_criterion_1_quantum_bounds():
     checks = []
     for name, expect in (("holz", 1.5), ("parity-chsh", SQRT2), ("mabk", 4.0)):
         spec = spec_by_name(name)
-        beta = bell_value(spec, ghz_state(3), optimal_settings(spec)).beta
+        beta = bell_value(spec, ghz_state(3), *optimal_settings(spec)).beta
         checks.append(abs(beta - expect) <= 1e-9)
     for alpha in (0.5, 1.0, 2.0):
         spec = spec_by_name("asym-chsh", alpha)
-        beta = bell_value(spec, ghz_state(2), optimal_settings(spec)).beta
+        beta = bell_value(spec, ghz_state(2), *optimal_settings(spec)).beta
         checks.append(abs(beta - 2.0 * np.hypot(1.0, alpha)) <= 1e-9)
     elapsed = time.time() - t0
     ok = all(checks) and elapsed < 1.0
@@ -225,9 +225,9 @@ def test_parity_chsh_two_outcome_curve_is_a_lower_bound():
             rho_ab += lam[2 * i + j] * np.outer(v, v) / 2.0
     rho = np.kron(rho_ab, np.full((2, 2), 0.5))
     spec = spec_by_name("parity-chsh")
-    settings = settings_from_angles(-0.1077, 0.9792, -0.0940, 0.9992, 0.0, 0.0, plane="xy")
-    beta = bell_value(spec, rho, settings).beta
-    entropy = cond_entropy(rho, [0, 1], [settings.alice[0], settings.bob[0]])
+    angles = np.array([-0.1077, 0.9792, -0.0940, 0.9992, 0.0, 0.0])  # x-y plane
+    beta = bell_value(spec, rho, angles, "xy").beta
+    entropy = cond_entropy(rho, [0, 1], observable_matrices("xy", angles[[0, 2]]))
     curve = rates.bound_curve(spec, "two").fn(beta)
     _report("11 (Parity-CHSH two-outcome curve is a lower bound)", curve <= entropy + 1e-9,
             f"beta {beta:.6f}, H(A0B0|E) {entropy:.5f}, curve {curve:.5f}")

@@ -1,15 +1,15 @@
-"""bell: correlators, the four Bell functionals, and the reduced Holz forms."""
+"""bell: correlators, the four Bell functionals on angle rows, and the
+reduced Holz forms."""
 
 import numpy as np
 import pytest
 
-from tribell import bell, qmath, states
-from tribell.bell import (BellValue, bell_value, correlator, holz_reduced_value,
-                          holz_vbar, parity_vbar, reduced_settings, spec_by_name)
+from tribell import bell, qmath, states, verification
+from tribell.bell import BellValue, bell_value, holz_reduced_value, reduced_angles, spec_by_name
 from tribell.errors import ValidationError
-from tribell.states import (BlockDiagState, ghz_state, optimal_settings,
-                            settings_from_angles, tau_state)
-from tribell.verification import random_block_states, random_density_matrices
+from tribell.states import (BlockDiagState, ghz_state, observable_matrices, optimal_settings,
+                            tau_state)
+from tribell.verification import random_density_matrices
 
 I2, X, Y, Z = states.I2, states.X, states.Y, states.Z
 
@@ -32,6 +32,27 @@ def _columns(rho, t, b0):
     return np.moveaxis(rho, 0, -1), states._block_trig(angles)
 
 
+def random_block_states(count, seed):
+    """The block states of verification's sampled checks, one at a time."""
+    rho, t = verification._random_block_columns(count, seed)
+    return [BlockDiagState(rho[..., i], t[..., i]) for i in range(count)]
+
+
+def holz_vbar(st, b0):
+    """The reduced Holz value of one state maximized over a1 and c-."""
+    return float(bell._block_vbar(*st._columns(b0), parity=False)[0])
+
+
+def parity_vbar(st, b0):
+    """The reduced value with c- frozen at 0, maximized over a1."""
+    return float(bell._block_vbar(*st._columns(b0), parity=True)[0])
+
+
+def correlator(rho, ops):
+    """Tr[rho (O_1 x O_2 x ...)] of one state, as bell_values contracts it."""
+    return float(bell._party_expectation(rho, ops))
+
+
 def random_block_state(rng):
     return BlockDiagState(rng.dirichlet([0.6] * 8).reshape(2, 2, 2),
                           rng.uniform(-np.pi / 2, np.pi / 2, size=(2, 2)))
@@ -50,6 +71,24 @@ class TestSpecs:
         assert sp.quantum_bound == pytest.approx(2 * np.sqrt(5))
         with pytest.raises(ValidationError):
             spec_by_name("ghz-paradox")
+
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
+    def test_non_finite_alpha_rejected(self, alpha):
+        with pytest.raises(ValidationError, match="non-finite"):
+            spec_by_name("asym-chsh", alpha=alpha)
+
+    def test_non_finite_bound_rejected(self):
+        with pytest.raises(ValidationError, match="non-finite"):
+            bell.BellSpec("holz", 1.0, np.nan, 3)
+        with pytest.raises(ValidationError, match="non-finite"):
+            bell.BellSpec("holz", -np.inf, 1.5, 3)
+
+    @pytest.mark.parametrize("name", ["holz", "parity-chsh", "mabk", "chsh"])
+    @pytest.mark.parametrize("alpha", [3.0, 0.5, np.nan])
+    def test_alpha_only_for_asym_chsh(self, name, alpha):
+        with pytest.raises(ValidationError, match="takes no alpha"):
+            spec_by_name(name, alpha=alpha)
+        assert spec_by_name(name, alpha=1.0) == spec_by_name(name)
 
     def test_bell_value_invariant(self):
         with pytest.raises(ValidationError):
@@ -83,10 +122,6 @@ class TestCorrelator:
         with pytest.raises(ValidationError):
             correlator(ghz_state(3), [X, X])
 
-    def test_factor_must_be_a_qubit_observable(self):
-        with pytest.raises(ValidationError, match="not \\(2, 2\\)"):
-            correlator(ghz_state(3), [np.kron(Z, Z), X])
-
 
 class TestBatchedBellValues:
     """bell_values contracts 2x2 observables with rho's qubit axes; the
@@ -100,13 +135,12 @@ class TestBatchedBellValues:
         rng = np.random.default_rng(int(10 * alpha) + len(ineq))
         rho = random_density_matrices(40, 2 ** spec.parties, 3)
         angles = rng.uniform(0.0, 2.0 * np.pi, size=(40, 2 * spec.parties))
-        settings = [settings_from_angles(*a, plane=plane) for a in angles]
-        want = [bell._expectation(r, bell.bell_terms(spec, st))
-                for r, st in zip(rho, settings)]
+        want = [bell._expectation(r, bell.bell_terms(spec, a, plane))
+                for r, a in zip(rho, angles)]
         np.testing.assert_allclose(bell.bell_values(spec, rho, angles, plane), want,
                                    rtol=0, atol=1e-12)
-        np.testing.assert_allclose([bell_value(spec, r, st).beta
-                                    for r, st in zip(rho, settings)], want,
+        np.testing.assert_allclose([bell_value(spec, r, a, plane).beta
+                                    for r, a in zip(rho, angles)], want,
                                    rtol=0, atol=1e-12)
 
     def test_shapes_checked(self):
@@ -120,8 +154,7 @@ class TestBatchedBellValues:
 class TestNonFinite:
     def test_nan_angle_rejected(self):
         with pytest.raises(ValidationError, match="non-finite"):
-            bell_value(spec_by_name("holz"), ghz_state(3),
-                       settings_from_angles(np.nan, 0, 0, 0, 0, 0))
+            bell_value(spec_by_name("holz"), ghz_state(3), [np.nan, 0, 0, 0, 0, 0])
         angles = np.zeros((2, 6))
         angles[1, 3] = np.inf
         with pytest.raises(ValidationError, match="non-finite"):
@@ -136,39 +169,40 @@ class TestNonFinite:
 class TestBellValue:
     def test_holz_local_depolarized_closed_form(self):
         spec = spec_by_name("holz")
-        s = optimal_settings(spec)
+        angles, plane = optimal_settings(spec)
+        a0, a1, b0, b1, c0, c1 = observable_matrices(plane, angles)
+        bp, bm, cp, cm = (b0 + b1) / 2, (b0 - b1) / 2, (c0 + c1) / 2, (c0 - c1) / 2
         for p in np.linspace(0.0, 1.0, 9):
             rho = states.depolarize_local(ghz_state(3), p, 3)
             # oracle: correlator-by-correlator evaluation of the functional
-            a0, a1 = s.alice[0].matrix, s.alice[1].matrix
-            bp, bm = s.b_plus(), s.b_minus()
-            cp, cm = s.c_plus(), s.c_minus()
             oracle = (naive_expectation(rho, [a1, bp, cp])
                       - naive_expectation(rho, [a0, bm, None])
                       - naive_expectation(rho, [a0, None, cm])
                       - naive_expectation(rho, [None, bm, cm]))
-            got = bell_value(spec, rho, s).beta
+            got = bell_value(spec, rho, angles, plane).beta
             assert got == pytest.approx(oracle, abs=1e-12)
             assert got == pytest.approx(0.75 * (p ** 3 + p ** 2), abs=1e-12)
 
     def test_mabk_global_scales_linearly(self):
         spec = spec_by_name("mabk")
-        s = optimal_settings(spec)
+        angles, plane = optimal_settings(spec)
+        assert plane == "xy"
         for p in (0.0, 0.4, 0.9, 1.0):
             rho = states.depolarize_global(ghz_state(3), p)
-            assert bell_value(spec, rho, s).beta == pytest.approx(4 * p, abs=1e-12)
+            assert bell_value(spec, rho, angles, plane).beta == pytest.approx(4 * p, abs=1e-12)
 
     def test_parity_quantum_bound(self):
         spec = spec_by_name("parity-chsh")
-        got = bell_value(spec, ghz_state(3), optimal_settings(spec)).beta
+        got = bell_value(spec, ghz_state(3), *optimal_settings(spec)).beta
         assert got == pytest.approx(np.sqrt(2), abs=1e-12)
 
     def test_holz_sign_convention_is_positive(self):
         # B- = -(1/2)Z verbatim must give +3/2 on GHZ, not -3/2
         spec = spec_by_name("holz")
-        s = optimal_settings(spec)
-        assert np.allclose(s.b_minus(), -0.5 * Z)
-        assert bell_value(spec, ghz_state(3), s).beta > 0
+        angles, plane = optimal_settings(spec)
+        b0, b1 = observable_matrices(plane, angles[2:4])
+        assert np.allclose((b0 - b1) / 2, -0.5 * Z)
+        assert bell_value(spec, ghz_state(3), angles, plane).beta > 0
 
     def test_asym_chsh_two_conventions_agree(self):
         # 2a<A0B+> + 2<A1B-> == expanded four-correlator form
@@ -178,16 +212,16 @@ class TestBellValue:
             g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
             rho = g @ g.conj().T
             rho /= np.trace(rho).real
-            s = settings_from_angles(*rng.uniform(0, 2 * np.pi, 4))
-            got = bell_value(spec, rho, s).beta
-            compact = (2 * alpha * naive_expectation(rho, [s.alice[0].matrix, s.b_plus()])
-                       + 2 * naive_expectation(rho, [s.alice[1].matrix, s.b_minus()]))
+            angles = rng.uniform(0, 2 * np.pi, 4)
+            a0, a1, b0, b1 = observable_matrices("xz", angles)
+            got = bell_value(spec, rho, angles).beta
+            compact = (2 * alpha * naive_expectation(rho, [a0, (b0 + b1) / 2])
+                       + 2 * naive_expectation(rho, [a1, (b0 - b1) / 2]))
             assert got == pytest.approx(compact, abs=1e-12)
 
     def test_wrong_dimension(self):
         with pytest.raises(ValidationError):
-            bell_value(spec_by_name("holz"), ghz_state(2),
-                       optimal_settings(spec_by_name("holz")))
+            bell_value(spec_by_name("holz"), ghz_state(2), *optimal_settings(spec_by_name("holz")))
 
 
 class TestReducedForms:
@@ -214,8 +248,7 @@ class TestReducedForms:
             st = random_block_state(rng)
             b0, a1, cm = rng.uniform(0.0, 2.0 * np.pi, 3)
             red = holz_reduced_value(st, b0, a1, cm)
-            full = bell_value(spec, st.to_matrix(),
-                              reduced_settings(b0, a1, cm)).beta
+            full = bell_value(spec, st.to_matrix(), reduced_angles(b0, a1, cm)).beta
             assert red == pytest.approx(full, abs=1e-9)
 
     def test_vbar_ghz_grid_max(self):

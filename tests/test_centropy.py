@@ -12,6 +12,8 @@ from tribell.centropy import cond_entropy
 from tribell.errors import NumericError, ValidationError
 from tribell.states import ghz_state, tau_state
 
+from test_qmath import partial_trace
+
 I2, X, Y, Z = states.I2, states.X, states.Y, states.Z
 
 
@@ -103,7 +105,7 @@ class TestPurify:
             total = len(psi)
             n_tot = int(round(np.log2(total)))
             joint = np.outer(psi, psi.conj())
-            back = qmath.partial_trace(joint, n_tot, {0, 1, 2})
+            back = partial_trace(joint, n_tot, {0, 1, 2})
             assert np.max(np.abs(back - rho)) < 1e-9
 
 

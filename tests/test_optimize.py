@@ -289,7 +289,8 @@ class TestHolzMinimizer:
     def test_feasibility_via_bell_module(self):
         r = minimize_holz_two_outcome(1.3, CFG)
         state = r.state()
-        assert bell.holz_vbar(state, r.argmin["b0"]) >= r.beta_target - 1e-7
+        vbar = bell._block_vbar(*state._columns(r.argmin["b0"]), parity=False)[0]
+        assert vbar >= r.beta_target - 1e-7
 
     def test_objective_matches_cond_entropy(self):
         # the fast blockwise objective must equal the centropy oracle
@@ -325,9 +326,9 @@ class TestParityMinimizer:
     def test_max_violation(self):
         # oracle: cond_entropy on GHZ with the optimal Parity-CHSH settings
         spec = bell.spec_by_name("parity-chsh")
-        s = states.optimal_settings(spec)
+        angles, plane = states.optimal_settings(spec)
         oracle = centropy.cond_entropy(states.ghz_state(3), [0, 1],
-                                       [s.alice[0].matrix, s.bob[0].matrix])
+                                       states.observable_matrices(plane, angles[[0, 2]]))
         r = minimize_parity_two_outcome(SQRT2, CFG)
         assert r.converged
         assert oracle == pytest.approx(1.6008760, abs=1e-6)
@@ -449,3 +450,15 @@ class TestVerifyTightness:
     def test_unknown_inequality(self):
         with pytest.raises(ValidationError):
             verify_tightness("mabk", [0.6])
+
+    def test_grid_bits_equal_one_state_per_nu(self):
+        nus = np.linspace(0.5, 1.0, 50)
+        got = np.array([row[2] for row in verify_tightness("holz", nus).rows])
+        rho = np.stack([states.tau_state(nu).to_matrix() for nu in nus])
+        want = centropy.cond_entropies(rho, [0], states.Z[None])
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("nu", [0.49, 1.01, np.nan])
+    def test_nu_outside_the_family(self, nu):
+        with pytest.raises(ValidationError, match="nu outside"):
+            verify_tightness("parity-chsh", [0.75, nu])

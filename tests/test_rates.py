@@ -11,10 +11,9 @@ from tribell.errors import NumericError, ValidationError
 from tribell.qmath import kron_all
 from tribell.rates import (beta_of_p, beta_of_p_closed_form, dicka_rate,
                            dire_rate_recycled, dire_rate_spot, qber,
-                           qber_from_state, rate_function, threshold_p,
-                           two_outcome_numeric)
+                           rate_function, threshold_p, two_outcome_numeric)
 from tribell.states import (I2, NoiseModel, X, Y, Z, depolarize_global,
-                            depolarize_local, ghz_state, obs_matrix,
+                            depolarize_local, ghz_state, observable_matrices,
                             optimal_settings)
 
 SQRT2 = np.sqrt(2.0)
@@ -70,20 +69,19 @@ def fresh_beta_of_p(spec, noise):
            else depolarize_global(ghz_state(n), noise.p))
 
     def corr(*observables):
-        op = kron_all(*(obs_matrix(o) for o in observables))
+        op = kron_all(*(I2 if o is None else o for o in observables))
         return float(complex(np.trace(rho @ op)).real)
 
-    s = optimal_settings(spec)
-    a0, a1 = (o.matrix for o in s.alice)
-    b0, b1 = (o.matrix for o in s.bob)
+    angles, plane = optimal_settings(spec)
+    a0, a1, b0, b1 = (observable_matrices(plane, a) for a in angles[:4])
     if spec.kind == "asym-chsh":
         al = spec.alpha
         return (al * corr(a0, b0) + al * corr(a0, b1)
                 + corr(a1, b0) - corr(a1, b1))
-    c0, c1 = (o.matrix for o in s.charlie)
-    bp, bm = s.b_plus(), s.b_minus()
+    c0, c1 = (observable_matrices(plane, a) for a in angles[4:])
+    bp, bm = 0.5 * (b0 + b1), 0.5 * (b0 - b1)
     if spec.kind == "holz":
-        cp, cm = s.c_plus(), s.c_minus()
+        cp, cm = 0.5 * (c0 + c1), 0.5 * (c0 - c1)
         return (corr(a1, bp, cp) - corr(a0, bm, None)
                 - corr(a0, None, cm) - corr(None, bm, cm))
     if spec.kind == "parity-chsh":
@@ -129,6 +127,14 @@ class TestBetaOfPBitIdentical:
                 op[0, 0] = 7.0
         assert beta_of_p(spec_by_name("holz"), NoiseModel("local", 1.0)) \
             == pytest.approx(1.5, abs=1e-12)
+
+
+def qber_from_state(noise, parties):
+    """Q from first principles: the Z(x)Z disagreement probability of the
+    first two parties on the depolarized GHZ/Bell state."""
+    rho = noise.apply(ghz_state(parties), parties)
+    zz = kron_all(Z, Z, *[I2] * (parties - 2))
+    return (1.0 - np.trace(rho @ zz).real) / 2.0
 
 
 class TestQber:

@@ -1,16 +1,32 @@
-"""states: GHZ basis, depolarization channels, block-diagonal family,
-observables and optimal settings."""
+"""states: GHZ basis, depolarization channels, block-diagonal family and
+the observables of angle rows."""
 
 import numpy as np
 import pytest
 
-from tribell import qmath, states
+from tribell import bell, qmath, states
 from tribell.errors import ValidationError
-from tribell.states import (BlockDiagState, NoiseModel, Observable,
-                            ghz_basis_state, ghz_basis_vector, ghz_state,
-                            settings_from_angles, tau_state)
+from tribell.states import BlockDiagState, NoiseModel, ghz_state, tau_state
+
+from test_qmath import partial_trace, von_neumann_entropy
 
 I2, X, Y, Z = states.I2, states.X, states.Y, states.Z
+
+
+def ghz_basis_vector(i, j, k):
+    """Oracle: the GHZ-basis element (|0,j,k> + (-1)^i |1,~j,~k>)/sqrt(2)."""
+    if not all(b in (0, 1) for b in (i, j, k)):
+        raise ValidationError("bits must be 0 or 1")
+    v = np.zeros(8, dtype=complex)
+    v[(0 << 2) | (j << 1) | k] = 1.0 / np.sqrt(2.0)
+    v[(1 << 2) | ((1 - j) << 1) | (1 - k)] = (-1.0) ** i / np.sqrt(2.0)
+    return v
+
+
+def ghz_basis_state(i, j, k):
+    """Oracle: the rank-1 projector onto the GHZ-basis element (i, j, k)."""
+    v = ghz_basis_vector(i, j, k)
+    return np.outer(v, v.conj())
 
 
 def _embed_identity_half(reduced, q, n):
@@ -35,7 +51,7 @@ def naive_local_depolarize(rho, p, n):
     out = rho.copy()
     for q in range(n):
         keep = [i for i in range(n) if i != q]
-        reduced = qmath.partial_trace(out, n, keep)
+        reduced = partial_trace(out, n, keep)
         out = p * out + (1 - p) * _embed_identity_half(reduced, q, n)
     return out
 
@@ -123,29 +139,31 @@ class TestDepolarize:
 
 
 class TestObservable:
+    """observable_matrices: the 2x2 observables of angle arrays."""
+
     def test_involutions(self):
         for plane in ("xz", "xy"):
             for angle in np.linspace(0, 2 * np.pi, 37):
-                m = Observable(plane, angle).matrix
+                m = states.observable_matrices(plane, angle)
                 assert np.max(np.abs(m @ m - I2)) < 1e-12
                 assert np.max(np.abs(m - m.conj().T)) < 1e-12
 
     def test_plane_conventions(self):
-        assert np.allclose(Observable("xz", 0.0).matrix, Z)
-        assert np.allclose(Observable("xz", np.pi / 2).matrix, X)
-        assert np.allclose(Observable("xy", 0.0).matrix, X)
-        assert np.allclose(Observable("xy", np.pi / 2).matrix, Y)
+        assert np.allclose(states.observable_matrices("xz", 0.0), Z)
+        assert np.allclose(states.observable_matrices("xz", np.pi / 2), X)
+        assert np.allclose(states.observable_matrices("xy", 0.0), X)
+        assert np.allclose(states.observable_matrices("xy", np.pi / 2), Y)
 
     def test_bad_plane(self):
         with pytest.raises(ValidationError):
-            Observable("yz", 0.0)
+            states.observable_matrices("yz", 0.0)
         with pytest.raises(ValidationError):
             states.observable_matrices("yz", [0.0])
 
     @pytest.mark.parametrize("angle", [np.nan, np.inf, -np.inf])
     def test_non_finite_angle(self, angle):
         with pytest.raises(ValidationError, match="non-finite"):
-            Observable("xz", angle)
+            states.observable_matrices("xz", angle)
         with pytest.raises(ValidationError, match="non-finite"):
             states.observable_matrices("xy", [0.0, angle])
 
@@ -159,30 +177,36 @@ class TestObservable:
             c, s = np.cos(a), np.sin(a)
             want = c * Z + s * X if plane == "xz" else c * X + s * Y
             np.testing.assert_array_equal(m.view(np.uint64), want.view(np.uint64))
-            np.testing.assert_array_equal(Observable(plane, a).matrix.view(np.uint64),
+            np.testing.assert_array_equal(states.observable_matrices(plane, a).view(np.uint64),
                                           want.view(np.uint64))
 
 
 class TestMeasurementSettings:
+    """A settings row: each party's two angles in turn, in one plane."""
+
     def test_combo_matrices_match_angle_formulas(self):
+        # a party's "+" and "-" observables, half the sum and difference of
+        # its pair, against the half-sum and half-difference angles
         rng = np.random.default_rng(29)
         for _ in range(50):
             a0, a1, b0, b1, c0, c1 = rng.uniform(0, 2 * np.pi, 6)
-            s = settings_from_angles(a0, a1, b0, b1, c0, c1)
-            combos = s.combo_angles()
-            bp, bm = combos["b+"], combos["b-"]
+            obs = states.observable_matrices("xz", [[b0, b1], [c0, c1]])
+            bob, charlie = (bell._party_observables(pair) for pair in obs)
+            bp, bm = 0.5 * (b0 + b1), 0.5 * (b0 - b1)
             want_bp = np.cos(bm) * (np.cos(bp) * Z + np.sin(bp) * X)
             want_bm = -np.sin(bm) * (np.sin(bp) * Z - np.cos(bp) * X)
-            assert np.max(np.abs(s.b_plus() - want_bp)) < 1e-12
-            assert np.max(np.abs(s.b_minus() - want_bm)) < 1e-12
-            cp, cm = combos["c+"], combos["c-"]
+            assert np.max(np.abs(bob["+"] - want_bp)) < 1e-12
+            assert np.max(np.abs(bob["-"] - want_bm)) < 1e-12
+            cp, cm = 0.5 * (c0 + c1), 0.5 * (c0 - c1)
             want_cp = np.cos(cm) * (np.cos(cp) * Z + np.sin(cp) * X)
-            assert np.max(np.abs(s.c_plus() - want_cp)) < 1e-12
+            assert np.max(np.abs(charlie["+"] - want_cp)) < 1e-12
 
     def test_bipartite_has_no_charlie(self):
-        s = settings_from_angles(0.0, 1.0, 2.0, 3.0)
-        with pytest.raises(ValidationError):
-            s.c_plus()
+        # four angles are two parties' settings, not the three Holz needs
+        with pytest.raises(ValidationError, match="angles of shape"):
+            bell.bell_terms(bell.holz(), [0.0, 1.0, 2.0, 3.0])
+        with pytest.raises(ValidationError, match="angles of shape"):
+            bell.bell_value(bell.holz(), ghz_state(3), [0.0, 1.0, 2.0, 3.0])
 
 
 class TestBlockDiagState:
@@ -250,8 +274,6 @@ class TestBlockDiagState:
                     ref[:, 2 * j + k] = c * psi0 + s * psi1
                     ref[:, 4 + 2 * j + k] = -s * psi0 + c * psi1
             assert np.array_equal(fast[n], ref)
-            st = BlockDiagState(np.full((2, 2, 2), 0.125), t[n])
-            assert np.array_equal(st.eigenvectors(), ref)
 
     def test_eigen_convention_enforced(self):
         rho = np.zeros((2, 2, 2))
@@ -311,9 +333,9 @@ class TestTauState:
 
     def test_three_quarters(self):
         st = tau_state(0.75)
-        w = np.sort(st.eigenvalues())[::-1]
+        w = np.sort(st.rho.ravel())[::-1]
         assert np.allclose(w[:2], [0.75, 0.25])
-        assert qmath.von_neumann_entropy(st.to_matrix()) == pytest.approx(
+        assert von_neumann_entropy(st.to_matrix()) == pytest.approx(
             0.811278, abs=1e-6)
 
     def test_domain(self):

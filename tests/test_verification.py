@@ -10,6 +10,7 @@ from tribell import verification
 from tribell.centropy import cond_entropies
 from tribell.states import Z, BlockDiagState, _block_matrices, tau_state
 
+from test_bell import random_block_states
 from test_centropy import oracle_cond_entropy
 
 
@@ -67,7 +68,7 @@ def test_run_all_2000_lines_pinned():
 def test_batched_z_entropy_matches_cond_entropy():
     # check_uncertainty's H(Z|E): the kernel on the block matrices
     rng = np.random.default_rng(29)
-    states = verification.random_block_states(60, 31)
+    states = random_block_states(60, 31)
     for rank in (1, 2, 3, 5):  # pure and rank-deficient block states
         for _ in range(10):
             rho = np.zeros(8)
