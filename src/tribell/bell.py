@@ -2,9 +2,11 @@
 asymmetric-CHSH inequalities, plus the reduced Holz forms used by the
 entropy optimizer.
 
-Settings are angle rows, each party's two angles in turn in one plane (see
-states.observable_matrices); bell_values evaluates n (state, row) pairs at
-once, and bell_value is its one-row case."""
+Each inequality is one BellSpec, made by its named constructor: its bounds,
+its terms and the honest settings row that reaches the quantum bound on the
+noiseless GHZ/Phi+ state.  Settings are angle rows, each party's two angles
+in turn in one plane (see states.observable_matrices); bell_values evaluates
+n (state, row) pairs at once, and bell_value is its one-row case."""
 
 from __future__ import annotations
 
@@ -14,24 +16,35 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .qmath import as_matrix, kron_all
+from .qmath import _LETTERS, as_matrix, kron_all
 from .states import _COSB, _SINB, I2, BlockDiagState, _block_correlators, observable_matrices
 
-__all__ = ["BellSpec", "holz", "parity_chsh", "mabk", "asym_chsh", "chsh", "spec_by_name",
-           "BellValue", "bell_terms", "bell_value", "bell_values", "holz_reduced_value",
-           "reduced_angles"]
+__all__ = ["BellSpec", "holz", "parity_chsh", "mabk", "asym_chsh", "chsh", "INEQUALITIES",
+           "spec_by_name", "BellValue", "bell_terms", "bell_value", "bell_values",
+           "holz_reduced_value", "reduced_angles"]
 
 SQRT2 = np.sqrt(2.0)
+_OBSERVABLES = (0, 1, "+", "-", None)
 
 
 @dataclass(frozen=True)
 class BellSpec:
-    """One Bell inequality: its bounds and the per-test-round input-bit cost r."""
+    """One Bell inequality: its bounds, the per-test-round input-bit cost r,
+    its terms and its honest settings row.
+
+    terms are (coefficient, one observable per party), summed in this
+    order; a party's observable is 0 or 1 (its two settings), "+" or "-"
+    (half their sum or difference) or None (the identity).  angles, each
+    party's two angles in turn in the Bloch plane `plane`, reach the quantum
+    bound on the noiseless GHZ/Phi+ state."""
 
     kind: str  # "holz" | "parity-chsh" | "mabk" | "asym-chsh"
     local_bound: float
     quantum_bound: float
     input_bits: int
+    terms: tuple
+    angles: tuple
+    plane: str = "xz"
     alpha: float = 1.0
 
     def __post_init__(self):
@@ -39,48 +52,72 @@ class BellSpec:
             raise ValidationError(f"non-finite bound or alpha in {self!r}")
         if self.local_bound >= self.quantum_bound:
             raise ValidationError("local bound must lie below the quantum bound")
+        if self.plane not in ("xz", "xy"):
+            raise ValidationError(f"unknown plane {self.plane!r}")
+        if not self.angles or len(self.angles) % 2 or not all(map(math.isfinite, self.angles)):
+            raise ValidationError(f"settings row {self.angles!r} is not two finite angles"
+                                  " per party")
+        if not self.terms:
+            raise ValidationError("an inequality needs at least one term")
+        for coef, string in self.terms:
+            if not math.isfinite(coef) or len(string) != self.parties \
+                    or not all(o in _OBSERVABLES for o in string):
+                raise ValidationError(f"term {(coef, string)!r}: need a finite coefficient and"
+                                      f" one of {_OBSERVABLES} per party ({self.parties})")
 
     @property
     def parties(self) -> int:
-        return 2 if self.kind == "asym-chsh" else 3
+        return len(self.angles) // 2
 
 
 def holz() -> BellSpec:
-    return BellSpec("holz", 1.0, 1.5, 3)
+    # A0=Z, A1=X; B+=C+=(sqrt3/2)X, B-=C-=-(1/2)Z  => b0=c0=2pi/3, b1=c1=pi/3
+    return BellSpec("holz", 1.0, 1.5, 3,
+                    ((1.0, (1, "+", "+")), (-1.0, (0, "-", None)),
+                     (-1.0, (0, None, "-")), (-1.0, (None, "-", "-"))),
+                    (0.0, np.pi / 2, 2 * np.pi / 3, np.pi / 3, 2 * np.pi / 3, np.pi / 3))
 
 
 def parity_chsh() -> BellSpec:
-    return BellSpec("parity-chsh", 1.0, SQRT2, 2)
+    # A0=Z, A1=X; B+=(1/sqrt2)Z, B-=(1/sqrt2)X; C0=C1=X
+    return BellSpec("parity-chsh", 1.0, SQRT2, 2,
+                    ((1.0, (1, "-", 0)), (1.0, (0, "+", None))),
+                    (0.0, np.pi / 2, np.pi / 4, -np.pi / 4, np.pi / 2, np.pi / 2))
 
 
 def mabk() -> BellSpec:
-    return BellSpec("mabk", 2.0, 4.0, 3)
+    # x-y plane: A0=B0=Y, A1=B1=X, C0=-Y, C1=-X
+    return BellSpec("mabk", 2.0, 4.0, 3,
+                    ((1.0, (0, 0, 1)), (1.0, (0, 1, 0)), (1.0, (1, 0, 0)), (-1.0, (1, 1, 1))),
+                    (np.pi / 2, 0.0, np.pi / 2, 0.0, 3 * np.pi / 2, np.pi), "xy")
 
 
 def asym_chsh(alpha: float = 1.0) -> BellSpec:
-    local = 2.0 * max(1.0, abs(alpha))
-    return BellSpec("asym-chsh", local, 2.0 * np.hypot(1.0, alpha), 2, alpha=float(alpha))
+    alpha = float(alpha)
+    b = float(np.arctan2(1.0, alpha))  # A0=Z, A1=X; B0, B1 at +-b from Z
+    return BellSpec("asym-chsh", 2.0 * max(1.0, abs(alpha)), 2.0 * np.hypot(1.0, alpha), 2,
+                    ((alpha, (0, 0)), (alpha, (0, 1)), (1.0, (1, 0)), (-1.0, (1, 1))),
+                    (0.0, np.pi / 2, b, -b), alpha=alpha)
 
 
 def chsh() -> BellSpec:
     return asym_chsh(1.0)
 
 
+# every inequality by its CLI name
+INEQUALITIES = {"holz": holz, "parity-chsh": parity_chsh, "mabk": mabk, "chsh": chsh,
+                "asym-chsh": asym_chsh}
+
+
 def spec_by_name(name: str, alpha: float = 1.0) -> BellSpec:
     """The named inequality; alpha is asym-chsh's and must be 1 for any other."""
-    if name != "asym-chsh" and alpha != 1.0:
-        raise ValidationError(f"{name} takes no alpha, got alpha={alpha!r}")
-    table = {
-        "holz": holz,
-        "parity-chsh": parity_chsh,
-        "mabk": mabk,
-        "chsh": chsh,
-    }
-    if name in table:
-        return table[name]()
     if name == "asym-chsh":
         return asym_chsh(alpha)
-    raise ValidationError(f"unknown inequality {name!r}")
+    if alpha != 1.0:
+        raise ValidationError(f"{name} takes no alpha, got alpha={alpha!r}")
+    if name not in INEQUALITIES:
+        raise ValidationError(f"unknown inequality {name!r}")
+    return INEQUALITIES[name]()
 
 
 def _check_beta(lo: float, hi: float, spec: BellSpec) -> None:
@@ -103,21 +140,9 @@ class BellValue:
         _check_beta(self.beta, self.beta, self.spec)
 
 
-# Every inequality as (coefficient, one observable per party) terms, summed
-# in this order.  A party's observable is 0 or 1 (its two settings), "+" or
-# "-" (half their sum or difference) or None (the identity); the
-# coefficient "alpha" stands for the spec's alpha.
-_TERMS = {
-    "asym-chsh": (("alpha", (0, 0)), ("alpha", (0, 1)), (1.0, (1, 0)), (-1.0, (1, 1))),
-    "holz": ((1.0, (1, "+", "+")), (-1.0, (0, "-", None)),
-             (-1.0, (0, None, "-")), (-1.0, (None, "-", "-"))),
-    "parity-chsh": ((1.0, (1, "-", 0)), (1.0, (0, "+", None))),
-    "mabk": ((1.0, (0, 0, 1)), (1.0, (0, 1, 0)), (1.0, (1, 0, 0)), (-1.0, (1, 1, 1))),
-}
-
-
 def _party_observables(pair: np.ndarray) -> dict:
-    """A party's two observables, pair (..., 2, 2, 2), by their _TERMS name."""
+    """A party's two observables, pair (..., 2, 2, 2), by their name in
+    BellSpec.terms."""
     o0, o1 = pair[..., 0, :, :], pair[..., 1, :, :]
     return {0: o0, 1: o1, "+": 0.5 * (o0 + o1), "-": 0.5 * (o0 - o1), None: None}
 
@@ -125,12 +150,8 @@ def _party_observables(pair: np.ndarray) -> dict:
 def _terms(spec: BellSpec, pairs) -> list:
     """spec's (coefficient, per-party observables) terms for the parties'
     observable pairs (..., 2, 2, 2); None stands for the identity."""
-    if spec.kind not in _TERMS:
-        raise ValidationError(f"unknown inequality kind {spec.kind!r}")
     named = [_party_observables(pair) for pair in pairs]
-    return [(spec.alpha if coef == "alpha" else coef,
-             [named[q][o] for q, o in enumerate(string)])
-            for coef, string in _TERMS[spec.kind]]
+    return [(coef, [named[q][o] for q, o in enumerate(string)]) for coef, string in spec.terms]
 
 
 def _observable_pairs(spec: BellSpec, angles, plane: str, shape: tuple) -> list:
@@ -159,9 +180,6 @@ def _expectation(rho: np.ndarray, terms) -> float:
     return total
 
 
-_LETTERS = "abcdefghijklmnopqrstuvwxyz"
-
-
 def _party_expectation(rho: np.ndarray, ops) -> np.ndarray:
     """Re Tr[rho (O_1 x O_2 x ...)] for states rho (..., d, d) and per-party
     observables ops[q] (..., 2, 2) or None (the identity), as one einsum over
@@ -185,7 +203,7 @@ def _party_expectation(rho: np.ndarray, ops) -> np.ndarray:
 
 def _bell_sum(spec: BellSpec, rho: np.ndarray, pairs) -> np.ndarray:
     """Bell values of states rho (..., d, d) under the parties' observable
-    pairs (..., 2, 2, 2), the terms summed in _TERMS order."""
+    pairs (..., 2, 2, 2), the terms summed in spec.terms order."""
     total = None
     for coef, ops in _terms(spec, pairs):
         term = coef * _party_expectation(rho, ops)
@@ -202,12 +220,6 @@ def bell_terms(spec: BellSpec, angles, plane: str = "xz") -> list[tuple[float, n
             for coef, string in _terms(spec, pairs)]
 
 
-def _check_dim(spec: BellSpec, dim: int) -> None:
-    if dim != 2 ** spec.parties:
-        raise ValidationError(
-            f"{spec.kind} needs a {spec.parties}-qubit state, got dim {dim}")
-
-
 def bell_values(spec: BellSpec, rho, angles, plane: str = "xz") -> np.ndarray:
     """Bell values of n (state, settings) rows: rho (n, d, d) and angles
     (n, 2 * parties), each party's two angles in turn in one plane.
@@ -215,7 +227,9 @@ def bell_values(spec: BellSpec, rho, angles, plane: str = "xz") -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 3 or rho.shape[1] != rho.shape[2]:
         raise ValidationError(f"expected a stack of square matrices, got shape {rho.shape}")
-    _check_dim(spec, rho.shape[1])
+    if rho.shape[1] != 2 ** spec.parties:
+        raise ValidationError(
+            f"{spec.kind} needs a {spec.parties}-qubit state, got dim {rho.shape[1]}")
     pairs = _observable_pairs(spec, angles, plane, (rho.shape[0], 2 * spec.parties))
     beta = _bell_sum(spec, rho, pairs)
     if beta.size:

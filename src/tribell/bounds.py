@@ -125,9 +125,9 @@ def theta_at_optimum(beta: float) -> float:
     return theta(beta, solve_x(beta))
 
 
-def _dtheta_dbeta(beta: float, delta: float = 2e-6) -> float:
-    # total derivative along x(beta); equals the partial one at the stationary x
-    return (theta_at_optimum(beta + delta) - theta_at_optimum(beta - delta)) / (2 * delta)
+def _dtheta_dbeta(beta: float) -> float:
+    # total derivative along x(beta), step 2e-6; equals the partial one at the stationary x
+    return (theta_at_optimum(beta + 2e-6) - theta_at_optimum(beta - 2e-6)) / (2 * 2e-6)
 
 
 @functools.lru_cache(maxsize=1)
@@ -299,7 +299,7 @@ def asym_chsh_one_outcome(beta: float, alpha: float) -> float:
         raise ValidationError(f"alpha={alpha!r} is not finite")
     alpha = abs(alpha)
     qb = 2.0 * np.hypot(1.0, alpha)
-    _check_beta(beta, qb, repr(qb))
+    _check_beta(beta, qb, repr(float(qb)))
     beta = min(beta, qb)
     bstar, slope = asym_tangent(round(alpha, 12)) if 1e-12 <= alpha < 1.0 \
         else (np.nan, np.nan)

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bell import _LETTERS
 from .errors import ValidationError
-from .qmath import (HERMITIAN_TOL, as_matrix, eig_hermitian, ensure_density_matrix,
+from .qmath import (_LETTERS, HERMITIAN_TOL, as_matrix, eig_hermitian, ensure_density_matrix,
                     spectrum_entropy)
 from .states import I2
 

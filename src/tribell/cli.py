@@ -19,14 +19,13 @@ import sys
 import numpy as np
 
 from . import optimize, rates, verification
-from .bell import spec_by_name
+from .bell import INEQUALITIES, spec_by_name
 from .errors import NumericError, ValidationError
 from .states import NoiseModel
 
 __all__ = ["cmd_bound", "cmd_rate", "cmd_threshold", "cmd_optimize", "cmd_verify", "cmd_sweep",
            "OPTIONS", "build_parser", "main"]
 
-INEQS = ["holz", "parity-chsh", "mabk", "chsh", "asym-chsh"]
 CSV_HEADER = ["quantity", "inequality", "noise", "p", "beta", "value", "flags"]
 
 
@@ -232,10 +231,10 @@ OUT_PATH = (lambda p: os.path.isdir(os.path.dirname(p) or ".") and not os.path.i
 # the words that end "FLAG applies only" (with no default, it must then be
 # given); a test its values pass, and why one fails; its argparse spec.
 OPTIONS = [
-    _opt("bound rate threshold sweep", "--inequality", choices=INEQS, default="holz"),
+    _opt("bound rate threshold sweep", "--inequality", choices=list(INEQUALITIES), default="holz"),
     _opt("optimize", "--inequality", (lambda a: not a.regen_tables, "without --regen-tables"),
          (lambda name: name in optimize.MINIMIZERS, "has no two-outcome minimizer"),
-         choices=INEQS, default="holz"),
+         choices=list(INEQUALITIES), default="holz"),
     _opt("rate threshold sweep", "--noise", choices=["local", "global"], default="local"),
     _opt("rate", "--gamma", (lambda a: a.dire == "spot", "with --dire spot"), UNIT,
          type=float, default=rates.GAMMA_DEFAULT),

@@ -22,6 +22,7 @@ HERMITIAN_TOL = 1e-10
 TRACE_TOL = 1e-9
 EIG_NEGATIVE_TOL = 1e-10
 RANK_TOL = 1e-12  # eigenvalues at or below it count as zero in entropies
+_LETTERS = "abcdefghijklmnopqrstuvwxyz"  # einsum subscripts, one per axis
 
 
 def as_matrix(a) -> np.ndarray:
@@ -31,25 +32,26 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def ensure_hermitian(a, tol: float = HERMITIAN_TOL) -> np.ndarray:
+def ensure_hermitian(a) -> np.ndarray:
     """A square matrix, or a stack (..., d, d) of them, checked Hermitian."""
     m = np.asarray(a, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValidationError(f"expected square matrices, got shape {m.shape}")
     dev = np.max(np.abs(m - np.swapaxes(m, -1, -2).conj()), initial=0.0)
-    if dev > tol:
-        raise ValidationError(f"matrix is not Hermitian (max deviation {dev:.3e} > {tol:.0e})")
+    if dev > HERMITIAN_TOL:
+        raise ValidationError(
+            f"matrix is not Hermitian (max deviation {dev:.3e} > {HERMITIAN_TOL:.0e})")
     return m
 
 
-def ensure_density_matrix(a, trace_tol: float = TRACE_TOL) -> np.ndarray:
+def ensure_density_matrix(a) -> np.ndarray:
     """Validate Hermiticity and unit trace of a matrix or a stack of them;
     PSD is checked where eigenvalues are taken."""
     m = ensure_hermitian(a)
     tr = np.trace(m, axis1=-2, axis2=-1).real.ravel()
-    bad = np.flatnonzero(np.abs(tr - 1.0) > trace_tol)
+    bad = np.flatnonzero(np.abs(tr - 1.0) > TRACE_TOL)
     if bad.size:
-        raise ValidationError(f"trace is {float(tr[bad[0]])!r}, expected 1 within {trace_tol:.0e}")
+        raise ValidationError(f"trace is {float(tr[bad[0]])!r}, expected 1 within {TRACE_TOL:.0e}")
     return m
 
 
@@ -114,13 +116,13 @@ def binary_entropy_deriv(x: float) -> float:
     return float(np.log2((1.0 - x) / x))
 
 
-def validate_probability_vector(weights, sum_tol: float = 1e-9) -> np.ndarray:
+def validate_probability_vector(weights) -> np.ndarray:
     w = np.asarray(weights, dtype=float).ravel()
     if np.any(w < -1e-12):
         raise ValidationError(f"negative weight {w.min():.3e} beyond tolerance")
     w = np.clip(w, 0.0, None)
-    if abs(w.sum() - 1.0) > sum_tol:
-        raise ValidationError(f"weights sum to {w.sum()!r}, expected 1 within {sum_tol:.0e}")
+    if abs(w.sum() - 1.0) > 1e-9:
+        raise ValidationError(f"weights sum to {w.sum()!r}, expected 1 within 1e-09")
     return w
 
 

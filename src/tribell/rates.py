@@ -25,7 +25,7 @@ from . import bounds, optimize, qmath
 from .bell import BellSpec, BellValue, _expectation, bell_terms, spec_by_name
 from .errors import ValidationError
 from .qmath import binary_entropy as h
-from .states import NoiseModel, ghz_state, optimal_settings
+from .states import NoiseModel, ghz_state
 
 __all__ = ["GAMMA_DEFAULT", "RateResult", "qber", "beta_of_p", "beta_of_p_closed_form",
            "TABLE_ENV", "NUMERIC_CURVES", "two_outcome_numeric", "generate_two_outcome_table",
@@ -55,41 +55,36 @@ def qber(noise: NoiseModel) -> float:
     return (1.0 - noise.p) / 2.0
 
 
-def _noisy_ghz(parties: int, noise: NoiseModel) -> np.ndarray:
-    """The depolarized GHZ state (the Bell state Phi+ for two parties)."""
-    return noise.apply(ghz_state(parties), parties)
-
-
 @lru_cache(maxsize=64)  # asym-chsh specs carry an arbitrary alpha
 def _honest_terms(spec: BellSpec) -> tuple[tuple[float, np.ndarray], ...]:
-    """The read-only Bell terms of optimal_settings(spec)."""
-    terms = tuple(bell_terms(spec, *optimal_settings(spec)))
+    """The read-only Bell terms of spec's honest settings row."""
+    terms = tuple(bell_terms(spec, spec.angles, spec.plane))
     for _, op in terms:
         op.setflags(write=False)
     return terms
 
 
 def beta_of_p(spec: BellSpec, noise: NoiseModel) -> float:
-    """Bell value of the honest strategy: optimal settings on the depolarized
-    GHZ (or Bell) state."""
-    rho = _noisy_ghz(spec.parties, noise)
+    """Bell value of the honest strategy: spec's settings row on the
+    depolarized GHZ (or Bell) state."""
+    rho = noise.apply(ghz_state(spec.parties), spec.parties)
     return BellValue(_expectation(rho, _honest_terms(spec)), spec).beta
 
 
 def beta_of_p_closed_form(spec: BellSpec, noise: NoiseModel) -> float:
     """Closed forms of the honest violations (cross-checked against beta_of_p)."""
     p = noise.p
-    glob = noise.kind == "global"
+    if noise.kind == "global":
+        return spec.quantum_bound * p
     if spec.kind == "holz":
-        return 1.5 * p if glob else 0.75 * (p ** 3 + p ** 2)
+        return 0.75 * (p ** 3 + p ** 2)
     if spec.kind == "parity-chsh":
-        return SQRT2 * p if glob else (p ** 3 + p ** 2) / SQRT2
+        return (p ** 3 + p ** 2) / SQRT2
     if spec.kind == "mabk":
-        return 4.0 * p if glob else 4.0 * p ** 3
+        return 4.0 * p ** 3
     if spec.kind == "asym-chsh":
-        qb = 2.0 * np.hypot(1.0, spec.alpha)
-        return qb * p if glob else qb * p ** 2
-    raise ValidationError(f"unknown inequality {spec.kind!r}")
+        return spec.quantum_bound * p ** 2
+    raise ValidationError(f"no closed form for {spec.kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -142,8 +137,9 @@ def two_outcome_numeric(ineq: str, beta: float) -> float:
     qb = spec_by_name(ineq).quantum_bound
     bounds._check_beta(beta, qb, repr(float(qb)))
     tab = _load_tables()["curves"][ineq]
-    # 0 below the classical bound: the tables start at 0 there
-    return float(np.interp(beta, tab["beta"], tab["value"]))
+    # 0 below the classical bound: the tables start at 0 there; the last
+    # knot may sit up to 1e-12 from qb, so beta is clamped to qb itself
+    return float(np.interp(min(beta, qb), tab["beta"], tab["value"]))
 
 
 def generate_two_outcome_table(ineq: str, points: int = 200,
@@ -168,8 +164,9 @@ def generate_two_outcome_table(ineq: str, points: int = 200,
 
 @dataclass(frozen=True)
 class BoundCurve:
-    """An entropy bound on `domain` = (local bound, quantum bound); `fn`
-    rejects a non-finite beta or one above the domain and clamps beta to it."""
+    """An entropy bound on `domain` = (local bound, quantum bound); `fn` is
+    the curve function itself, which rejects a non-finite beta or one above
+    the domain and clamps beta to it."""
 
     name: str
     fn: Callable[[float], float]
@@ -208,14 +205,8 @@ def bound_curve(spec: BellSpec, outcome: str) -> BoundCurve:
         raise ValidationError(f"no {outcome!r} bound for {spec.kind}, alpha={alpha!r}"
                               " (the recycled-input bound exists only for chsh, the"
                               " asym-chsh two-outcome curve only for alpha=1)")
-    name, raw, flags = curves[key]
-    lo, qb = spec.local_bound, spec.quantum_bound
-
-    def fn(beta: float) -> float:
-        bounds._check_beta(beta, qb, repr(float(qb)))
-        return raw(min(beta, qb))
-
-    return BoundCurve(name, fn, (lo, qb), flags)
+    name, fn, flags = curves[key]
+    return BoundCurve(name, fn, (spec.local_bound, spec.quantum_bound), flags)
 
 
 # ---------------------------------------------------------------------------
@@ -293,11 +284,11 @@ def rate(kind: str, spec: BellSpec, noise: NoiseModel,
     raise ValidationError(f"unknown rate kind {kind!r}")
 
 
-def threshold_p(rate_fn, bracket: tuple[float, float] = (0.0, 1.0)) -> float:
-    """Smallest p evaluated in the bracket whose signed rate is positive,
-    one ulp above the largest p evaluated whose rate is not; NumericError
-    unless rate_fn(lo) <= 0 < rate_fn(hi)."""
-    return qmath.bracketed_root(rate_fn, *bracket)
+def threshold_p(rate_fn) -> float:
+    """Smallest p evaluated in [0, 1] whose signed rate is positive, one ulp
+    above the largest p evaluated whose rate is not; NumericError unless
+    rate_fn(0) <= 0 < rate_fn(1)."""
+    return qmath.bracketed_root(rate_fn, 0.0, 1.0)
 
 
 def rate_function(kind: str, ineq: str, noise_kind: str, gamma: float = 0.0):

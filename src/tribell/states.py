@@ -3,25 +3,22 @@ the GHZ-basis block-diagonal family, and the observables of angle rows.
 
 A measurement setting is one row of angles, each party's two angles in turn,
 with one Bloch plane for every angle ("xz": Z cos + X sin, "xy": X cos +
-Y sin); `observable_matrices` turns rows into 2x2 observables."""
+Y sin); `observable_matrices` turns rows into 2x2 observables.  Each
+inequality's honest row is defined with its terms, in bell."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ValidationError
 from .qmath import as_matrix, kron_all
 
-if TYPE_CHECKING:  # pragma: no cover
-    from .bell import BellSpec
-
 __all__ = ["I2", "X", "Y", "Z", "ghz_vector", "ghz_state", "depolarize_local",
-           "depolarize_global", "NoiseModel", "observable_matrices", "optimal_settings",
-           "BlockDiagState", "tau_state"]
+           "depolarize_global", "NoiseModel", "observable_matrices", "BlockDiagState",
+           "tau_state"]
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -121,27 +118,6 @@ def observable_matrices(plane: str, angles) -> np.ndarray:
     if plane == "xz":
         return c * Z + s * X
     return c * X + s * Y
-
-
-def optimal_settings(spec: "BellSpec") -> tuple[np.ndarray, str]:
-    """(angles, plane): a settings row that reaches the quantum bound on the
-    noiseless GHZ/Phi+ state, each party's two angles in turn."""
-    kind = spec.kind
-    if kind == "holz":
-        # A0=Z, A1=X; B+=C+=(sqrt3/2)X, B-=C-=-(1/2)Z  => b0=c0=2pi/3, b1=c1=pi/3
-        angles, plane = (0.0, np.pi / 2, 2 * np.pi / 3, np.pi / 3, 2 * np.pi / 3, np.pi / 3), "xz"
-    elif kind == "parity-chsh":
-        # A0=Z, A1=X; B+=(1/sqrt2)Z, B-=(1/sqrt2)X; C0=C1=X
-        angles, plane = (0.0, np.pi / 2, np.pi / 4, -np.pi / 4, np.pi / 2, np.pi / 2), "xz"
-    elif kind == "mabk":
-        # x-y plane: A0=B0=Y, A1=B1=X, C0=-Y, C1=-X
-        angles, plane = (np.pi / 2, 0.0, np.pi / 2, 0.0, 3 * np.pi / 2, np.pi), "xy"
-    elif kind == "asym-chsh":
-        b = np.arctan2(1.0, spec.alpha)
-        angles, plane = (0.0, np.pi / 2, b, -b), "xz"
-    else:
-        raise ValidationError(f"unknown inequality kind {kind!r}")
-    return np.array(angles, dtype=float), plane
 
 
 # The block-diagonal family on columns: rho (2, 2, 2, n) for n states, and

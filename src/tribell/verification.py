@@ -155,8 +155,7 @@ def check_quantum_bounds(samples: int = 500, seed: int = 19) -> CheckResult:
         rhos = random_density_matrices(samples, 2 ** spec.parties, seed + 100 + offset)
         # six angles a row for every inequality: the same draws as one row at a time
         angles = rng.uniform(0.0, 2.0 * np.pi, size=(samples, 6))
-        plane = "xy" if name == "mabk" else "xz"
-        beta = bell_values(spec, rhos, angles[:, :2 * spec.parties], plane)
+        beta = bell_values(spec, rhos, angles[:, :2 * spec.parties], spec.plane)
         top = np.abs(beta) if name in ("mabk", "chsh") else beta
         worst = max(worst, float(np.max(top)) - spec.quantum_bound)
     return CheckResult("quantum-bound-sanity", worst <= CHECK_TOL,
@@ -200,8 +199,8 @@ def verify_tightness(ineq: str, nu_grid) -> TightnessReport:
     return TightnessReport(ineq, nus, np.abs(ce - expected), np.abs(bnd - expected), rows)
 
 
-def check_tightness(points: int = 50) -> CheckResult:
-    nus = np.linspace(0.5, 1.0, points)
+def check_tightness() -> CheckResult:
+    nus = np.linspace(0.5, 1.0, 50)
     detail = []
     ok = True
     for ineq in ("holz", "parity-chsh"):
@@ -246,11 +245,11 @@ def check_bound_curves(grid: int = 200) -> list[CheckResult]:
     return out
 
 
-def check_reduced_value_consistency(samples: int = 100, seed: int = 23) -> CheckResult:
-    """holz_reduced_value agrees with the full Bell functional."""
-    rng = np.random.default_rng(seed)
-    rho, t = _random_block_columns(samples, seed)
-    b0, a1, cm = rng.uniform(0.0, 2.0 * np.pi, size=(samples, 3)).T
+def check_reduced_value_consistency() -> CheckResult:
+    """holz_reduced_value agrees with the full Bell functional (100 draws)."""
+    rng = np.random.default_rng(23)
+    rho, t = _random_block_columns(100, 23)
+    b0, a1, cm = rng.uniform(0.0, 2.0 * np.pi, size=(100, 3)).T
     red = _block_reduced_value(rho, _trig(t, b0), a1, cm)
     full = bell_values(holz(), _block_matrices(rho, t), reduced_angles(b0, a1, cm))
     worst = float(np.max(np.abs(red - full), initial=0.0))

@@ -17,7 +17,7 @@ from tribell.bell import bell_value, spec_by_name
 from tribell.centropy import cond_entropy
 from tribell.optimize import OptConfig, convex_hull_lower, hull_knots
 from tribell.rates import rate_function, threshold_p
-from tribell.states import ghz_state, observable_matrices, optimal_settings
+from tribell.states import ghz_state, observable_matrices
 
 SQRT2 = np.sqrt(2.0)
 
@@ -33,11 +33,11 @@ def test_criterion_1_quantum_bounds():
     checks = []
     for name, expect in (("holz", 1.5), ("parity-chsh", SQRT2), ("mabk", 4.0)):
         spec = spec_by_name(name)
-        beta = bell_value(spec, ghz_state(3), *optimal_settings(spec)).beta
+        beta = bell_value(spec, ghz_state(3), spec.angles, spec.plane).beta
         checks.append(abs(beta - expect) <= 1e-9)
     for alpha in (0.5, 1.0, 2.0):
         spec = spec_by_name("asym-chsh", alpha)
-        beta = bell_value(spec, ghz_state(2), *optimal_settings(spec)).beta
+        beta = bell_value(spec, ghz_state(2), spec.angles, spec.plane).beta
         checks.append(abs(beta - 2.0 * np.hypot(1.0, alpha)) <= 1e-9)
     elapsed = time.time() - t0
     ok = all(checks) and elapsed < 1.0

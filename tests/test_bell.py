@@ -1,14 +1,15 @@
 """bell: correlators, the four Bell functionals on angle rows, and the
 reduced Holz forms."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from tribell import bell, qmath, states, verification
 from tribell.bell import BellValue, bell_value, holz_reduced_value, reduced_angles, spec_by_name
 from tribell.errors import ValidationError
-from tribell.states import (BlockDiagState, ghz_state, observable_matrices, optimal_settings,
-                            tau_state)
+from tribell.states import BlockDiagState, ghz_state, observable_matrices, tau_state
 from tribell.verification import random_density_matrices
 
 I2, X, Y, Z = states.I2, states.X, states.Y, states.Z
@@ -79,9 +80,48 @@ class TestSpecs:
 
     def test_non_finite_bound_rejected(self):
         with pytest.raises(ValidationError, match="non-finite"):
-            bell.BellSpec("holz", 1.0, np.nan, 3)
+            dataclasses.replace(bell.holz(), quantum_bound=np.nan)
         with pytest.raises(ValidationError, match="non-finite"):
-            bell.BellSpec("holz", -np.inf, 1.5, 3)
+            dataclasses.replace(bell.holz(), local_bound=-np.inf)
+
+    def test_unknown_plane_rejected(self):
+        with pytest.raises(ValidationError, match="unknown plane"):
+            dataclasses.replace(bell.holz(), plane="yz")
+
+    def test_odd_length_settings_row_rejected(self):
+        with pytest.raises(ValidationError, match="settings row"):
+            dataclasses.replace(bell.holz(), angles=bell.holz().angles[:5])
+
+    @pytest.mark.parametrize("angle", [np.nan, np.inf])
+    def test_non_finite_settings_row_rejected(self, angle):
+        with pytest.raises(ValidationError, match="settings row"):
+            dataclasses.replace(bell.holz(), angles=(angle,) + bell.holz().angles[1:])
+
+    def test_empty_terms_rejected(self):
+        with pytest.raises(ValidationError, match="at least one term"):
+            dataclasses.replace(bell.holz(), terms=())
+
+    def test_term_with_wrong_party_count_rejected(self):
+        # a two-party term in a three-party inequality
+        with pytest.raises(ValidationError, match="per party"):
+            dataclasses.replace(bell.holz(), terms=((1.0, (0, 1)),))
+
+    @pytest.mark.parametrize("name", [2, "x", "0", -1])
+    def test_term_with_unknown_observable_rejected(self, name):
+        with pytest.raises(ValidationError, match="per party"):
+            dataclasses.replace(bell.mabk(), terms=((1.0, (0, name, 1)),))
+
+    @pytest.mark.parametrize("coef", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coefficient_rejected(self, coef):
+        with pytest.raises(ValidationError, match="finite coefficient"):
+            dataclasses.replace(bell.parity_chsh(), terms=((coef, (1, "-", 0)),))
+
+    def test_fields_define_the_inequality(self):
+        # parties from the settings row; asym-chsh's coefficient is its alpha
+        assert [bell.INEQUALITIES[n]().parties for n in bell.INEQUALITIES] == [3, 3, 3, 2, 2]
+        assert bell.mabk().plane == "xy" and bell.holz().plane == "xz"
+        assert [c for c, _ in bell.asym_chsh(0.3).terms] == [0.3, 0.3, 1.0, -1.0]
+        assert hash(bell.asym_chsh(0.3)) == hash(bell.asym_chsh(0.3))
 
     @pytest.mark.parametrize("name", ["holz", "parity-chsh", "mabk", "chsh"])
     @pytest.mark.parametrize("alpha", [3.0, 0.5, np.nan])
@@ -169,7 +209,7 @@ class TestNonFinite:
 class TestBellValue:
     def test_holz_local_depolarized_closed_form(self):
         spec = spec_by_name("holz")
-        angles, plane = optimal_settings(spec)
+        angles, plane = spec.angles, spec.plane
         a0, a1, b0, b1, c0, c1 = observable_matrices(plane, angles)
         bp, bm, cp, cm = (b0 + b1) / 2, (b0 - b1) / 2, (c0 + c1) / 2, (c0 - c1) / 2
         for p in np.linspace(0.0, 1.0, 9):
@@ -185,7 +225,7 @@ class TestBellValue:
 
     def test_mabk_global_scales_linearly(self):
         spec = spec_by_name("mabk")
-        angles, plane = optimal_settings(spec)
+        angles, plane = spec.angles, spec.plane
         assert plane == "xy"
         for p in (0.0, 0.4, 0.9, 1.0):
             rho = states.depolarize_global(ghz_state(3), p)
@@ -193,13 +233,13 @@ class TestBellValue:
 
     def test_parity_quantum_bound(self):
         spec = spec_by_name("parity-chsh")
-        got = bell_value(spec, ghz_state(3), *optimal_settings(spec)).beta
+        got = bell_value(spec, ghz_state(3), spec.angles, spec.plane).beta
         assert got == pytest.approx(np.sqrt(2), abs=1e-12)
 
     def test_holz_sign_convention_is_positive(self):
         # B- = -(1/2)Z verbatim must give +3/2 on GHZ, not -3/2
         spec = spec_by_name("holz")
-        angles, plane = optimal_settings(spec)
+        angles, plane = spec.angles, spec.plane
         b0, b1 = observable_matrices(plane, angles[2:4])
         assert np.allclose((b0 - b1) / 2, -0.5 * Z)
         assert bell_value(spec, ghz_state(3), angles, plane).beta > 0
@@ -220,8 +260,9 @@ class TestBellValue:
             assert got == pytest.approx(compact, abs=1e-12)
 
     def test_wrong_dimension(self):
+        spec = spec_by_name("holz")
         with pytest.raises(ValidationError):
-            bell_value(spec_by_name("holz"), ghz_state(2), *optimal_settings(spec_by_name("holz")))
+            bell_value(spec, ghz_state(2), spec.angles, spec.plane)
 
 
 class TestReducedForms:

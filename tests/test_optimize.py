@@ -326,7 +326,7 @@ class TestParityMinimizer:
     def test_max_violation(self):
         # oracle: cond_entropy on GHZ with the optimal Parity-CHSH settings
         spec = bell.spec_by_name("parity-chsh")
-        angles, plane = states.optimal_settings(spec)
+        angles, plane = np.array(spec.angles), spec.plane
         oracle = centropy.cond_entropy(states.ghz_state(3), [0, 1],
                                        states.observable_matrices(plane, angles[[0, 2]]))
         r = minimize_parity_two_outcome(SQRT2, CFG)

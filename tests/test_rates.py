@@ -13,8 +13,7 @@ from tribell.rates import (beta_of_p, beta_of_p_closed_form, dicka_rate,
                            dire_rate_recycled, dire_rate_spot, qber,
                            rate_function, threshold_p, two_outcome_numeric)
 from tribell.states import (I2, NoiseModel, X, Y, Z, depolarize_global,
-                            depolarize_local, ghz_state, observable_matrices,
-                            optimal_settings)
+                            depolarize_local, ghz_state, observable_matrices)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -72,7 +71,7 @@ def fresh_beta_of_p(spec, noise):
         op = kron_all(*(I2 if o is None else o for o in observables))
         return float(complex(np.trace(rho @ op)).real)
 
-    angles, plane = optimal_settings(spec)
+    angles, plane = spec.angles, spec.plane
     a0, a1, b0, b1 = (observable_matrices(plane, a) for a in angles[:4])
     if spec.kind == "asym-chsh":
         al = spec.alpha
@@ -415,6 +414,17 @@ class TestTableFile:
         use_file(json.dumps(data))
         shipped = np.interp(1.3, curve["beta"], curve["value"])
         assert two_outcome_numeric("parity-chsh", 1.3) == pytest.approx(shipped)
+
+    def test_last_knot_past_quantum_bound(self, use_file):
+        # the loader accepts a last knot up to 1e-12 from qb; a beta within
+        # the 1e-9 slack above qb reads the table at qb itself
+        data = _shipped_tables()
+        qb = spec_by_name("chsh").quantum_bound
+        data["curves"]["chsh"]["beta"][-1] = qb + 1e-13
+        use_file(json.dumps(data))
+        at_qb = two_outcome_numeric("chsh", qb)
+        assert at_qb < data["curves"]["chsh"]["value"][-1]
+        assert two_outcome_numeric("chsh", qb + 1e-10) == at_qb
 
     @pytest.mark.parametrize("edit, why", [
         (lambda d: d["curves"].pop("parity-chsh"), "KeyError: 'parity-chsh'"),
