@@ -48,6 +48,10 @@ class BellSpec:
     alpha: float = 1.0
 
     def __post_init__(self):
+        # stored as tuples, so a spec made from lists hashes (rates caches by spec)
+        object.__setattr__(self, "angles", tuple(self.angles))
+        object.__setattr__(self, "terms", tuple((coef, tuple(string))
+                                                for coef, string in self.terms))
         if not all(map(math.isfinite, (self.local_bound, self.quantum_bound, self.alpha))):
             raise ValidationError(f"non-finite bound or alpha in {self!r}")
         if self.local_bound >= self.quantum_bound:
@@ -154,9 +158,10 @@ def _terms(spec: BellSpec, pairs) -> list:
     return [(coef, [named[q][o] for q, o in enumerate(string)]) for coef, string in spec.terms]
 
 
-def _observable_pairs(spec: BellSpec, angles, plane: str, shape: tuple) -> list:
+def _observable_pairs(spec: BellSpec, angles, plane: str | None, shape: tuple) -> list:
     """Each party's observable pair (..., 2, 2, 2) of angle rows, which must
-    have the given shape (..., 2 * parties)."""
+    have the given shape (..., 2 * parties), in plane (None: spec.plane)."""
+    plane = spec.plane if plane is None else plane
     angles = np.asarray(angles, dtype=float)
     if angles.shape != shape:
         raise ValidationError(f"expected angles of shape {shape}, got {angles.shape}")
@@ -211,19 +216,20 @@ def _bell_sum(spec: BellSpec, rho: np.ndarray, pairs) -> np.ndarray:
     return total
 
 
-def bell_terms(spec: BellSpec, angles, plane: str = "xz") -> list[tuple[float, np.ndarray]]:
+def bell_terms(spec: BellSpec, angles, plane: str | None = None
+               ) -> list[tuple[float, np.ndarray]]:
     """The Bell operator of one settings row as (coefficient, observable
     string) terms; their weighted expectations, summed in this order, give
-    the Bell value."""
+    the Bell value.  The plane defaults to spec.plane."""
     pairs = _observable_pairs(spec, angles, plane, (2 * spec.parties,))
     return [(coef, kron_all(*(I2 if o is None else o for o in string)))
             for coef, string in _terms(spec, pairs)]
 
 
-def bell_values(spec: BellSpec, rho, angles, plane: str = "xz") -> np.ndarray:
+def bell_values(spec: BellSpec, rho, angles, plane: str | None = None) -> np.ndarray:
     """Bell values of n (state, settings) rows: rho (n, d, d) and angles
-    (n, 2 * parties), each party's two angles in turn in one plane.
-    Checked as BellValue checks one."""
+    (n, 2 * parties), each party's two angles in turn in one plane
+    (spec.plane by default).  Checked as BellValue checks one."""
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 3 or rho.shape[1] != rho.shape[2]:
         raise ValidationError(f"expected a stack of square matrices, got shape {rho.shape}")
@@ -237,7 +243,7 @@ def bell_values(spec: BellSpec, rho, angles, plane: str = "xz") -> np.ndarray:
     return beta
 
 
-def bell_value(spec: BellSpec, rho, angles, plane: str = "xz") -> BellValue:
+def bell_value(spec: BellSpec, rho, angles, plane: str | None = None) -> BellValue:
     """The Bell value of one state under one settings row: the one-row case
     of bell_values."""
     rows = np.asarray(angles, dtype=float)[None]

@@ -6,13 +6,14 @@ feasible parametrization: block eigenvalues enter through normalized squares
 of free variables, angles are unconstrained, and the Bell constraint is
 enforced by a quadratic penalty that grows whenever a local solve ends
 infeasible.  One driver (`_multistart`) serves all three inequalities; each
-supplies one row evaluation giving Bell value and entropy together, a poll
-giving them for every candidate of a coordinate poll, and its structured
-starts.  For Holz and Parity-CHSH the value is the angle-maximized reduced
-form `bell._block_vbar` and the entropy is closed-form in the 2x2 Gram
-blocks of Charlie's conditional states (`_two_outcome_entropy`); one kernel
-on the column layout of `states._block_trig` evaluates both for single rows
-and polls alike.  Identical seed and config give bit-identical results.
+supplies one row evaluation giving Bell value and entropy together, one
+giving the Bell value alone (for the feasibility snap), a poll giving both
+for every candidate of a coordinate poll, and its structured starts.  For
+Holz and Parity-CHSH the value is the angle-maximized reduced form
+`bell._block_vbar` and the entropy is closed-form in the 2x2 Gram blocks of
+Charlie's conditional states (`_two_outcome_entropy`); one kernel on the
+column layout of `states._block_trig` evaluates both for single rows and
+polls alike.  Identical seed and config give bit-identical results.
 """
 
 from __future__ import annotations
@@ -60,8 +61,9 @@ def _weights(z: np.ndarray, k: int) -> np.ndarray:
 
 def _beta_scale(v: np.ndarray, beta: float) -> np.ndarray:
     """Mixing weight s that brings a degree-1 homogeneous Bell value v down to
-    beta wherever v > beta (see _mixed)."""
-    return np.where(v > beta, beta / np.where(v > 0.0, v, 1.0), 1.0)
+    beta wherever v > beta (see _mixed), and 1.0 (beta / beta) elsewhere,
+    NaN included."""
+    return beta / np.fmax(v, beta)
 
 
 def _mixed(w: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -89,7 +91,7 @@ def _block_entropy(rho: np.ndarray, trig: np.ndarray) -> np.ndarray:
     the eigenvalue entropies is S + S."""
     lam0, lam1 = _block_lambdas(rho, trig)
     diag = 0.5 * (lam0 + lam1)  # D[0, j, k]
-    cs = trig[[_COSH, _SINH]] ** 2  # Bob's eigenvector weights cu, su
+    cs = trig[_COSH::_SINH - _COSH] ** 2  # Bob's eigenvector weights cu, su
     g = cs[:, None] * diag[0] + cs[::-1, None] * diag[1]  # diagonal of G[0, o]: (o, k, n)
     g01 = trig[_SINB] * _block_zxx(rho[0] - rho[1], trig) / 8.0
     tr = g[:, 0] + g[:, 1]
@@ -129,11 +131,11 @@ def _block_evaluate(z: np.ndarray, beta: float, parity: bool):
 # restart each variable takes three values, x + r * _STEP3.  _POLL_INDEX
 # (13, 26) picks, for every variable and candidate, which; the gathers below
 # apply it to the 8 weight rows and to the 20 trig rows (by the variable
-# behind each).
+# behind each), as flat indices into the rows of (row, value) for np.take.
 _STEP3 = np.array([0.0, 1.0, -1.0])
 _POLL_INDEX = np.hstack([np.eye(13, dtype=np.intp), 2 * np.eye(13, dtype=np.intp)])
-_WEIGHT_GATHER = (np.arange(8)[:, None], _POLL_INDEX[:8])
-_TRIG_GATHER = (np.arange(20)[:, None], _POLL_INDEX[8 + np.tile(_ANGLE_ROWS, 2)])
+_WEIGHT_GATHER = (3 * np.arange(8)[:, None] + _POLL_INDEX[:8]).ravel()
+_TRIG_GATHER = (3 * np.arange(20)[:, None] + _POLL_INDEX[8 + np.tile(_ANGLE_ROWS, 2)]).ravel()
 
 
 def _block_poll(x: np.ndarray, r: np.ndarray, beta: float, parity: bool):
@@ -146,8 +148,9 @@ def _block_poll(x: np.ndarray, r: np.ndarray, beta: float, parity: bool):
     (weights enter squared, angles through cosines and squared or absolute
     sines)."""
     u = x.T[:, None, :] + r * _STEP3[:, None]  # (13, 3, k)
-    rho = _block_rho((u[:8] ** 2)[_WEIGHT_GATHER].reshape(8, -1))
-    trig = _block_trig(u[8:].reshape(5, -1)).reshape(20, 3, -1)[_TRIG_GATHER].reshape(20, -1)
+    rho = _block_rho((u[:8] ** 2).reshape(24, -1).take(_WEIGHT_GATHER, axis=0).reshape(8, -1))
+    trig = _block_trig(u[8:].reshape(5, -1)).reshape(60, -1).take(_TRIG_GATHER, axis=0)
+    trig = trig.reshape(20, -1)
     v, ent = _block_kernel(rho, trig, beta, parity)
     return v.reshape(26, -1).T, ent.reshape(26, -1).T
 
@@ -268,21 +271,30 @@ def _materialized_poll(evaluate, d: int):
 
 def _snap_to_anchor(x: np.ndarray, anchor: np.ndarray, deficit_batch) -> np.ndarray:
     """Restore feasibility of every row by bisecting along the segment towards
-    a known feasible anchor (deficit <= 0 means feasible).  The bisection
-    stops once every lane's midpoint rounds onto an end: lo is infeasible,
-    so no lane's hi, all it returns, can move after that."""
+    a known feasible anchor (deficit <= 0 means feasible).  One deficit call
+    serves two bisection levels: it takes the midpoint and both quarter
+    points, and the second level reads the quarter point its bracket picks.
+    The bisection stops after 80 levels, or once every lane's midpoint
+    rounds onto an end: lo is infeasible, so no lane's hi, all it returns,
+    can move after that."""
     bad = deficit_batch(x) > 0.0
     if not np.any(bad):
         return x
     xb = x[bad]
-    lo = np.zeros(len(xb))
-    hi = np.ones(len(xb))
+    n = len(xb)
+    lo, hi = np.zeros(n), np.ones(n)
     seg = anchor[None, :] - xb
-    for _ in range(80):
+    xb3, seg3 = np.tile(xb, (3, 1)), np.tile(seg, (3, 1))
+    for level in range(80):
         mid = 0.5 * (lo + hi)
         if np.all((mid == lo) | (mid == hi)):
             break
-        ok = deficit_batch(xb + mid[:, None] * seg) <= 0.0
+        if level % 2 == 0:
+            t = np.concatenate([mid, 0.5 * (lo + mid), 0.5 * (mid + hi)])
+            oks = (deficit_batch(xb3 + t[:, None] * seg3) <= 0.0).reshape(3, n)
+            ok = oks[0]
+        else:  # mid is the quarter point on the side the last level kept
+            ok = np.where(oks[0], oks[1], oks[2])
         hi = np.where(ok, mid, hi)
         lo = np.where(ok, lo, mid)
     x = x.copy()
@@ -325,14 +337,15 @@ def _pack_warm(res: OptResult) -> np.ndarray:
     return _pack(a["lambdas"], a["phi"])
 
 
-def _multistart(beta: float, cfg: OptConfig, warm_starts, evaluate, poll,
+def _multistart(beta: float, cfg: OptConfig, warm_starts, evaluate, value, poll,
                 starts: list, layout, canon=None):
     """Best-of-restarts local search for the entropy subject to the Bell
     value reaching beta.  `evaluate(z, beta)` gives every row's Bell value and
     the entropy of its state mixed down to beta, so the constraint is exactly
     eliminated on the feasible side; on the infeasible side a quadratic
     penalty steers back and final points are snapped to feasibility along the
-    segment to the first start.  `poll(x, r, beta)` gives the same pair for
+    segment to the first start, by the Bell values `value(z)` alone (the
+    same bits as evaluate's).  `poll(x, r, beta)` gives evaluate's pair for
     the (k, 2d) candidates of a coordinate poll (_pattern_search_lockstep).
     `starts` are the inequality's structured starts, the first of them
     feasible; seeded random ones laid out as `layout` (see _random_starts)
@@ -344,9 +357,16 @@ def _multistart(beta: float, cfg: OptConfig, warm_starts, evaluate, poll,
     starts[1:1] = [_pack_warm(w) for w in warm_starts or ()]
     x = np.array(starts, dtype=float)
     anchor = x[0].copy()
+    # A poll's temporaries (under 1 KB per candidate) would otherwise grow
+    # glibc's heap past its trim threshold and be faulted back in on every
+    # poll.  Freeing a block that malloc served by mmap raises its mmap and
+    # trim thresholds to the block's size (mallopt(3)), so the heap stays
+    # mapped; the block itself is never touched.
+    block = np.empty(min(len(x) * x.shape[1] * 256, 1 << 21))  # 2d x 1 KB a row, <= 16 MB
+    del block
 
     def deficit(z):
-        return beta - evaluate(z, beta)[0]
+        return beta - value(z)
 
     def search(x0, pw, radius, polls):
         return _pattern_search_lockstep(
@@ -418,6 +438,7 @@ def _minimize_block_family(ineq: str, beta: float, cfg: OptConfig,
     x, raw, feasible, used = _multistart(
         beta, cfg, warm_starts,
         lambda z, beta: _block_evaluate(z, beta, parity),
+        lambda z: _block_vbar(*_block_columns(z), parity),
         lambda x, r, beta: _block_poll(x, r, beta, parity),
         _block_starts(beta, parity),
         (8, [(-np.pi / 2, np.pi / 2, 4), (0.0, np.pi, 1)]), _canonicalize_block_vars)
@@ -484,7 +505,7 @@ def minimize_chsh_two_outcome(beta: float, cfg: OptConfig = OptConfig(),
     starts = [np.array([1.0, 0, 0, 0, 0.0, np.pi / 2, -np.pi / 4, np.pi / 4]),  # v = 2 sqrt2
               np.array([np.sqrt(0.5), np.sqrt(0.5), 0, 0, 0, 0, 0, 0])]
     x, raw, feasible, used = _multistart(beta, cfg, warm_starts,
-                                         _chsh_evaluate,
+                                         _chsh_evaluate, lambda z: _chsh_terms(z)[2],
                                          _materialized_poll(_chsh_evaluate, 8), starts,
                                          (4, [(-np.pi, np.pi, 4)]))
     lam, _, v = _chsh_terms(x[None, :])

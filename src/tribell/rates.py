@@ -92,6 +92,7 @@ def beta_of_p_closed_form(spec: BellSpec, noise: NoiseModel) -> float:
 
 TABLE_ENV = "TRIBELL_TABLES"
 NUMERIC_CURVES = ("parity-chsh", "chsh")
+_QUANTUM_BOUNDS = {ineq: spec_by_name(ineq).quantum_bound for ineq in NUMERIC_CURVES}
 
 
 @lru_cache(maxsize=1)
@@ -134,7 +135,7 @@ def two_outcome_numeric(ineq: str, beta: float) -> float:
     """Interpolated numeric H(A0 B0|E) lower curve for parity-chsh or chsh."""
     if ineq not in NUMERIC_CURVES:
         raise ValidationError(f"no numeric two-outcome table for {ineq!r}")
-    qb = spec_by_name(ineq).quantum_bound
+    qb = _QUANTUM_BOUNDS[ineq]
     bounds._check_beta(beta, qb, repr(float(qb)))
     tab = _load_tables()["curves"][ineq]
     # 0 below the classical bound: the tables start at 0 there; the last

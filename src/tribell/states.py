@@ -133,7 +133,7 @@ _ANGLE_SCALE = np.array([2.0, 2.0, 2.0, 2.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.5])[:, N
 def _block_trig(a: np.ndarray) -> np.ndarray:
     """(5, n) angles t00, t01, t10, t11, b0 -> the (20, n) cos and sin rows
     of the stacked (2t, t, b0, b0/2)."""
-    ang = a[_ANGLE_ROWS] * _ANGLE_SCALE  # 1.0 * t is t
+    ang = a.take(_ANGLE_ROWS, axis=0) * _ANGLE_SCALE  # 1.0 * t is t
     out = np.empty((20, ang.shape[1]))
     np.cos(ang, out=out[:10])
     np.sin(ang, out=out[10:])

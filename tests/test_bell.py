@@ -6,7 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from tribell import bell, qmath, states, verification
+from tribell import bell, qmath, rates, states, verification
 from tribell.bell import BellValue, bell_value, holz_reduced_value, reduced_angles, spec_by_name
 from tribell.errors import ValidationError
 from tribell.states import BlockDiagState, ghz_state, observable_matrices, tau_state
@@ -115,6 +115,27 @@ class TestSpecs:
     def test_non_finite_coefficient_rejected(self, coef):
         with pytest.raises(ValidationError, match="finite coefficient"):
             dataclasses.replace(bell.parity_chsh(), terms=((coef, (1, "-", 0)),))
+
+    def test_list_fields_stored_as_tuples(self):
+        # a spec made from lists hashes, so beta_of_p's cache takes it, and
+        # gives the tuple spec's value bit for bit
+        spec = bell.holz()
+        listed = dataclasses.replace(spec, angles=list(spec.angles),
+                                     terms=[[c, list(s)] for c, s in spec.terms])
+        assert listed == spec and hash(listed) == hash(spec)
+        assert isinstance(listed.angles, tuple)
+        assert all(isinstance(t, tuple) and isinstance(t[1], tuple) for t in listed.terms)
+        for noise, p in (("local", 0.93), ("global", 0.8)):
+            nm = states.NoiseModel(noise, p)
+            got = rates.beta_of_p(dataclasses.replace(spec, angles=list(spec.angles)), nm)
+            want = rates.beta_of_p(spec, nm)
+            assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
+
+    def test_list_fields_keep_their_checks(self):
+        with pytest.raises(ValidationError, match="settings row"):
+            dataclasses.replace(bell.holz(), angles=list(bell.holz().angles[:5]))
+        with pytest.raises(ValidationError, match="per party"):
+            dataclasses.replace(bell.holz(), terms=[[1.0, [0, 1]]])
 
     def test_fields_define_the_inequality(self):
         # parties from the settings row; asym-chsh's coefficient is its alpha
@@ -230,6 +251,18 @@ class TestBellValue:
         for p in (0.0, 0.4, 0.9, 1.0):
             rho = states.depolarize_global(ghz_state(3), p)
             assert bell_value(spec, rho, angles, plane).beta == pytest.approx(4 * p, abs=1e-12)
+
+    @pytest.mark.parametrize("name", list(bell.INEQUALITIES))
+    def test_plane_defaults_to_the_spec_plane(self, name):
+        # MABK's row is an x-y row: read in the x-z plane it gave 1.2e-16
+        spec = spec_by_name(name)
+        rho = ghz_state(spec.parties)
+        want = bell_value(spec, rho, spec.angles, spec.plane).beta
+        assert bell_value(spec, rho, spec.angles).beta == want
+        assert bell.bell_values(spec, rho[None], np.array(spec.angles)[None])[0] == want
+        assert bell._expectation(rho, bell.bell_terms(spec, spec.angles)) \
+            == bell._expectation(rho, bell.bell_terms(spec, spec.angles, spec.plane))
+        assert want == pytest.approx(spec.quantum_bound, abs=1e-12)  # MABK: 4
 
     def test_parity_quantum_bound(self):
         spec = spec_by_name("parity-chsh")

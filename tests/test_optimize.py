@@ -1,6 +1,11 @@
 """optimize: entropy minimizers, convex hull, tightness sweeps."""
 
 import hashlib
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -185,41 +190,154 @@ def test_row_kernel_matches_numpy_reductions(parity):
 
 
 def _snap_all_rounds(x, anchor, deficit_batch):
-    """_snap_to_anchor with all 80 bisection rounds."""
+    """_snap_to_anchor one bisection level per call, with all 80 levels;
+    also returns the first level at which every lane's midpoint rounds onto
+    an end (80 if none does)."""
     bad = deficit_batch(x) > 0.0
     xb = x[bad]
     lo, hi = np.zeros(len(xb)), np.ones(len(xb))
     seg = anchor[None, :] - xb
-    for _ in range(80):
+    stalled = 80
+    for level in range(80):
         mid = 0.5 * (lo + hi)
+        if stalled == 80 and np.all((mid == lo) | (mid == hi)):
+            stalled = level
         ok = deficit_batch(xb + mid[:, None] * seg) <= 0.0
         hi = np.where(ok, mid, hi)
         lo = np.where(ok, lo, mid)
     x = x.copy()
     x[bad] = xb + hi[:, None] * seg
-    return x
+    return x, stalled
+
+
+def _check_snap(x, anchor, deficit):
+    """The two-level snap against all 80 sequential levels: the same bits,
+    and after the first call one call per two levels until every lane has
+    stalled, each on the midpoint and both quarter points of every
+    infeasible lane.  Returns the level at which they stalled."""
+    calls = []
+
+    def counted(z):
+        calls.append(len(z))
+        return deficit(z)
+    got = optimize._snap_to_anchor(x, anchor, counted)
+    want, stalled = _snap_all_rounds(x, anchor, deficit)
+    np.testing.assert_array_equal(_bits(got), _bits(want))
+    bad = np.count_nonzero(deficit(x) > 0.0)
+    assert calls == [len(x)] + [3 * bad] * ((stalled + 1) // 2)
+    return stalled
+
+
+def _late_lanes(x, anchor, deficit):
+    """Rows a step short of the boundary: they cross it near the start of
+    their segments, so their lanes need more levels than the others."""
+    snapped, _ = _snap_all_rounds(x, anchor, deficit)
+    return snapped + 1e-3 * (x - snapped)
 
 
 @pytest.mark.parametrize("parity, beta", [(False, 1.45), (True, 1.3)])
 def test_snap_stops_early_with_the_same_bits(parity, beta):
     x, _ = _poll_incumbents()
     anchor = optimize._block_starts(beta, parity)[0]
-    calls = []
 
     def deficit(z):
-        calls.append(len(z))
         return beta - optimize._block_evaluate(z, beta, parity)[0]
-    # rows a step short of the boundary cross it near the start of their
-    # segments, so their lanes need more rounds than the others
-    snapped = _snap_all_rounds(x, anchor, deficit)
-    x = np.vstack([x, snapped + 1e-3 * (x - snapped)])
-    calls.clear()
-    got = optimize._snap_to_anchor(x, anchor, deficit)
-    early = len(calls)
-    want = _snap_all_rounds(x, anchor, deficit)
-    assert len(calls) - early == 81 and early < 81
+    x = np.vstack([x, _late_lanes(x, anchor, deficit)])
     assert np.count_nonzero(deficit(x) > 0.0) > len(x) // 2
-    np.testing.assert_array_equal(_bits(got), _bits(want))
+    assert _check_snap(x, anchor, deficit) < 80
+
+
+def test_snap_stops_early_on_chsh_rows():
+    beta = 2.7
+    rng = np.random.default_rng(13)
+    x = np.column_stack([rng.normal(size=(60, 4)), rng.uniform(-np.pi, np.pi, (60, 4))])
+    anchor = np.array([1.0, 0, 0, 0, 0.0, np.pi / 2, -np.pi / 4, np.pi / 4])  # 2 sqrt2
+
+    def deficit(z):
+        return beta - optimize._chsh_terms(z)[2]
+    x = np.vstack([x, _late_lanes(x, anchor, deficit)])
+    assert np.count_nonzero(deficit(x) > 0.0) > len(x) // 2
+    assert _check_snap(x, anchor, deficit) < 80
+
+
+def test_snap_exit_on_either_level_and_at_the_cap():
+    # one lane on [1, 0] crossing x (1 - t) = 1 - t* at t = t*: it stalls
+    # after a number of levels set by t*, odd, even, or past the 80-level
+    # cap for t* near 0
+    anchor = np.zeros(1)
+    seen = set()
+    for crossing in np.geomspace(1e-40, 0.9, 60):
+        c = 1.0 - crossing
+
+        def deficit(z):
+            return z[:, 0] - c
+        seen.add(_check_snap(np.ones((1, 1)), anchor, deficit))
+    assert 80 in seen
+    assert {level % 2 for level in seen - {80}} == {0, 1}
+
+
+@pytest.mark.parametrize("minimizer, beta, width", [
+    (minimize_holz_two_outcome, 1.45, 13), (minimize_parity_two_outcome, 1.3, 13),
+    (minimize_chsh_two_outcome, 2.7, 8)])
+def test_snap_value_bits_equal_evaluate(monkeypatch, minimizer, beta, width):
+    # the value that each minimizer hands the snap is evaluate's, bit for bit
+    seen = {}
+    multistart = optimize._multistart
+
+    def spy(beta, cfg, warm_starts, evaluate, value, *rest):
+        seen.update(evaluate=evaluate, value=value)
+        return multistart(beta, cfg, warm_starts, evaluate, value, *rest)
+    monkeypatch.setattr(optimize, "_multistart", spy)
+    minimizer(beta, OptConfig(restarts=2, seed=0))
+    x, r = _poll_incumbents()
+    z = (x[:, None, :] + r[:, None, None] * optimize._poll_steps(13)).reshape(-1, 13)
+    z = z[:, :width]
+    np.testing.assert_array_equal(_bits(seen["value"](z)),
+                                  _bits(seen["evaluate"](z, beta)[0]))
+
+
+def test_snap_evaluates_no_entropy(monkeypatch):
+    # a 64-restart Holz solve: at most 132 deficit calls, none of which
+    # reaches the entropy kernel
+    snapping, calls, entropies = [False], [0], [0]
+    snap, entropy = optimize._snap_to_anchor, optimize._block_entropy
+
+    def counted_snap(x, anchor, deficit):
+        def counted(z):
+            calls[0] += 1
+            return deficit(z)
+        snapping[0] = True
+        try:
+            return snap(x, anchor, counted)
+        finally:
+            snapping[0] = False
+
+    def counted_entropy(*args):
+        entropies[0] += snapping[0]
+        return entropy(*args)
+    monkeypatch.setattr(optimize, "_snap_to_anchor", counted_snap)
+    monkeypatch.setattr(optimize, "_block_entropy", counted_entropy)
+    minimize_holz_two_outcome(1.45, OptConfig(restarts=64, seed=0))
+    assert 0 < calls[0] <= 132
+    assert entropies[0] == 0
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc thresholds")
+def test_block_solve_keeps_its_heap_mapped():
+    # a poll's temporaries stay mapped between polls: without the scratch
+    # block in _multistart a 64-restart Holz solve takes 70k-90k minor
+    # page faults
+    code = ("import resource\n"
+            "from tribell.optimize import minimize_holz_two_outcome\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "minimize_holz_two_outcome(1.45)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
+    src = str(Path(optimize.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert int(out) <= 5000
 
 
 def _einsum_gram(rho, t, b0):
