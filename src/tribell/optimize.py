@@ -3,12 +3,14 @@ Parity-CHSH, CHSH) and convex-hull post-processing.
 
 The search is a multi-start derivative-free pattern search over an interior
 feasible parametrization: block eigenvalues enter through normalized squares
-of free variables, angles are unconstrained, and the Bell constraint is
-enforced by a quadratic penalty that grows whenever a local solve ends
-infeasible.  One driver (`_multistart`) serves all three inequalities; each
-supplies one row evaluation giving Bell value and entropy together, one
-giving the Bell value alone (for the feasibility snap), a poll giving both
-for every candidate of a coordinate poll, and its structured starts.  For
+of free variables, angles are unconstrained, a quadratic penalty steers the
+search back towards the Bell constraint, and every stage's end points are
+snapped to feasibility.  One driver (`_multistart`) serves all three
+inequalities and builds their results; each supplies one row evaluation
+giving Bell value and entropy together, one giving the Bell value alone (for
+the feasibility snap), a poll giving both for every candidate of a
+coordinate poll, its structured starts, and `argmin(x)`, which turns the
+winning row into the result's argmin and achieved Bell value.  For
 Holz and Parity-CHSH the value is the angle-maximized reduced form
 `bell._block_vbar` and the entropy is closed-form in the 2x2 Gram blocks of
 Charlie's conditional states (`_two_outcome_entropy`); one kernel on the
@@ -32,12 +34,11 @@ __all__ = ["OptConfig", "OptResult", "minimize_holz_two_outcome", "minimize_pari
            "minimize_chsh_two_outcome", "MINIMIZERS", "sweep_two_outcome", "convex_hull_lower",
            "hull_value", "hull_knots"]
 
-# search schedule: a main pattern-search stage at PENALTY, then up to
-# PENALTY_ROUNDS - 1 refine stages, each PENALTY_GROWTH times heavier, then a
-# polish of the winners at PENALTY * 1e4
+# search schedule, fixed: a main pattern-search stage at PENALTY, a refine
+# stage at REFINE_PENALTY, then a polish of the winners at PENALTY * 1e4;
+# each stage's end points are snapped to feasibility
 PENALTY = 1e3
-PENALTY_GROWTH = 8.0
-PENALTY_ROUNDS = 3
+REFINE_PENALTY = 8e3
 RADIUS = 0.3
 REFINE_RADIUS = 3e-3
 RADIUS_FLOOR = 1e-9
@@ -200,12 +201,6 @@ class OptResult:
     converged: bool
     restarts_used: int
     beta_target: float
-    ineq: str
-
-    def state(self) -> Optional[BlockDiagState]:
-        if "rho" in self.argmin:
-            return BlockDiagState(self.argmin["rho"], self.argmin["t"])
-        return None
 
 
 def _poll_steps(d: int) -> np.ndarray:
@@ -338,19 +333,23 @@ def _pack_warm(res: OptResult) -> np.ndarray:
 
 
 def _multistart(beta: float, cfg: OptConfig, warm_starts, evaluate, value, poll,
-                starts: list, layout, canon=None):
+                starts: list, layout, argmin, canon=None) -> OptResult:
     """Best-of-restarts local search for the entropy subject to the Bell
     value reaching beta.  `evaluate(z, beta)` gives every row's Bell value and
     the entropy of its state mixed down to beta, so the constraint is exactly
     eliminated on the feasible side; on the infeasible side a quadratic
-    penalty steers back and final points are snapped to feasibility along the
-    segment to the first start, by the Bell values `value(z)` alone (the
-    same bits as evaluate's).  `poll(x, r, beta)` gives evaluate's pair for
-    the (k, 2d) candidates of a coordinate poll (_pattern_search_lockstep).
-    `starts` are the inequality's structured starts, the first of them
-    feasible; seeded random ones laid out as `layout` (see _random_starts)
-    fill them up to cfg.restarts, and the warm starts go in after the first.
-    Returns (x, entropy, feasible, restarts used).
+    penalty steers back, and the end points of every stage are snapped to
+    feasibility along the segment to the first start, by the Bell values
+    `value(z)` alone (the same bits as evaluate's).  The snap is the one
+    feasibility mechanism: the stages run a fixed schedule, and a winner
+    whose deficit still exceeds FEASIBILITY_TOL is reported unconverged.
+    `poll(x, r, beta)` gives evaluate's pair for the (k, 2d) candidates of a
+    coordinate poll (_pattern_search_lockstep).  `starts` are the
+    inequality's structured starts, the first of them feasible; seeded random
+    ones laid out as `layout` (see _random_starts) fill them up to
+    cfg.restarts, and the warm starts go in after the first.  `argmin(x)`
+    gives the winning row's (argmin dict, achieved Bell value) for the
+    returned OptResult.
     """
     starts = starts + _random_starts(cfg.seed, cfg.restarts - len(starts), *layout)
     starts = starts[: cfg.restarts]
@@ -376,32 +375,27 @@ def _multistart(beta: float, cfg: OptConfig, warm_starts, evaluate, value, poll,
     best_x, best_raw, best_feas = x.copy(), np.full(len(x), np.inf), np.zeros(len(x), bool)
 
     def remember(xc):
-        """Keep every restart's best point; returns the rows' deficits."""
+        """Keep every restart's best point, feasible ones first."""
         v, raw = evaluate(xc, beta)
         feas = beta - v <= FEASIBILITY_TOL
         better = (feas & ~best_feas) | ((feas == best_feas) & (raw < best_raw))
         best_x[better] = xc[better]
         best_raw[better] = raw[better]
         best_feas[better] = feas[better]
-        return beta - v
 
     remember(_snap_to_anchor(x, anchor, deficit))
-    x = search(x, PENALTY, RADIUS, MAIN_POLLS)
-    x = _snap_to_anchor(x, anchor, deficit)
+    x = _snap_to_anchor(search(x, PENALTY, RADIUS, MAIN_POLLS), anchor, deficit)
     remember(x)
-    pw = PENALTY * PENALTY_GROWTH
-    for _ in range(PENALTY_ROUNDS - 1):
-        x = search(x, pw, REFINE_RADIUS, REFINE_POLLS)
-        x = _snap_to_anchor(x, anchor, deficit)
-        if np.all(remember(x) <= 0.0):
-            break
-        pw *= PENALTY_GROWTH
+    x = search(x, REFINE_PENALTY, REFINE_RADIUS, REFINE_POLLS)
+    remember(_snap_to_anchor(x, anchor, deficit))
     # polish the winners once more at a tight radius and huge weight
     x = search(best_x, PENALTY * 1e4, 1e-4, REFINE_POLLS)
-    x = _snap_to_anchor(x, anchor, deficit)
-    remember(x)
+    remember(_snap_to_anchor(x, anchor, deficit))
     i = int(np.lexsort((best_raw, ~best_feas))[0])
-    return best_x[i], float(best_raw[i]), bool(best_feas[i]), len(starts)
+    arg, achieved = argmin(best_x[i])
+    return OptResult(entropy=float(np.clip(best_raw[i], 0.0, 2.0)), argmin=arg,
+                     achieved_beta=achieved, converged=bool(best_feas[i]),
+                     restarts_used=len(starts), beta_target=beta)
 
 
 # ---------------------------------------------------------------------------
@@ -433,28 +427,22 @@ def _block_starts(beta: float, parity: bool) -> list:
 def _minimize_block_family(ineq: str, beta: float, cfg: OptConfig,
                            warm_starts) -> OptResult:
     parity = ineq == "parity-chsh"
-
     beta = _check_beta(ineq, beta)
-    x, raw, feasible, used = _multistart(
+
+    def argmin(x):
+        rho, trig = _block_columns(x[None, :])
+        s = _beta_scale(_block_vbar(rho, trig, parity), beta)
+        rho_s = s * rho + (1.0 - s) / 8
+        state = BlockDiagState(rho_s[..., 0], x[8:12].reshape(2, 2))
+        return ({"rho": state.rho, "t": state.t, "b0": float(x[12])},
+                float(_block_vbar(rho_s, trig, parity)[0]))
+    return _multistart(
         beta, cfg, warm_starts,
         lambda z, beta: _block_evaluate(z, beta, parity),
         lambda z: _block_vbar(*_block_columns(z), parity),
         lambda x, r, beta: _block_poll(x, r, beta, parity),
         _block_starts(beta, parity),
-        (8, [(-np.pi / 2, np.pi / 2, 4), (0.0, np.pi, 1)]), _canonicalize_block_vars)
-    rho, trig = _block_columns(x[None, :])
-    s = _beta_scale(_block_vbar(rho, trig, parity), beta)
-    rho_s = s * rho + (1.0 - s) / 8
-    state = BlockDiagState(rho_s[..., 0], x[8:12].reshape(2, 2))
-    return OptResult(
-        entropy=float(np.clip(raw, 0.0, 2.0)),
-        argmin={"rho": state.rho, "t": state.t, "b0": float(x[12])},
-        achieved_beta=float(_block_vbar(rho_s, trig, parity)[0]),
-        converged=feasible,
-        restarts_used=used,
-        beta_target=beta,
-        ineq=ineq,
-    )
+        (8, [(-np.pi / 2, np.pi / 2, 4), (0.0, np.pi, 1)]), argmin, _canonicalize_block_vars)
 
 
 def minimize_holz_two_outcome(beta: float, cfg: OptConfig = OptConfig(),
@@ -504,21 +492,15 @@ def minimize_chsh_two_outcome(beta: float, cfg: OptConfig = OptConfig(),
     beta = _check_beta("chsh", beta)
     starts = [np.array([1.0, 0, 0, 0, 0.0, np.pi / 2, -np.pi / 4, np.pi / 4]),  # v = 2 sqrt2
               np.array([np.sqrt(0.5), np.sqrt(0.5), 0, 0, 0, 0, 0, 0])]
-    x, raw, feasible, used = _multistart(beta, cfg, warm_starts,
-                                         _chsh_evaluate, lambda z: _chsh_terms(z)[2],
-                                         _materialized_poll(_chsh_evaluate, 8), starts,
-                                         (4, [(-np.pi, np.pi, 4)]))
-    lam, _, v = _chsh_terms(x[None, :])
-    lam_s = _mixed(lam, _beta_scale(v, beta))
-    return OptResult(
-        entropy=float(np.clip(raw, 0.0, 2.0)),
-        argmin={"lambdas": lam_s[0].reshape(2, 2), "phi": x[4:8].copy()},
-        achieved_beta=float(min(v[0], beta)),
-        converged=feasible,
-        restarts_used=used,
-        beta_target=beta,
-        ineq="chsh",
-    )
+
+    def argmin(x):
+        lam, _, v = _chsh_terms(x[None, :])
+        lam_s = _mixed(lam, _beta_scale(v, beta))
+        return ({"lambdas": lam_s[0].reshape(2, 2), "phi": x[4:8].copy()},
+                float(min(v[0], beta)))
+    return _multistart(beta, cfg, warm_starts, _chsh_evaluate, lambda z: _chsh_terms(z)[2],
+                       _materialized_poll(_chsh_evaluate, 8), starts,
+                       (4, [(-np.pi, np.pi, 4)]), argmin)
 
 
 MINIMIZERS = {

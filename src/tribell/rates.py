@@ -143,8 +143,7 @@ def two_outcome_numeric(ineq: str, beta: float) -> float:
     return float(np.interp(min(beta, qb), tab["beta"], tab["value"]))
 
 
-def generate_two_outcome_table(ineq: str, points: int = 200,
-                               restarts: int = 16, seed: int = 7) -> dict:
+def generate_two_outcome_table(ineq: str, points: int, restarts: int, seed: int) -> dict:
     """Regenerate one numeric curve with the optimizer (descending beta with
     warm starts), made monotone and pinned to 0 at the classical bound."""
     if ineq not in NUMERIC_CURVES:

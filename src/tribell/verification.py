@@ -42,10 +42,6 @@ class CheckResult:
         object.__setattr__(self, "passed", bool(self.passed))
         object.__setattr__(self, "expected_failure", bool(self.expected_failure))
 
-    @property
-    def ok(self) -> bool:
-        return self.passed or self.expected_failure
-
 
 def _random_block_columns(count: int, seed: int):
     """A deterministic mix of broad and near-pure GHZ-block-diagonal states,

@@ -118,6 +118,19 @@ class TestSolveX:
         with pytest.raises(ValidationError):
             solve_x(1.3)
 
+    @pytest.mark.parametrize("gap", [1e-6, 1e-7, 1e-8])
+    def test_upper_edge_near_three_halves(self, gap):
+        # d(theta)/dx <= 0 at the upper end of the domain: the stationary
+        # point has merged with the edge, which is returned, and the curve
+        # runs continuously (as sqrt(gap)) into theta_at_optimum(1.5)
+        b = 1.5 - gap
+        lo, hi = bounds.theta_x_domain(b)
+        edge = hi - (hi - lo) * 1e-9
+        assert bounds._dtheta_dx(b, edge) <= 0.0
+        assert solve_x(b) == edge
+        below = theta_at_optimum(1.5) - holz_two_outcome(b)
+        assert 0.0 < below <= 1.2 * np.sqrt(gap)
+
 
 class TestBetaStars:
     def test_holz_location(self):

@@ -416,6 +416,35 @@ class TestVerify:
         assert "--samples" in err
 
 
+    def test_unexpected_failure_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(verification, "run_all", lambda **k: [
+            verification.CheckResult("fine", True, "ok detail"),
+            verification.CheckResult("broken", False, "margin -1"),
+            verification.CheckResult("known", False, "concave", expected_failure=True)])
+        code, out, _ = run_cli(["verify", "--samples", "300"], capsys)
+        assert code == 1
+        assert out.splitlines() == ["[PASS] fine: ok detail", "[FAIL] broken: margin -1",
+                                    "[KNOWN-FAIL] known: concave",
+                                    "3 checks, 1 unexpected failures"]
+
+
+class TestBadGrid:
+    @pytest.mark.parametrize("grid, message", [
+        ("1:2", "bad grid '1:2', expected start:stop:steps"),
+        ("a:1:3", "bad grid 'a:1:3', expected start:stop:steps"),
+        ("0:1:0", "grid needs at least one point"),
+    ])
+    def test_refused_before_computing(self, tmp_path, capsys, monkeypatch, grid, message):
+        monkeypatch.setattr(cli, "_map_parallel",
+                            lambda *a, **k: pytest.fail("computed on a bad grid"))
+        path = tmp_path / "b.csv"
+        code, out, err = run_cli(["bound", "--inequality", "holz", "--grid", grid,
+                                  "--out", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert message in err
+        assert not path.exists()
+
+
 class TestGridNeedsOut:
     @pytest.mark.parametrize("argv", [
         ["bound", "--inequality", "holz", "--grid", "1:1.5:3"],

@@ -276,19 +276,72 @@ def test_snap_exit_on_either_level_and_at_the_cap():
     assert {level % 2 for level in seen - {80}} == {0, 1}
 
 
+class _Handed(Exception):
+    pass
+
+
+def _handed_to_multistart(monkeypatch, minimizer, beta):
+    """The row evaluation, the Bell value function and the structured starts
+    that a minimizer hands _multistart, without running the search."""
+    seen = {}
+
+    def spy(beta, cfg, warm_starts, evaluate, value, poll, starts, *rest):
+        seen.update(evaluate=evaluate, value=value, starts=starts)
+        raise _Handed
+    with monkeypatch.context() as m:
+        m.setattr(optimize, "_multistart", spy)
+        with pytest.raises(_Handed):
+            minimizer(beta, OptConfig(restarts=1, seed=0))
+    return seen
+
+
+def _feasibility_betas(ineq):
+    """A grid over (local bound, quantum bound], with the quantum bound and
+    the float just below it."""
+    spec = bell.spec_by_name(ineq)
+    lo, qb = spec.local_bound, spec.quantum_bound
+    return [lo + (qb - lo) * f for f in (1e-9, 0.25, 0.5, 0.75, 0.999)] + [
+        float(np.nextafter(qb, 0.0)), qb]
+
+
+@pytest.mark.parametrize("ineq", ["holz", "parity-chsh", "chsh"])
+def test_anchor_is_feasible(monkeypatch, ineq):
+    # the snap's anchor, the first structured start, is feasible to
+    # FEASIBILITY_TOL everywhere in the domain; not to 0 for Parity-CHSH,
+    # whose GHZ anchor at b0 = 3 pi / 4 evaluates to sqrt2 - 2.2e-16
+    for beta in _feasibility_betas(ineq):
+        seen = _handed_to_multistart(monkeypatch, optimize.MINIMIZERS[ineq], beta)
+        anchor = seen["starts"][0]
+        assert beta - seen["value"](anchor[None, :])[0] <= optimize.FEASIBILITY_TOL
+
+
+@pytest.mark.parametrize("ineq", ["holz", "parity-chsh", "chsh"])
+def test_snapped_rows_are_feasible(monkeypatch, ineq):
+    # every row the snap returns is feasible to FEASIBILITY_TOL, which is
+    # all that _multistart relies on to keep feasible points and to report
+    # `converged` (the worst deficit is the Parity-CHSH anchor's ulp)
+    rng = np.random.default_rng(17)
+    for beta in _feasibility_betas(ineq):
+        seen = _handed_to_multistart(monkeypatch, optimize.MINIMIZERS[ineq], beta)
+        anchor = seen["starts"][0]
+
+        def deficit(z):
+            return beta - seen["value"](z)
+        infeasible = 0
+        for scale in (1e-3, 0.1, 1.0):
+            x = anchor + scale * rng.normal(size=(512, len(anchor)))
+            infeasible += np.count_nonzero(deficit(x) > 0.0)
+            snapped = optimize._snap_to_anchor(x, anchor, deficit)
+            assert np.max(deficit(snapped)) <= optimize.FEASIBILITY_TOL
+        assert infeasible > 0
+
+
 @pytest.mark.parametrize("minimizer, beta, width", [
     (minimize_holz_two_outcome, 1.45, 13), (minimize_parity_two_outcome, 1.3, 13),
     (minimize_chsh_two_outcome, 2.7, 8)])
 def test_snap_value_bits_equal_evaluate(monkeypatch, minimizer, beta, width):
     # the value that each minimizer hands the snap is evaluate's, bit for bit
-    seen = {}
-    multistart = optimize._multistart
-
-    def spy(beta, cfg, warm_starts, evaluate, value, *rest):
-        seen.update(evaluate=evaluate, value=value)
-        return multistart(beta, cfg, warm_starts, evaluate, value, *rest)
-    monkeypatch.setattr(optimize, "_multistart", spy)
-    minimizer(beta, OptConfig(restarts=2, seed=0))
+    seen = _handed_to_multistart(monkeypatch, minimizer, beta)
     x, r = _poll_incumbents()
     z = (x[:, None, :] + r[:, None, None] * optimize._poll_steps(13)).reshape(-1, 13)
     z = z[:, :width]
@@ -406,7 +459,7 @@ class TestHolzMinimizer:
 
     def test_feasibility_via_bell_module(self):
         r = minimize_holz_two_outcome(1.3, CFG)
-        state = r.state()
+        state = states.BlockDiagState(r.argmin["rho"], r.argmin["t"])
         vbar = bell._block_vbar(*state._columns(r.argmin["b0"]), parity=False)[0]
         assert vbar >= r.beta_target - 1e-7
 
