@@ -1,55 +1,65 @@
 """Non-convex entropy minimizations at fixed Bell violation (Holz,
 Parity-CHSH, CHSH) and convex-hull post-processing.
 
-The search is a multi-start derivative-free pattern search over an interior
-feasible parametrization: block eigenvalues enter through normalized squares
-of free variables, angles are unconstrained, a quadratic penalty steers the
-search back towards the Bell constraint, and every stage's end points are
-snapped to feasibility.  One driver (`_multistart`) serves all three
-inequalities and builds their results; each supplies one row evaluation
-giving Bell value and entropy together, one giving the Bell value alone (for
-the feasibility snap), a poll giving both for every candidate of a
-coordinate poll, its structured starts, and `argmin(x)`, which turns the
-winning row into the result's argmin and achieved Bell value.  For
-Holz and Parity-CHSH the value is the angle-maximized reduced form
-`bell._block_vbar` and the entropy is closed-form in the 2x2 Gram blocks of
-Charlie's conditional states (`_two_outcome_entropy`); one kernel on the
-column layout of `states._block_trig` evaluates both for single rows and
-polls alike.  Identical seed and config give bit-identical results.
+The search is a multi-start L-BFGS over an interior feasible
+parametrization: block eigenvalues enter through normalized squares of free
+variables, angles are unconstrained, states above the Bell constraint are
+mixed down onto it, an augmented-Lagrangian penalty steers the search back
+from below, and the starts and end points are snapped to feasibility.  One
+driver (`_multistart`) serves all three inequalities and builds their
+results; each supplies one row evaluation giving Bell value and entropy
+together, one giving the Bell value alone (for the feasibility snap), one
+giving the penalized objective with its analytic gradient, its structured
+starts, and `argmin(x)`, which turns the winning row into the result's argmin
+and achieved Bell value.  For Holz and Parity-CHSH the value is the
+angle-maximized reduced form `bell._block_vbar` and the entropy is
+closed-form in the 2x2 Gram blocks of Charlie's conditional states
+(`_two_outcome_entropy`), both on the column layout of `states._block_trig`.
+Identical seed and config give bit-identical results.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
 from .bell import _block_vbar, spec_by_name
 from .errors import ValidationError
-from .states import (_ANGLE_ROWS, _COSH, _SINB, _SINH, BlockDiagState,
-                     _block_lambdas, _block_trig, _block_zxx, tau_state)
+from .states import (_COS2T, _COSB, _COSH, _COST, _SIN2T, _SINB, _SINH, _SINT,
+                     BlockDiagState, _block_correlators, _block_lambdas, _block_trig,
+                     _block_zxx, _sum4, tau_state)
 
 __all__ = ["OptConfig", "OptResult", "minimize_holz_two_outcome", "minimize_parity_two_outcome",
            "minimize_chsh_two_outcome", "MINIMIZERS", "sweep_two_outcome", "convex_hull_lower",
            "hull_value", "hull_knots"]
 
-# search schedule, fixed: a main pattern-search stage at PENALTY, a refine
-# stage at REFINE_PENALTY, then a polish of the winners at PENALTY * 1e4;
-# each stage's end points are snapped to feasibility
-PENALTY = 1e3
-REFINE_PENALTY = 8e3
-RADIUS = 0.3
-REFINE_RADIUS = 3e-3
-RADIUS_FLOOR = 1e-9
-MAIN_POLLS = 400
-REFINE_POLLS = 160
+# search schedule, fixed: three L-BFGS stages at the penalty weights
+# PENALTIES, capped at a family's iterations per stage (BLOCK_ITERS,
+# CHSH_ITERS), each going on from where the last stopped with its multipliers
+# updated; the starts and the last stage's end points are snapped to
+# feasibility
+PENALTIES = (1e3, 8e3, 6.4e4)
+BLOCK_ITERS = (100, 40, 40)
+CHSH_ITERS = (200, 60, 60)
+MARGIN = 1e-9  # the penalty aims this far above beta, so end points land feasible
+MEMORY = 6  # curvature pairs kept per restart
+ARMIJO = 1e-4
+MAX_STEP = 0.5  # largest trial move of one variable
+STEP_FLOOR = 1e-12
 FEASIBILITY_TOL = 1e-7
+JITTER = 1e-3  # the search starts this far (standard deviation) from the starts
 
 
 def _xlog2x(a: np.ndarray) -> np.ndarray:
     safe = np.where(a > 1e-18, a, 1.0)
     return a * np.log2(safe)
+
+
+def _dxlog2x(a: np.ndarray) -> np.ndarray:
+    """The derivative of _xlog2x, 0 where it is 0."""
+    live = a > 1e-18
+    return np.where(live, np.log2(np.where(live, a, 1.0)) + 1.0 / np.log(2.0), 0.0)
 
 
 def _weights(z: np.ndarray, k: int) -> np.ndarray:
@@ -73,23 +83,34 @@ def _mixed(w: np.ndarray, s: np.ndarray) -> np.ndarray:
     return s * w + (1.0 - s) / w[0].size
 
 
+def _penalty(v: np.ndarray, beta: float, pw: float, mu):
+    """The augmented-Lagrangian penalty (pw * gap + mu) * gap on the
+    shortfall gap of the Bell value v below beta + MARGIN, with multipliers
+    mu, and its derivative in v."""
+    gap = np.maximum(beta + MARGIN - v, 0.0)
+    return (pw * gap + mu) * gap, np.where(gap > 0.0, -2.0 * pw * gap - mu, 0.0)
+
+
 # The Holz/Parity objective works on columns: 13 rows of variables (8
-# weights, the four angles t[j, k], Bob's angle b0) by n candidates, with the
+# weights, the four angles t[j, k], Bob's angle b0) by n rows, with the
 # trig rows of states._block_trig.  Sums over the 8 weights are written out
 # pairwise, the order numpy's reductions take.
 _PLUS_MINUS = np.array([1.0, -1.0])[:, None]
+_SIGN_J, _SIGN_K = _PLUS_MINUS[:, None], _PLUS_MINUS[None]  # Z on Bob's, Charlie's bit
+_SIGN_JK = _SIGN_J * _SIGN_K
 
 
 def _sum8(x: np.ndarray) -> np.ndarray:
     return ((x[0] + x[1]) + (x[2] + x[3])) + ((x[4] + x[5]) + (x[6] + x[7]))
 
 
-def _block_entropy(rho: np.ndarray, trig: np.ndarray) -> np.ndarray:
-    """H(A0 B0|E) on columns rho (2, 2, 2, n); see _two_outcome_entropy.
+def _gram(rho: np.ndarray, trig: np.ndarray):
+    """Charlie's 2x2 Gram blocks G[0, o] on columns rho (2, 2, 2, n): the
+    weights D[0, j, k], the diagonals g (o, k, n), the off-diagonal g01,
+    the discriminant (o, n) and the eigenvalues (o, +-, n), clipped at 0.
     D[1, j, k] is D[0, ~j, ~k] with its operands commuted, so G[1, o] is
     G[0, 1-o] with its diagonal swapped and has the same eigenvalues bit for
-    bit: only G[0, 0] and G[0, 1] are solved, and the pairwise 8-term sum of
-    the eigenvalue entropies is S + S."""
+    bit."""
     lam0, lam1 = _block_lambdas(rho, trig)
     diag = 0.5 * (lam0 + lam1)  # D[0, j, k]
     cs = trig[_COSH::_SINH - _COSH] ** 2  # Bob's eigenvector weights cu, su
@@ -98,9 +119,22 @@ def _block_entropy(rho: np.ndarray, trig: np.ndarray) -> np.ndarray:
     tr = g[:, 0] + g[:, 1]
     disc = np.sqrt((g[:, 0] - g[:, 1]) ** 2 + 4.0 * g01 ** 2)
     # (tr +- disc) / 2 as tr + (+-1 * disc): (o, +-, n)
-    e = _xlog2x(np.maximum((tr[:, None] + _PLUS_MINUS * disc[:, None]) / 2.0, 0.0))
-    half = (e[0, 0] + e[0, 1]) + (e[1, 0] + e[1, 1])
+    e = np.maximum((tr[:, None] + _PLUS_MINUS * disc[:, None]) / 2.0, 0.0)
+    return diag, g, g01, disc, e
+
+
+def _gram_entropy(rho: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """H(A0 B0|E) from the weights rho (2, 2, 2, n) and the eigenvalues e of
+    G[0, 0] and G[0, 1] (_gram): the pairwise 8-term sum of the eigenvalue
+    entropies is S + S."""
+    x = _xlog2x(e)
+    half = (x[0, 0] + x[0, 1]) + (x[1, 0] + x[1, 1])
     return _sum8(_xlog2x(rho.reshape(8, -1))) - (half + half)
+
+
+def _block_entropy(rho: np.ndarray, trig: np.ndarray) -> np.ndarray:
+    """H(A0 B0|E) on columns rho (2, 2, 2, n); see _two_outcome_entropy."""
+    return _gram_entropy(rho, _gram(rho, trig)[-1])
 
 
 def _block_rho(w: np.ndarray) -> np.ndarray:
@@ -128,34 +162,6 @@ def _block_evaluate(z: np.ndarray, beta: float, parity: bool):
     return _block_kernel(*_block_columns(z), beta, parity)
 
 
-# A poll candidate moves one variable by +r or -r (see _poll_steps), so per
-# restart each variable takes three values, x + r * _STEP3.  _POLL_INDEX
-# (13, 26) picks, for every variable and candidate, which; the gathers below
-# apply it to the 8 weight rows and to the 20 trig rows (by the variable
-# behind each), as flat indices into the rows of (row, value) for np.take.
-_STEP3 = np.array([0.0, 1.0, -1.0])
-_POLL_INDEX = np.hstack([np.eye(13, dtype=np.intp), 2 * np.eye(13, dtype=np.intp)])
-_WEIGHT_GATHER = (3 * np.arange(8)[:, None] + _POLL_INDEX[:8]).ravel()
-_TRIG_GATHER = (3 * np.arange(20)[:, None] + _POLL_INDEX[8 + np.tile(_ANGLE_ROWS, 2)]).ravel()
-
-
-def _block_poll(x: np.ndarray, r: np.ndarray, beta: float, parity: bool):
-    """The kernel on every candidate of a coordinate poll of the restarts
-    x (k, 13) at radii r (k,): (value, entropy), each (k, 26).  Squares and
-    trig are taken of the three values per variable and gathered into the
-    candidates.  Where a candidate leaves a variable alone this holds
-    x + 0.0, and the -e half of the materialized candidates x + -0.0: they
-    differ only in the sign of a zero, which the objective never sees
-    (weights enter squared, angles through cosines and squared or absolute
-    sines)."""
-    u = x.T[:, None, :] + r * _STEP3[:, None]  # (13, 3, k)
-    rho = _block_rho((u[:8] ** 2).reshape(24, -1).take(_WEIGHT_GATHER, axis=0).reshape(8, -1))
-    trig = _block_trig(u[8:].reshape(5, -1)).reshape(60, -1).take(_TRIG_GATHER, axis=0)
-    trig = trig.reshape(20, -1)
-    v, ent = _block_kernel(rho, trig, beta, parity)
-    return v.reshape(26, -1).T, ent.reshape(26, -1).T
-
-
 def _two_outcome_entropy(rho: np.ndarray, t: np.ndarray, b0: np.ndarray) -> np.ndarray:
     """H(A0 B0|E) for block-diagonal states, Alice measuring Z and Bob the
     x-z observable at angle b0.  Eve purifies ABC, so given (A0, B0) = (a, o)
@@ -167,18 +173,88 @@ def _two_outcome_entropy(rho: np.ndarray, t: np.ndarray, b0: np.ndarray) -> np.n
     return _block_entropy(np.moveaxis(rho, 0, -1), _block_trig(angles))
 
 
-def _canonicalize_block_vars(z: np.ndarray) -> np.ndarray:
-    """Enforce rho_0jk >= rho_1jk row-wise (swapping a block's eigenvalues
-    rotates its t by pi/2; the represented state is unchanged)."""
-    z = z.copy()
-    w = z[:, :8].reshape(-1, 2, 4) ** 2
-    swap = w[:, 0, :] < w[:, 1, :]
-    if np.any(swap):
-        w0 = z[:, :8].reshape(-1, 2, 4)
-        swapped = np.where(swap[:, None, :], w0[:, ::-1, :], w0)
-        z[:, :8] = swapped.reshape(-1, 8)
-        z[:, 8:12] = np.where(swap, z[:, 8:12] + np.pi / 2, z[:, 8:12])
-    return z
+def _block_vbar_grad(rho: np.ndarray, trig: np.ndarray, parity: bool):
+    """_block_vbar (the same bits) with its partials in rho (2, 2, 2, n), in
+    t (2, 2, n) and in b0."""
+    xxx, zxx, zzi, ziz, izz = _block_correlators(rho, trig)
+    sb, cb = trig[_SINB], trig[_COSB]
+    if parity:
+        hyp = np.hypot(zxx, xxx)
+        v = np.abs(sb) * hyp - cb * zzi
+        inv = np.abs(sb) / np.where(hyp > 0.0, hyp, np.inf)  # d|sb| hyp / d(zxx, xxx), over them
+        d_ziz = d_izz = 0.0
+        d_b0 = np.sign(sb) * cb * hyp
+    else:
+        hh, m = zxx ** 2 + xxx ** 2, ziz + cb * izz
+        r = np.sqrt(sb * sb * hh + m ** 2)
+        v = r - cb * zzi
+        inv_r = 1.0 / np.where(r > 0.0, r, np.inf)
+        inv = sb * sb * inv_r
+        d_ziz = m * inv_r
+        d_izz = cb * d_ziz
+        d_b0 = sb * cb * hh * inv_r - sb * izz * d_ziz
+    # the correlators are sums over (j, k) of d cos2t with signs, d sin2t
+    # and the signed totals
+    c2t, s2t = trig[_COS2T].reshape(2, 2, -1), trig[_SIN2T].reshape(2, 2, -1)
+    d_zxx = zxx * inv
+    cos_part = xxx * inv - _SIGN_J * cb + _SIGN_K * d_ziz  # d v / d(d cos2t)
+    lin = c2t * cos_part + s2t * d_zxx
+    tot = _SIGN_JK * d_izz
+    d_t = 2.0 * (rho[0] - rho[1]) * (c2t * d_zxx - s2t * cos_part)
+    return v, np.stack([tot + lin, tot - lin]), d_t, d_b0 + sb * zzi
+
+
+def _block_entropy_grad(rs: np.ndarray, trig: np.ndarray):
+    """_block_entropy of columns rs with its partials in rs (2, 2, 2, n), in
+    t (2, 2, n) and in b0, through the 2x2 Gram spectra; where a block's
+    discriminant vanishes (below _xlog2x's cutoff) the eigenvalues coincide
+    and only the trace moves them."""
+    diag, g, g01, disc, e = _gram(rs, trig)
+    # dS/dg for the half-sum S = sum over (o, +-) of xlog2x(eigenvalue)
+    le = _dxlog2x(e)
+    live = disc > 1e-18
+    over_disc = np.where(live, 0.5 * (le[:, 0] - le[:, 1]) / np.where(live, disc, 1.0), 0.0)
+    d_g = (0.5 * (le[:, 0] + le[:, 1])[:, None]
+           + _PLUS_MINUS * (over_disc * (g[:, 0] - g[:, 1]))[:, None])  # (o, k, n)
+    d_g01 = 4.0 * g01 * (over_disc[0] + over_disc[1])
+    cs = trig[_COSH::_SINH - _COSH] ** 2
+    d_diag = 0.5 * np.stack([(cs[:, None] * d_g).sum(0), (cs[::-1, None] * d_g).sum(0)])
+    d_cs = (d_g * diag).sum(axis=(0, 1)), (d_g * diag[::-1]).sum(axis=(0, 1))  # d cu, d su
+    sb, cb = trig[_SINB], trig[_COSB]
+    d_zxx = d_g01 * sb / 8.0
+    ct2, st2 = trig[_COST].reshape(2, 2, -1) ** 2, trig[_SINT].reshape(2, 2, -1) ** 2
+    s2t, c2t = trig[_SIN2T].reshape(2, 2, -1), trig[_COS2T].reshape(2, 2, -1)
+    p, q = d_diag, d_diag[::-1, ::-1]  # through lambda[0] and lambda[1]
+    d_rs = np.stack([ct2 * p + st2 * q + s2t * d_zxx, st2 * p + ct2 * q - s2t * d_zxx])
+    diff = rs[0] - rs[1]
+    d_t = diff * (2.0 * c2t * d_zxx - s2t * (p - q))
+    d_b0 = 0.5 * sb * (d_cs[1] - d_cs[0]) + d_g01 * cb * _sum4(diff * s2t) / 8.0
+    return _gram_entropy(rs, e), _dxlog2x(rs) - 2.0 * d_rs, -2.0 * d_t, -2.0 * d_b0
+
+
+def _block_value_grad(z: np.ndarray, beta: float, parity: bool, pw: float, mu):
+    """The penalized objective of rows z (n, 13), _block_evaluate's entropy
+    plus _penalty of its value, and its gradient (n, 13), by the chain rule
+    through the normalized squared weights, the Bell value and the mixing
+    down to beta."""
+    zt = z.T
+    w = zt[:8] ** 2
+    norm = _sum8(w)
+    norm = np.where(norm <= 0.0, 1.0, norm)
+    rho = (w / norm).reshape(2, 2, 2, -1)
+    trig = _block_trig(zt[8:])
+    v, dv_rho, dv_t, dv_b0 = _block_vbar_grad(rho, trig, parity)
+    s = _beta_scale(v, beta)
+    ent, de_rs, de_t, de_b0 = _block_entropy_grad(s * rho + (1.0 - s) / 8, trig)
+    pen, k = _penalty(v, beta, pw, mu)
+    # d f / d v: the penalty's, and through s = beta / v above beta
+    k = k + np.where(v > beta, -s / np.fmax(v, beta), 0.0) * _sum8(
+        (de_rs * (rho - 0.125)).reshape(8, -1))
+    d_rho = (s * de_rs + k * dv_rho).reshape(8, -1)
+    d_w = (d_rho - _sum8(d_rho * rho.reshape(8, -1))) / norm
+    grad = np.concatenate([2.0 * zt[:8] * d_w, (de_t + k * dv_t).reshape(4, -1),
+                           (de_b0 + k * dv_b0)[None]])
+    return ent + pen, grad.T
 
 
 @dataclass(frozen=True)
@@ -203,65 +279,71 @@ class OptResult:
     beta_target: float
 
 
-def _poll_steps(d: int) -> np.ndarray:
-    """The 2d moves of a coordinate poll: +e_0 ... +e_{d-1}, -e_0 ... -e_{d-1}."""
-    return np.concatenate([np.eye(d), -np.eye(d)])
-
-
-def _pattern_search_lockstep(poll, x0: np.ndarray, f0: np.ndarray, radius: float,
-                             max_polls: int, canon: Optional[Callable] = None
-                             ) -> np.ndarray:
-    """Coordinate pattern search run on all restarts simultaneously.
-
-    Every poll step evaluates the +-radius coordinate moves of every active
-    restart in a single batched call, `poll(x, r)` -> the (k, 2d) objective
-    values of the candidates x + r * step of k restarts (steps in
-    _poll_steps order); f0 holds the values at x0.  Each restart accepts its
-    best improving move, shrinking its own radius when stuck or when
-    improvements become marginal.
-    """
+def _lbfgs_lockstep(value_grad, x0: np.ndarray, iters: int) -> np.ndarray:
+    """L-BFGS (Nocedal and Wright, Numerical Optimization, ch. 7) run on all
+    restarts x0 (m, d) in lockstep: every iteration makes one batched call
+    `value_grad(x, lanes)` -> (values (k,), gradients (k, d)) on the trial
+    points x of the k restarts `lanes` still moving.  A restart whose trial
+    point fails the Armijo test keeps its direction and tries a 4x shorter
+    step on the next iteration; one that passes moves there and takes a new
+    direction from the two-loop recursion, its first trial move capped at
+    MAX_STEP per variable.  All restarts share one slot of the curvature
+    history per iteration: a restart that did not move, or whose pair has no
+    positive curvature, stores an inert pair (1 / s.y = 0).  A restart
+    retires once its trial move is below STEP_FLOOR."""
     x = x0.copy()
     m, d = x.shape
-    fx = f0.copy()
-    r = np.full(m, float(radius))
-    steps = _poll_steps(d)
-    for _ in range(max_polls):
-        idx = np.flatnonzero(r > RADIUS_FLOOR)
+    f, g = value_grad(x, np.arange(m))
+    s_hist, y_hist = np.zeros((MEMORY, m, d)), np.zeros((MEMORY, m, d))
+    inv_sy = np.zeros((MEMORY, m))
+    gamma = np.ones(m)  # initial inverse-Hessian scale, s.y / y.y of the last pair
+    p = -g
+    step = np.minimum(1.0, MAX_STEP / np.max(np.abs(p), axis=1, initial=1e-300))
+    slope = np.einsum("ij,ij->i", g, p)
+    for it in range(iters):
+        idx = np.flatnonzero(step * np.max(np.abs(p), axis=1) > STEP_FLOOR)
         if not idx.size:
             break
-        vals = poll(x[idx], r[idx])
-        j = np.argmin(vals, axis=1)
-        best = vals[np.arange(len(idx)), j]
-        gain = fx[idx] - best
-        improved = gain > 1e-14
-        moved = idx[improved]
-        if moved.size:
-            xm = x[moved] + r[moved, None] * steps[j[improved]]
-            x[moved] = xm if canon is None else canon(xm)
-            fx[moved] = best[improved]
-            # marginal gains no longer hold the radius up
-            r[moved] = np.where(gain[improved] > 1e-7 * (1.0 + r[moved]),
-                                r[moved], r[moved] * 0.5)
-        stuck = idx[~improved]
-        r[stuck] *= 0.5
+        xt = x[idx] + step[idx, None] * p[idx]
+        ft, gt = value_grad(xt, idx)
+        ok = ft <= f[idx] + ARMIJO * step[idx] * slope[idx]
+        step[idx[~ok]] *= 0.25
+        moved = idx[ok]
+        slot = it % MEMORY
+        s_hist[slot], y_hist[slot], inv_sy[slot] = 0.0, 0.0, 0.0
+        if not moved.size:
+            continue
+        s, y = xt[ok] - x[moved], gt[ok] - g[moved]
+        sy, yy = np.einsum("ij,ij->i", s, y), np.einsum("ij,ij->i", y, y)
+        curved = sy > 1e-12 * yy
+        kept = moved[curved]
+        s_hist[slot, kept], y_hist[slot, kept] = s[curved], y[curved]
+        inv_sy[slot, kept] = 1.0 / sy[curved]
+        gamma[kept] = sy[curved] / yy[curved]
+        x[moved], f[moved], g[moved] = xt[ok], ft[ok], gt[ok]
+        # the two-loop recursion, newest pair first, on every restart
+        q = g.copy()
+        order = [(slot - j) % MEMORY for j in range(MEMORY)]
+        alphas = []
+        for k in order:
+            a = inv_sy[k] * np.einsum("ij,ij->i", s_hist[k], q)
+            q -= a[:, None] * y_hist[k]
+            alphas.append(a)
+        q *= gamma[:, None]
+        for k, a in zip(order[::-1], alphas[::-1]):
+            q += (a - inv_sy[k] * np.einsum("ij,ij->i", y_hist[k], q))[:, None] * s_hist[k]
+        pm = -q[moved]
+        sl = np.einsum("ij,ij->i", g[moved], pm)
+        # not a descent direction: forget the restart's pairs, go downhill
+        lost = sl >= 0.0
+        if np.any(lost):
+            inv_sy[:, moved[lost]] = 0.0
+            gamma[moved[lost]] = 1.0
+            pm[lost] = -g[moved[lost]]
+            sl[lost] = -np.einsum("ij,ij->i", pm[lost], pm[lost])
+        p[moved], slope[moved] = pm, sl
+        step[moved] = np.minimum(1.0, MAX_STEP / np.max(np.abs(pm), axis=1, initial=1e-300))
     return x
-
-
-def _penalized(v: np.ndarray, ent: np.ndarray, beta: float, pw: float) -> np.ndarray:
-    """Entropy plus pw times the squared shortfall of the Bell value."""
-    gap = np.maximum(beta - v, 0.0)
-    return ent + pw * gap * gap
-
-
-def _materialized_poll(evaluate, d: int):
-    """The generic poll: `evaluate` on every candidate row."""
-    steps = _poll_steps(d)
-
-    def poll(x, r, beta):
-        cands = x[:, None, :] + r[:, None, None] * steps
-        v, ent = evaluate(cands.reshape(-1, d), beta)
-        return v.reshape(len(x), 2 * d), ent.reshape(len(x), 2 * d)
-    return poll
 
 
 def _snap_to_anchor(x: np.ndarray, anchor: np.ndarray, deficit_batch) -> np.ndarray:
@@ -332,19 +414,23 @@ def _pack_warm(res: OptResult) -> np.ndarray:
     return _pack(a["lambdas"], a["phi"])
 
 
-def _multistart(beta: float, cfg: OptConfig, warm_starts, evaluate, value, poll,
-                starts: list, layout, argmin, canon=None) -> OptResult:
+def _multistart(beta: float, cfg: OptConfig, warm_starts, evaluate, value, value_grad,
+                starts: list, layout, argmin, iters) -> OptResult:
     """Best-of-restarts local search for the entropy subject to the Bell
     value reaching beta.  `evaluate(z, beta)` gives every row's Bell value and
     the entropy of its state mixed down to beta, so the constraint is exactly
-    eliminated on the feasible side; on the infeasible side a quadratic
-    penalty steers back, and the end points of every stage are snapped to
-    feasibility along the segment to the first start, by the Bell values
-    `value(z)` alone (the same bits as evaluate's).  The snap is the one
-    feasibility mechanism: the stages run a fixed schedule, and a winner
-    whose deficit still exceeds FEASIBILITY_TOL is reported unconverged.
-    `poll(x, r, beta)` gives evaluate's pair for the (k, 2d) candidates of a
-    coordinate poll (_pattern_search_lockstep).  `starts` are the
+    eliminated on the feasible side.  On the infeasible side an
+    augmented-Lagrangian penalty (_penalty) steers back: after every L-BFGS
+    stage each restart's multiplier grows by the penalty's slope at its end
+    point, so the next stage ends on the constraint rather than a penalty
+    width below it.  `value_grad(z, beta, pw, mu)` gives the penalized
+    objective of rows and its gradient; stage i runs iters[i] iterations at
+    PENALTIES[i] from where the last one stopped.  The starts and the last
+    stage's end points are snapped to feasibility along the segment to the
+    first start, by the Bell values `value(z)` alone (the same bits as
+    evaluate's), and kept.  The snap is the one feasibility mechanism: the
+    stages run a fixed schedule, and a winner whose deficit still exceeds
+    FEASIBILITY_TOL is reported unconverged.  `starts` are the
     inequality's structured starts, the first of them feasible; seeded random
     ones laid out as `layout` (see _random_starts) fill them up to
     cfg.restarts, and the warm starts go in after the first.  `argmin(x)`
@@ -356,21 +442,9 @@ def _multistart(beta: float, cfg: OptConfig, warm_starts, evaluate, value, poll,
     starts[1:1] = [_pack_warm(w) for w in warm_starts or ()]
     x = np.array(starts, dtype=float)
     anchor = x[0].copy()
-    # A poll's temporaries (under 1 KB per candidate) would otherwise grow
-    # glibc's heap past its trim threshold and be faulted back in on every
-    # poll.  Freeing a block that malloc served by mmap raises its mmap and
-    # trim thresholds to the block's size (mallopt(3)), so the heap stays
-    # mapped; the block itself is never touched.
-    block = np.empty(min(len(x) * x.shape[1] * 256, 1 << 21))  # 2d x 1 KB a row, <= 16 MB
-    del block
 
     def deficit(z):
         return beta - value(z)
-
-    def search(x0, pw, radius, polls):
-        return _pattern_search_lockstep(
-            lambda xa, ra: _penalized(*poll(xa, ra, beta), beta, pw),
-            x0, _penalized(*evaluate(x0, beta), beta, pw), radius, polls, canon)
 
     best_x, best_raw, best_feas = x.copy(), np.full(len(x), np.inf), np.zeros(len(x), bool)
 
@@ -384,12 +458,13 @@ def _multistart(beta: float, cfg: OptConfig, warm_starts, evaluate, value, poll,
         best_feas[better] = feas[better]
 
     remember(_snap_to_anchor(x, anchor, deficit))
-    x = _snap_to_anchor(search(x, PENALTY, RADIUS, MAIN_POLLS), anchor, deficit)
-    remember(x)
-    x = search(x, REFINE_PENALTY, REFINE_RADIUS, REFINE_POLLS)
-    remember(_snap_to_anchor(x, anchor, deficit))
-    # polish the winners once more at a tight radius and huge weight
-    x = search(best_x, PENALTY * 1e4, 1e-4, REFINE_POLLS)
+    # the search leaves the starts by a seeded JITTER: a start with zero
+    # weights or at a saddle of the Bell value has a zero gradient there
+    x = x + JITTER * np.random.default_rng(cfg.seed).standard_normal(x.shape)
+    mu = np.zeros(len(x))
+    for pw, n in zip(PENALTIES, iters):
+        x = _lbfgs_lockstep(lambda z, lanes: value_grad(z, beta, pw, mu[lanes]), x, n)
+        mu += 2.0 * pw * np.maximum(deficit(x) + MARGIN, 0.0)
     remember(_snap_to_anchor(x, anchor, deficit))
     i = int(np.lexsort((best_raw, ~best_feas))[0])
     arg, achieved = argmin(best_x[i])
@@ -440,9 +515,9 @@ def _minimize_block_family(ineq: str, beta: float, cfg: OptConfig,
         beta, cfg, warm_starts,
         lambda z, beta: _block_evaluate(z, beta, parity),
         lambda z: _block_vbar(*_block_columns(z), parity),
-        lambda x, r, beta: _block_poll(x, r, beta, parity),
+        lambda z, beta, pw, mu: _block_value_grad(z, beta, parity, pw, mu),
         _block_starts(beta, parity),
-        (8, [(-np.pi / 2, np.pi / 2, 4), (0.0, np.pi, 1)]), argmin, _canonicalize_block_vars)
+        (8, [(-np.pi / 2, np.pi / 2, 4), (0.0, np.pi, 1)]), argmin, BLOCK_ITERS)
 
 
 def minimize_holz_two_outcome(beta: float, cfg: OptConfig = OptConfig(),
@@ -485,6 +560,40 @@ def _chsh_evaluate(z: np.ndarray, beta: float):
     return v, 1.0 + (-_xlog2x(q) - _xlog2x(1.0 - q)) + _xlog2x(_mixed(lam, s)).sum(axis=1)
 
 
+_CHSH_SIGNS = np.array([[1.0, 1.0], [1.0, -1.0]])  # the CHSH terms, [a, b]
+_A0B0 = np.array([[1.0, 0.0], [0.0, 0.0]])
+
+
+def _chsh_value_grad(z: np.ndarray, beta: float, pw: float, mu):
+    """The penalized objective of rows z (n, 8), _chsh_evaluate's entropy
+    plus _penalty of its value, and its gradient (n, 8), on the (n, a, b)
+    correlator terms."""
+    lam = _weights(z, 4)
+    plus, minus = z[:, 4:6, None] + z[:, None, 6:8], z[:, 4:6, None] - z[:, None, 6:8]
+    d1, d2 = (lam[:, 0] - lam[:, 2])[:, None, None], (lam[:, 1] - lam[:, 3])[:, None, None]
+    cp, cm = np.cos(plus), np.cos(minus)
+    corr = cp * d1 + cm * d2
+    a0b0 = corr[:, 0, 0]
+    v = a0b0 + corr[:, 0, 1] + corr[:, 1, 0] - corr[:, 1, 1]
+    s = _beta_scale(v, beta)
+    q = np.clip((1.0 + s * a0b0) / 2.0, 0.0, 1.0)
+    mix = _mixed(lam, s)
+    pen, k = _penalty(v, beta, pw, mu)
+    f = 1.0 + (-_xlog2x(q) - _xlog2x(1.0 - q)) + _xlog2x(mix).sum(axis=1) + pen
+    d_q = _dxlog2x(1.0 - q) - _dxlog2x(q)
+    d_mix = _dxlog2x(mix)
+    d_s = (d_mix * (lam - 0.25)).sum(axis=1) + d_q * a0b0 / 2.0
+    k = k + np.where(v > beta, -s / np.fmax(v, beta), 0.0) * d_s  # d f / d v
+    w = (d_q * s / 2.0)[:, None, None] * _A0B0 + k[:, None, None] * _CHSH_SIGNS  # d f / d corr
+    d1_, d2_ = (w * cp).sum(axis=(1, 2)), (w * cm).sum(axis=(1, 2))
+    d_lam = s[:, None] * d_mix + np.column_stack([d1_, d2_, -d1_, -d2_])
+    norm = (z[:, :4] ** 2).sum(axis=1, keepdims=True)
+    d_w = (d_lam - (d_lam * lam).sum(axis=1, keepdims=True)) / np.where(norm <= 0.0, 1.0, norm)
+    d_plus, d_minus = -w * np.sin(plus) * d1, -w * np.sin(minus) * d2
+    return f, np.column_stack([2.0 * z[:, :4] * d_w, (d_plus + d_minus).sum(axis=2),
+                               (d_plus - d_minus).sum(axis=1)])
+
+
 def minimize_chsh_two_outcome(beta: float, cfg: OptConfig = OptConfig(),
                               warm_starts=None) -> OptResult:
     """Minimize 1 + h(2p) - H({lambda_ij}) over Bell-diagonal states and four
@@ -499,8 +608,8 @@ def minimize_chsh_two_outcome(beta: float, cfg: OptConfig = OptConfig(),
         return ({"lambdas": lam_s[0].reshape(2, 2), "phi": x[4:8].copy()},
                 float(min(v[0], beta)))
     return _multistart(beta, cfg, warm_starts, _chsh_evaluate, lambda z: _chsh_terms(z)[2],
-                       _materialized_poll(_chsh_evaluate, 8), starts,
-                       (4, [(-np.pi, np.pi, 4)]), argmin)
+                       _chsh_value_grad, starts, (4, [(-np.pi, np.pi, 4)]), argmin,
+                       CHSH_ITERS)
 
 
 MINIMIZERS = {

@@ -236,10 +236,10 @@ class TestOptimize:
         assert code == 0
         assert path.read_text() == (
             "quantity,inequality,noise,p,beta,value,flags\n"
-            "optimize-two,holz,,,1.05,0.0752579666,non-certified\n"
-            "optimize-two,holz,,,1.1625,0.27093067,non-certified\n"
-            "optimize-two,holz,,,1.275,0.516855263,non-certified\n"
-            "optimize-two,holz,,,1.3875,0.863843106,non-certified\n"
+            "optimize-two,holz,,,1.05,0.0752560569,non-certified\n"
+            "optimize-two,holz,,,1.1625,0.270925436,non-certified\n"
+            "optimize-two,holz,,,1.275,0.516845081,non-certified\n"
+            "optimize-two,holz,,,1.3875,0.863786263,non-certified\n"
             "optimize-two,holz,,,1.5,1.81127811,non-certified\n")
 
     def test_grid_at_classical_bound_rejected_before_solving(
