@@ -76,6 +76,14 @@ def _write_csv(path, rows, sort_key):
             writer.writerow([_fmt(v) for v in row])
 
 
+def _note_curve(name, flags) -> None:
+    """A stderr line naming the curve a printed value rests on when that
+    curve is conjectured or non-certified; --grid CSVs carry the flags in
+    their rows instead."""
+    if flags:
+        print(f"note: rests on the {' '.join(flags)} curve {name}", file=sys.stderr)
+
+
 def _map_parallel(fn, xs):
     # serial: the work holds the GIL; perfbench/tracing.py wraps this name
     return [fn(x) for x in xs]
@@ -108,6 +116,7 @@ def cmd_bound(args) -> int:
         _write_csv(args.out, rows, sort_key=lambda r: r[4])
         return 0
     print(_fmt(curve.fn(args.beta)))
+    _note_curve(curve.name, curve.flags)
     return 0
 
 
@@ -126,7 +135,9 @@ def cmd_rate(args) -> int:
     if args.grid is not None:
         return _sweep_csv(args, f"rate-{kind}",
                           lambda p: _rate_value(args, kind, spec, p))
-    print(_fmt(_rate_value(args, kind, spec, args.p)[0]))
+    r = rates.rate(kind, spec, NoiseModel(args.noise, args.p), args.gamma)
+    print(_fmt(r.rate))
+    _note_curve(r.bound_used, r.flags)
     return 0
 
 
@@ -138,6 +149,9 @@ def cmd_threshold(args) -> int:
     fn = rates.rate_function(args.rate, args.inequality, args.noise,
                              gamma=args.gamma)
     print(_fmt(rates.threshold_p(fn)))
+    outcome = {"dicka": "one", "dire-spot": "two", "dire-recycled": "recycled"}[args.rate]
+    curve = rates.bound_curve(spec_by_name(args.inequality), outcome)
+    _note_curve(curve.name, curve.flags)
     return 0
 
 
@@ -156,7 +170,7 @@ def cmd_optimize(args) -> int:
         print(f"wrote {args.out}; export {rates.TABLE_ENV}={args.out} to use it")
         return 0
     if args.grid is not None:
-        grid = _parse_grid(args.grid)[::-1]  # descending: warm starts come from above
+        grid = _parse_grid(args.grid)
         rows = []
         for b, res in zip(grid, optimize.sweep_two_outcome(args.inequality, grid, cfg)):
             flags = ["non-certified"] + (["infeasible"] if not res.converged else [])

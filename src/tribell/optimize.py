@@ -7,11 +7,12 @@ variables, angles are unconstrained, states above the Bell constraint are
 mixed down onto it, an augmented-Lagrangian penalty steers the search back
 from below, and the starts and end points are snapped to feasibility.  One
 driver (`_multistart`) serves all three inequalities and builds their
-results; each supplies one row evaluation giving Bell value and entropy
-together, one giving the Bell value alone (for the feasibility snap), one
-giving the penalized objective with its analytic gradient, its structured
-starts, and `argmin(x)`, which turns the winning row into the result's argmin
-and achieved Bell value.  For Holz and Parity-CHSH the value is the
+results, solving a whole beta grid in one lockstep batch; each inequality
+supplies one row evaluation giving Bell value and entropy together, one
+giving the Bell value alone (for the feasibility snap), one giving the
+penalized objective with its analytic gradient, its structured starts, and
+`argmin(x, beta)`, which turns a winning row into the result's argmin and
+achieved Bell value.  For Holz and Parity-CHSH the value is the
 angle-maximized reduced form `bell._block_vbar` and the entropy is
 closed-form in the 2x2 Gram blocks of Charlie's conditional states
 (`_two_outcome_entropy`), both on the column layout of `states._block_trig`.
@@ -49,6 +50,7 @@ MAX_STEP = 0.5  # largest trial move of one variable
 STEP_FLOOR = 1e-12
 FEASIBILITY_TOL = 1e-7
 JITTER = 1e-3  # the search starts this far (standard deviation) from the starts
+LANE_CAP = 4096  # most restarts (over all betas) sweep_two_outcome searches at once
 
 
 def _xlog2x(a: np.ndarray) -> np.ndarray:
@@ -70,7 +72,7 @@ def _weights(z: np.ndarray, k: int) -> np.ndarray:
     return w / s
 
 
-def _beta_scale(v: np.ndarray, beta: float) -> np.ndarray:
+def _beta_scale(v: np.ndarray, beta) -> np.ndarray:
     """Mixing weight s that brings a degree-1 homogeneous Bell value v down to
     beta wherever v > beta (see _mixed), and 1.0 (beta / beta) elsewhere,
     NaN included."""
@@ -83,7 +85,7 @@ def _mixed(w: np.ndarray, s: np.ndarray) -> np.ndarray:
     return s * w + (1.0 - s) / w[0].size
 
 
-def _penalty(v: np.ndarray, beta: float, pw: float, mu):
+def _penalty(v: np.ndarray, beta, pw: float, mu):
     """The augmented-Lagrangian penalty (pw * gap + mu) * gap on the
     shortfall gap of the Bell value v below beta + MARGIN, with multipliers
     mu, and its derivative in v."""
@@ -149,7 +151,7 @@ def _block_columns(z: np.ndarray):
     return _block_rho(zt[:8] ** 2), _block_trig(zt[8:])
 
 
-def _block_kernel(rho: np.ndarray, trig: np.ndarray, beta: float, parity: bool):
+def _block_kernel(rho: np.ndarray, trig: np.ndarray, beta, parity: bool):
     """Bell value of every column, and the entropy of its state mixed down
     to beta."""
     v = _block_vbar(rho, trig, parity)
@@ -157,7 +159,7 @@ def _block_kernel(rho: np.ndarray, trig: np.ndarray, beta: float, parity: bool):
     return v, _block_entropy(s * rho + (1.0 - s) / 8, trig)
 
 
-def _block_evaluate(z: np.ndarray, beta: float, parity: bool):
+def _block_evaluate(z: np.ndarray, beta, parity: bool):
     """The kernel on rows z (n, 13): (value, entropy), each (n,)."""
     return _block_kernel(*_block_columns(z), beta, parity)
 
@@ -232,7 +234,7 @@ def _block_entropy_grad(rs: np.ndarray, trig: np.ndarray):
     return _gram_entropy(rs, e), _dxlog2x(rs) - 2.0 * d_rs, -2.0 * d_t, -2.0 * d_b0
 
 
-def _block_value_grad(z: np.ndarray, beta: float, parity: bool, pw: float, mu):
+def _block_value_grad(z: np.ndarray, beta, parity: bool, pw: float, mu):
     """The penalized objective of rows z (n, 13), _block_evaluate's entropy
     plus _penalty of its value, and its gradient (n, 13), by the chain rule
     through the normalized squared weights, the Bell value and the mixing
@@ -346,29 +348,31 @@ def _lbfgs_lockstep(value_grad, x0: np.ndarray, iters: int) -> np.ndarray:
     return x
 
 
-def _snap_to_anchor(x: np.ndarray, anchor: np.ndarray, deficit_batch) -> np.ndarray:
-    """Restore feasibility of every row by bisecting along the segment towards
-    a known feasible anchor (deficit <= 0 means feasible).  One deficit call
-    serves two bisection levels: it takes the midpoint and both quarter
+def _snap_to_anchor(x: np.ndarray, anchor: np.ndarray, beta, value) -> np.ndarray:
+    """Restore feasibility of every row, a deficit beta - value(row) <= 0,
+    by bisecting along the segment towards a known feasible anchor; anchor
+    is one row or one per row of x, beta a scalar or one per row.  One value
+    call serves two bisection levels: it takes the midpoint and both quarter
     points, and the second level reads the quarter point its bracket picks.
     The bisection stops after 80 levels, or once every lane's midpoint
     rounds onto an end: lo is infeasible, so no lane's hi, all it returns,
     can move after that."""
-    bad = deficit_batch(x) > 0.0
+    beta = np.broadcast_to(beta, len(x))
+    bad = beta - value(x) > 0.0
     if not np.any(bad):
         return x
     xb = x[bad]
     n = len(xb)
     lo, hi = np.zeros(n), np.ones(n)
-    seg = anchor[None, :] - xb
-    xb3, seg3 = np.tile(xb, (3, 1)), np.tile(seg, (3, 1))
+    seg = np.broadcast_to(anchor, x.shape)[bad] - xb
+    xb3, seg3, beta3 = np.tile(xb, (3, 1)), np.tile(seg, (3, 1)), np.tile(beta[bad], 3)
     for level in range(80):
         mid = 0.5 * (lo + hi)
         if np.all((mid == lo) | (mid == hi)):
             break
         if level % 2 == 0:
             t = np.concatenate([mid, 0.5 * (lo + mid), 0.5 * (mid + hi)])
-            oks = (deficit_batch(xb3 + t[:, None] * seg3) <= 0.0).reshape(3, n)
+            oks = (beta3 - value(xb3 + t[:, None] * seg3) <= 0.0).reshape(3, n)
             ok = oks[0]
         else:  # mid is the quarter point on the side the last level kept
             ok = np.where(oks[0], oks[1], oks[2])
@@ -407,45 +411,36 @@ def _pack(weights, *angles) -> np.ndarray:
                           + [np.ravel(a) for a in angles])
 
 
-def _pack_warm(res: OptResult) -> np.ndarray:
-    a = res.argmin
-    if "rho" in a:
-        return _pack(a["rho"], a["t"], a["b0"])
-    return _pack(a["lambdas"], a["phi"])
-
-
-def _multistart(beta: float, cfg: OptConfig, warm_starts, evaluate, value, value_grad,
-                starts: list, layout, argmin, iters) -> OptResult:
+def _multistart(betas: list, cfg: OptConfig, evaluate, value, value_grad, starts: list,
+                layout, argmin, iters) -> list[OptResult]:
     """Best-of-restarts local search for the entropy subject to the Bell
-    value reaching beta.  `evaluate(z, beta)` gives every row's Bell value and
-    the entropy of its state mixed down to beta, so the constraint is exactly
-    eliminated on the feasible side.  On the infeasible side an
+    value reaching beta, for every beta of `betas` in one lockstep batch:
+    each beta is a group of cfg.restarts lanes, and each lane carries its
+    own beta, so a group's result has the bits of a search at its beta
+    alone.  `evaluate(z, beta)` gives every row's Bell value and the entropy
+    of its state mixed down to beta (beta one per row), so the constraint is
+    exactly eliminated on the feasible side.  On the infeasible side an
     augmented-Lagrangian penalty (_penalty) steers back: after every L-BFGS
     stage each restart's multiplier grows by the penalty's slope at its end
     point, so the next stage ends on the constraint rather than a penalty
     width below it.  `value_grad(z, beta, pw, mu)` gives the penalized
     objective of rows and its gradient; stage i runs iters[i] iterations at
     PENALTIES[i] from where the last one stopped.  The starts and the last
-    stage's end points are snapped to feasibility along the segment to the
-    first start, by the Bell values `value(z)` alone (the same bits as
-    evaluate's), and kept.  The snap is the one feasibility mechanism: the
-    stages run a fixed schedule, and a winner whose deficit still exceeds
-    FEASIBILITY_TOL is reported unconverged.  `starts` are the
-    inequality's structured starts, the first of them feasible; seeded random
-    ones laid out as `layout` (see _random_starts) fill them up to
-    cfg.restarts, and the warm starts go in after the first.  `argmin(x)`
-    gives the winning row's (argmin dict, achieved Bell value) for the
-    returned OptResult.
+    stage's end points are snapped to feasibility along the segment to their
+    group's first start, by the Bell values `value(z)` alone (the same bits
+    as evaluate's), and kept.  The snap is the one feasibility mechanism:
+    the stages run a fixed schedule, and a winner whose deficit still
+    exceeds FEASIBILITY_TOL is reported unconverged.  `starts` holds every
+    beta's structured starts, the first of them feasible; the same seeded
+    random starts, laid out as `layout` (see _random_starts), fill every
+    group up to cfg.restarts, and every group gets the same seeded jitter.
+    `argmin(x, beta)` gives a group's winning row's (argmin dict, achieved
+    Bell value) for its OptResult.
     """
-    starts = starts + _random_starts(cfg.seed, cfg.restarts - len(starts), *layout)
-    starts = starts[: cfg.restarts]
-    starts[1:1] = [_pack_warm(w) for w in warm_starts or ()]
-    x = np.array(starts, dtype=float)
-    anchor = x[0].copy()
-
-    def deficit(z):
-        return beta - value(z)
-
+    r = cfg.restarts
+    rand = _random_starts(cfg.seed, r - min(map(len, starts)), *layout)
+    x = np.array([row for group in starts for row in (group + rand)[:r]], dtype=float)
+    beta, anchor = np.repeat(betas, r), np.repeat(x[::r], r, axis=0)
     best_x, best_raw, best_feas = x.copy(), np.full(len(x), np.inf), np.zeros(len(x), bool)
 
     def remember(xc):
@@ -457,20 +452,24 @@ def _multistart(beta: float, cfg: OptConfig, warm_starts, evaluate, value, value
         best_raw[better] = raw[better]
         best_feas[better] = feas[better]
 
-    remember(_snap_to_anchor(x, anchor, deficit))
+    remember(_snap_to_anchor(x, anchor, beta, value))
     # the search leaves the starts by a seeded JITTER: a start with zero
     # weights or at a saddle of the Bell value has a zero gradient there
-    x = x + JITTER * np.random.default_rng(cfg.seed).standard_normal(x.shape)
+    jitter = np.random.default_rng(cfg.seed).standard_normal((r, x.shape[1]))
+    x = x + JITTER * np.tile(jitter, (len(betas), 1))
     mu = np.zeros(len(x))
     for pw, n in zip(PENALTIES, iters):
-        x = _lbfgs_lockstep(lambda z, lanes: value_grad(z, beta, pw, mu[lanes]), x, n)
-        mu += 2.0 * pw * np.maximum(deficit(x) + MARGIN, 0.0)
-    remember(_snap_to_anchor(x, anchor, deficit))
-    i = int(np.lexsort((best_raw, ~best_feas))[0])
-    arg, achieved = argmin(best_x[i])
-    return OptResult(entropy=float(np.clip(best_raw[i], 0.0, 2.0)), argmin=arg,
-                     achieved_beta=achieved, converged=bool(best_feas[i]),
-                     restarts_used=len(starts), beta_target=beta)
+        x = _lbfgs_lockstep(lambda z, lanes: value_grad(z, beta[lanes], pw, mu[lanes]), x, n)
+        mu += 2.0 * pw * np.maximum(beta - value(x) + MARGIN, 0.0)
+    remember(_snap_to_anchor(x, anchor, beta, value))
+    results = []
+    for lo, b in zip(range(0, len(x), r), betas):
+        i = lo + int(np.lexsort((best_raw[lo:lo + r], ~best_feas[lo:lo + r]))[0])
+        arg, achieved = argmin(best_x[i], b)
+        results.append(OptResult(entropy=float(np.clip(best_raw[i], 0.0, 2.0)), argmin=arg,
+                                 achieved_beta=achieved, converged=bool(best_feas[i]),
+                                 restarts_used=r, beta_target=b))
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -499,12 +498,10 @@ def _block_starts(beta: float, parity: bool) -> list:
             _pack(np.full((2, 2, 2), 0.125), np.full((2, 2), 0.2), np.pi / 2)]
 
 
-def _minimize_block_family(ineq: str, beta: float, cfg: OptConfig,
-                           warm_starts) -> OptResult:
+def _block_family(ineq: str, betas: list, cfg: OptConfig) -> list[OptResult]:
     parity = ineq == "parity-chsh"
-    beta = _check_beta(ineq, beta)
 
-    def argmin(x):
+    def argmin(x, beta):
         rho, trig = _block_columns(x[None, :])
         s = _beta_scale(_block_vbar(rho, trig, parity), beta)
         rho_s = s * rho + (1.0 - s) / 8
@@ -512,25 +509,23 @@ def _minimize_block_family(ineq: str, beta: float, cfg: OptConfig,
         return ({"rho": state.rho, "t": state.t, "b0": float(x[12])},
                 float(_block_vbar(rho_s, trig, parity)[0]))
     return _multistart(
-        beta, cfg, warm_starts,
+        betas, cfg,
         lambda z, beta: _block_evaluate(z, beta, parity),
         lambda z: _block_vbar(*_block_columns(z), parity),
         lambda z, beta, pw, mu: _block_value_grad(z, beta, parity, pw, mu),
-        _block_starts(beta, parity),
+        [_block_starts(b, parity) for b in betas],
         (8, [(-np.pi / 2, np.pi / 2, 4), (0.0, np.pi, 1)]), argmin, BLOCK_ITERS)
 
 
-def minimize_holz_two_outcome(beta: float, cfg: OptConfig = OptConfig(),
-                              warm_starts=None) -> OptResult:
+def minimize_holz_two_outcome(beta: float, cfg: OptConfig = OptConfig()) -> OptResult:
     """Minimize H(A0 B0|E) over block-diagonal states and the angle b0 subject
     to the angle-maximized Holz value reaching beta."""
-    return _minimize_block_family("holz", beta, cfg, warm_starts)
+    return sweep_two_outcome("holz", [beta], cfg)[0]
 
 
-def minimize_parity_two_outcome(beta: float, cfg: OptConfig = OptConfig(),
-                                warm_starts=None) -> OptResult:
+def minimize_parity_two_outcome(beta: float, cfg: OptConfig = OptConfig()) -> OptResult:
     """Same machinery with Charlie's difference angle frozen at zero."""
-    return _minimize_block_family("parity-chsh", beta, cfg, warm_starts)
+    return sweep_two_outcome("parity-chsh", [beta], cfg)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +546,7 @@ def _chsh_terms(z: np.ndarray):
                        + _chsh_corr(lam, z, 1, 0) - _chsh_corr(lam, z, 1, 1))
 
 
-def _chsh_evaluate(z: np.ndarray, beta: float):
+def _chsh_evaluate(z: np.ndarray, beta):
     """CHSH value, and 1 + h(2p) - H({lambda_ij}) of the weights mixed
     towards uniform so the (linear) CHSH value hits beta."""
     lam, a0b0, v = _chsh_terms(z)
@@ -564,7 +559,7 @@ _CHSH_SIGNS = np.array([[1.0, 1.0], [1.0, -1.0]])  # the CHSH terms, [a, b]
 _A0B0 = np.array([[1.0, 0.0], [0.0, 0.0]])
 
 
-def _chsh_value_grad(z: np.ndarray, beta: float, pw: float, mu):
+def _chsh_value_grad(z: np.ndarray, beta, pw: float, mu):
     """The penalized objective of rows z (n, 8), _chsh_evaluate's entropy
     plus _penalty of its value, and its gradient (n, 8), on the (n, a, b)
     correlator terms."""
@@ -594,22 +589,24 @@ def _chsh_value_grad(z: np.ndarray, beta: float, pw: float, mu):
                                (d_plus - d_minus).sum(axis=1)])
 
 
-def minimize_chsh_two_outcome(beta: float, cfg: OptConfig = OptConfig(),
-                              warm_starts=None) -> OptResult:
-    """Minimize 1 + h(2p) - H({lambda_ij}) over Bell-diagonal states and four
-    x-y measurement angles subject to the CHSH value equalling beta."""
-    beta = _check_beta("chsh", beta)
+def _chsh_family(ineq: str, betas: list, cfg: OptConfig) -> list[OptResult]:
     starts = [np.array([1.0, 0, 0, 0, 0.0, np.pi / 2, -np.pi / 4, np.pi / 4]),  # v = 2 sqrt2
               np.array([np.sqrt(0.5), np.sqrt(0.5), 0, 0, 0, 0, 0, 0])]
 
-    def argmin(x):
+    def argmin(x, beta):
         lam, _, v = _chsh_terms(x[None, :])
         lam_s = _mixed(lam, _beta_scale(v, beta))
         return ({"lambdas": lam_s[0].reshape(2, 2), "phi": x[4:8].copy()},
                 float(min(v[0], beta)))
-    return _multistart(beta, cfg, warm_starts, _chsh_evaluate, lambda z: _chsh_terms(z)[2],
-                       _chsh_value_grad, starts, (4, [(-np.pi, np.pi, 4)]), argmin,
-                       CHSH_ITERS)
+    return _multistart(betas, cfg, _chsh_evaluate, lambda z: _chsh_terms(z)[2],
+                       _chsh_value_grad, [starts] * len(betas), (4, [(-np.pi, np.pi, 4)]),
+                       argmin, CHSH_ITERS)
+
+
+def minimize_chsh_two_outcome(beta: float, cfg: OptConfig = OptConfig()) -> OptResult:
+    """Minimize 1 + h(2p) - H({lambda_ij}) over Bell-diagonal states and four
+    x-y measurement angles subject to the CHSH value equalling beta."""
+    return sweep_two_outcome("chsh", [beta], cfg)[0]
 
 
 MINIMIZERS = {
@@ -619,18 +616,21 @@ MINIMIZERS = {
 }
 
 
+_FAMILIES = {"holz": _block_family, "parity-chsh": _block_family, "chsh": _chsh_family}
+
+
 def sweep_two_outcome(ineq: str, betas, cfg: OptConfig = OptConfig()) -> list[OptResult]:
-    """Minimize at every beta in the given order, warm-starting each solve
-    from the previous result; every beta is checked before the first solve."""
-    if ineq not in MINIMIZERS:
+    """Minimize at every beta, each result the bits of MINIMIZERS[ineq](beta,
+    cfg) whatever the grid's order or spacing, in input order.  The betas are
+    solved cold in lockstep batches of whole betas, at most LANE_CAP
+    restarts each (one beta at least); every beta is checked before the
+    first solve."""
+    if ineq not in _FAMILIES:
         raise ValidationError(f"no two-outcome minimizer for {ineq!r}")
-    betas = [float(b) for b in betas]
-    for b in betas:
-        _check_beta(ineq, b)
-    results = []
-    for b in betas:
-        results.append(MINIMIZERS[ineq](b, cfg, warm_starts=results[-1:]))
-    return results
+    betas = [_check_beta(ineq, float(b)) for b in betas]
+    per = max(1, LANE_CAP // cfg.restarts)
+    return [res for i in range(0, len(betas), per)
+            for res in _FAMILIES[ineq](ineq, betas[i:i + per], cfg)]
 
 
 # ---------------------------------------------------------------------------

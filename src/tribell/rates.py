@@ -144,8 +144,9 @@ def two_outcome_numeric(ineq: str, beta: float) -> float:
 
 
 def generate_two_outcome_table(ineq: str, points: int, restarts: int, seed: int) -> dict:
-    """Regenerate one numeric curve with the optimizer (descending beta with
-    warm starts), made monotone and pinned to 0 at the classical bound."""
+    """Regenerate one numeric curve with the optimizer, made monotone and
+    pinned to 0 at the classical bound; the points above it are one batched
+    `optimize.sweep_two_outcome` call, each the single solve at its beta."""
     if ineq not in NUMERIC_CURVES:
         raise ValidationError(f"no numeric two-outcome curve for {ineq!r}")
     if points < 2:
@@ -153,8 +154,8 @@ def generate_two_outcome_table(ineq: str, points: int, restarts: int, seed: int)
     spec = spec_by_name(ineq)
     grid = np.linspace(spec.local_bound, spec.quantum_bound, points)
     cfg = optimize.OptConfig(restarts=restarts, seed=seed)
-    descending = optimize.sweep_two_outcome(ineq, grid[:0:-1], cfg)
-    values = np.maximum.accumulate([0.0] + [r.entropy for r in descending[::-1]])
+    solved = optimize.sweep_two_outcome(ineq, grid[1:], cfg)
+    values = np.maximum.accumulate([0.0] + [r.entropy for r in solved])
     return {"beta": grid.tolist(), "value": values.tolist(),
             "restarts": restarts, "seed": seed}
 

@@ -124,8 +124,7 @@ def holz_sweep():
     cfg = OptConfig(restarts=64, seed=2026)
     grid = np.concatenate([np.linspace(1.0, 1.4, 21)[1:],
                            np.linspace(1.4, 1.5, 10)])
-    results = [optimize.minimize_holz_two_outcome(float(b), cfg) for b in grid]
-    return grid, results
+    return grid, optimize.sweep_two_outcome("holz", grid, cfg)
 
 
 def test_criterion_6_optimizer_endpoint_agreement(holz_sweep):
@@ -140,10 +139,8 @@ def test_criterion_6_optimizer_endpoint_agreement(holz_sweep):
     # 10 grid points in [1, sqrt2] union [1.495, 1.5]
     grid10 = np.concatenate([np.linspace(1.05, SQRT2, 6),
                              np.linspace(1.495, 1.5, 4)])
-    errs10 = []
-    for b in grid10:
-        res = optimize.minimize_holz_two_outcome(float(b), cfg)
-        errs10.append(abs(res.entropy - bounds.holz_two_outcome(float(b))))
+    errs10 = [abs(res.entropy - bounds.holz_two_outcome(float(b)))
+              for b, res in zip(grid10, optimize.sweep_two_outcome("holz", grid10, cfg))]
     grid_ok = max(errs10) <= 2e-3
 
     grid30, results30 = holz_sweep

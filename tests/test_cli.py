@@ -207,6 +207,35 @@ class TestThreshold:
         assert "sign" in err
 
 
+class TestScalarCurveNote:
+    """A scalar value that rests on a conjectured or non-certified curve
+    comes with one stderr line naming the curve and its flags; stdout is the
+    bare number either way."""
+
+    @pytest.mark.parametrize("argv, out, note", [
+        (["rate", "--inequality", "parity-chsh", "--noise", "local", "--dire", "spot",
+          "--p", "0.95"], "0.795516513",
+         "note: rests on the non-certified curve numeric:parity-chsh-two"),
+        (["bound", "--inequality", "holz", "--two-outcome", "--beta", "1.3"], "0.581579931",
+         "note: rests on the conjectured curve holz-two"),
+        (["threshold", "--rate", "dire-spot", "--inequality", "holz", "--noise", "local"],
+         "0.849148225", "note: rests on the conjectured curve holz-two"),
+        (["threshold", "--rate", "dire-recycled", "--inequality", "chsh", "--noise",
+          "global"], "0.707106781", "note: rests on the conjectured curve colbeck-recycled"),
+    ], ids=["rate", "bound", "threshold", "threshold-recycled"])
+    def test_flagged(self, capsys, argv, out, note):
+        assert run_cli(argv, capsys) == (0, out + "\n", note + "\n")
+
+    @pytest.mark.parametrize("argv, out", [
+        (["rate", "--dicka", "--inequality", "holz", "--p", "0.95"], "0.172205953"),
+        (["bound", "--inequality", "holz", "--beta", "1.3"], "0.413005981"),
+        (["threshold", "--rate", "dicka", "--inequality", "asym-chsh", "--noise", "global"],
+         "0.851645052"),
+    ], ids=["rate", "bound", "threshold"])
+    def test_unflagged(self, capsys, argv, out):
+        assert run_cli(argv, capsys) == (0, out + "\n", "")
+
+
 class TestOptimize:
     def test_single_point(self, capsys):
         code, out, _ = run_cli(["optimize", "--inequality", "chsh", "--beta",
@@ -228,7 +257,7 @@ class TestOptimize:
         assert code == 2
 
     def test_grid_csv_pinned(self, tmp_path, capsys):
-        # warm-started descending sweep; fixed-seed bytes
+        # one cold batch; fixed-seed bytes
         path = tmp_path / "g.csv"
         code, _, _ = run_cli(["optimize", "--inequality", "holz", "--grid",
                               "1.05:1.5:5", "--restarts", "8", "--seed", "0",
@@ -236,17 +265,29 @@ class TestOptimize:
         assert code == 0
         assert path.read_text() == (
             "quantity,inequality,noise,p,beta,value,flags\n"
-            "optimize-two,holz,,,1.05,0.0752560569,non-certified\n"
+            "optimize-two,holz,,,1.05,0.0752560573,non-certified\n"
             "optimize-two,holz,,,1.1625,0.270925436,non-certified\n"
             "optimize-two,holz,,,1.275,0.516845081,non-certified\n"
             "optimize-two,holz,,,1.3875,0.863786263,non-certified\n"
             "optimize-two,holz,,,1.5,1.81127811,non-certified\n")
 
+    def test_grid_rows_equal_single_solves(self, tmp_path, capsys):
+        # a descending grid: each printed row is the `--beta` solve's entropy
+        path = tmp_path / "g.csv"
+        assert run_cli(["optimize", "--inequality", "parity-chsh", "--grid", "1.2:1.1:3",
+                        "--restarts", "4", "--seed", "2", "--out", str(path)],
+                       capsys)[0] == 0
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        assert [r[4] for r in rows] == ["1.1", "1.15", "1.2"]
+        for row in rows:
+            code, out, _ = run_cli(["optimize", "--inequality", "parity-chsh", "--beta",
+                                    row[4], "--restarts", "4", "--seed", "2"], capsys)
+            assert (code, out.split()[:2]) == (0, ["entropy", row[5]])
+
     def test_grid_at_classical_bound_rejected_before_solving(
             self, tmp_path, capsys, monkeypatch):
         calls = []
-        monkeypatch.setitem(optimize.MINIMIZERS, "holz",
-                            lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(optimize, "_multistart", lambda *a: calls.append(a))
         path = tmp_path / "fig3.csv"
         code, out, err = run_cli(["optimize", "--inequality", "holz", "--grid",
                                   "1.0:1.5:60", "--out", str(path)], capsys)
@@ -257,9 +298,7 @@ class TestOptimize:
     @pytest.mark.parametrize("points", ["0", "1"])
     def test_regen_too_few_points(self, tmp_path, capsys, monkeypatch, points):
         calls = []
-        for ineq in rates.NUMERIC_CURVES:
-            monkeypatch.setitem(optimize.MINIMIZERS, ineq,
-                                lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(optimize, "_multistart", lambda *a: calls.append(a))
         path = tmp_path / "t.json"
         code, out, err = run_cli(["optimize", "--regen-tables", "--points", points,
                                   "--out", str(path)], capsys)
@@ -296,6 +335,7 @@ class TestOptimizeRefusesIgnoredOptions:
 
         for ineq in list(optimize.MINIMIZERS):
             monkeypatch.setitem(optimize.MINIMIZERS, ineq, solve)
+        monkeypatch.setattr(optimize, "_multistart", solve)
         code, out, err = run_cli(["optimize", "--inequality", "holz"] + argv,
                                  capsys)
         assert (code, out) == (2, "")
@@ -641,13 +681,13 @@ class TestEveryOptionActsOrIsRefused:
                 return result(*args) if callable(result) else result
             return call
 
-        rate = SimpleNamespace(rate=0.5, beta_at_p=1.0, flags=())
+        rate = SimpleNamespace(rate=0.5, beta_at_p=1.0, bound_used="curve", flags=())
         opt = SimpleNamespace(entropy=0.5, achieved_beta=1.0, converged=True,
                               restarts_used=1)
         for name in ("dicka_rate", "dire_rate_spot", "dire_rate_recycled"):
             monkeypatch.setattr(rates, name, recorder(name, rate))
         monkeypatch.setattr(rates, "bound_curve", recorder("bound_curve", SimpleNamespace(
-            fn=recorder("fn", 0.5), flags=())))
+            name="curve", fn=recorder("fn", 0.5), flags=())))
         monkeypatch.setattr(rates, "beta_of_p", recorder("beta_of_p", 2.0))
         monkeypatch.setattr(rates, "best_alpha_one_outcome",
                             recorder("best_alpha", (1.0, 0.5, 2.5)))

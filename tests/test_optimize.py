@@ -78,6 +78,57 @@ def test_fixed_seed_bits_pinned(minimizer, beta, entropy, achieved, digest):
     assert _argmin_digest(res) == digest
 
 
+def _fields(res):
+    """Every OptResult field: floats by repr, the argmin by its digest."""
+    return (repr(res.entropy), repr(res.achieved_beta), res.converged, res.restarts_used,
+            repr(res.beta_target), _argmin_digest(res))
+
+
+@pytest.mark.parametrize("ineq, betas", [
+    ("holz", [1.45, 1.05, 1.3, 1.45, 1.5]),
+    ("parity-chsh", [SQRT2, 1.2, 1.0001, 1.2]),
+    ("chsh", [2.7, 2.0001, 2.4, 2.7, 2 * SQRT2]),
+], ids=["holz", "parity-chsh", "chsh"])
+def test_sweep_rows_equal_single_solves(ineq, betas):
+    # an unsorted grid with a repeated beta, solved in one batch: every row
+    # is the single solve at its beta in every field, bit for bit; at sqrt2
+    # the Parity-CHSH GHZ anchor falls one ulp short of beta
+    cfg = OptConfig(restarts=8, seed=5)
+    rows = optimize.sweep_two_outcome(ineq, betas, cfg)
+    assert [_fields(r) for r in rows] == [
+        _fields(optimize.MINIMIZERS[ineq](b, cfg)) for b in betas]
+
+
+def test_sweep_batches_hold_whole_betas(monkeypatch):
+    # under the lane cap one batch; at a cap of 20 lanes, 8-restart betas go
+    # two to a batch; below the restarts, one: the rows stay the same, in
+    # input order
+    betas = [1.3, 1.1, 1.45, 1.2, 1.05]
+    cfg = OptConfig(restarts=8, seed=0)
+    batches, multistart = [], optimize._multistart
+
+    def counted(betas, *args):
+        batches.append(list(betas))
+        return multistart(betas, *args)
+    monkeypatch.setattr(optimize, "_multistart", counted)
+    whole = [_fields(r) for r in optimize.sweep_two_outcome("holz", betas, cfg)]
+    assert batches == [betas]
+    for cap, want in [(20, [betas[:2], betas[2:4], betas[4:]]), (5, [[b] for b in betas])]:
+        monkeypatch.setattr(optimize, "LANE_CAP", cap)
+        batches.clear()
+        assert [_fields(r) for r in optimize.sweep_two_outcome("holz", betas, cfg)] == whole
+        assert batches == want
+
+
+def test_sweep_checks_every_beta_first(monkeypatch):
+    monkeypatch.setattr(optimize, "_multistart", lambda *a: pytest.fail("solved"))
+    with pytest.raises(ValidationError, match="beta=1.0"):
+        optimize.sweep_two_outcome("holz", [1.3, 1.0], OptConfig(restarts=8))
+    with pytest.raises(ValidationError, match="mabk"):
+        optimize.sweep_two_outcome("mabk", [3.0])
+    assert optimize.sweep_two_outcome("chsh", []) == []
+
+
 def _bits(a):
     return np.ascontiguousarray(a, dtype=float).view(np.uint64)
 
@@ -298,10 +349,11 @@ def test_lbfgs_makes_one_batched_call_per_iteration():
 
 def test_chsh_seeds_agree_at_the_knots():
     # at the CHSH knots of the numeric curve, two seeds at 64 restarts give
-    # the same entropy to 1e-6
-    for beta in np.linspace(2.708, 2.82, 10):
-        a = minimize_chsh_two_outcome(float(beta), OptConfig(restarts=64, seed=0))
-        b = minimize_chsh_two_outcome(float(beta), OptConfig(restarts=64, seed=1))
+    # the same entropy to 1e-6 (each sweep row is the single solve)
+    betas = np.linspace(2.708, 2.82, 10)
+    seeds = [optimize.sweep_two_outcome("chsh", betas, OptConfig(restarts=64, seed=seed))
+             for seed in (0, 1)]
+    for beta, a, b in zip(betas, *seeds):
         assert a.converged and b.converged
         assert abs(a.entropy - b.entropy) <= 1e-6, beta
 
@@ -315,8 +367,9 @@ def test_holz_converges_onto_the_conjectured_curve(monkeypatch, beta):
     curve = bounds.holz_two_outcome(beta)
     cfg = OptConfig(restarts=64, seed=0)
     seen = _handed_to_multistart(monkeypatch, minimize_holz_two_outcome, beta)
-    random_only = optimize._multistart(beta, cfg, None, seen["evaluate"], seen["value"],
-                                       seen["value_grad"], seen["starts"][:1], *seen["rest"])
+    (random_only,) = optimize._multistart([beta], cfg, seen["evaluate"], seen["value"],
+                                          seen["value_grad"], [seen["starts"][:1]],
+                                          *seen["rest"])
     for res in (minimize_holz_two_outcome(beta, cfg), random_only):
         assert res.converged
         assert -1e-9 <= res.entropy - curve <= 1e-5
@@ -343,17 +396,21 @@ def _snap_all_rounds(x, anchor, deficit_batch):
     return x, stalled
 
 
-def _check_snap(x, anchor, deficit):
-    """The two-level snap against all 80 sequential levels: the same bits,
-    and after the first call one call per two levels until every lane has
-    stalled, each on the midpoint and both quarter points of every
-    infeasible lane.  Returns the level at which they stalled."""
+def _check_snap(x, anchor, beta, value):
+    """The two-level snap against all 80 sequential levels on the deficit
+    beta - value(z): the same bits, and after the first call one value call
+    per two levels until every lane has stalled, each on the midpoint and
+    both quarter points of every infeasible lane.  Returns the level at
+    which they stalled."""
     calls = []
 
     def counted(z):
         calls.append(len(z))
-        return deficit(z)
-    got = optimize._snap_to_anchor(x, anchor, counted)
+        return value(z)
+
+    def deficit(z):
+        return beta - value(z)
+    got = optimize._snap_to_anchor(x, anchor, beta, counted)
     want, stalled = _snap_all_rounds(x, anchor, deficit)
     np.testing.assert_array_equal(_bits(got), _bits(want))
     bad = np.count_nonzero(deficit(x) > 0.0)
@@ -373,11 +430,11 @@ def test_snap_stops_early_with_the_same_bits(parity, beta):
     x = _edge_rows()
     anchor = optimize._block_starts(beta, parity)[0]
 
-    def deficit(z):
-        return beta - optimize._block_evaluate(z, beta, parity)[0]
-    x = np.vstack([x, _late_lanes(x, anchor, deficit)])
-    assert np.count_nonzero(deficit(x) > 0.0) > len(x) // 2
-    assert _check_snap(x, anchor, deficit) < 80
+    def value(z):
+        return optimize._block_evaluate(z, beta, parity)[0]
+    x = np.vstack([x, _late_lanes(x, anchor, lambda z: beta - value(z))])
+    assert np.count_nonzero(beta - value(x) > 0.0) > len(x) // 2
+    assert _check_snap(x, anchor, beta, value) < 80
 
 
 def test_snap_stops_early_on_chsh_rows():
@@ -386,25 +443,21 @@ def test_snap_stops_early_on_chsh_rows():
     x = np.column_stack([rng.normal(size=(60, 4)), rng.uniform(-np.pi, np.pi, (60, 4))])
     anchor = np.array([1.0, 0, 0, 0, 0.0, np.pi / 2, -np.pi / 4, np.pi / 4])  # 2 sqrt2
 
-    def deficit(z):
-        return beta - optimize._chsh_terms(z)[2]
-    x = np.vstack([x, _late_lanes(x, anchor, deficit)])
-    assert np.count_nonzero(deficit(x) > 0.0) > len(x) // 2
-    assert _check_snap(x, anchor, deficit) < 80
+    def value(z):
+        return optimize._chsh_terms(z)[2]
+    x = np.vstack([x, _late_lanes(x, anchor, lambda z: beta - value(z))])
+    assert np.count_nonzero(beta - value(x) > 0.0) > len(x) // 2
+    assert _check_snap(x, anchor, beta, value) < 80
 
 
 def test_snap_exit_on_either_level_and_at_the_cap():
     # one lane on [1, 0] crossing x (1 - t) = 1 - t* at t = t*: it stalls
     # after a number of levels set by t*, odd, even, or past the 80-level
-    # cap for t* near 0
+    # cap for t* near 0; the deficit is x - (1 - t*), as -(1 - t*) - (-x)
     anchor = np.zeros(1)
     seen = set()
     for crossing in np.geomspace(1e-40, 0.9, 60):
-        c = 1.0 - crossing
-
-        def deficit(z):
-            return z[:, 0] - c
-        seen.add(_check_snap(np.ones((1, 1)), anchor, deficit))
+        seen.add(_check_snap(np.ones((1, 1)), anchor, -(1.0 - crossing), lambda z: -z[:, 0]))
     assert 80 in seen
     assert {level % 2 for level in seen - {80}} == {0, 1}
 
@@ -419,8 +472,9 @@ def _handed_to_multistart(monkeypatch, minimizer, beta):
     that a minimizer hands _multistart, without running the search."""
     seen = {}
 
-    def spy(beta, cfg, warm_starts, evaluate, value, value_grad, starts, *rest):
-        seen.update(evaluate=evaluate, value=value, value_grad=value_grad, starts=starts,
+    def spy(betas, cfg, evaluate, value, value_grad, starts, *rest):
+        assert betas == [beta] and len(starts) == 1  # one group: the minimizer's beta
+        seen.update(evaluate=evaluate, value=value, value_grad=value_grad, starts=starts[0],
                     rest=rest)
         raise _Handed
     with monkeypatch.context() as m:
@@ -458,16 +512,13 @@ def test_snapped_rows_are_feasible(monkeypatch, ineq):
     rng = np.random.default_rng(17)
     for beta in _feasibility_betas(ineq):
         seen = _handed_to_multistart(monkeypatch, optimize.MINIMIZERS[ineq], beta)
-        anchor = seen["starts"][0]
-
-        def deficit(z):
-            return beta - seen["value"](z)
+        anchor, value = seen["starts"][0], seen["value"]
         infeasible = 0
         for scale in (1e-3, 0.1, 1.0):
             x = anchor + scale * rng.normal(size=(512, len(anchor)))
-            infeasible += np.count_nonzero(deficit(x) > 0.0)
-            snapped = optimize._snap_to_anchor(x, anchor, deficit)
-            assert np.max(deficit(snapped)) <= optimize.FEASIBILITY_TOL
+            infeasible += np.count_nonzero(beta - value(x) > 0.0)
+            snapped = optimize._snap_to_anchor(x, anchor, beta, value)
+            assert np.max(beta - value(snapped)) <= optimize.FEASIBILITY_TOL
         assert infeasible > 0
 
 
@@ -488,13 +539,13 @@ def test_snap_evaluates_no_entropy(monkeypatch):
     snapping, calls, entropies = [False], [0], [0]
     snap, entropy = optimize._snap_to_anchor, optimize._block_entropy
 
-    def counted_snap(x, anchor, deficit):
+    def counted_snap(x, anchor, beta, value):
         def counted(z):
             calls[0] += 1
-            return deficit(z)
+            return value(z)
         snapping[0] = True
         try:
-            return snap(x, anchor, counted)
+            return snap(x, anchor, beta, counted)
         finally:
             snapping[0] = False
 
@@ -644,7 +695,7 @@ class TestParityMinimizer:
     def test_monotone_on_grid(self):
         cfg = OptConfig(restarts=12, seed=3)
         betas = np.linspace(1.02, SQRT2, 20)
-        vals = [minimize_parity_two_outcome(float(b), cfg).entropy for b in betas]
+        vals = [r.entropy for r in optimize.sweep_two_outcome("parity-chsh", betas, cfg)]
         assert np.all(np.diff(vals) >= -1e-3)
 
 
