@@ -8,9 +8,9 @@ mixed down onto it, an augmented-Lagrangian penalty steers the search back
 from below, and the starts and end points are snapped to feasibility.  One
 driver (`_multistart`) serves all three inequalities and builds their
 results, solving a whole beta grid in one lockstep batch; each inequality
-supplies one row evaluation giving Bell value and entropy together, one
-giving the Bell value alone (for the feasibility snap), one giving the
-penalized objective with its analytic gradient, its structured starts, and
+supplies a row function giving the Bell value alone (for the feasibility
+snap), one kernel giving the penalized objective with its analytic
+gradient, Bell value and entropy, its structured starts, and
 `argmin(x, beta)`, which turns a winning row into the result's argmin and
 achieved Bell value.  For Holz and Parity-CHSH the value is the
 angle-maximized reduced form `bell._block_vbar` and the entropy is
@@ -151,19 +151,6 @@ def _block_columns(z: np.ndarray):
     return _block_rho(zt[:8] ** 2), _block_trig(zt[8:])
 
 
-def _block_kernel(rho: np.ndarray, trig: np.ndarray, beta, parity: bool):
-    """Bell value of every column, and the entropy of its state mixed down
-    to beta."""
-    v = _block_vbar(rho, trig, parity)
-    s = _beta_scale(v, beta)
-    return v, _block_entropy(s * rho + (1.0 - s) / 8, trig)
-
-
-def _block_evaluate(z: np.ndarray, beta, parity: bool):
-    """The kernel on rows z (n, 13): (value, entropy), each (n,)."""
-    return _block_kernel(*_block_columns(z), beta, parity)
-
-
 def _two_outcome_entropy(rho: np.ndarray, t: np.ndarray, b0: np.ndarray) -> np.ndarray:
     """H(A0 B0|E) for block-diagonal states, Alice measuring Z and Bob the
     x-z observable at angle b0.  Eve purifies ABC, so given (A0, B0) = (a, o)
@@ -235,10 +222,10 @@ def _block_entropy_grad(rs: np.ndarray, trig: np.ndarray):
 
 
 def _block_value_grad(z: np.ndarray, beta, parity: bool, pw: float, mu):
-    """The penalized objective of rows z (n, 13), _block_evaluate's entropy
-    plus _penalty of its value, and its gradient (n, 13), by the chain rule
-    through the normalized squared weights, the Bell value and the mixing
-    down to beta."""
+    """The penalized objective of rows z (n, 13), the entropy of each row's
+    state mixed down to beta plus _penalty of its Bell value, its gradient
+    (n, 13) by the chain rule through the normalized squared weights, the
+    Bell value and the mixing, then the Bell value and the entropy."""
     zt = z.T
     w = zt[:8] ** 2
     norm = _sum8(w)
@@ -256,7 +243,7 @@ def _block_value_grad(z: np.ndarray, beta, parity: bool, pw: float, mu):
     d_w = (d_rho - _sum8(d_rho * rho.reshape(8, -1))) / norm
     grad = np.concatenate([2.0 * zt[:8] * d_w, (de_t + k * dv_t).reshape(4, -1),
                            (de_b0 + k * dv_b0)[None]])
-    return ent + pen, grad.T
+    return ent + pen, grad.T, v, ent
 
 
 @dataclass(frozen=True)
@@ -411,29 +398,30 @@ def _pack(weights, *angles) -> np.ndarray:
                           + [np.ravel(a) for a in angles])
 
 
-def _multistart(betas: list, cfg: OptConfig, evaluate, value, value_grad, starts: list,
-                layout, argmin, iters) -> list[OptResult]:
+def _multistart(betas: list, cfg: OptConfig, value, value_grad, starts: list, layout,
+                argmin, iters) -> list[OptResult]:
     """Best-of-restarts local search for the entropy subject to the Bell
     value reaching beta, for every beta of `betas` in one lockstep batch:
     each beta is a group of cfg.restarts lanes, and each lane carries its
     own beta, so a group's result has the bits of a search at its beta
-    alone.  `evaluate(z, beta)` gives every row's Bell value and the entropy
-    of its state mixed down to beta (beta one per row), so the constraint is
+    alone.  `value_grad(z, beta, pw, mu)` gives, for rows z and beta one per
+    row, the penalized objective, its gradient, the Bell value and the
+    entropy of each row's state mixed down to beta, so the constraint is
     exactly eliminated on the feasible side.  On the infeasible side an
     augmented-Lagrangian penalty (_penalty) steers back: after every L-BFGS
     stage each restart's multiplier grows by the penalty's slope at its end
     point, so the next stage ends on the constraint rather than a penalty
-    width below it.  `value_grad(z, beta, pw, mu)` gives the penalized
-    objective of rows and its gradient; stage i runs iters[i] iterations at
-    PENALTIES[i] from where the last one stopped.  The starts and the last
-    stage's end points are snapped to feasibility along the segment to their
-    group's first start, by the Bell values `value(z)` alone (the same bits
-    as evaluate's), and kept.  The snap is the one feasibility mechanism:
-    the stages run a fixed schedule, and a winner whose deficit still
-    exceeds FEASIBILITY_TOL is reported unconverged.  `starts` holds every
-    beta's structured starts, the first of them feasible; the same seeded
-    random starts, laid out as `layout` (see _random_starts), fill every
-    group up to cfg.restarts, and every group gets the same seeded jitter.
+    width below it.  Stage i runs iters[i] iterations at PENALTIES[i] from
+    where the last one stopped.  The starts and the last stage's end points
+    are snapped to feasibility along the segment to their group's first
+    start, by the Bell values `value(z)` alone (the same bits as
+    value_grad's), and kept by value_grad's Bell value and entropy.  The
+    snap is the one feasibility mechanism: the stages run a fixed schedule,
+    and a winner whose deficit still exceeds FEASIBILITY_TOL is reported
+    unconverged.  `starts` holds every beta's structured starts, the first
+    of them feasible; the same seeded random starts, laid out as `layout`
+    (see _random_starts), fill every group up to cfg.restarts, and every
+    group gets the same seeded jitter.
     `argmin(x, beta)` gives a group's winning row's (argmin dict, achieved
     Bell value) for its OptResult.
     """
@@ -445,7 +433,7 @@ def _multistart(betas: list, cfg: OptConfig, evaluate, value, value_grad, starts
 
     def remember(xc):
         """Keep every restart's best point, feasible ones first."""
-        v, raw = evaluate(xc, beta)
+        _, _, v, raw = value_grad(xc, beta, 0.0, 0.0)
         feas = beta - v <= FEASIBILITY_TOL
         better = (feas & ~best_feas) | ((feas == best_feas) & (raw < best_raw))
         best_x[better] = xc[better]
@@ -459,7 +447,7 @@ def _multistart(betas: list, cfg: OptConfig, evaluate, value, value_grad, starts
     x = x + JITTER * np.tile(jitter, (len(betas), 1))
     mu = np.zeros(len(x))
     for pw, n in zip(PENALTIES, iters):
-        x = _lbfgs_lockstep(lambda z, lanes: value_grad(z, beta[lanes], pw, mu[lanes]), x, n)
+        x = _lbfgs_lockstep(lambda z, lanes: value_grad(z, beta[lanes], pw, mu[lanes])[:2], x, n)
         mu += 2.0 * pw * np.maximum(beta - value(x) + MARGIN, 0.0)
     remember(_snap_to_anchor(x, anchor, beta, value))
     results = []
@@ -510,7 +498,6 @@ def _block_family(ineq: str, betas: list, cfg: OptConfig) -> list[OptResult]:
                 float(_block_vbar(rho_s, trig, parity)[0]))
     return _multistart(
         betas, cfg,
-        lambda z, beta: _block_evaluate(z, beta, parity),
         lambda z: _block_vbar(*_block_columns(z), parity),
         lambda z, beta, pw, mu: _block_value_grad(z, beta, parity, pw, mu),
         [_block_starts(b, parity) for b in betas],
@@ -539,20 +526,10 @@ def _chsh_corr(lam: np.ndarray, z: np.ndarray, a: int, b: int) -> np.ndarray:
 
 
 def _chsh_terms(z: np.ndarray):
-    """(weights, <A0 B0>, CHSH value) of every row."""
+    """(weights, CHSH value) of every row."""
     lam = _weights(z, 4)
-    a0b0 = _chsh_corr(lam, z, 0, 0)
-    return lam, a0b0, (a0b0 + _chsh_corr(lam, z, 0, 1)
-                       + _chsh_corr(lam, z, 1, 0) - _chsh_corr(lam, z, 1, 1))
-
-
-def _chsh_evaluate(z: np.ndarray, beta):
-    """CHSH value, and 1 + h(2p) - H({lambda_ij}) of the weights mixed
-    towards uniform so the (linear) CHSH value hits beta."""
-    lam, a0b0, v = _chsh_terms(z)
-    s = _beta_scale(v, beta)
-    q = np.clip((1.0 + s * a0b0) / 2.0, 0.0, 1.0)  # 2p
-    return v, 1.0 + (-_xlog2x(q) - _xlog2x(1.0 - q)) + _xlog2x(_mixed(lam, s)).sum(axis=1)
+    return lam, (_chsh_corr(lam, z, 0, 0) + _chsh_corr(lam, z, 0, 1)
+                 + _chsh_corr(lam, z, 1, 0) - _chsh_corr(lam, z, 1, 1))
 
 
 _CHSH_SIGNS = np.array([[1.0, 1.0], [1.0, -1.0]])  # the CHSH terms, [a, b]
@@ -560,9 +537,10 @@ _A0B0 = np.array([[1.0, 0.0], [0.0, 0.0]])
 
 
 def _chsh_value_grad(z: np.ndarray, beta, pw: float, mu):
-    """The penalized objective of rows z (n, 8), _chsh_evaluate's entropy
-    plus _penalty of its value, and its gradient (n, 8), on the (n, a, b)
-    correlator terms."""
+    """The penalized objective of rows z (n, 8), its gradient (n, 8) on the
+    (n, a, b) correlator terms, the CHSH value and the entropy
+    1 + h(2p) - H({lambda_ij}) of the weights mixed towards uniform so the
+    (linear) CHSH value hits beta."""
     lam = _weights(z, 4)
     plus, minus = z[:, 4:6, None] + z[:, None, 6:8], z[:, 4:6, None] - z[:, None, 6:8]
     d1, d2 = (lam[:, 0] - lam[:, 2])[:, None, None], (lam[:, 1] - lam[:, 3])[:, None, None]
@@ -571,10 +549,10 @@ def _chsh_value_grad(z: np.ndarray, beta, pw: float, mu):
     a0b0 = corr[:, 0, 0]
     v = a0b0 + corr[:, 0, 1] + corr[:, 1, 0] - corr[:, 1, 1]
     s = _beta_scale(v, beta)
-    q = np.clip((1.0 + s * a0b0) / 2.0, 0.0, 1.0)
+    q = np.clip((1.0 + s * a0b0) / 2.0, 0.0, 1.0)  # 2p
     mix = _mixed(lam, s)
     pen, k = _penalty(v, beta, pw, mu)
-    f = 1.0 + (-_xlog2x(q) - _xlog2x(1.0 - q)) + _xlog2x(mix).sum(axis=1) + pen
+    ent = 1.0 + (-_xlog2x(q) - _xlog2x(1.0 - q)) + _xlog2x(mix).sum(axis=1)
     d_q = _dxlog2x(1.0 - q) - _dxlog2x(q)
     d_mix = _dxlog2x(mix)
     d_s = (d_mix * (lam - 0.25)).sum(axis=1) + d_q * a0b0 / 2.0
@@ -585,8 +563,8 @@ def _chsh_value_grad(z: np.ndarray, beta, pw: float, mu):
     norm = (z[:, :4] ** 2).sum(axis=1, keepdims=True)
     d_w = (d_lam - (d_lam * lam).sum(axis=1, keepdims=True)) / np.where(norm <= 0.0, 1.0, norm)
     d_plus, d_minus = -w * np.sin(plus) * d1, -w * np.sin(minus) * d2
-    return f, np.column_stack([2.0 * z[:, :4] * d_w, (d_plus + d_minus).sum(axis=2),
-                               (d_plus - d_minus).sum(axis=1)])
+    return ent + pen, np.column_stack([2.0 * z[:, :4] * d_w, (d_plus + d_minus).sum(axis=2),
+                                       (d_plus - d_minus).sum(axis=1)]), v, ent
 
 
 def _chsh_family(ineq: str, betas: list, cfg: OptConfig) -> list[OptResult]:
@@ -594,13 +572,12 @@ def _chsh_family(ineq: str, betas: list, cfg: OptConfig) -> list[OptResult]:
               np.array([np.sqrt(0.5), np.sqrt(0.5), 0, 0, 0, 0, 0, 0])]
 
     def argmin(x, beta):
-        lam, _, v = _chsh_terms(x[None, :])
+        lam, v = _chsh_terms(x[None, :])
         lam_s = _mixed(lam, _beta_scale(v, beta))
         return ({"lambdas": lam_s[0].reshape(2, 2), "phi": x[4:8].copy()},
                 float(min(v[0], beta)))
-    return _multistart(betas, cfg, _chsh_evaluate, lambda z: _chsh_terms(z)[2],
-                       _chsh_value_grad, [starts] * len(betas), (4, [(-np.pi, np.pi, 4)]),
-                       argmin, CHSH_ITERS)
+    return _multistart(betas, cfg, lambda z: _chsh_terms(z)[1], _chsh_value_grad,
+                       [starts] * len(betas), (4, [(-np.pi, np.pi, 4)]), argmin, CHSH_ITERS)
 
 
 def minimize_chsh_two_outcome(beta: float, cfg: OptConfig = OptConfig()) -> OptResult:

@@ -222,7 +222,7 @@ def test_row_kernel_matches_numpy_reductions(parity):
     z = _spread_rows()
     rho = optimize._weights(z, 8).reshape(-1, 2, 2, 2)
     t, b0 = z[:, 8:12].reshape(-1, 2, 2), z[:, 12]
-    v_rows, _ = optimize._block_evaluate(z, 1.3, parity)
+    v_rows = optimize._block_value_grad(z, 1.3, parity, 0.0, 0.0)[2]
     np.testing.assert_array_equal(_bits(v_rows), _bits(_numpy_vbar(rho, t, b0, parity)))
     np.testing.assert_array_equal(_bits(bell._block_vbar(*_columns(rho, t, b0), parity)),
                                   _bits(v_rows))
@@ -237,16 +237,30 @@ def _block_rows(rho, t, b0):
     return np.column_stack([np.sqrt(rho.reshape(n, 8)), t.reshape(n, 4), b0])
 
 
+def _mixed_entropy(ineq, z, beta):
+    """The entropy of rows z mixed down to beta, written out apart from the
+    kernels: for Holz and Parity-CHSH through _block_entropy, for CHSH as
+    1 + h(2p) - H({lambda_ij})."""
+    if ineq != "chsh":
+        rho, trig = optimize._block_columns(z)
+        s = optimize._beta_scale(bell._block_vbar(rho, trig, ineq == "parity-chsh"), beta)
+        return optimize._block_entropy(s * rho + (1.0 - s) / 8, trig)
+    lam, v = optimize._chsh_terms(z)
+    s = optimize._beta_scale(v, beta)
+    q = np.clip((1.0 + s * optimize._chsh_corr(lam, z, 0, 0)) / 2.0, 0.0, 1.0)
+    xlog2x = optimize._xlog2x
+    return 1.0 + (-xlog2x(q) - xlog2x(1.0 - q)) + xlog2x(optimize._mixed(lam, s)).sum(axis=1)
+
+
 def _family(ineq, beta, pw, mu):
     """(value, penalized objective, value_grad) of an inequality's rows: the
-    objective is evaluate's entropy plus _penalty of its value."""
+    objective is _mixed_entropy plus _penalty of the value."""
     seen = _handed_to_multistart(pytest.MonkeyPatch(), optimize.MINIMIZERS[ineq], beta)
-    evaluate, value_grad = seen["evaluate"], seen["value_grad"]
+    value, value_grad = seen["value"], seen["value_grad"]
 
     def objective(z):
-        v, ent = evaluate(z, beta)
-        return ent + optimize._penalty(v, beta, pw, mu)[0]
-    return seen["value"], objective, lambda z: value_grad(z, beta, pw, mu)
+        return _mixed_entropy(ineq, z, beta) + optimize._penalty(value(z), beta, pw, mu)[0]
+    return value, objective, lambda z: value_grad(z, beta, pw, mu)
 
 
 def _checked_gradient(ineq, z, beta, h=1e-6):
@@ -258,11 +272,8 @@ def _checked_gradient(ineq, z, beta, h=1e-6):
     root of _block_vbar, or its hypot, at 0) and |sin b0| at sin b0 = 0.
     Returns the share of entries checked."""
     value, objective, value_grad = _family(ineq, beta, 1e3, 0.5)
-    f, grad = value_grad(z)
-    if ineq == "chsh":
-        np.testing.assert_allclose(f, objective(z), rtol=0.0, atol=1e-14)
-    else:
-        np.testing.assert_array_equal(_bits(f), _bits(objective(z)))
+    f, grad, _, _ = value_grad(z)
+    np.testing.assert_array_equal(_bits(f), _bits(objective(z)))
     assert np.all(np.isfinite(grad))
     num = np.empty_like(z)
     smooth = np.ones(z.shape, bool)
@@ -322,7 +333,7 @@ def test_chsh_gradient_matches_central_differences(beta):
     z = np.vstack([anchor + 0.3 * rng.normal(size=(200, 8)),
                    np.column_stack([rng.normal(size=(200, 4)),
                                     rng.uniform(-np.pi, np.pi, (200, 4))]), edges])
-    v = optimize._chsh_terms(z)[2]
+    v = optimize._chsh_terms(z)[1]
     assert np.count_nonzero(v > beta) >= 10 and np.count_nonzero(v < beta) >= 100
     assert _checked_gradient("chsh", z, beta) > 0.9
 
@@ -367,9 +378,8 @@ def test_holz_converges_onto_the_conjectured_curve(monkeypatch, beta):
     curve = bounds.holz_two_outcome(beta)
     cfg = OptConfig(restarts=64, seed=0)
     seen = _handed_to_multistart(monkeypatch, minimize_holz_two_outcome, beta)
-    (random_only,) = optimize._multistart([beta], cfg, seen["evaluate"], seen["value"],
-                                          seen["value_grad"], [seen["starts"][:1]],
-                                          *seen["rest"])
+    (random_only,) = optimize._multistart([beta], cfg, seen["value"], seen["value_grad"],
+                                          [seen["starts"][:1]], *seen["rest"])
     for res in (minimize_holz_two_outcome(beta, cfg), random_only):
         assert res.converged
         assert -1e-9 <= res.entropy - curve <= 1e-5
@@ -431,7 +441,7 @@ def test_snap_stops_early_with_the_same_bits(parity, beta):
     anchor = optimize._block_starts(beta, parity)[0]
 
     def value(z):
-        return optimize._block_evaluate(z, beta, parity)[0]
+        return bell._block_vbar(*optimize._block_columns(z), parity)
     x = np.vstack([x, _late_lanes(x, anchor, lambda z: beta - value(z))])
     assert np.count_nonzero(beta - value(x) > 0.0) > len(x) // 2
     assert _check_snap(x, anchor, beta, value) < 80
@@ -444,7 +454,7 @@ def test_snap_stops_early_on_chsh_rows():
     anchor = np.array([1.0, 0, 0, 0, 0.0, np.pi / 2, -np.pi / 4, np.pi / 4])  # 2 sqrt2
 
     def value(z):
-        return optimize._chsh_terms(z)[2]
+        return optimize._chsh_terms(z)[1]
     x = np.vstack([x, _late_lanes(x, anchor, lambda z: beta - value(z))])
     assert np.count_nonzero(beta - value(x) > 0.0) > len(x) // 2
     assert _check_snap(x, anchor, beta, value) < 80
@@ -467,15 +477,15 @@ class _Handed(Exception):
 
 
 def _handed_to_multistart(monkeypatch, minimizer, beta):
-    """The row evaluation, the Bell value function, the penalized objective
-    with its gradient, the structured starts and the rest of the arguments
-    that a minimizer hands _multistart, without running the search."""
+    """The Bell value function, the kernel (the penalized objective with its
+    gradient, Bell value and entropy), the structured starts and the rest of
+    the arguments that a minimizer hands _multistart, without running the
+    search."""
     seen = {}
 
-    def spy(betas, cfg, evaluate, value, value_grad, starts, *rest):
+    def spy(betas, cfg, value, value_grad, starts, *rest):
         assert betas == [beta] and len(starts) == 1  # one group: the minimizer's beta
-        seen.update(evaluate=evaluate, value=value, value_grad=value_grad, starts=starts[0],
-                    rest=rest)
+        seen.update(value=value, value_grad=value_grad, starts=starts[0], rest=rest)
         raise _Handed
     with monkeypatch.context() as m:
         m.setattr(optimize, "_multistart", spy)
@@ -525,19 +535,25 @@ def test_snapped_rows_are_feasible(monkeypatch, ineq):
 @pytest.mark.parametrize("minimizer, beta, width", [
     (minimize_holz_two_outcome, 1.45, 13), (minimize_parity_two_outcome, 1.3, 13),
     (minimize_chsh_two_outcome, 2.7, 8)])
-def test_snap_value_bits_equal_evaluate(monkeypatch, minimizer, beta, width):
-    # the value that each minimizer hands the snap is evaluate's, bit for bit
+def test_kernel_bits_at_zero_penalty(monkeypatch, minimizer, beta, width):
+    # what _multistart keeps of a row: at pw = mu = 0 the kernel's objective
+    # is its entropy, and its Bell value is the snap's, bit for bit, on the
+    # spread, edge and Gram oracle rows and on the structured starts without
+    # jitter (zero-weight GHZ rows, the uniform state, the classical CHSH
+    # start), where the search keeps the snapped starts
     seen = _handed_to_multistart(monkeypatch, minimizer, beta)
-    z = _spread_rows()[:, :width]
-    np.testing.assert_array_equal(_bits(seen["value"](z)),
-                                  _bits(seen["evaluate"](z, beta)[0]))
+    z = np.vstack([_spread_rows(), _edge_rows(), _block_rows(*_oracle_rows())])[:, :width]
+    z = np.vstack([z, seen["starts"]])
+    f, _, v, ent = seen["value_grad"](z, beta, 0.0, 0.0)
+    np.testing.assert_array_equal(_bits(f), _bits(ent))
+    np.testing.assert_array_equal(_bits(v), _bits(seen["value"](z)))
 
 
-def test_snap_evaluates_no_entropy(monkeypatch):
-    # a 64-restart Holz solve: at most 132 deficit calls, none of which
-    # reaches the entropy kernel
-    snapping, calls, entropies = [False], [0], [0]
-    snap, entropy = optimize._snap_to_anchor, optimize._block_entropy
+def _entropy_calls_while_snapping(monkeypatch, minimizer, beta, name):
+    """A 64-restart solve with optimize.<name> counted: (deficit calls of
+    the snap, calls of name inside the snap, calls of name outside it)."""
+    snapping, calls, inside, outside = [False], [0], [0], [0]
+    snap, entropy = optimize._snap_to_anchor, getattr(optimize, name)
 
     def counted_snap(x, anchor, beta, value):
         def counted(z):
@@ -550,13 +566,29 @@ def test_snap_evaluates_no_entropy(monkeypatch):
             snapping[0] = False
 
     def counted_entropy(*args):
-        entropies[0] += snapping[0]
+        (inside if snapping[0] else outside)[0] += 1
         return entropy(*args)
     monkeypatch.setattr(optimize, "_snap_to_anchor", counted_snap)
-    monkeypatch.setattr(optimize, "_block_entropy", counted_entropy)
-    minimize_holz_two_outcome(1.45, OptConfig(restarts=64, seed=0))
-    assert 0 < calls[0] <= 132
-    assert entropies[0] == 0
+    monkeypatch.setattr(optimize, name, counted_entropy)
+    minimizer(beta, OptConfig(restarts=64, seed=0))
+    return calls[0], inside[0], outside[0]
+
+
+def test_snap_evaluates_no_entropy(monkeypatch):
+    # a 64-restart Holz solve: at most 132 deficit calls, none of which
+    # reaches _gram, which every Holz/Parity entropy path goes through
+    calls, inside, outside = _entropy_calls_while_snapping(
+        monkeypatch, minimize_holz_two_outcome, 1.45, "_gram")
+    assert 0 < calls <= 132
+    assert inside == 0 and outside > 0
+
+
+def test_chsh_snap_evaluates_no_entropy(monkeypatch):
+    # the CHSH snap never calls the kernel, the one CHSH entropy path
+    calls, inside, outside = _entropy_calls_while_snapping(
+        monkeypatch, minimize_chsh_two_outcome, 2.7, "_chsh_value_grad")
+    assert calls > 0
+    assert inside == 0 and outside > 0
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc thresholds")
