@@ -169,22 +169,6 @@ def _observable_pairs(spec: BellSpec, angles, plane: str | None, shape: tuple) -
     return [obs[..., q, :, :, :] for q in range(spec.parties)]
 
 
-def _expectation(rho: np.ndarray, terms) -> float:
-    """sum_k c_k Tr[rho O_k] over (c_k, O_k) terms, summed left to right;
-    every trace is checked for shape and a vanishing imaginary part."""
-    total = None
-    for coef, op in terms:
-        if op.shape != rho.shape:
-            raise ValidationError(
-                f"operator dim {op.shape[0]} != state dim {rho.shape[0]}")
-        val = complex(np.trace(rho @ op))
-        if abs(val.imag) > 1e-10:
-            raise ValidationError(f"correlator has imaginary part {val.imag:.3e}")
-        term = coef * val.real
-        total = term if total is None else total + term
-    return total
-
-
 def _party_expectation(rho: np.ndarray, ops) -> np.ndarray:
     """Re Tr[rho (O_1 x O_2 x ...)] for states rho (..., d, d) and per-party
     observables ops[q] (..., 2, 2) or None (the identity), as one einsum over

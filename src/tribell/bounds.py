@@ -30,9 +30,9 @@ _DOMAIN_SLACK = 1e-9
 def _check_beta(beta: float, qb: float, qb_name: str) -> None:
     """Reject a non-finite beta or one above the quantum bound qb."""
     if not np.isfinite(beta):
-        raise ValidationError(f"beta={beta!r} is not finite")
+        raise ValidationError(f"beta={float(beta)!r} is not finite")
     if beta > qb + _DOMAIN_SLACK:
-        raise ValidationError(f"beta={beta!r} above the quantum bound {qb_name}")
+        raise ValidationError(f"beta={float(beta)!r} above the quantum bound {qb_name}")
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import math
 import os
@@ -46,6 +47,8 @@ def _parse_grid(text: str) -> np.ndarray:
         a, b, n = float(a), float(b), int(n)
     except ValueError as exc:
         raise ValidationError(f"bad grid {text!r}, expected start:stop:steps") from exc
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValidationError(f"--grid {text!r} has a non-finite endpoint")
     if n < 1:
         raise ValidationError("grid needs at least one point")
     return np.linspace(a, b, n)
@@ -89,11 +92,12 @@ def _map_parallel(fn, xs):
     return [fn(x) for x in xs]
 
 
-def _sweep_csv(args, quantity, value) -> int:
-    """Write value(p) = (value, beta, flags) over the --grid of p to --out."""
+def _sweep_csv(args, quantity, columns) -> int:
+    """Write columns(grid), one (value, beta, flags) per p of the --grid,
+    to --out."""
     grid = _parse_grid(args.grid)
     rows = [(quantity, args.inequality, args.noise, p, beta, val, " ".join(flags))
-            for p, (val, beta, flags) in zip(grid, _map_parallel(value, grid))]
+            for p, (val, beta, flags) in zip(grid, columns(grid))]
     _write_csv(args.out, rows, sort_key=lambda r: r[3])
     return 0
 
@@ -123,9 +127,9 @@ def cmd_bound(args) -> int:
 # ---------------------------------------------------------------------------
 # rate
 
-def _rate_value(args, kind, spec, p):
-    r = rates.rate(kind, spec, NoiseModel(args.noise, p), args.gamma)
-    return r.rate, r.beta_at_p, r.flags
+def _rate_columns(args, kind, spec, grid):
+    return [(r.rate, r.beta_at_p, r.flags)
+            for r in rates.rate_grid(kind, spec, args.noise, grid, args.gamma)]
 
 
 def cmd_rate(args) -> int:
@@ -134,7 +138,7 @@ def cmd_rate(args) -> int:
     spec = spec_by_name(args.inequality)
     if args.grid is not None:
         return _sweep_csv(args, f"rate-{kind}",
-                          lambda p: _rate_value(args, kind, spec, p))
+                          lambda grid: _rate_columns(args, kind, spec, grid))
     r = rates.rate(kind, spec, NoiseModel(args.noise, args.p), args.gamma)
     print(_fmt(r.rate))
     _note_curve(r.bound_used, r.flags)
@@ -207,25 +211,28 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # sweep (figure reproduction over p)
 
-def _sweep_value(args, spec, p):
+def _best_alpha_columns(args, p):
+    _, val, beta = rates.best_alpha_one_outcome(NoiseModel(args.noise, p))
+    return val, beta, ()
+
+
+def _sweep_columns(args, spec, grid):
     kind = args.quantity.removeprefix("rate-")
     if kind in rates.RATE_KINDS:
-        return _rate_value(args, kind, spec, p)
-    noise = NoiseModel(args.noise, p)
+        return _rate_columns(args, kind, spec, grid)
     if args.optimize_alpha:
-        _, val, beta = rates.best_alpha_one_outcome(noise)
-        return val, beta, ()
-    beta = rates.beta_of_p(spec, noise)
+        return _map_parallel(lambda p: _best_alpha_columns(args, p), grid)
     if args.quantity == "beta":
-        return beta, "", ()
+        return [(beta, "", ()) for beta in rates.betas_of_p(spec, args.noise, grid).tolist()]
     curve = rates.bound_curve(spec, args.quantity.removeprefix("bound-"))
-    return curve.fn(beta), beta, curve.flags
+    return [(curve.fn(beta), beta, curve.flags)
+            for beta in rates.betas_of_p(spec, args.noise, grid).tolist()]
 
 
 def cmd_sweep(args) -> int:
     """sweep a quantity over p to CSV"""
     spec = spec_by_name(args.inequality, args.alpha)
-    return _sweep_csv(args, args.quantity, lambda p: _sweep_value(args, spec, p))
+    return _sweep_csv(args, args.quantity, lambda grid: _sweep_columns(args, spec, grid))
 
 
 # ---------------------------------------------------------------------------
@@ -298,14 +305,13 @@ OPTIONS = [
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser of every command and its OPTIONS; `main` builds one per process."""
     parser = argparse.ArgumentParser(
         prog="tribell",
         description="Tripartite Bell inequalities: entropy bounds and DI rates")
     sub = parser.add_subparsers(dest="command", required=True)
     for command in ("bound", "rate", "threshold", "optimize", "verify", "sweep"):
-        func = globals()[f"cmd_{command}"]
-        p = sub.add_parser(command, help=func.__doc__)
-        p.set_defaults(func=func)
+        p = sub.add_parser(command, help=globals()[f"cmd_{command}"].__doc__)
         for commands, flags, _, _, spec in OPTIONS:
             if command in commands:
                 group = p if len(flags) == 1 else p.add_mutually_exclusive_group()
@@ -330,11 +336,17 @@ def _check_args(args) -> None:
                 raise ValidationError(f"{flag} is required {when[1]}")
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's parser, built once per process: parsing leaves it as it was."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         _check_args(args)
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -3,7 +3,9 @@ threshold finding in the depolarization parameter p, and the registry that
 picks the entropy bound curve for each inequality and outcome.
 
 Rates are signed; a threshold is the sign change of the signed rate, found
-to the last ulp by qmath.bracketed_root.  The two-outcome bounds for
+to the last ulp by qmath.bracketed_root.  A grid of p is computed on stacks
+of states (betas_of_p, rate_grid), each value the one-point value bit for
+bit.  The two-outcome bounds for
 Parity-CHSH and CHSH are numeric curves produced by the optimizer, shipped
 as a monotone 200-point table and linearly interpolated (regenerate via the
 CLI).
@@ -22,15 +24,17 @@ from typing import Callable
 import numpy as np
 
 from . import bounds, optimize, qmath
-from .bell import BellSpec, BellValue, _expectation, bell_terms, spec_by_name
+from .bell import BellSpec, BellValue, _check_beta, bell_terms, spec_by_name
 from .errors import ValidationError
 from .qmath import binary_entropy as h
-from .states import NoiseModel, ghz_state
+from .states import (NoiseModel, _check_noise_kind, _check_ps, _global_channel,
+                     _local_channel, ghz_state)
 
-__all__ = ["GAMMA_DEFAULT", "RateResult", "qber", "beta_of_p", "beta_of_p_closed_form",
-           "TABLE_ENV", "NUMERIC_CURVES", "two_outcome_numeric", "generate_two_outcome_table",
-           "BoundCurve", "bound_curve", "RATE_KINDS", "best_alpha_one_outcome", "dicka_rate",
-           "dire_rate_spot", "dire_rate_recycled", "rate", "threshold_p", "rate_function"]
+__all__ = ["GAMMA_DEFAULT", "RateResult", "qber", "beta_of_p", "betas_of_p",
+           "beta_of_p_closed_form", "TABLE_ENV", "NUMERIC_CURVES", "two_outcome_numeric",
+           "generate_two_outcome_table", "BoundCurve", "bound_curve", "RATE_KINDS",
+           "best_alpha_one_outcome", "dicka_rate", "dire_rate_spot", "dire_rate_recycled",
+           "rate", "rate_grid", "threshold_p", "rate_function"]
 
 GAMMA_DEFAULT = 3.3e-4  # the 0.033% test-round fraction used in the figures
 SQRT2 = np.sqrt(2.0)
@@ -50,25 +54,84 @@ class RateResult:
 
 def qber(noise: NoiseModel) -> float:
     """Pairwise key-bit error rate Q of the honest strategy."""
-    if noise.kind == "local":
-        return (1.0 - noise.p ** 2) / 2.0
-    return (1.0 - noise.p) / 2.0
+    return _qber(noise.kind, noise.p)
+
+
+def _qber(noise_kind: str, p: float) -> float:
+    if noise_kind == "local":
+        return (1.0 - p ** 2) / 2.0
+    return (1.0 - p) / 2.0
 
 
 @lru_cache(maxsize=64)  # asym-chsh specs carry an arbitrary alpha
-def _honest_terms(spec: BellSpec) -> tuple[tuple[float, np.ndarray], ...]:
-    """The read-only Bell terms of spec's honest settings row."""
-    terms = tuple(bell_terms(spec, spec.angles, spec.plane))
-    for _, op in terms:
-        op.setflags(write=False)
-    return terms
+def _honest_terms(spec: BellSpec) -> tuple[tuple[float, ...], np.ndarray]:
+    """The Bell terms of spec's honest settings row: their coefficients, and
+    their observable strings as one read-only (terms, 1, d, d) stack."""
+    terms = bell_terms(spec, spec.angles, spec.plane)
+    ops = np.stack([op for _, op in terms])[:, None]
+    ops.setflags(write=False)
+    return tuple(coef for coef, _ in terms), ops
+
+
+@lru_cache(maxsize=4)
+def _noiseless(parties: int) -> np.ndarray:
+    """The read-only GHZ (or Bell) state of `parties` qubits."""
+    rho = ghz_state(parties)
+    rho.setflags(write=False)
+    return rho
+
+
+def _honest_betas(spec: BellSpec, noise_kind: str, p) -> np.ndarray:
+    """The honest Bell values at a checked p, a float or an (n, 1, 1) column
+    of them: shape (1,) or (n,).  Every p takes the same path, the noise
+    channel, then Tr[rho O] per term, summed left to right, so a grid's
+    values are the one-point values bit for bit."""
+    rho = _noiseless(spec.parties)
+    rho = (_local_channel(rho, p, spec.parties) if noise_kind == "local"
+           else _global_channel(rho, p))
+    coefs, ops = _honest_terms(spec)
+    traces = (rho @ ops).trace(axis1=-2, axis2=-1)  # (terms, points)
+    imag = np.abs(traces.imag).max(initial=0.0)
+    if imag > 1e-10:
+        raise ValidationError(f"correlator has imaginary part {imag:.3e}")
+    total = None
+    for coef, val in zip(coefs, traces.real):
+        term = coef * val
+        total = term if total is None else total + term
+    return total
 
 
 def beta_of_p(spec: BellSpec, noise: NoiseModel) -> float:
     """Bell value of the honest strategy: spec's settings row on the
-    depolarized GHZ (or Bell) state."""
-    rho = noise.apply(ghz_state(spec.parties), spec.parties)
-    return BellValue(_expectation(rho, _honest_terms(spec)), spec).beta
+    depolarized GHZ (or Bell) state; the one-point case of betas_of_p."""
+    return BellValue(float(_honest_betas(spec, noise.kind, float(noise.p))[0]), spec).beta
+
+
+def _checked_grid(noise_kind: str, ps) -> np.ndarray:
+    """ps as a 1-d float array, each p in [0, 1], and a known noise kind."""
+    ps = np.asarray(ps, dtype=float)
+    if ps.ndim != 1:
+        raise ValidationError(f"expected a 1-d grid of p, got shape {ps.shape}")
+    _check_noise_kind(noise_kind)
+    _check_ps(ps)
+    return ps
+
+
+# grid points per kernel call: the largest temporary, the three Pauli
+# products of every state, stays at 98 KB (3 x 32 8x8 complex matrices)
+_GRID_BLOCK = 32
+
+
+def betas_of_p(spec: BellSpec, noise_kind: str, ps) -> np.ndarray:
+    """beta_of_p at every p of the 1-d ps under one noise kind, computed on
+    stacks of states; each value equals beta_of_p's bit for bit."""
+    ps = _checked_grid(noise_kind, ps)
+    if ps.size == 0:
+        return np.empty(0)
+    betas = np.concatenate([_honest_betas(spec, noise_kind, ps[i:i + _GRID_BLOCK, None, None])
+                            for i in range(0, ps.size, _GRID_BLOCK)])
+    _check_beta(float(np.min(betas)), float(np.max(betas)), spec)  # NaN propagates
+    return betas
 
 
 def beta_of_p_closed_form(spec: BellSpec, noise: NoiseModel) -> float:
@@ -228,61 +291,94 @@ def best_alpha_one_outcome(noise: NoiseModel) -> tuple[float, float, float]:
     return alpha, bound, beta_fn(alpha)
 
 
-def dicka_rate(spec: BellSpec, noise: NoiseModel) -> RateResult:
-    """Asymptotic conference key rate: one-outcome bound minus h(Q).
-
-    The asym-CHSH path runs two concatenated two-party protocols, so its rate
-    carries a factor 1/2 and the bound is maximized over alpha at each p.
-    """
-    if spec.kind == "mabk":
-        raise ValidationError(
-            "MABK cannot be used in a DICKA protocol (no shared key-generation"
-            " measurement achieves large violations)")
-    q = qber(noise)
-    if spec.kind == "asym-chsh":
+def _rate_curve(kind: str, spec: BellSpec, gamma: float) -> BoundCurve | None:
+    """Check a rate's kind, inequality and gamma in [0, 1] (dire-spot's test
+    fraction, checked for every kind), and return the bound curve it reads:
+    None for asym-CHSH DICKA, which maximizes its bound over alpha at each p."""
+    if not 0.0 <= gamma <= 1.0:
+        raise ValidationError(f"gamma={gamma!r} outside [0, 1]")
+    if kind == "dicka":
+        if spec.kind == "mabk":
+            raise ValidationError(
+                "MABK cannot be used in a DICKA protocol (no shared key-generation"
+                " measurement achieves large violations)")
+        if spec.kind != "asym-chsh":
+            return bound_curve(spec, "one")
         if abs(spec.alpha - 1.0) > 1e-12:
             raise ValidationError(
                 "DICKA maximizes the asym-chsh bound over alpha; alpha must be 1")
-        alpha, bound, beta = best_alpha_one_outcome(noise)
-        return RateResult(0.5 * (bound - h(q)), beta,
-                          f"asym-chsh-one(alpha={alpha:.9g})")
-    curve = bound_curve(spec, "one")
-    beta = beta_of_p(spec, noise)
-    return RateResult(curve.fn(beta) - h(q), beta, curve.name, curve.flags)
+        return None
+    if kind == "dire-spot":
+        return bound_curve(spec, "two")
+    if kind == "dire-recycled":
+        return bound_curve(spec, "recycled")
+    raise ValidationError(f"unknown rate kind {kind!r}")
+
+
+def _rate_at(kind: str, spec: BellSpec, curve: BoundCurve, noise_kind: str, p: float,
+             beta: float, gamma: float) -> RateResult:
+    """The rate at one p from its honest violation beta: DICKA is the
+    one-outcome bound minus h(Q); DIRE-spot the two-outcome bound minus the
+    test cost r*gamma + h(gamma); DIRE-recycled the recycled-input bound,
+    with no test cost."""
+    value = curve.fn(beta)
+    if kind == "dicka":
+        value = value - h(_qber(noise_kind, p))
+    elif kind == "dire-spot":
+        value = value - spec.input_bits * gamma - h(gamma)
+    return RateResult(value, beta, curve.name, curve.flags)
+
+
+def _asym_dicka_rate(noise: NoiseModel) -> RateResult:
+    """asym-CHSH DICKA runs two concatenated two-party protocols, so its rate
+    carries a factor 1/2, and its bound is maximized over alpha at p."""
+    alpha, bound, beta = best_alpha_one_outcome(noise)
+    return RateResult(0.5 * (bound - h(qber(noise))), beta,
+                      f"asym-chsh-one(alpha={alpha:.9g})")
+
+
+def rate(kind: str, spec: BellSpec, noise: NoiseModel,
+         gamma: float = GAMMA_DEFAULT) -> RateResult:
+    """The rate of one of RATE_KINDS at noise, the one-point case of
+    rate_grid with beta_of_p for its violation; gamma in [0, 1] is
+    dire-spot's test fraction, and is range-checked for every kind."""
+    curve = _rate_curve(kind, spec, gamma)
+    if curve is None:
+        return _asym_dicka_rate(noise)
+    return _rate_at(kind, spec, curve, noise.kind, noise.p, beta_of_p(spec, noise), gamma)
+
+
+def dicka_rate(spec: BellSpec, noise: NoiseModel) -> RateResult:
+    """Asymptotic conference key rate: one-outcome bound minus h(Q); for
+    asym-CHSH, half of it, maximized over alpha."""
+    return rate("dicka", spec, noise)
 
 
 def dire_rate_spot(spec: BellSpec, noise: NoiseModel,
                    gamma: float = GAMMA_DEFAULT) -> RateResult:
     """Spot-checking net randomness rate: H2(beta(p)) - r*gamma - h(gamma)."""
-    if not 0.0 <= gamma <= 1.0:
-        raise ValidationError(f"gamma={gamma!r} outside [0, 1]")
-    curve = bound_curve(spec, "two")
-    beta = beta_of_p(spec, noise)
-    rate = curve.fn(beta) - spec.input_bits * gamma - h(gamma)
-    return RateResult(rate, beta, curve.name, curve.flags)
+    return rate("dire-spot", spec, noise, gamma)
 
 
 def dire_rate_recycled(spec: BellSpec, noise: NoiseModel) -> RateResult:
     """Recycled-input CHSH protocol: the conjectured H(AB|XYE) bound, no test
     cost; ValidationError for any inequality but CHSH."""
-    curve = bound_curve(spec, "recycled")
-    beta = beta_of_p(spec, noise)
-    return RateResult(curve.fn(beta), beta, curve.name, curve.flags)
+    return rate("dire-recycled", spec, noise)
 
 
-def rate(kind: str, spec: BellSpec, noise: NoiseModel,
-         gamma: float = GAMMA_DEFAULT) -> RateResult:
-    """The rate of one of RATE_KINDS; gamma in [0, 1] is dire-spot's test
-    fraction, and is range-checked for every kind."""
-    if not 0.0 <= gamma <= 1.0:
-        raise ValidationError(f"gamma={gamma!r} outside [0, 1]")
-    if kind == "dicka":
-        return dicka_rate(spec, noise)
-    if kind == "dire-spot":
-        return dire_rate_spot(spec, noise, gamma)
-    if kind == "dire-recycled":
-        return dire_rate_recycled(spec, noise)
-    raise ValidationError(f"unknown rate kind {kind!r}")
+def rate_grid(kind: str, spec: BellSpec, noise_kind: str, ps,
+              gamma: float = GAMMA_DEFAULT) -> list[RateResult]:
+    """rate at every p of the 1-d ps under one noise kind: one betas_of_p
+    call for the whole grid, then each point's arithmetic on its own beta,
+    so each result equals rate's at that p.  asym-CHSH DICKA still runs its
+    alpha search at each p."""
+    curve = _rate_curve(kind, spec, gamma)
+    if curve is None:
+        _checked_grid(noise_kind, ps)
+        return [_asym_dicka_rate(NoiseModel(noise_kind, p)) for p in ps]
+    betas = betas_of_p(spec, noise_kind, ps).tolist()
+    return [_rate_at(kind, spec, curve, noise_kind, p, beta, gamma)
+            for p, beta in zip(ps, betas)]
 
 
 def threshold_p(rate_fn) -> float:

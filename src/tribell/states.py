@@ -44,8 +44,20 @@ def ghz_state(qubit_count: int = 3) -> np.ndarray:
 
 def _check_p(p: float) -> float:
     if not 0.0 <= p <= 1.0:
-        raise ValidationError(f"depolarization parameter p={p!r} outside [0, 1]")
+        raise ValidationError(f"depolarization parameter p={float(p)!r} outside [0, 1]")
     return float(p)
+
+
+def _check_noise_kind(kind: str) -> None:
+    if kind not in ("local", "global"):
+        raise ValidationError(f"unknown noise kind {kind!r}")
+
+
+def _check_ps(ps: np.ndarray) -> None:
+    """_check_p on every p of an array at once, naming the first bad one (NaN fails)."""
+    bad = ~((ps >= 0.0) & (ps <= 1.0))
+    if bad.any():
+        _check_p(ps[bad][0])
 
 
 def depolarize_local(rho, p: float, qubit_count: int) -> np.ndarray:
@@ -58,32 +70,42 @@ def depolarize_local(rho, p: float, qubit_count: int) -> np.ndarray:
     rho = as_matrix(rho)
     if rho.shape[0] != 2 ** qubit_count:
         raise ValidationError(f"dimension {rho.shape[0]} != 2^{qubit_count}")
+    return _local_channel(rho, p, qubit_count)[0]
+
+
+def _local_channel(rho: np.ndarray, p, qubit_count: int) -> np.ndarray:
+    """depolarize_local's Pauli mixture at a checked p, a float or an (n, 1, 1)
+    column of them: the (1, d, d) or (n, d, d) stack of the outputs."""
     c0 = (1.0 + 3.0 * p) / 4.0
     c1 = (1.0 - p) / 4.0
     out = rho
     for ops in _pauli_strings(qubit_count):
-        out = c0 * out + c1 * sum(op @ out @ op for op in ops)
+        # (X, Y, Z) as one stack: the three products op @ out @ op, summed in turn
+        out = c0 * out + c1 * sum(ops @ out @ ops)
     return out
 
 
 @lru_cache(maxsize=4)
-def _pauli_strings(qubit_count: int) -> tuple[tuple[np.ndarray, ...], ...]:
-    """Per qubit q, the read-only strings (X_q, Y_q, Z_q) with identities on
-    every other qubit, built once per qubit count."""
-    strings = tuple(tuple(kron_all(*(P if j == q else I2 for j in range(qubit_count)))
-                          for P in (X, Y, Z))
+def _pauli_strings(qubit_count: int) -> tuple[np.ndarray, ...]:
+    """Per qubit q, the strings X_q, Y_q, Z_q with identities on every other
+    qubit, as one read-only (3, 1, d, d) stack, built once per qubit count."""
+    strings = tuple(np.stack([kron_all(*(P if j == q else I2 for j in range(qubit_count)))
+                              for P in (X, Y, Z)])[:, None]
                     for q in range(qubit_count))
     for ops in strings:
-        for op in ops:
-            op.setflags(write=False)
+        ops.setflags(write=False)
     return strings
 
 
 def depolarize_global(rho, p: float) -> np.ndarray:
     """p*rho + (1-p)*I/dim."""
     p = _check_p(p)
-    rho = as_matrix(rho)
-    d = rho.shape[0]
+    return _global_channel(as_matrix(rho), p)
+
+
+def _global_channel(rho: np.ndarray, p) -> np.ndarray:
+    """depolarize_global at a checked p, a float or an (n, 1, 1) column."""
+    d = rho.shape[-1]
     return p * rho + (1.0 - p) * np.eye(d, dtype=complex) / d
 
 
@@ -95,8 +117,7 @@ class NoiseModel:
     p: float
 
     def __post_init__(self):
-        if self.kind not in ("local", "global"):
-            raise ValidationError(f"unknown noise kind {self.kind!r}")
+        _check_noise_kind(self.kind)
         _check_p(self.p)
 
     def apply(self, rho, qubit_count: int) -> np.ndarray:

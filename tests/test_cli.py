@@ -1,6 +1,8 @@
 """CLI: commands, CSV format, determinism, exit codes."""
 
 import argparse
+import csv
+import io
 import json
 import os
 import re
@@ -17,6 +19,8 @@ import tribell
 from tribell import bounds, cli, optimize, rates, verification
 from tribell.bell import spec_by_name
 from tribell.cli import main
+from tribell.errors import ValidationError
+from tribell.states import NoiseModel
 
 RUN = [sys.executable, "-m", "tribell.cli"]
 # the child interpreter imports the same tribell as this one
@@ -428,6 +432,105 @@ class TestSweepOptimizeAlpha:
         assert value > bounds.asym_chsh_one_outcome(2 * np.sqrt(2) * 0.95 ** 2, 1.0)
 
 
+def point_columns(quantity, spec, noise, gamma, p):
+    """One p's (value, beta, flags) from per-point calls: rates.rate, or
+    beta_of_p and the bound curve."""
+    kind = quantity.removeprefix("rate-")
+    nm = NoiseModel(noise, p)
+    if kind in rates.RATE_KINDS:
+        r = rates.rate(kind, spec, nm, gamma)
+        return r.rate, r.beta_at_p, r.flags
+    beta = rates.beta_of_p(spec, nm)
+    if quantity == "beta":
+        return beta, "", ()
+    curve = rates.bound_curve(spec, quantity.removeprefix("bound-"))
+    return curve.fn(beta), beta, curve.flags
+
+
+def point_csv(quantity, ineq, noise, gamma, grid):
+    """The CSV text of rows built point by point; ValidationError if a point
+    is refused."""
+    spec = spec_by_name(ineq)
+    rows = []
+    for p in grid:
+        val, beta, flags = point_columns(quantity, spec, noise, gamma, p)
+        rows.append([quantity, ineq, noise, p, beta, val, " ".join(flags)])
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(cli.CSV_HEADER)
+    writer.writerows([cli._fmt(v) for v in row] for row in rows)
+    return buf.getvalue()
+
+
+GRID_QUANTITIES = ["beta", "bound-one", "bound-two"] + [f"rate-{k}" for k in rates.RATE_KINDS]
+
+
+class TestGridRowsEqualPoints:
+    """Each p-grid CSV, computed in one batched call, holds exactly the rows
+    that per-point calls give."""
+
+    GRID = "0:1:13"
+
+    def check(self, tmp_path, capsys, argv, quantity, ineq, noise, gamma):
+        grid = np.linspace(0.0, 1.0, 13)
+        path = tmp_path / "g.csv"
+        code, out, err = run_cli(argv + ["--inequality", ineq, "--noise", noise,
+                                         "--grid", self.GRID, "--out", str(path)], capsys)
+        try:
+            want = point_csv(quantity, ineq, noise, gamma, grid)
+        except ValidationError:
+            assert (code, out) == (2, "") and err.startswith("error: ")
+            assert not path.exists()
+            return
+        assert (code, out, err) == (0, "", "")
+        assert path.read_text(encoding="utf-8") == want
+
+    @pytest.mark.parametrize("noise", ["local", "global"])
+    @pytest.mark.parametrize("ineq", ["holz", "parity-chsh", "mabk", "chsh"])
+    @pytest.mark.parametrize("quantity", GRID_QUANTITIES)
+    def test_sweep(self, tmp_path, capsys, quantity, ineq, noise):
+        gamma = 0.01 if quantity == "rate-dire-spot" else rates.GAMMA_DEFAULT
+        extra = ["--gamma", "0.01"] if quantity == "rate-dire-spot" else []
+        self.check(tmp_path, capsys, ["sweep", "--quantity", quantity] + extra,
+                   quantity, ineq, noise, gamma)
+
+    @pytest.mark.parametrize("noise", ["local", "global"])
+    @pytest.mark.parametrize("ineq", ["holz", "parity-chsh", "mabk", "chsh"])
+    @pytest.mark.parametrize("kind", rates.RATE_KINDS)
+    def test_rate_grid(self, tmp_path, capsys, kind, ineq, noise):
+        argv = ["rate", "--dicka"] if kind == "dicka" else ["rate", "--dire", kind[5:]]
+        self.check(tmp_path, capsys, argv, f"rate-{kind}", ineq, noise, rates.GAMMA_DEFAULT)
+
+
+class TestParserBuiltOnce:
+    def test_main_builds_one_parser_per_process(self, monkeypatch, capsys):
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        cli._parser.cache_clear()
+        try:
+            first = run_cli(["bound", "--inequality", "holz", "--beta", "1.5"], capsys)
+            assert_usage_error(capsys, ["bound", "--inequality", "svetlichny"],
+                               "--inequality")
+            assert run_cli(["rate", "--dicka", "--p", "0.95"], capsys)[0] == 0
+            assert run_cli(["bound", "--inequality", "holz", "--beta", "1.5"],
+                           capsys) == first == (0, "1.0\n", "")
+        finally:
+            cli._parser.cache_clear()
+        assert built == [1]
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_main_runs_the_command_patched_after_the_parser_was_built(self, monkeypatch,
+                                                                      capsys):
+        assert run_cli(["bound", "--beta", "1.2"], capsys)[0] == 0  # the parser exists
+        reached = []
+        monkeypatch.setattr(cli, "cmd_verify", lambda args: reached.append(args.samples) or 0)
+        assert main(["verify", "--samples", "7"]) == 0
+        assert reached == [7]
+
+
 class TestVerify:
     def test_quick_run_passes(self, capsys):
         code, out, _ = run_cli(["verify", "--samples", "300"], capsys)
@@ -468,21 +571,85 @@ class TestVerify:
                                     "3 checks, 1 unexpected failures"]
 
 
+def forbid_grid_work(monkeypatch, why):
+    """Fail the test if any CLI grid path computes: the per-point map and
+    the batched p-grid entries."""
+    def boom(*a, **k):
+        pytest.fail(why)
+
+    monkeypatch.setattr(cli, "_map_parallel", boom)
+    monkeypatch.setattr(rates, "rate_grid", boom)
+    monkeypatch.setattr(rates, "betas_of_p", boom)
+    return boom
+
+
+BAD_GRIDS = [
+    ("1:2", "bad grid '1:2', expected start:stop:steps"),
+    ("a:1:3", "bad grid 'a:1:3', expected start:stop:steps"),
+    ("0:1:0", "grid needs at least one point"),
+    ("0.5:inf:5", "--grid '0.5:inf:5' has a non-finite endpoint"),
+    ("nan:1:5", "--grid 'nan:1:5' has a non-finite endpoint"),
+]
+
+
 class TestBadGrid:
-    @pytest.mark.parametrize("grid, message", [
-        ("1:2", "bad grid '1:2', expected start:stop:steps"),
-        ("a:1:3", "bad grid 'a:1:3', expected start:stop:steps"),
-        ("0:1:0", "grid needs at least one point"),
-    ])
+    @pytest.mark.parametrize("grid, message", BAD_GRIDS)
     def test_refused_before_computing(self, tmp_path, capsys, monkeypatch, grid, message):
-        monkeypatch.setattr(cli, "_map_parallel",
-                            lambda *a, **k: pytest.fail("computed on a bad grid"))
+        forbid_grid_work(monkeypatch, "computed on a bad grid")
         path = tmp_path / "b.csv"
         code, out, err = run_cli(["bound", "--inequality", "holz", "--grid", grid,
                                   "--out", str(path)], capsys)
         assert (code, out) == (2, "")
         assert message in err
         assert not path.exists()
+
+    @pytest.mark.parametrize("grid, message", BAD_GRIDS)
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--quantity", "beta"], ["sweep", "--quantity", "rate-dire-spot"],
+        ["rate", "--dicka"], ["optimize", "--inequality", "holz"]])
+    def test_p_grids_refused_before_computing(self, tmp_path, capsys, monkeypatch,
+                                              argv, grid, message):
+        boom = forbid_grid_work(monkeypatch, "computed on a bad grid")
+        monkeypatch.setattr(optimize, "sweep_two_outcome", boom)
+        path = tmp_path / "b.csv"
+        code, out, err = run_cli(argv + ["--grid", grid, "--out", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert message in err
+        assert "RuntimeWarning" not in err
+        assert not path.exists()
+
+
+class TestPlainFloatsInErrors:
+    """A grid value outside its domain is named as a plain float, not as a
+    numpy scalar repr."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep", "--quantity", "beta", "--grid", "0.5:1.2:5"],
+         "error: depolarization parameter p=1.025 outside [0, 1]"),
+        (["sweep", "--quantity", "rate-dire-spot", "--grid", "0.5:1.2:5"],
+         "error: depolarization parameter p=1.025 outside [0, 1]"),
+        (["rate", "--dicka", "--inequality", "chsh", "--grid", "0.5:1.2:5"],
+         "error: depolarization parameter p=1.025 outside [0, 1]"),
+        (["bound", "--inequality", "holz", "--grid", "1:2:5"],
+         "error: beta=1.75 above the quantum bound 3/2"),
+    ])
+    def test_message(self, tmp_path, capsys, argv, message):
+        path = tmp_path / "e.csv"
+        code, out, err = run_cli(argv + ["--out", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err.strip() == message
+        assert "np." not in err
+        assert not path.exists()
+
+    def test_library_messages(self):
+        with pytest.raises(ValidationError, match=r"p=1\.025 outside") as exc:
+            NoiseModel("local", np.float64(1.025))
+        assert "np." not in str(exc.value)
+        with pytest.raises(ValidationError, match=r"p=nan outside"):
+            rates.betas_of_p(spec_by_name("holz"), "local", [0.5, np.nan])
+        with pytest.raises(ValidationError, match=r"^beta=1\.75 above") as exc:
+            bounds.holz_one_outcome(np.float64(1.75))
+        assert "np." not in str(exc.value)
 
 
 class TestGridNeedsOut:
@@ -493,10 +660,7 @@ class TestGridNeedsOut:
          "--restarts", "2"],
     ])
     def test_fails_before_computing(self, capsys, monkeypatch, argv):
-        def boom(*a, **k):
-            pytest.fail("computed without --out")
-
-        monkeypatch.setattr(cli, "_map_parallel", boom)
+        boom = forbid_grid_work(monkeypatch, "computed without --out")
         monkeypatch.setattr(optimize, "sweep_two_outcome", boom)
         code, out, err = run_cli(argv, capsys)
         assert code == 2
@@ -512,8 +676,7 @@ class TestPointWithGridRefused:
     ])
     def test_fails_before_computing(self, tmp_path, capsys, monkeypatch,
                                     argv, point):
-        monkeypatch.setattr(cli, "_map_parallel",
-                            lambda *a: pytest.fail("computed despite " + point))
+        forbid_grid_work(monkeypatch, "computed despite " + point)
         path = tmp_path / "g.csv"
         code, out, err = run_cli(argv + ["--out", str(path)], capsys)
         assert (code, out) == (2, "")
@@ -538,10 +701,7 @@ OUT_ARGVS = [
 
 def refused_out(argv, path, capsys, monkeypatch) -> str:
     """Run argv with --out path; assert exit 2 naming --out before computing."""
-    def boom(*a, **k):
-        pytest.fail("computed although --out cannot be written")
-
-    monkeypatch.setattr(cli, "_map_parallel", boom)
+    boom = forbid_grid_work(monkeypatch, "computed although --out cannot be written")
     monkeypatch.setattr(optimize, "sweep_two_outcome", boom)
     monkeypatch.setattr(rates, "generate_two_outcome_table", boom)
     code, out, err = run_cli(argv + ["--out", str(path)], capsys)
@@ -689,6 +849,10 @@ class TestEveryOptionActsOrIsRefused:
         monkeypatch.setattr(rates, "bound_curve", recorder("bound_curve", SimpleNamespace(
             name="curve", fn=recorder("fn", 0.5), flags=())))
         monkeypatch.setattr(rates, "beta_of_p", recorder("beta_of_p", 2.0))
+        monkeypatch.setattr(rates, "betas_of_p", recorder(
+            "betas_of_p", lambda spec, noise, ps: np.full(len(ps), 2.0)))
+        monkeypatch.setattr(rates, "rate_grid", recorder(
+            "rate_grid", lambda kind, spec, noise, ps, gamma: [rate] * len(ps)))
         monkeypatch.setattr(rates, "best_alpha_one_outcome",
                             recorder("best_alpha", (1.0, 0.5, 2.5)))
         monkeypatch.setattr(rates, "threshold_p", lambda fn: fn(0.9))

@@ -1,6 +1,7 @@
 """rates: honest violations, QBER, DICKA/DIRE rates, thresholds, tables."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -118,14 +119,76 @@ class TestBetaOfPBitIdentical:
             np.testing.assert_array_equal(got.view(np.uint64),
                                           fresh_depolarize_local(rho, p, n).view(np.uint64))
 
+    @pytest.mark.parametrize("ineq, alpha", [
+        ("holz", 1.0), ("parity-chsh", 1.0), ("mabk", 1.0), ("chsh", 1.0),
+        ("asym-chsh", 0.3), ("asym-chsh", 2.0)])
+    @pytest.mark.parametrize("noise", ["local", "global"])
+    def test_grid_equals_points(self, ineq, alpha, noise):
+        spec = spec_by_name(ineq, alpha)
+        got = rates.betas_of_p(spec, noise, self.PS)
+        want = np.array([beta_of_p(spec, NoiseModel(noise, p)) for p in self.PS])
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_cached_operators_are_read_only(self):
-        ops = [op for _, op in rates._honest_terms(spec_by_name("holz"))]
+        ops = list(rates._honest_terms(spec_by_name("holz"))[1])
         ops += [op for string in states._pauli_strings(3) for op in string]
         for op in ops:
             with pytest.raises(ValueError):
                 op[0, 0] = 7.0
         assert beta_of_p(spec_by_name("holz"), NoiseModel("local", 1.0)) \
             == pytest.approx(1.5, abs=1e-12)
+
+
+class TestRateGrid:
+    """rate_grid is rate at every p, whatever the type of the p it is given."""
+
+    PS = [0.0, 0.3, 2 ** -0.5, 0.8, 0.93, 0.9999, 1.0]
+
+    @pytest.mark.parametrize("kind", rates.RATE_KINDS)
+    @pytest.mark.parametrize("ineq", ["holz", "parity-chsh", "mabk", "chsh"])
+    @pytest.mark.parametrize("noise", ["local", "global"])
+    def test_equals_rate(self, kind, ineq, noise):
+        spec = spec_by_name(ineq)
+        for ps in (self.PS, np.array(self.PS)):
+            try:
+                want = [rates.rate(kind, spec, NoiseModel(noise, p), 0.02) for p in ps]
+            except ValidationError as exc:
+                with pytest.raises(ValidationError, match=re.escape(str(exc))):
+                    rates.rate_grid(kind, spec, noise, ps, 0.02)
+                continue
+            got = rates.rate_grid(kind, spec, noise, ps, 0.02)
+            assert got == want
+            assert [np.float64(r.rate).view(np.uint64) for r in got] \
+                == [np.float64(r.rate).view(np.uint64) for r in want]
+
+    def test_kind_functions_are_its_one_point_case(self):
+        spec, nm = spec_by_name("chsh"), NoiseModel("local", 0.95)
+        assert rates.rate_grid("dicka", spec, "local", [0.95])[0] == dicka_rate(spec, nm)
+        assert rates.rate_grid("dire-spot", spec, "local", [0.95], 0.1)[0] \
+            == dire_rate_spot(spec, nm, 0.1)
+        assert rates.rate_grid("dire-recycled", spec, "local", [0.95])[0] \
+            == dire_rate_recycled(spec, nm)
+
+    def test_every_p_checked_before_any_alpha_search(self, monkeypatch):
+        monkeypatch.setattr(rates, "best_alpha_one_outcome",
+                            lambda noise: pytest.fail("searched alpha"))
+        with pytest.raises(ValidationError, match=r"p=1\.5 outside"):
+            rates.rate_grid("dicka", spec_by_name("chsh"), "local", [0.9, 1.5])
+
+    @pytest.mark.parametrize("args, message", [
+        (("local", [[0.5]]), "1-d grid"),
+        (("depolarizing", [0.5]), "unknown noise kind"),
+        (("global", [0.5, -0.1]), r"p=-0\.1 outside"),
+        (("local", [np.inf]), r"p=inf outside"),
+    ])
+    def test_betas_of_p_refuses(self, args, message):
+        with pytest.raises(ValidationError, match=message):
+            rates.betas_of_p(spec_by_name("holz"), *args)
+
+    def test_betas_of_p_empty_grid(self):
+        got = rates.betas_of_p(spec_by_name("holz"), "local", [])
+        assert got.shape == (0,) and got.dtype == float
 
 
 def qber_from_state(noise, parties):
