@@ -8,6 +8,7 @@ clamps to 0 below it, since the rate formulas evaluate there routinely.
 from __future__ import annotations
 
 import functools
+import itertools
 from typing import Callable
 
 import numpy as np
@@ -199,6 +200,9 @@ def mabk_two_outcome(beta: float) -> float:
 
 _ZOOM_POINTS = 17  # alpha points per refinement round of best_alpha_bound
 _ALPHA_TOL = 1e-12  # where round(alpha, 12) merges the tangent keys
+_TANGENT_MEMO_SIZE = 4096  # entries of _TANGENT_MEMO and of asym_tangent's cache
+# round(alpha, 12) -> (beta*, slope), oldest first; read and filled by _tangents_for
+_TANGENT_MEMO: dict[float, tuple[float, float]] = {}
 
 
 def _g_asym_and_deriv(x, alpha):
@@ -258,14 +262,14 @@ def _asym_tangents(alpha) -> tuple[np.ndarray, np.ndarray]:
             np.where(found, _g_asym_and_deriv(bstar, alpha)[1], chord))
 
 
-@functools.lru_cache(maxsize=4096)
+@functools.lru_cache(maxsize=_TANGENT_MEMO_SIZE)
 def asym_tangent(alpha: float) -> tuple[float, float]:
     """(beta*, slope) of the tangent line through (2, 0) to g for |alpha| < 1.
 
-    A memoized scalar wrapper over the batched solver `_asym_tangents`.
-    best_alpha_bound calls that solver directly on arrays of alpha (and its
-    beta_fn on arrays of alpha), so its search does not pass through this
-    cache.
+    A scalar wrapper over the batched solver `_asym_tangents`, memoized in
+    its own lru_cache of at most 4096 entries; asym_chsh_one_outcome reads
+    it.  best_alpha_bound's search goes through `_tangents_for` and its
+    memo instead, which gives the same bits for the same key.
     """
     bstar, slope = _asym_tangents([alpha])
     return float(bstar[0]), float(slope[0])
@@ -273,11 +277,27 @@ def asym_tangent(alpha: float) -> tuple[float, float]:
 
 def _tangents_for(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Tangents keyed by round(alpha, 12), as asym_chsh_one_outcome keys
-    them, where 1e-12 <= alpha < 1 (NaN elsewhere, where none is used)."""
+    them, where 1e-12 <= alpha < 1 (NaN elsewhere, where none is used).
+
+    Keys are read from the process-wide _TANGENT_MEMO; the missing ones are
+    solved in one _asym_tangents call and then added, the oldest entries
+    going beyond _TANGENT_MEMO_SIZE.  Every lane of that solver depends on
+    its own alpha only, so a key gets the same bits in any batch."""
     bstar, slope = np.full(alpha.shape, np.nan), np.full(alpha.shape, np.nan)
     need = (alpha >= 1e-12) & (alpha < 1.0)
     keys, inverse = np.unique(np.round(alpha[need], 12), return_inverse=True)
-    b, s = _asym_tangents(keys)
+    keys = keys.tolist()
+    tangents = [_TANGENT_MEMO.get(k) for k in keys]
+    miss = [k for k, t in zip(keys, tangents) if t is None]
+    if miss:
+        b, s = _asym_tangents(miss)
+        solved = dict(zip(miss, zip(b.tolist(), s.tolist())))
+        tangents = [solved[k] if t is None else t for k, t in zip(keys, tangents)]
+        _TANGENT_MEMO.update(solved)
+        excess = max(len(_TANGENT_MEMO) - _TANGENT_MEMO_SIZE, 0)
+        for k in list(itertools.islice(_TANGENT_MEMO, excess)):
+            del _TANGENT_MEMO[k]
+    b, s = np.array(tangents, dtype=float).reshape(-1, 2).T
     bstar[need], slope[need] = b[inverse], s[inverse]
     return bstar, slope
 
@@ -338,8 +358,10 @@ def best_alpha_bound(beta_fn: Callable[[np.ndarray], np.ndarray]
     caller's noise level), elementwise.  The 401-point grid on [0, 4] is
     evaluated in one batch, its tangents solved once per process; the best
     grid cell is then zoomed in batches of _ZOOM_POINTS until the alpha
-    bracket is narrower than 1e-12.  Never returns less than the alpha=1
-    value.
+    bracket is narrower than 1e-12.  The zoom tangents come from
+    _tangents_for's memo (at most 4096 alphas per process), so a search
+    next to an earlier one solves only the alphas it has not seen.  Never
+    returns less than the alpha=1 value.
     """
     grid = _ALPHA_GRID
     vals = _alpha_values(beta_fn, grid, _grid_tangents())
