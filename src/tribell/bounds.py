@@ -200,89 +200,82 @@ def mabk_two_outcome(beta: float) -> float:
 
 _ZOOM_POINTS = 17  # alpha points per refinement round of best_alpha_bound
 _ALPHA_TOL = 1e-12  # where round(alpha, 12) merges the tangent keys
-_TANGENT_MEMO_SIZE = 4096  # entries of _TANGENT_MEMO and of asym_tangent's cache
-# round(alpha, 12) -> (beta*, slope), oldest first; read and filled by _tangents_for
+_TANGENT_MEMO_SIZE = 4096  # entries of _TANGENT_MEMO, and of the public asym_tangent's cache
+# round(alpha, 12) -> (beta*, slope), oldest first: the one tangent cache of
+# asym_chsh_one_outcome and best_alpha_bound, read and filled by _tangents_for
 _TANGENT_MEMO: dict[float, tuple[float, float]] = {}
 
 
-def _g_asym_and_deriv(x, alpha):
-    """g = 1 - h(1/2 + s/2) with s = sqrt(x^2/4 - alpha^2), and dg/dx,
-    elementwise.  g is 0 where s^2 <= 0 and 1 where 1/2 + s/2 rounds to 1;
-    dg/dx is 0 outside 0 < s^2 < 1 and where 1/2 + s/2 rounds to 1."""
+def _g_asym(x, alpha):
+    """g = 1 - h(1/2 + s/2) with s = sqrt(x^2/4 - alpha^2), elementwise: 0
+    where s^2 <= 0 and 1 where 1/2 + s/2 rounds to 1."""
     s2 = x * x / 4.0 - alpha * alpha
-    s = np.sqrt(np.maximum(s2, 0.0))
-    u = 0.5 + 0.5 * s
+    u = 0.5 + 0.5 * np.sqrt(np.maximum(s2, 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
         g = 1.0 - (-u * np.log2(u) - (1.0 - u) * np.log2(1.0 - u))
-        dg = -np.log2((1.0 - u) / u) * x / (8.0 * s)
-    top = u >= 1.0
-    return (np.where(s2 <= 0.0, 0.0, np.where(top, 1.0, g)),
-            np.where((s2 <= 0.0) | (s2 >= 1.0) | top, 0.0, dg))
-
-
-def _g_asym(x, alpha):
-    return _g_asym_and_deriv(x, alpha)[0]
-
-
-def _tangency(x, alpha):
-    g, dg = _g_asym_and_deriv(x, alpha)
-    return dg * (x - 2.0) - g
+    return np.where(s2 <= 0.0, 0.0, np.where(u >= 1.0, 1.0, g))
 
 
 def _asym_tangents(alpha) -> tuple[np.ndarray, np.ndarray]:
     """(beta*, slope) of the tangent line through (2, 0) to g(., |alpha|)
     for a 1-d array of alpha.
 
-    The tangency residual F = g'(x)(x - 2) - g has F' = g''(x)(x - 2), so
-    it has one sign change (up to rounding next to its root) on
-    [2 + 1e-12, qb - 1e-13 (qb - 2)]; the upper end leaves out the drop to
-    F = -1 at qb itself, where dg = 0 because s^2 >= 1.  One
-    qmath.bracketed_roots call solves every lane bracketed there.  A lane
-    not bracketed there, or whose residual at the root exceeds 1e-10, has
-    its tangency point numerically indistinguishable from the quantum bound
-    qb (small alpha); the chord from (2, 0) to (qb, 1) is its envelope.
+    The residual F = g'(x)(x - 2) - g is formed from d = qb - x, exact by
+    Sterbenz (qb/2 < 2 <= x <= qb), so nothing cancels as x -> qb.  F
+    changes sign once on [2, qb), and one qmath.bracketed_roots call solves
+    every lane bracketed on [2, nextafter(qb, 2)]; the slope is
+    g(beta*)/(beta* - 2), since g' jumps between floats a few ulps below
+    qb.  An unbracketed lane has its tangent point within one ulp of qb,
+    where the chord from (2, 0) to (qb, 1) is the tangent.
     """
     alpha = np.abs(np.asarray(alpha, dtype=float))
     if not np.all(np.isfinite(alpha)):
         raise ValidationError("alpha must be finite")
     qb = 2.0 * np.hypot(1.0, alpha)
-    lo, hi = np.full_like(alpha, 2.0 + 1e-12), qb - 1e-13 * (qb - 2.0)
-    bracketed = (lo < hi) & (_tangency(lo, alpha) <= 0.0) \
-        & (_tangency(hi, alpha) > 0.0)
+
+    def g_and_residual(x, qb):
+        d = qb - x
+        v = d * (2.0 * qb - d) / 4.0  # 1 - s^2
+        s = np.sqrt(1.0 - v)
+        w = v / (2.0 * (1.0 + s))  # 1 - u
+        log_u, log_w = np.log1p(-w), np.log(w)
+        g = 1.0 + ((1.0 - w) * log_u + w * log_w) / np.log(2.0)
+        dg = (log_u - log_w) / np.log(2.0) * x / (8.0 * s)
+        return g, dg * (x - 2.0) - g
+
+    lo, hi = np.full_like(qb, 2.0), np.nextafter(qb, 2.0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # d = 0 where qb rounds to 2
+        bracketed = (g_and_residual(lo, qb)[1] <= 0.0) & (g_and_residual(hi, qb)[1] > 0.0)
+        slope = 1.0 / (qb - 2.0)
     lanes = np.flatnonzero(bracketed)
-    root = bracketed_roots(lambda x: _tangency(x, alpha[lanes]), lo[lanes], hi[lanes])
     bstar = qb.copy()
-    # the rounded midpoint of the final bracket (two adjacent floats): near
-    # alpha = 0.4 the residual moves ~1e-10 per ulp, so the end kept matters
-    bstar[lanes] = 0.5 * (np.nextafter(root, -np.inf) + root)
-    found = bracketed & (np.abs(_tangency(bstar, alpha)) <= 1e-10)
-    with np.errstate(divide="ignore"):
-        chord = 1.0 / (qb - 2.0)
-    return (np.where(found, bstar, qb),
-            np.where(found, _g_asym_and_deriv(bstar, alpha)[1], chord))
+    bstar[lanes] = bracketed_roots(lambda x: g_and_residual(x, qb[lanes])[1],
+                                   lo[lanes], hi[lanes])
+    slope[lanes] = g_and_residual(bstar[lanes], qb[lanes])[0] / (bstar[lanes] - 2.0)
+    return bstar, slope
 
 
 @functools.lru_cache(maxsize=_TANGENT_MEMO_SIZE)
 def asym_tangent(alpha: float) -> tuple[float, float]:
-    """(beta*, slope) of the tangent line through (2, 0) to g for |alpha| < 1.
-
-    A scalar wrapper over the batched solver `_asym_tangents`, memoized in
-    its own lru_cache of at most 4096 entries; asym_chsh_one_outcome reads
-    it.  best_alpha_bound's search goes through `_tangents_for` and its
-    memo instead, which gives the same bits for the same key.
-    """
+    """(beta*, slope) of the tangent line through (2, 0) to g, for
+    1e-12 <= |alpha| < 1 (ValidationError elsewhere): one `_asym_tangents`
+    lane, in its own lru_cache of at most 4096 entries.  The library reads
+    `_tangents_for`'s memo instead, keyed by round(alpha, 12)."""
+    if not 1e-12 <= abs(alpha) < 1.0:
+        raise ValidationError(f"alpha={float(alpha)!r} outside 1e-12 <= |alpha| < 1")
     bstar, slope = _asym_tangents([alpha])
     return float(bstar[0]), float(slope[0])
 
 
 def _tangents_for(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Tangents keyed by round(alpha, 12), as asym_chsh_one_outcome keys
-    them, where 1e-12 <= alpha < 1 (NaN elsewhere, where none is used).
+    """Tangents of an array of alpha >= 0, keyed by round(alpha, 12), where
+    1e-12 <= alpha < 1 (NaN elsewhere, where none is used).
 
     Keys are read from the process-wide _TANGENT_MEMO; the missing ones are
     solved in one _asym_tangents call and then added, the oldest entries
     going beyond _TANGENT_MEMO_SIZE.  Every lane of that solver depends on
-    its own alpha only, so a key gets the same bits in any batch."""
+    its own alpha only, so a key gets the same bits in any batch, and
+    asym_chsh_one_outcome and best_alpha_bound share them."""
     bstar, slope = np.full(alpha.shape, np.nan), np.full(alpha.shape, np.nan)
     need = (alpha >= 1e-12) & (alpha < 1.0)
     keys, inverse = np.unique(np.round(alpha[need], 12), return_inverse=True)
@@ -321,9 +314,8 @@ def asym_chsh_one_outcome(beta: float, alpha: float) -> float:
     qb = 2.0 * np.hypot(1.0, alpha)
     _check_beta(beta, qb, repr(float(qb)))
     beta = min(beta, qb)
-    bstar, slope = asym_tangent(round(alpha, 12)) if 1e-12 <= alpha < 1.0 \
-        else (np.nan, np.nan)
-    return float(_asym_one_outcome(beta, alpha, bstar, slope))
+    bstar, slope = _tangents_for(np.array([alpha]))
+    return float(_asym_one_outcome(beta, alpha, bstar[0], slope[0]))
 
 
 _ALPHA_GRID = np.linspace(0.0, 4.0, 401)  # best_alpha_bound's first batch

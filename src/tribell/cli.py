@@ -153,9 +153,9 @@ def cmd_threshold(args) -> int:
     fn = rates.rate_function(args.rate, args.inequality, args.noise,
                              gamma=args.gamma)
     print(_fmt(rates.threshold_p(fn)))
-    outcome = {"dicka": "one", "dire-spot": "two", "dire-recycled": "recycled"}[args.rate]
-    curve = rates.bound_curve(spec_by_name(args.inequality), outcome)
-    _note_curve(curve.name, curve.flags)
+    curve = rates._rate_curve(args.rate, spec_by_name(args.inequality), args.gamma)
+    if curve is not None:  # asym-CHSH DICKA's alpha search rests on no flagged curve
+        _note_curve(curve.name, curve.flags)
     return 0
 
 

@@ -222,9 +222,35 @@ class TestAsymChsh:
             asym_chsh_one_outcome(2.9, 1.0)
 
 
-# (alpha, beta*, slope) from the scalar 1200-point scan and bisection that
-# preceded the batched solver; alpha <= 0.35 and alpha = 0.4 take the chord
-# fallback
+def _mp_tangent(mp, alpha, dps):
+    """(beta*, slope) of the tangent through (2, 0) to g at dps digits: a
+    bisection on the tangency residual F in log d, d = qb - x, for the
+    double qb = 2 hypot(1, alpha) that the solver itself uses."""
+    with mp.workdps(dps):
+        qb = mp.mpf(2.0 * np.hypot(1.0, alpha))
+
+        def g_and_residual(d):
+            x = qb - d
+            v = d * (2 * qb - d) / 4  # 1 - s^2
+            s = mp.sqrt(1 - v)
+            w = v / (2 * (1 + s))  # 1 - u
+            g = 1 + ((1 - w) * mp.log1p(-w) + w * mp.log(w)) / mp.log(2)
+            dg = (mp.log1p(-w) - mp.log(w)) / mp.log(2) * x / (8 * s)
+            return g, dg * (x - 2) - g
+
+        lo, hi = mp.log(qb - 2), mp.mpf(-1e16)  # F <= 0 at exp(lo), > 0 at exp(hi)
+        while lo - hi > mp.mpf(10) ** (10 - dps) * (1 - hi):  # relative to |log d|
+            mid = (lo + hi) / 2
+            if g_and_residual(mp.exp(mid))[1] <= 0:
+                lo = mid
+            else:
+                hi = mid
+        d = mp.exp(lo)
+        return qb - d, g_and_residual(d)[0] / (qb - d - 2)
+
+
+# (alpha, beta*, slope) from _mp_tangent at 80 digits, rounded to doubles;
+# alpha <= 0.25 are chord lanes, their tangent point within one ulp of qb
 TANGENT_TABLE = [
     (1e-06, 2.000000000001, 999911107320.27),
     (0.001, 2.00000099999975, 1000000.2498825096),
@@ -235,22 +261,22 @@ TANGENT_TABLE = [
     (0.15, 2.0223748416156684, 44.69305379572976),
     (0.2, 2.039607805437114, 25.247548783981877),
     (0.25, 2.0615528128088303, 16.246211251235316),
-    (0.3, 2.08806130178211, 11.355725838283627),
-    (0.35, 2.118962010041709, 8.406044918452471),
-    (0.4, 2.1540659228538015, 6.49072800445907),
-    (0.45, 2.1931636753651516, 5.17673914535045),
-    (0.5, 2.235969896273306, 4.2359004439910475),
-    (0.55, 2.281894267153711, 3.5383471911371216),
-    (0.6, 2.3296690259161563, 3.0051692304926667),
-    (0.65, 2.3771019311941464, 2.585685958106655),
-    (0.7, 2.421104185047483, 2.2459251791840007),
-    (0.75, 2.457785714302797, 1.962316636054424),
-    (0.8, 2.4822755121455353, 1.7178089817771371),
-    (0.85, 2.4878644048890743, 1.4990436264400893),
-    (0.9, 2.463379463970437, 1.2934378065127343),
-    (0.95, 2.382976571377413, 1.0826244612417175),
-    (0.99, 2.199930365849177, 0.8643034716793483),
-    (0.999, 2.0674940427653166, 0.7640311288001965),
+    (0.3, 2.0880613017818037, 11.355725838282316),
+    (0.35, 2.1189620089864976, 8.406044915062944),
+    (0.4, 2.1540657171629216, 6.49072748583586),
+    (0.45, 2.193163675365152, 5.176739145374352),
+    (0.5, 2.2359698962733066, 4.235900443992213),
+    (0.55, 2.281894267153711, 3.5383471911373),
+    (0.6, 2.329669025916156, 3.005169230492691),
+    (0.65, 2.3771019311941464, 2.5856859581066605),
+    (0.7, 2.421104185047483, 2.2459251791839994),
+    (0.75, 2.4577857143027972, 1.9623166360544302),
+    (0.8, 2.4822755121455358, 1.7178089817771376),
+    (0.85, 2.487864404889074, 1.4990436264400888),
+    (0.9, 2.4633794639704374, 1.2934378065127352),
+    (0.95, 2.3829765713774127, 1.0826244612417173),
+    (0.99, 2.1999303658491782, 0.8643034716793494),
+    (0.999, 2.067494042765314, 0.7640311288001944),
 ]
 
 
@@ -267,20 +293,27 @@ class TestAsymTangentTable:
                                                         rel=1e-12, abs=1e-12)
 
     def test_chord_fallback(self):
-        for alpha in (1e-6, 1e-3, 0.01, 0.05, 0.2, 0.4):
+        for alpha in (1e-6, 1e-3, 0.01, 0.05, 0.2):
             qb = 2.0 * np.hypot(1.0, alpha)
             assert asym_tangent(alpha) == (qb, 1.0 / (qb - 2.0))
+        assert asym_tangent(0.4)[0] < 2.0 * np.hypot(1.0, 0.4)
 
     def test_non_finite_alpha_rejected(self):
         with pytest.raises(ValidationError, match="alpha"):
             bounds._asym_tangents([0.5, np.nan])
 
+    @pytest.mark.parametrize("alpha", [0.0, 1e-13, -1e-13, 1.0, -1.0, 1.5, np.nan, np.inf])
+    def test_scalar_refuses_alpha_without_tangent(self, alpha):
+        with pytest.raises(ValidationError, match="alpha"):
+            asym_tangent(alpha)
 
-@pytest.mark.xfail(strict=True, reason=(
-    "near alpha = 0.4 the tangent check keeps the chord although a tangent "
-    "exists, so the curve lies above g(beta, alpha): alpha = 0.40695, beta = "
-    "2.1592664244094486 by 1.43e-7 bits; alpha = 0.4, beta = 2.154065691904917 "
-    "by 7.9e-8 bits"))
+    def test_table_matches_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        for alpha, bstar, slope in (TANGENT_TABLE[i] for i in (2, 8, 11, 18, 23)):
+            ref = [float(v) for v in _mp_tangent(mp, alpha, 50)]
+            assert ref == pytest.approx([bstar, slope], rel=1e-12)
+
+
 def test_asym_bound_not_above_g_near_alpha_0_4():
     points = ((0.40695, 2.1592664244094486), (0.4, 2.154065691904917))
     gaps = [asym_chsh_one_outcome(beta, alpha) - float(bounds._g_asym(beta, alpha))
@@ -288,55 +321,29 @@ def test_asym_bound_not_above_g_near_alpha_0_4():
     assert max(gaps) <= 1e-12
 
 
-def _scan_tangents(alpha):
-    """The solver that bounds._asym_tangents replaced: scan a 1200-point x
-    grid, linear plus log-clustered at the quantum bound, for the first
-    sign change of the tangency residual, then solve that grid cell."""
-    alpha = np.abs(np.asarray(alpha, dtype=float))
-    qb = 2.0 * np.hypot(1.0, alpha)
-    xs = np.concatenate([
-        np.linspace(2.0 + 1e-9, qb, 800, axis=1),
-        qb[:, None] - (qb - 2.0)[:, None] * np.logspace(-13, 0, 400),
-    ], axis=1)
-    xs = np.sort(np.clip(xs, 2.0 + 1e-12, (qb - 1e-16)[:, None]), axis=1)
-    fs = bounds._tangency(xs, alpha[:, None])
-    crossing = (fs[:, :-1] <= 0.0) & (fs[:, 1:] > 0.0)
-    bracketed = crossing.any(axis=1)
-    lanes = np.flatnonzero(bracketed)
-    first = np.argmax(crossing[lanes], axis=1)
-    hi = bracketed_roots(lambda x: bounds._tangency(x, alpha[lanes]),
-                         xs[lanes, first], xs[lanes, first + 1])
-    bstar = qb.copy()
-    bstar[lanes] = 0.5 * (np.nextafter(hi, -np.inf) + hi)
-    found = bracketed & (np.abs(bounds._tangency(bstar, alpha)) <= 1e-10)
-    with np.errstate(divide="ignore"):
-        chord = 1.0 / (qb - 2.0)
-    return (np.where(found, bstar, qb),
-            np.where(found, bounds._g_asym_and_deriv(bstar, alpha)[1], chord))
+class TestAsymCurveNotAboveG:
+    def test_dense_alpha_beta_scan(self):
+        # and [0.28, 0.42] at step 1e-4, where the tangent point is 3e-15 to 1e-6 below qb
+        alpha = np.concatenate([np.linspace(1e-3, 0.999, 1000),
+                                np.linspace(0.28, 0.42, 1401), [0.4, 0.40695, 0.4089]])
+        bstar, slope = bounds._asym_tangents(alpha)
+        # 400 even steps on [2, beta*], and 100 clustered at beta*
+        t = np.concatenate([np.linspace(0.0, 1.0, 400), 1.0 - np.logspace(-16, 0, 100)])
+        beta = 2.0 + (bstar - 2.0)[:, None] * t
+        a = alpha[:, None]
+        gap = bounds._asym_one_outcome(beta, a, bstar[:, None], slope[:, None]) \
+            - bounds._g_asym(beta, a)
+        assert gap.max() <= 1e-12
 
-
-class TestTangentsMatchScan:
-    """One bracket per lane finds the scan's first crossing: the residual
-    changes sign once on the bracket."""
-
-    def test_grid_random_and_table_alphas(self):
-        grid = bounds._ALPHA_GRID[(bounds._ALPHA_GRID >= 1e-12)
-                                  & (bounds._ALPHA_GRID < 1.0)]
-        alphas = np.concatenate([grid, np.random.default_rng(8).random(300),
-                                 [row[0] for row in TANGENT_TABLE]])
-        assert alphas.size == 99 + 300 + 25
-        got_b, got_s = bounds._asym_tangents(alphas)
-        want_b, want_s = _scan_tangents(alphas)
-        qb = 2.0 * np.hypot(1.0, alphas)
-        np.testing.assert_array_equal(got_b == qb, want_b == qb)  # chord lanes
-        assert np.max(np.abs(got_b - want_b)) <= 4e-15
-        assert np.max(np.abs(got_s - want_s) / want_s) <= 4e-15
-
-    def test_edge_alphas_bit_identical(self):
-        # hi <= lo in every lane; qb rounds to 2 at alpha = 1e-12 and 1e-8
+    def test_edge_alphas_take_the_exact_chord(self):
+        # qb rounds to 2 at alpha = 1e-12 and 1e-8, giving slope inf
         alphas = np.array([1e-12, 1e-8, 3e-8, 1e-7])
-        for got, want in zip(bounds._asym_tangents(alphas), _scan_tangents(alphas)):
-            np.testing.assert_array_equal(got, want)
+        qb = 2.0 * np.hypot(1.0, alphas)
+        with np.errstate(divide="ignore"):
+            chord = 1.0 / (qb - 2.0)
+        bstar, slope = bounds._asym_tangents(alphas)
+        np.testing.assert_array_equal(bstar, qb)
+        np.testing.assert_array_equal(slope, chord)
 
 
 @pytest.mark.parametrize("fn, qb", [

@@ -211,6 +211,37 @@ class TestThreshold:
         assert "sign" in err
 
 
+# the paper's 16 thresholds (Tables 2 and 3): stdout, and the stderr note
+# naming the flagged curve a DIRE threshold rests on
+PAPER_THRESHOLDS = [
+    ("dicka", "holz", "local", "0.933466492", ""),
+    ("dicka", "holz", "global", "0.85412462", ""),
+    ("dicka", "parity-chsh", "local", "0.935064835", ""),
+    ("dicka", "parity-chsh", "global", "0.857016482", ""),
+    ("dicka", "asym-chsh", "local", "0.922846169", ""),
+    ("dicka", "asym-chsh", "global", "0.851645052", ""),
+    ("dire-spot", "mabk", "local", "0.793700526", ""),
+    ("dire-spot", "mabk", "global", "0.5", ""),
+    ("dire-spot", "parity-chsh", "local", "0.869703355", "non-certified numeric:parity-chsh-two"),
+    ("dire-spot", "parity-chsh", "global", "0.707106781", "non-certified numeric:parity-chsh-two"),
+    ("dire-spot", "holz", "local", "0.849148225", "conjectured holz-two"),
+    ("dire-spot", "holz", "global", "0.666666667", "conjectured holz-two"),
+    ("dire-spot", "chsh", "local", "0.840896415", "non-certified numeric:chsh-two"),
+    ("dire-spot", "chsh", "global", "0.707106781", "non-certified numeric:chsh-two"),
+    ("dire-recycled", "chsh", "local", "0.840896415", "conjectured colbeck-recycled"),
+    ("dire-recycled", "chsh", "global", "0.707106781", "conjectured colbeck-recycled"),
+]
+
+
+@pytest.mark.parametrize("kind, ineq, noise, out, curve", PAPER_THRESHOLDS,
+                         ids=["-".join(row[:3]) for row in PAPER_THRESHOLDS])
+def test_paper_threshold_output_and_note(capsys, kind, ineq, noise, out, curve):
+    flags, _, name = curve.rpartition(" ")
+    note = f"note: rests on the {flags} curve {name}\n" if curve else ""
+    argv = ["threshold", "--rate", kind, "--inequality", ineq, "--noise", noise]
+    assert run_cli(argv, capsys) == (0, out + "\n", note)
+
+
 class TestScalarCurveNote:
     """A scalar value that rests on a conjectured or non-certified curve
     comes with one stderr line naming the curve and its flags; stdout is the
