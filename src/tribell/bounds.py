@@ -1,8 +1,12 @@
 """Closed-form conditional-entropy lower bounds as functions of the Bell
 violation, with the roots they require (all from qmath.bracketed_roots).
 
-Each one/two-outcome bound is 0 at the classical bound of its inequality and
-clamps to 0 below it, since the rate formulas evaluate there routinely.
+Every bound curve takes a float and returns a float, or takes an array of
+violations and returns an array of the same shape, each value bit for bit
+the one-point value.  One decorator, `_curve`, keeps each curve's domain: it
+refuses a non-finite beta or one above the quantum bound (naming the first
+as a plain float), gives 0 at or below the classical bound, since the rate
+formulas evaluate there routinely, and clamps beta to the quantum bound.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ValidationError
+from .qmath import _first
 from .qmath import binary_entropy as h
 from .qmath import binary_entropy_deriv as hprime
 from .qmath import bracketed_root, bracketed_roots, shannon_entropy
@@ -28,115 +33,115 @@ SQRT2 = np.sqrt(2.0)
 _DOMAIN_SLACK = 1e-9
 
 
-def _check_beta(beta: float, qb: float, qb_name: str) -> None:
-    """Reject a non-finite beta or one above the quantum bound qb."""
-    if not np.isfinite(beta):
-        raise ValidationError(f"beta={float(beta)!r} is not finite")
-    if beta > qb + _DOMAIN_SLACK:
-        raise ValidationError(f"beta={float(beta)!r} above the quantum bound {qb_name}")
+def _curve(lo: float, qb: float, qb_name: str):
+    """Make fn, elementwise on a 1-d array of beta in (lo, qb], a bound
+    curve on a float or an array of beta: a non-finite beta or one above
+    qb + 1e-9 is refused, beta <= lo gives 0, and beta is clamped to qb."""
+    def decorate(fn):
+        @functools.wraps(fn)
+        def curve(beta):
+            flat = np.asarray(beta, dtype=float).ravel()
+            bad = ~(np.isfinite(flat) & (flat <= qb + _DOMAIN_SLACK))
+            if bad.any():
+                first = _first(flat, bad)
+                raise ValidationError(f"beta={first!r} is not finite" if not np.isfinite(first)
+                                      else f"beta={first!r} above the quantum bound {qb_name}")
+            out = np.zeros(flat.shape)
+            live = flat > lo
+            if live.any():
+                out[live] = fn(np.minimum(flat[live], qb))
+            return float(out[0]) if np.ndim(beta) == 0 else out.reshape(np.shape(beta))
+        return curve
+    return decorate
 
 
 # ---------------------------------------------------------------------------
 # Holz one-outcome (tight)
 
-def holz_one_outcome(beta: float) -> float:
+@_curve(1.0, 1.5, "3/2")
+def holz_one_outcome(beta):
     """1 - h[(beta + 1 + sqrt(beta^2 + 2 beta - 3))/4] on [1, 3/2]; 0 below 1."""
-    _check_beta(beta, 1.5, "3/2")
-    if beta <= 1.0:
-        return 0.0
-    beta = min(beta, 1.5)
     return 1.0 - h(0.25 * (beta + 1.0 + np.sqrt(beta * beta + 2.0 * beta - 3.0)))
 
 
 # ---------------------------------------------------------------------------
 # Holz two-outcome (conjectured): eta / tangent segment / theta(beta, x(beta))
 
-def eta(beta: float) -> float:
-    s = np.sqrt(max(beta * beta - 1.0, 0.0))
+def eta(beta):
+    s = np.sqrt(np.maximum(beta * beta - 1.0, 0.0))
     return 2.0 - shannon_entropy([(1 + s) / 4, (1 + s) / 4, (1 - s) / 4, (1 - s) / 4])
 
 
-def theta(beta: float, x: float) -> float:
+def theta(beta, x):
     pa = (beta * (2.0 - beta) - x * x) / (8.0 * (beta - 1.0))
     pb = ((beta - 1.0) * (beta + 3.0) + x * x - 1.0) / (8.0 * (beta - 1.0))
-    if pa < -1e-12 or pb < -1e-12:
-        raise ValidationError(f"(beta={beta}, x={x}) outside the theta domain")
-    pa, pb = max(pa, 0.0), max(pb, 0.0)
-    arg = (2.0 * (1.0 - x) - (beta - x) ** 2) / (4.0 * x * (beta - 1.0))
-    if not -1e-9 <= arg <= 1.0 + 1e-9:
-        raise ValidationError(f"(beta={beta}, x={x}) outside the theta domain")
-    arg = min(max(arg, 0.0), 1.0)
-    return shannon_entropy([pa, pa, pb, pb]) - h(arg)
+    d = beta - x
+    arg = (2.0 * (1.0 - x) - d * d) / (4.0 * x * (beta - 1.0))
+    bad = ~((pa >= -1e-12) & (pb >= -1e-12) & (arg >= -1e-9) & (arg <= 1.0 + 1e-9))
+    if bad.any():
+        raise ValidationError(f"(beta={_first(beta, bad)!r}, x={_first(x, bad)!r})"
+                              " outside the theta domain")
+    return shannon_entropy([pa, pa, pb, pb]) - h(np.clip(arg, 0.0, 1.0))
 
 
-def theta_x_domain(beta: float) -> tuple[float, float]:
+def theta_x_domain(beta):
     """Interval of x where all four weights and the binary-entropy argument
-    of theta(beta, .) are valid probabilities."""
-    if not SQRT2 < beta <= 1.5:
-        raise ValidationError(f"beta={beta!r} outside (sqrt2, 3/2]")
-    half = np.sqrt(max(3.0 - 2.0 * beta, 0.0))
+    of theta(beta, .) are valid probabilities (beta up to 3/2 + 1e-9)."""
+    beta = np.asarray(beta, dtype=float)
+    bad = ~((beta > SQRT2) & (beta <= 1.5 + _DOMAIN_SLACK))
+    if bad.any():
+        raise ValidationError(f"beta={_first(beta, bad)!r} outside (sqrt2, 3/2]")
+    half = np.sqrt(np.maximum(3.0 - 2.0 * beta, 0.0))
     lo = (beta - 1.0) - half
-    hi = min((beta - 1.0) + half, np.sqrt(beta * (2.0 - beta)))
+    hi = np.minimum((beta - 1.0) + half, np.sqrt(beta * (2.0 - beta)))
     return lo, hi
 
 
-def _dtheta_dx(beta: float, x: float) -> float:
-    pa = (beta * (2.0 - beta) - x * x) / (8.0 * (beta - 1.0))
-    pb = ((beta - 1.0) * (beta + 3.0) + x * x - 1.0) / (8.0 * (beta - 1.0))
-    num = 2.0 * (1.0 - x) - (beta - x) ** 2
-    arg = num / (4.0 * x * (beta - 1.0))
-    dnum = -2.0 + 2.0 * (beta - x)
-    darg = (dnum * x - num) / (4.0 * x * x * (beta - 1.0))
-    t1 = (x / (2.0 * (beta - 1.0))) * np.log2(pa / pb)
-    if 0.0 < arg < 1.0:
-        t2 = hprime(arg) * darg
-    else:
-        # h' blows up logarithmically at the domain edge; only the sign matters
-        t2 = np.inf * np.sign(darg) if darg != 0.0 else 0.0
-    return t1 - t2
+def _dtheta_dx(beta, x):
+    c, xx, d = beta - 1.0, x * x, beta - x
+    pa = (beta * (2.0 - beta) - xx) / (8.0 * c)
+    pb = (c * (beta + 3.0) + xx - 1.0) / (8.0 * c)
+    num = 2.0 * (1.0 - x) - d * d
+    arg = num / (4.0 * x * c)
+    darg = ((2.0 * d - 2.0) * x - num) / (4.0 * xx * c)
+    t1 = (x / (2.0 * c)) * np.log2(pa / pb)
+    inside = (arg > 0.0) & (arg < 1.0)
+    # h' blows up logarithmically at the domain edge; only the sign matters
+    edge = np.where(darg != 0.0, np.copysign(np.inf, darg), 0.0)
+    return t1 - np.where(inside, hprime(np.where(inside, arg, 0.5)) * darg, edge)
 
 
-def solve_x(beta: float) -> float:
+def solve_x(beta):
     """Stationary point of theta(beta, .) in x, i.e. the branch of the
     transcendental equation d(theta)/dx = 0 that is continuous in beta and
-    reaches x=1/2 at beta=3/2.
+    reaches x=1/2 at beta=3/2; elementwise, one bracketed_roots call.
 
     Near beta -> 3/2 the stationary point merges with the upper domain edge
     faster than double precision resolves; the edge is returned there.
     """
-    if not SQRT2 < beta <= 1.5 + _DOMAIN_SLACK:
-        raise ValidationError(f"beta={beta!r} outside (sqrt2, 3/2]")
-    if beta >= 1.5:
-        return 0.5
+    beta = np.asarray(beta, dtype=float)
     lo, hi = theta_x_domain(beta)
-    width = hi - lo
-    a = lo + width * 1e-9
-    b = hi - width * 1e-9
-    fa, fb = _dtheta_dx(beta, a), _dtheta_dx(beta, b)
-    if fa >= 0.0:
-        return a
-    if fb <= 0.0:
-        return b
-    return bracketed_root(functools.partial(_dtheta_dx, beta), a, b)
+    lo, hi = lo + (hi - lo) * 1e-9, hi - (hi - lo) * 1e-9
+    flo, fhi = _dtheta_dx(beta, lo), _dtheta_dx(beta, hi)
+    x = np.where(flo >= 0.0, lo, hi)
+    root = ~(flo >= 0.0) & ~(fhi <= 0.0)
+    x[root] = bracketed_roots(lambda t: _dtheta_dx(beta[root], t), lo[root], hi[root])
+    return np.where(beta < 1.5, x, 0.5)[()]
 
 
-def theta_at_optimum(beta: float) -> float:
-    if beta >= 1.5:
-        return theta(1.5, 0.5)
+def theta_at_optimum(beta):
+    beta = np.minimum(beta, 1.5)
     return theta(beta, solve_x(beta))
-
-
-def _dtheta_dbeta(beta: float) -> float:
-    # total derivative along x(beta), step 2e-6; equals the partial one at the stationary x
-    return (theta_at_optimum(beta + 2e-6) - theta_at_optimum(beta - 2e-6)) / (2 * 2e-6)
 
 
 @functools.lru_cache(maxsize=1)
 def solve_beta_star_holz() -> float:
     """Violation where the tangent to theta(beta, x(beta)) passes through
-    (sqrt2, 1); the conjectured curve is linear below it."""
+    (sqrt2, 1), its slope a central difference (step 2e-6) along x(beta);
+    the conjectured curve is linear below it."""
     def tangency(b):
-        return _dtheta_dbeta(b) * (b - SQRT2) - (theta_at_optimum(b) - 1.0)
+        lo, mid, hi = theta_at_optimum(np.array([b - 2e-6, b, b + 2e-6]))
+        return (hi - lo) / (2 * 2e-6) * (b - SQRT2) - (mid - 1.0)
 
     return bracketed_root(tangency, 1.42, 1.4995)
 
@@ -147,51 +152,43 @@ def _holz_tangent_slope() -> float:
     return (theta_at_optimum(bstar) - 1.0) / (bstar - SQRT2)
 
 
-def holz_two_outcome(beta: float) -> float:
+@_curve(1.0, 1.5, "3/2")
+def holz_two_outcome(beta):
     """Conjectured tight bound on the two-outcome entropy for the Holz test:
     eta on [1, sqrt2], a tangent segment on (sqrt2, beta*], theta above."""
-    _check_beta(beta, 1.5, "3/2")
-    if beta <= 1.0:
-        return 0.0
-    beta = min(beta, 1.5)
-    if beta <= SQRT2:
-        return eta(beta)
-    if beta <= solve_beta_star_holz():
-        return _holz_tangent_slope() * (beta - SQRT2) + 1.0
-    return theta_at_optimum(beta)
+    out = eta(np.minimum(beta, SQRT2))
+    line = beta > SQRT2
+    if line.any():
+        out[line] = _holz_tangent_slope() * (beta[line] - SQRT2) + 1.0
+        top = beta > solve_beta_star_holz()
+        if top.any():
+            out[top] = theta_at_optimum(beta[top])
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Parity-CHSH one-outcome (tight)
 
-def parity_chsh_one_outcome(beta: float) -> float:
-    _check_beta(beta, SQRT2, "sqrt2")
-    if beta <= 1.0:
-        return 0.0
-    beta = min(beta, SQRT2)
+@_curve(1.0, SQRT2, "sqrt2")
+def parity_chsh_one_outcome(beta):
     return 1.0 - h(0.5 + 0.5 * np.sqrt(beta * beta - 1.0))
 
 
 # ---------------------------------------------------------------------------
 # MABK one- and two-outcome
 
-def mabk_one_outcome(beta: float) -> float:
-    _check_beta(beta, 4.0, "4")
-    if beta <= 2.0 * SQRT2:
-        return 0.0
-    beta = min(beta, 4.0)
+@_curve(2.0 * SQRT2, 4.0, "4")
+def mabk_one_outcome(beta):
     return 1.0 - h(0.5 + 0.5 * np.sqrt(beta * beta / 8.0 - 1.0))
 
 
-def mabk_f(beta: float) -> float:
-    return 0.25 - (np.sqrt(3.0) / 24.0) * np.sqrt(max(beta * beta - 4.0, 0.0))
+def mabk_f(beta):
+    return 0.25 - (np.sqrt(3.0) / 24.0) * np.sqrt(np.maximum(beta * beta - 4.0, 0.0))
 
 
-def mabk_two_outcome(beta: float) -> float:
-    _check_beta(beta, 4.0, "4")
-    if beta <= 2.0:
-        return 0.0
-    f = mabk_f(min(beta, 4.0))
+@_curve(2.0, 4.0, "4")
+def mabk_two_outcome(beta):
+    f = mabk_f(beta)
     return 2.0 - shannon_entropy([1.0 - 3.0 * f, f, f, f])
 
 
@@ -207,13 +204,8 @@ _TANGENT_MEMO: dict[float, tuple[float, float]] = {}
 
 
 def _g_asym(x, alpha):
-    """g = 1 - h(1/2 + s/2) with s = sqrt(x^2/4 - alpha^2), elementwise: 0
-    where s^2 <= 0 and 1 where 1/2 + s/2 rounds to 1."""
-    s2 = x * x / 4.0 - alpha * alpha
-    u = 0.5 + 0.5 * np.sqrt(np.maximum(s2, 0.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g = 1.0 - (-u * np.log2(u) - (1.0 - u) * np.log2(1.0 - u))
-    return np.where(s2 <= 0.0, 0.0, np.where(u >= 1.0, 1.0, g))
+    """g = 1 - h(1/2 + s/2), s = sqrt(x^2/4 - alpha^2), elementwise; 0 where s^2 <= 0."""
+    return 1.0 - h(0.5 + 0.5 * np.sqrt(np.maximum(x * x / 4.0 - alpha * alpha, 0.0)))
 
 
 def _asym_tangents(alpha) -> tuple[np.ndarray, np.ndarray]:
@@ -305,17 +297,19 @@ def _asym_one_outcome(beta, alpha, bstar, slope):
     return np.where(alpha < 1e-12, 0.0, out)
 
 
-def asym_chsh_one_outcome(beta: float, alpha: float) -> float:
+def asym_chsh_one_outcome(beta, alpha: float):
     """Tight one-outcome bound for the asymmetric CHSH inequality; piecewise
     linear below beta* when |alpha| < 1, g(beta) otherwise."""
     if not np.isfinite(alpha):
-        raise ValidationError(f"alpha={alpha!r} is not finite")
-    alpha = abs(alpha)
+        raise ValidationError(f"alpha={float(alpha)!r} is not finite")
+    alpha = abs(float(alpha))
     qb = 2.0 * np.hypot(1.0, alpha)
-    _check_beta(beta, qb, repr(float(qb)))
-    beta = min(beta, qb)
-    bstar, slope = _tangents_for(np.array([alpha]))
-    return float(_asym_one_outcome(beta, alpha, bstar[0], slope[0]))
+
+    @_curve(2.0 * max(1.0, alpha), qb, repr(float(qb)))
+    def curve(beta):
+        return _asym_one_outcome(beta, alpha, *_tangents_for(np.array([alpha])))
+
+    return curve(beta)
 
 
 _ALPHA_GRID = np.linspace(0.0, 4.0, 401)  # best_alpha_bound's first batch
@@ -375,8 +369,9 @@ def best_alpha_bound(beta_fn: Callable[[np.ndarray], np.ndarray]
 # ---------------------------------------------------------------------------
 # recycled-input CHSH two-outcome bound (conjectured)
 
-def colbeck_g1(x: float) -> float:
-    return 1.0 + h(min(0.5 + x / 8.0, 1.0)) - 2.0 * h(min(0.5 + SQRT2 * x / 8.0, 1.0))
+def colbeck_g1(x):
+    return (1.0 + h(np.minimum(0.5 + x / 8.0, 1.0))
+            - 2.0 * h(np.minimum(0.5 + SQRT2 * x / 8.0, 1.0)))
 
 
 def _colbeck_g1_deriv(x: float) -> float:
@@ -392,15 +387,9 @@ def solve_beta_star_colbeck() -> float:
     return bracketed_root(f, 2.0 + 1e-6, 2.0 * SQRT2 - 1e-9)
 
 
-def colbeck_recycled_two_outcome(beta: float) -> float:
+@_curve(2.0, 2.0 * SQRT2, "2*sqrt2")
+def colbeck_recycled_two_outcome(beta):
     """Conjectured bound on H(AB|XYE) for CHSH with recycled inputs:
     linear below beta*_C, g1 above."""
-    _check_beta(beta, 2.0 * SQRT2, "2*sqrt2")
-    if beta <= 2.0:
-        return 0.0
-    beta = min(beta, 2.0 * SQRT2)
     bstar = solve_beta_star_colbeck()
-    if beta <= bstar:
-        return _colbeck_g1_deriv(bstar) * (beta - 2.0)
-    return colbeck_g1(beta)
-
+    return np.where(beta <= bstar, _colbeck_g1_deriv(bstar) * (beta - 2.0), colbeck_g1(beta))

@@ -111,12 +111,11 @@ def cmd_bound(args) -> int:
     curve = rates.bound_curve(spec_by_name(args.inequality, args.alpha), outcome)
     if args.grid is not None:
         grid = _parse_grid(args.grid)
-        vals = _map_parallel(curve.fn, grid)
         # `bound --recycled` CSVs have never carried the curve's conjectured
         # flag; perfbench/golden_csv.json pins their bytes (ROADMAP item 5)
         flags = "" if args.recycled else " ".join(curve.flags)
         rows = [(f"bound-{outcome}", args.inequality, "", "", b, v, flags)
-                for b, v in zip(grid, vals)]
+                for b, v in zip(grid, curve.fn(grid))]
         _write_csv(args.out, rows, sort_key=lambda r: r[4])
         return 0
     print(_fmt(curve.fn(args.beta)))
@@ -225,8 +224,9 @@ def _sweep_columns(args, spec, grid):
     if args.quantity == "beta":
         return [(beta, "", ()) for beta in rates.betas_of_p(spec, args.noise, grid).tolist()]
     curve = rates.bound_curve(spec, args.quantity.removeprefix("bound-"))
-    return [(curve.fn(beta), beta, curve.flags)
-            for beta in rates.betas_of_p(spec, args.noise, grid).tolist()]
+    betas = rates.betas_of_p(spec, args.noise, grid)
+    return [(val, beta, curve.flags)
+            for val, beta in zip(curve.fn(betas).tolist(), betas.tolist())]
 
 
 def cmd_sweep(args) -> int:

@@ -99,38 +99,56 @@ def spectrum_entropy(w) -> np.ndarray:
     return -np.add.reduce(terms, axis=-1, where=kept, initial=0.0)
 
 
-def binary_entropy(x: float) -> float:
-    """h(x) = -x log2 x - (1-x) log2 (1-x), with the 0 log 0 := 0 convention."""
-    if not -1e-12 <= x <= 1.0 + 1e-12:
-        raise ValidationError(f"binary_entropy argument {x!r} outside [0, 1]")
-    x = min(max(float(x), 0.0), 1.0)
-    if x == 0.0 or x == 1.0:
-        return 0.0
-    return float(-x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x))
+def _float_or_array(out):
+    """A float for a 0-d result, else the array itself."""
+    return float(out) if out.ndim == 0 else out
 
 
-def binary_entropy_deriv(x: float) -> float:
-    """h'(x) = log2((1-x)/x) for x in (0, 1)."""
-    if not 0.0 < x < 1.0:
-        raise ValidationError(f"binary_entropy_deriv argument {x!r} outside (0, 1)")
-    return float(np.log2((1.0 - x) / x))
+def _first(values, bad) -> float:
+    """The first value where the mask bad holds, as a plain float."""
+    return float(np.broadcast_to(values, np.shape(bad)).flat[np.argmax(bad)])
+
+
+def binary_entropy(x):
+    """h(x) = -x log2 x - (1-x) log2 (1-x) elementwise, a float for a float,
+    with the 0 log 0 := 0 convention; x may lie up to 1e-12 outside [0, 1]."""
+    x = np.asarray(x, dtype=float)[()]  # a numpy scalar for a float: cheaper arithmetic
+    ok = (x >= -1e-12) & (x <= 1.0 + 1e-12)
+    if not ok.all():
+        raise ValidationError(f"binary_entropy argument {_first(x, ~ok)!r} outside [0, 1]")
+    inner = (x > 0.0) & (x < 1.0)
+    x = np.where(inner, x, 0.5)[()]
+    return _float_or_array(np.where(inner, -x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x), 0.0))
+
+
+def binary_entropy_deriv(x):
+    """h'(x) = log2((1-x)/x) elementwise for x in (0, 1), a float for a float."""
+    x = np.asarray(x, dtype=float)
+    ok = (x > 0.0) & (x < 1.0)
+    if not ok.all():
+        raise ValidationError(f"binary_entropy_deriv argument {_first(x, ~ok)!r} outside (0, 1)")
+    return _float_or_array(np.log2((1.0 - x) / x))
 
 
 def validate_probability_vector(weights) -> np.ndarray:
-    w = np.asarray(weights, dtype=float).ravel()
-    if np.any(w < -1e-12):
+    """weights as floats, probability vectors along the first axis: negatives
+    down to -1e-12 clip to 0, and each sum must be 1 within 1e-9."""
+    w = np.asarray(weights, dtype=float)
+    if (w < -1e-12).any():
         raise ValidationError(f"negative weight {w.min():.3e} beyond tolerance")
-    w = np.clip(w, 0.0, None)
-    if abs(w.sum() - 1.0) > 1e-9:
-        raise ValidationError(f"weights sum to {w.sum()!r}, expected 1 within 1e-09")
+    w = np.maximum(w, 0.0)
+    total = w.sum(axis=0)
+    off = np.abs(total - 1.0) > 1e-9
+    if off.any():
+        raise ValidationError(f"weights sum to {_first(total, off)!r}, expected 1 within 1e-09")
     return w
 
 
-def shannon_entropy(weights) -> float:
-    """Shannon entropy in bits of a probability vector; zero weights are skipped."""
+def shannon_entropy(weights):
+    """Shannon entropy in bits of each probability vector along the first axis
+    (a float for one vector); zero weights count 0, the terms summed in order."""
     w = validate_probability_vector(weights)
-    w = w[w > 0.0]
-    return float(-(w * np.log2(w)).sum()) if w.size else 0.0
+    return _float_or_array(-np.sum(w * np.log2(np.where(w > 0.0, w, 1.0)), axis=0))
 
 
 def bracketed_roots(f, lo, hi) -> np.ndarray:
@@ -162,7 +180,7 @@ def bracketed_roots(f, lo, hi) -> np.ndarray:
         while True:
             a, b = np.minimum(x1, x2), np.maximum(x1, x2)
             mid, width = 0.5 * (a + b), b - a
-            if np.all((mid == a) | (mid == b)):
+            if ((mid == a) | (mid == b)).all():
                 return np.where(f1 <= 0.0, x2, x1)
             xi, phi = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
             t = (f1 / (f2 - f1) * f3 / (f2 - f3)
@@ -172,8 +190,8 @@ def bracketed_roots(f, lo, hi) -> np.ndarray:
             r, cap = np.maximum(cap - 0.5 * width, 0.0), 0.5 * cap
             step = np.maximum(np.abs(mid - guess) - k1 * width * width, 0.0)
             x = mid - np.sign(mid - guess) * np.minimum(step, r)
-            x = np.where(np.isnan(x), mid,
-                         np.clip(x, np.nextafter(a, b), np.nextafter(b, a)))
+            x = np.where(np.isnan(x), mid,  # np.clip's values, with less overhead
+                         np.minimum(np.maximum(x, np.nextafter(a, b)), np.nextafter(b, a)))
             y = f(x)
             same = (y <= 0.0) == (f1 <= 0.0)
             x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)

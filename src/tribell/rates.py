@@ -130,7 +130,7 @@ def betas_of_p(spec: BellSpec, noise_kind: str, ps) -> np.ndarray:
         return np.empty(0)
     betas = np.concatenate([_honest_betas(spec, noise_kind, ps[i:i + _GRID_BLOCK, None, None])
                             for i in range(0, ps.size, _GRID_BLOCK)])
-    _check_beta(float(np.min(betas)), float(np.max(betas)), spec)  # NaN propagates
+    _check_beta(float(betas.min()), float(betas.max()), spec)  # NaN propagates
     return betas
 
 
@@ -155,7 +155,7 @@ def beta_of_p_closed_form(spec: BellSpec, noise: NoiseModel) -> float:
 
 TABLE_ENV = "TRIBELL_TABLES"
 NUMERIC_CURVES = ("parity-chsh", "chsh")
-_QUANTUM_BOUNDS = {ineq: spec_by_name(ineq).quantum_bound for ineq in NUMERIC_CURVES}
+_SPECS = {ineq: spec_by_name(ineq) for ineq in NUMERIC_CURVES}
 
 
 @lru_cache(maxsize=1)
@@ -194,16 +194,19 @@ def _load_tables() -> dict:
     return data
 
 
-def two_outcome_numeric(ineq: str, beta: float) -> float:
-    """Interpolated numeric H(A0 B0|E) lower curve for parity-chsh or chsh."""
+def two_outcome_numeric(ineq: str, beta):
+    """Interpolated numeric H(A0 B0|E) lower curve for parity-chsh or chsh;
+    its tables start at 0 at the classical bound."""
     if ineq not in NUMERIC_CURVES:
         raise ValidationError(f"no numeric two-outcome table for {ineq!r}")
-    qb = _QUANTUM_BOUNDS[ineq]
-    bounds._check_beta(beta, qb, repr(float(qb)))
-    tab = _load_tables()["curves"][ineq]
-    # 0 below the classical bound: the tables start at 0 there; the last
-    # knot may sit up to 1e-12 from qb, so beta is clamped to qb itself
-    return float(np.interp(min(beta, qb), tab["beta"], tab["value"]))
+    spec = _SPECS[ineq]
+
+    @bounds._curve(spec.local_bound, spec.quantum_bound, repr(float(spec.quantum_bound)))
+    def curve(beta):
+        tab = _load_tables()["curves"][ineq]
+        return np.interp(beta, tab["beta"], tab["value"])
+
+    return curve(beta)
 
 
 def generate_two_outcome_table(ineq: str, points: int, restarts: int, seed: int) -> dict:
@@ -229,11 +232,11 @@ def generate_two_outcome_table(ineq: str, points: int, restarts: int, seed: int)
 @dataclass(frozen=True)
 class BoundCurve:
     """An entropy bound on `domain` = (local bound, quantum bound); `fn` is
-    the curve function itself, which rejects a non-finite beta or one above
-    the domain and clamps beta to it."""
+    the curve function itself, which takes a float or an array of beta,
+    rejects a non-finite beta or one above the domain and clamps beta to it."""
 
     name: str
-    fn: Callable[[float], float]
+    fn: Callable
     domain: tuple[float, float]
     flags: tuple[str, ...] = ()
 
@@ -315,20 +318,6 @@ def _rate_curve(kind: str, spec: BellSpec, gamma: float) -> BoundCurve | None:
     raise ValidationError(f"unknown rate kind {kind!r}")
 
 
-def _rate_at(kind: str, spec: BellSpec, curve: BoundCurve, noise_kind: str, p: float,
-             beta: float, gamma: float) -> RateResult:
-    """The rate at one p from its honest violation beta: DICKA is the
-    one-outcome bound minus h(Q); DIRE-spot the two-outcome bound minus the
-    test cost r*gamma + h(gamma); DIRE-recycled the recycled-input bound,
-    with no test cost."""
-    value = curve.fn(beta)
-    if kind == "dicka":
-        value = value - h(_qber(noise_kind, p))
-    elif kind == "dire-spot":
-        value = value - spec.input_bits * gamma - h(gamma)
-    return RateResult(value, beta, curve.name, curve.flags)
-
-
 def _asym_dicka_rate(noise: NoiseModel) -> RateResult:
     """asym-CHSH DICKA runs two concatenated two-party protocols, so its rate
     carries a factor 1/2, and its bound is maximized over alpha at p."""
@@ -340,12 +329,9 @@ def _asym_dicka_rate(noise: NoiseModel) -> RateResult:
 def rate(kind: str, spec: BellSpec, noise: NoiseModel,
          gamma: float = GAMMA_DEFAULT) -> RateResult:
     """The rate of one of RATE_KINDS at noise, the one-point case of
-    rate_grid with beta_of_p for its violation; gamma in [0, 1] is
-    dire-spot's test fraction, and is range-checked for every kind."""
-    curve = _rate_curve(kind, spec, gamma)
-    if curve is None:
-        return _asym_dicka_rate(noise)
-    return _rate_at(kind, spec, curve, noise.kind, noise.p, beta_of_p(spec, noise), gamma)
+    rate_grid; gamma in [0, 1] is dire-spot's test fraction, and is
+    range-checked for every kind."""
+    return rate_grid(kind, spec, noise.kind, [noise.p], gamma)[0]
 
 
 def dicka_rate(spec: BellSpec, noise: NoiseModel) -> RateResult:
@@ -368,17 +354,23 @@ def dire_rate_recycled(spec: BellSpec, noise: NoiseModel) -> RateResult:
 
 def rate_grid(kind: str, spec: BellSpec, noise_kind: str, ps,
               gamma: float = GAMMA_DEFAULT) -> list[RateResult]:
-    """rate at every p of the 1-d ps under one noise kind: one betas_of_p
-    call for the whole grid, then each point's arithmetic on its own beta,
-    so each result equals rate's at that p.  asym-CHSH DICKA still runs its
-    alpha search at each p."""
+    """rate at every p of the 1-d ps under one noise kind, from one betas_of_p
+    and one curve.fn call: DICKA is the one-outcome bound minus h(Q);
+    DIRE-spot the two-outcome bound minus the test cost r*gamma + h(gamma);
+    DIRE-recycled the recycled-input bound.  asym-CHSH DICKA runs its alpha
+    search at each p."""
     curve = _rate_curve(kind, spec, gamma)
     if curve is None:
         _checked_grid(noise_kind, ps)
         return [_asym_dicka_rate(NoiseModel(noise_kind, p)) for p in ps]
-    betas = betas_of_p(spec, noise_kind, ps).tolist()
-    return [_rate_at(kind, spec, curve, noise_kind, p, beta, gamma)
-            for p, beta in zip(ps, betas)]
+    betas = betas_of_p(spec, noise_kind, ps)
+    values = curve.fn(betas)
+    if kind == "dicka":
+        values = values - h([_qber(noise_kind, p) for p in ps])
+    elif kind == "dire-spot":
+        values = values - spec.input_bits * gamma - h(gamma)
+    return [RateResult(value, beta, curve.name, curve.flags)
+            for value, beta in zip(values.tolist(), betas.tolist())]
 
 
 def threshold_p(rate_fn) -> float:

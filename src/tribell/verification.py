@@ -132,7 +132,7 @@ def check_uncertainty(samples: int = 1_000, seed: int = 17) -> CheckResult:
     rho, t = _random_block_columns(samples, seed)
     lhs = cond_entropies(_block_matrices(rho, t), [0], Z[None])
     xxx = _block_correlators(rho, _trig(t, 0.0))[0]
-    rhs = np.array([1.0 - h((1.0 + abs(x)) / 2.0) for x in xxx])
+    rhs = 1.0 - h((1.0 + np.abs(xxx)) / 2.0)
     worst = float(np.min(lhs - rhs))
     return CheckResult("uncertainty-relation", worst >= -CHECK_TOL,
                        f"min margin {worst:.3e}")
@@ -182,7 +182,7 @@ def verify_tightness(ineq: str, nu_grid) -> TightnessReport:
     nus = np.asarray(list(nu_grid), dtype=float)
     if not np.all((nus >= 0.5) & (nus <= 1.0)):
         raise ValidationError(f"nu outside [1/2, 1] in {nus!r}")
-    expected = np.array([1.0 - h(nu) for nu in nus])
+    expected = 1.0 - h(nus)
     # tau(nu) as columns: nu on (0,0,0), 1-nu on (1,0,0), which block (1,1)
     # holds as its eigenvalue rho[0, 1, 1] rotated by t = pi/2
     rho, t = np.zeros((2, 2, 2, nus.size)), np.zeros((2, 2, nus.size))
@@ -190,7 +190,7 @@ def verify_tightness(ineq: str, nu_grid) -> TightnessReport:
     ce = cond_entropies(_block_matrices(*_sorted_blocks(rho, t)), [0], Z[None])
     beta = (2.0 * nus + 1.0 / (2.0 * nus) - 1.0 if ineq == "holz"
             else np.hypot(2.0 * nus - 1.0, 1.0))  # the family's maximal violation
-    bnd = np.array([curve.fn(b) for b in beta])
+    bnd = curve.fn(beta)
     rows = [tuple(map(float, row)) for row in zip(nus, beta, ce, bnd, expected)]
     return TightnessReport(ineq, nus, np.abs(ce - expected), np.abs(bnd - expected), rows)
 
@@ -224,7 +224,7 @@ def check_bound_curves(grid: int = 200) -> list[CheckResult]:
         curve = bound_curve(spec, outcome)
         lo, hi = curve.domain
         xs = np.linspace(lo, hi, grid)
-        ys = np.array([curve.fn(x) for x in xs])
+        ys = curve.fn(xs)
         d2min = float(np.min(ys[:-2] - 2.0 * ys[1:-1] + ys[2:]))
         mono = bool(np.all(np.diff(ys) >= -1e-12))
         zero_ok = abs(ys[0]) <= 1e-9

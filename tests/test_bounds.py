@@ -1,6 +1,8 @@
 """bounds: closed-form entropy bounds, the transcendental solvers, and the
 alpha optimization."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -220,6 +222,12 @@ class TestAsymChsh:
     def test_domain(self):
         with pytest.raises(ValidationError):
             asym_chsh_one_outcome(2.9, 1.0)
+
+    @pytest.mark.parametrize("alpha", [1e-12, 1e-9, 1e-8])
+    def test_zero_at_the_classical_bound_where_qb_rounds_to_it(self, alpha):
+        # 2 sqrt(1 + alpha^2) rounds to 2: beta = 2 is still a classical value
+        assert 2.0 * np.hypot(1.0, alpha) == 2.0
+        assert asym_chsh_one_outcome(2.0, alpha) == 0.0
 
 
 def _mp_tangent(mp, alpha, dps):
@@ -475,6 +483,220 @@ class TestTangentMemo:
         assert fresh_memo == before and list(fresh_memo) == list(before)
 
 
+def _registry_curves():
+    """Every curve the registry serves, asym-CHSH at alpha 0.5, 1 and 2."""
+    from tribell.bell import asym_chsh, spec_by_name
+    from tribell.rates import bound_curve
+
+    specs = [spec_by_name(n) for n in ("holz", "parity-chsh", "mabk", "chsh")]
+    specs += [asym_chsh(0.5), asym_chsh(2.0)]
+    curves = {}
+    for spec in specs:
+        for outcome in ("one", "two", "recycled"):
+            try:
+                curve = bound_curve(spec, outcome)
+            except ValidationError:
+                continue
+            curves[curve.name] = curve
+    return list(curves.values())
+
+
+CURVES = _registry_curves()
+
+# (kind, alpha, outcome, [(beta, value as float.hex)]), the values recorded
+# with the scalar-only curves that came before the array contract
+RECORDED_VALUES = [
+    ('holz', 1.0, 'one', [
+        (0.95, '0x0.0p+0'),
+        (1.0, '0x0.0p+0'),
+        (1.0625, '0x1.e0783cc669800p-5'),
+        (1.125, '0x1.0ee4cf20c35a8p-3'),
+        (1.1875, '0x1.c0eef97d62010p-3'),
+        (1.25, '0x1.48093e48446a8p-2'),
+        (1.3125, '0x1.c08eb906e537cp-2'),
+        (1.375, '0x1.27611a85620d9p-1'),
+        (1.4375, '0x1.7e9f491370ea3p-1'),
+        (1.5, '0x1.0000000000000p+0'),
+    ]),
+    ('holz', 1.0, 'two', [
+        (0.9, '0x0.0p+0'),
+        (1.0, '0x0.0p+0'),
+        (1.125, '0x1.9bf2791e962b8p-3'),
+        (1.25, '0x1.d363d7b4c1d3cp-2'),
+        (1.375, '0x1.a14ddfb0708a8p-1'),
+        (1.4375, '0x1.349b91f76a13dp+0'),
+        (1.4875, '0x1.a590c4737c27dp+0'),
+        (1.49, '0x1.ab36ee26dd9d6p+0'),
+        (1.495, '0x1.b7e1a98427cbbp+0'),
+        (1.4999, '0x1.ccca1f533edaap+0'),
+        (1.5, '0x1.cfafec54831f2p+0'),
+    ]),
+    ('parity-chsh', 1.0, 'one', [
+        (0.958579, '0x0.0p+0'),
+        (1.0, '0x0.0p+0'),
+        (1.051777, '0x1.3fb1a1195ff90p-4'),
+        (1.103553, '0x1.4ea4631777e9cp-3'),
+        (1.15533, '0x1.075c9742cb4cep-2'),
+        (1.207107, '0x1.71b515d3e4142p-2'),
+        (1.258883, '0x1.e8e904051118ap-2'),
+        (1.31066, '0x1.38b073c904f32p-1'),
+        (1.362437, '0x1.8a4589d1998fcp-1'),
+        (1.4142135623730951, '0x1.0000000000000p+0'),
+    ]),
+    ('parity-chsh', 1.0, 'two', [
+        (0.958579, '0x0.0p+0'),
+        (1.0, '0x0.0p+0'),
+        (1.051777, '0x1.64962eda9e39bp-3'),
+        (1.103553, '0x1.5abe493bfc12fp-2'),
+        (1.15533, '0x1.01ea56e75956bp-1'),
+        (1.207107, '0x1.58c1b22402430p-1'),
+        (1.258883, '0x1.b3dac10aed631p-1'),
+        (1.31066, '0x1.0b0c12b08c0f5p+0'),
+        (1.362437, '0x1.42b9452e42fd4p+0'),
+        (1.4142135623730951, '0x1.99d3030c2a618p+0'),
+    ]),
+    ('mabk', 1.0, 'one', [
+        (1.8, '0x0.0p+0'),
+        (2.0, '0x0.0p+0'),
+        (2.25, '0x0.0p+0'),
+        (2.5, '0x0.0p+0'),
+        (2.75, '0x0.0p+0'),
+        (3.0, '0x1.796fddb50fcb0p-4'),
+        (3.25, '0x1.f6668e1702a98p-3'),
+        (3.5, '0x1.b5c0e200aa7b2p-2'),
+        (3.75, '0x1.4edcbbcd999b2p-1'),
+        (4.0, '0x1.0000000000000p+0'),
+    ]),
+    ('mabk', 1.0, 'two', [
+        (1.8, '0x0.0p+0'),
+        (2.0, '0x0.0p+0'),
+        (2.25, '0x1.5629b435538e8p-3'),
+        (2.5, '0x1.5e68d8bfdaae8p-2'),
+        (2.75, '0x1.10d30c88aabb4p-1'),
+        (3.0, '0x1.7c78be58abbf4p-1'),
+        (3.25, '0x1.f4a01a592462ep-1'),
+        (3.5, '0x1.3e9f5a6c21141p+0'),
+        (3.75, '0x1.8f4c01398124dp+0'),
+        (4.0, '0x1.fffffffffffebp+0'),
+    ]),
+    ('asym-chsh', 0.5, 'one', [
+        (1.976393, '0x0.0p+0'),
+        (2.0, '0x0.0p+0'),
+        (2.029508, '0x1.fff89b9c654b2p-4'),
+        (2.059017, '0x1.fffad424d3a30p-3'),
+        (2.088525, '0x1.7ffb90f983267p-2'),
+        (2.118034, '0x1.fffad424d3a52p-2'),
+        (2.147542, '0x1.3ffc7d85f67bfp-1'),
+        (2.177051, '0x1.7ffc1f1b9ebb5p-1'),
+        (2.206559, '0x1.bffb328f2b64cp-1'),
+        (2.23606797749979, '0x1.0000000000000p+0'),
+    ]),
+    ('asym-chsh', 1.0, 'one', [
+        (1.917157, '0x0.0p+0'),
+        (2.0, '0x0.0p+0'),
+        (2.103553, '0x1.3fb0cdba78840p-4'),
+        (2.207107, '0x1.4ea4d6e5b1fecp-3'),
+        (2.31066, '0x1.075c9742cb4cep-2'),
+        (2.414214, '0x1.71b515d3e4142p-2'),
+        (2.517767, '0x1.e8e9544e72516p-2'),
+        (2.62132, '0x1.38b073c904f32p-1'),
+        (2.724874, '0x1.8a4589d1998fcp-1'),
+        (2.8284271247461903, '0x1.0000000000000p+0'),
+    ]),
+    ('asym-chsh', 2.0, 'one', [
+        (3.952786, '0x0.0p+0'),
+        (4.0, '0x0.0p+0'),
+        (4.059017, '0x1.66a30acdc1550p-4'),
+        (4.118034, '0x1.7194d175c55c8p-3'),
+        (4.177051, '0x1.1e669cbbe9a0cp-2'),
+        (4.236068, '0x1.8bedde8de8b0cp-2'),
+        (4.295085, '0x1.01cc071d10eefp-1'),
+        (4.354102, '0x1.449eb23554602p-1'),
+        (4.413119, '0x1.9294f688ac20dp-1'),
+        (4.47213595499958, '0x1.0000000000000p+0'),
+    ]),
+    ('asym-chsh', 1.0, 'two', [
+        (1.917157, '0x0.0p+0'),
+        (2.0, '0x0.0p+0'),
+        (2.103553, '0x1.916d68856eccep-4'),
+        (2.207107, '0x1.bfa33387213e2p-3'),
+        (2.31066, '0x1.6dbc57cc0a8a4p-2'),
+        (2.414214, '0x1.07150857cbf1ep-1'),
+        (2.517767, '0x1.61b467f14995ep-1'),
+        (2.62132, '0x1.c995a2ec6bcfbp-1'),
+        (2.724874, '0x1.2369062e1bc5ep+0'),
+        (2.8284271247461903, '0x1.99d302c13914cp+0'),
+    ]),
+    ('asym-chsh', 1.0, 'recycled', [
+        (1.917157, '0x0.0p+0'),
+        (2.0, '0x0.0p+0'),
+        (2.103553, '0x1.8ff070d48c851p-3'),
+        (2.207107, '0x1.8ff0ef62c6072p-2'),
+        (2.31066, '0x1.2bf493e68624dp-1'),
+        (2.414214, '0x1.8ff0ef62c606bp-1'),
+        (2.517767, '0x1.f3ed0b97e9286p-1'),
+        (2.62132, '0x1.2bf493e68624dp+0'),
+        (2.724874, '0x1.5df2c1a4a615cp+0'),
+        (2.8284271247461903, '0x1.99d3030e8bc10p+0'),
+    ]),
+]
+
+
+class TestArrayContract:
+    """Every registry curve takes a float and returns a float, or takes an
+    array of beta and returns an array of its shape, each value the
+    one-point value bit for bit."""
+
+    @pytest.mark.parametrize("curve", CURVES, ids=lambda c: c.name)
+    def test_grid_equals_points(self, curve):
+        lo, qb = curve.domain
+        grid = np.concatenate([np.linspace(lo - 0.1, qb, 401), [qb + 5e-10]])
+        got = curve.fn(grid)
+        assert isinstance(got, np.ndarray) and got.shape == grid.shape
+        np.testing.assert_array_equal(_bits(got), _bits([curve.fn(b) for b in grid.tolist()]))
+        assert got[-1] == got[-2] == curve.fn(qb)  # clamped to the quantum bound
+        assert np.all(got[grid <= lo] == 0.0)
+        assert curve.fn(grid.reshape(6, -1)).shape == (6, 67)
+        assert curve.fn(np.empty(0)).shape == (0,)
+
+    @pytest.mark.parametrize("curve", CURVES, ids=lambda c: c.name)
+    def test_float_in_float_out(self, curve):
+        lo, qb = curve.domain
+        for beta in (lo - 0.5, 0.5 * (lo + qb), np.float64(qb), int(lo)):
+            assert type(curve.fn(beta)) is float
+
+    @pytest.mark.parametrize("curve", CURVES, ids=lambda c: c.name)
+    def test_refuses_the_first_bad_beta(self, curve):
+        lo, qb = curve.domain
+        above = float(qb) + 1e-6
+        for bad, why in ((np.nan, "is not finite"), (-np.inf, "is not finite"),
+                         (above, "above the quantum bound")):
+            grid = np.linspace(lo, qb, 7)
+            grid[3] = bad
+            with pytest.raises(ValidationError, match=f"^beta={re.escape(repr(bad))} {why}"):
+                curve.fn(grid)
+        grid[2] = np.nan
+        with pytest.raises(ValidationError, match="^beta=nan is not finite$"):
+            curve.fn(grid)
+
+    @pytest.mark.parametrize("kind, alpha, outcome, rows", RECORDED_VALUES,
+                             ids=[f"{k}-{o}-alpha={a}" for k, a, o, _ in RECORDED_VALUES])
+    def test_recorded_values(self, kind, alpha, outcome, rows):
+        from tribell.bell import spec_by_name
+        from tribell.rates import bound_curve
+
+        curve = bound_curve(spec_by_name(kind, alpha), outcome)
+        betas = [beta for beta, _ in rows]
+        want = np.array([float.fromhex(v) for _, v in rows])
+        # theta(beta, x(beta)) above beta* may move by an ulp or two
+        theta = (curve.name == "holz-two") & (np.array(betas) > solve_beta_star_holz()) \
+            & (np.array(betas) < 1.5)
+        for got in (curve.fn(np.array(betas)), np.array([curve.fn(b) for b in betas])):
+            np.testing.assert_array_equal(got[~theta], want[~theta])
+            assert np.max(np.abs(got[theta] - want[theta]), initial=0.0) <= 1e-15
+        assert theta.sum() == (3 if curve.name == "holz-two" else 0)
+
+
 class TestColbeck:
     def test_endpoints(self):
         assert colbeck_recycled_two_outcome(2.0) == 0.0
@@ -558,18 +780,7 @@ class TestRootFinding:
 
 class TestCurveRegistry:
     def test_every_curve_covers_contract(self):
-        from tribell.bell import asym_chsh, spec_by_name
-        from tribell.rates import bound_curve
-
-        specs = [spec_by_name(n) for n in ("holz", "parity-chsh", "mabk", "chsh")]
-        specs += [asym_chsh(0.5), asym_chsh(2.0)]
-        names = set()
-        for spec in specs:
-            for outcome in ("one", "two", "recycled"):
-                try:
-                    names.add(bound_curve(spec, outcome).name)
-                except ValidationError:
-                    pass
+        names = {curve.name for curve in CURVES}
         assert {"holz-one", "holz-two", "parity-chsh-one", "mabk-one",
                 "mabk-two", "colbeck-recycled"} <= names
         assert any("alpha=0.5" in n for n in names)

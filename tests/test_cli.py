@@ -175,33 +175,20 @@ class TestRate:
 
 
 class TestThreshold:
-    def test_holz_dicka_local(self, capsys):
-        code, out, _ = run_cli(["threshold", "--rate", "dicka", "--inequality",
-                                "holz", "--noise", "local"], capsys)
-        assert code == 0
-        assert float(out) == pytest.approx(0.934, abs=1e-3)
-
-    @pytest.mark.parametrize("noise, want", [("local", "0.922846169"),
-                                             ("global", "0.851645052")])
-    def test_asym_chsh_dicka(self, capsys, noise, want):
-        code, out, _ = run_cli(["threshold", "--rate", "dicka", "--inequality",
-                                "asym-chsh", "--noise", noise], capsys)
-        assert code == 0
-        assert out.strip() == want
-
-    # the thresholds with a closed form print its 9 digits
+    # the thresholds with a closed form print its 9 digits, in the rows of
+    # PAPER_THRESHOLDS that test_paper_threshold_output_and_note runs
     @pytest.mark.parametrize("kind, ineq, noise, want", [
-        ("dire-spot", "mabk", "local", "0.793700526"),  # 2^(-1/3)
+        ("dire-spot", "mabk", "local", "0.793700526"),
         ("dire-spot", "mabk", "global", "0.5"),
-        ("dire-spot", "holz", "global", "0.666666667"),  # 2/3
-        ("dire-recycled", "chsh", "local", "0.840896415"),  # 2^(-1/4)
-        ("dire-recycled", "chsh", "global", "0.707106781"),  # 2^(-1/2)
+        ("dire-spot", "holz", "global", "0.666666667"),
+        ("dire-recycled", "chsh", "local", "0.840896415"),
+        ("dire-recycled", "chsh", "global", "0.707106781"),
     ])
-    def test_analytic_closed_form_digits(self, capsys, kind, ineq, noise, want):
-        code, out, _ = run_cli(["threshold", "--rate", kind, "--inequality",
-                                ineq, "--noise", noise], capsys)
-        assert code == 0
-        assert out.strip() == want
+    def test_analytic_closed_form_digits(self, kind, ineq, noise, want):
+        exact = {"0.793700526": 2.0 ** (-1.0 / 3.0), "0.5": 0.5, "0.666666667": 2.0 / 3.0,
+                 "0.840896415": 2.0 ** (-0.25), "0.707106781": 2.0 ** (-0.5)}[want]
+        assert cli._fmt(exact) == want
+        assert [row[3] for row in PAPER_THRESHOLDS if row[:3] == (kind, ineq, noise)] == [want]
 
     def test_numeric_failure_exit_code(self, capsys):
         code, _, err = run_cli(["threshold", "--rate", "dire-spot",
@@ -245,7 +232,7 @@ def test_paper_threshold_output_and_note(capsys, kind, ineq, noise, out, curve):
 class TestScalarCurveNote:
     """A scalar value that rests on a conjectured or non-certified curve
     comes with one stderr line naming the curve and its flags; stdout is the
-    bare number either way."""
+    bare number either way (the thresholds: test_paper_threshold_output_and_note)."""
 
     @pytest.mark.parametrize("argv, out, note", [
         (["rate", "--inequality", "parity-chsh", "--noise", "local", "--dire", "spot",
@@ -253,20 +240,14 @@ class TestScalarCurveNote:
          "note: rests on the non-certified curve numeric:parity-chsh-two"),
         (["bound", "--inequality", "holz", "--two-outcome", "--beta", "1.3"], "0.581579931",
          "note: rests on the conjectured curve holz-two"),
-        (["threshold", "--rate", "dire-spot", "--inequality", "holz", "--noise", "local"],
-         "0.849148225", "note: rests on the conjectured curve holz-two"),
-        (["threshold", "--rate", "dire-recycled", "--inequality", "chsh", "--noise",
-          "global"], "0.707106781", "note: rests on the conjectured curve colbeck-recycled"),
-    ], ids=["rate", "bound", "threshold", "threshold-recycled"])
+    ], ids=["rate", "bound"])
     def test_flagged(self, capsys, argv, out, note):
         assert run_cli(argv, capsys) == (0, out + "\n", note + "\n")
 
     @pytest.mark.parametrize("argv, out", [
         (["rate", "--dicka", "--inequality", "holz", "--p", "0.95"], "0.172205953"),
         (["bound", "--inequality", "holz", "--beta", "1.3"], "0.413005981"),
-        (["threshold", "--rate", "dicka", "--inequality", "asym-chsh", "--noise", "global"],
-         "0.851645052"),
-    ], ids=["rate", "bound", "threshold"])
+    ], ids=["rate", "bound"])
     def test_unflagged(self, capsys, argv, out):
         assert run_cli(argv, capsys) == (0, out + "\n", "")
 
@@ -683,6 +664,26 @@ class TestPlainFloatsInErrors:
         assert "np." not in str(exc.value)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: bounds.theta_x_domain(np.float64(1.2)), "beta=1.2 outside (sqrt2, 3/2]"),
+    (lambda: bounds.solve_x(np.float64(1.2)), "beta=1.2 outside (sqrt2, 3/2]"),
+    (lambda: bounds.solve_x(np.array([1.45, 1.6])), "beta=1.6 outside (sqrt2, 3/2]"),
+    (lambda: bounds.theta(np.float64(1.45), np.float64(0.9)),
+     "(beta=1.45, x=0.9) outside the theta domain"),
+    (lambda: bounds.asym_chsh_one_outcome(2.5, np.float64(np.nan)), "alpha=nan is not finite"),
+    (lambda: bounds.asym_chsh_one_outcome(np.float64(3.0), 1.0),
+     "beta=3.0 above the quantum bound 2.8284271247461903"),
+    (lambda: rates.two_outcome_numeric("chsh", np.array([2.5, 3.0])),
+     "beta=3.0 above the quantum bound 2.8284271247461903"),
+    (lambda: bounds.holz_two_outcome(np.array([1.2, np.nan, 1.75])), "beta=nan is not finite"),
+], ids=["theta_x_domain", "solve_x", "solve_x-grid", "theta", "asym-alpha", "asym-beta",
+        "numeric", "holz-two-grid"])
+def test_curve_errors_name_plain_floats(call, message):
+    with pytest.raises(ValidationError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 class TestGridNeedsOut:
     @pytest.mark.parametrize("argv", [
         ["bound", "--inequality", "holz", "--grid", "1:1.5:3"],
@@ -878,7 +879,8 @@ class TestEveryOptionActsOrIsRefused:
         for name in ("dicka_rate", "dire_rate_spot", "dire_rate_recycled"):
             monkeypatch.setattr(rates, name, recorder(name, rate))
         monkeypatch.setattr(rates, "bound_curve", recorder("bound_curve", SimpleNamespace(
-            name="curve", fn=recorder("fn", 0.5), flags=())))
+            name="curve", fn=recorder("fn", lambda beta: np.full(np.shape(beta), 0.5)),
+            flags=())))
         monkeypatch.setattr(rates, "beta_of_p", recorder("beta_of_p", 2.0))
         monkeypatch.setattr(rates, "betas_of_p", recorder(
             "betas_of_p", lambda spec, noise, ps: np.full(len(ps), 2.0)))

@@ -278,6 +278,48 @@ class TestBinaryEntropy:
             qmath.binary_entropy(1.1)
 
 
+def _scalar_h(x):
+    """The scalar binary entropy, 0 log 0 := 0, as the oracle of the array one."""
+    x = min(max(x, 0.0), 1.0)
+    if x in (0.0, 1.0):
+        return 0.0
+    return float(-x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x))
+
+
+class TestBinaryEntropyElementwise:
+    XS = np.concatenate([[-1e-12, 0.0, 1e-300, 0.5, 1.0, 1.0 + 1e-12],
+                         np.random.default_rng(3).random(2000)])
+
+    def test_array_equals_points_bit_for_bit(self):
+        got = qmath.binary_entropy(self.XS)
+        want = np.array([_scalar_h(x) for x in self.XS.tolist()])
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_float_in_float_out(self):
+        assert type(qmath.binary_entropy(0.25)) is float
+        assert type(qmath.binary_entropy(np.float64(0.25))) is float
+        assert type(qmath.binary_entropy_deriv(0.25)) is float
+        assert qmath.binary_entropy(self.XS.reshape(2, -1)).shape == (2, self.XS.size // 2)
+
+    def test_deriv_array_equals_points(self):
+        xs = self.XS[(self.XS > 0.0) & (self.XS < 1.0)]
+        want = np.array([np.log2((1.0 - x) / x) for x in xs.tolist()])
+        np.testing.assert_array_equal(qmath.binary_entropy_deriv(xs), want)
+
+    @pytest.mark.parametrize("fn, xs, message", [
+        (qmath.binary_entropy, [0.5, np.nan, 1.5], "argument nan outside [0, 1]"),
+        (qmath.binary_entropy, [0.5, 1.5, np.nan], "argument 1.5 outside [0, 1]"),
+        (qmath.binary_entropy, [0.2, -1e-9], "argument -1e-09 outside [0, 1]"),
+        (qmath.binary_entropy_deriv, [0.5, 1.0], "argument 1.0 outside (0, 1)"),
+        (qmath.binary_entropy_deriv, np.float64(0.0), "argument 0.0 outside (0, 1)"),
+    ])
+    def test_first_bad_value_named_as_plain_float(self, fn, xs, message):
+        with pytest.raises(ValidationError) as exc:
+            fn(np.asarray(xs))
+        assert str(exc.value).endswith(message)
+        assert "np." not in str(exc.value)
+
+
 class TestShannonEntropy:
     def test_deterministic(self):
         assert qmath.shannon_entropy([1, 0, 0, 0]) == 0.0
@@ -298,5 +340,17 @@ class TestShannonEntropy:
             qmath.shannon_entropy([1.1, -0.1])
 
     def test_sum_validation(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"^weights sum to 0\.9, expected"):
             qmath.shannon_entropy([0.5, 0.4])
+
+    def test_columns_equal_vectors_bit_for_bit(self):
+        rng = np.random.default_rng(4)
+        w = rng.dirichlet([0.5] * 4, size=500).T
+        w[:2, :50] = 0.0  # zero weights first, as theta's at its domain edge
+        w[2:, :50] = 0.5
+        got = qmath.shannon_entropy(w)
+        want = np.array([qmath.shannon_entropy(col) for col in w.T])
+        assert type(qmath.shannon_entropy(w[:, 0])) is float and got.shape == (500,)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        oracle = [-sum(p * np.log2(p) for p in col if p > 0.0) for col in w.T.tolist()]
+        np.testing.assert_array_equal(got, oracle)
