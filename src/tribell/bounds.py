@@ -146,10 +146,14 @@ def solve_beta_star_holz() -> float:
     return bracketed_root(tangency, 1.42, 1.4995)
 
 
+# solve_beta_star_holz(), shipped so that no process spends the 17 ms of its
+# nested root solves; tests/test_bounds.py re-derives it bit for bit
+_HOLZ_BETA_STAR = 1.4898242537521285
+
+
 @functools.lru_cache(maxsize=1)
 def _holz_tangent_slope() -> float:
-    bstar = solve_beta_star_holz()
-    return (theta_at_optimum(bstar) - 1.0) / (bstar - SQRT2)
+    return (theta_at_optimum(_HOLZ_BETA_STAR) - 1.0) / (_HOLZ_BETA_STAR - SQRT2)
 
 
 @_curve(1.0, 1.5, "3/2")
@@ -160,7 +164,7 @@ def holz_two_outcome(beta):
     line = beta > SQRT2
     if line.any():
         out[line] = _holz_tangent_slope() * (beta[line] - SQRT2) + 1.0
-        top = beta > solve_beta_star_holz()
+        top = beta > _HOLZ_BETA_STAR
         if top.any():
             out[top] = theta_at_optimum(beta[top])
     return out

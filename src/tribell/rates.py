@@ -159,15 +159,17 @@ _SPECS = {ineq: spec_by_name(ineq) for ineq in NUMERIC_CURVES}
 
 
 @lru_cache(maxsize=1)
-def _load_tables() -> dict:
-    """The numeric curves from the file named by $TRIBELL_TABLES, else the
-    shipped one; ValidationError names a file that is unusable."""
+def _load_tables() -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """The numeric curves, ineq -> read-only (beta, value) knot arrays, from
+    the file named by $TRIBELL_TABLES, else the shipped one; ValidationError
+    names a file that is unusable."""
     path = os.environ.get(TABLE_ENV)
     source = Path(path) if path else \
         resources.files("tribell").joinpath("data/two_outcome_numeric.json")
     try:
         with source.open("r", encoding="utf-8") as fh:
             data = json.load(fh)
+        tables = {}
         for ineq in NUMERIC_CURVES:
             spec = spec_by_name(ineq)
             beta = np.asarray(data["curves"][ineq]["beta"], dtype=float)
@@ -188,10 +190,12 @@ def _load_tables() -> dict:
             if not (np.all((value >= 0.0) & (value <= 2.0))
                     and np.all(np.diff(value) >= 0.0)):
                 raise ValueError(f"{ineq}: values leave [0, 2] or decrease")
+            beta.flags.writeable = value.flags.writeable = False
+            tables[ineq] = beta, value
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ValidationError(
             f"unusable table file {source}: {type(exc).__name__}: {exc}") from exc
-    return data
+    return tables
 
 
 def two_outcome_numeric(ineq: str, beta):
@@ -203,8 +207,7 @@ def two_outcome_numeric(ineq: str, beta):
 
     @bounds._curve(spec.local_bound, spec.quantum_bound, repr(float(spec.quantum_bound)))
     def curve(beta):
-        tab = _load_tables()["curves"][ineq]
-        return np.interp(beta, tab["beta"], tab["value"])
+        return np.interp(beta, *_load_tables()[ineq])
 
     return curve(beta)
 

@@ -43,16 +43,24 @@ class CheckResult:
         object.__setattr__(self, "expected_failure", bool(self.expected_failure))
 
 
+def _dirichlet_rows(g: np.ndarray) -> np.ndarray:
+    """Rows of gammas g (n, 8) scaled as Generator.dirichlet scales its draw:
+    by 1/(their left-to-right sum)."""
+    return g * (1.0 / np.add.accumulate(g, axis=1)[:, -1:])
+
+
 def _random_block_columns(count: int, seed: int):
     """A deterministic mix of broad and near-pure GHZ-block-diagonal states,
-    as checked and sorted columns rho (2, 2, 2, n), t (2, 2, n)."""
+    as checked and sorted columns rho (2, 2, 2, n), t (2, 2, n): per state
+    rng.dirichlet([0.35 or 1.0] * 8) and rng.uniform(-pi/2, pi/2, (2, 2)),
+    drawn as their gammas and unit uniforms."""
     rng = np.random.default_rng(seed)
-    rho, t = np.empty((2, 2, 2, count)), np.empty((2, 2, count))
+    g, u = np.empty((count, 8)), np.empty((count, 4))
     for i in range(count):
-        conc = 0.35 if i % 2 == 0 else 1.0
-        rho[..., i] = rng.dirichlet([conc] * 8).reshape(2, 2, 2)
-        t[..., i] = rng.uniform(-np.pi / 2, np.pi / 2, size=(2, 2))
-    return _sorted_blocks(rho, t)
+        rng.standard_gamma(0.35 if i % 2 == 0 else 1.0, out=g[i])
+        rng.random(out=u[i])
+    rho = _dirichlet_rows(g).T.reshape(2, 2, 2, count)
+    return _sorted_blocks(rho, (-np.pi / 2 + np.pi * u).T.reshape(2, 2, count))
 
 
 def _trig(t: np.ndarray, b0) -> np.ndarray:
@@ -68,6 +76,40 @@ def random_density_matrices(count: int, dim: int, seed: int) -> np.ndarray:
     return rho / tr[:, None, None]
 
 
+def _appendix_b_draws(samples: int, seed: int):
+    """check_appendix_b's unsorted columns rho (2, 2, 2, n), t (2, 2, n) and
+    angle rows a1, bm, cm (n,): even samples a random block state and angles,
+    odd ones a noisy tau-like state with angles jittered around its optimum.
+    A pair of samples is 3 calls on one stream: the even sample's 8 gammas
+    (its Dirichlet draw), 9 unit uniforms (its t and angles; the odd sample's
+    nu and eps) and the odd sample's 7 standard normals (its t and angles)."""
+    rng = np.random.default_rng(seed)
+    odd = samples // 2
+    g, u, z = np.empty((samples - odd, 8)), np.empty((samples - odd, 9)), np.empty((odd, 7))
+    for k in range(samples - odd):
+        rng.standard_gamma(0.35 if k % 2 == 0 else 1.0, out=g[k])
+        if k < odd:
+            rng.random(out=u[k])
+            rng.standard_normal(out=z[k])
+        else:  # an odd count ends on an unpaired even sample
+            rng.random(out=u[k, :7])
+    rho, t, ang = np.empty((samples, 8)), np.empty((samples, 4)), np.empty((3, samples))
+    rho[0::2], t[0::2] = _dirichlet_rows(g), -np.pi / 2 + np.pi * u[:, :4]
+    ang[:, 0::2] = 2.0 * np.pi * u[:, 4:7].T
+    nu, eps = 0.5 + 0.5 * u[:odd, 7], 0.15 * u[:odd, 8]
+    w = np.repeat((eps / 8.0)[:, None], 8, axis=1)
+    w[:, 0] += (1.0 - eps) * nu
+    w[:, 3] += (1.0 - eps) * (1.0 - nu)
+    rho[1::2] = w / w.sum(axis=1, keepdims=True)  # each row's pairwise sum, as rho.sum()
+    jitter = 0.0 + np.array([0.15] * 4 + [0.3] * 3) * z
+    t[1::2] = jitter[:, :4]
+    t[1::2, 3] += np.pi / 2
+    ang[:, 1::2] = np.stack([np.full(odd, np.pi / 2),
+                             np.arctan2(1.0, np.sqrt(np.maximum(4 * nu * nu - 1.0, 1e-12))),
+                             np.arcsin(np.minimum(1.0 / (2 * nu), 1.0))]) + jitter[:, 4:].T
+    return (rho.T.reshape(2, 2, 2, samples), t.T.reshape(2, 2, samples), *ang)
+
+
 def check_appendix_b(samples: int = 10_000, seed: int = 11) -> CheckResult:
     """|<XXX>| >= beta/2 - 1/2 + sqrt(beta^2 + 2 beta - 3)/2 whenever the
     reduced Holz value beta exceeds 1.
@@ -76,30 +118,7 @@ def check_appendix_b(samples: int = 10_000, seed: int = 11) -> CheckResult:
     are jittered near-optimal configurations so that the violating side
     (beta > 1, where the inequality is nontrivial) is well sampled.
     """
-    rng = np.random.default_rng(seed)
-    rhos, ts = np.empty((2, 2, 2, samples)), np.empty((2, 2, samples))
-    a1, bm, cm = np.empty(samples), np.empty(samples), np.empty(samples)
-    for i in range(samples):
-        if i % 2 == 0:
-            conc = 0.35 if i % 4 == 0 else 1.0
-            rho = rng.dirichlet([conc] * 8).reshape(2, 2, 2)
-            t = rng.uniform(-np.pi / 2, np.pi / 2, size=(2, 2))
-            a1[i], bm[i], cm[i] = rng.uniform(0.0, 2.0 * np.pi, size=3)
-        else:
-            # tau-like state plus noise, angles jittered around its optimum
-            nu = rng.uniform(0.5, 1.0)
-            eps = rng.uniform(0.0, 0.15)
-            rho = np.full((2, 2, 2), eps / 8.0)
-            rho[0, 0, 0] += (1.0 - eps) * nu
-            rho[0, 1, 1] += (1.0 - eps) * (1.0 - nu)
-            rho = rho / rho.sum()
-            t = rng.normal(0.0, 0.15, size=(2, 2))
-            t[1, 1] += np.pi / 2
-            a1[i] = np.pi / 2 + rng.normal(0.0, 0.3)
-            bm[i] = np.arctan2(1.0, np.sqrt(max(4 * nu * nu - 1.0, 1e-12))) \
-                + rng.normal(0.0, 0.3)
-            cm[i] = np.arcsin(min(1.0 / (2 * nu), 1.0)) + rng.normal(0.0, 0.3)
-        rhos[..., i], ts[..., i] = rho, t
+    rhos, ts, a1, bm, cm = _appendix_b_draws(samples, seed)
     rhos, ts = _sorted_blocks(rhos, ts)
     # Bob's drawn angle bm is the reduced frame's b0 - pi/2
     trig = _trig(ts, bm + np.pi / 2)

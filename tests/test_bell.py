@@ -69,6 +69,48 @@ def random_block_state(rng):
                           rng.uniform(-np.pi / 2, np.pi / 2, size=(2, 2)))
 
 
+def appendix_b_loop(samples, seed):
+    """The per-state loop verification's Appendix B draws replaced, on the
+    same stream: the drawn columns and rows, and check_appendix_b's detail
+    computed one state at a time from BlockDiagState correlators."""
+    rng = np.random.default_rng(seed)
+    rhos, ts, a1s, bms, cms = [], [], [], [], []
+    worst, used = np.inf, 0
+    for i in range(samples):
+        if i % 2 == 0:
+            conc = 0.35 if i % 4 == 0 else 1.0
+            rho = rng.dirichlet([conc] * 8).reshape(2, 2, 2)
+            t = rng.uniform(-np.pi / 2, np.pi / 2, size=(2, 2))
+            a1, bm, cm = rng.uniform(0.0, 2.0 * np.pi, size=3)
+        else:
+            nu = rng.uniform(0.5, 1.0)
+            eps = rng.uniform(0.0, 0.15)
+            rho = np.full((2, 2, 2), eps / 8.0)
+            rho[0, 0, 0] += (1.0 - eps) * nu
+            rho[0, 1, 1] += (1.0 - eps) * (1.0 - nu)
+            rho = rho / rho.sum()
+            t = rng.normal(0.0, 0.15, size=(2, 2))
+            t[1, 1] += np.pi / 2
+            a1 = np.pi / 2 + rng.normal(0.0, 0.3)
+            bm = np.arctan2(1.0, np.sqrt(max(4 * nu * nu - 1.0, 1e-12))) \
+                + rng.normal(0.0, 0.3)
+            cm = np.arcsin(min(1.0 / (2 * nu), 1.0)) + rng.normal(0.0, 0.3)
+        for rows, value in zip((rhos, ts, a1s, bms, cms), (rho, t, a1, bm, cm)):
+            rows.append(value)
+        c = BlockDiagState(rho, t).correlators()
+        beta = ((np.cos(a1) * c["ZXX"] + np.sin(a1) * c["XXX"])
+                * np.cos(bm) * np.cos(cm)
+                + np.sin(bm) * c["ZZI"] + np.sin(cm) * c["ZIZ"]
+                - np.sin(bm) * np.sin(cm) * c["IZZ"])
+        if beta > 1.0:
+            used += 1
+            rhs = beta / 2 - 0.5 + 0.5 * np.sqrt(beta * beta + 2 * beta - 3)
+            worst = min(worst, abs(c["XXX"]) - rhs)
+    drawn = (np.stack(rhos, axis=-1), np.stack(ts, axis=-1), np.array(a1s),
+             np.array(bms), np.array(cms))
+    return drawn, f"{used} violating-side samples, min margin {worst:.3e}"
+
+
 class TestSpecs:
     def test_registry(self):
         assert spec_by_name("holz").quantum_bound == 1.5
@@ -417,41 +459,26 @@ class TestSampledInequalities:
         assert check_appendix_b(samples=2000, seed=63).passed
 
     def test_appendix_b_batched_equals_scalar_loop(self):
-        from tribell.verification import check_appendix_b
+        from tribell.verification import _appendix_b_draws, check_appendix_b
 
-        # the per-state loop the batched check replaced, drawing the same states
-        rng = np.random.default_rng(5)
-        worst, used = np.inf, 0
-        for i in range(600):
-            if i % 2 == 0:
-                conc = 0.35 if i % 4 == 0 else 1.0
-                rho = rng.dirichlet([conc] * 8).reshape(2, 2, 2)
-                t = rng.uniform(-np.pi / 2, np.pi / 2, size=(2, 2))
-                a1, bm, cm = rng.uniform(0.0, 2.0 * np.pi, size=3)
-            else:
-                nu = rng.uniform(0.5, 1.0)
-                eps = rng.uniform(0.0, 0.15)
-                rho = np.full((2, 2, 2), eps / 8.0)
-                rho[0, 0, 0] += (1.0 - eps) * nu
-                rho[0, 1, 1] += (1.0 - eps) * (1.0 - nu)
-                rho = rho / rho.sum()
-                t = rng.normal(0.0, 0.15, size=(2, 2))
-                t[1, 1] += np.pi / 2
-                a1 = np.pi / 2 + rng.normal(0.0, 0.3)
-                bm = np.arctan2(1.0, np.sqrt(max(4 * nu * nu - 1.0, 1e-12))) \
-                    + rng.normal(0.0, 0.3)
-                cm = np.arcsin(min(1.0 / (2 * nu), 1.0)) + rng.normal(0.0, 0.3)
-            c = BlockDiagState(rho, t).correlators()
-            beta = ((np.cos(a1) * c["ZXX"] + np.sin(a1) * c["XXX"])
-                    * np.cos(bm) * np.cos(cm)
-                    + np.sin(bm) * c["ZZI"] + np.sin(cm) * c["ZIZ"]
-                    - np.sin(bm) * np.sin(cm) * c["IZZ"])
-            if beta > 1.0:
-                used += 1
-                rhs = beta / 2 - 0.5 + 0.5 * np.sqrt(beta * beta + 2 * beta - 3)
-                worst = min(worst, abs(c["XXX"]) - rhs)
-        assert check_appendix_b(samples=600, seed=5).detail == \
-            f"{used} violating-side samples, min margin {worst:.3e}"
+        # an odd count ends on an unpaired even sample
+        for samples in (1, 2, 3, 600, 2001):
+            want, detail = appendix_b_loop(samples, 5)
+            for got, drawn in zip(_appendix_b_draws(samples, 5), want):
+                assert got.shape == drawn.shape and np.array_equal(got, drawn)
+            assert check_appendix_b(samples=samples, seed=5).detail == detail
+
+    @pytest.mark.parametrize("count", [1, 150, 1000])
+    def test_block_columns_batched_equal_scalar_loop(self, count):
+        # the per-state loop the batched draws replaced, on the same stream
+        rng = np.random.default_rng(17)
+        rho, t = np.empty((2, 2, 2, count)), np.empty((2, 2, count))
+        for i in range(count):
+            rho[..., i] = rng.dirichlet([0.35 if i % 2 == 0 else 1.0] * 8).reshape(2, 2, 2)
+            t[..., i] = rng.uniform(-np.pi / 2, np.pi / 2, size=(2, 2))
+        for g, w in zip(verification._random_block_columns(count, 17),
+                        states._sorted_blocks(rho, t)):
+            assert np.array_equal(g, w)
 
     def test_uncertainty_batched_equals_scalar_loop(self):
         from tribell.centropy import cond_entropy

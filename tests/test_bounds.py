@@ -138,6 +138,14 @@ class TestBetaStars:
     def test_holz_location(self):
         assert solve_beta_star_holz() == pytest.approx(1.49, abs=0.01)
 
+    def test_shipped_holz_beta_star_is_the_derivation(self):
+        # the curve reads the shipped constant; the solve re-derives it cold
+        solve_beta_star_holz.cache_clear()
+        bstar = solve_beta_star_holz()
+        assert bstar == bounds._HOLZ_BETA_STAR
+        assert bounds._holz_tangent_slope() == \
+            (theta_at_optimum(bstar) - 1.0) / (bstar - SQRT2)
+
     def test_holz_tangency_condition(self):
         bstar = solve_beta_star_holz()
         d = 2e-6

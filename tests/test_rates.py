@@ -2,6 +2,7 @@
 
 import json
 import re
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -347,10 +348,10 @@ class TestMonotonicity:
 
 class TestNumericTables:
     def test_monotone_and_endpoints(self):
-        tab = rates._load_tables()["curves"]
+        tab = rates._load_tables()
         for name, expect_hi in (("parity-chsh", 1.6008760), ("chsh", 1.6008760)):
-            grid = np.array(tab[name]["beta"])
-            vals = np.array(tab[name]["value"])
+            grid, vals = tab[name]
+            assert not (grid.flags.writeable or vals.flags.writeable)
             assert len(grid) == 200
             assert vals[0] == 0.0
             assert np.all(np.diff(vals) >= 0.0)
@@ -445,8 +446,8 @@ class TestRateDispatch:
 
 
 def _shipped_tables() -> dict:
-    rates._load_tables.cache_clear()
-    return json.loads(json.dumps(rates._load_tables()))
+    shipped = resources.files("tribell").joinpath("data/two_outcome_numeric.json")
+    return json.loads(shipped.read_text(encoding="utf-8"))
 
 
 def _break(field, fn):
