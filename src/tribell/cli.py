@@ -1,9 +1,11 @@
 """Command-line surface: evaluate bounds and rates, sweep curves to CSV,
 find thresholds, run the entropy optimizer, and run the verification suite.
 
-CSV rows are `quantity,inequality,noise,p,beta,value,flags`, floats printed
-with 9 significant digits, rows sorted by the sweep variable; identical
-seeds give byte-identical files.
+CSV rows are `quantity,inequality,noise,p,beta,value,flags`, sorted stably
+by the grid column (p, or beta for a beta grid); a float is printed with 9
+significant digits, with ".0" appended to an integral value; a file is
+formatted in full, a column at a time, before it is opened for writing.
+Identical seeds give byte-identical files.
 """
 
 from __future__ import annotations
@@ -30,15 +32,16 @@ __all__ = ["cmd_bound", "cmd_rate", "cmd_threshold", "cmd_optimize", "cmd_verify
 CSV_HEADER = ["quantity", "inequality", "noise", "p", "beta", "value", "flags"]
 
 
+def _texts(xs) -> list[str]:
+    """Each float of xs printed with 9 significant digits, and ".0" appended
+    where that text reads as an integer."""
+    texts = [f"{v:.9g}" for v in np.asarray(xs, dtype=float).tolist()]
+    return [t if "." in t or "e" in t or "n" in t else t + ".0" for t in texts]
+
+
 def _fmt(x) -> str:
-    if x is None or x == "":
-        return ""
-    if isinstance(x, str):
-        return x
-    s = f"{float(x):.9g}"
-    if "e" not in s and "." not in s and "n" not in s:
-        s += ".0"
-    return s
+    """One float as _texts prints it."""
+    return _texts([x])[0]
 
 
 def _parse_grid(text: str) -> np.ndarray:
@@ -70,13 +73,32 @@ def _overwrite(path):
             fh.truncate()
 
 
-def _write_csv(path, rows, sort_key):
-    rows = sorted(rows, key=sort_key)
+def _write_csv(path, quantity, inequality, noise, *, p=(), beta=(), value, flags):
+    """Write grid rows to path: the constant quantity, inequality and noise;
+    the float columns p, beta and value, each of one length or empty (); and
+    flags, one string for every row or one per row.  Rows are sorted stably
+    by the grid column, p where given and beta otherwise, and every field is
+    text before path is opened."""
+    # Python's stable sort of the grid's floats: numpy's stable argsort gives
+    # the same order but maps about 0.13 MB more of numpy's code into a
+    # process that sorts nothing else
+    keys = np.asarray(p if len(p) else beta, dtype=float).tolist()
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    n = len(order)
+
+    def in_order(texts):
+        return [texts[i] for i in order]
+
+    def text(column):
+        return in_order(_texts(column)) if len(column) else [""] * n
+
+    flag_texts = [flags] * n if isinstance(flags, str) else in_order(flags)
+    rows = zip([quantity] * n, [inequality] * n, [noise] * n,
+               text(p), text(beta), text(value), flag_texts)
     with _overwrite(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
 
 
 def _note_curve(name, flags) -> None:
@@ -93,12 +115,12 @@ def _map_parallel(fn, xs):
 
 
 def _sweep_csv(args, quantity, columns) -> int:
-    """Write columns(grid), one (value, beta, flags) per p of the --grid,
-    to --out."""
+    """Write columns(grid), the value, beta and flags columns over the p of
+    the --grid, to --out."""
     grid = _parse_grid(args.grid)
-    rows = [(quantity, args.inequality, args.noise, p, beta, val, " ".join(flags))
-            for p, (val, beta, flags) in zip(grid, columns(grid))]
-    _write_csv(args.out, rows, sort_key=lambda r: r[3])
+    value, beta, flags = columns(grid)
+    _write_csv(args.out, quantity, args.inequality, args.noise,
+               p=grid, beta=beta, value=value, flags=flags)
     return 0
 
 
@@ -114,9 +136,8 @@ def cmd_bound(args) -> int:
         # `bound --recycled` CSVs have never carried the curve's conjectured
         # flag; perfbench/golden_csv.json pins their bytes (ROADMAP item 5)
         flags = "" if args.recycled else " ".join(curve.flags)
-        rows = [(f"bound-{outcome}", args.inequality, "", "", b, v, flags)
-                for b, v in zip(grid, curve.fn(grid))]
-        _write_csv(args.out, rows, sort_key=lambda r: r[4])
+        _write_csv(args.out, f"bound-{outcome}", args.inequality, "",
+                   beta=grid, value=curve.fn(grid), flags=flags)
         return 0
     print(_fmt(curve.fn(args.beta)))
     _note_curve(curve.name, curve.flags)
@@ -127,8 +148,9 @@ def cmd_bound(args) -> int:
 # rate
 
 def _rate_columns(args, kind, spec, grid):
-    return [(r.rate, r.beta_at_p, r.flags)
-            for r in rates.rate_grid(kind, spec, args.noise, grid, args.gamma)]
+    results = rates.rate_grid(kind, spec, args.noise, grid, args.gamma)
+    return ([r.rate for r in results], [r.beta_at_p for r in results],
+            [" ".join(r.flags) for r in results])
 
 
 def cmd_rate(args) -> int:
@@ -174,12 +196,11 @@ def cmd_optimize(args) -> int:
         return 0
     if args.grid is not None:
         grid = _parse_grid(args.grid)
-        rows = []
-        for b, res in zip(grid, optimize.sweep_two_outcome(args.inequality, grid, cfg)):
-            flags = ["non-certified"] + (["infeasible"] if not res.converged else [])
-            rows.append(("optimize-two", args.inequality, "", "", b,
-                         res.entropy, " ".join(flags)))
-        _write_csv(args.out, rows, sort_key=lambda r: r[4])
+        results = optimize.sweep_two_outcome(args.inequality, grid, cfg)
+        flags = ["non-certified" if r.converged else "non-certified infeasible"
+                 for r in results]
+        _write_csv(args.out, "optimize-two", args.inequality, "", beta=grid,
+                   value=[r.entropy for r in results], flags=flags)
         return 0
     res = optimize.MINIMIZERS[args.inequality](args.beta, cfg)
     print(f"entropy {_fmt(res.entropy)} achieved-beta {_fmt(res.achieved_beta)} "
@@ -210,9 +231,10 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # sweep (figure reproduction over p)
 
-def _best_alpha_columns(args, p):
-    _, val, beta = rates.best_alpha_one_outcome(NoiseModel(args.noise, p))
-    return val, beta, ()
+def _best_alpha_columns(args, grid):
+    best = _map_parallel(lambda p: rates.best_alpha_one_outcome(NoiseModel(args.noise, p)),
+                         grid)
+    return [val for _, val, _ in best], [beta for _, _, beta in best], ""
 
 
 def _sweep_columns(args, spec, grid):
@@ -220,13 +242,12 @@ def _sweep_columns(args, spec, grid):
     if kind in rates.RATE_KINDS:
         return _rate_columns(args, kind, spec, grid)
     if args.optimize_alpha:
-        return _map_parallel(lambda p: _best_alpha_columns(args, p), grid)
+        return _best_alpha_columns(args, grid)
     if args.quantity == "beta":
-        return [(beta, "", ()) for beta in rates.betas_of_p(spec, args.noise, grid).tolist()]
+        return rates.betas_of_p(spec, args.noise, grid), (), ""
     curve = rates.bound_curve(spec, args.quantity.removeprefix("bound-"))
     betas = rates.betas_of_p(spec, args.noise, grid)
-    return [(val, beta, curve.flags)
-            for val, beta in zip(curve.fn(betas).tolist(), betas.tolist())]
+    return curve.fn(betas), betas, " ".join(curve.flags)
 
 
 def cmd_sweep(args) -> int:

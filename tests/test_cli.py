@@ -300,6 +300,19 @@ class TestOptimize:
                                     row[4], "--restarts", "4", "--seed", "2"], capsys)
             assert (code, out.split()[:2]) == (0, ["entropy", row[5]])
 
+    def test_grid_infeasible_flags_stay_with_their_rows(self, tmp_path, capsys, monkeypatch):
+        # a descending grid whose first solve did not converge
+        monkeypatch.setattr(optimize, "sweep_two_outcome", lambda ineq, grid, cfg: [
+            SimpleNamespace(entropy=float(b) / 2, converged=b != 1.5) for b in grid])
+        path = tmp_path / "g.csv"
+        assert run_cli(["optimize", "--inequality", "holz", "--grid", "1.5:1:3",
+                        "--out", str(path)], capsys) == (0, "", "")
+        assert path.read_text() == (
+            "quantity,inequality,noise,p,beta,value,flags\n"
+            "optimize-two,holz,,,1.0,0.5,non-certified\n"
+            "optimize-two,holz,,,1.25,0.625,non-certified\n"
+            "optimize-two,holz,,,1.5,0.75,non-certified infeasible\n")
+
     def test_grid_at_classical_bound_rejected_before_solving(
             self, tmp_path, capsys, monkeypatch):
         calls = []
@@ -460,17 +473,19 @@ def point_columns(quantity, spec, noise, gamma, p):
 
 
 def point_csv(quantity, ineq, noise, gamma, grid):
-    """The CSV text of rows built point by point; ValidationError if a point
-    is refused."""
+    """The CSV text of rows built point by point in ascending p, each float
+    printed by _fmt; ValidationError if a point is refused."""
     spec = spec_by_name(ineq)
     rows = []
-    for p in grid:
+    for p in sorted(grid.tolist()):
         val, beta, flags = point_columns(quantity, spec, noise, gamma, p)
-        rows.append([quantity, ineq, noise, p, beta, val, " ".join(flags)])
+        rows.append([quantity, ineq, noise, cli._fmt(p),
+                     "" if quantity == "beta" else cli._fmt(beta), cli._fmt(val),
+                     " ".join(flags)])
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(cli.CSV_HEADER)
-    writer.writerows([cli._fmt(v) for v in row] for row in rows)
+    writer.writerows(rows)
     return buf.getvalue()
 
 
@@ -479,12 +494,12 @@ GRID_QUANTITIES = ["beta", "bound-one", "bound-two"] + [f"rate-{k}" for k in rat
 
 class TestGridRowsEqualPoints:
     """Each p-grid CSV, computed in one batched call, holds exactly the rows
-    that per-point calls give."""
+    that per-point calls give, in ascending p."""
 
     GRID = "0:1:13"
 
     def check(self, tmp_path, capsys, argv, quantity, ineq, noise, gamma):
-        grid = np.linspace(0.0, 1.0, 13)
+        grid = cli._parse_grid(self.GRID)
         path = tmp_path / "g.csv"
         code, out, err = run_cli(argv + ["--inequality", ineq, "--noise", noise,
                                          "--grid", self.GRID, "--out", str(path)], capsys)
@@ -512,6 +527,43 @@ class TestGridRowsEqualPoints:
     def test_rate_grid(self, tmp_path, capsys, kind, ineq, noise):
         argv = ["rate", "--dicka"] if kind == "dicka" else ["rate", "--dire", kind[5:]]
         self.check(tmp_path, capsys, argv, f"rate-{kind}", ineq, noise, rates.GAMMA_DEFAULT)
+
+
+class TestGridRowsEqualPointsDescending(TestGridRowsEqualPoints):
+    """The same on a descending grid, whose p differ from the ascending
+    grid's in the last bits: the rows come back sorted."""
+
+    GRID = "1:0:13"
+
+    def test_grid_is_descending_and_not_the_ascending_one(self):
+        grid = cli._parse_grid(self.GRID)
+        assert (np.diff(grid) < 0).all()
+        assert not np.array_equal(grid[::-1], cli._parse_grid(TestGridRowsEqualPoints.GRID))
+
+
+# every printed float follows one rule, pinned here by literal strings: 9
+# significant digits, ".0" appended to text that reads as an integer
+NUMBER_TEXTS = [(0.0, "0.0"), (-0.0, "-0.0"), (1.0, "1.0"), (123456789.0, "123456789.0"),
+                (1234567890.0, "1.23456789e+09"), (1e-5, "1e-05"), (1e16, "1e+16"),
+                (2.0 / 3.0, "0.666666667"), (5e-324, "4.94065646e-324"),
+                (float("nan"), "nan"), (float("inf"), "inf"), (float("-inf"), "-inf")]
+
+
+class TestNumberText:
+    @pytest.mark.parametrize("x, want", NUMBER_TEXTS, ids=[t for _, t in NUMBER_TEXTS])
+    def test_fmt(self, x, want):
+        assert cli._fmt(x) == want
+
+    def test_csv_column(self, tmp_path):
+        xs = [x for x, _ in NUMBER_TEXTS]
+        path = tmp_path / "n.csv"
+        cli._write_csv(path, "q", "i", "", p=np.arange(len(xs), dtype=float), value=xs,
+                       flags="")
+        rows = list(csv.reader(path.read_text(encoding="utf-8").splitlines()))
+        assert rows[0] == cli.CSV_HEADER
+        assert [row[5] for row in rows[1:]] == [t for _, t in NUMBER_TEXTS]
+        assert [row[3] for row in rows[1:]] == [f"{i}.0" for i in range(len(xs))]
+        assert {row[4] for row in rows[1:]} == {""}
 
 
 class TestParserBuiltOnce:

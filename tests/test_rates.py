@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from tribell import bounds, rates, states
-from tribell.bell import asym_chsh, spec_by_name
+from tribell.bell import INEQUALITIES, asym_chsh, spec_by_name
 from tribell.errors import NumericError, ValidationError
 from tribell.qmath import kron_all
 from tribell.rates import (beta_of_p, beta_of_p_closed_form, dicka_rate,
@@ -428,6 +428,38 @@ class TestBoundCurveRegistry:
             assert (r.bound_used, r.flags) == REGISTRY[(ineq, "two")]
         r = dire_rate_recycled(spec_by_name("chsh"), nm)
         assert (r.bound_used, r.flags) == REGISTRY[("chsh", "recycled")]
+
+
+def floored_curves():
+    """Every (inequality, outcome) whose registry curve bounds two outcomes."""
+    pairs = []
+    for ineq in INEQUALITIES:
+        for outcome in ("two", "recycled"):
+            try:
+                rates.bound_curve(spec_by_name(ineq), outcome)
+            except ValidationError:
+                continue
+            pairs.append((ineq, outcome))
+    return pairs
+
+
+class TestChainRuleFloor:
+    """H(A0B0|E) = H(A0|E) + H(B0|A0E) >= H(A0|E), since B0 is classical, and
+    H(AB|XYE) >= H(A|XE) for recycled inputs: every two-outcome and recycled
+    curve is at or above its inequality's one-outcome curve."""
+
+    def test_every_curve_is_checked(self):
+        assert floored_curves() == [("holz", "two"), ("parity-chsh", "two"), ("mabk", "two"),
+                                    ("chsh", "two"), ("chsh", "recycled"),
+                                    ("asym-chsh", "two"), ("asym-chsh", "recycled")]
+
+    @pytest.mark.parametrize("ineq, outcome", floored_curves())
+    def test_not_below_the_one_outcome_curve(self, ineq, outcome):
+        spec = spec_by_name(ineq)
+        beta = np.linspace(spec.local_bound, spec.quantum_bound, 20001)
+        gap = rates.bound_curve(spec, outcome).fn(beta) - rates.bound_curve(spec, "one").fn(beta)
+        i = int(np.argmin(gap))
+        assert gap[i] >= 0.0, f"beta={beta[i]!r}: {gap[i]:.3e} below the one-outcome curve"
 
 
 class TestRateDispatch:
