@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Callable
 
 import numpy as np
 
@@ -200,6 +199,7 @@ def mabk_two_outcome(beta):
 # asymmetric CHSH one-outcome
 
 _ZOOM_POINTS = 17  # alpha points per refinement round of best_alpha_bound
+_LANE_BLOCK = 128  # scales per lockstep search: its (scales, 401) arrays take 0.4 MB each
 _ALPHA_TOL = 1e-12  # where round(alpha, 12) merges the tangent keys
 _TANGENT_MEMO_SIZE = 4096  # entries of _TANGENT_MEMO, and of the public asym_tangent's cache
 # round(alpha, 12) -> (beta*, slope), oldest first: the one tangent cache of
@@ -328,46 +328,78 @@ def _grid_tangents() -> tuple[np.ndarray, np.ndarray]:
     return tangents
 
 
-def _alpha_values(beta_fn, alphas: np.ndarray, tangents=None) -> np.ndarray:
-    """asym_chsh_one_outcome(min(beta_fn(alpha), qb), alpha) for an array of
-    alpha, with beta_fn called once on the whole array."""
-    beta = np.minimum(beta_fn(alphas), 2.0 * np.hypot(1.0, alphas))
-    if not np.all(np.isfinite(beta)):
-        raise ValidationError("beta_fn returned a non-finite violation")
-    alpha = np.abs(alphas)
+def _alpha_values(scale, alpha: np.ndarray, tangents=None) -> np.ndarray:
+    """asym_chsh_one_outcome at the honest violation qb * scale for an array
+    of alpha >= 0, scale broadcast against it; qb * scale <= qb, as every
+    scale lies in [0, 1]."""
+    beta = 2.0 * np.hypot(1.0, alpha) * scale
     if tangents is None:
         tangents = _tangents_for(alpha)
     return _asym_one_outcome(beta, alpha, *tangents)
 
 
-def best_alpha_bound(beta_fn: Callable[[np.ndarray], np.ndarray]
-                     ) -> tuple[float, float]:
-    """Maximize asym_chsh_one_outcome(beta_fn(alpha), alpha) over alpha.
+def _keep_better(best_v, best_a, lanes, v, a) -> None:
+    """best = max(best, (v, a)) on each of lanes, as tuples compare: ties go
+    to the larger alpha."""
+    better = (v > best_v[lanes]) | ((v == best_v[lanes]) & (a > best_a[lanes]))
+    best_v[lanes[better]], best_a[lanes[better]] = v[better], a[better]
 
-    beta_fn maps an array of alpha to the achievable violations (at the
-    caller's noise level), elementwise.  The 401-point grid on [0, 4] is
-    evaluated in one batch, its tangents solved once per process; the best
-    grid cell is then zoomed in batches of _ZOOM_POINTS until the alpha
-    bracket is narrower than 1e-12.  The zoom tangents come from
-    _tangents_for's memo (at most 4096 alphas per process), so a search
-    next to an earlier one solves only the alphas it has not seen.  Never
-    returns less than the alpha=1 value.
+
+def best_alpha_bound(scale) -> tuple[np.ndarray, np.ndarray]:
+    """(alpha, bound) arrays: the maximum over alpha of
+    asym_chsh_one_outcome(2 sqrt(1 + alpha^2) s, alpha) for each honest
+    scale s of the 1-d array scale, s in [0, 1] (ValidationError elsewhere).
+
+    The scales are searched in lockstep, _LANE_BLOCK at a time, and a
+    scale's bits do not depend on the others.  The 401-point grid on [0, 4]
+    is evaluated in one (scales, 401) batch, its tangents solved once per
+    process; each scale's best grid cell is then zoomed in _ZOOM_POINTS
+    points until its alpha bracket is narrower than 1e-12, one _tangents_for
+    call a round for all the scales still zooming.  The zoom tangents come
+    from _tangents_for's memo (at most 4096 alphas per process), so a
+    search next to an earlier one solves only the alphas it has not seen.
+    Never returns less than the alpha=1 value.
     """
+    scale = np.asarray(scale, dtype=float)
+    if scale.ndim != 1:
+        raise ValidationError(f"expected a 1-d array of honest scales, got shape {scale.shape}")
+    bad = ~((scale >= 0.0) & (scale <= 1.0))
+    if bad.any():
+        raise ValidationError(f"honest scale {_first(scale, bad)!r} outside [0, 1]")
+    alpha, bound = np.empty(scale.size), np.empty(scale.size)
+    for b in range(0, scale.size, _LANE_BLOCK):
+        alpha[b:b + _LANE_BLOCK], bound[b:b + _LANE_BLOCK] = _lockstep_search(
+            scale[b:b + _LANE_BLOCK])
+    return alpha, bound
+
+
+def _lockstep_search(scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    lanes = np.arange(scale.size)
     grid = _ALPHA_GRID
-    vals = _alpha_values(beta_fn, grid, _grid_tangents())
-    i = int(np.argmax(vals))
-    best = (vals[i], grid[i])  # (value, alpha): ties go to the larger alpha
-    k0, k1 = max(i - 1, 0), min(i + 1, grid.size - 1)
-    lo, hi, v_lo, v_hi = grid[k0], grid[k1], vals[k0], vals[k1]
-    while hi - lo >= _ALPHA_TOL:
-        pts = np.linspace(lo, hi, _ZOOM_POINTS)
-        v = np.concatenate([[v_lo], _alpha_values(beta_fn, pts[1:-1]), [v_hi]])
-        j = int(np.argmax(v))
-        best = max(best, (v[j], pts[j]))
-        k0, k1 = max(j - 1, 0), min(j + 1, _ZOOM_POINTS - 1)
-        lo, hi, v_lo, v_hi = pts[k0], pts[k1], v[k0], v[k1]
-    best = max(best, (_alpha_values(beta_fn, np.array([1.0]))[0], 1.0))
-    return float(best[1]), float(best[0])
+    vals = _alpha_values(scale[:, None], grid, _grid_tangents())
+    i = np.argmax(vals, axis=1)
+    best_v, best_a = vals[lanes, i], grid[i]
+    k0, k1 = np.maximum(i - 1, 0), np.minimum(i + 1, grid.size - 1)
+    # the live lanes' brackets and the values at their ends
+    live, lo, hi, v_lo, v_hi = lanes, grid[k0], grid[k1], vals[lanes, k0], vals[lanes, k1]
+    steps = np.arange(float(_ZOOM_POINTS))
+    keep = hi - lo >= _ALPHA_TOL
+    while keep.any():
+        live, lo, hi, v_lo, v_hi = (x[keep] for x in (live, lo, hi, v_lo, v_hi))
+        rows = np.arange(live.size)
+        # np.linspace(lo, hi, _ZOOM_POINTS) on every lane, its arithmetic spelled out
+        pts = steps * ((hi - lo) / (_ZOOM_POINTS - 1))[:, None] + lo[:, None]
+        pts[:, -1] = hi
+        v = np.concatenate([v_lo[:, None], _alpha_values(scale[live, None], pts[:, 1:-1]),
+                            v_hi[:, None]], axis=1)
+        j = np.argmax(v, axis=1)
+        _keep_better(best_v, best_a, live, v[rows, j], pts[rows, j])
+        k0, k1 = np.maximum(j - 1, 0), np.minimum(j + 1, _ZOOM_POINTS - 1)
+        lo, hi, v_lo, v_hi = pts[rows, k0], pts[rows, k1], v[rows, k0], v[rows, k1]
+        keep = hi - lo >= _ALPHA_TOL
+    ones = np.ones(scale.size)
+    _keep_better(best_v, best_a, lanes, _alpha_values(scale, ones), ones)
+    return best_a, best_v
 
 
 # ---------------------------------------------------------------------------

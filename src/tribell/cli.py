@@ -110,7 +110,7 @@ def _note_curve(name, flags) -> None:
 
 
 def _map_parallel(fn, xs):
-    # serial: the work holds the GIL; perfbench/tracing.py wraps this name
+    # no caller: kept only because perfbench/tracing.py rebinds this name
     return [fn(x) for x in xs]
 
 
@@ -231,18 +231,13 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # sweep (figure reproduction over p)
 
-def _best_alpha_columns(args, grid):
-    best = _map_parallel(lambda p: rates.best_alpha_one_outcome(NoiseModel(args.noise, p)),
-                         grid)
-    return [val for _, val, _ in best], [beta for _, _, beta in best], ""
-
-
 def _sweep_columns(args, spec, grid):
     kind = args.quantity.removeprefix("rate-")
     if kind in rates.RATE_KINDS:
         return _rate_columns(args, kind, spec, grid)
     if args.optimize_alpha:
-        return _best_alpha_columns(args, grid)
+        _, bound, beta = rates.best_alpha_one_outcome(args.noise, grid)
+        return bound, beta, ""
     if args.quantity == "beta":
         return rates.betas_of_p(spec, args.noise, grid), (), ""
     curve = rates.bound_curve(spec, args.quantity.removeprefix("bound-"))

@@ -4,11 +4,11 @@ picks the entropy bound curve for each inequality and outcome.
 
 Rates are signed; a threshold is the sign change of the signed rate, found
 to the last ulp by qmath.bracketed_root.  A grid of p is computed on stacks
-of states (betas_of_p, rate_grid), each value the one-point value bit for
-bit.  The two-outcome bounds for
-Parity-CHSH and CHSH are numeric curves produced by the optimizer, shipped
-as a monotone 200-point table and linearly interpolated (regenerate via the
-CLI).
+of states (betas_of_p, rate_grid), or for asym-CHSH DICKA in one lockstep
+alpha search (best_alpha_one_outcome), each value the one-point value bit
+for bit.  The two-outcome bounds for Parity-CHSH and CHSH are numeric curves
+produced by the optimizer, shipped as a monotone 200-point table and
+linearly interpolated (regenerate via the CLI).
 """
 
 from __future__ import annotations
@@ -33,8 +33,7 @@ from .states import (NoiseModel, _check_noise_kind, _check_ps, _global_channel,
 __all__ = ["GAMMA_DEFAULT", "RateResult", "qber", "beta_of_p", "betas_of_p",
            "beta_of_p_closed_form", "TABLE_ENV", "NUMERIC_CURVES", "two_outcome_numeric",
            "generate_two_outcome_table", "BoundCurve", "bound_curve", "RATE_KINDS",
-           "best_alpha_one_outcome", "dicka_rate", "dire_rate_spot", "dire_rate_recycled",
-           "rate", "rate_grid", "threshold_p", "rate_function"]
+           "best_alpha_one_outcome", "rate", "rate_grid", "threshold_p", "rate_function"]
 
 GAMMA_DEFAULT = 3.3e-4  # the 0.033% test-round fraction used in the figures
 SQRT2 = np.sqrt(2.0)
@@ -46,10 +45,6 @@ class RateResult:
     beta_at_p: float
     bound_used: str
     flags: tuple[str, ...] = ()  # the bound curve's flags
-
-    @property
-    def conjectured(self) -> bool:
-        return "conjectured" in self.flags
 
 
 def qber(noise: NoiseModel) -> float:
@@ -285,16 +280,15 @@ def bound_curve(spec: BellSpec, outcome: str) -> BoundCurve:
 RATE_KINDS = ("dicka", "dire-spot", "dire-recycled")
 
 
-def best_alpha_one_outcome(noise: NoiseModel) -> tuple[float, float, float]:
-    """(alpha, bound, beta) maximizing the asym-CHSH one-outcome bound at the
-    honest violation 2 sqrt(1 + alpha^2) p (global) or p^2 (local)."""
-    scale = noise.p if noise.kind == "global" else noise.p ** 2
-
-    def beta_fn(alpha):
-        return 2.0 * np.hypot(1.0, alpha) * scale
-
-    alpha, bound = bounds.best_alpha_bound(beta_fn)
-    return alpha, bound, beta_fn(alpha)
+def best_alpha_one_outcome(noise_kind: str, ps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(alpha, bound, beta) arrays maximizing the asym-CHSH one-outcome bound
+    at each p of the 1-d ps, at the honest violation 2 sqrt(1 + alpha^2) p
+    (global) or p^2 (local): one best_alpha_bound search for the grid."""
+    ps = _checked_grid(noise_kind, ps)
+    # C pow, as p ** 2 on a float; ps * ps differs from it in the last bit at some p
+    scale = ps if noise_kind == "global" else np.float_power(ps, 2.0)
+    alpha, bound = bounds.best_alpha_bound(scale)
+    return alpha, bound, 2.0 * np.hypot(1.0, alpha) * scale
 
 
 def _rate_curve(kind: str, spec: BellSpec, gamma: float) -> BoundCurve | None:
@@ -321,14 +315,6 @@ def _rate_curve(kind: str, spec: BellSpec, gamma: float) -> BoundCurve | None:
     raise ValidationError(f"unknown rate kind {kind!r}")
 
 
-def _asym_dicka_rate(noise: NoiseModel) -> RateResult:
-    """asym-CHSH DICKA runs two concatenated two-party protocols, so its rate
-    carries a factor 1/2, and its bound is maximized over alpha at p."""
-    alpha, bound, beta = best_alpha_one_outcome(noise)
-    return RateResult(0.5 * (bound - h(qber(noise))), beta,
-                      f"asym-chsh-one(alpha={alpha:.9g})")
-
-
 def rate(kind: str, spec: BellSpec, noise: NoiseModel,
          gamma: float = GAMMA_DEFAULT) -> RateResult:
     """The rate of one of RATE_KINDS at noise, the one-point case of
@@ -337,35 +323,21 @@ def rate(kind: str, spec: BellSpec, noise: NoiseModel,
     return rate_grid(kind, spec, noise.kind, [noise.p], gamma)[0]
 
 
-def dicka_rate(spec: BellSpec, noise: NoiseModel) -> RateResult:
-    """Asymptotic conference key rate: one-outcome bound minus h(Q); for
-    asym-CHSH, half of it, maximized over alpha."""
-    return rate("dicka", spec, noise)
-
-
-def dire_rate_spot(spec: BellSpec, noise: NoiseModel,
-                   gamma: float = GAMMA_DEFAULT) -> RateResult:
-    """Spot-checking net randomness rate: H2(beta(p)) - r*gamma - h(gamma)."""
-    return rate("dire-spot", spec, noise, gamma)
-
-
-def dire_rate_recycled(spec: BellSpec, noise: NoiseModel) -> RateResult:
-    """Recycled-input CHSH protocol: the conjectured H(AB|XYE) bound, no test
-    cost; ValidationError for any inequality but CHSH."""
-    return rate("dire-recycled", spec, noise)
-
-
 def rate_grid(kind: str, spec: BellSpec, noise_kind: str, ps,
               gamma: float = GAMMA_DEFAULT) -> list[RateResult]:
     """rate at every p of the 1-d ps under one noise kind, from one betas_of_p
     and one curve.fn call: DICKA is the one-outcome bound minus h(Q);
     DIRE-spot the two-outcome bound minus the test cost r*gamma + h(gamma);
-    DIRE-recycled the recycled-input bound.  asym-CHSH DICKA runs its alpha
-    search at each p."""
+    DIRE-recycled the recycled-input bound.  asym-CHSH DICKA instead takes
+    its bound maximized over alpha at every p, from one best_alpha_one_outcome
+    call, and runs two concatenated two-party protocols, so its rate carries
+    a factor 1/2."""
     curve = _rate_curve(kind, spec, gamma)
     if curve is None:
-        _checked_grid(noise_kind, ps)
-        return [_asym_dicka_rate(NoiseModel(noise_kind, p)) for p in ps]
+        alpha, bound, betas = best_alpha_one_outcome(noise_kind, ps)
+        values = 0.5 * (bound - h([_qber(noise_kind, p) for p in ps]))
+        return [RateResult(value, beta, f"asym-chsh-one(alpha={a:.9g})")
+                for value, beta, a in zip(values.tolist(), betas.tolist(), alpha.tolist())]
     betas = betas_of_p(spec, noise_kind, ps)
     values = curve.fn(betas)
     if kind == "dicka":

@@ -383,8 +383,34 @@ class TestAsymNonFinite:
             asym_chsh_one_outcome(beta, alpha)
 
     def test_best_alpha_rejects_nan_violation(self):
-        with pytest.raises(ValidationError, match="non-finite"):
-            best_alpha_bound(lambda a: np.where(a > 0.5, np.nan, 2.5))
+        with pytest.raises(ValidationError, match=r"scale nan outside \[0, 1\]"):
+            best_alpha_bound([0.5, np.nan])
+
+
+def _point_by_point_search(scale):
+    """(alpha, bound) of the alpha search at one honest scale, one
+    asym_chsh_one_outcome call per alpha: the 401-point grid on [0, 4],
+    then np.linspace zooms of 17 points around the best point until the
+    bracket is narrower than 1e-12, keeping the larger (value, alpha) tuple,
+    and last the alpha = 1 value."""
+    def val(a):
+        return asym_chsh_one_outcome(2.0 * np.hypot(1.0, a) * scale, a)
+
+    grid = np.linspace(0.0, 4.0, 401)
+    vals = [val(a) for a in grid]
+    i = int(np.argmax(vals))
+    best = (vals[i], grid[i])
+    k0, k1 = max(i - 1, 0), min(i + 1, 400)
+    lo, hi, v_lo, v_hi = grid[k0], grid[k1], vals[k0], vals[k1]
+    while hi - lo >= 1e-12:
+        pts = np.linspace(lo, hi, 17)
+        v = [v_lo] + [val(a) for a in pts[1:-1]] + [v_hi]
+        j = int(np.argmax(v))
+        best = max(best, (v[j], pts[j]))
+        k0, k1 = max(j - 1, 0), min(j + 1, 16)
+        lo, hi, v_lo, v_hi = pts[k0], pts[k1], v[k0], v[k1]
+    best = max(best, (val(1.0), 1.0))
+    return float(best[1]), float(best[0])
 
 
 class TestBestAlpha:
@@ -394,39 +420,44 @@ class TestBestAlpha:
     def test_never_below_dense_grid(self, noise, p):
         scale = p * p if noise == "local" else p
 
-        def beta_fn(a):
-            return 2.0 * np.hypot(1.0, a) * scale
-
         def val(a):
-            return asym_chsh_one_outcome(min(beta_fn(a), 2.0 * np.hypot(1.0, a)), a)
+            return asym_chsh_one_outcome(2.0 * np.hypot(1.0, a) * scale, a)
 
-        alpha, bound = best_alpha_bound(beta_fn)
+        (alpha,), (bound,) = best_alpha_bound([scale])
         brute = max(val(a) for a in np.linspace(0.0, 4.0, 4001))
         assert bound >= brute - 1e-12
         assert val(alpha) == pytest.approx(bound, abs=1e-12)
 
     def test_no_noise_reaches_one(self):
-        _, bound = best_alpha_bound(lambda a: 2.0 * np.hypot(1.0, a))
+        _, (bound,) = best_alpha_bound([1.0])
         assert bound == pytest.approx(1.0, abs=1e-9)
 
     def test_dominates_chsh_at_p095_local(self):
         p = 0.95
-
-        def beta_fn(a):
-            return 2.0 * np.hypot(1.0, a) * p * p
-
-        _, bound = best_alpha_bound(beta_fn)
+        _, (bound,) = best_alpha_bound([p * p])
         chsh_val = asym_chsh_one_outcome(2 * SQRT2 * p * p, 1.0)
         assert bound >= chsh_val - 1e-9
 
     def test_below_threshold_rate_nonpositive(self):
         # Table 2 threshold for asym-CHSH local noise is ~0.923
-        from tribell.rates import dicka_rate
+        from tribell.rates import rate
         from tribell.bell import spec_by_name
         from tribell.states import NoiseModel
 
-        r = dicka_rate(spec_by_name("asym-chsh"), NoiseModel("local", 0.915))
+        r = rate("dicka", spec_by_name("asym-chsh"), NoiseModel("local", 0.915))
         assert r.rate <= 0.0
+
+    @pytest.mark.parametrize("block", [3, bounds._LANE_BLOCK])
+    def test_grid_equals_the_point_by_point_search(self, monkeypatch, block):
+        monkeypatch.setattr(bounds, "_LANE_BLOCK", block)
+        scales = [1.0, 0.9025, 0.85, 0.85, 0.5, 0.0, 0.7225, 1.0]  # p^2 at p = 0.95, 0.85
+        alpha, bound = best_alpha_bound(scales)
+        assert [(a.hex(), b.hex()) for a, b in zip(alpha.tolist(), bound.tolist())] \
+            == [(a.hex(), b.hex()) for a, b in map(_point_by_point_search, scales)]
+
+    def test_empty_grid(self):
+        alpha, bound = best_alpha_bound([])
+        assert alpha.shape == bound.shape == (0,)
 
 
 def _bits(values):
@@ -446,15 +477,15 @@ class TestTangentMemo:
 
     def _searches(self, clear=None):
         from tribell.rates import best_alpha_one_outcome
-        from tribell.states import NoiseModel
 
         out = []
         for noise in ("local", "global"):
             for p in self.PS:
                 if clear is not None:
                     clear.clear()
-                out.append(best_alpha_one_outcome(NoiseModel(noise, float(p))))
-        return _bits(out)
+                out.append(best_alpha_one_outcome(noise, [p]))
+            out.append(best_alpha_one_outcome(noise, self.PS))
+        return _bits(np.concatenate(out, axis=1))
 
     def test_cold_warm_and_cleared_memo_agree(self, fresh_memo):
         cold = self._searches()
@@ -479,8 +510,9 @@ class TestTangentMemo:
         before = dict(fresh_memo)
         with pytest.raises(ValidationError, match="alpha"):
             asym_chsh_one_outcome(2.5, np.nan)
-        with pytest.raises(ValidationError, match="non-finite"):
-            best_alpha_bound(lambda a: np.where(a > 0.5, np.nan, 2.5))
+        for scale in ([0.5, np.nan], [-0.1], [1.5], [[0.5]]):
+            with pytest.raises(ValidationError, match="scale"):
+                best_alpha_bound(scale)
 
         def refuse(alpha):
             raise ValidationError("alpha must be finite")

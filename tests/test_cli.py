@@ -636,12 +636,12 @@ class TestVerify:
 
 
 def forbid_grid_work(monkeypatch, why):
-    """Fail the test if any CLI grid path computes: the per-point map and
-    the batched p-grid entries."""
+    """Fail the test if any CLI grid path computes: the batched p-grid
+    entries."""
     def boom(*a, **k):
         pytest.fail(why)
 
-    monkeypatch.setattr(cli, "_map_parallel", boom)
+    monkeypatch.setattr(rates, "best_alpha_one_outcome", boom)
     monkeypatch.setattr(rates, "rate_grid", boom)
     monkeypatch.setattr(rates, "betas_of_p", boom)
     return boom
@@ -928,8 +928,6 @@ class TestEveryOptionActsOrIsRefused:
         rate = SimpleNamespace(rate=0.5, beta_at_p=1.0, bound_used="curve", flags=())
         opt = SimpleNamespace(entropy=0.5, achieved_beta=1.0, converged=True,
                               restarts_used=1)
-        for name in ("dicka_rate", "dire_rate_spot", "dire_rate_recycled"):
-            monkeypatch.setattr(rates, name, recorder(name, rate))
         monkeypatch.setattr(rates, "bound_curve", recorder("bound_curve", SimpleNamespace(
             name="curve", fn=recorder("fn", lambda beta: np.full(np.shape(beta), 0.5)),
             flags=())))
@@ -938,8 +936,9 @@ class TestEveryOptionActsOrIsRefused:
             "betas_of_p", lambda spec, noise, ps: np.full(len(ps), 2.0)))
         monkeypatch.setattr(rates, "rate_grid", recorder(
             "rate_grid", lambda kind, spec, noise, ps, gamma: [rate] * len(ps)))
-        monkeypatch.setattr(rates, "best_alpha_one_outcome",
-                            recorder("best_alpha", (1.0, 0.5, 2.5)))
+        monkeypatch.setattr(rates, "best_alpha_one_outcome", recorder(
+            "best_alpha", lambda noise, ps: (np.ones(len(ps)), np.full(len(ps), 0.5),
+                                             np.full(len(ps), 2.5))))
         monkeypatch.setattr(rates, "threshold_p", lambda fn: fn(0.9))
         monkeypatch.setattr(rates, "generate_two_outcome_table",
                             recorder("table", {}))

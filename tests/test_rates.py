@@ -11,8 +11,7 @@ from tribell import bounds, rates, states
 from tribell.bell import INEQUALITIES, asym_chsh, spec_by_name
 from tribell.errors import NumericError, ValidationError
 from tribell.qmath import kron_all
-from tribell.rates import (beta_of_p, beta_of_p_closed_form, dicka_rate,
-                           dire_rate_recycled, dire_rate_spot, qber,
+from tribell.rates import (beta_of_p, beta_of_p_closed_form, qber, rate,
                            rate_function, threshold_p, two_outcome_numeric)
 from tribell.states import (I2, NoiseModel, X, Y, Z, depolarize_global,
                             depolarize_local, ghz_state, observable_matrices)
@@ -163,19 +162,37 @@ class TestRateGrid:
             assert [np.float64(r.rate).view(np.uint64) for r in got] \
                 == [np.float64(r.rate).view(np.uint64) for r in want]
 
-    def test_kind_functions_are_its_one_point_case(self):
-        spec, nm = spec_by_name("chsh"), NoiseModel("local", 0.95)
-        assert rates.rate_grid("dicka", spec, "local", [0.95])[0] == dicka_rate(spec, nm)
-        assert rates.rate_grid("dire-spot", spec, "local", [0.95], 0.1)[0] \
-            == dire_rate_spot(spec, nm, 0.1)
-        assert rates.rate_grid("dire-recycled", spec, "local", [0.95])[0] \
-            == dire_rate_recycled(spec, nm)
-
     def test_every_p_checked_before_any_alpha_search(self, monkeypatch):
-        monkeypatch.setattr(rates, "best_alpha_one_outcome",
-                            lambda noise: pytest.fail("searched alpha"))
+        monkeypatch.setattr(bounds, "best_alpha_bound",
+                            lambda scale: pytest.fail("searched alpha"))
         with pytest.raises(ValidationError, match=r"p=1\.5 outside"):
             rates.rate_grid("dicka", spec_by_name("chsh"), "local", [0.9, 1.5])
+
+    def test_asym_local_scale_is_p_squared_as_a_float(self):
+        p = float.fromhex("0x1.b4f6633355186p-2")  # p * p is one ulp below p ** 2 here
+        alpha, _, beta = rates.best_alpha_one_outcome("local", [p])
+        assert beta[0] == 2.0 * np.hypot(1.0, alpha[0]) * p ** 2
+
+    def test_asym_dicka_empty_grid(self):
+        assert rates.rate_grid("dicka", spec_by_name("chsh"), "local", []) == []
+
+    @pytest.mark.parametrize("noise", ["local", "global"])
+    @pytest.mark.parametrize("ps", [np.linspace(0.0, 1.0, 21), np.linspace(1.0, 0.5, 11),
+                                    [1.0, 0.97, 0.0, 0.93, 0.93, 2 ** -0.5, 0.95, 1.0]],
+                             ids=["ascending", "descending", "duplicates"])
+    def test_asym_dicka_grid_is_each_point_bit_for_bit(self, noise, ps):
+        def hexes(searches):
+            return [[x.hex() for x in arr.tolist()] for arr in searches]
+
+        grid = hexes(rates.best_alpha_one_outcome(noise, ps))
+        alone = [hexes(rates.best_alpha_one_outcome(noise, [p])) for p in ps]
+        assert grid == [sum(column, []) for column in zip(*alone)]
+        spec = spec_by_name("chsh")
+        rows = rates.rate_grid("dicka", spec, noise, ps)
+        points = [rate("dicka", spec, NoiseModel(noise, p)) for p in ps]
+        assert [(r.rate.hex(), r.beta_at_p.hex(), r.bound_used) for r in rows] \
+            == [(r.rate.hex(), r.beta_at_p.hex(), r.bound_used) for r in points]
+        assert {(type(r.rate), type(r.beta_at_p)) for r in rows} == {(float, float)}
 
     @pytest.mark.parametrize("args, message", [
         (("local", [[0.5]]), "1-d grid"),
@@ -215,10 +232,10 @@ class TestQber:
 
 class TestDicka:
     def test_holz_noiseless(self):
-        r = dicka_rate(spec_by_name("holz"), NoiseModel("local", 1.0))
+        r = rate("dicka", spec_by_name("holz"), NoiseModel("local", 1.0))
         assert r.rate == pytest.approx(1.0, abs=1e-9)
         assert r.bound_used == "holz-one"
-        assert not r.conjectured
+        assert r.flags == ()
 
     def test_holz_threshold_sign_change(self):
         fn = rate_function("dicka", "holz", "local")
@@ -226,42 +243,41 @@ class TestDicka:
 
     def test_mabk_unsupported(self):
         with pytest.raises(ValidationError):
-            dicka_rate(spec_by_name("mabk"), NoiseModel("local", 1.0))
+            rate("dicka", spec_by_name("mabk"), NoiseModel("local", 1.0))
 
     def test_asym_factor_half(self):
-        r = dicka_rate(spec_by_name("asym-chsh"), NoiseModel("local", 1.0))
+        r = rate("dicka", spec_by_name("asym-chsh"), NoiseModel("local", 1.0))
         assert r.rate == pytest.approx(0.5, abs=1e-9)  # (1 - h(0))/2
 
 
 class TestDireSpot:
     def test_mabk_no_test_cost(self):
-        r = dire_rate_spot(spec_by_name("mabk"), NoiseModel("global", 1.0), 0.0)
+        r = rate("dire-spot", spec_by_name("mabk"), NoiseModel("global", 1.0), 0.0)
         assert r.rate == pytest.approx(2.0, abs=1e-12)
         assert r.bound_used == "mabk-two"
 
     def test_mabk_gamma_cost(self):
         gamma = 0.00033
-        r = dire_rate_spot(spec_by_name("mabk"), NoiseModel("local", 1.0), gamma)
+        r = rate("dire-spot", spec_by_name("mabk"), NoiseModel("local", 1.0), gamma)
         oracle = 2.0 - 3.0 * gamma - h2(gamma)
         assert r.rate == pytest.approx(oracle, abs=1e-12)
         assert r.rate == pytest.approx(1.9947175, abs=1e-6)
 
     def test_holz_flags_conjectured(self):
-        r = dire_rate_spot(spec_by_name("holz"), NoiseModel("local", 0.95), 0.0)
-        assert r.conjectured
+        r = rate("dire-spot", spec_by_name("holz"), NoiseModel("local", 0.95), 0.0)
         assert "conjectured" in r.flags
 
     def test_numeric_tables_flagged(self):
-        r = dire_rate_spot(spec_by_name("parity-chsh"), NoiseModel("local", 0.95), 0.0)
+        r = rate("dire-spot", spec_by_name("parity-chsh"), NoiseModel("local", 0.95), 0.0)
         assert "non-certified" in r.flags
-        r = dire_rate_spot(spec_by_name("chsh"), NoiseModel("local", 0.95), 0.0)
+        r = rate("dire-spot", spec_by_name("chsh"), NoiseModel("local", 0.95), 0.0)
         assert r.bound_used == "numeric:chsh-two"
 
     def test_gamma_zero_equals_bound(self):
         for ineq in ("mabk", "holz", "parity-chsh", "chsh"):
             spec = spec_by_name(ineq)
             nm = NoiseModel("local", 0.93)
-            r = dire_rate_spot(spec, nm, 0.0)
+            r = rate("dire-spot", spec, nm, 0.0)
             bound = rates.bound_curve(spec, "two").fn(beta_of_p(spec, nm))
             assert r.rate == bound
 
@@ -271,14 +287,14 @@ class TestDireSpot:
         for ineq, r_bits in (("mabk", 3), ("holz", 3), ("parity-chsh", 2),
                              ("chsh", 2)):
             spec = spec_by_name(ineq)
-            with_g = dire_rate_spot(spec, nm, gamma).rate
-            without = dire_rate_spot(spec, nm, 0.0).rate
+            with_g = rate("dire-spot", spec, nm, gamma).rate
+            without = rate("dire-spot", spec, nm, 0.0).rate
             assert without - with_g == pytest.approx(
                 r_bits * gamma + h2(gamma), abs=1e-12)
 
     def test_gamma_validation(self):
         with pytest.raises(ValidationError):
-            dire_rate_spot(spec_by_name("mabk"), NoiseModel("local", 1.0), 1.5)
+            rate("dire-spot", spec_by_name("mabk"), NoiseModel("local", 1.0), 1.5)
 
 
 CHSH = spec_by_name("chsh")
@@ -286,16 +302,16 @@ CHSH = spec_by_name("chsh")
 
 class TestDireRecycled:
     def test_noiseless(self):
-        r = dire_rate_recycled(CHSH, NoiseModel("global", 1.0))
+        r = rate("dire-recycled", CHSH, NoiseModel("global", 1.0))
         assert r.rate == pytest.approx(1.6008760, abs=1e-6)
-        assert r.conjectured
+        assert "conjectured" in r.flags
 
     def test_zero_at_global_sqrt_half(self):
-        r = dire_rate_recycled(CHSH, NoiseModel("global", 2 ** -0.5))
+        r = rate("dire-recycled", CHSH, NoiseModel("global", 2 ** -0.5))
         assert r.rate == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_at_local_fourth_root(self):
-        r = dire_rate_recycled(CHSH, NoiseModel("local", 2 ** -0.25))
+        r = rate("dire-recycled", CHSH, NoiseModel("local", 2 ** -0.25))
         assert r.rate == pytest.approx(0.0, abs=1e-12)
 
 
@@ -421,12 +437,12 @@ class TestBoundCurveRegistry:
     def test_rate_results_carry_curve(self):
         nm = NoiseModel("local", 0.95)
         for ineq in ("holz", "parity-chsh"):
-            r = dicka_rate(spec_by_name(ineq), nm)
+            r = rate("dicka", spec_by_name(ineq), nm)
             assert (r.bound_used, r.flags) == REGISTRY[(ineq, "one")]
         for ineq in ("holz", "parity-chsh", "mabk", "chsh"):
-            r = dire_rate_spot(spec_by_name(ineq), nm, 0.0)
+            r = rate("dire-spot", spec_by_name(ineq), nm, 0.0)
             assert (r.bound_used, r.flags) == REGISTRY[(ineq, "two")]
-        r = dire_rate_recycled(spec_by_name("chsh"), nm)
+        r = rate("dire-recycled", spec_by_name("chsh"), nm)
         assert (r.bound_used, r.flags) == REGISTRY[("chsh", "recycled")]
 
 
@@ -465,10 +481,14 @@ class TestChainRuleFloor:
 class TestRateDispatch:
     def test_kinds(self):
         spec, nm = spec_by_name("holz"), NoiseModel("global", 0.97)
-        assert rates.rate("dicka", spec, nm) == dicka_rate(spec, nm)
-        assert rates.rate("dire-spot", spec, nm, 0.01) == dire_rate_spot(spec, nm, 0.01)
+        beta = beta_of_p(spec, nm)
+        assert rates.rate("dicka", spec, nm).rate \
+            == pytest.approx(bounds.holz_one_outcome(beta) - h2(qber(nm)), abs=1e-15)
+        assert rates.rate("dire-spot", spec, nm, 0.01).rate \
+            == pytest.approx(bounds.holz_two_outcome(beta) - 3 * 0.01 - h2(0.01), abs=1e-15)
         chsh = spec_by_name("chsh")
-        assert rates.rate("dire-recycled", chsh, nm) == dire_rate_recycled(chsh, nm)
+        assert rates.rate("dire-recycled", chsh, nm).rate \
+            == bounds.colbeck_recycled_two_outcome(beta_of_p(chsh, nm))
         with pytest.raises(ValidationError, match="recycled"):
             rates.rate("dire-recycled", spec, nm)
 
