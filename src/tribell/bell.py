@@ -98,6 +98,9 @@ def mabk() -> BellSpec:
 
 def asym_chsh(alpha: float = 1.0) -> BellSpec:
     alpha = float(alpha)
+    # BellSpec's local < quantum bound over 2, before a product can overflow
+    if math.isfinite(alpha) and not np.hypot(1.0, alpha) > max(1.0, abs(alpha)):
+        raise ValidationError(f"alpha={alpha!r} leaves the local bound at the quantum bound")
     b = float(np.arctan2(1.0, alpha))  # A0=Z, A1=X; B0, B1 at +-b from Z
     return BellSpec("asym-chsh", 2.0 * max(1.0, abs(alpha)), 2.0 * np.hypot(1.0, alpha), 2,
                     ((alpha, (0, 0)), (alpha, (0, 1)), (1.0, (1, 0)), (-1.0, (1, 1))),

@@ -130,6 +130,12 @@ class TestSpecs:
         with pytest.raises(ValidationError, match="non-finite"):
             spec_by_name("asym-chsh", alpha=alpha)
 
+    @pytest.mark.parametrize("alpha", [0.0, 1e-13, -1e-9, 1e200, 1e308, -1e308])
+    def test_alpha_without_quantum_gap_rejected(self, alpha):
+        with pytest.raises(ValidationError) as exc:
+            spec_by_name("asym-chsh", alpha=alpha)
+        assert str(exc.value).startswith(f"alpha={alpha!r} leaves the local bound at")
+
     def test_non_finite_bound_rejected(self):
         with pytest.raises(ValidationError, match="non-finite"):
             dataclasses.replace(bell.holz(), quantum_bound=np.nan)

@@ -15,6 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import pins
 import tribell
 from tribell import bounds, cli, optimize, rates, verification
 from tribell.bell import spec_by_name
@@ -175,8 +176,7 @@ class TestRate:
 
 
 class TestThreshold:
-    # the thresholds with a closed form print its 9 digits, in the rows of
-    # PAPER_THRESHOLDS that test_paper_threshold_output_and_note runs
+    # the thresholds with a closed form print its 9 digits, as pins.json pins them
     @pytest.mark.parametrize("kind, ineq, noise, want", [
         ("dire-spot", "mabk", "local", "0.793700526"),
         ("dire-spot", "mabk", "global", "0.5"),
@@ -188,7 +188,8 @@ class TestThreshold:
         exact = {"0.793700526": 2.0 ** (-1.0 / 3.0), "0.5": 0.5, "0.666666667": 2.0 / 3.0,
                  "0.840896415": 2.0 ** (-0.25), "0.707106781": 2.0 ** (-0.5)}[want]
         assert cli._fmt(exact) == want
-        assert [row[3] for row in PAPER_THRESHOLDS if row[:3] == (kind, ineq, noise)] == [want]
+        argv = ["threshold", "--rate", kind, "--inequality", ineq, "--noise", noise]
+        assert [e["stdout"] for e in pins.load() if e["argv"] == argv] == [want + "\n"]
 
     def test_numeric_failure_exit_code(self, capsys):
         code, _, err = run_cli(["threshold", "--rate", "dire-spot",
@@ -196,60 +197,6 @@ class TestThreshold:
                                 "--gamma", "0.45"], capsys)
         assert code == 3
         assert "sign" in err
-
-
-# the paper's 16 thresholds (Tables 2 and 3): stdout, and the stderr note
-# naming the flagged curve a DIRE threshold rests on
-PAPER_THRESHOLDS = [
-    ("dicka", "holz", "local", "0.933466492", ""),
-    ("dicka", "holz", "global", "0.85412462", ""),
-    ("dicka", "parity-chsh", "local", "0.935064835", ""),
-    ("dicka", "parity-chsh", "global", "0.857016482", ""),
-    ("dicka", "asym-chsh", "local", "0.922846169", ""),
-    ("dicka", "asym-chsh", "global", "0.851645052", ""),
-    ("dire-spot", "mabk", "local", "0.793700526", ""),
-    ("dire-spot", "mabk", "global", "0.5", ""),
-    ("dire-spot", "parity-chsh", "local", "0.869703355", "non-certified numeric:parity-chsh-two"),
-    ("dire-spot", "parity-chsh", "global", "0.707106781", "non-certified numeric:parity-chsh-two"),
-    ("dire-spot", "holz", "local", "0.849148225", "conjectured holz-two"),
-    ("dire-spot", "holz", "global", "0.666666667", "conjectured holz-two"),
-    ("dire-spot", "chsh", "local", "0.840896415", "non-certified numeric:chsh-two"),
-    ("dire-spot", "chsh", "global", "0.707106781", "non-certified numeric:chsh-two"),
-    ("dire-recycled", "chsh", "local", "0.840896415", "conjectured colbeck-recycled"),
-    ("dire-recycled", "chsh", "global", "0.707106781", "conjectured colbeck-recycled"),
-]
-
-
-@pytest.mark.parametrize("kind, ineq, noise, out, curve", PAPER_THRESHOLDS,
-                         ids=["-".join(row[:3]) for row in PAPER_THRESHOLDS])
-def test_paper_threshold_output_and_note(capsys, kind, ineq, noise, out, curve):
-    flags, _, name = curve.rpartition(" ")
-    note = f"note: rests on the {flags} curve {name}\n" if curve else ""
-    argv = ["threshold", "--rate", kind, "--inequality", ineq, "--noise", noise]
-    assert run_cli(argv, capsys) == (0, out + "\n", note)
-
-
-class TestScalarCurveNote:
-    """A scalar value that rests on a conjectured or non-certified curve
-    comes with one stderr line naming the curve and its flags; stdout is the
-    bare number either way (the thresholds: test_paper_threshold_output_and_note)."""
-
-    @pytest.mark.parametrize("argv, out, note", [
-        (["rate", "--inequality", "parity-chsh", "--noise", "local", "--dire", "spot",
-          "--p", "0.95"], "0.795516513",
-         "note: rests on the non-certified curve numeric:parity-chsh-two"),
-        (["bound", "--inequality", "holz", "--two-outcome", "--beta", "1.3"], "0.581579931",
-         "note: rests on the conjectured curve holz-two"),
-    ], ids=["rate", "bound"])
-    def test_flagged(self, capsys, argv, out, note):
-        assert run_cli(argv, capsys) == (0, out + "\n", note + "\n")
-
-    @pytest.mark.parametrize("argv, out", [
-        (["rate", "--dicka", "--inequality", "holz", "--p", "0.95"], "0.172205953"),
-        (["bound", "--inequality", "holz", "--beta", "1.3"], "0.413005981"),
-    ], ids=["rate", "bound"])
-    def test_unflagged(self, capsys, argv, out):
-        assert run_cli(argv, capsys) == (0, out + "\n", "")
 
 
 class TestOptimize:
@@ -271,21 +218,6 @@ class TestOptimize:
         code, _, err = run_cli(["optimize", "--inequality", "mabk", "--beta",
                                 "3.0"], capsys)
         assert code == 2
-
-    def test_grid_csv_pinned(self, tmp_path, capsys):
-        # one cold batch; fixed-seed bytes
-        path = tmp_path / "g.csv"
-        code, _, _ = run_cli(["optimize", "--inequality", "holz", "--grid",
-                              "1.05:1.5:5", "--restarts", "8", "--seed", "0",
-                              "--out", str(path)], capsys)
-        assert code == 0
-        assert path.read_text() == (
-            "quantity,inequality,noise,p,beta,value,flags\n"
-            "optimize-two,holz,,,1.05,0.0752560573,non-certified\n"
-            "optimize-two,holz,,,1.1625,0.270925436,non-certified\n"
-            "optimize-two,holz,,,1.275,0.516845081,non-certified\n"
-            "optimize-two,holz,,,1.3875,0.863786263,non-certified\n"
-            "optimize-two,holz,,,1.5,1.81127811,non-certified\n")
 
     def test_grid_rows_equal_single_solves(self, tmp_path, capsys):
         # a descending grid: each printed row is the `--beta` solve's entropy
@@ -684,8 +616,8 @@ class TestBadGrid:
 
 
 class TestPlainFloatsInErrors:
-    """A grid value outside its domain is named as a plain float, not as a
-    numpy scalar repr."""
+    """A grid value or asym-CHSH alpha outside its domain is named as a plain
+    float, not as a numpy scalar repr."""
 
     @pytest.mark.parametrize("argv, message", [
         (["sweep", "--quantity", "beta", "--grid", "0.5:1.2:5"],
@@ -696,6 +628,8 @@ class TestPlainFloatsInErrors:
          "error: depolarization parameter p=1.025 outside [0, 1]"),
         (["bound", "--inequality", "holz", "--grid", "1:2:5"],
          "error: beta=1.75 above the quantum bound 3/2"),
+        (["sweep", "--quantity", "beta", "--inequality", "asym-chsh", "--alpha", "0", "--grid",
+          "0.5:1:5"], "error: alpha=0.0 leaves the local bound at the quantum bound"),
     ])
     def test_message(self, tmp_path, capsys, argv, message):
         path = tmp_path / "e.csv"

@@ -22,47 +22,15 @@ def test_run_all_results_serialize_to_json():
     assert [row["name"] for row in rows] == [r.name for r in results]
 
 
-# `tribell verify --samples 2000` (run_all(2000, seed=11)), line by line
-PINNED_2000 = [
-    "[PASS] appendix-b-xxx-vs-beta: 438 violating-side samples, min margin 2.840e-02",
-    "[PASS] appendix-c-pair-correlators: max sums 0.209948230360, 0.225656981334",
-    "[PASS] uncertainty-relation: min margin 1.759e-02",
-    "[PASS] quantum-bound-sanity: max overshoot -1.075e+00",
-    None,  # tau-family-tightness: rounding-level errors, bounded below
-    None,  # reduced-vs-full-holz: likewise
-    "[PASS] curve-shape:holz-one: min 2nd-diff 2.126e-05, monotone True, "
-    "f(lo)=0.000e+00, f(hi)=1.000000000 (expect 1.000000000)",
-    "[PASS] curve-shape:holz-two: min 2nd-diff -1.998e-15, monotone True, "
-    "f(lo)=0.000e+00, f(hi)=1.811278124 (expect 1.811278124)",
-    "[PASS] curve-shape:parity-chsh-one: min 2nd-diff 1.046e-05, monotone True, "
-    "f(lo)=0.000e+00, f(hi)=1.000000000 (expect 1.000000000)",
-    "[PASS] curve-shape:mabk-one: min 2nd-diff 0.000e+00, monotone True, "
-    "f(lo)=0.000e+00, f(hi)=1.000000000 (expect 1.000000000)",
-    "[KNOWN-FAIL] curve-shape:mabk-two: min 2nd-diff -1.504e-04, monotone True, "
-    "f(lo)=0.000e+00, f(hi)=2.000000000 (expect 2.000000000)",
-    "[PASS] curve-shape:colbeck-recycled: min 2nd-diff -8.882e-16, monotone True, "
-    "f(lo)=0.000e+00, f(hi)=1.600876037 (expect 1.600876037)",
-    "[PASS] curve-shape:asym-chsh-one(alpha=0.5): min 2nd-diff -1.998e-15, monotone True, "
-    "f(lo)=0.000e+00, f(hi)=1.000000000 (expect 1.000000000)",
-    "[PASS] curve-shape:asym-chsh-one(alpha=1.0): min 2nd-diff 1.046e-05, monotone True, "
-    "f(lo)=0.000e+00, f(hi)=1.000000000 (expect 1.000000000)",
-    "[PASS] curve-shape:asym-chsh-one(alpha=2.0): min 2nd-diff 7.485e-06, monotone True, "
-    "f(lo)=0.000e+00, f(hi)=1.000000000 (expect 1.000000000)",
-]
-
-
 def test_run_all_2000_lines_pinned():
+    # pins.json pins the other lines of `tribell verify --samples 2000`, which
+    # is run_all(2000, seed=11); these two are rounding-level errors
     results = verification.run_all(samples=2000, seed=11)
-    assert len(results) == len(PINNED_2000)
-    for r, want in zip(results, PINNED_2000):
-        status = "PASS" if r.passed else "KNOWN-FAIL" if r.expected_failure else "FAIL"
-        line = f"[{status}] {r.name}: {r.detail}"
-        if want is not None:
-            assert line == want
-            continue
+    assert len(results) == 15
+    for r in results[4:6]:
         assert r.passed and r.name in ("tau-family-tightness", "reduced-vs-full-holz")
         errs = [float(x) for x in re.findall(r"\d\.\d+e[+-]\d+", r.detail)]
-        assert errs and max(errs) <= 1e-14, line
+        assert errs and max(errs) <= 1e-14, r.detail
 
 
 def test_batched_z_entropy_matches_cond_entropy():
