@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import sys
 
 import numpy as np
 
@@ -306,6 +307,9 @@ def asym_chsh_one_outcome(beta, alpha: float):
     linear below beta* when |alpha| < 1, g(beta) otherwise."""
     if not np.isfinite(alpha):
         raise ValidationError(f"alpha={float(alpha)!r} is not finite")
+    # hypot(1, alpha) is |alpha| this far out, so qb overflows exactly above here
+    if abs(alpha) > sys.float_info.max / 2.0:
+        raise ValidationError(f"alpha={float(alpha)!r} has no finite quantum bound")
     alpha = abs(float(alpha))
     qb = 2.0 * np.hypot(1.0, alpha)
 

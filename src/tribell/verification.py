@@ -68,12 +68,36 @@ def _trig(t: np.ndarray, b0) -> np.ndarray:
     return _block_trig(np.vstack([t.reshape(4, -1), np.broadcast_to(b0, t.shape[-1:])]))
 
 
-def random_density_matrices(count: int, dim: int, seed: int) -> np.ndarray:
+def _require_samples(samples: int) -> None:
+    if samples < 1:
+        raise ValidationError(f"samples={samples!r} is below 1")
+
+
+_STATE_BLOCK = 512  # states a block of _density_matrix_blocks holds
+
+
+def _density_matrix_blocks(count: int, dim: int, seed: int):
+    """random_density_matrices(count, dim, seed) in consecutive blocks of at
+    most _STATE_BLOCK states: the real parts of every G are drawn in one
+    call, then the imaginary parts one block at a time."""
     rng = np.random.default_rng(seed)
-    g = rng.normal(size=(count, dim, dim)) + 1j * rng.normal(size=(count, dim, dim))
-    rho = g @ g.conj().transpose(0, 2, 1)
-    tr = np.trace(rho, axis1=1, axis2=2).real
-    return rho / tr[:, None, None]
+    real = rng.normal(size=(count, dim, dim))
+    for start in range(0, count, _STATE_BLOCK):
+        re = real[start:start + _STATE_BLOCK]
+        g = re + 1j * rng.normal(size=re.shape)
+        rho = g @ g.conj().transpose(0, 2, 1)
+        yield rho / np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+
+
+def random_density_matrices(count: int, dim: int, seed: int) -> np.ndarray:
+    """count random (dim, dim) density matrices rho = G G^dagger / tr(G G^dagger)
+    with complex Ginibre G (real and imaginary parts standard normal), the
+    Hilbert-Schmidt measure; the real parts of all count G are drawn before
+    any imaginary part.  count = 0 gives an empty (0, dim, dim) stack."""
+    if count < 0:
+        raise ValidationError(f"count={count!r} is negative")
+    return np.concatenate([np.empty((0, dim, dim), complex),
+                           *_density_matrix_blocks(count, dim, seed)])
 
 
 def _appendix_b_draws(samples: int, seed: int):
@@ -118,6 +142,7 @@ def check_appendix_b(samples: int = 10_000, seed: int = 11) -> CheckResult:
     are jittered near-optimal configurations so that the violating side
     (beta > 1, where the inequality is nontrivial) is well sampled.
     """
+    _require_samples(samples)
     rhos, ts, a1, bm, cm = _appendix_b_draws(samples, seed)
     rhos, ts = _sorted_blocks(rhos, ts)
     # Bob's drawn angle bm is the reduced frame's b0 - pi/2
@@ -135,12 +160,15 @@ def check_appendix_b(samples: int = 10_000, seed: int = 11) -> CheckResult:
 
 
 def check_appendix_c(samples: int = 10_000, seed: int = 13) -> CheckResult:
-    """<XXX>^2+<XXY>^2 <= 1 and <XYY>^2+<XYX>^2 <= 1 on random 3-qubit states."""
-    rho = random_density_matrices(samples, 8, seed)
-    vals = [_party_expectation(rho, ops)
-            for ops in ((X, X, X), (X, X, Y), (X, Y, Y), (X, Y, X))]
-    m1 = np.max(vals[0] ** 2 + vals[1] ** 2)
-    m2 = np.max(vals[2] ** 2 + vals[3] ** 2)
+    """<XXX>^2+<XXY>^2 <= 1 and <XYY>^2+<XYX>^2 <= 1 on random 3-qubit states,
+    read in blocks of _STATE_BLOCK; np.maximum keeps a NaN of any block."""
+    _require_samples(samples)
+    m1 = m2 = -np.inf
+    for rho in _density_matrix_blocks(samples, 8, seed):
+        xxx, xxy, xyy, xyx = (_party_expectation(rho, ops)
+                              for ops in ((X, X, X), (X, X, Y), (X, Y, Y), (X, Y, X)))
+        m1 = np.maximum(m1, np.max(xxx ** 2 + xxy ** 2))
+        m2 = np.maximum(m2, np.max(xyy ** 2 + xyx ** 2))
     passed = m1 <= 1.0 + CHECK_TOL and m2 <= 1.0 + CHECK_TOL
     return CheckResult("appendix-c-pair-correlators", passed,
                        f"max sums {m1:.12f}, {m2:.12f}")
@@ -148,6 +176,7 @@ def check_appendix_c(samples: int = 10_000, seed: int = 13) -> CheckResult:
 
 def check_uncertainty(samples: int = 1_000, seed: int = 17) -> CheckResult:
     """H(Z|E) >= 1 - h((1+|<XXX>|)/2) on random block-diagonal states."""
+    _require_samples(samples)
     rho, t = _random_block_columns(samples, seed)
     lhs = cond_entropies(_block_matrices(rho, t), [0], Z[None])
     xxx = _block_correlators(rho, _trig(t, 0.0))[0]
@@ -163,6 +192,7 @@ def check_quantum_bounds(samples: int = 500, seed: int = 19) -> CheckResult:
     One-sided: the asymmetric functionals reach values below -quantum_bound
     already with classical strategies, so only the upper bound is universal.
     """
+    _require_samples(samples)
     rng = np.random.default_rng(seed)
     worst = -np.inf
     for offset, name in enumerate(("holz", "parity-chsh", "mabk", "chsh")):

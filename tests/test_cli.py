@@ -659,11 +659,13 @@ class TestPlainFloatsInErrors:
     (lambda: bounds.asym_chsh_one_outcome(2.5, np.float64(np.nan)), "alpha=nan is not finite"),
     (lambda: bounds.asym_chsh_one_outcome(np.float64(3.0), 1.0),
      "beta=3.0 above the quantum bound 2.8284271247461903"),
+    (lambda: bounds.asym_chsh_one_outcome(1e300, np.float64(1e308)),
+     "alpha=1e+308 has no finite quantum bound"),
     (lambda: rates.two_outcome_numeric("chsh", np.array([2.5, 3.0])),
      "beta=3.0 above the quantum bound 2.8284271247461903"),
     (lambda: bounds.holz_two_outcome(np.array([1.2, np.nan, 1.75])), "beta=nan is not finite"),
 ], ids=["theta_x_domain", "solve_x", "solve_x-grid", "theta", "asym-alpha", "asym-beta",
-        "numeric", "holz-two-grid"])
+        "asym-alpha-overflow", "numeric", "holz-two-grid"])
 def test_curve_errors_name_plain_floats(call, message):
     with pytest.raises(ValidationError) as exc:
         call()
