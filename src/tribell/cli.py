@@ -24,7 +24,6 @@ import numpy as np
 from . import optimize, rates, verification
 from .bell import INEQUALITIES, spec_by_name
 from .errors import NumericError, ValidationError
-from .states import NoiseModel
 
 __all__ = ["cmd_bound", "cmd_rate", "cmd_threshold", "cmd_optimize", "cmd_verify", "cmd_sweep",
            "OPTIONS", "build_parser", "main"]
@@ -160,7 +159,7 @@ def cmd_rate(args) -> int:
     if args.grid is not None:
         return _sweep_csv(args, f"rate-{kind}",
                           lambda grid: _rate_columns(args, kind, spec, grid))
-    r = rates.rate(kind, spec, NoiseModel(args.noise, args.p), args.gamma)
+    r = rates.rate_grid(kind, spec, args.noise, [args.p], args.gamma)[0]
     print(_fmt(r.rate))
     _note_curve(r.bound_used, r.flags)
     return 0
@@ -171,10 +170,9 @@ def cmd_rate(args) -> int:
 
 def cmd_threshold(args) -> int:
     """threshold p where a rate turns positive"""
-    fn = rates.rate_function(args.rate, args.inequality, args.noise,
-                             gamma=args.gamma)
-    print(_fmt(rates.threshold_p(fn)))
-    curve = rates._rate_curve(args.rate, spec_by_name(args.inequality), args.gamma)
+    spec = spec_by_name(args.inequality)
+    print(_fmt(rates.threshold_p(args.rate, spec, args.noise, args.gamma)))
+    curve = rates.rate_curve(args.rate, spec, args.gamma)
     if curve is not None:  # asym-CHSH DICKA's alpha search rests on no flagged curve
         _note_curve(curve.name, curve.flags)
     return 0

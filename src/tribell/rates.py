@@ -3,12 +3,13 @@ threshold finding in the depolarization parameter p, and the registry that
 picks the entropy bound curve for each inequality and outcome.
 
 Rates are signed; a threshold is the sign change of the signed rate, found
-to the last ulp by qmath.bracketed_root.  A grid of p is computed on stacks
-of states (betas_of_p, rate_grid), or for asym-CHSH DICKA in one lockstep
-alpha search (best_alpha_one_outcome), each value the one-point value bit
-for bit.  The two-outcome bounds for Parity-CHSH and CHSH are numeric curves
-produced by the optimizer, shipped as a monotone 200-point table and
-linearly interpolated (regenerate via the CLI).
+to the last ulp by qmath.bracketed_roots.  Every function of p takes
+(noise_kind, p); a grid of p is computed on stacks of states (betas_of_p,
+rate_grid), or for asym-CHSH DICKA in one lockstep alpha search
+(best_alpha_one_outcome), each value the one-point value bit for bit.  The
+two-outcome bounds for Parity-CHSH and CHSH are numeric curves produced by
+the optimizer, shipped as a monotone 200-point table and linearly
+interpolated (regenerate via the CLI).
 """
 
 from __future__ import annotations
@@ -24,16 +25,15 @@ from typing import Callable
 import numpy as np
 
 from . import bounds, optimize, qmath
-from .bell import BellSpec, BellValue, _check_beta, bell_terms, spec_by_name
+from .bell import BellSpec, _check_beta, bell_terms, spec_by_name
 from .errors import ValidationError
 from .qmath import binary_entropy as h
-from .states import (NoiseModel, _check_noise_kind, _check_ps, _global_channel,
-                     _local_channel, ghz_state)
+from .states import _check_ps, _global_channel, _local_channel, ghz_state
 
-__all__ = ["GAMMA_DEFAULT", "RateResult", "qber", "beta_of_p", "betas_of_p",
-           "beta_of_p_closed_form", "TABLE_ENV", "NUMERIC_CURVES", "two_outcome_numeric",
-           "generate_two_outcome_table", "BoundCurve", "bound_curve", "RATE_KINDS",
-           "best_alpha_one_outcome", "rate", "rate_grid", "threshold_p", "rate_function"]
+__all__ = ["GAMMA_DEFAULT", "RateResult", "qber", "betas_of_p", "beta_of_p_closed_form",
+           "TABLE_ENV", "NUMERIC_CURVES", "two_outcome_numeric", "generate_two_outcome_table",
+           "BoundCurve", "bound_curve", "RATE_KINDS", "best_alpha_one_outcome", "rate_curve",
+           "rate_grid", "threshold_p"]
 
 GAMMA_DEFAULT = 3.3e-4  # the 0.033% test-round fraction used in the figures
 SQRT2 = np.sqrt(2.0)
@@ -45,17 +45,6 @@ class RateResult:
     beta_at_p: float
     bound_used: str
     flags: tuple[str, ...] = ()  # the bound curve's flags
-
-
-def qber(noise: NoiseModel) -> float:
-    """Pairwise key-bit error rate Q of the honest strategy."""
-    return _qber(noise.kind, noise.p)
-
-
-def _qber(noise_kind: str, p: float) -> float:
-    if noise_kind == "local":
-        return (1.0 - p ** 2) / 2.0
-    return (1.0 - p) / 2.0
 
 
 @lru_cache(maxsize=64)  # asym-chsh specs carry an arbitrary alpha
@@ -77,10 +66,9 @@ def _noiseless(parties: int) -> np.ndarray:
 
 
 def _honest_betas(spec: BellSpec, noise_kind: str, p) -> np.ndarray:
-    """The honest Bell values at a checked p, a float or an (n, 1, 1) column
-    of them: shape (1,) or (n,).  Every p takes the same path, the noise
-    channel, then Tr[rho O] per term, summed left to right, so a grid's
-    values are the one-point values bit for bit."""
+    """The honest Bell values, shape (n,), at an (n, 1, 1) column of checked
+    p.  Every p takes the same path, the noise channel, then Tr[rho O] per
+    term, summed left to right: a grid's values are the one-point values, bit for bit."""
     rho = _noiseless(spec.parties)
     rho = (_local_channel(rho, p, spec.parties) if noise_kind == "local"
            else _global_channel(rho, p))
@@ -96,20 +84,30 @@ def _honest_betas(spec: BellSpec, noise_kind: str, p) -> np.ndarray:
     return total
 
 
-def beta_of_p(spec: BellSpec, noise: NoiseModel) -> float:
-    """Bell value of the honest strategy: spec's settings row on the
-    depolarized GHZ (or Bell) state; the one-point case of betas_of_p."""
-    return BellValue(float(_honest_betas(spec, noise.kind, float(noise.p))[0]), spec).beta
-
-
 def _checked_grid(noise_kind: str, ps) -> np.ndarray:
     """ps as a 1-d float array, each p in [0, 1], and a known noise kind."""
     ps = np.asarray(ps, dtype=float)
     if ps.ndim != 1:
         raise ValidationError(f"expected a 1-d grid of p, got shape {ps.shape}")
-    _check_noise_kind(noise_kind)
+    if noise_kind not in ("local", "global"):
+        raise ValidationError(f"unknown noise kind {noise_kind!r}")
     _check_ps(ps)
     return ps
+
+
+def _honest_scale(noise_kind: str, ps) -> np.ndarray:
+    """s = <Z Z>, two parties' honest correlator, at every p of the 1-d ps,
+    checked: p under global noise, p^2 under local; the QBER is (1 - s)/2."""
+    ps = _checked_grid(noise_kind, ps)
+    # C pow, as p ** 2 on a float; ps ** 2 and ps * ps differ from it in the last bit at some p
+    return ps if noise_kind == "global" else np.float_power(ps, 2.0)
+
+
+def qber(noise_kind: str, p):
+    """Pairwise key-bit error rate Q of the honest strategy at p, a float or
+    a 1-d grid of them, elementwise: a float for a float."""
+    q = (1.0 - _honest_scale(noise_kind, np.atleast_1d(p))) / 2.0
+    return float(q[0]) if np.ndim(p) == 0 else q
 
 
 # grid points per kernel call: the largest temporary, the three Pauli
@@ -118,8 +116,9 @@ _GRID_BLOCK = 32
 
 
 def betas_of_p(spec: BellSpec, noise_kind: str, ps) -> np.ndarray:
-    """beta_of_p at every p of the 1-d ps under one noise kind, computed on
-    stacks of states; each value equals beta_of_p's bit for bit."""
+    """The honest Bell value, spec's settings row on the depolarized GHZ (or
+    Bell) state, at every p of the 1-d ps under one noise kind, computed on
+    stacks of states; each value is the one-point grid's bit for bit."""
     ps = _checked_grid(noise_kind, ps)
     if ps.size == 0:
         return np.empty(0)
@@ -129,10 +128,10 @@ def betas_of_p(spec: BellSpec, noise_kind: str, ps) -> np.ndarray:
     return betas
 
 
-def beta_of_p_closed_form(spec: BellSpec, noise: NoiseModel) -> float:
-    """Closed forms of the honest violations (cross-checked against beta_of_p)."""
-    p = noise.p
-    if noise.kind == "global":
+def beta_of_p_closed_form(spec: BellSpec, noise_kind: str, p: float) -> float:
+    """Closed forms of the honest violations (cross-checked against betas_of_p)."""
+    p = float(_checked_grid(noise_kind, [p])[0])
+    if noise_kind == "global":
         return spec.quantum_bound * p
     if spec.kind == "holz":
         return 0.75 * (p ** 3 + p ** 2)
@@ -282,16 +281,14 @@ RATE_KINDS = ("dicka", "dire-spot", "dire-recycled")
 
 def best_alpha_one_outcome(noise_kind: str, ps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(alpha, bound, beta) arrays maximizing the asym-CHSH one-outcome bound
-    at each p of the 1-d ps, at the honest violation 2 sqrt(1 + alpha^2) p
-    (global) or p^2 (local): one best_alpha_bound search for the grid."""
-    ps = _checked_grid(noise_kind, ps)
-    # C pow, as p ** 2 on a float; ps * ps differs from it in the last bit at some p
-    scale = ps if noise_kind == "global" else np.float_power(ps, 2.0)
+    at each p of the 1-d ps, at the honest violation 2 sqrt(1 + alpha^2) s
+    (_honest_scale): one best_alpha_bound search for the grid."""
+    scale = _honest_scale(noise_kind, ps)
     alpha, bound = bounds.best_alpha_bound(scale)
     return alpha, bound, 2.0 * np.hypot(1.0, alpha) * scale
 
 
-def _rate_curve(kind: str, spec: BellSpec, gamma: float) -> BoundCurve | None:
+def rate_curve(kind: str, spec: BellSpec, gamma: float) -> BoundCurve | None:
     """Check a rate's kind, inequality and gamma in [0, 1] (dire-spot's test
     fraction, checked for every kind), and return the bound curve it reads:
     None for asym-CHSH DICKA, which maximizes its bound over alpha at each p."""
@@ -315,47 +312,36 @@ def _rate_curve(kind: str, spec: BellSpec, gamma: float) -> BoundCurve | None:
     raise ValidationError(f"unknown rate kind {kind!r}")
 
 
-def rate(kind: str, spec: BellSpec, noise: NoiseModel,
-         gamma: float = GAMMA_DEFAULT) -> RateResult:
-    """The rate of one of RATE_KINDS at noise, the one-point case of
-    rate_grid; gamma in [0, 1] is dire-spot's test fraction, and is
-    range-checked for every kind."""
-    return rate_grid(kind, spec, noise.kind, [noise.p], gamma)[0]
-
-
 def rate_grid(kind: str, spec: BellSpec, noise_kind: str, ps,
               gamma: float = GAMMA_DEFAULT) -> list[RateResult]:
-    """rate at every p of the 1-d ps under one noise kind, from one betas_of_p
-    and one curve.fn call: DICKA is the one-outcome bound minus h(Q);
-    DIRE-spot the two-outcome bound minus the test cost r*gamma + h(gamma);
-    DIRE-recycled the recycled-input bound.  asym-CHSH DICKA instead takes
-    its bound maximized over alpha at every p, from one best_alpha_one_outcome
-    call, and runs two concatenated two-party protocols, so its rate carries
-    a factor 1/2."""
-    curve = _rate_curve(kind, spec, gamma)
+    """The rate of one of RATE_KINDS at every p of the 1-d ps, each that of
+    the one-point grid [p] bit for bit, from one betas_of_p and one fn call;
+    gamma in [0, 1], dire-spot's test fraction, is checked for every kind.
+    DICKA is the one-outcome bound minus h(Q); DIRE-spot the two-outcome
+    bound minus the test cost r*gamma + h(gamma); DIRE-recycled the
+    recycled-input bound.  asym-CHSH DICKA instead maximizes its bound over
+    alpha at every p in one best_alpha_one_outcome call, and runs two
+    concatenated two-party protocols, so its rate carries a factor 1/2."""
+    curve = rate_curve(kind, spec, gamma)
     if curve is None:
         alpha, bound, betas = best_alpha_one_outcome(noise_kind, ps)
-        values = 0.5 * (bound - h([_qber(noise_kind, p) for p in ps]))
+        values = 0.5 * (bound - h(qber(noise_kind, ps)))
         return [RateResult(value, beta, f"asym-chsh-one(alpha={a:.9g})")
                 for value, beta, a in zip(values.tolist(), betas.tolist(), alpha.tolist())]
     betas = betas_of_p(spec, noise_kind, ps)
     values = curve.fn(betas)
     if kind == "dicka":
-        values = values - h([_qber(noise_kind, p) for p in ps])
+        values = values - h(qber(noise_kind, ps))
     elif kind == "dire-spot":
         values = values - spec.input_bits * gamma - h(gamma)
     return [RateResult(value, beta, curve.name, curve.flags)
             for value, beta in zip(values.tolist(), betas.tolist())]
 
 
-def threshold_p(rate_fn) -> float:
+def threshold_p(kind: str, spec: BellSpec, noise_kind: str, gamma: float = 0.0) -> float:
     """Smallest p evaluated in [0, 1] whose signed rate is positive, one ulp
-    above the largest p evaluated whose rate is not; NumericError unless
-    rate_fn(0) <= 0 < rate_fn(1)."""
-    return qmath.bracketed_root(rate_fn, 0.0, 1.0)
-
-
-def rate_function(kind: str, ineq: str, noise_kind: str, gamma: float = 0.0):
-    """p -> signed rate closure for threshold finding and sweeps."""
-    spec = spec_by_name(ineq)
-    return lambda p: rate(kind, spec, NoiseModel(noise_kind, p), gamma).rate
+    above the largest p evaluated whose rate is not, one bracketed_roots lane
+    on rate_grid; NumericError unless rate(0) <= 0 < rate(1)."""
+    return float(qmath.bracketed_roots(
+        lambda ps: np.array([r.rate for r in rate_grid(kind, spec, noise_kind, ps, gamma)]),
+        [0.0], [1.0])[0])

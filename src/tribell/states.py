@@ -17,8 +17,7 @@ from .errors import ValidationError
 from .qmath import as_matrix, kron_all
 
 __all__ = ["I2", "X", "Y", "Z", "ghz_vector", "ghz_state", "depolarize_local",
-           "depolarize_global", "NoiseModel", "observable_matrices", "BlockDiagState",
-           "tau_state"]
+           "depolarize_global", "observable_matrices", "BlockDiagState", "tau_state"]
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -46,11 +45,6 @@ def _check_p(p: float) -> float:
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"depolarization parameter p={float(p)!r} outside [0, 1]")
     return float(p)
-
-
-def _check_noise_kind(kind: str) -> None:
-    if kind not in ("local", "global"):
-        raise ValidationError(f"unknown noise kind {kind!r}")
 
 
 def _check_ps(ps: np.ndarray) -> None:
@@ -107,23 +101,6 @@ def _global_channel(rho: np.ndarray, p) -> np.ndarray:
     """depolarize_global at a checked p, a float or an (n, 1, 1) column."""
     d = rho.shape[-1]
     return p * rho + (1.0 - p) * np.eye(d, dtype=complex) / d
-
-
-@dataclass(frozen=True)
-class NoiseModel:
-    """Local (per-qubit) or global depolarization with survival probability p."""
-
-    kind: str  # "local" | "global"
-    p: float
-
-    def __post_init__(self):
-        _check_noise_kind(self.kind)
-        _check_p(self.p)
-
-    def apply(self, rho, qubit_count: int) -> np.ndarray:
-        if self.kind == "local":
-            return depolarize_local(rho, self.p, qubit_count)
-        return depolarize_global(rho, self.p)
 
 
 def observable_matrices(plane: str, angles) -> np.ndarray:

@@ -229,6 +229,8 @@ def verify_tightness(ineq: str, nu_grid) -> TightnessReport:
         raise ValidationError("tightness families exist for holz and parity-chsh")
     curve = bound_curve(spec_by_name(ineq), "one")
     nus = np.asarray(list(nu_grid), dtype=float)
+    if not nus.size:
+        raise ValidationError("verify_tightness needs at least one nu")
     if not np.all((nus >= 0.5) & (nus <= 1.0)):
         raise ValidationError(f"nu outside [1/2, 1] in {nus!r}")
     expected = 1.0 - h(nus)
@@ -260,6 +262,8 @@ def check_bound_curves(grid: int = 200) -> list[CheckResult]:
     """Zero at the classical bound, the expected value at the quantum bound,
     monotone, and convex (second differences >= -1e-7) for every analytical
     curve of the registry."""
+    if grid < 3:
+        raise ValidationError(f"grid={grid!r}: second differences need at least 3 points")
     expected = [  # (spec, outcome, value at the quantum bound)
         (holz(), "one", 1.0),
         (holz(), "two", bounds.theta_at_optimum(1.5)),

@@ -16,7 +16,7 @@ from tribell import bounds, optimize, rates, verification
 from tribell.bell import bell_value, spec_by_name
 from tribell.centropy import cond_entropy
 from tribell.optimize import OptConfig, convex_hull_lower, hull_knots
-from tribell.rates import rate_function, threshold_p
+from tribell.rates import threshold_p
 from tribell.states import ghz_state, observable_matrices
 
 SQRT2 = np.sqrt(2.0)
@@ -53,7 +53,7 @@ def test_criterion_2_table2_dicka_thresholds():
     }
     errs = {}
     for (ineq, noise), want in expected.items():
-        got = threshold_p(rate_function("dicka", ineq, noise))
+        got = threshold_p("dicka", spec_by_name(ineq), noise)
         errs[ineq, noise] = abs(got - want)
     elapsed = time.time() - t0
     ok = all(e <= 1e-3 for e in errs.values()) and elapsed < 30.0
@@ -71,21 +71,16 @@ def test_criterion_3_table3_dire_thresholds():
     }
     errs = {}
     for (ineq, noise), want in expected.items():
-        got = threshold_p(rate_function("dire-spot", ineq, noise, gamma=0.0))
+        got = threshold_p("dire-spot", spec_by_name(ineq), noise, gamma=0.0)
         errs[ineq, noise] = abs(got - want)
     table_ok = all(e <= 1e-3 for e in errs.values())
 
     analytic = [
-        (threshold_p(rate_function("dire-spot", "mabk", "local", gamma=0.0)),
-         2.0 ** (-1.0 / 3.0)),
-        (threshold_p(rate_function("dire-spot", "mabk", "global", gamma=0.0)),
-         0.5),
-        (threshold_p(rate_function("dire-spot", "holz", "global", gamma=0.0)),
-         2.0 / 3.0),
-        (threshold_p(rate_function("dire-recycled", "chsh", "local")),
-         2.0 ** -0.25),
-        (threshold_p(rate_function("dire-recycled", "chsh", "global")),
-         2.0 ** -0.5),
+        (threshold_p("dire-spot", spec_by_name("mabk"), "local", gamma=0.0), 2.0 ** (-1.0 / 3.0)),
+        (threshold_p("dire-spot", spec_by_name("mabk"), "global", gamma=0.0), 0.5),
+        (threshold_p("dire-spot", spec_by_name("holz"), "global", gamma=0.0), 2.0 / 3.0),
+        (threshold_p("dire-recycled", spec_by_name("chsh"), "local"), 2.0 ** -0.25),
+        (threshold_p("dire-recycled", spec_by_name("chsh"), "global"), 2.0 ** -0.5),
     ]
     analytic_ok = all(abs(a - b) <= 1e-6 for a, b in analytic)
     ok = table_ok and analytic_ok

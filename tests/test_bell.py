@@ -175,7 +175,7 @@ class TestSpecs:
             dataclasses.replace(bell.parity_chsh(), terms=((coef, (1, "-", 0)),))
 
     def test_list_fields_stored_as_tuples(self):
-        # a spec made from lists hashes, so beta_of_p's cache takes it, and
+        # a spec made from lists hashes, so betas_of_p's cache takes it, and
         # gives the tuple spec's value bit for bit
         spec = bell.holz()
         listed = dataclasses.replace(spec, angles=list(spec.angles),
@@ -184,10 +184,9 @@ class TestSpecs:
         assert isinstance(listed.angles, tuple)
         assert all(isinstance(t, tuple) and isinstance(t[1], tuple) for t in listed.terms)
         for noise, p in (("local", 0.93), ("global", 0.8)):
-            nm = states.NoiseModel(noise, p)
-            got = rates.beta_of_p(dataclasses.replace(spec, angles=list(spec.angles)), nm)
-            want = rates.beta_of_p(spec, nm)
-            assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
+            got = rates.betas_of_p(dataclasses.replace(spec, angles=list(spec.angles)), noise, [p])
+            want = rates.betas_of_p(spec, noise, [p])
+            assert got.view(np.uint64) == want.view(np.uint64)
 
     def test_list_fields_keep_their_checks(self):
         with pytest.raises(ValidationError, match="settings row"):

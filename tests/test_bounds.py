@@ -440,11 +440,10 @@ class TestBestAlpha:
 
     def test_below_threshold_rate_nonpositive(self):
         # Table 2 threshold for asym-CHSH local noise is ~0.923
-        from tribell.rates import rate
+        from tribell.rates import rate_grid
         from tribell.bell import spec_by_name
-        from tribell.states import NoiseModel
 
-        r = rate("dicka", spec_by_name("asym-chsh"), NoiseModel("local", 0.915))
+        (r,) = rate_grid("dicka", spec_by_name("asym-chsh"), "local", [0.915])
         assert r.rate <= 0.0
 
     @pytest.mark.parametrize("block", [3, bounds._LANE_BLOCK])

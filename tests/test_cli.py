@@ -21,7 +21,6 @@ from tribell import bounds, cli, optimize, rates, verification
 from tribell.bell import spec_by_name
 from tribell.cli import main
 from tribell.errors import ValidationError
-from tribell.states import NoiseModel
 
 RUN = [sys.executable, "-m", "tribell.cli"]
 # the child interpreter imports the same tribell as this one
@@ -390,14 +389,13 @@ class TestSweepOptimizeAlpha:
 
 
 def point_columns(quantity, spec, noise, gamma, p):
-    """One p's (value, beta, flags) from per-point calls: rates.rate, or
-    beta_of_p and the bound curve."""
+    """One p's (value, beta, flags) from one-point calls: rates.rate_grid, or
+    rates.betas_of_p and the bound curve."""
     kind = quantity.removeprefix("rate-")
-    nm = NoiseModel(noise, p)
     if kind in rates.RATE_KINDS:
-        r = rates.rate(kind, spec, nm, gamma)
+        r = rates.rate_grid(kind, spec, noise, [p], gamma)[0]
         return r.rate, r.beta_at_p, r.flags
-    beta = rates.beta_of_p(spec, nm)
+    beta = float(rates.betas_of_p(spec, noise, [p])[0])
     if quantity == "beta":
         return beta, "", ()
     curve = rates.bound_curve(spec, quantity.removeprefix("bound-"))
@@ -641,7 +639,7 @@ class TestPlainFloatsInErrors:
 
     def test_library_messages(self):
         with pytest.raises(ValidationError, match=r"p=1\.025 outside") as exc:
-            NoiseModel("local", np.float64(1.025))
+            rates.qber("local", np.float64(1.025))
         assert "np." not in str(exc.value)
         with pytest.raises(ValidationError, match=r"p=nan outside"):
             rates.betas_of_p(spec_by_name("holz"), "local", [0.5, np.nan])
@@ -867,7 +865,6 @@ class TestEveryOptionActsOrIsRefused:
         monkeypatch.setattr(rates, "bound_curve", recorder("bound_curve", SimpleNamespace(
             name="curve", fn=recorder("fn", lambda beta: np.full(np.shape(beta), 0.5)),
             flags=())))
-        monkeypatch.setattr(rates, "beta_of_p", recorder("beta_of_p", 2.0))
         monkeypatch.setattr(rates, "betas_of_p", recorder(
             "betas_of_p", lambda spec, noise, ps: np.full(len(ps), 2.0)))
         monkeypatch.setattr(rates, "rate_grid", recorder(
@@ -875,7 +872,7 @@ class TestEveryOptionActsOrIsRefused:
         monkeypatch.setattr(rates, "best_alpha_one_outcome", recorder(
             "best_alpha", lambda noise, ps: (np.ones(len(ps)), np.full(len(ps), 0.5),
                                              np.full(len(ps), 2.5))))
-        monkeypatch.setattr(rates, "threshold_p", lambda fn: fn(0.9))
+        monkeypatch.setattr(rates, "threshold_p", recorder("threshold_p", 0.9))
         monkeypatch.setattr(rates, "generate_two_outcome_table",
                             recorder("table", {}))
         for ineq in list(optimize.MINIMIZERS):

@@ -11,12 +11,22 @@ from tribell import bounds, rates, states
 from tribell.bell import INEQUALITIES, asym_chsh, spec_by_name
 from tribell.errors import NumericError, ValidationError
 from tribell.qmath import kron_all
-from tribell.rates import (beta_of_p, beta_of_p_closed_form, qber, rate,
-                           rate_function, threshold_p, two_outcome_numeric)
-from tribell.states import (I2, NoiseModel, X, Y, Z, depolarize_global,
-                            depolarize_local, ghz_state, observable_matrices)
+from tribell.rates import (beta_of_p_closed_form, betas_of_p, qber, rate_grid, threshold_p,
+                           two_outcome_numeric)
+from tribell.states import (I2, X, Y, Z, depolarize_global, depolarize_local, ghz_state,
+                            observable_matrices)
 
 SQRT2 = np.sqrt(2.0)
+
+
+def beta_of_p(spec, noise, p):
+    """The honest violation at one p: betas_of_p's one-point grid."""
+    return float(betas_of_p(spec, noise, [p])[0])
+
+
+def rate(kind, spec, noise, p, gamma=rates.GAMMA_DEFAULT):
+    """The RateResult at one p: rate_grid's one-point grid."""
+    return rate_grid(kind, spec, noise, [p], gamma)[0]
 
 
 def h2(x):
@@ -31,23 +41,28 @@ class TestBetaOfP:
     def test_matrix_vs_closed_form(self, ineq, noise):
         spec = spec_by_name(ineq)
         for p in np.linspace(0.0, 1.0, 11):
-            nm = NoiseModel(noise, p)
-            assert beta_of_p(spec, nm) == pytest.approx(
-                beta_of_p_closed_form(spec, nm), abs=1e-12)
+            assert beta_of_p(spec, noise, p) == pytest.approx(
+                beta_of_p_closed_form(spec, noise, p), abs=1e-12)
 
     def test_asym_closed_form(self):
         spec = spec_by_name("asym-chsh", alpha=1.7)
-        nm = NoiseModel("local", 0.9)
-        assert beta_of_p(spec, nm) == pytest.approx(
+        assert beta_of_p(spec, "local", 0.9) == pytest.approx(
             2 * np.hypot(1, 1.7) * 0.81, abs=1e-12)
 
     def test_named_points(self):
-        assert beta_of_p(spec_by_name("mabk"), NoiseModel("local", 2 ** (-1 / 3))) \
+        assert beta_of_p(spec_by_name("mabk"), "local", 2 ** (-1 / 3)) \
             == pytest.approx(2.0, abs=1e-12)
-        assert beta_of_p(spec_by_name("chsh"), NoiseModel("global", 2 ** -0.5)) \
+        assert beta_of_p(spec_by_name("chsh"), "global", 2 ** -0.5) \
             == pytest.approx(2.0, abs=1e-12)
-        assert beta_of_p(spec_by_name("holz"), NoiseModel("global", 2 / 3)) \
+        assert beta_of_p(spec_by_name("holz"), "global", 2 / 3) \
             == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("noise_kind, p, message", [
+        ("thermal", 0.5, "unknown noise kind"), ("local", np.nan, "p=nan outside"),
+        ("global", 1.5, r"p=1\.5 outside")])
+    def test_closed_form_refuses(self, noise_kind, p, message):
+        with pytest.raises(ValidationError, match=message):
+            beta_of_p_closed_form(spec_by_name("holz"), noise_kind, p)
 
 
 def fresh_depolarize_local(rho, p, n):
@@ -61,12 +76,13 @@ def fresh_depolarize_local(rho, p, n):
     return out
 
 
-def fresh_beta_of_p(spec, noise):
-    """beta_of_p with every operator built on every call: the noise channel's
-    Pauli strings and each Bell term's observable string, summed as written."""
+def fresh_beta_of_p(spec, noise, p):
+    """The honest violation at p with every operator built on every call: the
+    noise channel's Pauli strings and each Bell term's observable string,
+    summed as written."""
     n = spec.parties
-    rho = (fresh_depolarize_local(ghz_state(n), noise.p, n) if noise.kind == "local"
-           else depolarize_global(ghz_state(n), noise.p))
+    rho = (fresh_depolarize_local(ghz_state(n), p, n) if noise == "local"
+           else depolarize_global(ghz_state(n), p))
 
     def corr(*observables):
         op = kron_all(*(I2 if o is None else o for o in observables))
@@ -91,7 +107,7 @@ def fresh_beta_of_p(spec, noise):
 
 
 class TestBetaOfPBitIdentical:
-    """The operators beta_of_p builds once per process give the bits of the
+    """The operators betas_of_p builds once per process give the bits of the
     per-call construction."""
 
     PS = np.concatenate([np.linspace(0.0, 1.0, 2001),
@@ -103,8 +119,8 @@ class TestBetaOfPBitIdentical:
     @pytest.mark.parametrize("noise", ["local", "global"])
     def test_beta_of_p(self, ineq, alpha, noise):
         spec = spec_by_name(ineq, alpha)
-        got = np.array([beta_of_p(spec, NoiseModel(noise, p)) for p in self.PS])
-        want = np.array([fresh_beta_of_p(spec, NoiseModel(noise, p)) for p in self.PS])
+        got = betas_of_p(spec, noise, self.PS)
+        want = np.array([fresh_beta_of_p(spec, noise, p) for p in self.PS])
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("n", [2, 3])
@@ -125,8 +141,8 @@ class TestBetaOfPBitIdentical:
     @pytest.mark.parametrize("noise", ["local", "global"])
     def test_grid_equals_points(self, ineq, alpha, noise):
         spec = spec_by_name(ineq, alpha)
-        got = rates.betas_of_p(spec, noise, self.PS)
-        want = np.array([beta_of_p(spec, NoiseModel(noise, p)) for p in self.PS])
+        got = betas_of_p(spec, noise, self.PS)
+        want = np.array([beta_of_p(spec, noise, p) for p in self.PS])
         assert got.shape == want.shape
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -136,12 +152,12 @@ class TestBetaOfPBitIdentical:
         for op in ops:
             with pytest.raises(ValueError):
                 op[0, 0] = 7.0
-        assert beta_of_p(spec_by_name("holz"), NoiseModel("local", 1.0)) \
-            == pytest.approx(1.5, abs=1e-12)
+        assert beta_of_p(spec_by_name("holz"), "local", 1.0) == pytest.approx(1.5, abs=1e-12)
 
 
 class TestRateGrid:
-    """rate_grid is rate at every p, whatever the type of the p it is given."""
+    """rate_grid is its one-point grid at every p, whatever the type of the p
+    it is given."""
 
     PS = [0.0, 0.3, 2 ** -0.5, 0.8, 0.93, 0.9999, 1.0]
 
@@ -152,7 +168,7 @@ class TestRateGrid:
         spec = spec_by_name(ineq)
         for ps in (self.PS, np.array(self.PS)):
             try:
-                want = [rates.rate(kind, spec, NoiseModel(noise, p), 0.02) for p in ps]
+                want = [rate(kind, spec, noise, p, 0.02) for p in ps]
             except ValidationError as exc:
                 with pytest.raises(ValidationError, match=re.escape(str(exc))):
                     rates.rate_grid(kind, spec, noise, ps, 0.02)
@@ -189,7 +205,7 @@ class TestRateGrid:
         assert grid == [sum(column, []) for column in zip(*alone)]
         spec = spec_by_name("chsh")
         rows = rates.rate_grid("dicka", spec, noise, ps)
-        points = [rate("dicka", spec, NoiseModel(noise, p)) for p in ps]
+        points = [rate("dicka", spec, noise, p) for p in ps]
         assert [(r.rate.hex(), r.beta_at_p.hex(), r.bound_used) for r in rows] \
             == [(r.rate.hex(), r.beta_at_p.hex(), r.bound_used) for r in points]
         assert {(type(r.rate), type(r.beta_at_p)) for r in rows} == {(float, float)}
@@ -209,10 +225,11 @@ class TestRateGrid:
         assert got.shape == (0,) and got.dtype == float
 
 
-def qber_from_state(noise, parties):
+def qber_from_state(noise, p, parties):
     """Q from first principles: the Z(x)Z disagreement probability of the
     first two parties on the depolarized GHZ/Bell state."""
-    rho = noise.apply(ghz_state(parties), parties)
+    rho = (depolarize_local(ghz_state(parties), p, parties) if noise == "local"
+           else depolarize_global(ghz_state(parties), p))
     zz = kron_all(Z, Z, *[I2] * (parties - 2))
     return (1.0 - np.trace(rho @ zz).real) / 2.0
 
@@ -221,80 +238,97 @@ class TestQber:
     @pytest.mark.parametrize("noise", ["local", "global"])
     def test_formula_vs_state(self, noise):
         for p in (0.6, 0.85, 1.0):
-            nm = NoiseModel(noise, p)
-            assert qber(nm) == pytest.approx(qber_from_state(nm, 3), abs=1e-12)
-            assert qber(nm) == pytest.approx(qber_from_state(nm, 2), abs=1e-12)
+            assert qber(noise, p) == pytest.approx(qber_from_state(noise, p, 3), abs=1e-12)
+            assert qber(noise, p) == pytest.approx(qber_from_state(noise, p, 2), abs=1e-12)
 
     def test_caption_formulas(self):
-        assert qber(NoiseModel("local", 0.9)) == pytest.approx((1 - 0.81) / 2)
-        assert qber(NoiseModel("global", 0.9)) == pytest.approx(0.05)
+        assert qber("local", 0.9) == pytest.approx((1 - 0.81) / 2)
+        assert qber("global", 0.9) == pytest.approx(0.05)
+
+    def test_local_grid_is_the_float_formula_bit_for_bit(self):
+        # p * p (and numpy's ps ** 2, which squares) is one ulp below p ** 2 at this p
+        special = float.fromhex("0x1.b4f6633355186p-2")
+        ps = np.concatenate([np.linspace(0.0, 1.0, 100001), [special],
+                             np.random.default_rng(33).random(100000)])
+        got = qber("local", ps)
+        want = [(1.0 - p ** 2) / 2.0 for p in ps.tolist()]
+        assert got.shape == ps.shape
+        assert [q.hex() for q in got.tolist()] == [q.hex() for q in want]
+        assert qber("local", special) == (1.0 - special ** 2) / 2.0
+        assert type(qber("local", special)) is float
+
+    @pytest.mark.parametrize("noise_kind, p, message", [
+        ("bogus", 0.5, "unknown noise kind 'bogus'"), ("bogus", [0.5], "unknown noise kind"),
+        ("local", np.nan, "p=nan outside"), ("global", [0.5, np.nan], "p=nan outside"),
+        ("local", 1.5, r"p=1\.5 outside"), ("global", [[0.5]], "1-d grid")])
+    def test_refuses(self, noise_kind, p, message):
+        with pytest.raises(ValidationError, match=message):
+            qber(noise_kind, p)
 
 
 class TestDicka:
     def test_holz_noiseless(self):
-        r = rate("dicka", spec_by_name("holz"), NoiseModel("local", 1.0))
+        r = rate("dicka", spec_by_name("holz"), "local", 1.0)
         assert r.rate == pytest.approx(1.0, abs=1e-9)
         assert r.bound_used == "holz-one"
         assert r.flags == ()
 
     def test_holz_threshold_sign_change(self):
-        fn = rate_function("dicka", "holz", "local")
-        assert fn(0.93) < 0 < fn(0.94)
+        below, above = rate_grid("dicka", spec_by_name("holz"), "local", [0.93, 0.94], 0.0)
+        assert below.rate < 0 < above.rate
 
     def test_mabk_unsupported(self):
         with pytest.raises(ValidationError):
-            rate("dicka", spec_by_name("mabk"), NoiseModel("local", 1.0))
+            rate("dicka", spec_by_name("mabk"), "local", 1.0)
 
     def test_asym_factor_half(self):
-        r = rate("dicka", spec_by_name("asym-chsh"), NoiseModel("local", 1.0))
+        r = rate("dicka", spec_by_name("asym-chsh"), "local", 1.0)
         assert r.rate == pytest.approx(0.5, abs=1e-9)  # (1 - h(0))/2
 
 
 class TestDireSpot:
     def test_mabk_no_test_cost(self):
-        r = rate("dire-spot", spec_by_name("mabk"), NoiseModel("global", 1.0), 0.0)
+        r = rate("dire-spot", spec_by_name("mabk"), "global", 1.0, 0.0)
         assert r.rate == pytest.approx(2.0, abs=1e-12)
         assert r.bound_used == "mabk-two"
 
     def test_mabk_gamma_cost(self):
         gamma = 0.00033
-        r = rate("dire-spot", spec_by_name("mabk"), NoiseModel("local", 1.0), gamma)
+        r = rate("dire-spot", spec_by_name("mabk"), "local", 1.0, gamma)
         oracle = 2.0 - 3.0 * gamma - h2(gamma)
         assert r.rate == pytest.approx(oracle, abs=1e-12)
         assert r.rate == pytest.approx(1.9947175, abs=1e-6)
 
     def test_holz_flags_conjectured(self):
-        r = rate("dire-spot", spec_by_name("holz"), NoiseModel("local", 0.95), 0.0)
+        r = rate("dire-spot", spec_by_name("holz"), "local", 0.95, 0.0)
         assert "conjectured" in r.flags
 
     def test_numeric_tables_flagged(self):
-        r = rate("dire-spot", spec_by_name("parity-chsh"), NoiseModel("local", 0.95), 0.0)
+        r = rate("dire-spot", spec_by_name("parity-chsh"), "local", 0.95, 0.0)
         assert "non-certified" in r.flags
-        r = rate("dire-spot", spec_by_name("chsh"), NoiseModel("local", 0.95), 0.0)
+        r = rate("dire-spot", spec_by_name("chsh"), "local", 0.95, 0.0)
         assert r.bound_used == "numeric:chsh-two"
 
     def test_gamma_zero_equals_bound(self):
         for ineq in ("mabk", "holz", "parity-chsh", "chsh"):
             spec = spec_by_name(ineq)
-            nm = NoiseModel("local", 0.93)
-            r = rate("dire-spot", spec, nm, 0.0)
-            bound = rates.bound_curve(spec, "two").fn(beta_of_p(spec, nm))
+            r = rate("dire-spot", spec, "local", 0.93, 0.0)
+            bound = rates.bound_curve(spec, "two").fn(beta_of_p(spec, "local", 0.93))
             assert r.rate == bound
 
     def test_input_bit_costs(self):
         gamma = 0.01
-        nm = NoiseModel("local", 1.0)
         for ineq, r_bits in (("mabk", 3), ("holz", 3), ("parity-chsh", 2),
                              ("chsh", 2)):
             spec = spec_by_name(ineq)
-            with_g = rate("dire-spot", spec, nm, gamma).rate
-            without = rate("dire-spot", spec, nm, 0.0).rate
+            with_g = rate("dire-spot", spec, "local", 1.0, gamma).rate
+            without = rate("dire-spot", spec, "local", 1.0, 0.0).rate
             assert without - with_g == pytest.approx(
                 r_bits * gamma + h2(gamma), abs=1e-12)
 
     def test_gamma_validation(self):
         with pytest.raises(ValidationError):
-            rate("dire-spot", spec_by_name("mabk"), NoiseModel("local", 1.0), 1.5)
+            rate("dire-spot", spec_by_name("mabk"), "local", 1.0, 1.5)
 
 
 CHSH = spec_by_name("chsh")
@@ -302,31 +336,52 @@ CHSH = spec_by_name("chsh")
 
 class TestDireRecycled:
     def test_noiseless(self):
-        r = rate("dire-recycled", CHSH, NoiseModel("global", 1.0))
+        r = rate("dire-recycled", CHSH, "global", 1.0)
         assert r.rate == pytest.approx(1.6008760, abs=1e-6)
         assert "conjectured" in r.flags
 
     def test_zero_at_global_sqrt_half(self):
-        r = rate("dire-recycled", CHSH, NoiseModel("global", 2 ** -0.5))
+        r = rate("dire-recycled", CHSH, "global", 2 ** -0.5)
         assert r.rate == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_at_local_fourth_root(self):
-        r = rate("dire-recycled", CHSH, NoiseModel("local", 2 ** -0.25))
+        r = rate("dire-recycled", CHSH, "local", 2 ** -0.25)
         assert r.rate == pytest.approx(0.0, abs=1e-12)
+
+
+# float.hex() of the 16 paper thresholds (Tables 2 and 3, gamma = 0): the
+# CLI pins print 9 digits, these every bit
+PAPER_THRESHOLDS = {
+    ("dicka", "holz", "local"): "0x1.ddef51ef84878p-1",
+    ("dicka", "holz", "global"): "0x1.b54fd278efbc7p-1",
+    ("dicka", "parity-chsh", "local"): "0x1.dec0d167b8b21p-1",
+    ("dicka", "parity-chsh", "global"): "0x1.b6cadd4751526p-1",
+    ("dicka", "asym-chsh", "local"): "0x1.d87f4b0883854p-1",
+    ("dicka", "asym-chsh", "global"): "0x1.b40ad1fd76b5ep-1",
+    ("dire-spot", "mabk", "local"): "0x1.965fea53d6e3fp-1",
+    ("dire-spot", "mabk", "global"): "0x1.0000000000002p-1",
+    ("dire-spot", "parity-chsh", "local"): "0x1.bd49c213611b9p-1",
+    ("dire-spot", "parity-chsh", "global"): "0x1.6a09e667f3bcfp-1",
+    ("dire-spot", "holz", "local"): "0x1.b2c38e5b94fe2p-1",
+    ("dire-spot", "holz", "global"): "0x1.5555555555558p-1",
+    ("dire-spot", "chsh", "local"): "0x1.ae89f995ad3b0p-1",
+    ("dire-spot", "chsh", "global"): "0x1.6a09e667f3bd0p-1",
+    ("dire-recycled", "chsh", "local"): "0x1.ae89f995ad3b0p-1",
+    ("dire-recycled", "chsh", "global"): "0x1.6a09e667f3bd0p-1",
+}
 
 
 class TestThresholds:
     def test_parity_dicka_local(self):
-        thr = threshold_p(rate_function("dicka", "parity-chsh", "local"))
+        thr = threshold_p("dicka", spec_by_name("parity-chsh"), "local")
         assert thr == pytest.approx(0.936, abs=1e-3)
 
     def test_holz_dire_local(self):
-        thr = threshold_p(rate_function("dire-spot", "holz", "local", gamma=0.0))
+        thr = threshold_p("dire-spot", spec_by_name("holz"), "local", gamma=0.0)
         assert thr == pytest.approx(0.849, abs=1e-3)
 
     def test_parity_dire_local(self):
-        thr = threshold_p(rate_function("dire-spot", "parity-chsh", "local",
-                                        gamma=0.0))
+        thr = threshold_p("dire-spot", spec_by_name("parity-chsh"), "local", gamma=0.0)
         assert thr == pytest.approx(0.870, abs=1e-3)
 
     def test_analytic_cross_checks(self):
@@ -338,13 +393,18 @@ class TestThresholds:
             ("dire-recycled", "chsh", "global", 2 ** -0.5),
         ]
         for kind, ineq, noise, expect in cases:
-            thr = threshold_p(rate_function(kind, ineq, noise, gamma=0.0))
+            thr = threshold_p(kind, spec_by_name(ineq), noise, gamma=0.0)
             assert thr == pytest.approx(expect, abs=1e-6)
 
+    @pytest.mark.parametrize("kind, ineq, noise", list(PAPER_THRESHOLDS))
+    def test_paper_threshold_bits(self, kind, ineq, noise):
+        thr = threshold_p(kind, spec_by_name(ineq), noise, gamma=0.0)
+        assert type(thr) is float
+        assert thr.hex() == PAPER_THRESHOLDS[kind, ineq, noise]
+
     def test_no_sign_change_error(self):
-        fn = rate_function("dire-spot", "mabk", "local", gamma=0.45)
-        with pytest.raises(NumericError):
-            threshold_p(fn)
+        with pytest.raises(NumericError, match="does not change sign"):
+            threshold_p("dire-spot", spec_by_name("mabk"), "local", gamma=0.45)
 
 
 class TestMonotonicity:
@@ -356,9 +416,8 @@ class TestMonotonicity:
     ])
     @pytest.mark.parametrize("noise", ["local", "global"])
     def test_rates_nonincreasing_as_p_decreases(self, kind, ineq, noise):
-        fn = rate_function(kind, ineq, noise, gamma=0.0)
         ps = np.linspace(0.0, 1.0, 100)
-        vals = np.array([fn(p) for p in ps])
+        vals = np.array([r.rate for r in rate_grid(kind, spec_by_name(ineq), noise, ps, 0.0)])
         assert np.all(np.diff(vals) >= -1e-10)
 
 
@@ -435,14 +494,13 @@ class TestBoundCurveRegistry:
             rates.bound_curve(spec_by_name("holz"), "three")
 
     def test_rate_results_carry_curve(self):
-        nm = NoiseModel("local", 0.95)
         for ineq in ("holz", "parity-chsh"):
-            r = rate("dicka", spec_by_name(ineq), nm)
+            r = rate("dicka", spec_by_name(ineq), "local", 0.95)
             assert (r.bound_used, r.flags) == REGISTRY[(ineq, "one")]
         for ineq in ("holz", "parity-chsh", "mabk", "chsh"):
-            r = rate("dire-spot", spec_by_name(ineq), nm, 0.0)
+            r = rate("dire-spot", spec_by_name(ineq), "local", 0.95, 0.0)
             assert (r.bound_used, r.flags) == REGISTRY[(ineq, "two")]
-        r = rate("dire-recycled", spec_by_name("chsh"), nm)
+        r = rate("dire-recycled", spec_by_name("chsh"), "local", 0.95)
         assert (r.bound_used, r.flags) == REGISTRY[("chsh", "recycled")]
 
 
@@ -480,21 +538,21 @@ class TestChainRuleFloor:
 
 class TestRateDispatch:
     def test_kinds(self):
-        spec, nm = spec_by_name("holz"), NoiseModel("global", 0.97)
-        beta = beta_of_p(spec, nm)
-        assert rates.rate("dicka", spec, nm).rate \
-            == pytest.approx(bounds.holz_one_outcome(beta) - h2(qber(nm)), abs=1e-15)
-        assert rates.rate("dire-spot", spec, nm, 0.01).rate \
+        spec, p = spec_by_name("holz"), 0.97
+        beta = beta_of_p(spec, "global", p)
+        assert rate("dicka", spec, "global", p).rate \
+            == pytest.approx(bounds.holz_one_outcome(beta) - h2(qber("global", p)), abs=1e-15)
+        assert rate("dire-spot", spec, "global", p, 0.01).rate \
             == pytest.approx(bounds.holz_two_outcome(beta) - 3 * 0.01 - h2(0.01), abs=1e-15)
         chsh = spec_by_name("chsh")
-        assert rates.rate("dire-recycled", chsh, nm).rate \
-            == bounds.colbeck_recycled_two_outcome(beta_of_p(chsh, nm))
+        assert rate("dire-recycled", chsh, "global", p).rate \
+            == bounds.colbeck_recycled_two_outcome(beta_of_p(chsh, "global", p))
         with pytest.raises(ValidationError, match="recycled"):
-            rates.rate("dire-recycled", spec, nm)
+            rate("dire-recycled", spec, "global", p)
 
     def test_unknown_kind(self):
-        with pytest.raises(ValidationError):
-            rates.rate("dire-batch", spec_by_name("holz"), NoiseModel("local", 1.0))
+        with pytest.raises(ValidationError, match="unknown rate kind 'dire-batch'"):
+            rate("dire-batch", spec_by_name("holz"), "local", 1.0)
 
 
 def _shipped_tables() -> dict:

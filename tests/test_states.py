@@ -6,7 +6,7 @@ import pytest
 
 from tribell import bell, qmath, states
 from tribell.errors import ValidationError
-from tribell.states import BlockDiagState, NoiseModel, ghz_state, tau_state
+from tribell.states import BlockDiagState, ghz_state, tau_state
 
 from test_qmath import partial_trace, von_neumann_entropy
 
@@ -132,10 +132,11 @@ class TestDepolarize:
             states.depolarize_local(ghz_state(3), 1.2, 3)
         with pytest.raises(ValidationError):
             states.depolarize_global(ghz_state(3), -0.1)
-        with pytest.raises(ValidationError):
-            NoiseModel("local", 2.0)
-        with pytest.raises(ValidationError):
-            NoiseModel("thermal", 0.5)
+        for p in (2.0, np.nan):
+            with pytest.raises(ValidationError, match="outside"):
+                states.depolarize_local(ghz_state(3), p, 3)
+            with pytest.raises(ValidationError, match="outside"):
+                states.depolarize_global(ghz_state(3), p)
 
 
 class TestObservable:

@@ -114,6 +114,22 @@ def test_sampled_checks_refuse_fewer_than_one_sample(check, samples):
         check(samples)
 
 
+@pytest.mark.parametrize("nus", [[], np.empty(0), iter(())])
+def test_verify_tightness_refuses_an_empty_nu_grid(nus):
+    with pytest.raises(ValidationError, match=r"^verify_tightness needs at least one nu$"):
+        verification.verify_tightness("holz", nus)
+
+
+@pytest.mark.parametrize("grid", [2, 1, 0, -3])
+def test_check_bound_curves_refuses_fewer_than_three_points(grid):
+    with pytest.raises(ValidationError, match=rf"^grid={grid}: second differences need"):
+        verification.check_bound_curves(grid=grid)
+
+
+def test_check_bound_curves_takes_three_points():
+    assert len(verification.check_bound_curves(grid=3)) == 9
+
+
 def test_random_density_matrices_count():
     assert verification.random_density_matrices(0, 4, 3).shape == (0, 4, 4)
     with pytest.raises(ValidationError, match=r"^count=-5 is negative$"):
