@@ -48,7 +48,10 @@ class BellSpec:
     alpha: float = 1.0
 
     def __post_init__(self):
-        # stored as tuples, so a spec made from lists hashes (rates caches by spec)
+        # stored as tuples, so a spec made from lists hashes (rates caches by spec),
+        # and the bounds as plain floats, so messages print them as floats
+        for name in ("local_bound", "quantum_bound", "alpha"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         object.__setattr__(self, "angles", tuple(self.angles))
         object.__setattr__(self, "terms", tuple((coef, tuple(string))
                                                 for coef, string in self.terms))
@@ -246,13 +249,10 @@ def _block_reduced_value(rho: np.ndarray, trig: np.ndarray, a1, c_minus) -> np.n
             - cb * zzi + sc * ziz + cb * sc * izz)
 
 
-def _block_vbar(rho: np.ndarray, trig: np.ndarray, parity: bool) -> np.ndarray:
-    """The reduced value on columns, maximized over a1 and c- (Holz,
-    parity=False) or over a1 with c- frozen at 0 (Parity-CHSH)."""
+def _block_vbar(rho: np.ndarray, trig: np.ndarray) -> np.ndarray:
+    """The reduced Holz value on columns, maximized over a1 and c-."""
     xxx, zxx, zzi, ziz, izz = _block_correlators(rho, trig)
     sb, cb = trig[_SINB], trig[_COSB]
-    if parity:
-        return np.abs(sb) * np.hypot(zxx, xxx) - cb * zzi
     return np.sqrt(sb * sb * (zxx ** 2 + xxx ** 2) + (ziz + cb * izz) ** 2) - cb * zzi
 
 

@@ -296,7 +296,7 @@ OPTIONS = [
     _opt("bound", "--beta", (lambda a: a.grid is None, "without --grid"), type=float),
     _opt("optimize", "--beta", (lambda a: a.grid is None and not a.regen_tables,
                                 "without --grid or --regen-tables"), type=float),
-    _opt("rate", "--p", (lambda a: a.grid is None, "without --grid"), type=float),
+    _opt("rate", "--p", (lambda a: a.grid is None, "without --grid"), UNIT, type=float),
     _opt("bound optimize", "--grid", help="beta grid start:stop:steps (CSV output)"),
     _opt("rate", "--grid", help="p grid start:stop:steps (CSV output)"),
     _opt("sweep", "--grid", required=True, help="p grid start:stop:steps"),

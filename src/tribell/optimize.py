@@ -6,22 +6,23 @@ parametrization: block eigenvalues enter through normalized squares of free
 variables, angles are unconstrained, states above the Bell constraint are
 mixed down onto it, an augmented-Lagrangian penalty steers the search back
 from below, and the starts and end points are snapped to feasibility.  One
-driver (`_multistart`) serves all three inequalities and builds their
-results, solving a whole beta grid in one lockstep batch; each inequality
+driver (`_multistart`) serves two search families and builds their
+results, solving a whole beta grid in one lockstep batch; each family
 supplies a row function giving the Bell value alone (for the feasibility
 snap), one kernel giving the penalized objective with its analytic
 gradient, Bell value and entropy, its structured starts, and
 `argmin(x, beta)`, which turns a winning row into the result's argmin and
-achieved Bell value.  For Holz and Parity-CHSH the value is the
-angle-maximized reduced form `bell._block_vbar` and the entropy is
-closed-form in the 2x2 Gram blocks of Charlie's conditional states
-(`_two_outcome_entropy`), both on the column layout of `states._block_trig`.
-Identical seed and config give bit-identical results.
+achieved Bell value.  For Holz the value is the angle-maximized reduced
+form `bell._block_vbar` and the entropy is closed-form in the 2x2 Gram
+blocks of Charlie's conditional states (`_two_outcome_entropy`), both on
+the column layout of `states._block_trig`; Parity-CHSH is CHSH's search at
+2 beta (`minimize_parity_two_outcome`).  Identical seed and config give
+bit-identical results.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -93,7 +94,7 @@ def _penalty(v: np.ndarray, beta, pw: float, mu):
     return (pw * gap + mu) * gap, np.where(gap > 0.0, -2.0 * pw * gap - mu, 0.0)
 
 
-# The Holz/Parity objective works on columns: 13 rows of variables (8
+# The Holz objective works on columns: 13 rows of variables (8
 # weights, the four angles t[j, k], Bob's angle b0) by n rows, with the
 # trig rows of states._block_trig.  Sums over the 8 weights are written out
 # pairwise, the order numpy's reductions take.
@@ -162,26 +163,19 @@ def _two_outcome_entropy(rho: np.ndarray, t: np.ndarray, b0: np.ndarray) -> np.n
     return _block_entropy(np.moveaxis(rho, 0, -1), _block_trig(angles))
 
 
-def _block_vbar_grad(rho: np.ndarray, trig: np.ndarray, parity: bool):
+def _block_vbar_grad(rho: np.ndarray, trig: np.ndarray):
     """_block_vbar (the same bits) with its partials in rho (2, 2, 2, n), in
     t (2, 2, n) and in b0."""
     xxx, zxx, zzi, ziz, izz = _block_correlators(rho, trig)
     sb, cb = trig[_SINB], trig[_COSB]
-    if parity:
-        hyp = np.hypot(zxx, xxx)
-        v = np.abs(sb) * hyp - cb * zzi
-        inv = np.abs(sb) / np.where(hyp > 0.0, hyp, np.inf)  # d|sb| hyp / d(zxx, xxx), over them
-        d_ziz = d_izz = 0.0
-        d_b0 = np.sign(sb) * cb * hyp
-    else:
-        hh, m = zxx ** 2 + xxx ** 2, ziz + cb * izz
-        r = np.sqrt(sb * sb * hh + m ** 2)
-        v = r - cb * zzi
-        inv_r = 1.0 / np.where(r > 0.0, r, np.inf)
-        inv = sb * sb * inv_r
-        d_ziz = m * inv_r
-        d_izz = cb * d_ziz
-        d_b0 = sb * cb * hh * inv_r - sb * izz * d_ziz
+    hh, m = zxx ** 2 + xxx ** 2, ziz + cb * izz
+    r = np.sqrt(sb * sb * hh + m ** 2)
+    v = r - cb * zzi
+    inv_r = 1.0 / np.where(r > 0.0, r, np.inf)
+    inv = sb * sb * inv_r  # d v / d(zxx, xxx), over them
+    d_ziz = m * inv_r
+    d_izz = cb * d_ziz
+    d_b0 = sb * cb * hh * inv_r - sb * izz * d_ziz
     # the correlators are sums over (j, k) of d cos2t with signs, d sin2t
     # and the signed totals
     c2t, s2t = trig[_COS2T].reshape(2, 2, -1), trig[_SIN2T].reshape(2, 2, -1)
@@ -221,7 +215,7 @@ def _block_entropy_grad(rs: np.ndarray, trig: np.ndarray):
     return _gram_entropy(rs, e), _dxlog2x(rs) - 2.0 * d_rs, -2.0 * d_t, -2.0 * d_b0
 
 
-def _block_value_grad(z: np.ndarray, beta, parity: bool, pw: float, mu):
+def _block_value_grad(z: np.ndarray, beta, pw: float, mu):
     """The penalized objective of rows z (n, 13), the entropy of each row's
     state mixed down to beta plus _penalty of its Bell value, its gradient
     (n, 13) by the chain rule through the normalized squared weights, the
@@ -232,7 +226,7 @@ def _block_value_grad(z: np.ndarray, beta, parity: bool, pw: float, mu):
     norm = np.where(norm <= 0.0, 1.0, norm)
     rho = (w / norm).reshape(2, 2, 2, -1)
     trig = _block_trig(zt[8:])
-    v, dv_rho, dv_t, dv_b0 = _block_vbar_grad(rho, trig, parity)
+    v, dv_rho, dv_t, dv_b0 = _block_vbar_grad(rho, trig)
     s = _beta_scale(v, beta)
     ent, de_rs, de_t, de_b0 = _block_entropy_grad(s * rho + (1.0 - s) / 8, trig)
     pen, k = _penalty(v, beta, pw, mu)
@@ -461,46 +455,35 @@ def _multistart(betas: list, cfg: OptConfig, value, value_grad, starts: list, la
 
 
 # ---------------------------------------------------------------------------
-# Holz and Parity-CHSH: GHZ-block states and Bob's angle b0
+# Holz: GHZ-block states and Bob's angle b0
 
-def _block_starts(beta: float, parity: bool) -> list:
+def _block_starts(beta: float) -> list:
     """GHZ at its optimal b0 (the feasible anchor), the tau family at beta,
     a two-eigenvalue state with rotated blocks, and the uniform state."""
     ghz_rho = np.zeros((2, 2, 2))
     ghz_rho[0, 0, 0] = 1.0
-    if parity:
-        nu = min(0.5 * (1.0 + np.sqrt(max(beta * beta - 1.0, 0.0))), 1.0)
-        b0_tau = np.arctan2(max(2 * nu - 1, 1e-6), -1.0)
-        b0_ghz = 3 * np.pi / 4
-    else:
-        nu = min(0.25 * (beta + 1.0 + np.sqrt(max(beta * beta + 2 * beta - 3.0, 0.0))), 1.0)
-        b0_tau = np.arctan2(np.sqrt(max(4 * nu * nu - 1.0, 1e-12)), -1.0)
-        b0_ghz = 2 * np.pi / 3
+    nu = min(0.25 * (beta + 1.0 + np.sqrt(max(beta * beta + 2 * beta - 3.0, 0.0))), 1.0)
     tau = tau_state(max(nu, 0.5))
     two_block = np.zeros((2, 2, 2))
     two_block[0, 0, 0] = nu
     two_block[1, 0, 0] = 1.0 - nu
-    return [_pack(ghz_rho, np.zeros((2, 2)), b0_ghz),
-            _pack(tau.rho, tau.t, b0_tau),
+    return [_pack(ghz_rho, np.zeros((2, 2)), 2 * np.pi / 3),
+            _pack(tau.rho, tau.t, np.arctan2(np.sqrt(max(4 * nu * nu - 1.0, 1e-12)), -1.0)),
             _pack(two_block, np.full((2, 2), 0.3), 2 * np.pi / 3),
             _pack(np.full((2, 2, 2), 0.125), np.full((2, 2), 0.2), np.pi / 2)]
 
 
-def _block_family(ineq: str, betas: list, cfg: OptConfig) -> list[OptResult]:
-    parity = ineq == "parity-chsh"
-
+def _block_family(betas: list, cfg: OptConfig) -> list[OptResult]:
     def argmin(x, beta):
         rho, trig = _block_columns(x[None, :])
-        s = _beta_scale(_block_vbar(rho, trig, parity), beta)
+        s = _beta_scale(_block_vbar(rho, trig), beta)
         rho_s = s * rho + (1.0 - s) / 8
         state = BlockDiagState(rho_s[..., 0], x[8:12].reshape(2, 2))
         return ({"rho": state.rho, "t": state.t, "b0": float(x[12])},
-                float(_block_vbar(rho_s, trig, parity)[0]))
+                float(_block_vbar(rho_s, trig)[0]))
     return _multistart(
-        betas, cfg,
-        lambda z: _block_vbar(*_block_columns(z), parity),
-        lambda z, beta, pw, mu: _block_value_grad(z, beta, parity, pw, mu),
-        [_block_starts(b, parity) for b in betas],
+        betas, cfg, lambda z: _block_vbar(*_block_columns(z)), _block_value_grad,
+        [_block_starts(b) for b in betas],
         (8, [(-np.pi / 2, np.pi / 2, 4), (0.0, np.pi, 1)]), argmin, BLOCK_ITERS)
 
 
@@ -510,13 +493,9 @@ def minimize_holz_two_outcome(beta: float, cfg: OptConfig = OptConfig()) -> OptR
     return sweep_two_outcome("holz", [beta], cfg)[0]
 
 
-def minimize_parity_two_outcome(beta: float, cfg: OptConfig = OptConfig()) -> OptResult:
-    """Same machinery with Charlie's difference angle frozen at zero."""
-    return sweep_two_outcome("parity-chsh", [beta], cfg)[0]
-
-
 # ---------------------------------------------------------------------------
-# CHSH: Bell-diagonal states and four x-y measurement angles
+# CHSH, and Parity-CHSH as CHSH at 2 beta: Bell-diagonal states and four
+# x-y measurement angles
 
 def _chsh_corr(lam: np.ndarray, z: np.ndarray, a: int, b: int) -> np.ndarray:
     """<A_a B_b> for Bell-diagonal weights lam and the angles z[:, 4:8]."""
@@ -567,7 +546,7 @@ def _chsh_value_grad(z: np.ndarray, beta, pw: float, mu):
                                        (d_plus - d_minus).sum(axis=1)]), v, ent
 
 
-def _chsh_family(ineq: str, betas: list, cfg: OptConfig) -> list[OptResult]:
+def _chsh_family(betas: list, cfg: OptConfig) -> list[OptResult]:
     starts = [np.array([1.0, 0, 0, 0, 0.0, np.pi / 2, -np.pi / 4, np.pi / 4]),  # v = 2 sqrt2
               np.array([np.sqrt(0.5), np.sqrt(0.5), 0, 0, 0, 0, 0, 0])]
 
@@ -586,6 +565,26 @@ def minimize_chsh_two_outcome(beta: float, cfg: OptConfig = OptConfig()) -> OptR
     return sweep_two_outcome("chsh", [beta], cfg)[0]
 
 
+def _parity_family(betas: list, cfg: OptConfig) -> list[OptResult]:
+    """CHSH's results at 2 beta, the achieved value halved (exactly)."""
+    return [replace(r, achieved_beta=r.achieved_beta / 2.0, beta_target=b)
+            for r, b in zip(_chsh_family([2.0 * b for b in betas], cfg), betas)]
+
+
+def minimize_parity_two_outcome(beta: float, cfg: OptConfig = OptConfig()) -> OptResult:
+    """Minimize H(A0 B0|E) subject to the Parity-CHSH value reaching beta:
+    exactly CHSH's solve at 2 beta.  Parity-CHSH is <A0 B+> + <A1 B- C0>,
+    B+- = (B0 +- B1)/2; A0 x 1 and A1 x C0 are two +-1 observables of one
+    party (A, C), so beta = CHSH(A0, A1 C0; B0, B1)/2 and every strategy is
+    an (AC | B) CHSH strategy at 2 beta with the same key pair (A0, B0) and
+    the same purification: H(A0 B0|E) is at least CHSH's minimum at 2 beta.
+    The argmin reaches it: CHSH's `lambdas` (A and B's Bell-diagonal
+    weights) and `phi` (the x-y angles a0, a1, b0, b1), with Charlie in |+>
+    measuring C0 = C1 = X, give Parity-CHSH value `achieved_beta` and
+    H(A0 B0|E) `entropy`."""
+    return sweep_two_outcome("parity-chsh", [beta], cfg)[0]
+
+
 MINIMIZERS = {
     "holz": minimize_holz_two_outcome,
     "parity-chsh": minimize_parity_two_outcome,
@@ -593,7 +592,7 @@ MINIMIZERS = {
 }
 
 
-_FAMILIES = {"holz": _block_family, "parity-chsh": _block_family, "chsh": _chsh_family}
+_FAMILIES = {"holz": _block_family, "parity-chsh": _parity_family, "chsh": _chsh_family}
 
 
 def sweep_two_outcome(ineq: str, betas, cfg: OptConfig = OptConfig()) -> list[OptResult]:
@@ -607,7 +606,7 @@ def sweep_two_outcome(ineq: str, betas, cfg: OptConfig = OptConfig()) -> list[Op
     betas = [_check_beta(ineq, float(b)) for b in betas]
     per = max(1, LANE_CAP // cfg.restarts)
     return [res for i in range(0, len(betas), per)
-            for res in _FAMILIES[ineq](ineq, betas[i:i + per], cfg)]
+            for res in _FAMILIES[ineq](betas[i:i + per], cfg)]
 
 
 # ---------------------------------------------------------------------------

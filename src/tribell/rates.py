@@ -199,7 +199,7 @@ def two_outcome_numeric(ineq: str, beta):
         raise ValidationError(f"no numeric two-outcome table for {ineq!r}")
     spec = _SPECS[ineq]
 
-    @bounds._curve(spec.local_bound, spec.quantum_bound, repr(float(spec.quantum_bound)))
+    @bounds._curve(spec.local_bound, spec.quantum_bound, repr(spec.quantum_bound))
     def curve(beta):
         return np.interp(beta, *_load_tables()[ineq])
 

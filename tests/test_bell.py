@@ -51,12 +51,7 @@ def random_block_states(count, seed):
 
 def holz_vbar(st, b0):
     """The reduced Holz value of one state maximized over a1 and c-."""
-    return float(bell._block_vbar(*st._columns(b0), parity=False)[0])
-
-
-def parity_vbar(st, b0):
-    """The reduced value with c- frozen at 0, maximized over a1."""
-    return float(bell._block_vbar(*st._columns(b0), parity=True)[0])
+    return float(bell._block_vbar(*st._columns(b0))[0])
 
 
 def correlator(rho, ops):
@@ -404,17 +399,6 @@ class TestReducedForms:
                 a1, cm = rng.uniform(0.0, 2.0 * np.pi, 2)
                 assert vb >= holz_reduced_value(st, b0, a1, cm) - 1e-9
 
-    def test_parity_vbar_is_holz_vbar_with_frozen_c(self):
-        rng = np.random.default_rng(59)
-        for _ in range(100):
-            st = random_block_state(rng)
-            b0 = rng.uniform(0.0, np.pi)
-            pv = parity_vbar(st, b0)
-            best = max(holz_reduced_value(st, b0, a1, 0.0)
-                       for a1 in np.linspace(0, 2 * np.pi, 721))
-            assert pv >= best - 1e-9
-            assert pv <= best + 1e-4  # grid resolution of the a1 scan
-
     @pytest.mark.parametrize("seed", [0, 1])
     def test_scalar_forms_equal_batched_rows(self, seed):
         sts = random_block_states(200, seed)
@@ -423,14 +407,12 @@ class TestReducedForms:
         b0 = np.random.default_rng(seed).uniform(0.0, np.pi, len(sts))
         columns = _columns(rho, t, b0)
         cols = states._block_correlators(*columns)
-        holz = bell._block_vbar(*columns, parity=False)
-        parity = bell._block_vbar(*columns, parity=True)
+        holz = bell._block_vbar(*columns)
         for i, st in enumerate(sts):
             c = st.correlators()
             assert [c[k] for k in ("XXX", "ZXX", "ZZI", "ZIZ", "IZZ")] == \
                 [col[i] for col in cols]
             assert holz_vbar(st, b0[i]) == holz[i]
-            assert parity_vbar(st, b0[i]) == parity[i]
 
     def test_reduced_value_bits(self):
         # the scalar wrapper against the formula on the correlator dict, and

@@ -182,6 +182,13 @@ class TestParityOneOutcome:
             assert parity_chsh_one_outcome(min(beta, SQRT2)) == pytest.approx(
                 1.0 - h2(nu), abs=1e-9)
 
+    def test_is_chsh_at_twice_beta(self):
+        # Parity-CHSH is CHSH between (A, C) and B at half the value, and
+        # (2 beta)^2 / 4 is beta^2 exactly: the same bits as CHSH's at 2 beta
+        beta = np.linspace(1.0, SQRT2, 10001)
+        np.testing.assert_array_equal(parity_chsh_one_outcome(beta),
+                                      asym_chsh_one_outcome(2.0 * beta, 1.0))
+
 
 class TestMabk:
     def test_one_outcome_endpoints(self):

@@ -17,7 +17,7 @@ import pytest
 
 import pins
 import tribell
-from tribell import bounds, cli, optimize, rates, verification
+from tribell import bell, bounds, cli, optimize, rates, verification
 from tribell.bell import spec_by_name
 from tribell.cli import main
 from tribell.errors import ValidationError
@@ -172,6 +172,15 @@ class TestRate:
         assert code == 2
         assert out == ""
         assert "gamma" in err and "outside [0, 1]" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["rate", "--dicka", "--inequality", "mabk", "--p", "2"],
+        ["rate", "--dire", "spot", "--p", "2"],
+    ])
+    def test_p_range_named_before_the_rate(self, capsys, argv):
+        # the option's domain is checked before the rate's kind and inequality
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out, err.strip()) == (2, "", "error: --p=2.0 outside [0, 1]")
 
 
 class TestThreshold:
@@ -637,6 +646,16 @@ class TestPlainFloatsInErrors:
         assert "np." not in err
         assert not path.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["optimize", "--inequality", "chsh", "--beta", "2.0"],
+         "error: beta=2.0 outside (2.0, 2.8284271247461903] for chsh"),
+        (["optimize", "--inequality", "parity-chsh", "--beta", "1.5"],
+         "error: beta=1.5 outside (1.0, 1.4142135623730951] for parity-chsh"),
+    ], ids=["chsh", "parity-chsh"])
+    def test_optimize_message(self, capsys, argv, message):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out, err.strip()) == (2, "", message)
+
     def test_library_messages(self):
         with pytest.raises(ValidationError, match=r"p=1\.025 outside") as exc:
             rates.qber("local", np.float64(1.025))
@@ -646,6 +665,9 @@ class TestPlainFloatsInErrors:
         with pytest.raises(ValidationError, match=r"^beta=1\.75 above") as exc:
             bounds.holz_one_outcome(np.float64(1.75))
         assert "np." not in str(exc.value)
+        with pytest.raises(ValidationError, match=r"^beta=3\.0 exceeds the quantum bound"
+                                                   r" 2\.8284271247461903$"):
+            bell.BellValue(3.0, bell.chsh())
 
 
 @pytest.mark.parametrize("call, message", [

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tribell import bell, bounds, centropy, optimize, states
+from tribell import bell, bounds, centropy, optimize, rates, states
 from tribell.errors import ValidationError
 from tribell.optimize import (OptConfig, convex_hull_lower, hull_value,
                               minimize_chsh_two_outcome,
@@ -37,7 +37,7 @@ def eta_oracle(beta):
 
 @pytest.mark.parametrize("minimizer, beta, entropy", [
     (minimize_holz_two_outcome, 1.3, 0.5815799328062696),
-    (minimize_parity_two_outcome, 1.2, 0.6496680297953201),
+    (minimize_parity_two_outcome, 1.2, 0.4911852871225544),  # CHSH's at 2.4
 ], ids=["holz-1.3", "parity-chsh-1.2"])
 def test_fixed_seed_entropy_pinned(minimizer, beta, entropy):
     # fixed-seed values; any change to the objective or the search moves them
@@ -63,8 +63,8 @@ def _argmin_digest(res):
 @pytest.mark.parametrize("minimizer, beta, entropy, achieved, digest", [
     (minimize_holz_two_outcome, 1.45, "1.3622313043177936", "1.4499999999999997",
      "24a72dc5b6523bae965d499d79b7e1dc61b4b1e75de43eeef0c6e2f778a46ce9"),
-    (minimize_parity_two_outcome, 1.3, "1.0020898993536222", "1.2999999999999998",
-     "956faad2d92172e8f74ff5dad2e078a3e9c1355b77666500270f955a2204d2f2"),
+    (minimize_parity_two_outcome, 1.3, "0.8492687986018936", "1.3",
+     "860e94053feb43a4c3a2b907a853922c87718e87ed53727b78105bd89c348db2"),
     (minimize_chsh_two_outcome, 2.7, "1.072956584581774", "2.7",
      "9cea432a1c3d9592e2e80d86d8e27e4779103e1137fcfc8185ba2137fd4e6992"),
 ], ids=["holz-1.45", "parity-chsh-1.3", "chsh-2.7"])
@@ -91,8 +91,7 @@ def _fields(res):
 ], ids=["holz", "parity-chsh", "chsh"])
 def test_sweep_rows_equal_single_solves(ineq, betas):
     # an unsorted grid with a repeated beta, solved in one batch: every row
-    # is the single solve at its beta in every field, bit for bit; at sqrt2
-    # the Parity-CHSH GHZ anchor falls one ulp short of beta
+    # is the single solve at its beta in every field, bit for bit
     cfg = OptConfig(restarts=8, seed=5)
     rows = optimize.sweep_two_outcome(ineq, betas, cfg)
     assert [_fields(r) for r in rows] == [
@@ -198,13 +197,10 @@ def _numpy_correlators(rho, t):
             (tot * sgn_j * sgn_k).sum(axis=(1, 2)))
 
 
-def _numpy_vbar(rho, t, b0, parity):
-    """The angle-maximized Holz (Parity-CHSH) value of rows, from
-    _numpy_correlators."""
+def _numpy_vbar(rho, t, b0):
+    """The angle-maximized Holz value of rows, from _numpy_correlators."""
     xxx, zxx, zzi, ziz, izz = _numpy_correlators(rho, t)
     sb, cb = np.sin(b0), np.cos(b0)
-    if parity:
-        return np.abs(sb) * np.hypot(zxx, xxx) - cb * zzi
     return np.sqrt(sb * sb * (zxx ** 2 + xxx ** 2) + (ziz + cb * izz) ** 2) - cb * zzi
 
 
@@ -214,17 +210,16 @@ def _columns(rho, t, b0):
     return np.moveaxis(rho, 0, -1), states._block_trig(angles)
 
 
-@pytest.mark.parametrize("parity", [False, True])
-def test_row_kernel_matches_numpy_reductions(parity):
+def test_row_kernel_matches_numpy_reductions():
     # the value against the row-major numpy reductions, the entropy against
     # all eight Gram blocks summed by numpy, on the spread rows and the Gram
     # oracle rows
     z = _spread_rows()
     rho = optimize._weights(z, 8).reshape(-1, 2, 2, 2)
     t, b0 = z[:, 8:12].reshape(-1, 2, 2), z[:, 12]
-    v_rows = optimize._block_value_grad(z, 1.3, parity, 0.0, 0.0)[2]
-    np.testing.assert_array_equal(_bits(v_rows), _bits(_numpy_vbar(rho, t, b0, parity)))
-    np.testing.assert_array_equal(_bits(bell._block_vbar(*_columns(rho, t, b0), parity)),
+    v_rows = optimize._block_value_grad(z, 1.3, 0.0, 0.0)[2]
+    np.testing.assert_array_equal(_bits(v_rows), _bits(_numpy_vbar(rho, t, b0)))
+    np.testing.assert_array_equal(_bits(bell._block_vbar(*_columns(rho, t, b0))),
                                   _bits(v_rows))
     for rho, t, b0 in [(rho, t, b0), _oracle_rows()]:
         np.testing.assert_array_equal(_bits(optimize._two_outcome_entropy(rho, t, b0)),
@@ -239,11 +234,11 @@ def _block_rows(rho, t, b0):
 
 def _mixed_entropy(ineq, z, beta):
     """The entropy of rows z mixed down to beta, written out apart from the
-    kernels: for Holz and Parity-CHSH through _block_entropy, for CHSH as
+    kernels: for Holz through _block_entropy, for CHSH as
     1 + h(2p) - H({lambda_ij})."""
-    if ineq != "chsh":
+    if ineq == "holz":
         rho, trig = optimize._block_columns(z)
-        s = optimize._beta_scale(bell._block_vbar(rho, trig, ineq == "parity-chsh"), beta)
+        s = optimize._beta_scale(bell._block_vbar(rho, trig), beta)
         return optimize._block_entropy(s * rho + (1.0 - s) / 8, trig)
     lam, v = optimize._chsh_terms(z)
     s = optimize._beta_scale(v, beta)
@@ -267,9 +262,9 @@ def _checked_gradient(ineq, z, beta, h=1e-6):
     """The analytic gradient at rows z against central differences of the
     penalized objective (weight 1e3, multiplier 0.5), on every entry whose
     stencil z +- h e_i stays on one side of the objective's kinks: the
-    mixing at v = beta, the penalty at beta + MARGIN and, for Holz and
-    Parity-CHSH, the cone points of the angle-maximized value (the square
-    root of _block_vbar, or its hypot, at 0) and |sin b0| at sin b0 = 0.
+    mixing at v = beta, the penalty at beta + MARGIN and, for Holz, the
+    cone points of the angle-maximized value (the square root of
+    _block_vbar at 0).
     Returns the share of entries checked."""
     value, objective, value_grad = _family(ineq, beta, 1e3, 0.5)
     f, grad, _, _ = value_grad(z)
@@ -286,37 +281,32 @@ def _checked_gradient(ineq, z, beta, h=1e-6):
             side = v > kink
             smooth[:, i] &= (value(z + e) > kink) == side
             smooth[:, i] &= (value(z - e) > kink) == side
-    if ineq != "chsh":
+    if ineq == "holz":
         xxx, zxx, zzi, ziz, izz = states._block_correlators(*optimize._block_columns(z))
         sb, cb = np.sin(z[:, 12]), np.cos(z[:, 12])
         cone = np.sqrt(sb * sb * (zxx ** 2 + xxx ** 2) + (ziz + cb * izz) ** 2)
-        if ineq == "parity-chsh":
-            cone = np.hypot(zxx, xxx)
-            smooth[:, 12] &= np.sin(z[:, 12] - h) * np.sin(z[:, 12] + h) > 0.0
         smooth &= (cone > 1e-3)[:, None]
     err = np.abs(num - grad)[smooth]
     assert np.all(err <= 2e-6 * (1.0 + np.abs(grad[smooth]))), np.max(err)
     return smooth.mean()
 
 
-@pytest.mark.parametrize("parity", [False, True])
 @pytest.mark.parametrize("beta", [1.05, 1.3])
-def test_block_gradient_matches_central_differences(parity, beta):
+def test_block_gradient_matches_central_differences(beta):
     # random rows on both sides of v = beta and of sin b0 = 0, the edge
     # rows (all-zero and single weights, t = +-pi/2, b0 = 0 and pi) and the
     # Gram oracle's structured rows (GHZ, uniform and rank-deficient rho,
     # degenerate Gram blocks)
     rng = np.random.default_rng(21)
-    ineq = "parity-chsh" if parity else "holz"
     scale = np.repeat([0.05, 0.3], 100)[:, None]
-    near = optimize._block_starts(beta, parity)[0] + scale * rng.normal(size=(200, 13))
+    near = optimize._block_starts(beta)[0] + scale * rng.normal(size=(200, 13))
     near[::4, 12] += np.pi  # sin b0 < 0
     rho, t, b0 = _oracle_rows()
     z = np.vstack([near, _edge_rows(), _block_rows(rho, t, b0)[-36:],
                    _block_rows(rho, t, b0)[:200]])
-    v = _family(ineq, beta, 1e3, 0.5)[0](z)
+    v = _family("holz", beta, 1e3, 0.5)[0](z)
     assert np.count_nonzero(v > beta) >= 20 and np.count_nonzero(v < beta) >= 100
-    assert _checked_gradient(ineq, z, beta) > 0.9
+    assert _checked_gradient("holz", z, beta) > 0.9
 
 
 @pytest.mark.parametrize("beta", [2.05, 2.6])
@@ -435,13 +425,13 @@ def _late_lanes(x, anchor, deficit):
     return snapped + 1e-3 * (x - snapped)
 
 
-@pytest.mark.parametrize("parity, beta", [(False, 1.45), (True, 1.3)])
-def test_snap_stops_early_with_the_same_bits(parity, beta):
+def test_snap_stops_early_with_the_same_bits():
+    beta = 1.45
     x = _edge_rows()
-    anchor = optimize._block_starts(beta, parity)[0]
+    anchor = optimize._block_starts(beta)[0]
 
     def value(z):
-        return bell._block_vbar(*optimize._block_columns(z), parity)
+        return bell._block_vbar(*optimize._block_columns(z))
     x = np.vstack([x, _late_lanes(x, anchor, lambda z: beta - value(z))])
     assert np.count_nonzero(beta - value(x) > 0.0) > len(x) // 2
     assert _check_snap(x, anchor, beta, value) < 80
@@ -477,15 +467,17 @@ class _Handed(Exception):
 
 
 def _handed_to_multistart(monkeypatch, minimizer, beta):
-    """The Bell value function, the kernel (the penalized objective with its
-    gradient, Bell value and entropy), the structured starts and the rest of
-    the arguments that a minimizer hands _multistart, without running the
-    search."""
+    """The beta, the Bell value function, the kernel (the penalized objective
+    with its gradient, Bell value and entropy), the structured starts and the
+    rest of the arguments that a minimizer hands _multistart, without running
+    the search: its own beta, or for Parity-CHSH the CHSH search's 2 beta."""
     seen = {}
 
     def spy(betas, cfg, value, value_grad, starts, *rest):
-        assert betas == [beta] and len(starts) == 1  # one group: the minimizer's beta
-        seen.update(value=value, value_grad=value_grad, starts=starts[0], rest=rest)
+        handed = 2.0 * beta if minimizer is minimize_parity_two_outcome else beta
+        assert betas == [handed] and len(starts) == 1  # one group: the minimizer's beta
+        seen.update(beta=handed, value=value, value_grad=value_grad, starts=starts[0],
+                    rest=rest)
         raise _Handed
     with monkeypatch.context() as m:
         m.setattr(optimize, "_multistart", spy)
@@ -506,23 +498,22 @@ def _feasibility_betas(ineq):
 @pytest.mark.parametrize("ineq", ["holz", "parity-chsh", "chsh"])
 def test_anchor_is_feasible(monkeypatch, ineq):
     # the snap's anchor, the first structured start, is feasible to
-    # FEASIBILITY_TOL everywhere in the domain; not to 0 for Parity-CHSH,
-    # whose GHZ anchor at b0 = 3 pi / 4 evaluates to sqrt2 - 2.2e-16
+    # FEASIBILITY_TOL at every beta handed to the search
     for beta in _feasibility_betas(ineq):
         seen = _handed_to_multistart(monkeypatch, optimize.MINIMIZERS[ineq], beta)
         anchor = seen["starts"][0]
-        assert beta - seen["value"](anchor[None, :])[0] <= optimize.FEASIBILITY_TOL
+        assert seen["beta"] - seen["value"](anchor[None, :])[0] <= optimize.FEASIBILITY_TOL
 
 
 @pytest.mark.parametrize("ineq", ["holz", "parity-chsh", "chsh"])
 def test_snapped_rows_are_feasible(monkeypatch, ineq):
     # every row the snap returns is feasible to FEASIBILITY_TOL, which is
     # all that _multistart relies on to keep feasible points and to report
-    # `converged` (the worst deficit is the Parity-CHSH anchor's ulp)
+    # `converged`
     rng = np.random.default_rng(17)
     for beta in _feasibility_betas(ineq):
         seen = _handed_to_multistart(monkeypatch, optimize.MINIMIZERS[ineq], beta)
-        anchor, value = seen["starts"][0], seen["value"]
+        anchor, value, beta = seen["starts"][0], seen["value"], seen["beta"]
         infeasible = 0
         for scale in (1e-3, 0.1, 1.0):
             x = anchor + scale * rng.normal(size=(512, len(anchor)))
@@ -533,8 +524,7 @@ def test_snapped_rows_are_feasible(monkeypatch, ineq):
 
 
 @pytest.mark.parametrize("minimizer, beta, width", [
-    (minimize_holz_two_outcome, 1.45, 13), (minimize_parity_two_outcome, 1.3, 13),
-    (minimize_chsh_two_outcome, 2.7, 8)])
+    (minimize_holz_two_outcome, 1.45, 13), (minimize_chsh_two_outcome, 2.7, 8)])
 def test_kernel_bits_at_zero_penalty(monkeypatch, minimizer, beta, width):
     # what _multistart keeps of a row: at pw = mu = 0 the kernel's objective
     # is its entropy, and its Bell value is the snap's, bit for bit, on the
@@ -675,7 +665,7 @@ class TestHolzMinimizer:
     def test_feasibility_via_bell_module(self):
         r = minimize_holz_two_outcome(1.3, CFG)
         state = states.BlockDiagState(r.argmin["rho"], r.argmin["t"])
-        vbar = bell._block_vbar(*state._columns(r.argmin["b0"]), parity=False)[0]
+        vbar = bell._block_vbar(*state._columns(r.argmin["b0"]))[0]
         assert vbar >= r.beta_target - 1e-7
 
     def test_objective_matches_cond_entropy(self):
@@ -729,6 +719,55 @@ class TestParityMinimizer:
         betas = np.linspace(1.02, SQRT2, 20)
         vals = [r.entropy for r in optimize.sweep_two_outcome("parity-chsh", betas, cfg)]
         assert np.all(np.diff(vals) >= -1e-3)
+
+
+PARITY_BETAS = [1.05, 1.2, 1.3, SQRT2]
+
+
+class TestParityIsChshAtTwiceBeta:
+    """Parity-CHSH is CHSH between (A, C) and B at half the value, so its
+    solve is CHSH's at 2 beta; the argmin with Charlie in |+>, measuring
+    C0 = C1 = X, reaches it."""
+
+    @pytest.mark.parametrize("cfg", [OptConfig(restarts=8, seed=5),
+                                     OptConfig(restarts=64, seed=0)])
+    @pytest.mark.parametrize("beta", PARITY_BETAS)
+    def test_result_is_chsh_at_twice_beta(self, beta, cfg):
+        parity = minimize_parity_two_outcome(beta, cfg)
+        chsh = minimize_chsh_two_outcome(2 * beta, cfg)
+        assert (repr(parity.entropy), parity.converged, parity.restarts_used,
+                _argmin_digest(parity)) == (repr(chsh.entropy), chsh.converged,
+                                            chsh.restarts_used, _argmin_digest(chsh))
+        assert parity.achieved_beta == chsh.achieved_beta / 2.0
+        assert parity.beta_target == beta
+
+    @pytest.mark.parametrize("beta", PARITY_BETAS)
+    def test_embedded_argmin_reaches_the_result(self, beta):
+        r = minimize_parity_two_outcome(beta, OptConfig(restarts=64, seed=0))
+        lam = r.argmin["lambdas"].reshape(-1)
+        rho_ab = np.zeros((4, 4))
+        for i in (0, 1):
+            for j in (0, 1):
+                v = np.zeros(4)  # (|0 j> + (-1)^i |1 ~j>) / sqrt(2)
+                v[j], v[2 + (1 - j)] = 1.0, (-1.0) ** i
+                rho_ab += lam[2 * i + j] * np.outer(v, v) / 2.0
+        rho = np.kron(rho_ab, np.full((2, 2), 0.5))  # Charlie in |+>
+        angles = np.concatenate([r.argmin["phi"], [0.0, 0.0]])  # C0 = C1 = X
+        value = bell.bell_value(bell.spec_by_name("parity-chsh"), rho, angles, "xy").beta
+        entropy = centropy.cond_entropy(rho, [0, 1],
+                                        states.observable_matrices("xy", angles[[0, 2]]))
+        assert value == pytest.approx(r.achieved_beta, rel=0.0, abs=1e-12)
+        assert entropy == pytest.approx(r.entropy, rel=0.0, abs=1e-12)
+
+    def test_below_the_shipped_curve(self):
+        # the shipped table holds the old block family's values, which froze
+        # Charlie's difference angle at 0; CHSH at 2.4 is 0.158 bits lower
+        # (ROADMAP item 11; the table moves with item 5's re-recording)
+        r = minimize_parity_two_outcome(1.2, OptConfig(restarts=64, seed=0))
+        curve = rates.bound_curve(bell.spec_by_name("parity-chsh"), "two").fn(1.2)
+        assert r.converged
+        assert r.entropy <= 0.4912
+        assert r.entropy <= curve - 0.15
 
 
 class TestChshMinimizer:

@@ -440,6 +440,14 @@ class TestNumericTables:
         with pytest.raises(ValidationError):
             two_outcome_numeric("mabk", 3.0)
 
+    def test_regenerated_parity_table_is_chsh_table_at_half_beta(self):
+        # the Parity-CHSH solve is CHSH's at 2 beta, and halving the grid's
+        # ends halves every linspace point exactly
+        parity = rates.generate_two_outcome_table("parity-chsh", 4, 2, 3)
+        chsh = rates.generate_two_outcome_table("chsh", 4, 2, 3)
+        assert parity["value"] == chsh["value"]
+        assert parity["beta"] == [b / 2.0 for b in chsh["beta"]]
+
     @pytest.mark.parametrize("ineq", ["parity-chsh", "chsh"])
     def test_domain_checked(self, ineq):
         qb = spec_by_name(ineq).quantum_bound
