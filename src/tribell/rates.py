@@ -3,7 +3,11 @@ threshold finding in the depolarization parameter p, and the registry that
 picks the entropy bound curve for each inequality and outcome.
 
 Rates are signed; a threshold is the sign change of the signed rate, found
-to the last ulp by qmath.bracketed_roots.  Every function of p takes
+to the last ulp: by qmath.grid_sign_change, 16 p per rate_grid call, for
+every rate computed on stacks of states, where 16 points cost about as
+much as two single ones; by one qmath.bracketed_roots lane for asym-CHSH
+DICKA, whose alpha search at each p gains nothing from a grid.  Every
+function of p takes
 (noise_kind, p); a grid of p is computed on stacks of states (betas_of_p,
 rate_grid), or for asym-CHSH DICKA in one lockstep alpha search
 (best_alpha_one_outcome), each value the one-point value bit for bit.  The
@@ -26,7 +30,7 @@ import numpy as np
 
 from . import bounds, optimize, qmath
 from .bell import BellSpec, _check_beta, bell_terms, spec_by_name
-from .errors import ValidationError
+from .errors import NumericError, ValidationError
 from .qmath import binary_entropy as h
 from .states import _check_ps, _global_channel, _local_channel, ghz_state
 
@@ -95,18 +99,22 @@ def _checked_grid(noise_kind: str, ps) -> np.ndarray:
     return ps
 
 
-def _honest_scale(noise_kind: str, ps) -> np.ndarray:
-    """s = <Z Z>, two parties' honest correlator, at every p of the 1-d ps,
-    checked: p under global noise, p^2 under local; the QBER is (1 - s)/2."""
-    ps = _checked_grid(noise_kind, ps)
+def _honest_scale(noise_kind: str, ps: np.ndarray) -> np.ndarray:
+    """s = <Z Z>, two parties' honest correlator, at every p of the checked
+    grid ps: p under global noise, p^2 under local."""
     # C pow, as p ** 2 on a float; ps ** 2 and ps * ps differ from it in the last bit at some p
     return ps if noise_kind == "global" else np.float_power(ps, 2.0)
+
+
+def _qber(scale: np.ndarray) -> np.ndarray:
+    """The QBER (1 - s)/2 at the honest correlators s."""
+    return (1.0 - scale) / 2.0
 
 
 def qber(noise_kind: str, p):
     """Pairwise key-bit error rate Q of the honest strategy at p, a float or
     a 1-d grid of them, elementwise: a float for a float."""
-    q = (1.0 - _honest_scale(noise_kind, np.atleast_1d(p))) / 2.0
+    q = _qber(_honest_scale(noise_kind, _checked_grid(noise_kind, np.atleast_1d(p))))
     return float(q[0]) if np.ndim(p) == 0 else q
 
 
@@ -119,7 +127,11 @@ def betas_of_p(spec: BellSpec, noise_kind: str, ps) -> np.ndarray:
     """The honest Bell value, spec's settings row on the depolarized GHZ (or
     Bell) state, at every p of the 1-d ps under one noise kind, computed on
     stacks of states; each value is the one-point grid's bit for bit."""
-    ps = _checked_grid(noise_kind, ps)
+    return _betas(spec, noise_kind, _checked_grid(noise_kind, ps))
+
+
+def _betas(spec: BellSpec, noise_kind: str, ps: np.ndarray) -> np.ndarray:
+    """betas_of_p on the checked grid ps."""
     if ps.size == 0:
         return np.empty(0)
     betas = np.concatenate([_honest_betas(spec, noise_kind, ps[i:i + _GRID_BLOCK, None, None])
@@ -277,13 +289,18 @@ def bound_curve(spec: BellSpec, outcome: str) -> BoundCurve:
 # rates
 
 RATE_KINDS = ("dicka", "dire-spot", "dire-recycled")
+_THRESHOLD_POINTS = 16  # p per rate_grid call in a threshold's grid_sign_change search
 
 
 def best_alpha_one_outcome(noise_kind: str, ps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(alpha, bound, beta) arrays maximizing the asym-CHSH one-outcome bound
     at each p of the 1-d ps, at the honest violation 2 sqrt(1 + alpha^2) s
     (_honest_scale): one best_alpha_bound search for the grid."""
-    scale = _honest_scale(noise_kind, ps)
+    return _best_alpha(_honest_scale(noise_kind, _checked_grid(noise_kind, ps)))
+
+
+def _best_alpha(scale: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """best_alpha_one_outcome at the honest correlators scale."""
     alpha, bound = bounds.best_alpha_bound(scale)
     return alpha, bound, 2.0 * np.hypot(1.0, alpha) * scale
 
@@ -323,15 +340,17 @@ def rate_grid(kind: str, spec: BellSpec, noise_kind: str, ps,
     alpha at every p in one best_alpha_one_outcome call, and runs two
     concatenated two-party protocols, so its rate carries a factor 1/2."""
     curve = rate_curve(kind, spec, gamma)
+    ps = _checked_grid(noise_kind, ps)
     if curve is None:
-        alpha, bound, betas = best_alpha_one_outcome(noise_kind, ps)
-        values = 0.5 * (bound - h(qber(noise_kind, ps)))
+        scale = _honest_scale(noise_kind, ps)
+        alpha, bound, betas = _best_alpha(scale)
+        values = 0.5 * (bound - h(_qber(scale)))
         return [RateResult(value, beta, f"asym-chsh-one(alpha={a:.9g})")
                 for value, beta, a in zip(values.tolist(), betas.tolist(), alpha.tolist())]
-    betas = betas_of_p(spec, noise_kind, ps)
+    betas = _betas(spec, noise_kind, ps)
     values = curve.fn(betas)
     if kind == "dicka":
-        values = values - h(qber(noise_kind, ps))
+        values = values - h(_qber(_honest_scale(noise_kind, ps)))
     elif kind == "dire-spot":
         values = values - spec.input_bits * gamma - h(gamma)
     return [RateResult(value, beta, curve.name, curve.flags)
@@ -340,8 +359,32 @@ def rate_grid(kind: str, spec: BellSpec, noise_kind: str, ps,
 
 def threshold_p(kind: str, spec: BellSpec, noise_kind: str, gamma: float = 0.0) -> float:
     """Smallest p evaluated in [0, 1] whose signed rate is positive, one ulp
-    above the largest p evaluated whose rate is not, one bracketed_roots lane
-    on rate_grid; NumericError unless rate(0) <= 0 < rate(1)."""
-    return float(qmath.bracketed_roots(
-        lambda ps: np.array([r.rate for r in rate_grid(kind, spec, noise_kind, ps, gamma)]),
-        [0.0], [1.0])[0])
+    above the largest p evaluated whose rate is not; NumericError, naming
+    the rate and its values at p = 0 and 1, unless rate(0) <= 0 < rate(1).
+
+    A rate computed on stacks of states costs about twice as much on
+    _THRESHOLD_POINTS points as on one, so its search is grid_sign_change,
+    one rate_grid call of that many points a round.  asym-CHSH DICKA (no
+    rate_curve) runs its own alpha search at every p, so it stays one
+    bracketed_roots lane, one point a step.  Near a threshold a rate changes
+    sign once between adjacent floats, so both end on the same p."""
+    curve = rate_curve(kind, spec, gamma)
+    ends = {}  # the rate at p = 0 and 1, which both searches evaluate first
+
+    def rates_at(ps):
+        values = np.array([r.rate for r in rate_grid(kind, spec, noise_kind, ps, gamma)])
+        ends.update((p, v) for p, v in zip(ps.tolist(), values.tolist()) if p in (0.0, 1.0))
+        return values
+
+    try:
+        if curve is None:
+            return float(qmath.bracketed_roots(rates_at, [0.0], [1.0])[0])
+        return qmath.grid_sign_change(rates_at, 0.0, 1.0, _THRESHOLD_POINTS)
+    except NumericError:
+        if len(ends) < 2 or ends[0.0] <= 0.0 < ends[1.0]:
+            raise  # a failure inside the rate, not a missing sign change
+        name = spec.kind if spec.kind != "asym-chsh" else f"asym-chsh(alpha={spec.alpha!r})"
+        raise NumericError(
+            f"the {kind} rate of {name} under {noise_kind} noise at gamma={gamma!r}"
+            f" does not change sign on p in [0, 1]: rate(p=0)={ends[0.0]:.6g},"
+            f" rate(p=1)={ends[1.0]:.6g}") from None

@@ -204,7 +204,9 @@ class TestThreshold:
                                 "--inequality", "mabk", "--noise", "local",
                                 "--gamma", "0.45"], capsys)
         assert code == 3
-        assert "sign" in err
+        assert err == ("numeric failure: the dire-spot rate of mabk under local noise at"
+                       " gamma=0.45 does not change sign on p in [0, 1]:"
+                       " rate(p=0)=-2.34277, rate(p=1)=-0.342774\n")
 
 
 class TestOptimize:

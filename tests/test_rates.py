@@ -11,8 +11,8 @@ from tribell import bounds, rates, states
 from tribell.bell import INEQUALITIES, asym_chsh, spec_by_name
 from tribell.errors import NumericError, ValidationError
 from tribell.qmath import kron_all
-from tribell.rates import (beta_of_p_closed_form, betas_of_p, qber, rate_grid, threshold_p,
-                           two_outcome_numeric)
+from tribell.rates import (RateResult, beta_of_p_closed_form, betas_of_p, qber, rate_grid,
+                           threshold_p, two_outcome_numeric)
 from tribell.states import (I2, X, Y, Z, depolarize_global, depolarize_local, ghz_state,
                             observable_matrices)
 
@@ -224,6 +224,19 @@ class TestRateGrid:
         got = rates.betas_of_p(spec_by_name("holz"), "local", [])
         assert got.shape == (0,) and got.dtype == float
 
+    @pytest.mark.parametrize("kind, ineq", [("dicka", "holz"), ("dicka", "parity-chsh"),
+                                            ("dicka", "asym-chsh"), ("dire-spot", "holz"),
+                                            ("dire-spot", "mabk"), ("dire-recycled", "chsh")])
+    @pytest.mark.parametrize("noise", ["local", "global"])
+    def test_grid_checked_once(self, monkeypatch, kind, ineq, noise):
+        checked, check = [], rates._checked_grid
+        monkeypatch.setattr(rates, "_checked_grid",
+                            lambda *args: checked.append(args) or check(*args))
+        for ps in ([0.9], self.PS):
+            checked.clear()
+            rates.rate_grid(kind, spec_by_name(ineq), noise, ps, 0.0)
+            assert len(checked) == 1
+
 
 def qber_from_state(noise, p, parties):
     """Q from first principles: the Z(x)Z disagreement probability of the
@@ -371,6 +384,37 @@ PAPER_THRESHOLDS = {
 }
 
 
+# every (kind, inequality) whose rate reads a bound curve
+CURVE_RATES = [("dicka", "holz"), ("dicka", "parity-chsh"), ("dire-spot", "mabk"),
+               ("dire-spot", "parity-chsh"), ("dire-spot", "holz"), ("dire-spot", "chsh"),
+               ("dire-recycled", "chsh")]
+
+
+def bisected_threshold(kind, spec, noise, gamma):
+    """Plain bisection on one-point rate_grid calls, run until no float lies
+    between its ends: the smallest p evaluated whose rate is positive."""
+    lo, hi = 0.0, 1.0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if rate(kind, spec, noise, mid, gamma).rate <= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    assert hi == np.nextafter(lo, 1.0)
+    return hi
+
+
+def rate_grid_sizes(monkeypatch) -> list:
+    """The size of every p grid rate_grid is given from now on."""
+    sizes, grid = [], rates.rate_grid
+
+    def counted(kind, spec, noise, ps, gamma=rates.GAMMA_DEFAULT):
+        sizes.append(len(ps))
+        return grid(kind, spec, noise, ps, gamma)
+
+    monkeypatch.setattr(rates, "rate_grid", counted)
+    return sizes
+
+
 class TestThresholds:
     def test_parity_dicka_local(self):
         thr = threshold_p("dicka", spec_by_name("parity-chsh"), "local")
@@ -402,9 +446,65 @@ class TestThresholds:
         assert type(thr) is float
         assert thr.hex() == PAPER_THRESHOLDS[kind, ineq, noise]
 
-    def test_no_sign_change_error(self):
-        with pytest.raises(NumericError, match="does not change sign"):
+    def test_no_sign_change_error(self, monkeypatch):
+        sizes = rate_grid_sizes(monkeypatch)
+        with pytest.raises(NumericError, match=re.escape(
+                "the dire-spot rate of mabk under local noise at gamma=0.45 does not"
+                " change sign on p in [0, 1]: rate(p=0)=-2.34277, rate(p=1)=-0.342774")):
             threshold_p("dire-spot", spec_by_name("mabk"), "local", gamma=0.45)
+        assert sizes == [2]  # the message costs no evaluation of its own
+
+    def test_no_sign_change_error_one_lane(self, monkeypatch):
+        sizes, grid = [], rates.rate_grid
+
+        def negative(kind, spec, noise, ps, gamma):
+            sizes.append(len(ps))
+            return [RateResult(-2.0 - r.rate, r.beta_at_p, r.bound_used)
+                    for r in grid(kind, spec, noise, ps, gamma)]
+
+        monkeypatch.setattr(rates, "rate_grid", negative)
+        with pytest.raises(NumericError, match=re.escape(
+                "the dicka rate of asym-chsh(alpha=1.0) under global noise at gamma=0.0 does"
+                " not change sign on p in [0, 1]: rate(p=0)=-1.5, rate(p=1)=-2.5")):
+            threshold_p("dicka", spec_by_name("asym-chsh"), "global")
+        assert sizes == [1, 1]
+
+    @pytest.mark.parametrize("kind, ineq", [("dicka", "asym-chsh"), ("dire-spot", "holz")])
+    def test_failure_inside_the_rate_passes_through(self, monkeypatch, kind, ineq):
+        calls, grid = [], rates.rate_grid
+
+        def failing(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise NumericError("inner search failed")
+            return grid(*args)
+
+        monkeypatch.setattr(rates, "rate_grid", failing)
+        with pytest.raises(NumericError, match="^inner search failed$"):
+            threshold_p(kind, spec_by_name(ineq), "local")
+
+    @pytest.mark.parametrize("kind, ineq, noise, gamma",
+                             [(k, i, n, 0.0) for k, i in CURVE_RATES for n in ("local", "global")]
+                             + [("dire-spot", i, n, g) for i in ("holz", "parity-chsh", "mabk", "chsh")
+                                for n in ("local", "global") for g in (3.3e-4, 0.01)])
+    def test_equals_one_point_bisection(self, kind, ineq, noise, gamma):
+        spec = spec_by_name(ineq)
+        want = bisected_threshold(kind, spec, noise, gamma)
+        assert threshold_p(kind, spec, noise, gamma).hex() == want.hex()
+
+    @pytest.mark.parametrize("ineq", ["holz", "parity-chsh", "mabk", "chsh"])
+    @pytest.mark.parametrize("noise", ["local", "global"])
+    def test_dire_threshold_calls(self, monkeypatch, ineq, noise):
+        # 16 p a call narrow [0, 1] to one ulp in 13 rounds after the ends' call
+        sizes = rate_grid_sizes(monkeypatch)
+        threshold_p("dire-spot", spec_by_name(ineq), noise, gamma=0.0)
+        assert len(sizes) <= 14 and sizes[0] == 2 and max(sizes[1:]) <= 16
+
+    @pytest.mark.parametrize("noise, calls", [("local", 13), ("global", 12)])
+    def test_asym_dicka_threshold_one_point_calls(self, monkeypatch, noise, calls):
+        sizes = rate_grid_sizes(monkeypatch)
+        threshold_p("dicka", spec_by_name("asym-chsh"), noise)
+        assert sizes == [1] * calls
 
 
 class TestMonotonicity:
