@@ -314,7 +314,9 @@ OPTIONS = [
     _opt("optimize", "--points", (lambda a: a.regen_tables, "with --regen-tables"),
          (lambda n: n >= 2, "is below 2: a table needs at least 2 points"),
          type=int, default=200, help="table points (default 200)"),
-    _opt("verify", "--samples", None, (lambda n: n >= 2, "is below 2"), type=int, default=10000),
+    _opt("verify", "--samples", None, (lambda n: n >= 2, "is below 2"), type=int, default=10000,
+         help="samples of the Appendix B check; the uncertainty and quantum-bound"
+              " checks take 1/10 and 1/20 of it (at least 100 and 50)"),
 ]
 
 
@@ -360,13 +362,22 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         _check_args(args)
-        return globals()[f"cmd_{args.command}"](args)
+        code = globals()[f"cmd_{args.command}"](args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # the reader of stdout has gone: exit as a SIGPIPE kill reports
+        # (128 + 13), with stdout on devnull so the final flush cannot raise
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

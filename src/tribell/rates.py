@@ -3,11 +3,11 @@ threshold finding in the depolarization parameter p, and the registry that
 picks the entropy bound curve for each inequality and outcome.
 
 Rates are signed; a threshold is the sign change of the signed rate, found
-to the last ulp: by qmath.grid_sign_change, 16 p per rate_grid call, for
-every rate computed on stacks of states, where 16 points cost about as
-much as two single ones; by one qmath.bracketed_roots lane for asym-CHSH
-DICKA, whose alpha search at each p gains nothing from a grid.  Every
-function of p takes
+to the last ulp: by one qmath.bracketed_roots (ITP) lane for a DICKA rate,
+which is smooth across its threshold; by qmath.grid_sign_change, 16 p per
+rate_grid call, for a DIRE rate, which is flat below its threshold (its
+bound is 0 there), where ITP can only bisect, and whose 16 points on stacks
+of states cost about as much as two single ones.  Every function of p takes
 (noise_kind, p); a grid of p is computed on stacks of states (betas_of_p,
 rate_grid), or for asym-CHSH DICKA in one lockstep alpha search
 (best_alpha_one_outcome), each value the one-point value bit for bit.  The
@@ -362,13 +362,14 @@ def threshold_p(kind: str, spec: BellSpec, noise_kind: str, gamma: float = 0.0) 
     above the largest p evaluated whose rate is not; NumericError, naming
     the rate and its values at p = 0 and 1, unless rate(0) <= 0 < rate(1).
 
-    A rate computed on stacks of states costs about twice as much on
-    _THRESHOLD_POINTS points as on one, so its search is grid_sign_change,
-    one rate_grid call of that many points a round.  asym-CHSH DICKA (no
-    rate_curve) runs its own alpha search at every p, so it stays one
-    bracketed_roots lane, one point a step.  Near a threshold a rate changes
-    sign once between adjacent floats, so both end on the same p."""
-    curve = rate_curve(kind, spec, gamma)
+    A DICKA rate is smooth across its threshold, so one bracketed_roots lane
+    (ITP) reaches it in 12-14 one-point steps.  A DIRE rate is flat below
+    its threshold (its bound is 0 there), where ITP has nothing to
+    interpolate and bisects; on stacks of states _THRESHOLD_POINTS points
+    cost about two single ones, so its search is grid_sign_change, one
+    rate_grid call of that many points a round.  Near a threshold a rate
+    changes sign once between adjacent floats, so both searches end on the
+    same p."""
     ends = {}  # the rate at p = 0 and 1, which both searches evaluate first
 
     def rates_at(ps):
@@ -377,7 +378,7 @@ def threshold_p(kind: str, spec: BellSpec, noise_kind: str, gamma: float = 0.0) 
         return values
 
     try:
-        if curve is None:
+        if kind == "dicka":
             return float(qmath.bracketed_roots(rates_at, [0.0], [1.0])[0])
         return qmath.grid_sign_change(rates_at, 0.0, 1.0, _THRESHOLD_POINTS)
     except NumericError:

@@ -1,5 +1,6 @@
 """Property suites behind the CLI `verify` command: sampled operator
-inequalities, the tau-family tightness sweeps, and bound-curve shape checks."""
+inequalities, the Appendix C identities, the tau-family tightness sweeps,
+and bound-curve shape checks."""
 
 from __future__ import annotations
 
@@ -8,11 +9,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds
-from .bell import (_block_reduced_value, _party_expectation, asym_chsh, bell_values,
-                   chsh, holz, mabk, parity_chsh, reduced_angles, spec_by_name)
+from .bell import (_block_reduced_value, asym_chsh, bell_values, chsh, holz, mabk,
+                   parity_chsh, reduced_angles, spec_by_name)
 from .centropy import cond_entropies
 from .errors import ValidationError
-from .qmath import binary_entropy as h
+from .qmath import binary_entropy as h, kron_all
 from .rates import bound_curve
 from .states import X, Y, Z, _block_correlators, _block_matrices, _block_trig, _sorted_blocks
 
@@ -22,7 +23,7 @@ __all__ = ["CHECK_TOL", "KNOWN_NONCONVEX", "CheckResult", "random_density_matric
            "check_reduced_value_consistency", "run_all"]
 
 SQRT2 = np.sqrt(2.0)
-# the largest violation a sampled or swept property may show and still pass
+# the largest violation a sampled, swept or certified property may show and still pass
 CHECK_TOL = 1e-9
 
 # the analytic MABK two-outcome bound is genuinely concave in a small window
@@ -73,22 +74,6 @@ def _require_samples(samples: int) -> None:
         raise ValidationError(f"samples={samples!r} is below 1")
 
 
-_STATE_BLOCK = 512  # states a block of _density_matrix_blocks holds
-
-
-def _density_matrix_blocks(count: int, dim: int, seed: int):
-    """random_density_matrices(count, dim, seed) in consecutive blocks of at
-    most _STATE_BLOCK states: the real parts of every G are drawn in one
-    call, then the imaginary parts one block at a time."""
-    rng = np.random.default_rng(seed)
-    real = rng.normal(size=(count, dim, dim))
-    for start in range(0, count, _STATE_BLOCK):
-        re = real[start:start + _STATE_BLOCK]
-        g = re + 1j * rng.normal(size=re.shape)
-        rho = g @ g.conj().transpose(0, 2, 1)
-        yield rho / np.trace(rho, axis1=1, axis2=2).real[:, None, None]
-
-
 def random_density_matrices(count: int, dim: int, seed: int) -> np.ndarray:
     """count random (dim, dim) density matrices rho = G G^dagger / tr(G G^dagger)
     with complex Ginibre G (real and imaginary parts standard normal), the
@@ -96,8 +81,10 @@ def random_density_matrices(count: int, dim: int, seed: int) -> np.ndarray:
     any imaginary part.  count = 0 gives an empty (0, dim, dim) stack."""
     if count < 0:
         raise ValidationError(f"count={count!r} is negative")
-    return np.concatenate([np.empty((0, dim, dim), complex),
-                           *_density_matrix_blocks(count, dim, seed)])
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(count, dim, dim)) + 1j * rng.normal(size=(count, dim, dim))
+    rho = g @ g.conj().transpose(0, 2, 1)
+    return rho / np.trace(rho, axis1=1, axis2=2).real[:, None, None]
 
 
 def _appendix_b_draws(samples: int, seed: int):
@@ -159,19 +146,29 @@ def check_appendix_b(samples: int = 10_000, seed: int = 11) -> CheckResult:
                        f"{used} violating-side samples, min margin {worst:.3e}")
 
 
-def check_appendix_c(samples: int = 10_000, seed: int = 13) -> CheckResult:
-    """<XXX>^2+<XXY>^2 <= 1 and <XYY>^2+<XYX>^2 <= 1 on random 3-qubit states,
-    read in blocks of _STATE_BLOCK; np.maximum keeps a NaN of any block."""
-    _require_samples(samples)
-    m1 = m2 = -np.inf
-    for rho in _density_matrix_blocks(samples, 8, seed):
-        xxx, xxy, xyy, xyx = (_party_expectation(rho, ops)
-                              for ops in ((X, X, X), (X, X, Y), (X, Y, Y), (X, Y, X)))
-        m1 = np.maximum(m1, np.max(xxx ** 2 + xxy ** 2))
-        m2 = np.maximum(m2, np.max(xyy ** 2 + xyx ** 2))
-    passed = m1 <= 1.0 + CHECK_TOL and m2 <= 1.0 + CHECK_TOL
+# Appendix C's pairs (A, B), each of two anticommuting Pauli strings
+_APPENDIX_C_PAIRS = (((X, X, X), (X, X, Y)), ((X, Y, Y), (X, Y, X)))
+
+
+def check_appendix_c() -> CheckResult:
+    """<XXX>^2+<XXY>^2 <= 1 and <XYY>^2+<XYX>^2 <= 1 on every 3-qubit state.
+
+    Hermitian A, B with A^2 = B^2 = 1 and AB + BA = 0 make every
+    A cos t + B sin t an involution, so <A> cos t + <B> sin t <= 1 for all t,
+    and the maximum over t is sqrt(<A>^2 + <B>^2).  A's +1 eigenvector
+    attains the bound 1."""
+    devs, sums = [], []
+    for ops in _APPENDIX_C_PAIRS:
+        a, b = (kron_all(*m) for m in ops)
+        one = np.eye(len(a))
+        devs += [a - a.conj().T, b - b.conj().T, a @ a - one, b @ b - one, a @ b + b @ a]
+        psi = np.linalg.eigh(a)[1][:, -1]
+        sums.append(sum(np.vdot(psi, m @ psi).real ** 2 for m in (a, b)))
+    worst = float(np.max(np.abs(devs)))  # a NaN fails the check
+    passed = worst <= CHECK_TOL and all(abs(s - 1.0) <= CHECK_TOL for s in sums)
     return CheckResult("appendix-c-pair-correlators", passed,
-                       f"max sums {m1:.12f}, {m2:.12f}")
+                       f"max anticommutator/involution deviation {worst:.3e}, "
+                       f"attained sums {sums[0]:.12f}, {sums[1]:.12f}")
 
 
 def check_uncertainty(samples: int = 1_000, seed: int = 17) -> CheckResult:
@@ -309,7 +306,7 @@ def check_reduced_value_consistency() -> CheckResult:
 def run_all(samples: int = 10_000, seed: int = 11) -> list[CheckResult]:
     results = [
         check_appendix_b(samples, seed),
-        check_appendix_c(samples, seed + 2),
+        check_appendix_c(),
         check_uncertainty(max(samples // 10, 100), seed + 4),
         check_quantum_bounds(max(samples // 20, 50), seed + 6),
         check_tightness(),

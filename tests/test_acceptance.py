@@ -171,7 +171,7 @@ def test_criterion_6b_hull_knots(holz_sweep):
 def test_criterion_7_property_suites():
     t0 = time.time()
     rb = verification.check_appendix_b(10_000, seed=11)
-    rc = verification.check_appendix_c(10_000, seed=13)
+    rc = verification.check_appendix_c()
     ru = verification.check_uncertainty(1_000, seed=17)
     elapsed = time.time() - t0
     ok = rb.passed and rc.passed and ru.passed and elapsed < 120.0

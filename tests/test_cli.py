@@ -808,6 +808,21 @@ class TestEntryPoint:
                               env=ENV)
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("argv", [["verify", "--samples", "200"],
+                                      ["bound", "--inequality", "holz", "--beta", "1.2"]])
+    def test_closed_pipe_exit_141(self, argv):
+        # a stdout reader that has gone is not a crash: no traceback, and
+        # the status a SIGPIPE kill reports, as `yes | head` gives
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(RUN + argv, stdout=write, stderr=subprocess.PIPE,
+                                  timeout=120, env=ENV)
+        finally:
+            os.close(write)
+        assert proc.stderr == b""
+        assert proc.returncode == 141
+
 
 # ---------------------------------------------------------------------------
 # every option acts or is refused

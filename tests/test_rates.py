@@ -500,10 +500,15 @@ class TestThresholds:
         threshold_p("dire-spot", spec_by_name(ineq), noise, gamma=0.0)
         assert len(sizes) <= 14 and sizes[0] == 2 and max(sizes[1:]) <= 16
 
-    @pytest.mark.parametrize("noise, calls", [("local", 13), ("global", 12)])
-    def test_asym_dicka_threshold_one_point_calls(self, monkeypatch, noise, calls):
+    @pytest.mark.parametrize("ineq, noise, calls", [
+        ("holz", "local", 13), ("holz", "global", 12),
+        ("parity-chsh", "local", 13), ("parity-chsh", "global", 14),
+        ("asym-chsh", "local", 13), ("asym-chsh", "global", 12),
+        ("chsh", "local", 13), ("chsh", "global", 12)])
+    def test_dicka_threshold_one_point_calls(self, monkeypatch, ineq, noise, calls):
+        # a DICKA rate is smooth across its threshold: ITP, one p a step
         sizes = rate_grid_sizes(monkeypatch)
-        threshold_p("dicka", spec_by_name("asym-chsh"), noise)
+        threshold_p("dicka", spec_by_name(ineq), noise)
         assert sizes == [1] * calls
 
 

@@ -1,9 +1,9 @@
 """verification: check results as plain data."""
 
 import dataclasses
+import hashlib
 import json
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +11,8 @@ import pytest
 from tribell import verification
 from tribell.centropy import cond_entropies
 from tribell.errors import ValidationError
-from tribell.states import Z, BlockDiagState, _block_matrices, tau_state
+from tribell.qmath import kron_all
+from tribell.states import X, Y, Z, BlockDiagState, _block_matrices, tau_state
 
 from test_bell import random_block_states
 from test_centropy import oracle_cond_entropy
@@ -55,58 +56,31 @@ def test_batched_z_entropy_matches_cond_entropy():
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
-def one_shot_density_matrices(count, dim, seed):
-    # every real part of G drawn whole, then every imaginary part whole
-    rng = np.random.default_rng(seed)
-    real = rng.normal(size=(count, dim, dim))
-    g = real + 1j * rng.normal(size=(count, dim, dim))
-    rho = g @ g.conj().transpose(0, 2, 1)
-    return rho / np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+def test_appendix_c_fails_on_a_commuting_pair(monkeypatch):
+    # XXX and YYX commute: a joint +1 eigenstate gives <A>^2 + <B>^2 = 2
+    a, b = kron_all(X, X, X), kron_all(Y, Y, X)
+    psi = np.linalg.eigh(a + b)[1][:, -1]
+    assert sum(np.vdot(psi, m @ psi).real ** 2 for m in (a, b)) == pytest.approx(2.0)
+    monkeypatch.setattr(verification, "_APPENDIX_C_PAIRS", (((X, X, X), (Y, Y, X)),) * 2)
+    assert verification.check_appendix_c().passed is False
 
 
-@pytest.mark.parametrize("seed", [13, 5])
-@pytest.mark.parametrize("count", [0, 1, 511, 512, 513, 3001, 10_000])
-def test_density_matrix_blocks_equal_the_one_shot_draw(count, seed):
-    want = one_shot_density_matrices(count, 8, seed)
-    blocks = list(verification._density_matrix_blocks(count, 8, seed))
-    assert [len(b) for b in blocks[:-1]] == [verification._STATE_BLOCK] * (len(blocks) - 1)
-    for got in (np.concatenate([np.empty((0, 8, 8), complex), *blocks]),
-                verification.random_density_matrices(count, 8, seed)):
-        assert got.shape == want.shape and got.dtype == want.dtype
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+def test_appendix_c_holds_on_random_states():
+    rho = verification.random_density_matrices(2000, 8, 67)
+    for ops in verification._APPENDIX_C_PAIRS:
+        a, b = (np.einsum("nij,ji->n", rho, kron_all(*m)).real for m in ops)
+        assert np.max(a * a + b * b) <= 1.0 + 1e-12
 
 
-def test_appendix_c_holds_one_block_of_temporaries():
-    # the 5.1 MB of real parts and one block's temporaries, not 10 000 states
-    tracemalloc.start()
-    try:
-        verification.check_appendix_c(10_000, 13)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 12e6
-
-
-def test_appendix_c_nan_in_a_later_block_fails(monkeypatch):
-    real_expectation, calls = verification._party_expectation, []
-
-    def nan_in_block_two(rho, ops):
-        calls.append(len(rho))
-        val = real_expectation(rho, ops)
-        if len(calls) == 5:  # the first of the second block's four calls
-            val[3] = np.nan
-        return val
-
-    monkeypatch.setattr(verification, "_party_expectation", nan_in_block_two)
-    result = verification.check_appendix_c(1000, 13)
-    assert calls == [512] * 4 + [488] * 4
-    assert result.passed is False
-    assert "nan" in result.detail
+def test_random_density_matrices_bits():
+    rho = verification.random_density_matrices(1000, 8, 13)
+    assert rho.shape == (1000, 8, 8) and rho.dtype == complex
+    assert hashlib.sha256(rho.tobytes()).hexdigest() == \
+        "127a70067c15c2cc284b2589be35bbb6d5a83f64360bc16b99972bed5d71e0aa"
 
 
 @pytest.mark.parametrize("samples", [0, -5])
 @pytest.mark.parametrize("check", [verification.run_all, verification.check_appendix_b,
-                                   verification.check_appendix_c,
                                    verification.check_uncertainty,
                                    verification.check_quantum_bounds])
 def test_sampled_checks_refuse_fewer_than_one_sample(check, samples):
