@@ -7,12 +7,15 @@ the one-point value.  One decorator, `_curve`, keeps each curve's domain: it
 refuses a non-finite beta or one above the quantum bound (naming the first
 as a plain float), gives 0 at or below the classical bound, since the rate
 formulas evaluate there routinely, and clamps beta to the quantum bound.
+
+An asymmetric-CHSH bound reads its own alpha's tangent from `asym_tangent`,
+a root solve cached by the exact alpha; `best_alpha_bound`, its maximum over
+alpha, reads its tangents in closed form, and solves and keeps none.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import sys
 
 import numpy as np
@@ -199,13 +202,10 @@ def mabk_two_outcome(beta):
 # ---------------------------------------------------------------------------
 # asymmetric CHSH one-outcome
 
-_ZOOM_POINTS = 17  # alpha points per refinement round of best_alpha_bound
-_LANE_BLOCK = 128  # scales per lockstep search: its (scales, 401) arrays take 0.4 MB each
-_ALPHA_TOL = 1e-12  # where round(alpha, 12) merges the tangent keys
-_TANGENT_MEMO_SIZE = 4096  # entries of _TANGENT_MEMO, and of the public asym_tangent's cache
-# round(alpha, 12) -> (beta*, slope), oldest first: the one tangent cache of
-# asym_chsh_one_outcome and best_alpha_bound, read and filled by _tangents_for
-_TANGENT_MEMO: dict[float, tuple[float, float]] = {}
+_GRID_POINTS = 64  # t points of best_alpha_bound's first batch, after t = 0
+_ZOOM_POINTS = 65  # t points per refinement round of best_alpha_bound
+_LANE_BLOCK = 128  # scales per lockstep search, bounding its (scales, points) arrays
+_T_EDGE = float(np.arctanh(1.0 - 2.0**-53))  # r = tanh(t) = 1 - 2^-53, where alpha ~ 0.27
 
 
 def _g_asym(x, alpha):
@@ -213,14 +213,28 @@ def _g_asym(x, alpha):
     return 1.0 - h(0.5 + 0.5 * np.sqrt(np.maximum(x * x / 4.0 - alpha * alpha, 0.0)))
 
 
+def _g_and_residual(x, qb):
+    """g and the tangency residual F = g'(x)(x - 2) - g at violations
+    2 <= x < qb of the alpha whose quantum bound is qb, both formed from
+    d = qb - x, exact by Sterbenz (qb/2 < 2 <= x <= qb), so nothing cancels
+    as x -> qb."""
+    d = qb - x
+    v = d * (2.0 * qb - d) / 4.0  # 1 - s^2
+    s = np.sqrt(1.0 - v)
+    w = v / (2.0 * (1.0 + s))  # 1 - u
+    log_u, log_w = np.log1p(-w), np.log(w)
+    g = 1.0 + ((1.0 - w) * log_u + w * log_w) / np.log(2.0)
+    dg = (log_u - log_w) / np.log(2.0) * x / (8.0 * s)
+    return g, dg * (x - 2.0) - g
+
+
 def _asym_tangents(alpha) -> tuple[np.ndarray, np.ndarray]:
     """(beta*, slope) of the tangent line through (2, 0) to g(., |alpha|)
     for a 1-d array of alpha.
 
-    The residual F = g'(x)(x - 2) - g is formed from d = qb - x, exact by
-    Sterbenz (qb/2 < 2 <= x <= qb), so nothing cancels as x -> qb.  F
-    changes sign once on [2, qb), and one qmath.bracketed_roots call solves
-    every lane bracketed on [2, nextafter(qb, 2)]; the slope is
+    The residual F of _g_and_residual changes sign once on [2, qb), and one
+    qmath.bracketed_roots call solves every lane bracketed on
+    [2, nextafter(qb, 2)]; the slope is
     g(beta*)/(beta* - 2), since g' jumps between floats a few ulps below
     qb.  An unbracketed lane has its tangent point within one ulp of qb,
     where the chord from (2, 0) to (qb, 1) is the tangent.
@@ -229,67 +243,55 @@ def _asym_tangents(alpha) -> tuple[np.ndarray, np.ndarray]:
     if not np.all(np.isfinite(alpha)):
         raise ValidationError("alpha must be finite")
     qb = 2.0 * np.hypot(1.0, alpha)
-
-    def g_and_residual(x, qb):
-        d = qb - x
-        v = d * (2.0 * qb - d) / 4.0  # 1 - s^2
-        s = np.sqrt(1.0 - v)
-        w = v / (2.0 * (1.0 + s))  # 1 - u
-        log_u, log_w = np.log1p(-w), np.log(w)
-        g = 1.0 + ((1.0 - w) * log_u + w * log_w) / np.log(2.0)
-        dg = (log_u - log_w) / np.log(2.0) * x / (8.0 * s)
-        return g, dg * (x - 2.0) - g
-
     lo, hi = np.full_like(qb, 2.0), np.nextafter(qb, 2.0)
     with np.errstate(divide="ignore", invalid="ignore"):  # d = 0 where qb rounds to 2
-        bracketed = (g_and_residual(lo, qb)[1] <= 0.0) & (g_and_residual(hi, qb)[1] > 0.0)
+        bracketed = (_g_and_residual(lo, qb)[1] <= 0.0) & (_g_and_residual(hi, qb)[1] > 0.0)
         slope = 1.0 / (qb - 2.0)
     lanes = np.flatnonzero(bracketed)
     bstar = qb.copy()
-    bstar[lanes] = bracketed_roots(lambda x: g_and_residual(x, qb[lanes])[1],
+    bstar[lanes] = bracketed_roots(lambda x: _g_and_residual(x, qb[lanes])[1],
                                    lo[lanes], hi[lanes])
-    slope[lanes] = g_and_residual(bstar[lanes], qb[lanes])[0] / (bstar[lanes] - 2.0)
+    slope[lanes] = _g_and_residual(bstar[lanes], qb[lanes])[0] / (bstar[lanes] - 2.0)
     return bstar, slope
 
 
-@functools.lru_cache(maxsize=_TANGENT_MEMO_SIZE)
+@functools.lru_cache(maxsize=4096)
 def asym_tangent(alpha: float) -> tuple[float, float]:
     """(beta*, slope) of the tangent line through (2, 0) to g, for
     1e-12 <= |alpha| < 1 (ValidationError elsewhere): one `_asym_tangents`
-    lane, in its own lru_cache of at most 4096 entries.  The library reads
-    `_tangents_for`'s memo instead, keyed by round(alpha, 12)."""
+    lane, cached by the exact alpha, not a rounded key (at most 4096
+    entries).  asym_chsh_one_outcome reads its tangent here, so the bound of
+    an alpha is that alpha's own; best_alpha_bound reads none."""
     if not 1e-12 <= abs(alpha) < 1.0:
         raise ValidationError(f"alpha={float(alpha)!r} outside 1e-12 <= |alpha| < 1")
     bstar, slope = _asym_tangents([alpha])
     return float(bstar[0]), float(slope[0])
 
 
-def _tangents_for(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Tangents of an array of alpha >= 0, keyed by round(alpha, 12), where
-    1e-12 <= alpha < 1 (NaN elsewhere, where none is used).
+def _tangent_at(t):
+    """(alpha, beta*, slope) of the tangent whose point has s = r = tanh(t),
+    in closed form, for an array of t in (0, _T_EDGE].
 
-    Keys are read from the process-wide _TANGENT_MEMO; the missing ones are
-    solved in one _asym_tangents call and then added, the oldest entries
-    going beyond _TANGENT_MEMO_SIZE.  Every lane of that solver depends on
-    its own alpha only, so a key gets the same bits in any batch, and
-    asym_chsh_one_outcome and best_alpha_bound share them."""
-    bstar, slope = np.full(alpha.shape, np.nan), np.full(alpha.shape, np.nan)
-    need = (alpha >= 1e-12) & (alpha < 1.0)
-    keys, inverse = np.unique(np.round(alpha[need], 12), return_inverse=True)
-    keys = keys.tolist()
-    tangents = [_TANGENT_MEMO.get(k) for k in keys]
-    miss = [k for k, t in zip(keys, tangents) if t is None]
-    if miss:
-        b, s = _asym_tangents(miss)
-        solved = dict(zip(miss, zip(b.tolist(), s.tolist())))
-        tangents = [solved[k] if t is None else t for k, t in zip(keys, tangents)]
-        _TANGENT_MEMO.update(solved)
-        excess = max(len(_TANGENT_MEMO) - _TANGENT_MEMO_SIZE, 0)
-        for k in list(itertools.islice(_TANGENT_MEMO, excess)):
-            del _TANGENT_MEMO[k]
-    b, s = np.array(tangents, dtype=float).reshape(-1, 2).T
-    bstar[need], slope[need] = b[inverse], s[inverse]
-    return bstar, slope
+    With u = (1 + r)/2 and g = 1 - h(u), the tangency g'(x)(x - 2) = g reads
+    x(x - 2) = 8 r g / log2(u/(1 - u)) = c, where log2(u/(1 - u)) = 2t/ln 2:
+    beta* = 1 + sqrt(1 + c) and alpha = sqrt(beta*^2/4 - r^2).  Nothing
+    cancels as r -> 0: ln2 g = r t - log1p(2 sinh^2(t/2)), d = beta* - 2 =
+    c/(1 + sqrt(1 + c)) and alpha^2 = sech^2 t + d + d^2/4.  The slope is the
+    chord g(beta*)/(beta* - 2) at the rounded alpha, as in _asym_tangents:
+    beta* misses that alpha's tangent point by the rounding alone, where the
+    chord's slope is stationary, so rounding alpha cannot lift the line
+    above alpha's own tangent.  Where beta* rounds to qb, the chord to
+    (qb, 1) is taken."""
+    r = np.tanh(t)
+    half = np.sinh(0.5 * t)
+    c = 4.0 * r * (r * t - np.log1p(2.0 * half * half)) / t
+    d = c / (1.0 + np.sqrt(1.0 + c))
+    alpha = np.sqrt(1.0 / np.cosh(t) ** 2 + d + 0.25 * d * d)
+    qb = 2.0 * np.hypot(1.0, alpha)
+    bstar = np.minimum(2.0 + d, qb)
+    with np.errstate(divide="ignore", invalid="ignore"):  # d = 0 at qb, where g = 1
+        g = np.where(bstar < qb, _g_and_residual(bstar, qb)[0], 1.0)
+    return alpha, bstar, g / (bstar - 2.0)
 
 
 def _asym_one_outcome(beta, alpha, bstar, slope):
@@ -315,31 +317,15 @@ def asym_chsh_one_outcome(beta, alpha: float):
 
     @_curve(2.0 * max(1.0, alpha), qb, repr(float(qb)))
     def curve(beta):
-        return _asym_one_outcome(beta, alpha, *_tangents_for(np.array([alpha])))
+        tangent = asym_tangent(alpha) if 1e-12 <= alpha < 1.0 else (np.nan, np.nan)
+        return _asym_one_outcome(beta, alpha, *tangent)
 
     return curve(beta)
 
 
-_ALPHA_GRID = np.linspace(0.0, 4.0, 401)  # best_alpha_bound's first batch
-_ALPHA_GRID.flags.writeable = False
-
-
-@functools.lru_cache(maxsize=1)
-def _grid_tangents() -> tuple[np.ndarray, np.ndarray]:
-    tangents = _tangents_for(_ALPHA_GRID)
-    for arr in tangents:
-        arr.flags.writeable = False  # shared by every caller in the process
-    return tangents
-
-
-def _alpha_values(scale, alpha: np.ndarray, tangents=None) -> np.ndarray:
-    """asym_chsh_one_outcome at the honest violation qb * scale for an array
-    of alpha >= 0, scale broadcast against it; qb * scale <= qb, as every
-    scale lies in [0, 1]."""
-    beta = 2.0 * np.hypot(1.0, alpha) * scale
-    if tangents is None:
-        tangents = _tangents_for(alpha)
-    return _asym_one_outcome(beta, alpha, *tangents)
+def _values(scale, alpha, bstar, slope) -> np.ndarray:
+    """The bound of alpha, with its tangent, at the honest violation qb * scale <= qb."""
+    return _asym_one_outcome(2.0 * np.hypot(1.0, alpha) * scale, alpha, bstar, slope)
 
 
 def _keep_better(best_v, best_a, lanes, v, a) -> None:
@@ -350,19 +336,30 @@ def _keep_better(best_v, best_a, lanes, v, a) -> None:
 
 
 def best_alpha_bound(scale) -> tuple[np.ndarray, np.ndarray]:
-    """(alpha, bound) arrays: the maximum over alpha of
-    asym_chsh_one_outcome(2 sqrt(1 + alpha^2) s, alpha) for each honest
-    scale s of the 1-d array scale, s in [0, 1] (ValidationError elsewhere).
+    """(alpha, bound) arrays: the maximum over alpha >= 0 of
+    f(alpha) = asym_chsh_one_outcome(2 sqrt(1 + alpha^2) s, alpha) for each
+    honest scale s of the 1-d array scale, s in [0, 1] (ValidationError
+    elsewhere).
+
+    The search runs over t = atanh(r), r = sqrt(beta*^2/4 - alpha^2) the
+    s-value of the tangent point, which gives alpha and its tangent in
+    closed form (_tangent_at): no root is solved, no tangent is kept.  It
+    misses no alpha:
+    - alpha(t) is continuous, from 1 (t -> 0) down to about 0.27 at
+      _T_EDGE (r = 1 - 2^-53), past which the tangent point rounds to qb.
+    - Below that edge the bound is the chord value (qb s - 2)/(qb - 2),
+      which increases with alpha, so the edge bounds it.
+    - For alpha >= 1 the bound is g at the s-value
+      sqrt((1 + alpha^2) s^2 - alpha^2), which decreases with alpha; so does
+      the g side of every alpha < 1.
+    Hence the maximum is max(0, f(1), sup_t f(alpha(t))).
 
     The scales are searched in lockstep, _LANE_BLOCK at a time, and a
-    scale's bits do not depend on the others.  The 401-point grid on [0, 4]
-    is evaluated in one (scales, 401) batch, its tangents solved once per
-    process; each scale's best grid cell is then zoomed in _ZOOM_POINTS
-    points until its alpha bracket is narrower than 1e-12, one _tangents_for
-    call a round for all the scales still zooming.  The zoom tangents come
-    from _tangents_for's memo (at most 4096 alphas per process), so a
-    search next to an earlier one solves only the alphas it has not seen.
-    Never returns less than the alpha=1 value.
+    scale's bits do not depend on the others.  The grid of t = 0 (alpha = 1)
+    and _GRID_POINTS points up to _T_EDGE is one batch; each scale's best
+    cell is then zoomed in _ZOOM_POINTS points, one batch a round for every
+    scale still zooming, until the ends of its t bracket have the same alpha
+    or no float lies between them.  Ties go to the larger alpha.
     """
     scale = np.asarray(scale, dtype=float)
     if scale.ndim != 1:
@@ -378,32 +375,33 @@ def best_alpha_bound(scale) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _lockstep_search(scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    lanes = np.arange(scale.size)
-    grid = _ALPHA_GRID
-    vals = _alpha_values(scale[:, None], grid, _grid_tangents())
-    i = np.argmax(vals, axis=1)
-    best_v, best_a = vals[lanes, i], grid[i]
-    k0, k1 = np.maximum(i - 1, 0), np.minimum(i + 1, grid.size - 1)
-    # the live lanes' brackets and the values at their ends
-    live, lo, hi, v_lo, v_hi = lanes, grid[k0], grid[k1], vals[lanes, k0], vals[lanes, k1]
+    best_v, best_a = np.full(scale.size, -np.inf), np.zeros(scale.size)
+    grid = np.linspace(0.0, _T_EDGE, _GRID_POINTS + 1)
+    alpha, bstar, slope = _tangent_at(grid[1:])
+    # each live lane's row of t, and the alphas and values there; t = 0 is alpha = 1
+    live, t = np.arange(scale.size), np.broadcast_to(grid, (scale.size, grid.size))
+    a = np.broadcast_to(np.append(1.0, alpha), t.shape)
+    v = np.concatenate([_values(scale[:, None], 1.0, np.nan, np.nan),
+                        _values(scale[:, None], alpha, bstar, slope)], axis=1)
     steps = np.arange(float(_ZOOM_POINTS))
-    keep = hi - lo >= _ALPHA_TOL
-    while keep.any():
-        live, lo, hi, v_lo, v_hi = (x[keep] for x in (live, lo, hi, v_lo, v_hi))
+    while True:
         rows = np.arange(live.size)
-        # np.linspace(lo, hi, _ZOOM_POINTS) on every lane, its arithmetic spelled out
-        pts = steps * ((hi - lo) / (_ZOOM_POINTS - 1))[:, None] + lo[:, None]
-        pts[:, -1] = hi
-        v = np.concatenate([v_lo[:, None], _alpha_values(scale[live, None], pts[:, 1:-1]),
-                            v_hi[:, None]], axis=1)
         j = np.argmax(v, axis=1)
-        _keep_better(best_v, best_a, live, v[rows, j], pts[rows, j])
-        k0, k1 = np.maximum(j - 1, 0), np.minimum(j + 1, _ZOOM_POINTS - 1)
-        lo, hi, v_lo, v_hi = pts[rows, k0], pts[rows, k1], v[rows, k0], v[rows, k1]
-        keep = hi - lo >= _ALPHA_TOL
-    ones = np.ones(scale.size)
-    _keep_better(best_v, best_a, lanes, _alpha_values(scale, ones), ones)
-    return best_a, best_v
+        _keep_better(best_v, best_a, live, v[rows, j], a[rows, j])
+        # the best point's neighbours: each lane's t bracket, and the alphas and values there
+        k = np.stack([np.maximum(j - 1, 0), np.minimum(j + 1, t.shape[1] - 1)], axis=1)
+        t, a, v = (x[rows[:, None], k] for x in (t, a, v))
+        keep = (a[:, 0] != a[:, 1]) & (np.nextafter(t[:, 0], t[:, 1]) < t[:, 1])
+        if not keep.any():
+            return best_a, best_v
+        live, (lo, hi), a, v = live[keep], t[keep].T, a[keep], v[keep]
+        # np.linspace(lo, hi, _ZOOM_POINTS) on every lane, its arithmetic spelled out
+        t = steps * ((hi - lo) / (_ZOOM_POINTS - 1))[:, None] + lo[:, None]
+        t[:, -1] = hi
+        alpha, bstar, slope = _tangent_at(t[:, 1:-1])
+        v = np.concatenate([v[:, :1], _values(scale[live, None], alpha, bstar, slope), v[:, 1:]],
+                           axis=1)
+        a = np.concatenate([a[:, :1], alpha, a[:, 1:]], axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -320,9 +320,17 @@ OPTIONS = [
 ]
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, but a --help written into a closed pipe raises
+    BrokenPipeError, which argparse would drop before exiting 0."""
+
+    def print_help(self, file=None):
+        (file or sys.stdout).write(self.format_help())
+
+
 def build_parser() -> argparse.ArgumentParser:
     """A new parser of every command and its OPTIONS; `main` builds one per process."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tribell",
         description="Tripartite Bell inequalities: entropy bounds and DI rates")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -359,8 +367,11 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        try:
+            args = _parser().parse_args(argv)
+        finally:
+            sys.stdout.flush()  # --help's text: a closed pipe raises here, not at exit
         _check_args(args)
         code = globals()[f"cmd_{args.command}"](args)
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit

@@ -336,6 +336,31 @@ class TestAsymTangentTable:
             ref = [float(v) for v in _mp_tangent(mp, alpha, 50)]
             assert ref == pytest.approx([bstar, slope], rel=1e-12)
 
+    def test_closed_form_matches_recorded_scan(self):
+        # the rows from alpha = 0.3 on, whose tangent points lie below qb;
+        # alpha(t) falls from 1 at t = 0 to about 0.27 at _T_EDGE, so a
+        # bisection in t finds each row's tangent point
+        alphas, bstar, slope = (np.array(c) for c in zip(*TANGENT_TABLE[9:]))
+        lo, hi = np.zeros(alphas.size), np.full(alphas.size, bounds._T_EDGE)
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            above = bounds._tangent_at(mid)[0] > alphas
+            lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+        got_a, got_b, got_s = bounds._tangent_at(hi)
+        assert got_a == pytest.approx(alphas, rel=1e-12)
+        assert got_b == pytest.approx(bstar, rel=1e-12)
+        assert got_s == pytest.approx(slope, rel=1e-12)
+
+    def test_edge_is_the_last_r_below_one(self):
+        assert np.tanh(bounds._T_EDGE) == 1.0 - 2.0**-53
+
+    def test_closed_form_matches_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        for alpha, bstar, slope in zip(*bounds._tangent_at(np.array([0.1, 0.5, 1.0, 3.0, 8.0,
+                                                                     15.0, 18.0]))):
+            ref = [float(v) for v in _mp_tangent(mp, alpha, 50)]
+            assert ref == pytest.approx([bstar, slope], rel=1e-12)
+
 
 def test_asym_bound_not_above_g_near_alpha_0_4():
     points = ((0.40695, 2.1592664244094486), (0.4, 2.154065691904917))
@@ -394,30 +419,58 @@ class TestAsymNonFinite:
             best_alpha_bound([0.5, np.nan])
 
 
-def _point_by_point_search(scale):
-    """(alpha, bound) of the alpha search at one honest scale, one
-    asym_chsh_one_outcome call per alpha: the 401-point grid on [0, 4],
-    then np.linspace zooms of 17 points around the best point until the
-    bracket is narrower than 1e-12, keeping the larger (value, alpha) tuple,
-    and last the alpha = 1 value."""
-    def val(a):
-        return asym_chsh_one_outcome(2.0 * np.hypot(1.0, a) * scale, a)
+def _one_scale_search(scale):
+    """(alpha, bound) of the alpha search at one honest scale, one row of t
+    at a time: the grid of t = 0 (alpha = 1) and 64 points up to _T_EDGE,
+    then np.linspace zooms of 65 points between the neighbours of the best
+    point until the ends have the same alpha or no float lies between them,
+    keeping the larger (value, alpha) tuple."""
+    def row(ts):
+        alpha, bstar, slope = bounds._tangent_at(ts)
+        return alpha.tolist(), bounds._values(scale, alpha, bstar, slope).tolist()
 
-    grid = np.linspace(0.0, 4.0, 401)
-    vals = [val(a) for a in grid]
-    i = int(np.argmax(vals))
-    best = (vals[i], grid[i])
-    k0, k1 = max(i - 1, 0), min(i + 1, 400)
-    lo, hi, v_lo, v_hi = grid[k0], grid[k1], vals[k0], vals[k1]
-    while hi - lo >= 1e-12:
-        pts = np.linspace(lo, hi, 17)
-        v = [v_lo] + [val(a) for a in pts[1:-1]] + [v_hi]
+    t = np.linspace(0.0, bounds._T_EDGE, 65)
+    a, v = row(t[1:])
+    a, v = [1.0] + a, [float(bounds._values(scale, 1.0, np.nan, np.nan))] + v
+    j = int(np.argmax(v))
+    best = (v[j], a[j])
+    while True:
+        k0, k1 = max(j - 1, 0), min(j + 1, len(t) - 1)
+        lo, hi = t[k0], t[k1]
+        if a[k0] == a[k1] or not np.nextafter(lo, hi) < hi:
+            return float(best[1]), float(best[0])
+        t = np.linspace(lo, hi, 65)
+        inner_a, inner_v = row(t[1:-1])
+        a, v = [a[k0]] + inner_a + [a[k1]], [v[k0]] + inner_v + [v[k1]]
         j = int(np.argmax(v))
-        best = max(best, (v[j], pts[j]))
-        k0, k1 = max(j - 1, 0), min(j + 1, 16)
-        lo, hi, v_lo, v_hi = pts[k0], pts[k1], v[k0], v[k1]
-    best = max(best, (val(1.0), 1.0))
-    return float(best[1]), float(best[0])
+        best = max(best, (v[j], a[j]))
+
+
+def _exact_values(scale, alpha):
+    """The bound at the honest violations qb * scale of a (scales, n) array
+    of alpha, the tangent of each alpha < 1 root-solved at that alpha."""
+    flat = alpha.ravel()
+    bstar, slope = (x.reshape(alpha.shape)
+                    for x in bounds._asym_tangents(np.where(flat < 1.0, flat, 0.5)))
+    return bounds._asym_one_outcome(2.0 * np.hypot(1.0, alpha) * scale[:, None], alpha,
+                                    bstar, slope)
+
+
+def _dense_alpha_search(scale):
+    """max over alpha of _exact_values: 101 alphas with 1 - alpha
+    log-spaced on [1e-13, 0.74], then 10 zooms of 17 points between the
+    neighbours of the best, and alpha = 1."""
+    rows = np.arange(scale.size)
+    alpha = np.tile(1.0 - np.logspace(np.log10(0.74), -13, 101), (scale.size, 1))
+    best = _exact_values(scale, np.ones((scale.size, 1)))[:, 0]
+    for _ in range(11):
+        v = _exact_values(scale, alpha)
+        best = np.maximum(best, v.max(axis=1))
+        i = np.argmax(v, axis=1)
+        lo = alpha[rows, np.maximum(i - 1, 0)]
+        hi = alpha[rows, np.minimum(i + 1, alpha.shape[1] - 1)]
+        alpha = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, 17)
+    return best
 
 
 class TestBestAlpha:
@@ -456,10 +509,32 @@ class TestBestAlpha:
     @pytest.mark.parametrize("block", [3, bounds._LANE_BLOCK])
     def test_grid_equals_the_point_by_point_search(self, monkeypatch, block):
         monkeypatch.setattr(bounds, "_LANE_BLOCK", block)
-        scales = [1.0, 0.9025, 0.85, 0.85, 0.5, 0.0, 0.7225, 1.0]  # p^2 at p = 0.95, 0.85
+        # p^2 at p = 0.95, 0.85; next to 1/sqrt2, where alpha = 1 - 5e-6 wins
+        scales = [1.0, 0.9025, 0.85, 0.85, 0.5, 0.0, 0.7225, 1.0, 0.708, 0.9999]
         alpha, bound = best_alpha_bound(scales)
         assert [(a.hex(), b.hex()) for a, b in zip(alpha.tolist(), bound.tolist())] \
-            == [(a.hex(), b.hex()) for a, b in map(_point_by_point_search, scales)]
+            == [(a.hex(), b.hex()) for a, b in map(_one_scale_search, scales)]
+
+    def test_within_the_exact_maximum(self):
+        # exact: the larger of a dense search over root-solved tangents at
+        # unrounded alphas and the bound of the returned alpha, so solved;
+        # tangents read at round(alpha, 12) overstate it by up to 1.9e-12 here
+        scales = np.concatenate([np.linspace(0.7071, 0.72, 350), np.linspace(0.72, 0.995, 350),
+                                 np.linspace(0.995, 1.0, 350)])
+        alpha, bound = best_alpha_bound(scales)
+        exact = np.maximum(_dense_alpha_search(scales), _exact_values(scales, alpha[:, None])[:, 0])
+        assert (bound - exact).min() >= -1e-14
+        assert (bound - exact).max() <= 1e-15
+
+    def test_solves_no_root(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("best_alpha_bound solved a tangent")
+
+        monkeypatch.setattr(bounds, "_asym_tangents", refuse)
+        monkeypatch.setattr(bounds, "bracketed_roots", refuse)
+        monkeypatch.setattr(bounds, "asym_tangent", refuse)
+        _, bound = best_alpha_bound(np.linspace(0.0, 1.0, 201))
+        assert np.isfinite(bound).all()
 
     def test_empty_grid(self):
         alpha, bound = best_alpha_bound([])
@@ -471,62 +546,49 @@ def _bits(values):
 
 
 @pytest.fixture
-def fresh_memo(monkeypatch):
-    """An empty tangent memo for the test, the process's own restored after."""
-    memo = {}
-    monkeypatch.setattr(bounds, "_TANGENT_MEMO", memo)
-    return memo
+def fresh_cache():
+    """asym_tangent with its cache emptied before and after the test."""
+    asym_tangent.cache_clear()
+    yield asym_tangent
+    asym_tangent.cache_clear()
 
 
-class TestTangentMemo:
-    PS = np.linspace(0.5, 1.0, 50)
+class TestAsymTangentCache:
+    ALPHA, BETA = 0.46322496584641615, 2.199975019904475
 
-    def _searches(self, clear=None):
-        from tribell.rates import best_alpha_one_outcome
+    def test_tangent_of_the_bounds_own_alpha(self):
+        # round(alpha, 12)'s tangent under this alpha's beta overstates it by 1.68e-12
+        exact = bounds._asym_one_outcome(self.BETA, self.ALPHA,
+                                         *bounds._asym_tangents([self.ALPHA]))
+        assert asym_chsh_one_outcome(self.BETA, self.ALPHA) == float(exact[0])
 
-        out = []
-        for noise in ("local", "global"):
-            for p in self.PS:
-                if clear is not None:
-                    clear.clear()
-                out.append(best_alpha_one_outcome(noise, [p]))
-            out.append(best_alpha_one_outcome(noise, self.PS))
-        return _bits(np.concatenate(out, axis=1))
+    def test_one_entry_per_exact_alpha(self, fresh_cache):
+        near = float(np.nextafter(self.ALPHA, 1.0))
+        for alpha in (self.ALPHA, near, self.ALPHA, -near):
+            asym_chsh_one_outcome(2.1, alpha)
+        info = fresh_cache.cache_info()
+        assert (info.hits, info.misses, info.currsize, info.maxsize) == (2, 2, 2, 4096)
+        for alpha in (self.ALPHA, near):
+            alone = [float(x[0]) for x in bounds._asym_tangents([alpha])]
+            np.testing.assert_array_equal(_bits(asym_tangent(alpha)), _bits(alone))
 
-    def test_cold_warm_and_cleared_memo_agree(self, fresh_memo):
-        cold = self._searches()
-        assert fresh_memo
-        np.testing.assert_array_equal(self._searches(), cold)
-        np.testing.assert_array_equal(self._searches(clear=fresh_memo), cold)
-        np.testing.assert_array_equal(self._searches(), cold)
-        for key, tangent in fresh_memo.items():
-            alone = [float(a[0]) for a in bounds._asym_tangents([key])]
-            np.testing.assert_array_equal(_bits(tangent), _bits(alone))
+    def test_alphas_without_tangent_read_none(self, fresh_cache):
+        for alpha in (1.0, 2.0, 3.5):
+            asym_chsh_one_outcome(2.0 * np.hypot(1.0, alpha) * 0.99, alpha)
+        assert fresh_cache.cache_info()[:2] == (0, 0)
 
-    def test_bounded_by_its_size(self, fresh_memo):
-        from tribell.bell import spec_by_name
-        from tribell.rates import rate_grid
-
-        rate_grid("dicka", spec_by_name("asym-chsh"), "local", np.linspace(0.5, 1.0, 201))
-        # the grid solves more keys than the memo keeps
-        assert len(fresh_memo) == bounds._TANGENT_MEMO_SIZE == 4096
-
-    def test_refusals_leave_memo_unchanged(self, fresh_memo, monkeypatch):
-        bounds._tangents_for(np.array([0.3, 0.6]))
-        before = dict(fresh_memo)
+    def test_refusals_leave_the_cache_unchanged(self, fresh_cache):
+        asym_chsh_one_outcome(2.1, 0.5)
         with pytest.raises(ValidationError, match="alpha"):
             asym_chsh_one_outcome(2.5, np.nan)
+        for alpha in (0.0, 1e-13, 1.0, np.nan):
+            with pytest.raises(ValidationError, match="alpha"):
+                asym_tangent(alpha)
         for scale in ([0.5, np.nan], [-0.1], [1.5], [[0.5]]):
             with pytest.raises(ValidationError, match="scale"):
                 best_alpha_bound(scale)
-
-        def refuse(alpha):
-            raise ValidationError("alpha must be finite")
-
-        monkeypatch.setattr(bounds, "_asym_tangents", refuse)
-        with pytest.raises(ValidationError, match="alpha"):
-            bounds._tangents_for(np.array([0.3, 0.7]))
-        assert fresh_memo == before and list(fresh_memo) == list(before)
+        assert fresh_cache.cache_info().currsize == 1
+        assert asym_tangent(0.5) == tuple(float(x[0]) for x in bounds._asym_tangents([0.5]))
 
 
 def _registry_curves():

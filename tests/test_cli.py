@@ -809,19 +809,22 @@ class TestEntryPoint:
         assert proc.returncode == 2
 
     @pytest.mark.parametrize("argv", [["verify", "--samples", "200"],
-                                      ["bound", "--inequality", "holz", "--beta", "1.2"]])
+                                      ["bound", "--inequality", "holz", "--beta", "1.2"],
+                                      ["--help"], ["verify", "--help"]])
     def test_closed_pipe_exit_141(self, argv):
         # a stdout reader that has gone is not a crash: no traceback, and
-        # the status a SIGPIPE kill reports, as `yes | head` gives
-        read, write = os.pipe()
-        os.close(read)
-        try:
-            proc = subprocess.run(RUN + argv, stdout=write, stderr=subprocess.PIPE,
-                                  timeout=120, env=ENV)
-        finally:
-            os.close(write)
-        assert proc.stderr == b""
-        assert proc.returncode == 141
+        # the status a SIGPIPE kill reports, as `yes | head` gives; with
+        # stdout buffered and unbuffered, where argparse fails differently
+        for unbuffered in ("", "1"):
+            read, write = os.pipe()
+            os.close(read)
+            try:
+                proc = subprocess.run(RUN + argv, stdout=write, stderr=subprocess.PIPE,
+                                      timeout=120, env=dict(ENV, PYTHONUNBUFFERED=unbuffered))
+            finally:
+                os.close(write)
+            assert proc.stderr == b""
+            assert proc.returncode == 141
 
 
 # ---------------------------------------------------------------------------

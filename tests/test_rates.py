@@ -369,8 +369,8 @@ PAPER_THRESHOLDS = {
     ("dicka", "holz", "global"): "0x1.b54fd278efbc7p-1",
     ("dicka", "parity-chsh", "local"): "0x1.dec0d167b8b21p-1",
     ("dicka", "parity-chsh", "global"): "0x1.b6cadd4751526p-1",
-    ("dicka", "asym-chsh", "local"): "0x1.d87f4b0883854p-1",
-    ("dicka", "asym-chsh", "global"): "0x1.b40ad1fd76b5ep-1",
+    ("dicka", "asym-chsh", "local"): "0x1.d87f4b0883983p-1",
+    ("dicka", "asym-chsh", "global"): "0x1.b40ad1fd76d8dp-1",
     ("dire-spot", "mabk", "local"): "0x1.965fea53d6e3fp-1",
     ("dire-spot", "mabk", "global"): "0x1.0000000000002p-1",
     ("dire-spot", "parity-chsh", "local"): "0x1.bd49c213611b9p-1",
