@@ -258,6 +258,9 @@ def _block_vbar(rho: np.ndarray, trig: np.ndarray) -> np.ndarray:
 
 def holz_reduced_value(state: BlockDiagState, b0: float, a1: float, c_minus: float) -> float:
     """Holz Bell value in the reduced frame (a0=0, b+=c+=pi/2, b1=pi-b0)."""
+    for name, angle in (("b0", b0), ("a1", a1), ("c_minus", c_minus)):
+        if not np.isfinite(angle):
+            raise ValidationError(f"{name}={angle!r} is not finite")
     return float(_block_reduced_value(*state._columns(b0), a1, c_minus)[0])
 
 

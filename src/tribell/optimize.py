@@ -22,6 +22,7 @@ bit-identical results.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -246,6 +247,14 @@ class OptConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("restarts", "seed"):
+            value = getattr(self, name)
+            try:
+                if isinstance(value, bool):
+                    raise TypeError
+                operator.index(value)
+            except TypeError:
+                raise ValidationError(f"{name}={value!r} is not an integer") from None
         if self.restarts < 1:
             raise ValidationError(f"restarts={self.restarts!r} must be at least 1")
         if self.seed < 0:

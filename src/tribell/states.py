@@ -198,16 +198,20 @@ def _block_matrices(rho: np.ndarray, t: np.ndarray) -> np.ndarray:
 def _sorted_blocks(rho: np.ndarray, t: np.ndarray):
     """Check and order the columns rho (2, 2, 2, n), t (2, 2, n) of n block
     states: every block eigenvalue >= -1e-10 (then clipped at 0), each
-    state's eigenvalues sum to 1 within 1e-10, and rho[0, j, k] >=
-    rho[1, j, k], where swapping a block's eigenvalues rotates its t by
-    pi/2.  Returns new arrays."""
-    if np.any(rho < -1e-10):
-        raise ValidationError(f"negative block eigenvalue {rho.min():.3e}")
+    state's eigenvalues sum to 1 within 1e-10, every t is finite, and
+    rho[0, j, k] >= rho[1, j, k], where swapping a block's eigenvalues
+    rotates its t by pi/2.  A NaN fails these checks.  Returns new arrays."""
+    bad = ~(rho >= -1e-10)
+    if np.any(bad):
+        raise ValidationError(f"block eigenvalue {rho[bad][0]:.3e} is negative or NaN")
     rho = np.clip(rho, 0.0, None)
     total = rho.sum(axis=(0, 1, 2))
-    bad = np.abs(total - 1.0) > 1e-10
+    bad = ~(np.abs(total - 1.0) <= 1e-10)
     if np.any(bad):
         raise ValidationError(f"block eigenvalues sum to {total[bad][0]!r}")
+    bad = ~np.isfinite(t)
+    if np.any(bad):
+        raise ValidationError(f"block angle {t[bad][0]:.3e} is not finite")
     swap = rho[0] < rho[1]
     r0 = np.where(swap, rho[1], rho[0])
     r1 = np.where(swap, rho[0], rho[1])

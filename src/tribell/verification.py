@@ -44,24 +44,17 @@ class CheckResult:
         object.__setattr__(self, "expected_failure", bool(self.expected_failure))
 
 
-def _dirichlet_rows(g: np.ndarray) -> np.ndarray:
-    """Rows of gammas g (n, 8) scaled as Generator.dirichlet scales its draw:
-    by 1/(their left-to-right sum)."""
-    return g * (1.0 / np.add.accumulate(g, axis=1)[:, -1:])
+def _block_draws(rng: np.random.Generator, count: int):
+    """count unsorted block states as columns rho (2, 2, 2, n), t (2, 2, n):
+    Dirichlet eigenvalues of concentration 0.35 and 1.0 in turn, a mix of
+    near-pure and broad states, and every t uniform on (-pi/2, pi/2)."""
+    g = rng.standard_gamma(np.where(np.arange(count) % 2 == 0, 0.35, 1.0), (2, 2, 2, count))
+    return g / g.sum(axis=(0, 1, 2)), rng.uniform(-np.pi / 2, np.pi / 2, (2, 2, count))
 
 
 def _random_block_columns(count: int, seed: int):
-    """A deterministic mix of broad and near-pure GHZ-block-diagonal states,
-    as checked and sorted columns rho (2, 2, 2, n), t (2, 2, n): per state
-    rng.dirichlet([0.35 or 1.0] * 8) and rng.uniform(-pi/2, pi/2, (2, 2)),
-    drawn as their gammas and unit uniforms."""
-    rng = np.random.default_rng(seed)
-    g, u = np.empty((count, 8)), np.empty((count, 4))
-    for i in range(count):
-        rng.standard_gamma(0.35 if i % 2 == 0 else 1.0, out=g[i])
-        rng.random(out=u[i])
-    rho = _dirichlet_rows(g).T.reshape(2, 2, 2, count)
-    return _sorted_blocks(rho, (-np.pi / 2 + np.pi * u).T.reshape(2, 2, count))
+    """_block_draws of a fresh generator, checked and sorted."""
+    return _sorted_blocks(*_block_draws(np.random.default_rng(seed), count))
 
 
 def _trig(t: np.ndarray, b0) -> np.ndarray:
@@ -89,36 +82,28 @@ def random_density_matrices(count: int, dim: int, seed: int) -> np.ndarray:
 
 def _appendix_b_draws(samples: int, seed: int):
     """check_appendix_b's unsorted columns rho (2, 2, 2, n), t (2, 2, n) and
-    angle rows a1, bm, cm (n,): even samples a random block state and angles,
-    odd ones a noisy tau-like state with angles jittered around its optimum.
-    A pair of samples is 3 calls on one stream: the even sample's 8 gammas
-    (its Dirichlet draw), 9 unit uniforms (its t and angles; the odd sample's
-    nu and eps) and the odd sample's 7 standard normals (its t and angles)."""
+    angle rows a1, bm, cm (n,): samples // 2 random block states and
+    angles, then the rest noisy tau(nu)-like states with angles jittered
+    around the family's optimum.  The first of those is tau(nu)'s optimum
+    itself, no noise and no jitter, where beta = 2 nu + 1/(2 nu) - 1 > 1 and
+    the inequality is tight."""
     rng = np.random.default_rng(seed)
-    odd = samples // 2
-    g, u, z = np.empty((samples - odd, 8)), np.empty((samples - odd, 9)), np.empty((odd, 7))
-    for k in range(samples - odd):
-        rng.standard_gamma(0.35 if k % 2 == 0 else 1.0, out=g[k])
-        if k < odd:
-            rng.random(out=u[k])
-            rng.standard_normal(out=z[k])
-        else:  # an odd count ends on an unpaired even sample
-            rng.random(out=u[k, :7])
-    rho, t, ang = np.empty((samples, 8)), np.empty((samples, 4)), np.empty((3, samples))
-    rho[0::2], t[0::2] = _dirichlet_rows(g), -np.pi / 2 + np.pi * u[:, :4]
-    ang[:, 0::2] = 2.0 * np.pi * u[:, 4:7].T
-    nu, eps = 0.5 + 0.5 * u[:odd, 7], 0.15 * u[:odd, 8]
-    w = np.repeat((eps / 8.0)[:, None], 8, axis=1)
-    w[:, 0] += (1.0 - eps) * nu
-    w[:, 3] += (1.0 - eps) * (1.0 - nu)
-    rho[1::2] = w / w.sum(axis=1, keepdims=True)  # each row's pairwise sum, as rho.sum()
-    jitter = 0.0 + np.array([0.15] * 4 + [0.3] * 3) * z
-    t[1::2] = jitter[:, :4]
-    t[1::2, 3] += np.pi / 2
-    ang[:, 1::2] = np.stack([np.full(odd, np.pi / 2),
-                             np.arctan2(1.0, np.sqrt(np.maximum(4 * nu * nu - 1.0, 1e-12))),
-                             np.arcsin(np.minimum(1.0 / (2 * nu), 1.0))]) + jitter[:, 4:].T
-    return (rho.T.reshape(2, 2, 2, samples), t.T.reshape(2, 2, samples), *ang)
+    rand, near = samples // 2, samples - samples // 2
+    rho_r, t_r = _block_draws(rng, rand)
+    ang_r = rng.uniform(0.0, 2.0 * np.pi, (3, rand))
+    nu, eps = rng.uniform(0.5, 1.0, near), rng.uniform(0.0, 0.15, near)
+    jitter = rng.normal(0.0, np.array([0.15] * 4 + [0.3] * 3)[:, None], (7, near))
+    eps[0], jitter[:, 0] = 0.0, 0.0
+    rho = np.broadcast_to(eps / 8.0, (2, 2, 2, near)).copy()
+    rho[0, 0, 0] += (1.0 - eps) * nu
+    rho[0, 1, 1] += (1.0 - eps) * (1.0 - nu)
+    t = jitter[:4].reshape(2, 2, near)
+    t[1, 1] += np.pi / 2
+    ang = np.stack([np.full(near, np.pi / 2),
+                    np.arctan2(1.0, np.sqrt(np.maximum(4 * nu * nu - 1.0, 1e-12))),
+                    np.arcsin(np.minimum(1.0 / (2 * nu), 1.0))]) + jitter[4:]
+    return (np.concatenate([rho_r, rho / rho.sum(axis=(0, 1, 2))], axis=-1),
+            np.concatenate([t_r, t], axis=-1), *np.concatenate([ang_r, ang], axis=1))
 
 
 def check_appendix_b(samples: int = 10_000, seed: int = 11) -> CheckResult:
@@ -127,7 +112,8 @@ def check_appendix_b(samples: int = 10_000, seed: int = 11) -> CheckResult:
 
     Half the draws are fully random block states and angles; the other half
     are jittered near-optimal configurations so that the violating side
-    (beta > 1, where the inequality is nontrivial) is well sampled.
+    (beta > 1, where the inequality is nontrivial) is well sampled, and one
+    of them is the tau(nu) optimum, where the inequality is tight.
     """
     _require_samples(samples)
     rhos, ts, a1, bm, cm = _appendix_b_draws(samples, seed)
@@ -195,7 +181,6 @@ def check_quantum_bounds(samples: int = 500, seed: int = 19) -> CheckResult:
     for offset, name in enumerate(("holz", "parity-chsh", "mabk", "chsh")):
         spec = spec_by_name(name)
         rhos = random_density_matrices(samples, 2 ** spec.parties, seed + 100 + offset)
-        # six angles a row for every inequality: the same draws as one row at a time
         angles = rng.uniform(0.0, 2.0 * np.pi, size=(samples, 6))
         beta = bell_values(spec, rhos, angles[:, :2 * spec.parties], spec.plane)
         top = np.abs(beta) if name in ("mabk", "chsh") else beta

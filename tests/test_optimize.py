@@ -849,6 +849,13 @@ class TestOptConfig:
         with pytest.raises(ValidationError, match="restarts"):
             OptConfig(restarts=0)
 
+    @pytest.mark.parametrize("field, value", [("restarts", True), ("restarts", 2.5),
+                                              ("seed", np.nan), ("seed", 1.5)])
+    def test_non_integer_rejected(self, field, value):
+        # numpy's generator would fail later with a bare TypeError
+        with pytest.raises(ValidationError, match=rf"^{field}={value!r} is not an integer$"):
+            OptConfig(**{field: value})
+
     def test_negative_seed_rejected(self):
         # np.random.SeedSequence would fail later with a bare ValueError
         with pytest.raises(ValidationError, match="seed"):

@@ -312,6 +312,17 @@ class TestBlockDiagState:
         with pytest.raises(ValidationError, match="sum to"):
             states._sorted_blocks(rho, np.zeros((2, 2, 3)))
 
+    def test_nan_eigenvalue_rejected(self):
+        with pytest.raises(ValidationError, match=r"^block eigenvalue nan is negative or NaN$"):
+            BlockDiagState(np.full((2, 2, 2), np.nan), np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_angle_rejected(self, bad):
+        t = np.zeros((2, 2))
+        t[1, 0] = bad
+        with pytest.raises(ValidationError, match=rf"^block angle {bad} is not finite$"):
+            BlockDiagState(tau_state(0.8).rho, t)
+
     def test_validation(self):
         with pytest.raises(ValidationError):
             BlockDiagState(np.full((2, 2, 2), 0.2), np.zeros((2, 2)))

@@ -28,13 +28,41 @@ def test_run_all_results_serialize_to_json():
 
 def test_run_all_2000_lines_pinned():
     # pins.json pins the other lines of `tribell verify --samples 2000`, which
-    # is run_all(2000, seed=11); these two are rounding-level errors
+    # is run_all(2000, seed=11); these three are rounding-level errors
     results = verification.run_all(samples=2000, seed=11)
     assert len(results) == 15
     for r in results[4:6]:
         assert r.passed and r.name in ("tau-family-tightness", "reduced-vs-full-holz")
         errs = [float(x) for x in re.findall(r"\d\.\d+e[+-]\d+", r.detail)]
         assert errs and max(errs) <= 1e-14, r.detail
+    # Appendix B's worst case is tau(nu)'s optimum, where the bound is tight
+    r = results[0]
+    count, margin = re.fullmatch(r"(\d+) violating-side samples, min margin (\S+)",
+                                 r.detail).groups()
+    assert r.passed and r.name == "appendix-b-xxx-vs-beta"
+    assert int(count) == 430 and abs(float(margin)) <= 1e-13, r.detail
+
+
+def test_block_draws_alternate_concentrations():
+    rho, t = verification._block_draws(np.random.default_rng(3), 2000)
+    assert rho.shape == (2, 2, 2, 2000) and t.shape == (2, 2, 2000)
+    assert np.all(rho >= 0.0) and np.allclose(rho.sum(axis=(0, 1, 2)), 1.0, rtol=0, atol=1e-15)
+    assert np.all(np.abs(t) <= np.pi / 2)
+    # concentration 0.35 gives the even states near-pure eigenvalues, 1.0 broad ones
+    top = rho.reshape(8, -1).max(axis=0)
+    assert top[0::2].mean() > top[1::2].mean() + 0.1
+
+
+def test_appendix_b_passes_on_two_samples():
+    # one of any two samples is tau(nu)'s optimum, on the violating side
+    failed = [seed for seed in range(200) if not verification.check_appendix_b(2, seed).passed]
+    assert failed == []
+
+
+def test_appendix_b_passes_on_every_sample_count():
+    # `tribell verify --samples n` runs check_appendix_b(n, 11)
+    failed = [n for n in range(1, 201) if not verification.check_appendix_b(n, 11).passed]
+    assert failed == []
 
 
 def test_batched_z_entropy_matches_cond_entropy():
