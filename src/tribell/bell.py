@@ -5,8 +5,10 @@ entropy optimizer.
 Each inequality is one BellSpec, made by its named constructor: its bounds,
 its terms and the honest settings row that reaches the quantum bound on the
 noiseless GHZ/Phi+ state.  Settings are angle rows, each party's two angles
-in turn in one plane (see states.observable_matrices); bell_values evaluates
-n (state, row) pairs at once, and bell_value is its one-row case."""
+in turn in one plane (see states.observable_matrices).  bell_terms gives the
+Bell operator of rows of settings, and one sum of its terms, Re Tr[rho O_k]
+added in spec order, gives every Bell value: bell_values' n (state, row)
+pairs, bell_value's one, and the honest values of rates.betas_of_p."""
 
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .qmath import _LETTERS, as_matrix, kron_all
+from .qmath import as_matrix, ensure_density_matrix
 from .states import _COSB, _SINB, I2, BlockDiagState, _block_correlators, observable_matrices
 
 __all__ = ["BellSpec", "holz", "parity_chsh", "mabk", "asym_chsh", "chsh", "INEQUALITIES",
@@ -152,82 +154,74 @@ class BellValue:
 
 def _party_observables(pair: np.ndarray) -> dict:
     """A party's two observables, pair (..., 2, 2, 2), by their name in
-    BellSpec.terms."""
+    BellSpec.terms (None, the identity, aside)."""
     o0, o1 = pair[..., 0, :, :], pair[..., 1, :, :]
-    return {0: o0, 1: o1, "+": 0.5 * (o0 + o1), "-": 0.5 * (o0 - o1), None: None}
+    return {0: o0, 1: o1, "+": 0.5 * (o0 + o1), "-": 0.5 * (o0 - o1)}
 
 
-def _terms(spec: BellSpec, pairs) -> list:
-    """spec's (coefficient, per-party observables) terms for the parties'
-    observable pairs (..., 2, 2, 2); None stands for the identity."""
-    named = [_party_observables(pair) for pair in pairs]
-    return [(coef, [named[q][o] for q, o in enumerate(string)]) for coef, string in spec.terms]
-
-
-def _observable_pairs(spec: BellSpec, angles, plane: str | None, shape: tuple) -> list:
-    """Each party's observable pair (..., 2, 2, 2) of angle rows, which must
-    have the given shape (..., 2 * parties), in plane (None: spec.plane)."""
-    plane = spec.plane if plane is None else plane
-    angles = np.asarray(angles, dtype=float)
-    if angles.shape != shape:
-        raise ValidationError(f"expected angles of shape {shape}, got {angles.shape}")
-    obs = observable_matrices(plane, angles).reshape(shape[:-1] + (spec.parties, 2, 2, 2))
-    return [obs[..., q, :, :, :] for q in range(spec.parties)]
-
-
-def _party_expectation(rho: np.ndarray, ops) -> np.ndarray:
-    """Re Tr[rho (O_1 x O_2 x ...)] for states rho (..., d, d) and per-party
-    observables ops[q] (..., 2, 2) or None (the identity), as one einsum over
-    rho's qubit axes: no operator on the whole space is built.  The
-    imaginary part must vanish."""
-    m = len(ops)
-    if rho.shape[-1] != 2 ** m:
-        raise ValidationError(f"operator dim {2 ** m} != state dim {rho.shape[-1]}")
-    rows, cols = _LETTERS[:m], _LETTERS[m:2 * m]
-    # Tr[rho O] = sum rho[i, j] O[j, i]; an identity factor joins its two axes
-    cols = "".join(r if o is None else c for r, c, o in zip(rows, cols, ops))
-    subs = ["..." + rows + cols] + ["..." + c + r for r, c, o in zip(rows, cols, ops)
-                                     if o is not None]
-    val = np.einsum(",".join(subs) + "->...", rho.reshape(rho.shape[:-2] + (2,) * (2 * m)),
-                    *(o for o in ops if o is not None), optimize="greedy")
-    imag = np.max(np.abs(val.imag), initial=0.0)
-    if imag > 1e-10:
-        raise ValidationError(f"correlator has imaginary part {imag:.3e}")
-    return val.real
-
-
-def _bell_sum(spec: BellSpec, rho: np.ndarray, pairs) -> np.ndarray:
-    """Bell values of states rho (..., d, d) under the parties' observable
-    pairs (..., 2, 2, 2), the terms summed in spec.terms order."""
-    total = None
-    for coef, ops in _terms(spec, pairs):
-        term = coef * _party_expectation(rho, ops)
-        total = term if total is None else total + term
-    return total
+def _kron_rows(mats) -> np.ndarray:
+    """kron_all of matrices (..., 2, 2) row by row: the same products in the
+    same order, so each row is kron_all's matrix bit for bit."""
+    out = np.ones((1, 1), dtype=complex)
+    for m in mats:
+        m = np.asarray(m, dtype=complex)
+        d = out.shape[-1] * m.shape[-1]
+        out = out[..., :, None, :, None] * m[..., None, :, None, :]
+        out = out.reshape(out.shape[:-4] + (d, d))
+    return out
 
 
 def bell_terms(spec: BellSpec, angles, plane: str | None = None
                ) -> list[tuple[float, np.ndarray]]:
-    """The Bell operator of one settings row as (coefficient, observable
-    string) terms; their weighted expectations, summed in this order, give
-    the Bell value.  The plane defaults to spec.plane."""
-    pairs = _observable_pairs(spec, angles, plane, (2 * spec.parties,))
-    return [(coef, kron_all(*(I2 if o is None else o for o in string)))
-            for coef, string in _terms(spec, pairs)]
+    """The Bell operators of settings rows angles (..., 2 * parties) as
+    (coefficient, observable strings (..., d, d)) terms, in spec.terms
+    order; the plane defaults to spec.plane.  A one-row call gives the
+    kron_all products of that row's observables, bit for bit."""
+    angles = np.asarray(angles, dtype=float)
+    if angles.ndim == 0 or angles.shape[-1] != 2 * spec.parties:
+        raise ValidationError(f"expected angles of shape (..., {2 * spec.parties}),"
+                              f" got {angles.shape}")
+    obs = observable_matrices(spec.plane if plane is None else plane, angles)
+    obs = obs.reshape(angles.shape[:-1] + (spec.parties, 2, 2, 2))
+    named = [_party_observables(obs[..., q, :, :, :]) for q in range(spec.parties)]
+    return [(coef, _kron_rows(I2 if o is None else named[q][o] for q, o in enumerate(string)))
+            for coef, string in spec.terms]
+
+
+def _bell_sum(rho: np.ndarray, coefs, ops: np.ndarray) -> np.ndarray:
+    """sum_k coefs[k] Re Tr[rho ops[k]] for states rho (..., d, d) and the
+    stack ops (terms, ..., d, d) of bell_terms' observable strings, the
+    terms added in order.  The imaginary parts must vanish."""
+    if ops.shape[-1] != rho.shape[-1]:
+        raise ValidationError(f"operator dim {ops.shape[-1]} != state dim {rho.shape[-1]}")
+    traces = (rho @ ops).trace(axis1=-2, axis2=-1)
+    imag = np.abs(traces.imag).max(initial=0.0)
+    if imag > 1e-10:
+        raise ValidationError(f"correlator has imaginary part {imag:.3e}")
+    total = None
+    for coef, val in zip(coefs, traces.real):
+        term = coef * val
+        total = term if total is None else total + term
+    return total
 
 
 def bell_values(spec: BellSpec, rho, angles, plane: str | None = None) -> np.ndarray:
-    """Bell values of n (state, settings) rows: rho (n, d, d) and angles
-    (n, 2 * parties), each party's two angles in turn in one plane
-    (spec.plane by default).  Checked as BellValue checks one."""
+    """Bell values of n (state, settings) rows: density matrices rho (n, d,
+    d) and angles (n, 2 * parties), each party's two angles in turn in one
+    plane (spec.plane by default).  Checked as BellValue checks one."""
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 3 or rho.shape[1] != rho.shape[2]:
         raise ValidationError(f"expected a stack of square matrices, got shape {rho.shape}")
     if rho.shape[1] != 2 ** spec.parties:
         raise ValidationError(
             f"{spec.kind} needs a {spec.parties}-qubit state, got dim {rho.shape[1]}")
-    pairs = _observable_pairs(spec, angles, plane, (rho.shape[0], 2 * spec.parties))
-    beta = _bell_sum(spec, rho, pairs)
+    rho = ensure_density_matrix(rho)
+    angles = np.asarray(angles, dtype=float)
+    if angles.shape != (rho.shape[0], 2 * spec.parties):
+        raise ValidationError(f"expected angles of shape {(rho.shape[0], 2 * spec.parties)},"
+                              f" got {angles.shape}")
+    coefs, ops = zip(*bell_terms(spec, angles, plane))
+    beta = _bell_sum(rho, coefs, np.stack(ops))
     if beta.size:
         _check_beta(float(np.min(beta)), float(np.max(beta)), spec)  # NaN propagates
     return beta

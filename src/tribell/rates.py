@@ -9,7 +9,8 @@ rate_grid call, for a DIRE rate, which is flat below its threshold (its
 bound is 0 there), where ITP can only bisect, and whose 16 points on stacks
 of states cost about as much as two single ones.  Every function of p takes
 (noise_kind, p); a grid of p is computed on stacks of states (betas_of_p,
-rate_grid), or for asym-CHSH DICKA in one lockstep alpha search
+rate_grid; the honest Bell values are bell's one sum over the honest row's
+cached terms), or for asym-CHSH DICKA in one lockstep alpha search
 (best_alpha_one_outcome), each value the one-point value bit for bit.  The
 two-outcome bounds for Parity-CHSH and CHSH are numeric curves produced by
 the optimizer, shipped as a monotone 200-point table and linearly
@@ -29,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from . import bounds, optimize, qmath
-from .bell import BellSpec, _check_beta, bell_terms, spec_by_name
+from .bell import BellSpec, _bell_sum, _check_beta, bell_terms, spec_by_name
 from .errors import NumericError, ValidationError
 from .qmath import binary_entropy as h
 from .states import _check_ps, _global_channel, _local_channel, ghz_state
@@ -55,10 +56,10 @@ class RateResult:
 def _honest_terms(spec: BellSpec) -> tuple[tuple[float, ...], np.ndarray]:
     """The Bell terms of spec's honest settings row: their coefficients, and
     their observable strings as one read-only (terms, 1, d, d) stack."""
-    terms = bell_terms(spec, spec.angles, spec.plane)
-    ops = np.stack([op for _, op in terms])[:, None]
+    coefs, ops = zip(*bell_terms(spec, np.array(spec.angles)[None], spec.plane))
+    ops = np.stack(ops)
     ops.setflags(write=False)
-    return tuple(coef for coef, _ in terms), ops
+    return coefs, ops
 
 
 @lru_cache(maxsize=4)
@@ -71,21 +72,12 @@ def _noiseless(parties: int) -> np.ndarray:
 
 def _honest_betas(spec: BellSpec, noise_kind: str, p) -> np.ndarray:
     """The honest Bell values, shape (n,), at an (n, 1, 1) column of checked
-    p.  Every p takes the same path, the noise channel, then Tr[rho O] per
-    term, summed left to right: a grid's values are the one-point values, bit for bit."""
+    p.  Every p takes the same path, the noise channel, then bell's sum of
+    the terms: a grid's values are the one-point values, bit for bit."""
     rho = _noiseless(spec.parties)
     rho = (_local_channel(rho, p, spec.parties) if noise_kind == "local"
            else _global_channel(rho, p))
-    coefs, ops = _honest_terms(spec)
-    traces = (rho @ ops).trace(axis1=-2, axis2=-1)  # (terms, points)
-    imag = np.abs(traces.imag).max(initial=0.0)
-    if imag > 1e-10:
-        raise ValidationError(f"correlator has imaginary part {imag:.3e}")
-    total = None
-    for coef, val in zip(coefs, traces.real):
-        term = coef * val
-        total = term if total is None else total + term
-    return total
+    return _bell_sum(rho, *_honest_terms(spec))
 
 
 def _checked_grid(noise_kind: str, ps) -> np.ndarray:

@@ -9,11 +9,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds
-from .bell import (_block_reduced_value, asym_chsh, bell_values, chsh, holz, mabk,
+from .bell import (_block_reduced_value, asym_chsh, bell_terms, bell_values, chsh, holz, mabk,
                    parity_chsh, reduced_angles, spec_by_name)
 from .centropy import cond_entropies
 from .errors import ValidationError
-from .qmath import binary_entropy as h, kron_all
+from .qmath import binary_entropy as h, eig_hermitian, kron_all
 from .rates import bound_curve
 from .states import X, Y, Z, _block_correlators, _block_matrices, _block_trig, _sorted_blocks
 
@@ -52,9 +52,13 @@ def _block_draws(rng: np.random.Generator, count: int):
     return g / g.sum(axis=(0, 1, 2)), rng.uniform(-np.pi / 2, np.pi / 2, (2, 2, count))
 
 
-def _random_block_columns(count: int, seed: int):
-    """_block_draws of a fresh generator, checked and sorted."""
-    return _sorted_blocks(*_block_draws(np.random.default_rng(seed), count))
+def _tau_columns(nu: np.ndarray):
+    """tau(nu) as unsorted columns rho (2, 2, 2, n), t (2, 2, n): nu on
+    (0,0,0), 1-nu on (1,0,0), which block (1,1) holds as its eigenvalue
+    rho[0, 1, 1] rotated by t = pi/2."""
+    rho, t = np.zeros((2, 2, 2, nu.size)), np.zeros((2, 2, nu.size))
+    rho[0, 0, 0], rho[0, 1, 1], t[1, 1] = nu, 1.0 - nu, np.pi / 2
+    return rho, t
 
 
 def _trig(t: np.ndarray, b0) -> np.ndarray:
@@ -94,11 +98,8 @@ def _appendix_b_draws(samples: int, seed: int):
     nu, eps = rng.uniform(0.5, 1.0, near), rng.uniform(0.0, 0.15, near)
     jitter = rng.normal(0.0, np.array([0.15] * 4 + [0.3] * 3)[:, None], (7, near))
     eps[0], jitter[:, 0] = 0.0, 0.0
-    rho = np.broadcast_to(eps / 8.0, (2, 2, 2, near)).copy()
-    rho[0, 0, 0] += (1.0 - eps) * nu
-    rho[0, 1, 1] += (1.0 - eps) * (1.0 - nu)
-    t = jitter[:4].reshape(2, 2, near)
-    t[1, 1] += np.pi / 2
+    rho, t = _tau_columns(nu)
+    rho, t = (1.0 - eps) * rho + eps / 8.0, t + jitter[:4].reshape(2, 2, near)
     ang = np.stack([np.full(near, np.pi / 2),
                     np.arctan2(1.0, np.sqrt(np.maximum(4 * nu * nu - 1.0, 1e-12))),
                     np.arcsin(np.minimum(1.0 / (2 * nu), 1.0))]) + jitter[4:]
@@ -158,9 +159,14 @@ def check_appendix_c() -> CheckResult:
 
 
 def check_uncertainty(samples: int = 1_000, seed: int = 17) -> CheckResult:
-    """H(Z|E) >= 1 - h((1+|<XXX>|)/2) on random block-diagonal states."""
+    """H(Z|E) >= 1 - h((1+|<XXX>|)/2) on block-diagonal states: the first a
+    tau(nu) state, where <XXX> = 2 nu - 1, H(Z|E) = 1 - h(nu) and the
+    relation is tight, the rest random."""
     _require_samples(samples)
-    rho, t = _random_block_columns(samples, seed)
+    rng = np.random.default_rng(seed)
+    rho, t = _block_draws(rng, samples)
+    rho[..., :1], t[..., :1] = _tau_columns(rng.uniform(0.5, 1.0, 1))
+    rho, t = _sorted_blocks(rho, t)
     lhs = cond_entropies(_block_matrices(rho, t), [0], Z[None])
     xxx = _block_correlators(rho, _trig(t, 0.0))[0]
     rhs = 1.0 - h((1.0 + np.abs(xxx)) / 2.0)
@@ -170,23 +176,28 @@ def check_uncertainty(samples: int = 1_000, seed: int = 17) -> CheckResult:
 
 
 def check_quantum_bounds(samples: int = 500, seed: int = 19) -> CheckResult:
-    """beta never exceeds the quantum bound on random states and settings.
+    """No state exceeds the quantum bound at the honest settings row and at
+    samples random rows, and the honest row attains it.
 
-    One-sided: the asymmetric functionals reach values below -quantum_bound
-    already with classical strategies, so only the upper bound is universal.
+    At fixed settings the largest Bell value over all states is lambda_max
+    of the Bell operator.  One-sided except for the symmetric MABK and CHSH
+    (-lambda_min too): the asymmetric functionals reach values below
+    -quantum_bound already with classical strategies.
     """
     _require_samples(samples)
     rng = np.random.default_rng(seed)
-    worst = -np.inf
-    for offset, name in enumerate(("holz", "parity-chsh", "mabk", "chsh")):
+    worst, gap = -np.inf, 0.0
+    for name in ("holz", "parity-chsh", "mabk", "chsh"):
         spec = spec_by_name(name)
-        rhos = random_density_matrices(samples, 2 ** spec.parties, seed + 100 + offset)
-        angles = rng.uniform(0.0, 2.0 * np.pi, size=(samples, 6))
-        beta = bell_values(spec, rhos, angles[:, :2 * spec.parties], spec.plane)
-        top = np.abs(beta) if name in ("mabk", "chsh") else beta
+        rows = np.vstack([spec.angles, rng.uniform(0.0, 2.0 * np.pi, (samples, 2 * spec.parties))])
+        op = sum(coef * ops for coef, ops in bell_terms(spec, rows, spec.plane))
+        w = eig_hermitian(op)
+        top = np.maximum(w[:, 0], -w[:, -1]) if name in ("mabk", "chsh") else w[:, 0]
         worst = max(worst, float(np.max(top)) - spec.quantum_bound)
-    return CheckResult("quantum-bound-sanity", worst <= CHECK_TOL,
-                       f"max overshoot {worst:.3e}")
+        gap = max(gap, abs(float(top[0]) - spec.quantum_bound))
+    return CheckResult("quantum-bound-sanity", worst <= CHECK_TOL and gap <= CHECK_TOL,
+                       f"max overshoot {worst:.3e}, "
+                       f"honest rows attain each bound within {gap:.3e}")
 
 
 @dataclass
@@ -216,11 +227,7 @@ def verify_tightness(ineq: str, nu_grid) -> TightnessReport:
     if not np.all((nus >= 0.5) & (nus <= 1.0)):
         raise ValidationError(f"nu outside [1/2, 1] in {nus!r}")
     expected = 1.0 - h(nus)
-    # tau(nu) as columns: nu on (0,0,0), 1-nu on (1,0,0), which block (1,1)
-    # holds as its eigenvalue rho[0, 1, 1] rotated by t = pi/2
-    rho, t = np.zeros((2, 2, 2, nus.size)), np.zeros((2, 2, nus.size))
-    rho[0, 0, 0], rho[0, 1, 1], t[1, 1] = nus, 1.0 - nus, np.pi / 2
-    ce = cond_entropies(_block_matrices(*_sorted_blocks(rho, t)), [0], Z[None])
+    ce = cond_entropies(_block_matrices(*_sorted_blocks(*_tau_columns(nus))), [0], Z[None])
     beta = (2.0 * nus + 1.0 / (2.0 * nus) - 1.0 if ineq == "holz"
             else np.hypot(2.0 * nus - 1.0, 1.0))  # the family's maximal violation
     bnd = curve.fn(beta)
@@ -279,7 +286,7 @@ def check_bound_curves(grid: int = 200) -> list[CheckResult]:
 def check_reduced_value_consistency() -> CheckResult:
     """holz_reduced_value agrees with the full Bell functional (100 draws)."""
     rng = np.random.default_rng(23)
-    rho, t = _random_block_columns(100, 23)
+    rho, t = _sorted_blocks(*_block_draws(rng, 100))
     b0, a1, cm = rng.uniform(0.0, 2.0 * np.pi, size=(100, 3)).T
     red = _block_reduced_value(rho, _trig(t, b0), a1, cm)
     full = bell_values(holz(), _block_matrices(rho, t), reduced_angles(b0, a1, cm))

@@ -46,7 +46,7 @@ def _columns(rho, t, b0):
 
 def random_block_states(count, seed):
     """The block states of verification's sampled checks, one at a time."""
-    rho, t = verification._random_block_columns(count, seed)
+    rho, t = states._sorted_blocks(*verification._block_draws(np.random.default_rng(seed), count))
     return [BlockDiagState(rho[..., i], t[..., i]) for i in range(count)]
 
 
@@ -56,8 +56,10 @@ def holz_vbar(st, b0):
 
 
 def correlator(rho, ops):
-    """Tr[rho (O_1 x O_2 x ...)] of one state, as bell_values contracts it."""
-    return float(bell._party_expectation(rho, ops))
+    """Tr[rho (O_1 x O_2 x ...)] of one state through bell's one Bell sum,
+    as bell_values and the honest betas take it."""
+    string = qmath.kron_all(*(I2 if o is None else o for o in ops))
+    return float(bell._bell_sum(rho, (1.0,), string[None]))
 
 
 def random_block_state(rng):
@@ -215,8 +217,9 @@ class TestCorrelator:
 
 
 class TestBatchedBellValues:
-    """bell_values contracts 2x2 observables with rho's qubit axes; the
-    Kronecker terms of bell_terms are its oracle."""
+    """bell_values sums Re Tr[rho O_k] over the operators of all rows at
+    once; one row's Kronecker terms, traced one state at a time, are its
+    oracle, and kron_all is the operators' own."""
 
     @pytest.mark.parametrize("ineq, alpha, plane", [
         ("holz", 1.0, "xz"), ("parity-chsh", 1.0, "xz"), ("mabk", 1.0, "xy"),
@@ -240,6 +243,40 @@ class TestBatchedBellValues:
             bell.bell_values(spec_by_name("holz"), rho, np.zeros((3, 4)))
         with pytest.raises(ValidationError, match="3-qubit"):
             bell.bell_values(spec_by_name("holz"), rho[:, :4, :4], np.zeros((3, 6)))
+
+    @pytest.mark.parametrize("scale", [0.5, 2.0])
+    def test_refuses_what_is_not_a_density_matrix(self, scale):
+        # 0.5 GHZ gave beta 0.75 silently, 2 GHZ an error blaming the quantum bound
+        spec = spec_by_name("holz")
+        with pytest.raises(ValidationError, match=r"^trace is \S+, expected 1 within"):
+            bell_value(spec, scale * ghz_state(3), spec.angles)
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            bell_value(spec, ghz_state(3) + 1e-6j * np.triu(np.ones((8, 8)), 1), spec.angles)
+
+    @pytest.mark.parametrize("ineq, alpha", [("holz", 1.0), ("parity-chsh", 1.0), ("mabk", 1.0),
+                                             ("chsh", 1.0), ("asym-chsh", 0.5)])
+    def test_one_row_is_kron_all_bit_for_bit(self, ineq, alpha):
+        spec = spec_by_name(ineq, alpha)
+        rng = np.random.default_rng(len(ineq))
+        for row in [spec.angles, *rng.uniform(0.0, 2.0 * np.pi, (5, 2 * spec.parties))]:
+            pairs = observable_matrices(spec.plane, row).reshape(spec.parties, 2, 2, 2)
+            named = [{0: o0, 1: o1, "+": 0.5 * (o0 + o1), "-": 0.5 * (o0 - o1), None: I2}
+                     for o0, o1 in pairs]
+            got = bell.bell_terms(spec, np.asarray(row)[None])
+            assert [c for c, _ in got] == [c for c, _ in spec.terms]
+            for (_, op), (_, string) in zip(got, spec.terms):
+                want = qmath.kron_all(*(named[q][o] for q, o in enumerate(string)))
+                assert op.shape == (1,) + want.shape
+                np.testing.assert_array_equal(op[0].view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("ineq", ["holz", "mabk", "chsh"])
+    def test_rows_are_one_row_calls_bit_for_bit(self, ineq):
+        spec = spec_by_name(ineq)
+        angles = np.random.default_rng(7).uniform(0.0, 2.0 * np.pi, (4, 3, 2 * spec.parties))
+        got = bell.bell_terms(spec, angles)
+        for idx in np.ndindex(angles.shape[:-1]):
+            for (_, ops), (_, op) in zip(got, bell.bell_terms(spec, angles[idx])):
+                np.testing.assert_array_equal(ops[idx].view(np.uint64), op.view(np.uint64))
 
 
 class TestNonFinite:
@@ -447,12 +484,19 @@ class TestSampledInequalities:
         from tribell.centropy import cond_entropy
         from tribell.verification import check_uncertainty
 
+        # the check's first state is tau(nu), then random ones; its minimum
+        # margin sits at tau(nu), where it is rounding error, so the two
+        # arithmetic orders agree to a tolerance there
         h = qmath.binary_entropy
-        worst = min(cond_entropy(st.to_matrix(), [0], [states.Z])
-                    - (1.0 - h((1 + abs(st.correlators()["XXX"])) / 2))
-                    for st in random_block_states(150, 7))
-        assert check_uncertainty(samples=150, seed=7).detail == \
-            f"min margin {worst:.3e}"
+        rng = np.random.default_rng(7)
+        rho, t = verification._block_draws(rng, 150)
+        sts = [tau_state(rng.uniform(0.5, 1.0))]
+        sts += [BlockDiagState(rho[..., i], t[..., i]) for i in range(1, 150)]
+        margins = [cond_entropy(st.to_matrix(), [0], [states.Z])
+                   - (1.0 - h((1 + abs(st.correlators()["XXX"])) / 2)) for st in sts]
+        assert abs(margins[0]) <= 1e-13 and min(margins[1:]) > 1e-3
+        detail = check_uncertainty(samples=150, seed=7).detail
+        assert abs(float(detail.removeprefix("min margin ")) - min(margins)) <= 1e-13
 
     def test_appendix_c_inequalities_sample(self):
         from tribell.verification import check_appendix_c

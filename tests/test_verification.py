@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from tribell import verification
+from tribell import bell, verification
 from tribell.centropy import cond_entropies
 from tribell.errors import ValidationError
 from tribell.qmath import kron_all
@@ -28,9 +28,19 @@ def test_run_all_results_serialize_to_json():
 
 def test_run_all_2000_lines_pinned():
     # pins.json pins the other lines of `tribell verify --samples 2000`, which
-    # is run_all(2000, seed=11); these three are rounding-level errors
+    # is run_all(2000, seed=11); these five are rounding-level errors
     results = verification.run_all(samples=2000, seed=11)
     assert len(results) == 15
+    # the uncertainty relation is tight at its first draw, a tau(nu) state
+    r = results[2]
+    margin = re.fullmatch(r"min margin (\S+)", r.detail).group(1)
+    assert r.passed and r.name == "uncertainty-relation" and abs(float(margin)) <= 1e-13, r.detail
+    # the honest rows attain the quantum bounds, and no row exceeds them
+    r = results[3]
+    errs = re.fullmatch(r"max overshoot (\S+), honest rows attain each bound within (\S+)",
+                        r.detail).groups()
+    assert r.passed and r.name == "quantum-bound-sanity", r.detail
+    assert max(abs(float(x)) for x in errs) <= 1e-12, r.detail
     for r in results[4:6]:
         assert r.passed and r.name in ("tau-family-tightness", "reduced-vs-full-holz")
         errs = [float(x) for x in re.findall(r"\d\.\d+e[+-]\d+", r.detail)]
@@ -63,6 +73,28 @@ def test_appendix_b_passes_on_every_sample_count():
     # `tribell verify --samples n` runs check_appendix_b(n, 11)
     failed = [n for n in range(1, 201) if not verification.check_appendix_b(n, 11).passed]
     assert failed == []
+
+
+@pytest.mark.parametrize("samples", [1, 2, 3, 50])
+@pytest.mark.parametrize("seed", [0, 17, 21])
+def test_uncertainty_reports_its_worst_case_at_the_bound(samples, seed):
+    r = verification.check_uncertainty(samples, seed)
+    assert r.passed and abs(float(r.detail.removeprefix("min margin "))) <= 1e-13, r.detail
+
+
+@pytest.mark.parametrize("name", ["holz", "parity-chsh", "mabk", "chsh"])
+@pytest.mark.parametrize("shift", [-1e-3, 1e-3])
+def test_quantum_bounds_fail_on_a_misstated_bound(monkeypatch, name, shift):
+    # below, some row overshoots; above, the honest row misses the bound
+    spec = verification.spec_by_name(name)
+    wrong = dataclasses.replace(spec, quantum_bound=spec.quantum_bound + shift)
+    monkeypatch.setattr(verification, "spec_by_name", lambda n: wrong if n == name
+                        else bell.spec_by_name(n))
+    r = verification.check_quantum_bounds(samples=20, seed=3)
+    assert r.passed is False, r.detail
+    worst, gap = map(float, re.findall(r"-?\d\.\d+e[+-]\d+", r.detail))
+    assert worst == pytest.approx(max(-shift, 0.0), abs=1e-12)
+    assert gap == pytest.approx(1e-3, abs=1e-12)
 
 
 def test_batched_z_entropy_matches_cond_entropy():
