@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .qmath import as_matrix, ensure_density_matrix
+from .qmath import _check_psd, as_matrix, eig_hermitian, ensure_density_matrix
 from .states import _COSB, _SINB, I2, BlockDiagState, _block_correlators, observable_matrices
 
 __all__ = ["BellSpec", "holz", "parity_chsh", "mabk", "asym_chsh", "chsh", "INEQUALITIES",
@@ -208,7 +208,9 @@ def _bell_sum(rho: np.ndarray, coefs, ops: np.ndarray) -> np.ndarray:
 def bell_values(spec: BellSpec, rho, angles, plane: str | None = None) -> np.ndarray:
     """Bell values of n (state, settings) rows: density matrices rho (n, d,
     d) and angles (n, 2 * parties), each party's two angles in turn in one
-    plane (spec.plane by default).  Checked as BellValue checks one."""
+    plane (spec.plane by default).  Each rho must be a state: Hermitian, of
+    unit trace and PSD (no eigenvalue below -EIG_NEGATIVE_TOL).  Checked as
+    BellValue checks one."""
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 3 or rho.shape[1] != rho.shape[2]:
         raise ValidationError(f"expected a stack of square matrices, got shape {rho.shape}")
@@ -216,6 +218,7 @@ def bell_values(spec: BellSpec, rho, angles, plane: str | None = None) -> np.nda
         raise ValidationError(
             f"{spec.kind} needs a {spec.parties}-qubit state, got dim {rho.shape[1]}")
     rho = ensure_density_matrix(rho)
+    _check_psd(eig_hermitian(rho))
     angles = np.asarray(angles, dtype=float)
     if angles.shape != (rho.shape[0], 2 * spec.parties):
         raise ValidationError(f"expected angles of shape {(rho.shape[0], 2 * spec.parties)},"

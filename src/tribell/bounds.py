@@ -10,7 +10,9 @@ formulas evaluate there routinely, and clamps beta to the quantum bound.
 
 An asymmetric-CHSH bound reads its own alpha's tangent from `asym_tangent`,
 a root solve cached by the exact alpha; `best_alpha_bound`, its maximum over
-alpha, reads its tangents in closed form, and solves and keeps none.
+alpha, reads its tangents in closed form and solves none: it keeps only the
+64 tangents of its first grid, the same for every search, computed at
+import.  Both form g only where they keep it, at or above the tangent point.
 """
 
 from __future__ import annotations
@@ -213,26 +215,29 @@ def _g_asym(x, alpha):
     return 1.0 - h(0.5 + 0.5 * np.sqrt(np.maximum(x * x / 4.0 - alpha * alpha, 0.0)))
 
 
-def _g_and_residual(x, qb):
-    """g and the tangency residual F = g'(x)(x - 2) - g at violations
-    2 <= x < qb of the alpha whose quantum bound is qb, both formed from
-    d = qb - x, exact by Sterbenz (qb/2 < 2 <= x <= qb), so nothing cancels
-    as x -> qb."""
+def _g_terms(x, qb):
+    """g, log(u/(1 - u)) and s at violations 2 <= x < qb of the alpha whose
+    quantum bound is qb, u = (1 + s)/2, all formed from d = qb - x, exact by
+    Sterbenz (qb/2 < 2 <= x <= qb), so nothing cancels as x -> qb."""
     d = qb - x
     v = d * (2.0 * qb - d) / 4.0  # 1 - s^2
     s = np.sqrt(1.0 - v)
     w = v / (2.0 * (1.0 + s))  # 1 - u
     log_u, log_w = np.log1p(-w), np.log(w)
-    g = 1.0 + ((1.0 - w) * log_u + w * log_w) / np.log(2.0)
-    dg = (log_u - log_w) / np.log(2.0) * x / (8.0 * s)
-    return g, dg * (x - 2.0) - g
+    return 1.0 + ((1.0 - w) * log_u + w * log_w) / np.log(2.0), log_u - log_w, s
+
+
+def _tangency_residual(x, qb):
+    """The tangency residual F = g'(x)(x - 2) - g of _g_terms' g."""
+    g, log_ratio, s = _g_terms(x, qb)
+    return log_ratio / np.log(2.0) * x / (8.0 * s) * (x - 2.0) - g
 
 
 def _asym_tangents(alpha) -> tuple[np.ndarray, np.ndarray]:
     """(beta*, slope) of the tangent line through (2, 0) to g(., |alpha|)
     for a 1-d array of alpha.
 
-    The residual F of _g_and_residual changes sign once on [2, qb), and one
+    The residual F of _tangency_residual changes sign once on [2, qb), and one
     qmath.bracketed_roots call solves every lane bracketed on
     [2, nextafter(qb, 2)]; the slope is
     g(beta*)/(beta* - 2), since g' jumps between floats a few ulps below
@@ -245,13 +250,13 @@ def _asym_tangents(alpha) -> tuple[np.ndarray, np.ndarray]:
     qb = 2.0 * np.hypot(1.0, alpha)
     lo, hi = np.full_like(qb, 2.0), np.nextafter(qb, 2.0)
     with np.errstate(divide="ignore", invalid="ignore"):  # d = 0 where qb rounds to 2
-        bracketed = (_g_and_residual(lo, qb)[1] <= 0.0) & (_g_and_residual(hi, qb)[1] > 0.0)
+        bracketed = (_tangency_residual(lo, qb) <= 0.0) & (_tangency_residual(hi, qb) > 0.0)
         slope = 1.0 / (qb - 2.0)
     lanes = np.flatnonzero(bracketed)
     bstar = qb.copy()
-    bstar[lanes] = bracketed_roots(lambda x: _g_and_residual(x, qb[lanes])[1],
+    bstar[lanes] = bracketed_roots(lambda x: _tangency_residual(x, qb[lanes]),
                                    lo[lanes], hi[lanes])
-    slope[lanes] = _g_and_residual(bstar[lanes], qb[lanes])[0] / (bstar[lanes] - 2.0)
+    slope[lanes] = _g_terms(bstar[lanes], qb[lanes])[0] / (bstar[lanes] - 2.0)
     return bstar, slope
 
 
@@ -290,18 +295,37 @@ def _tangent_at(t):
     qb = 2.0 * np.hypot(1.0, alpha)
     bstar = np.minimum(2.0 + d, qb)
     with np.errstate(divide="ignore", invalid="ignore"):  # d = 0 at qb, where g = 1
-        g = np.where(bstar < qb, _g_and_residual(bstar, qb)[0], 1.0)
+        g = np.where(bstar < qb, _g_terms(bstar, qb)[0], 1.0)
     return alpha, bstar, g / (bstar - 2.0)
+
+
+def _first_grid():
+    """best_alpha_bound's first grid, the same for every scale, read-only:
+    t = 0 (alpha = 1, no tangent) and _GRID_POINTS points up to _T_EDGE,
+    and (alpha, beta*, slope) there."""
+    t = np.linspace(0.0, _T_EDGE, _GRID_POINTS + 1)
+    grid = (t, *(np.append(first, x) for first, x in zip((1.0, np.nan, np.nan),
+                                                          _tangent_at(t[1:]))))
+    for x in grid:
+        x.setflags(write=False)
+    return grid
+
+
+_GRID_T, _GRID_ALPHA, _GRID_BSTAR, _GRID_SLOPE = _first_grid()
 
 
 def _asym_one_outcome(beta, alpha, bstar, slope):
     """Elementwise bound at violations beta <= qb for alpha >= 0: 0 for
     alpha < 1e-12, g above the tangent point (and for alpha >= 1), the
-    tangent line (floored at 0) below it."""
+    tangent line (floored at 0) below it; g is formed only where it is kept."""
+    beta, alpha, bstar, slope = np.broadcast_arrays(beta, alpha, bstar, slope)
     with np.errstate(invalid="ignore"):
-        line = np.maximum(slope * (beta - 2.0), 0.0)
-    out = np.where((alpha < 1.0) & (beta < bstar), line, _g_asym(beta, alpha))
-    return np.where(alpha < 1e-12, 0.0, out)
+        out = np.maximum(slope * (beta - 2.0), 0.0, out=np.empty(beta.shape))
+    g_side = ~((alpha < 1.0) & (beta < bstar))
+    if g_side.any():
+        out[g_side] = _g_asym(beta[g_side], alpha[g_side])
+    out[alpha < 1e-12] = 0.0
+    return out
 
 
 def asym_chsh_one_outcome(beta, alpha: float):
@@ -343,8 +367,7 @@ def best_alpha_bound(scale) -> tuple[np.ndarray, np.ndarray]:
 
     The search runs over t = atanh(r), r = sqrt(beta*^2/4 - alpha^2) the
     s-value of the tangent point, which gives alpha and its tangent in
-    closed form (_tangent_at): no root is solved, no tangent is kept.  It
-    misses no alpha:
+    closed form (_tangent_at): no root is solved.  It misses no alpha:
     - alpha(t) is continuous, from 1 (t -> 0) down to about 0.27 at
       _T_EDGE (r = 1 - 2^-53), past which the tangent point rounds to qb.
     - Below that edge the bound is the chord value (qb s - 2)/(qb - 2),
@@ -356,10 +379,13 @@ def best_alpha_bound(scale) -> tuple[np.ndarray, np.ndarray]:
 
     The scales are searched in lockstep, _LANE_BLOCK at a time, and a
     scale's bits do not depend on the others.  The grid of t = 0 (alpha = 1)
-    and _GRID_POINTS points up to _T_EDGE is one batch; each scale's best
-    cell is then zoomed in _ZOOM_POINTS points, one batch a round for every
-    scale still zooming, until the ends of its t bracket have the same alpha
-    or no float lies between them.  Ties go to the larger alpha.
+    and _GRID_POINTS points up to _T_EDGE, whose tangents are module
+    constants, is one batch; each scale's best cell is then zoomed in
+    _ZOOM_POINTS points, one batch a round for every scale still zooming,
+    written into rows allocated once per search, until the ends of its t
+    bracket have the same alpha or no float lies between them.  g is formed
+    only at points on its side of the tangent point.  Ties go to the larger
+    alpha.
     """
     scale = np.asarray(scale, dtype=float)
     if scale.ndim != 1:
@@ -376,32 +402,34 @@ def best_alpha_bound(scale) -> tuple[np.ndarray, np.ndarray]:
 
 def _lockstep_search(scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     best_v, best_a = np.full(scale.size, -np.inf), np.zeros(scale.size)
-    grid = np.linspace(0.0, _T_EDGE, _GRID_POINTS + 1)
-    alpha, bstar, slope = _tangent_at(grid[1:])
-    # each live lane's row of t, and the alphas and values there; t = 0 is alpha = 1
-    live, t = np.arange(scale.size), np.broadcast_to(grid, (scale.size, grid.size))
-    a = np.broadcast_to(np.append(1.0, alpha), t.shape)
-    v = np.concatenate([_values(scale[:, None], 1.0, np.nan, np.nan),
-                        _values(scale[:, None], alpha, bstar, slope)], axis=1)
+    # each live lane's row of t, and the alphas and values there: the first
+    # grid, then zoom rows written into arrays allocated once
+    live = np.arange(scale.size)
+    t, a = (np.broadcast_to(x, (scale.size, x.size)) for x in (_GRID_T, _GRID_ALPHA))
+    v = _values(scale[:, None], _GRID_ALPHA, _GRID_BSTAR, _GRID_SLOPE)
+    zoom_t, zoom_a, zoom_v = (np.empty((scale.size, _ZOOM_POINTS)) for _ in range(3))
     steps = np.arange(float(_ZOOM_POINTS))
     while True:
         rows = np.arange(live.size)
         j = np.argmax(v, axis=1)
         _keep_better(best_v, best_a, live, v[rows, j], a[rows, j])
         # the best point's neighbours: each lane's t bracket, and the alphas and values there
-        k = np.stack([np.maximum(j - 1, 0), np.minimum(j + 1, t.shape[1] - 1)], axis=1)
-        t, a, v = (x[rows[:, None], k] for x in (t, a, v))
-        keep = (a[:, 0] != a[:, 1]) & (np.nextafter(t[:, 0], t[:, 1]) < t[:, 1])
+        jl, jh = np.maximum(j - 1, 0), np.minimum(j + 1, t.shape[1] - 1)
+        lo, hi, a_lo, a_hi = t[rows, jl], t[rows, jh], a[rows, jl], a[rows, jh]
+        keep = (a_lo != a_hi) & (np.nextafter(lo, hi) < hi)
         if not keep.any():
             return best_a, best_v
-        live, (lo, hi), a, v = live[keep], t[keep].T, a[keep], v[keep]
+        v_lo, v_hi = v[rows, jl], v[rows, jh]
+        live, lo, hi, a_lo, a_hi, v_lo, v_hi = (
+            x[keep] for x in (live, lo, hi, a_lo, a_hi, v_lo, v_hi))
+        t, a, v = zoom_t[:live.size], zoom_a[:live.size], zoom_v[:live.size]
         # np.linspace(lo, hi, _ZOOM_POINTS) on every lane, its arithmetic spelled out
-        t = steps * ((hi - lo) / (_ZOOM_POINTS - 1))[:, None] + lo[:, None]
+        np.multiply(steps, ((hi - lo) / (_ZOOM_POINTS - 1))[:, None], out=t)
+        t += lo[:, None]
         t[:, -1] = hi
         alpha, bstar, slope = _tangent_at(t[:, 1:-1])
-        v = np.concatenate([v[:, :1], _values(scale[live, None], alpha, bstar, slope), v[:, 1:]],
-                           axis=1)
-        a = np.concatenate([a[:, :1], alpha, a[:, 1:]], axis=1)
+        a[:, 0], a[:, 1:-1], a[:, -1] = a_lo, alpha, a_hi
+        v[:, 0], v[:, 1:-1], v[:, -1] = v_lo, _values(scale[live, None], alpha, bstar, slope), v_hi
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,7 @@ def ensure_hermitian(a) -> np.ndarray:
 
 def ensure_density_matrix(a) -> np.ndarray:
     """Validate Hermiticity and unit trace of a matrix or a stack of them;
-    PSD is checked where eigenvalues are taken."""
+    PSD is checked where eigenvalues are taken (_check_psd)."""
     m = ensure_hermitian(a)
     tr = np.trace(m, axis1=-2, axis2=-1).real.ravel()
     bad = np.flatnonzero(np.abs(tr - 1.0) > TRACE_TOL)
@@ -86,6 +86,12 @@ def eig_hermitian(h) -> np.ndarray:
     return w[..., ::-1]
 
 
+def _check_psd(w) -> None:
+    """ValidationError unless every eigenvalue in w is at least -EIG_NEGATIVE_TOL."""
+    if np.any(w < -EIG_NEGATIVE_TOL):
+        raise ValidationError(f"state is not PSD (eigenvalue {w.min():.3e})")
+
+
 def spectrum_entropy(w) -> np.ndarray:
     """-sum w log2 w in bits along the last axis of an eigenvalue spectrum
     w; eigenvalues at or below RANK_TOL are dropped, and one below
@@ -93,8 +99,7 @@ def spectrum_entropy(w) -> np.ndarray:
     descending spectrum), the masked sum gives the bits of summing the kept
     terms alone."""
     w = np.asarray(w, dtype=float)
-    if np.any(w < -EIG_NEGATIVE_TOL):
-        raise ValidationError(f"state is not PSD (eigenvalue {w.min():.3e})")
+    _check_psd(w)
     kept = w > RANK_TOL
     terms = w * np.log2(np.where(kept, w, 1.0))
     return -np.add.reduce(terms, axis=-1, where=kept, initial=0.0)

@@ -4,17 +4,18 @@ picks the entropy bound curve for each inequality and outcome.
 
 Rates are signed; a threshold is the sign change of the signed rate, found
 to the last ulp: by one qmath.bracketed_roots (ITP) lane for a DICKA rate,
-which is smooth across its threshold; by qmath.grid_sign_change, 16 p per
-rate_grid call, for a DIRE rate, which is flat below its threshold (its
-bound is 0 there), where ITP can only bisect, and whose 16 points on stacks
-of states cost about as much as two single ones.  Every function of p takes
-(noise_kind, p); a grid of p is computed on stacks of states (betas_of_p,
-rate_grid; the honest Bell values are bell's one sum over the honest row's
-cached terms), or for asym-CHSH DICKA in one lockstep alpha search
-(best_alpha_one_outcome), each value the one-point value bit for bit.  The
-two-outcome bounds for Parity-CHSH and CHSH are numeric curves produced by
-the optimizer, shipped as a monotone 200-point table and linearly
-interpolated (regenerate via the CLI).
+which is smooth across its threshold, its two ends one rate_grid call; by
+qmath.grid_sign_change, 16 p per rate_grid call, for a DIRE rate, which is
+flat below its threshold (its bound is 0 there), where ITP can only
+bisect, and whose 16 points on stacks of states cost about as much as two
+single ones.  Every function of p takes (noise_kind, p); a grid of p is
+computed on stacks of states (betas_of_p, rate_grid; the honest Bell
+values are bell's one sum over the honest row's cached terms), or for
+asym-CHSH DICKA in one lockstep alpha search (best_alpha_one_outcome), each
+value the one-point value bit for bit.  The two-outcome bounds for
+Parity-CHSH and CHSH are numeric curves produced by the optimizer, shipped
+as a monotone 200-point table and linearly interpolated (regenerate via
+the CLI).
 """
 
 from __future__ import annotations
@@ -355,13 +356,14 @@ def threshold_p(kind: str, spec: BellSpec, noise_kind: str, gamma: float = 0.0) 
     the rate and its values at p = 0 and 1, unless rate(0) <= 0 < rate(1).
 
     A DICKA rate is smooth across its threshold, so one bracketed_roots lane
-    (ITP) reaches it in 12-14 one-point steps.  A DIRE rate is flat below
-    its threshold (its bound is 0 there), where ITP has nothing to
-    interpolate and bisects; on stacks of states _THRESHOLD_POINTS points
-    cost about two single ones, so its search is grid_sign_change, one
-    rate_grid call of that many points a round.  Near a threshold a rate
-    changes sign once between adjacent floats, so both searches end on the
-    same p."""
+    (ITP) reaches it: one two-point rate_grid call gives the rates at p = 0
+    and 1, its first two values, then 10-12 one-point steps.  A DIRE rate
+    is flat below its threshold (its bound is 0 there), where ITP has
+    nothing to interpolate and bisects; on stacks of states
+    _THRESHOLD_POINTS points cost about two single ones, so its search is
+    grid_sign_change, one rate_grid call of that many points a round.  Near
+    a threshold a rate changes sign once between adjacent floats, so both
+    searches end on the same p."""
     ends = {}  # the rate at p = 0 and 1, which both searches evaluate first
 
     def rates_at(ps):
@@ -371,7 +373,10 @@ def threshold_p(kind: str, spec: BellSpec, noise_kind: str, gamma: float = 0.0) 
 
     try:
         if kind == "dicka":
-            return float(qmath.bracketed_roots(rates_at, [0.0], [1.0])[0])
+            values = rates_at(np.array([0.0, 1.0]))
+            first = [values[:1], values[1:]]  # what ITP's first two calls ask for
+            return float(qmath.bracketed_roots(lambda ps: first.pop(0) if first else rates_at(ps),
+                                               [0.0], [1.0])[0])
         return qmath.grid_sign_change(rates_at, 0.0, 1.0, _THRESHOLD_POINTS)
     except NumericError:
         if len(ends) < 2 or ends[0.0] <= 0.0 < ends[1.0]:

@@ -253,6 +253,27 @@ class TestBatchedBellValues:
         with pytest.raises(ValidationError, match="not Hermitian"):
             bell_value(spec, ghz_state(3) + 1e-6j * np.triu(np.ones((8, 8)), 1), spec.angles)
 
+    @pytest.mark.parametrize("rho, eigenvalue", [
+        (2.0 * ghz_state(3) - np.eye(8) / 8, "-1.250e-01"),
+        (1.2 * ghz_state(3) - 0.2 * np.eye(8) / 8, "-2.500e-02"),
+        (0.9 * ghz_state(3) + 0.1 * np.diag([-0.5, 1.5, 0, 0, 0, 0, 0, 0]), "-2.569e-02")])
+    def test_refuses_what_is_not_psd(self, rho, eigenvalue):
+        # Hermitian of unit trace: the first two were blamed on the quantum
+        # bound, the third gave beta 1.35
+        spec = spec_by_name("holz")
+        message = f"state is not PSD (eigenvalue {eigenvalue})"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            bell_value(spec, rho, spec.angles)
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            bell.bell_values(spec, np.stack([ghz_state(3), rho]), np.array([spec.angles] * 2))
+
+    def test_states_pass_the_psd_check(self):
+        spec = spec_by_name("holz")
+        assert bell_value(spec, ghz_state(3), spec.angles).beta == pytest.approx(1.5, abs=1e-12)
+        rho = np.concatenate([random_density_matrices(50, 8, 4), ghz_state(3)[None]])
+        beta = bell.bell_values(spec, rho, np.tile(spec.angles, (51, 1)))
+        assert np.isfinite(beta).all() and beta.max() <= 1.5 + 1e-12
+
     @pytest.mark.parametrize("ineq, alpha", [("holz", 1.0), ("parity-chsh", 1.0), ("mabk", 1.0),
                                              ("chsh", 1.0), ("asym-chsh", 0.5)])
     def test_one_row_is_kron_all_bit_for_bit(self, ineq, alpha):

@@ -541,6 +541,151 @@ class TestBestAlpha:
         assert alpha.shape == bound.shape == (0,)
 
 
+# (scale, alpha, bound) of best_alpha_bound as float.hex, at 0, 1/sqrt2, 1
+# and at p and p^2 of every p that both asym-CHSH DICKA thresholds
+# evaluate; recorded independently of _tangent_at and _values, which the
+# point-by-point reference search calls
+BEST_ALPHA_PINS = [
+    ('0x0.0p+0', '0x1.0000000000000p+0', '0x0.0p+0'),
+    ('0x1.6a09e667f3bcdp-1', '0x1.0000000000000p+0', '0x1.8000000000000p-52'),
+    ('0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0'),
+    ('0x1.0000000000000p-1', '0x1.0000000000000p+0', '0x0.0p+0'),
+    ('0x1.0000000000000p-2', '0x1.0000000000000p+0', '0x0.0p+0'),
+    ('0x1.8000000000000p-1', '0x1.fb5ab6582c265p-1', '0x1.8823a48d0e8b3p-4'),
+    ('0x1.2000000000000p-1', '0x1.0000000000000p+0', '0x0.0p+0'),
+    ('0x1.c000000000000p-1', '0x1.d08c6b5c222ccp-1', '0x1.d5a28d886e40dp-2'),
+    ('0x1.8800000000000p-1', '0x1.f803fe8042d2ep-1', '0x1.134646960c209p-3'),
+    ('0x1.e000000000000p-1', '0x1.a99dc5845623cp-1', '0x1.623a96800238cp-1'),
+    ('0x1.c200000000000p-1', '0x1.ce98ac8d0084ap-1', '0x1.e35acddc1c216p-2'),
+    ('0x1.d7e890b7ba03bp-1', '0x1.b56c215d3ecf6p-1', '0x1.41e1cccd8da4fp-1'),
+    ('0x1.b2f4cbe556a4fp-1', '0x1.dc396cb2afaacp-1', '0x1.7f85447bbec21p-2'),
+    ('0x1.d886fa1d92478p-1', '0x1.b494ee04231e5p-1', '0x1.444c0f2cbf8c4p-1'),
+    ('0x1.b41900bbeb5d5p-1', '0x1.db45237c8f798p-1', '0x1.86d4aea370cabp-2'),
+    ('0x1.d87f40f00f325p-1', '0x1.b49f79e7dc53ep-1', '0x1.442ddc7f664c1p-1'),
+    ('0x1.b40abf5b5b58cp-1', '0x1.db5120f8e0611p-1', '0x1.8679224fc8adap-2'),
+    ('0x1.d87f4b0e7b0e4p-1', '0x1.b49f6c2b018dap-1', '0x1.442e040ee436ep-1'),
+    ('0x1.b40ad2087a121p-1', '0x1.db511140e378ap-1', '0x1.86799a3bdfc1dp-2'),
+    ('0x1.d87f4b08838dep-1', '0x1.b49f6c5b93200p-1', '0x1.442e03f7904d9p-1'),
+    ('0x1.b40ad1fd76c5dp-1', '0x1.db5111655f3d8p-1', '0x1.867999f528b9fp-2'),
+    ('0x1.d87f4b0883982p-1', '0x1.b49f6c3919d29p-1', '0x1.442e03f79075bp-1'),
+    ('0x1.b40ad1fd76d8cp-1', '0x1.db511140e378ap-1', '0x1.867999f52933ap-2'),
+    ('0x1.d87f4b0883983p-1', '0x1.b49f6c30fa362p-1', '0x1.442e03f79075fp-1'),
+    ('0x1.b40ad1fd76d8ep-1', '0x1.db51113360cf3p-1', '0x1.867999f529346p-2'),
+    ('0x1.b23e1c9b9286ep-1', '0x1.dcd0938e080b9p-1', '0x1.7af8bef77eb35p-2'),
+    ('0x1.704b5408adaf5p-1', '0x1.ff8a404d2fb8dp-1', '0x1.a3e48ef57f6cbp-6'),
+    ('0x1.b42046cd8325ep-1', '0x1.db3f04a6eda86p-1', '0x1.87036765eff07p-2'),
+    ('0x1.737efa9ee6d77p-1', '0x1.feff117d55282p-1', '0x1.41b1889841c8cp-5'),
+    ('0x1.b40a766cd6378p-1', '0x1.db515e3a63d18p-1', '0x1.86774e02c5efbp-2'),
+    ('0x1.7359d1e8187b2p-1', '0x1.ff06639ff3a35p-1', '0x1.3c90ff5b9fabdp-5'),
+    ('0x1.b40ad22d12c88p-1', '0x1.db511103fe091p-1', '0x1.86799b26dd51fp-2'),
+    ('0x1.735a6e2f50073p-1', '0x1.ff0645096f8c8p-1', '0x1.3ca68c64c25dep-5'),
+    ('0x1.b40ad1fd738efp-1', '0x1.db51113ec8d3fp-1', '0x1.867999f514163p-2'),
+    ('0x1.735a6dde32d5ep-1', '0x1.ff064518b06c7p-1', '0x1.3ca68135311d0p-5'),
+    ('0x1.735a6dde386fbp-1', '0x1.ff064519080adp-1', '0x1.3ca68135f6d6bp-5'),
+    ('0x1.b40ad1fd76d8dp-1', '0x1.db51114fac5f9p-1', '0x1.867999f52933fp-2'),
+    ('0x1.735a6dde386fdp-1', '0x1.ff06451a706ffp-1', '0x1.3ca68135f6db7p-5'),
+]
+# (alpha, [(beta, bound)]) of asym_chsh_one_outcome on arrays that mix the
+# tangent line's side of beta* and g's side, and g alone for alpha >= 1
+ONE_OUTCOME_PINS = [
+    (0.3, [
+        ('0x1.0000000000000p+1', '0x0.0p+0'),
+        ('0x1.02d165ef6645fp+1', '0x1.fffffffff81dep-3'),
+        ('0x1.05a2cbdecc8bdp+1', '0x1.fffffffff8183p-2'),
+        ('0x1.087431ce32d1cp+1', '0x1.7ffffffffa139p-1'),
+        ('0x1.0b4597bd9917bp+1', '0x1.fffffffff8193p-1'),
+        ('0x1.0b4597bd99178p+1', '0x1.fffffffff8128p-1'),
+        ('0x1.0b4597bd9917bp+1', '0x1.fffffffff8193p-1'),
+        ('0x1.0b4597bd9917bp+1', '0x1.fffffffff8193p-1'),
+        ('0x1.0b4597bd99226p+1', '0x1.fffffffffa023p-1'),
+        ('0x1.0b4597bd992d3p+1', '0x1.fffffffffbf62p-1'),
+        ('0x1.0b4597bd99381p+1', '0x1.fffffffffdf58p-1'),
+        ('0x1.0b4597bd9942cp+1', '0x1.0000000000000p+0'),
+    ]),
+    (0.5, [
+        ('0x1.1e3779b97f4a8p+1', '0x1.0000000000000p+0'),
+        ('0x1.1e36ac088a2b0p+1', '0x1.ffef4b281cb50p-1'),
+        ('0x1.1e35de57950b7p+1', '0x1.ffe0623ee597ep-1'),
+        ('0x1.1e3510a69febep+1', '0x1.ffd226edf09a8p-1'),
+        ('0x1.1e3442f5aacc8p+1', '0x1.ffc45c580e707p-1'),
+        ('0x1.1e3442f5aacc6p+1', '0x1.ffc45c580e6d6p-1'),
+        ('0x1.1e3442f5aacc6p+1', '0x1.ffc45c580e6d6p-1'),
+        ('0x1.1e3442f5aacc6p+1', '0x1.ffc45c580e6d6p-1'),
+        ('0x1.16a7323840195p+1', '0x1.7fd345420ad29p-1'),
+        ('0x1.0f1a217ad5665p+1', '0x1.ffc45c580e71ap-2'),
+        ('0x1.078d10bd6ab33p+1', '0x1.ffc45c580e73cp-3'),
+        ('0x1.0000000000000p+1', '0x0.0p+0'),
+    ]),
+    (0.9, [
+        ('0x1.0000000000000p+1', '0x0.0p+0'),
+        ('0x1.0ed4012b6c835p+1', '0x1.32de554a8a4d4p-3'),
+        ('0x1.1da80256d906bp+1', '0x1.32de554a8a4dfp-2'),
+        ('0x1.2c7c0382458a3p+1', '0x1.cc4d7fefcf768p-2'),
+        ('0x1.3b5004adb20dap+1', '0x1.32de554a8a4f4p-1'),
+        ('0x1.3b5004adb20d8p+1', '0x1.32de554a8a4e9p-1'),
+        ('0x1.3b5004adb20dap+1', '0x1.32de554a8a4f4p-1'),
+        ('0x1.3b5004adb20dap+1', '0x1.32de554a8a4f4p-1'),
+        ('0x1.42966e6ca4a61p+1', '0x1.5a5b66b86dd0bp-1'),
+        ('0x1.49dcd82b973e8p+1', '0x1.86711f481f52cp-1'),
+        ('0x1.512341ea89d6fp+1', '0x1.b9a4b97ab965ep-1'),
+        ('0x1.5869aba97c6f6p+1', '0x1.fffffffffffcap-1'),
+    ]),
+    (1.0, [
+        ('0x1.0000000000000p+1', '0x0.0p+0'),
+        ('0x1.0d413cccfe77ap+1', '0x1.3fb12049d2070p-4'),
+        ('0x1.1a827999fcef4p+1', '0x1.4ea4bd8eb3228p-3'),
+        ('0x1.27c3b666fb66ep+1', '0x1.075ca239cdebcp-2'),
+        ('0x1.3504f333f9de6p+1', '0x1.71b4f6bd9f804p-2'),
+        ('0x1.42463000f8560p+1', '0x1.e8e95087bef22p-2'),
+        ('0x1.4f876ccdf6cdap+1', '0x1.38b083d160ce3p-1'),
+        ('0x1.5cc8a99af5454p+1', '0x1.8a457a6c951a6p-1'),
+        ('0x1.6a09e667f3bccp+1', '0x1.fffffffffffcap-1'),
+    ]),
+    (1.7, [
+        ('0x1.b333333333333p+1', '0x0.0p+0'),
+        ('0x1.bbe9f3147300ap+1', '0x1.606e4fad2fce0p-4'),
+        ('0x1.c4a0b2f5b2ce4p+1', '0x1.6c00ec2b8adc8p-3'),
+        ('0x1.cd5772d6f29bdp+1', '0x1.1ab7694dd69fcp-2'),
+        ('0x1.d60e32b832695p+1', '0x1.87bab3251f0b8p-2'),
+        ('0x1.dec4f2997236cp+1', '0x1.ff5094f396a22p-2'),
+        ('0x1.e77bb27ab2045p+1', '0x1.42b468835e3bap-1'),
+        ('0x1.f032725bf1d1fp+1', '0x1.913f5318cbd00p-1'),
+        ('0x1.f8e9323d319f6p+1', '0x1.0000000000000p+0'),
+    ]),
+]
+
+
+class TestRecordedBits:
+    def test_best_alpha_bound(self):
+        scales = [float.fromhex(s) for s, _, _ in BEST_ALPHA_PINS]
+        alpha, bound = best_alpha_bound(scales)
+        assert [(s.hex(), a.hex(), b.hex()) for s, a, b
+                in zip(scales, alpha.tolist(), bound.tolist())] == BEST_ALPHA_PINS
+
+    @pytest.mark.parametrize("alpha, rows", ONE_OUTCOME_PINS)
+    def test_asym_chsh_one_outcome(self, alpha, rows):
+        got = asym_chsh_one_outcome(np.array([float.fromhex(b) for b, _ in rows]), alpha)
+        assert [v.hex() for v in got.tolist()] == [v for _, v in rows]
+
+    @pytest.mark.parametrize("alpha, rows", ONE_OUTCOME_PINS)
+    def test_g_only_on_its_side(self, monkeypatch, alpha, rows):
+        # g is formed exactly where it is kept: alpha >= 1, or beta >= beta*
+        seen, g = [], bounds._g_asym
+        monkeypatch.setattr(bounds, "_g_asym", lambda x, a: seen.append(np.copy(x)) or g(x, a))
+        beta = np.array([float.fromhex(b) for b, _ in rows])
+        asym_chsh_one_outcome(beta, alpha)
+        live = beta[beta > 2.0 * max(1.0, alpha)]
+        want = live if alpha >= 1.0 else live[live >= asym_tangent(alpha)[0]]
+        assert [x.tolist() for x in seen] == ([want.tolist()] if want.size else [])
+
+    def test_all_line_row_forms_no_g(self, monkeypatch):
+        alpha = 0.5
+        bstar = asym_tangent(alpha)[0]
+        monkeypatch.setattr(bounds, "_g_asym", lambda *args: pytest.fail("g formed on the line"))
+        got = asym_chsh_one_outcome(np.linspace(2.05, np.nextafter(bstar, 0.0), 7), alpha)
+        assert (got > 0.0).all()
+
+
 def _bits(values):
     return np.array(values, dtype=float).view(np.uint64)
 

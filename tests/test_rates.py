@@ -467,7 +467,7 @@ class TestThresholds:
                 "the dicka rate of asym-chsh(alpha=1.0) under global noise at gamma=0.0 does"
                 " not change sign on p in [0, 1]: rate(p=0)=-1.5, rate(p=1)=-2.5")):
             threshold_p("dicka", spec_by_name("asym-chsh"), "global")
-        assert sizes == [1, 1]
+        assert sizes == [2]  # both ends in one call, and the message costs none
 
     @pytest.mark.parametrize("kind, ineq", [("dicka", "asym-chsh"), ("dire-spot", "holz")])
     def test_failure_inside_the_rate_passes_through(self, monkeypatch, kind, ineq):
@@ -507,9 +507,10 @@ class TestThresholds:
         ("chsh", "local", 13), ("chsh", "global", 12)])
     def test_dicka_threshold_one_point_calls(self, monkeypatch, ineq, noise, calls):
         # a DICKA rate is smooth across its threshold: ITP, one p a step
+        # after both ends' call
         sizes = rate_grid_sizes(monkeypatch)
         threshold_p("dicka", spec_by_name(ineq), noise)
-        assert sizes == [1] * calls
+        assert sizes == [2] + [1] * (calls - 2)
 
 
 class TestMonotonicity:
