@@ -8,19 +8,21 @@ which is smooth across its threshold, its two ends one rate_grid call; by
 qmath.grid_sign_change, 16 p per rate_grid call, for a DIRE rate, which is
 flat below its threshold (its bound is 0 there), where ITP can only
 bisect, and whose 16 points on stacks of states cost about as much as two
-single ones.  Every function of p takes (noise_kind, p); a grid of p is
-computed on stacks of states (betas_of_p, rate_grid; the honest Bell
-values are bell's one sum over the honest row's cached terms), or for
-asym-CHSH DICKA in one lockstep alpha search (best_alpha_one_outcome), each
-value the one-point value bit for bit.  The two-outcome bounds for
-Parity-CHSH and CHSH are numeric curves produced by the optimizer, shipped
-as a monotone 200-point table and linearly interpolated (regenerate via
-the CLI).
+single ones; asym-CHSH DICKA's two thresholds come from one root in the
+honest correlator s, kept for the process.  Every function of p takes
+(noise_kind, p); a grid of p is computed on stacks of states (betas_of_p,
+rate_grid; the honest Bell values are bell's one sum over the honest
+row's cached terms), or for asym-CHSH DICKA in one lockstep alpha search
+(best_alpha_one_outcome), each value the one-point value bit for bit.
+The two-outcome bounds for Parity-CHSH and CHSH are numeric curves
+produced by the optimizer, shipped as a monotone 200-point table and
+linearly interpolated (regenerate via the CLI).
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -31,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from . import bounds, optimize, qmath
-from .bell import BellSpec, _bell_sum, _check_beta, bell_terms, spec_by_name
+from .bell import BellSpec, _bell_sum, _check_beta, asym_chsh, bell_terms, spec_by_name
 from .errors import NumericError, ValidationError
 from .qmath import binary_entropy as h
 from .states import _check_ps, _global_channel, _local_channel, ghz_state
@@ -350,6 +352,66 @@ def rate_grid(kind: str, spec: BellSpec, noise_kind: str, ps,
             for value, beta in zip(values.tolist(), betas.tolist())]
 
 
+class _NoSignChange(NumericError):
+    """A signed rate that does not change sign on p in [0, 1]; args are its
+    values at p = 0 and 1."""
+
+
+def _signed_rates(kind: str, spec: BellSpec, noise_kind: str, gamma: float, ps) -> np.ndarray:
+    """The signed rates of rate_grid at the 1-d ps, as an array."""
+    return np.array([r.rate for r in rate_grid(kind, spec, noise_kind, ps, gamma)])
+
+
+def _sign_change(kind: str, rates_at) -> float:
+    """threshold_p's search on rates_at, the signed rates at a 1-d array of
+    p: ITP for a DICKA rate, grid_sign_change for a DIRE one.  Both first
+    evaluate p = 0 and 1; _NoSignChange names the rates there when they
+    bracket no sign change, any other failure passes through."""
+    ends = {}
+
+    def tracked(ps):
+        values = rates_at(ps)
+        ends.update((p, v) for p, v in zip(ps.tolist(), values.tolist()) if p in (0.0, 1.0))
+        return values
+
+    try:
+        if kind == "dicka":
+            values = tracked(np.array([0.0, 1.0]))
+            first = [values[:1], values[1:]]  # what ITP's first two calls ask for
+            return float(qmath.bracketed_roots(lambda ps: first.pop(0) if first else tracked(ps),
+                                               [0.0], [1.0])[0])
+        return qmath.grid_sign_change(tracked, 0.0, 1.0, _THRESHOLD_POINTS)
+    except NumericError:
+        if len(ends) < 2 or ends[0.0] <= 0.0 < ends[1.0]:
+            raise  # a failure inside the rate, not a missing sign change
+        raise _NoSignChange(ends[0.0], ends[1.0]) from None
+
+
+@lru_cache(maxsize=1)
+def _asym_dicka_root() -> float:
+    """s*, the sign change of the asym-CHSH DICKA rate in the honest
+    correlator s, which is the only way that rate reads p (_honest_scale):
+    the ITP search of the global threshold, where s = p.  It depends on no
+    gamma, noise kind or spec (asym-chsh at alpha = 1 is chsh), so a
+    process solves it once; a failure is not kept."""
+    return _sign_change("dicka", partial(_signed_rates, "dicka", asym_chsh(1.0), "global", 0.0))
+
+
+def _least_p(noise_kind: str, s: float) -> float:
+    """The smallest float p with _honest_scale(noise_kind, p) >= s, s in
+    (0, 1]: s under global noise, sqrt(s) or a float neighbour of it under
+    local noise (sqrt(s) alone can be an ulp low)."""
+    def scale(p):
+        return float(_honest_scale(noise_kind, np.array([p]))[0])
+
+    p = s if noise_kind == "global" else math.sqrt(s)
+    while p > 0.0 and scale(below := float(np.nextafter(p, 0.0))) >= s:
+        p = below
+    while scale(p) < s:
+        p = float(np.nextafter(p, 1.0))
+    return p
+
+
 def threshold_p(kind: str, spec: BellSpec, noise_kind: str, gamma: float = 0.0) -> float:
     """Smallest p evaluated in [0, 1] whose signed rate is positive, one ulp
     above the largest p evaluated whose rate is not; NumericError, naming
@@ -363,26 +425,25 @@ def threshold_p(kind: str, spec: BellSpec, noise_kind: str, gamma: float = 0.0) 
     _THRESHOLD_POINTS points cost about two single ones, so its search is
     grid_sign_change, one rate_grid call of that many points a round.  Near
     a threshold a rate changes sign once between adjacent floats, so both
-    searches end on the same p."""
-    ends = {}  # the rate at p = 0 and 1, which both searches evaluate first
+    searches end on the same p.
 
-    def rates_at(ps):
-        values = np.array([r.rate for r in rate_grid(kind, spec, noise_kind, ps, gamma)])
-        ends.update((p, v) for p, v in zip(ps.tolist(), values.tolist()) if p in (0.0, 1.0))
-        return values
-
+    The asym-CHSH (and CHSH) DICKA rate reads p only through the honest
+    correlator s, p under global noise and p^2 under local, so both of its
+    thresholds come from one root s* in s, kept for the process: the
+    global threshold is s*, the local one the smallest float p whose s is
+    at least s*.  The second of them in a process calls no rate_grid; two
+    separate `tribell threshold` runs each solve the root.  Every argument
+    is checked before the kept root is read."""
+    curve = rate_curve(kind, spec, gamma)
+    _checked_grid(noise_kind, [])  # the noise kind, which the kept root would skip
     try:
-        if kind == "dicka":
-            values = rates_at(np.array([0.0, 1.0]))
-            first = [values[:1], values[1:]]  # what ITP's first two calls ask for
-            return float(qmath.bracketed_roots(lambda ps: first.pop(0) if first else rates_at(ps),
-                                               [0.0], [1.0])[0])
-        return qmath.grid_sign_change(rates_at, 0.0, 1.0, _THRESHOLD_POINTS)
-    except NumericError:
-        if len(ends) < 2 or ends[0.0] <= 0.0 < ends[1.0]:
-            raise  # a failure inside the rate, not a missing sign change
+        if curve is None:
+            return _least_p(noise_kind, _asym_dicka_root())
+        return _sign_change(kind, partial(_signed_rates, kind, spec, noise_kind, gamma))
+    except _NoSignChange as exc:
         name = spec.kind if spec.kind != "asym-chsh" else f"asym-chsh(alpha={spec.alpha!r})"
+        at0, at1 = exc.args
         raise NumericError(
             f"the {kind} rate of {name} under {noise_kind} noise at gamma={gamma!r}"
-            f" does not change sign on p in [0, 1]: rate(p=0)={ends[0.0]:.6g},"
-            f" rate(p=1)={ends[1.0]:.6g}") from None
+            f" does not change sign on p in [0, 1]: rate(p=0)={at0:.6g},"
+            f" rate(p=1)={at1:.6g}") from None

@@ -423,7 +423,7 @@ def _one_scale_search(scale):
     """(alpha, bound) of the alpha search at one honest scale, one row of t
     at a time: the grid of t = 0 (alpha = 1) and 64 points up to _T_EDGE,
     then np.linspace zooms of 65 points between the neighbours of the best
-    point until the ends have the same alpha or no float lies between them,
+    point until the ends have the same alpha or lie at most 2^-25 apart,
     keeping the larger (value, alpha) tuple."""
     def row(ts):
         alpha, bstar, slope = bounds._tangent_at(ts)
@@ -437,7 +437,7 @@ def _one_scale_search(scale):
     while True:
         k0, k1 = max(j - 1, 0), min(j + 1, len(t) - 1)
         lo, hi = t[k0], t[k1]
-        if a[k0] == a[k1] or not np.nextafter(lo, hi) < hi:
+        if a[k0] == a[k1] or not hi - lo > 2.0**-25:
             return float(best[1]), float(best[0])
         t = np.linspace(lo, hi, 65)
         inner_a, inner_v = row(t[1:-1])
@@ -526,6 +526,17 @@ class TestBestAlpha:
         assert (bound - exact).min() >= -1e-14
         assert (bound - exact).max() <= 1e-15
 
+    def test_at_most_five_zoom_rounds(self, monkeypatch):
+        # each round reads its row's tangents in one _tangent_at call; the
+        # first grid's are module constants
+        rounds, tangent_at = [], bounds._tangent_at
+        monkeypatch.setattr(bounds, "_tangent_at",
+                            lambda t: rounds.append(t.shape) or tangent_at(t))
+        for scale in np.linspace(0.70, 1.0, 701):
+            rounds.clear()
+            best_alpha_bound([scale])
+            assert len(rounds) <= 5, scale
+
     def test_solves_no_root(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("best_alpha_bound solved a tangent")
@@ -542,48 +553,91 @@ class TestBestAlpha:
 
 
 # (scale, alpha, bound) of best_alpha_bound as float.hex, at 0, 1/sqrt2, 1
-# and at p and p^2 of every p that both asym-CHSH DICKA thresholds
-# evaluate; recorded independently of _tangent_at and _values, which the
-# point-by-point reference search calls
+# and near both asym-CHSH DICKA thresholds (p and p^2 of the p an ITP
+# search in p visits); recorded independently of _tangent_at and _values,
+# which the point-by-point reference search calls
 BEST_ALPHA_PINS = [
     ('0x0.0p+0', '0x1.0000000000000p+0', '0x0.0p+0'),
     ('0x1.6a09e667f3bcdp-1', '0x1.0000000000000p+0', '0x1.8000000000000p-52'),
     ('0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0'),
     ('0x1.0000000000000p-1', '0x1.0000000000000p+0', '0x0.0p+0'),
     ('0x1.0000000000000p-2', '0x1.0000000000000p+0', '0x0.0p+0'),
-    ('0x1.8000000000000p-1', '0x1.fb5ab6582c265p-1', '0x1.8823a48d0e8b3p-4'),
+    ('0x1.8000000000000p-1', '0x1.fb5ab65c07998p-1', '0x1.8823a48d0e8aap-4'),
     ('0x1.2000000000000p-1', '0x1.0000000000000p+0', '0x0.0p+0'),
-    ('0x1.c000000000000p-1', '0x1.d08c6b5c222ccp-1', '0x1.d5a28d886e40dp-2'),
-    ('0x1.8800000000000p-1', '0x1.f803fe8042d2ep-1', '0x1.134646960c209p-3'),
-    ('0x1.e000000000000p-1', '0x1.a99dc5845623cp-1', '0x1.623a96800238cp-1'),
-    ('0x1.c200000000000p-1', '0x1.ce98ac8d0084ap-1', '0x1.e35acddc1c216p-2'),
-    ('0x1.d7e890b7ba03bp-1', '0x1.b56c215d3ecf6p-1', '0x1.41e1cccd8da4fp-1'),
-    ('0x1.b2f4cbe556a4fp-1', '0x1.dc396cb2afaacp-1', '0x1.7f85447bbec21p-2'),
-    ('0x1.d886fa1d92478p-1', '0x1.b494ee04231e5p-1', '0x1.444c0f2cbf8c4p-1'),
-    ('0x1.b41900bbeb5d5p-1', '0x1.db45237c8f798p-1', '0x1.86d4aea370cabp-2'),
-    ('0x1.d87f40f00f325p-1', '0x1.b49f79e7dc53ep-1', '0x1.442ddc7f664c1p-1'),
-    ('0x1.b40abf5b5b58cp-1', '0x1.db5120f8e0611p-1', '0x1.8679224fc8adap-2'),
-    ('0x1.d87f4b0e7b0e4p-1', '0x1.b49f6c2b018dap-1', '0x1.442e040ee436ep-1'),
-    ('0x1.b40ad2087a121p-1', '0x1.db511140e378ap-1', '0x1.86799a3bdfc1dp-2'),
-    ('0x1.d87f4b08838dep-1', '0x1.b49f6c5b93200p-1', '0x1.442e03f7904d9p-1'),
-    ('0x1.b40ad1fd76c5dp-1', '0x1.db5111655f3d8p-1', '0x1.867999f528b9fp-2'),
-    ('0x1.d87f4b0883982p-1', '0x1.b49f6c3919d29p-1', '0x1.442e03f79075bp-1'),
-    ('0x1.b40ad1fd76d8cp-1', '0x1.db511140e378ap-1', '0x1.867999f52933ap-2'),
-    ('0x1.d87f4b0883983p-1', '0x1.b49f6c30fa362p-1', '0x1.442e03f79075fp-1'),
-    ('0x1.b40ad1fd76d8ep-1', '0x1.db51113360cf3p-1', '0x1.867999f529346p-2'),
-    ('0x1.b23e1c9b9286ep-1', '0x1.dcd0938e080b9p-1', '0x1.7af8bef77eb35p-2'),
-    ('0x1.704b5408adaf5p-1', '0x1.ff8a404d2fb8dp-1', '0x1.a3e48ef57f6cbp-6'),
-    ('0x1.b42046cd8325ep-1', '0x1.db3f04a6eda86p-1', '0x1.87036765eff07p-2'),
-    ('0x1.737efa9ee6d77p-1', '0x1.feff117d55282p-1', '0x1.41b1889841c8cp-5'),
-    ('0x1.b40a766cd6378p-1', '0x1.db515e3a63d18p-1', '0x1.86774e02c5efbp-2'),
-    ('0x1.7359d1e8187b2p-1', '0x1.ff06639ff3a35p-1', '0x1.3c90ff5b9fabdp-5'),
-    ('0x1.b40ad22d12c88p-1', '0x1.db511103fe091p-1', '0x1.86799b26dd51fp-2'),
-    ('0x1.735a6e2f50073p-1', '0x1.ff0645096f8c8p-1', '0x1.3ca68c64c25dep-5'),
-    ('0x1.b40ad1fd738efp-1', '0x1.db51113ec8d3fp-1', '0x1.867999f514163p-2'),
-    ('0x1.735a6dde32d5ep-1', '0x1.ff064518b06c7p-1', '0x1.3ca68135311d0p-5'),
-    ('0x1.735a6dde386fbp-1', '0x1.ff064519080adp-1', '0x1.3ca68135f6d6bp-5'),
-    ('0x1.b40ad1fd76d8dp-1', '0x1.db51114fac5f9p-1', '0x1.867999f52933fp-2'),
-    ('0x1.735a6dde386fdp-1', '0x1.ff06451a706ffp-1', '0x1.3ca68135f6db7p-5'),
+    ('0x1.c000000000000p-1', '0x1.d08c6b6272afdp-1', '0x1.d5a28d886e40bp-2'),
+    ('0x1.8800000000000p-1', '0x1.f803fe81da562p-1', '0x1.134646960c204p-3'),
+    ('0x1.e000000000000p-1', '0x1.a99dc579eea4ap-1', '0x1.623a96800238cp-1'),
+    ('0x1.c200000000000p-1', '0x1.ce98ac8159138p-1', '0x1.e35acddc1c212p-2'),
+    ('0x1.d7e890b7ba03bp-1', '0x1.b56c215ce5ccfp-1', '0x1.41e1cccd8da4fp-1'),
+    ('0x1.b2f4cbe556a4fp-1', '0x1.dc396cb941185p-1', '0x1.7f85447bbec1fp-2'),
+    ('0x1.d886fa1d92478p-1', '0x1.b494ee03b8779p-1', '0x1.444c0f2cbf8c3p-1'),
+    ('0x1.b41900bbeb5d5p-1', '0x1.db4523861b306p-1', '0x1.86d4aea370ca6p-2'),
+    ('0x1.d87f40f00f325p-1', '0x1.b49f79eca7891p-1', '0x1.442ddc7f664bep-1'),
+    ('0x1.b40abf5b5b58cp-1', '0x1.db5120f0356f3p-1', '0x1.8679224fc8ad8p-2'),
+    ('0x1.d87f4b0e7b0e4p-1', '0x1.b49f6c240090ap-1', '0x1.442e040ee436cp-1'),
+    ('0x1.b40ad2087a121p-1', '0x1.db5111365205fp-1', '0x1.86799a3bdfc19p-2'),
+    ('0x1.d87f4b08838dep-1', '0x1.b49f6c56f51cap-1', '0x1.442e03f7904d8p-1'),
+    ('0x1.b40ad1fd76c5dp-1', '0x1.db5111656827cp-1', '0x1.867999f528b9dp-2'),
+    ('0x1.d87f4b0883982p-1', '0x1.b49f6c30bdb39p-1', '0x1.442e03f790758p-1'),
+    ('0x1.b40ad1fd76d8cp-1', '0x1.db5111365205fp-1', '0x1.867999f529336p-2'),
+    ('0x1.d87f4b0883983p-1', '0x1.b49f6c30bdb39p-1', '0x1.442e03f79075ep-1'),
+    ('0x1.b40ad1fd76d8ep-1', '0x1.db51112a8c7d7p-1', '0x1.867999f529346p-2'),
+    ('0x1.b23e1c9b9286ep-1', '0x1.dcd0938e07fd2p-1', '0x1.7af8bef77eb35p-2'),
+    ('0x1.704b5408adaf5p-1', '0x1.ff8a404e0d354p-1', '0x1.a3e48ef57f6c7p-6'),
+    ('0x1.b42046cd8325ep-1', '0x1.db3f04a254ff0p-1', '0x1.87036765eff06p-2'),
+    ('0x1.737efa9ee6d77p-1', '0x1.feff117e8fd12p-1', '0x1.41b1889841c7bp-5'),
+    ('0x1.b40a766cd6378p-1', '0x1.db515e3bb04e4p-1', '0x1.86774e02c5ef5p-2'),
+    ('0x1.7359d1e8187b2p-1', '0x1.ff06639ef0828p-1', '0x1.3c90ff5b9fab4p-5'),
+    ('0x1.b40ad22d12c88p-1', '0x1.db5110fb765b8p-1', '0x1.86799b26dd51dp-2'),
+    ('0x1.735a6e2f50073p-1', '0x1.ff064508b03c9p-1', '0x1.3ca68c64c25ccp-5'),
+    ('0x1.b40ad1fd738efp-1', '0x1.db5111365205fp-1', '0x1.867999f514162p-2'),
+    ('0x1.735a6dde32d5ep-1', '0x1.ff06451727d0cp-1', '0x1.3ca68135311bbp-5'),
+    ('0x1.735a6dde386fbp-1', '0x1.ff064518c352dp-1', '0x1.3ca68135f6d61p-5'),
+    ('0x1.b40ad1fd76d8dp-1', '0x1.db51114ddd16dp-1', '0x1.867999f52933cp-2'),
+    ('0x1.735a6dde386fdp-1', '0x1.ff06451bfa574p-1', '0x1.3ca68135f6da9p-5'),
+]
+# the bound at each scale of BEST_ALPHA_PINS, as float.hex, of the search
+# that zoomed until its t bracket held no float: the converged search
+# stops at about sqrt(eps) and may lose rounding only
+ZOOM_TO_ONE_ULP_BOUNDS = [
+    '0x0.0p+0',
+    '0x1.8000000000000p-52',
+    '0x1.0000000000000p+0',
+    '0x0.0p+0',
+    '0x0.0p+0',
+    '0x1.8823a48d0e8b3p-4',
+    '0x0.0p+0',
+    '0x1.d5a28d886e40dp-2',
+    '0x1.134646960c209p-3',
+    '0x1.623a96800238cp-1',
+    '0x1.e35acddc1c216p-2',
+    '0x1.41e1cccd8da4fp-1',
+    '0x1.7f85447bbec21p-2',
+    '0x1.444c0f2cbf8c4p-1',
+    '0x1.86d4aea370cabp-2',
+    '0x1.442ddc7f664c1p-1',
+    '0x1.8679224fc8adap-2',
+    '0x1.442e040ee436ep-1',
+    '0x1.86799a3bdfc1dp-2',
+    '0x1.442e03f7904d9p-1',
+    '0x1.867999f528b9fp-2',
+    '0x1.442e03f79075bp-1',
+    '0x1.867999f52933ap-2',
+    '0x1.442e03f79075fp-1',
+    '0x1.867999f529346p-2',
+    '0x1.7af8bef77eb35p-2',
+    '0x1.a3e48ef57f6cbp-6',
+    '0x1.87036765eff07p-2',
+    '0x1.41b1889841c8cp-5',
+    '0x1.86774e02c5efbp-2',
+    '0x1.3c90ff5b9fabdp-5',
+    '0x1.86799b26dd51fp-2',
+    '0x1.3ca68c64c25dep-5',
+    '0x1.867999f514163p-2',
+    '0x1.3ca68135311d0p-5',
+    '0x1.3ca68135f6d6bp-5',
+    '0x1.867999f52933fp-2',
+    '0x1.3ca68135f6db7p-5',
 ]
 # (alpha, [(beta, bound)]) of asym_chsh_one_outcome on arrays that mix the
 # tangent line's side of beta* and g's side, and g alone for alpha >= 1
@@ -661,6 +715,11 @@ class TestRecordedBits:
         alpha, bound = best_alpha_bound(scales)
         assert [(s.hex(), a.hex(), b.hex()) for s, a, b
                 in zip(scales, alpha.tolist(), bound.tolist())] == BEST_ALPHA_PINS
+
+    def test_not_below_the_search_zoomed_to_one_ulp(self):
+        _, bound = best_alpha_bound([float.fromhex(s) for s, _, _ in BEST_ALPHA_PINS])
+        floor = np.array([float.fromhex(b) for b in ZOOM_TO_ONE_ULP_BOUNDS])
+        assert (bound - floor).min() >= -1e-15
 
     @pytest.mark.parametrize("alpha, rows", ONE_OUTCOME_PINS)
     def test_asym_chsh_one_outcome(self, alpha, rows):

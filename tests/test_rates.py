@@ -403,6 +403,15 @@ def bisected_threshold(kind, spec, noise, gamma):
     return hi
 
 
+@pytest.fixture(autouse=True)
+def cold_asym_root():
+    """Every test starts and ends without a kept asym-CHSH DICKA root, so a
+    test that replaces rate_grid sees the root solved through it."""
+    rates._asym_dicka_root.cache_clear()
+    yield
+    rates._asym_dicka_root.cache_clear()
+
+
 def rate_grid_sizes(monkeypatch) -> list:
     """The size of every p grid rate_grid is given from now on."""
     sizes, grid = [], rates.rate_grid
@@ -463,11 +472,14 @@ class TestThresholds:
                     for r in grid(kind, spec, noise, ps, gamma)]
 
         monkeypatch.setattr(rates, "rate_grid", negative)
-        with pytest.raises(NumericError, match=re.escape(
-                "the dicka rate of asym-chsh(alpha=1.0) under global noise at gamma=0.0 does"
-                " not change sign on p in [0, 1]: rate(p=0)=-1.5, rate(p=1)=-2.5")):
-            threshold_p("dicka", spec_by_name("asym-chsh"), "global")
-        assert sizes == [2]  # both ends in one call, and the message costs none
+        # the message names the caller's noise kind, and a failed root is not kept
+        for noise in ("global", "local", "global"):
+            sizes.clear()
+            with pytest.raises(NumericError, match=re.escape(
+                    f"the dicka rate of asym-chsh(alpha=1.0) under {noise} noise at gamma=0.0"
+                    " does not change sign on p in [0, 1]: rate(p=0)=-1.5, rate(p=1)=-2.5")):
+                threshold_p("dicka", spec_by_name("asym-chsh"), noise)
+            assert sizes == [2]  # both ends in one call, and the message costs none
 
     @pytest.mark.parametrize("kind, ineq", [("dicka", "asym-chsh"), ("dire-spot", "holz")])
     def test_failure_inside_the_rate_passes_through(self, monkeypatch, kind, ineq):
@@ -484,7 +496,9 @@ class TestThresholds:
             threshold_p(kind, spec_by_name(ineq), "local")
 
     @pytest.mark.parametrize("kind, ineq, noise, gamma",
-                             [(k, i, n, 0.0) for k, i in CURVE_RATES for n in ("local", "global")]
+                             [(k, i, n, 0.0)
+                              for k, i in CURVE_RATES + [("dicka", "asym-chsh"), ("dicka", "chsh")]
+                              for n in ("local", "global")]
                              + [("dire-spot", i, n, g) for i in ("holz", "parity-chsh", "mabk", "chsh")
                                 for n in ("local", "global") for g in (3.3e-4, 0.01)])
     def test_equals_one_point_bisection(self, kind, ineq, noise, gamma):
@@ -503,14 +517,55 @@ class TestThresholds:
     @pytest.mark.parametrize("ineq, noise, calls", [
         ("holz", "local", 13), ("holz", "global", 12),
         ("parity-chsh", "local", 13), ("parity-chsh", "global", 14),
-        ("asym-chsh", "local", 13), ("asym-chsh", "global", 12),
-        ("chsh", "local", 13), ("chsh", "global", 12)])
+        ("asym-chsh", "local", 12), ("asym-chsh", "global", 12),
+        ("chsh", "local", 12), ("chsh", "global", 12)])
     def test_dicka_threshold_one_point_calls(self, monkeypatch, ineq, noise, calls):
         # a DICKA rate is smooth across its threshold: ITP, one p a step
-        # after both ends' call
+        # after both ends' call; asym-chsh and chsh solve the one root in
+        # s = p (their global search) under either noise kind
         sizes = rate_grid_sizes(monkeypatch)
         threshold_p("dicka", spec_by_name(ineq), noise)
         assert sizes == [2] + [1] * (calls - 2)
+
+    @pytest.mark.parametrize("first", ["local", "global"])
+    def test_asym_dicka_root_solved_once(self, monkeypatch, first):
+        sizes = rate_grid_sizes(monkeypatch)
+        want = {noise: PAPER_THRESHOLDS["dicka", "asym-chsh", noise]
+                for noise in ("local", "global")}
+        assert threshold_p("dicka", spec_by_name("asym-chsh"), first).hex() == want[first]
+        solved = len(sizes)
+        for ineq in ("asym-chsh", "chsh"):
+            for noise in ("local", "global"):
+                for gamma in (0.0, 0.5, 1.0):
+                    assert threshold_p("dicka", spec_by_name(ineq), noise, gamma).hex() \
+                        == want[noise]
+        assert len(sizes) == solved
+
+    @pytest.mark.parametrize("spec, noise, gamma, message", [
+        (asym_chsh(0.9), "local", 0.0, "alpha must be 1"),
+        (asym_chsh(0.9), "global", 0.0, "alpha must be 1"),
+        (asym_chsh(1.0), "Global", 0.0, "unknown noise kind 'Global'"),
+        (asym_chsh(1.0), "", 0.0, "unknown noise kind ''"),
+        (asym_chsh(1.0), "global", 1.5, r"gamma=1.5 outside \[0, 1\]"),
+        (asym_chsh(1.0), "local", -0.1, r"gamma=-0.1 outside \[0, 1\]"),
+        (asym_chsh(1.0), "global", float("nan"), r"gamma=nan outside \[0, 1\]")])
+    def test_arguments_checked_before_the_kept_root(self, monkeypatch, spec, noise, gamma,
+                                                    message):
+        threshold_p("dicka", spec_by_name("asym-chsh"), "global")
+        sizes = rate_grid_sizes(monkeypatch)
+        with pytest.raises(ValidationError, match=message):
+            threshold_p("dicka", spec, noise, gamma)
+        assert sizes == []
+
+    @pytest.mark.parametrize("s", [float.fromhex(PAPER_THRESHOLDS["dicka", "asym-chsh", "global"]),
+                                   1.0, 0.5, 0.81, 0.49, 2.0 ** -60, 0.7071067811865476])
+    def test_least_p_is_the_smallest_float(self, s):
+        # the float p found, and not the one below it, reaches s under each noise kind
+        for noise in ("local", "global"):
+            p = rates._least_p(noise, s)
+            below = np.nextafter(p, 0.0)
+            assert rates._honest_scale(noise, np.array([p]))[0] >= s
+            assert rates._honest_scale(noise, np.array([below]))[0] < s
 
 
 class TestMonotonicity:
