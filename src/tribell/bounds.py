@@ -8,11 +8,11 @@ refuses a non-finite beta or one above the quantum bound (naming the first
 as a plain float), gives 0 at or below the classical bound, since the rate
 formulas evaluate there routinely, and clamps beta to the quantum bound.
 
-An asymmetric-CHSH bound reads its own alpha's tangent from `asym_tangent`,
-a root solve cached by the exact alpha; `best_alpha_bound`, its maximum over
-alpha, reads its tangents in closed form and solves none: it keeps only the
-64 tangents of its first grid, the same for every search, computed at
-import.  Both form g only where they keep it, at or above the tangent point.
+Every asymmetric-CHSH tangent comes from `_tangent_at`, in closed form in t,
+tanh(t) the s-value of the tangent point.  `asym_tangent`, cached by the exact
+alpha, finds its alpha's t as a root in one cell of a first grid of 64 t,
+computed at import; `best_alpha_bound`, the maximum over alpha, starts from
+that grid and solves no root.  Both form g only at or above the tangent point.
 """
 
 from __future__ import annotations
@@ -219,62 +219,23 @@ def _g_asym(x, alpha):
     return 1.0 - h(0.5 + 0.5 * np.sqrt(np.maximum(x * x / 4.0 - alpha * alpha, 0.0)))
 
 
-def _g_terms(x, qb):
-    """g, log(u/(1 - u)) and s at violations 2 <= x < qb of the alpha whose
-    quantum bound is qb, u = (1 + s)/2, all formed from d = qb - x, exact by
-    Sterbenz (qb/2 < 2 <= x <= qb), so nothing cancels as x -> qb."""
+def _g_near_qb(x, qb):
+    """g at violations 2 <= x < qb of the alpha whose quantum bound is qb,
+    formed from d = qb - x, exact by Sterbenz (qb/2 < 2 <= x <= qb), so
+    nothing cancels as x -> qb."""
     d = qb - x
     v = d * (2.0 * qb - d) / 4.0  # 1 - s^2
-    s = np.sqrt(1.0 - v)
-    w = v / (2.0 * (1.0 + s))  # 1 - u
-    log_u, log_w = np.log1p(-w), np.log(w)
-    return 1.0 + ((1.0 - w) * log_u + w * log_w) / np.log(2.0), log_u - log_w, s
+    w = v / (2.0 * (1.0 + np.sqrt(1.0 - v)))  # 1 - u, u = (1 + s)/2
+    return 1.0 + ((1.0 - w) * np.log1p(-w) + w * np.log(w)) / np.log(2.0)
 
 
-def _tangency_residual(x, qb):
-    """The tangency residual F = g'(x)(x - 2) - g of _g_terms' g."""
-    g, log_ratio, s = _g_terms(x, qb)
-    return log_ratio / np.log(2.0) * x / (8.0 * s) * (x - 2.0) - g
-
-
-def _asym_tangents(alpha) -> tuple[np.ndarray, np.ndarray]:
-    """(beta*, slope) of the tangent line through (2, 0) to g(., |alpha|)
-    for a 1-d array of alpha.
-
-    The residual F of _tangency_residual changes sign once on [2, qb), and one
-    qmath.bracketed_roots call solves every lane bracketed on
-    [2, nextafter(qb, 2)]; the slope is
-    g(beta*)/(beta* - 2), since g' jumps between floats a few ulps below
-    qb.  An unbracketed lane has its tangent point within one ulp of qb,
-    where the chord from (2, 0) to (qb, 1) is the tangent.
-    """
-    alpha = np.abs(np.asarray(alpha, dtype=float))
-    if not np.all(np.isfinite(alpha)):
-        raise ValidationError("alpha must be finite")
-    qb = 2.0 * np.hypot(1.0, alpha)
-    lo, hi = np.full_like(qb, 2.0), np.nextafter(qb, 2.0)
-    with np.errstate(divide="ignore", invalid="ignore"):  # d = 0 where qb rounds to 2
-        bracketed = (_tangency_residual(lo, qb) <= 0.0) & (_tangency_residual(hi, qb) > 0.0)
-        slope = 1.0 / (qb - 2.0)
-    lanes = np.flatnonzero(bracketed)
-    bstar = qb.copy()
-    bstar[lanes] = bracketed_roots(lambda x: _tangency_residual(x, qb[lanes]),
-                                   lo[lanes], hi[lanes])
-    slope[lanes] = _g_terms(bstar[lanes], qb[lanes])[0] / (bstar[lanes] - 2.0)
-    return bstar, slope
-
-
-@functools.lru_cache(maxsize=4096)
-def asym_tangent(alpha: float) -> tuple[float, float]:
-    """(beta*, slope) of the tangent line through (2, 0) to g, for
-    1e-12 <= |alpha| < 1 (ValidationError elsewhere): one `_asym_tangents`
-    lane, cached by the exact alpha, not a rounded key (at most 4096
-    entries).  asym_chsh_one_outcome reads its tangent here, so the bound of
-    an alpha is that alpha's own; best_alpha_bound reads none."""
-    if not 1e-12 <= abs(alpha) < 1.0:
-        raise ValidationError(f"alpha={float(alpha)!r} outside 1e-12 <= |alpha| < 1")
-    bstar, slope = _asym_tangents([alpha])
-    return float(bstar[0]), float(slope[0])
+def _chord(bstar, qb):
+    """(beta*, slope) of the line from (2, 0) through g at beta*, clipped to
+    qb: where beta* rounds to qb, the chord to (qb, 1)."""
+    bstar = np.minimum(bstar, qb)
+    with np.errstate(divide="ignore", invalid="ignore"):  # d = 0 at qb, where g = 1
+        g = np.where(bstar < qb, _g_near_qb(bstar, qb), 1.0)
+        return bstar, g / (bstar - 2.0)
 
 
 def _tangent_at(t):
@@ -286,21 +247,16 @@ def _tangent_at(t):
     beta* = 1 + sqrt(1 + c) and alpha = sqrt(beta*^2/4 - r^2).  Nothing
     cancels as r -> 0: ln2 g = r t - log1p(2 sinh^2(t/2)), d = beta* - 2 =
     c/(1 + sqrt(1 + c)) and alpha^2 = sech^2 t + d + d^2/4.  The slope is the
-    chord g(beta*)/(beta* - 2) at the rounded alpha, as in _asym_tangents:
-    beta* misses that alpha's tangent point by the rounding alone, where the
-    chord's slope is stationary, so rounding alpha cannot lift the line
-    above alpha's own tangent.  Where beta* rounds to qb, the chord to
-    (qb, 1) is taken."""
+    chord g(beta*)/(beta* - 2) at the rounded alpha (_chord): beta* misses
+    that alpha's tangent point by the rounding alone, where the chord's
+    slope is stationary, so rounding alpha cannot lift the line above
+    alpha's own tangent."""
     r = np.tanh(t)
     half = np.sinh(0.5 * t)
     c = 4.0 * r * (r * t - np.log1p(2.0 * half * half)) / t
     d = c / (1.0 + np.sqrt(1.0 + c))
     alpha = np.sqrt(1.0 / np.cosh(t) ** 2 + d + 0.25 * d * d)
-    qb = 2.0 * np.hypot(1.0, alpha)
-    bstar = np.minimum(2.0 + d, qb)
-    with np.errstate(divide="ignore", invalid="ignore"):  # d = 0 at qb, where g = 1
-        g = np.where(bstar < qb, _g_terms(bstar, qb)[0], 1.0)
-    return alpha, bstar, g / (bstar - 2.0)
+    return alpha, *_chord(2.0 + d, 2.0 * np.hypot(1.0, alpha))
 
 
 def _first_grid():
@@ -316,6 +272,46 @@ def _first_grid():
 
 
 _GRID_T, _GRID_ALPHA, _GRID_BSTAR, _GRID_SLOPE = _first_grid()
+
+
+def _asym_tangents(alpha) -> tuple[np.ndarray, np.ndarray]:
+    """(beta*, slope) of the tangent line through (2, 0) to g(., |alpha|)
+    for a 1-d array of alpha, read from _tangent_at.
+
+    alpha(t) falls strictly from 1 (t -> 0) to _GRID_ALPHA[-1] (about 0.27)
+    at _T_EDGE, so each alpha in (_GRID_ALPHA[-1], 1) lies in the first-grid
+    cell with alpha(t_lo) >= alpha > alpha(t_hi), and one
+    qmath.bracketed_roots call finds every lane's root t* of alpha - alpha(t)
+    there (the first cell starts at 5e-324: t = 0 is 0/0).  beta* is read at
+    t*, and its chord slope is formed at alpha's own quantum bound qb, not
+    at alpha(t*)'s.  Any other alpha has no tangent point (alpha >= 1) or one
+    within one ulp of qb, and takes the chord from (2, 0) to (qb, 1).
+    """
+    alpha = np.abs(np.asarray(alpha, dtype=float))
+    if not np.all(np.isfinite(alpha)):
+        raise ValidationError("alpha must be finite")
+    qb = 2.0 * np.hypot(1.0, alpha)
+    bstar = qb.copy()
+    root = (alpha > _GRID_ALPHA[-1]) & (alpha < 1.0)
+    a = alpha[root]
+    cell = np.searchsorted(-_GRID_ALPHA, -a, side="right")
+    lo, hi = np.maximum(_GRID_T[cell - 1], 5e-324), _GRID_T[cell]
+    bstar[root] = _tangent_at(bracketed_roots(lambda t: a - _tangent_at(t)[0], lo, hi))[1]
+    return _chord(bstar, qb)
+
+
+@functools.lru_cache(maxsize=4096)
+def asym_tangent(alpha: float) -> tuple[float, float]:
+    """(beta*, slope) of the tangent line through (2, 0) to g, for
+    1e-12 <= |alpha| < 1 (ValidationError elsewhere): one `_asym_tangents`
+    lane, a root in t on `_tangent_at`, cached by the exact alpha, not a
+    rounded key (at most 4096 entries).  asym_chsh_one_outcome reads its
+    tangent here, so the bound of an alpha is that alpha's own;
+    best_alpha_bound reads none."""
+    if not 1e-12 <= abs(alpha) < 1.0:
+        raise ValidationError(f"alpha={float(alpha)!r} outside 1e-12 <= |alpha| < 1")
+    bstar, slope = _asym_tangents([alpha])
+    return float(bstar[0]), float(slope[0])
 
 
 def _asym_one_outcome(beta, alpha, bstar, slope):

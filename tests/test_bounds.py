@@ -223,7 +223,7 @@ class TestAsymChsh:
         assert got == pytest.approx(1.0 - h2(0.875), abs=1e-12)
         assert got == pytest.approx(0.456436, abs=1e-6)
 
-    def test_tangency_residual_small_alpha(self):
+    def test_line_meets_g_at_the_tangent_point(self):
         for alpha in (0.5, 0.7, 0.9):
             bstar, slope = asym_tangent(alpha)
             g = bounds._g_asym(bstar, alpha)
@@ -371,9 +371,13 @@ def test_asym_bound_not_above_g_near_alpha_0_4():
 
 class TestAsymCurveNotAboveG:
     def test_dense_alpha_beta_scan(self):
-        # and [0.28, 0.42] at step 1e-4, where the tangent point is 3e-15 to 1e-6 below qb
+        # and [0.28, 0.42] at step 1e-4, where the tangent point is 3e-15 to 1e-6 below qb;
+        # then first-grid alphas, which end a t cell, and the ends of the t-root range
+        grid = bounds._GRID_ALPHA
         alpha = np.concatenate([np.linspace(1e-3, 0.999, 1000),
-                                np.linspace(0.28, 0.42, 1401), [0.4, 0.40695, 0.4089]])
+                                np.linspace(0.28, 0.42, 1401), [0.4, 0.40695, 0.4089],
+                                grid[[1, 2, 5, 32, 63, 64]],
+                                [np.nextafter(grid[-1], 1.0), 1.0 - 2.0**-53, 1.0 - 2.0**-52]])
         bstar, slope = bounds._asym_tangents(alpha)
         # 400 even steps on [2, beta*], and 100 clustered at beta*
         t = np.concatenate([np.linspace(0.0, 1.0, 400), 1.0 - np.logspace(-16, 0, 100)])
@@ -662,9 +666,9 @@ ONE_OUTCOME_PINS = [
         ('0x1.1e35de57950b7p+1', '0x1.ffe0623ee597ep-1'),
         ('0x1.1e3510a69febep+1', '0x1.ffd226edf09a8p-1'),
         ('0x1.1e3442f5aacc8p+1', '0x1.ffc45c580e707p-1'),
-        ('0x1.1e3442f5aacc6p+1', '0x1.ffc45c580e6d6p-1'),
-        ('0x1.1e3442f5aacc6p+1', '0x1.ffc45c580e6d6p-1'),
-        ('0x1.1e3442f5aacc6p+1', '0x1.ffc45c580e6d6p-1'),
+        ('0x1.1e3442f5aacc6p+1', '0x1.ffc45c580e6dap-1'),
+        ('0x1.1e3442f5aacc6p+1', '0x1.ffc45c580e6dap-1'),
+        ('0x1.1e3442f5aacc6p+1', '0x1.ffc45c580e6dap-1'),
         ('0x1.16a7323840195p+1', '0x1.7fd345420ad29p-1'),
         ('0x1.0f1a217ad5665p+1', '0x1.ffc45c580e71ap-2'),
         ('0x1.078d10bd6ab33p+1', '0x1.ffc45c580e73cp-3'),
