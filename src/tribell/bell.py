@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .qmath import _check_psd, as_matrix, eig_hermitian, ensure_density_matrix
+from .qmath import _check_psd, as_matrix, eig_hermitian, ensure_density_matrix, kron_all
 from .states import _COSB, _SINB, I2, BlockDiagState, _block_correlators, observable_matrices
 
 __all__ = ["BellSpec", "holz", "parity_chsh", "mabk", "asym_chsh", "chsh", "INEQUALITIES",
@@ -159,24 +159,12 @@ def _party_observables(pair: np.ndarray) -> dict:
     return {0: o0, 1: o1, "+": 0.5 * (o0 + o1), "-": 0.5 * (o0 - o1)}
 
 
-def _kron_rows(mats) -> np.ndarray:
-    """kron_all of matrices (..., 2, 2) row by row: the same products in the
-    same order, so each row is kron_all's matrix bit for bit."""
-    out = np.ones((1, 1), dtype=complex)
-    for m in mats:
-        m = np.asarray(m, dtype=complex)
-        d = out.shape[-1] * m.shape[-1]
-        out = out[..., :, None, :, None] * m[..., None, :, None, :]
-        out = out.reshape(out.shape[:-4] + (d, d))
-    return out
-
-
 def bell_terms(spec: BellSpec, angles, plane: str | None = None
                ) -> list[tuple[float, np.ndarray]]:
     """The Bell operators of settings rows angles (..., 2 * parties) as
     (coefficient, observable strings (..., d, d)) terms, in spec.terms
-    order; the plane defaults to spec.plane.  A one-row call gives the
-    kron_all products of that row's observables, bit for bit."""
+    order; the plane defaults to spec.plane.  Each term is one kron_all
+    call over the rows' stacks of party observables."""
     angles = np.asarray(angles, dtype=float)
     if angles.ndim == 0 or angles.shape[-1] != 2 * spec.parties:
         raise ValidationError(f"expected angles of shape (..., {2 * spec.parties}),"
@@ -184,7 +172,8 @@ def bell_terms(spec: BellSpec, angles, plane: str | None = None
     obs = observable_matrices(spec.plane if plane is None else plane, angles)
     obs = obs.reshape(angles.shape[:-1] + (spec.parties, 2, 2, 2))
     named = [_party_observables(obs[..., q, :, :, :]) for q in range(spec.parties)]
-    return [(coef, _kron_rows(I2 if o is None else named[q][o] for q, o in enumerate(string)))
+    return [(coef, kron_all(*(I2 if o is None else named[q][o]
+                              for q, o in enumerate(string))))
             for coef, string in spec.terms]
 
 

@@ -13,7 +13,7 @@ import numpy as np
 from .errors import NumericError, ValidationError
 
 __all__ = ["MAX_DIM", "HERMITIAN_TOL", "TRACE_TOL", "EIG_NEGATIVE_TOL", "RANK_TOL", "as_matrix",
-           "ensure_hermitian", "ensure_density_matrix", "kron", "kron_all", "eig_hermitian",
+           "ensure_hermitian", "ensure_density_matrix", "kron_all", "eig_hermitian",
            "spectrum_entropy", "binary_entropy", "binary_entropy_deriv",
            "validate_probability_vector", "shannon_entropy", "bracketed_roots", "bracketed_root",
            "grid_sign_change"]
@@ -56,19 +56,22 @@ def ensure_density_matrix(a) -> np.ndarray:
     return m
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product with the library-wide size cap."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[0] * b.shape[0] > 4096:
-        raise ValidationError("kron output dimension exceeds 4096")
-    return np.kron(a, b)
-
-
 def kron_all(*mats) -> np.ndarray:
-    out = np.eye(1, dtype=complex)
+    """Kronecker product of square matrices, left to right, or of stacks
+    (..., d, d) of them row by row, the stacks broadcasting.  Each entry is
+    one product of one entry per factor, taken left to right, so 2-D
+    factors give numpy's kron bit for bit; no factors give the 1x1
+    identity, and an output dimension above 4096 is refused."""
+    out = np.ones((1, 1), dtype=complex)
     for m in mats:
-        out = kron(out, m)
+        m = np.asarray(m, dtype=complex)
+        if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+            raise ValidationError(f"expected square matrices, got shape {m.shape}")
+        d = out.shape[-1] * m.shape[-1]
+        if d > 4096:
+            raise ValidationError("kron output dimension exceeds 4096")
+        out = out[..., :, None, :, None] * m[..., None, :, None, :]
+        out = out.reshape(out.shape[:-4] + (d, d))
     return out
 
 

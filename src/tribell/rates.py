@@ -364,27 +364,22 @@ def _signed_rates(kind: str, spec: BellSpec, noise_kind: str, gamma: float, ps) 
 
 def _sign_change(kind: str, rates_at) -> float:
     """threshold_p's search on rates_at, the signed rates at a 1-d array of
-    p: ITP for a DICKA rate, grid_sign_change for a DIRE one.  Both first
-    evaluate p = 0 and 1; _NoSignChange names the rates there when they
-    bracket no sign change, any other failure passes through."""
-    ends = {}
+    p: ITP for a DICKA rate, grid_sign_change for a DIRE one.  One call
+    takes the rates at p = 0 and 1, raising _NoSignChange with them unless
+    they bracket a sign change, and the search reads them as its first
+    values; any other failure passes through."""
+    ends = rates_at(np.array([0.0, 1.0]))
+    r0, r1 = ends.tolist()
+    if not r0 <= 0.0 < r1:
+        raise _NoSignChange(r0, r1)
+    first = [ends[:1], ends[1:]] if kind == "dicka" else [ends]  # the search's first calls
 
-    def tracked(ps):
-        values = rates_at(ps)
-        ends.update((p, v) for p, v in zip(ps.tolist(), values.tolist()) if p in (0.0, 1.0))
-        return values
+    def f(ps):
+        return first.pop(0) if first else rates_at(ps)
 
-    try:
-        if kind == "dicka":
-            values = tracked(np.array([0.0, 1.0]))
-            first = [values[:1], values[1:]]  # what ITP's first two calls ask for
-            return float(qmath.bracketed_roots(lambda ps: first.pop(0) if first else tracked(ps),
-                                               [0.0], [1.0])[0])
-        return qmath.grid_sign_change(tracked, 0.0, 1.0, _THRESHOLD_POINTS)
-    except NumericError:
-        if len(ends) < 2 or ends[0.0] <= 0.0 < ends[1.0]:
-            raise  # a failure inside the rate, not a missing sign change
-        raise _NoSignChange(ends[0.0], ends[1.0]) from None
+    if kind == "dicka":
+        return float(qmath.bracketed_roots(f, [0.0], [1.0])[0])
+    return qmath.grid_sign_change(f, 0.0, 1.0, _THRESHOLD_POINTS)
 
 
 @lru_cache(maxsize=1)
@@ -414,12 +409,13 @@ def _least_p(noise_kind: str, s: float) -> float:
 
 def threshold_p(kind: str, spec: BellSpec, noise_kind: str, gamma: float = 0.0) -> float:
     """Smallest p evaluated in [0, 1] whose signed rate is positive, one ulp
-    above the largest p evaluated whose rate is not; NumericError, naming
-    the rate and its values at p = 0 and 1, unless rate(0) <= 0 < rate(1).
+    above the largest p evaluated whose rate is not.  One two-point
+    rate_grid call gives the rates at p = 0 and 1: unless rate(0) <= 0 <
+    rate(1) it is a NumericError naming the rate and both values, and
+    otherwise the search reads them as its first values.
 
     A DICKA rate is smooth across its threshold, so one bracketed_roots lane
-    (ITP) reaches it: one two-point rate_grid call gives the rates at p = 0
-    and 1, its first two values, then 10-12 one-point steps.  A DIRE rate
+    (ITP) reaches it: the two ends, then 10-12 one-point steps.  A DIRE rate
     is flat below its threshold (its bound is 0 there), where ITP has
     nothing to interpolate and bisects; on stacks of states
     _THRESHOLD_POINTS points cost about two single ones, so its search is

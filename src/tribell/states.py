@@ -83,8 +83,8 @@ def _local_channel(rho: np.ndarray, p, qubit_count: int) -> np.ndarray:
 def _pauli_strings(qubit_count: int) -> tuple[np.ndarray, ...]:
     """Per qubit q, the strings X_q, Y_q, Z_q with identities on every other
     qubit, as one read-only (3, 1, d, d) stack, built once per qubit count."""
-    strings = tuple(np.stack([kron_all(*(P if j == q else I2 for j in range(qubit_count)))
-                              for P in (X, Y, Z)])[:, None]
+    paulis = np.stack([X, Y, Z])
+    strings = tuple(kron_all(*(paulis if j == q else I2 for j in range(qubit_count)))[:, None]
                     for q in range(qubit_count))
     for ops in strings:
         ops.setflags(write=False)

@@ -8,16 +8,17 @@ remaining clauses are asserted separately.  See the decisions ledger.
 """
 
 import time
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
 from tribell import bounds, optimize, rates, verification
-from tribell.bell import bell_value, spec_by_name
+from tribell.bell import bell_terms, bell_value, holz, spec_by_name
 from tribell.centropy import cond_entropy
 from tribell.optimize import OptConfig, convex_hull_lower, hull_knots
 from tribell.rates import threshold_p
-from tribell.states import ghz_state, observable_matrices
+from tribell.states import Z, ghz_state, observable_matrices
 
 SQRT2 = np.sqrt(2.0)
 
@@ -225,4 +226,60 @@ def test_parity_chsh_two_outcome_curve_is_a_lower_bound():
     curve = rates.bound_curve(spec, "two").fn(beta)
     _report("11 (Parity-CHSH two-outcome curve is a lower bound)", curve <= entropy + 1e-9,
             f"beta {beta:.6f}, H(A0B0|E) {entropy:.5f}, curve {curve:.5f}")
+    assert curve <= entropy + 1e-9
+
+
+_HOLZ_ROW = (0.0, np.pi / 2, 0.0, 1.26100, 0.0, 0.98466)  # A0 = B0 = C0 = Z, x-z plane
+
+
+def _hermitian_fn(h, f):
+    w, v = np.linalg.eigh(h)
+    return (v * f(w)) @ v.conj().T
+
+
+@lru_cache(maxsize=1)
+def _holz_window_state():
+    """(beta, H(A0B0|E)) of a state in the Holz window where the shipped
+    two-outcome curve overstates: the Gibbs state of y ln2 B relative to
+    the pinching onto A's and B's Z outcomes, iterated 100 times from I/8
+    per y, y bisected 40 times on [0, 60] for Tr[B sigma] >= 1.48."""
+    spec = holz()
+    bell_op = sum(c * op for c, op in bell_terms(spec, _HOLZ_ROW))
+    same_ab = (np.arange(8)[:, None] >> 1) == (np.arange(8)[None, :] >> 1)
+
+    def gibbs(y):
+        sigma = np.eye(8, dtype=complex) / 8
+        for _ in range(100):
+            log_pinched = _hermitian_fn(np.where(same_ab, sigma, 0.0) + 1e-12 * np.eye(8), np.log)
+            sigma = _hermitian_fn(log_pinched + y * np.log(2.0) * bell_op, np.exp)
+            sigma /= np.trace(sigma).real
+        return sigma
+
+    lo, hi = 0.0, 60.0
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        if np.trace(bell_op @ gibbs(mid)).real >= 1.48:
+            hi = mid
+        else:
+            lo = mid
+    sigma = gibbs(hi)
+    return bell_value(spec, sigma, _HOLZ_ROW).beta, cond_entropy(sigma, [0, 1], [Z, Z])
+
+
+def test_holz_window_state_reaches_its_beta():
+    beta, entropy = _holz_window_state()
+    assert beta >= 1.48
+    assert entropy <= 1.5476
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "the conjectured Holz two-outcome curve is not a lower bound: a Gibbs state "
+    "at settings (pi/2, 1.26100, 0.98466) reaches beta=1.4800000 with "
+    "H(A0B0|E)=1.547526, below the curve's 1.580554 by 0.0330 bits "
+    "(ROADMAP \"Known failures\", item 24)"))
+def test_holz_two_outcome_curve_is_a_lower_bound():
+    beta, entropy = _holz_window_state()
+    curve = bounds.holz_two_outcome(beta)
+    _report("Holz two-outcome curve is a lower bound", curve <= entropy + 1e-9,
+            f"beta {beta:.7f}, H(A0B0|E) {entropy:.6f}, curve {curve:.6f}")
     assert curve <= entropy + 1e-9

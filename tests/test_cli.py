@@ -967,3 +967,26 @@ def test_readme_examples_pass_the_option_check(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 0
     assert [args.command for args in reached] == [argv[0]]
+
+
+def readme_cli_results():
+    """(argv, stated output) of each `tribell` line of README's `## CLI` block
+    whose comment states its output after `->`."""
+    text = Path(__file__).resolve().parents[1].joinpath("README.md").read_text()
+    block = re.search(r"^```\n(.*?)^```", text.split("\n## CLI\n", 1)[1], flags=re.M | re.S)
+    for line in block.group(1).replace("\\\n", " ").splitlines():
+        command, _, comment = line.partition("#")
+        if command.startswith("tribell ") and "->" in comment:
+            yield shlex.split(command)[1:], comment.split("->", 1)[1].strip()
+
+
+@pytest.mark.parametrize("argv, stated", list(readme_cli_results()),
+                         ids=lambda x: " ".join(x) if isinstance(x, list) else x)
+def test_readme_cli_results(capsys, argv, stated):
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    first = out.splitlines()[0]
+    if stated.startswith("~"):  # rounds to the stated digits
+        assert round(float(first), len(stated.partition(".")[2])) == float(stated[1:])
+    else:
+        assert first == stated

@@ -77,23 +77,44 @@ def random_density(rng, d):
 
 class TestKron:
     def test_identity(self):
-        assert np.allclose(qmath.kron(I2, I2), np.eye(4))
+        assert np.allclose(qmath.kron_all(I2, I2), np.eye(4))
+        np.testing.assert_array_equal(qmath.kron_all(), np.eye(1))
 
     def test_diagonal_product(self):
-        assert np.allclose(qmath.kron(Z, Z), np.diag([1, -1, -1, 1]))
+        assert np.allclose(qmath.kron_all(Z, Z), np.diag([1, -1, -1, 1]))
 
     def test_associativity_vs_index_expansion(self):
         rng = np.random.default_rng(3)
         a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        left = qmath.kron(qmath.kron(X, Z), a)
-        right = qmath.kron(X, qmath.kron(Z, a))
+        left = qmath.kron_all(qmath.kron_all(X, Z), a)
+        right = qmath.kron_all(X, qmath.kron_all(Z, a))
         oracle = naive_kron(naive_kron(X, Z), a)
         assert np.allclose(left, right)
         assert np.allclose(left, oracle)
+        np.testing.assert_array_equal(qmath.kron_all(X, Z, a), left)
+        # stacks (5, 2, 2) multiply row by row, each row np.kron's bit for bit
+        a, b, c = (rng.normal(size=(5, 2, 2)) + 1j * rng.normal(size=(5, 2, 2))
+                   for _ in range(3))
+        got = qmath.kron_all(a, b, c)
+        assert got.shape == (5, 8, 8)
+        for i in range(5):
+            want = np.kron(np.kron(a[i], b[i]), c[i])
+            for row in (qmath.kron_all(a[i], b[i], c[i]), want):
+                np.testing.assert_array_equal(got[i].view(np.uint64), row.view(np.uint64))
+        # a (2, 2) factor broadcasts against the (5, 2, 2) stacks
+        got = qmath.kron_all(X, b, I2)
+        assert got.shape == (5, 8, 8)
+        for i in range(5):
+            want = np.kron(np.kron(X, b[i]), I2)
+            np.testing.assert_array_equal(got[i].view(np.uint64), want.view(np.uint64))
 
     def test_size_cap(self):
         with pytest.raises(ValidationError):
-            qmath.kron(np.eye(64), np.eye(128))
+            qmath.kron_all(np.eye(64), np.eye(128))
+        with pytest.raises(ValidationError, match="square"):
+            qmath.kron_all(X, np.ones((2, 3)))
+        with pytest.raises(ValidationError, match="square"):
+            qmath.kron_all(np.ones(2))
 
 
 class TestPartialTrace:
@@ -102,7 +123,7 @@ class TestPartialTrace:
     def test_product_state(self):
         rng = np.random.default_rng(5)
         ra, rb = random_density(rng, 2), random_density(rng, 2)
-        joint = qmath.kron(ra, rb)
+        joint = qmath.kron_all(ra, rb)
         assert np.allclose(partial_trace(joint, 2, {0}), ra)
         assert np.allclose(partial_trace(joint, 2, {1}), rb)
 
