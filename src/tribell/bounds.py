@@ -251,12 +251,18 @@ def _tangent_at(t):
     that alpha's tangent point by the rounding alone, where the chord's
     slope is stationary, so rounding alpha cannot lift the line above
     alpha's own tangent."""
+    alpha, d = _alpha_at(t)
+    return alpha, *_chord(2.0 + d, 2.0 * np.hypot(1.0, alpha))
+
+
+def _alpha_at(t):
+    """(alpha, d = beta* - 2) of _tangent_at's tangent at t, without the
+    chord: all that a root in t reads."""
     r = np.tanh(t)
     half = np.sinh(0.5 * t)
     c = 4.0 * r * (r * t - np.log1p(2.0 * half * half)) / t
     d = c / (1.0 + np.sqrt(1.0 + c))
-    alpha = np.sqrt(1.0 / np.cosh(t) ** 2 + d + 0.25 * d * d)
-    return alpha, *_chord(2.0 + d, 2.0 * np.hypot(1.0, alpha))
+    return np.sqrt(1.0 / np.cosh(t) ** 2 + d + 0.25 * d * d), d
 
 
 def _first_grid():
@@ -282,10 +288,11 @@ def _asym_tangents(alpha) -> tuple[np.ndarray, np.ndarray]:
     at _T_EDGE, so each alpha in (_GRID_ALPHA[-1], 1) lies in the first-grid
     cell with alpha(t_lo) >= alpha > alpha(t_hi), and one
     qmath.bracketed_roots call finds every lane's root t* of alpha - alpha(t)
-    there (the first cell starts at 5e-324: t = 0 is 0/0).  beta* is read at
-    t*, and its chord slope is formed at alpha's own quantum bound qb, not
-    at alpha(t*)'s.  Any other alpha has no tangent point (alpha >= 1) or one
-    within one ulp of qb, and takes the chord from (2, 0) to (qb, 1).
+    there, reading alpha(t) alone (_alpha_at; the first cell starts at
+    5e-324: t = 0 is 0/0).  beta* is read at t*, and its chord slope is
+    formed at alpha's own quantum bound qb, not at alpha(t*)'s.  Any other
+    alpha has no tangent point (alpha >= 1) or one within one ulp of qb,
+    and takes the chord from (2, 0) to (qb, 1).
     """
     alpha = np.abs(np.asarray(alpha, dtype=float))
     if not np.all(np.isfinite(alpha)):
@@ -296,7 +303,7 @@ def _asym_tangents(alpha) -> tuple[np.ndarray, np.ndarray]:
     a = alpha[root]
     cell = np.searchsorted(-_GRID_ALPHA, -a, side="right")
     lo, hi = np.maximum(_GRID_T[cell - 1], 5e-324), _GRID_T[cell]
-    bstar[root] = _tangent_at(bracketed_roots(lambda t: a - _tangent_at(t)[0], lo, hi))[1]
+    bstar[root] = _tangent_at(bracketed_roots(lambda t: a - _alpha_at(t)[0], lo, hi))[1]
     return _chord(bstar, qb)
 
 

@@ -2,18 +2,22 @@
 threshold finding in the depolarization parameter p, and the registry that
 picks the entropy bound curve for each inequality and outcome.
 
-Rates are signed; a threshold is the sign change of the signed rate, found
-to the last ulp: by one qmath.bracketed_roots (ITP) lane for a DICKA rate,
-which is smooth across its threshold, its two ends one rate_grid call; by
-qmath.grid_sign_change, 16 p per rate_grid call, for a DIRE rate, which is
-flat below its threshold (its bound is 0 there), where ITP can only
-bisect, and whose 16 points on stacks of states cost about as much as two
-single ones; asym-CHSH DICKA's two thresholds come from one root in the
-honest correlator s, kept for the process.  Every function of p takes
-(noise_kind, p); a grid of p is computed on stacks of states (betas_of_p,
-rate_grid; the honest Bell values are bell's one sum over the honest
-row's cached terms), or for asym-CHSH DICKA in one lockstep alpha search
-(best_alpha_one_outcome), each value the one-point value bit for bit.
+Rates are signed; a threshold is the sign change of the signed rate
+between two adjacent floats p.  A rate that reads a bound curve finds it
+next to a seed: its search (one qmath.bracketed_roots (ITP) lane for a
+DICKA rate, which is smooth across its threshold; qmath.grid_sign_change,
+16 p a round, for a DIRE rate, which is flat below it, where ITP can only
+bisect) runs on the seed rate, the rate's own formula at the closed-form
+honest violation, which builds no state; one rate_grid call on the 16
+floats around the seed's answer then holds the sign change, or proves a
+bracket for the same search on the rate itself.  The closed form steers
+the search and never supplies a returned value.  asym-CHSH DICKA's two
+thresholds come from one root in the honest correlator s, kept for the
+process.  Every function of p takes (noise_kind, p); a grid of p is
+computed on stacks of states (betas_of_p, rate_grid; the honest Bell
+values are bell's one sum over the honest row's cached terms), or for
+asym-CHSH DICKA in one lockstep alpha search (best_alpha_one_outcome),
+each value the one-point value bit for bit.
 The two-outcome bounds for Parity-CHSH and CHSH are numeric curves
 produced by the optimizer, shipped as a monotone 200-point table and
 linearly interpolated (regenerate via the CLI).
@@ -135,19 +139,28 @@ def _betas(spec: BellSpec, noise_kind: str, ps: np.ndarray) -> np.ndarray:
     return betas
 
 
-def beta_of_p_closed_form(spec: BellSpec, noise_kind: str, p: float) -> float:
-    """Closed forms of the honest violations (cross-checked against betas_of_p)."""
-    p = float(_checked_grid(noise_kind, [p])[0])
+def beta_of_p_closed_form(spec: BellSpec, noise_kind: str, p):
+    """Closed forms of the honest violations (cross-checked against
+    betas_of_p) at p, a float or a 1-d grid of them, elementwise: a float
+    for a float."""
+    betas = _closed_form(spec, noise_kind, _checked_grid(noise_kind, np.atleast_1d(p)))
+    return float(betas[0]) if np.ndim(p) == 0 else betas
+
+
+def _closed_form(spec: BellSpec, noise_kind: str, ps: np.ndarray) -> np.ndarray:
+    """beta_of_p_closed_form on the checked grid ps, raising p to a power
+    with C pow, as p ** k does on a float (np.power does not)."""
     if noise_kind == "global":
-        return spec.quantum_bound * p
+        return spec.quantum_bound * ps
+    p2, p3 = np.float_power(ps, 2.0), np.float_power(ps, 3.0)
     if spec.kind == "holz":
-        return 0.75 * (p ** 3 + p ** 2)
+        return 0.75 * (p3 + p2)
     if spec.kind == "parity-chsh":
-        return (p ** 3 + p ** 2) / SQRT2
+        return (p3 + p2) / SQRT2
     if spec.kind == "mabk":
-        return 4.0 * p ** 3
+        return 4.0 * p3
     if spec.kind == "asym-chsh":
-        return spec.quantum_bound * p ** 2
+        return spec.quantum_bound * p2
     raise ValidationError(f"no closed form for {spec.kind!r}")
 
 
@@ -284,7 +297,11 @@ def bound_curve(spec: BellSpec, outcome: str) -> BoundCurve:
 # rates
 
 RATE_KINDS = ("dicka", "dire-spot", "dire-recycled")
-_THRESHOLD_POINTS = 16  # p per rate_grid call in a threshold's grid_sign_change search
+_THRESHOLD_POINTS = 16  # p per grid_sign_change round, and per threshold window
+# the window's int64 offsets from p0's bit pattern, and the pattern of 1.0
+# (a non-negative float's pattern grows with it)
+_WINDOW = np.arange(_THRESHOLD_POINTS) - _THRESHOLD_POINTS // 2
+_ONE_BITS = np.array(1.0).view(np.int64)
 
 
 def best_alpha_one_outcome(noise_kind: str, ps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -343,13 +360,30 @@ def rate_grid(kind: str, spec: BellSpec, noise_kind: str, ps,
         return [RateResult(value, beta, f"asym-chsh-one(alpha={a:.9g})")
                 for value, beta, a in zip(values.tolist(), betas.tolist(), alpha.tolist())]
     betas = _betas(spec, noise_kind, ps)
+    values = _rate_values(kind, spec, curve, noise_kind, gamma, ps, betas)
+    return [RateResult(value, beta, curve.name, curve.flags)
+            for value, beta in zip(values.tolist(), betas.tolist())]
+
+
+def _rate_values(kind: str, spec: BellSpec, curve: BoundCurve, noise_kind: str, gamma: float,
+                 ps: np.ndarray, betas: np.ndarray) -> np.ndarray:
+    """The signed rates of a rate that reads `curve`, at the checked grid ps
+    whose honest violations are betas."""
     values = curve.fn(betas)
     if kind == "dicka":
         values = values - h(_qber(_honest_scale(noise_kind, ps)))
     elif kind == "dire-spot":
         values = values - spec.input_bits * gamma - h(gamma)
-    return [RateResult(value, beta, curve.name, curve.flags)
-            for value, beta in zip(values.tolist(), betas.tolist())]
+    return values
+
+
+def _seed_rates(kind: str, spec: BellSpec, curve: BoundCurve, noise_kind: str, gamma: float,
+                ps: np.ndarray) -> np.ndarray:
+    """The seed rates of threshold_p at a grid ps in [0, 1]: the rate's own
+    formula with the closed-form honest violation, clamped to the quantum
+    bound; no state is built."""
+    betas = np.minimum(_closed_form(spec, noise_kind, ps), spec.quantum_bound)
+    return _rate_values(kind, spec, curve, noise_kind, gamma, ps, betas)
 
 
 class _NoSignChange(NumericError):
@@ -362,24 +396,47 @@ def _signed_rates(kind: str, spec: BellSpec, noise_kind: str, gamma: float, ps) 
     return np.array([r.rate for r in rate_grid(kind, spec, noise_kind, ps, gamma)])
 
 
-def _sign_change(kind: str, rates_at) -> float:
+def _sign_change(kind: str, rates_at, seed_at=None) -> float:
     """threshold_p's search on rates_at, the signed rates at a 1-d array of
-    p: ITP for a DICKA rate, grid_sign_change for a DIRE one.  One call
-    takes the rates at p = 0 and 1, raising _NoSignChange with them unless
-    they bracket a sign change, and the search reads them as its first
-    values; any other failure passes through."""
+    p.  One call takes the rates at p = 0 and 1, raising _NoSignChange with
+    them unless they bracket a sign change; any other failure passes
+    through.  Without seed_at, _search runs on [0, 1].  With it, _search on
+    seed_at, whose ends are those two values, gives p0, and one call takes
+    the rates at the _THRESHOLD_POINTS consecutive floats from 8 ulp below
+    p0, clipped to [0, 1]: a float there whose rate is positive above one
+    whose rate is not is the threshold, and otherwise _search runs on
+    rates_at in the bracket the window proved."""
     ends = rates_at(np.array([0.0, 1.0]))
     r0, r1 = ends.tolist()
     if not r0 <= 0.0 < r1:
         raise _NoSignChange(r0, r1)
-    first = [ends[:1], ends[1:]] if kind == "dicka" else [ends]  # the search's first calls
+    if seed_at is None:
+        return _search(kind, rates_at, 0.0, 1.0, r0, r1)
+    p0 = _search(kind, seed_at, 0.0, 1.0, r0, r1)
+    window = np.clip(np.array(p0).view(np.int64) + _WINDOW, 0, _ONE_BITS).view(float)
+    values = rates_at(window)
+    high = ~(values <= 0.0)  # a NaN is the high side, as in the searches
+    k = int(np.argmax(high)) if high.any() else window.size
+    if 0 < k < window.size:  # two distinct values: adjacent floats
+        return float(window[k])
+    lo, f_lo = (float(window[-1]), values[-1]) if k else (0.0, r0)
+    hi, f_hi = (float(window[0]), values[0]) if k == 0 else (1.0, r1)
+    return _search(kind, rates_at, lo, hi, f_lo, f_hi)
+
+
+def _search(kind: str, rates_at, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
+    """The sign change of rates_at on [lo, hi], whose rates f_lo <= 0 < f_hi
+    the search reads as its first values: ITP for a DICKA rate,
+    grid_sign_change for a DIRE one."""
+    first = ([np.array([f_lo]), np.array([f_hi])] if kind == "dicka"
+             else [np.array([f_lo, f_hi])])
 
     def f(ps):
         return first.pop(0) if first else rates_at(ps)
 
     if kind == "dicka":
-        return float(qmath.bracketed_roots(f, [0.0], [1.0])[0])
-    return qmath.grid_sign_change(f, 0.0, 1.0, _THRESHOLD_POINTS)
+        return float(qmath.bracketed_roots(f, [lo], [hi])[0])
+    return qmath.grid_sign_change(f, lo, hi, _THRESHOLD_POINTS)
 
 
 @lru_cache(maxsize=1)
@@ -409,19 +466,28 @@ def _least_p(noise_kind: str, s: float) -> float:
 
 def threshold_p(kind: str, spec: BellSpec, noise_kind: str, gamma: float = 0.0) -> float:
     """Smallest p evaluated in [0, 1] whose signed rate is positive, one ulp
-    above the largest p evaluated whose rate is not.  One two-point
-    rate_grid call gives the rates at p = 0 and 1: unless rate(0) <= 0 <
-    rate(1) it is a NumericError naming the rate and both values, and
-    otherwise the search reads them as its first values.
+    above a p whose rate is not.  One two-point rate_grid call gives the
+    rates at p = 0 and 1: unless rate(0) <= 0 < rate(1) it is a
+    NumericError naming the rate and both values.
 
-    A DICKA rate is smooth across its threshold, so one bracketed_roots lane
-    (ITP) reaches it: the two ends, then 10-12 one-point steps.  A DIRE rate
-    is flat below its threshold (its bound is 0 there), where ITP has
-    nothing to interpolate and bisects; on stacks of states
-    _THRESHOLD_POINTS points cost about two single ones, so its search is
-    grid_sign_change, one rate_grid call of that many points a round.  Near
-    a threshold a rate changes sign once between adjacent floats, so both
-    searches end on the same p.
+    A rate that reads a bound curve is then searched on its seed rate
+    (_seed_rates: rate_grid's own formula, _rate_values, at
+    beta_of_p_closed_form's honest violation clamped to the quantum bound;
+    no state is built), the two rates above read as the seed's ends.  A
+    DICKA rate is smooth across its threshold, so its search is one
+    bracketed_roots lane (ITP).  A DIRE rate is flat below its threshold
+    (its bound is 0 there), where ITP has nothing to interpolate and
+    bisects, so its search is grid_sign_change, _THRESHOLD_POINTS points a
+    round.  The seed's answer p0 lies within a few ulps of the threshold,
+    and one rate_grid call on the 16 consecutive floats p0 - 8 ulp ...
+    p0 + 7 ulp, clipped to [0, 1], holds the sign change: a float there
+    whose rate is positive, one ulp above one whose rate is not, is the
+    threshold.  Otherwise the window has proved a bracket, [0, its first
+    float] or [its last float, 1], and the same search runs there on
+    rate_grid, reading the bracket's known rates as its first values.  The
+    closed form steers the search but never supplies the value returned:
+    that is always a sign change of the rate itself between adjacent
+    floats, so a threshold keeps its bits.
 
     The asym-CHSH (and CHSH) DICKA rate reads p only through the honest
     correlator s, p under global noise and p^2 under local, so both of its
@@ -435,7 +501,8 @@ def threshold_p(kind: str, spec: BellSpec, noise_kind: str, gamma: float = 0.0) 
     try:
         if curve is None:
             return _least_p(noise_kind, _asym_dicka_root())
-        return _sign_change(kind, partial(_signed_rates, kind, spec, noise_kind, gamma))
+        return _sign_change(kind, partial(_signed_rates, kind, spec, noise_kind, gamma),
+                            partial(_seed_rates, kind, spec, curve, noise_kind, gamma))
     except _NoSignChange as exc:
         name = spec.kind if spec.kind != "asym-chsh" else f"asym-chsh(alpha={spec.alpha!r})"
         at0, at1 = exc.args

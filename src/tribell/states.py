@@ -64,31 +64,42 @@ def depolarize_local(rho, p: float, qubit_count: int) -> np.ndarray:
     rho = as_matrix(rho)
     if rho.shape[0] != 2 ** qubit_count:
         raise ValidationError(f"dimension {rho.shape[0]} != 2^{qubit_count}")
-    return _local_channel(rho, p, qubit_count)[0]
+    return _local_channel(rho, p, qubit_count)
 
 
 def _local_channel(rho: np.ndarray, p, qubit_count: int) -> np.ndarray:
-    """depolarize_local's Pauli mixture at a checked p, a float or an (n, 1, 1)
-    column of them: the (1, d, d) or (n, d, d) stack of the outputs."""
+    """depolarize_local's Pauli mixture at a checked p: the (d, d) output
+    for a float, the (n, d, d) stack of them for an (n, 1, 1) column."""
     c0 = (1.0 + 3.0 * p) / 4.0
     c1 = (1.0 - p) / 4.0
     out = rho
-    for ops in _pauli_strings(qubit_count):
-        # (X, Y, Z) as one stack: the three products op @ out @ op, summed in turn
-        out = c0 * out + c1 * sum(ops @ out @ ops)
+    d = rho.shape[-1]
+    for index, sign in _pauli_conjugations(qubit_count):
+        # X out X, Y out Y, Z out Z: signed permutations of out's entries,
+        # exactly the matrix products' values; summed in turn
+        flips = out.reshape(out.shape[:-2] + (d * d,))[..., index] * sign
+        out = c0 * out + c1 * sum(np.moveaxis(flips, -3, 0))
     return out
 
 
 @lru_cache(maxsize=4)
-def _pauli_strings(qubit_count: int) -> tuple[np.ndarray, ...]:
-    """Per qubit q, the strings X_q, Y_q, Z_q with identities on every other
-    qubit, as one read-only (3, 1, d, d) stack, built once per qubit count."""
+def _pauli_conjugations(qubit_count: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Per qubit q, P sigma P for the strings P = X_q, Y_q, Z_q (identities
+    on every other qubit) as a gather: (P sigma P)[i, j] is sign[i, j] times
+    the flattened sigma at index[i, j].  Each is a read-only (3, d, d)
+    array, built once per qubit count."""
     paulis = np.stack([X, Y, Z])
-    strings = tuple(kron_all(*(paulis if j == q else I2 for j in range(qubit_count)))[:, None]
-                    for q in range(qubit_count))
-    for ops in strings:
-        ops.setflags(write=False)
-    return strings
+    tables = []
+    for q in range(qubit_count):
+        strings = kron_all(*(paulis if j == q else I2 for j in range(qubit_count)))
+        col = np.argmax(np.abs(strings), axis=-1)  # the one nonzero entry of each row
+        entry = np.take_along_axis(strings, col[..., None], axis=-1)[..., 0]
+        index = col[:, :, None] * strings.shape[-1] + col[:, None, :]
+        sign = (entry[:, :, None] * entry[:, None, :].conj()).real  # +-1: P is Hermitian
+        for table in (index, sign):
+            table.setflags(write=False)
+        tables.append((index, sign))
+    return tuple(tables)
 
 
 def depolarize_global(rho, p: float) -> np.ndarray:

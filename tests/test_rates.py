@@ -40,9 +40,31 @@ class TestBetaOfP:
     @pytest.mark.parametrize("noise", ["local", "global"])
     def test_matrix_vs_closed_form(self, ineq, noise):
         spec = spec_by_name(ineq)
-        for p in np.linspace(0.0, 1.0, 11):
-            assert beta_of_p(spec, noise, p) == pytest.approx(
-                beta_of_p_closed_form(spec, noise, p), abs=1e-12)
+        ps = np.linspace(0.0, 1.0, 201)
+        closed = beta_of_p_closed_form(spec, noise, ps)
+        assert closed.shape == ps.shape
+        np.testing.assert_allclose(betas_of_p(spec, noise, ps), closed, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("ineq, alpha", [
+        ("holz", 1.0), ("parity-chsh", 1.0), ("mabk", 1.0), ("chsh", 1.0), ("asym-chsh", 0.3)])
+    @pytest.mark.parametrize("noise", ["local", "global"])
+    def test_closed_form_float_formula_bit_for_bit(self, ineq, alpha, noise):
+        # a grid is elementwise the float's value, and a float the closed
+        # form written on Python floats (C pow for p ** k)
+        spec = spec_by_name(ineq, alpha)
+        qb = spec.quantum_bound
+        formula = {"holz": lambda p: 0.75 * (p ** 3 + p ** 2),
+                   "parity-chsh": lambda p: (p ** 3 + p ** 2) / SQRT2,
+                   "mabk": lambda p: 4.0 * p ** 3,
+                   "asym-chsh": lambda p: qb * p ** 2}[spec.kind]
+        ps = np.linspace(0.0, 1.0, 10001)
+        got = [beta_of_p_closed_form(spec, noise, p) for p in ps.tolist()]
+        assert all(type(b) is float for b in got)
+        want = [qb * p if noise == "global" else formula(p) for p in ps.tolist()]
+        np.testing.assert_array_equal(np.array(got).view(np.uint64),
+                                      np.array(want).view(np.uint64))
+        np.testing.assert_array_equal(beta_of_p_closed_form(spec, noise, ps).view(np.uint64),
+                                      np.array(want).view(np.uint64))
 
     def test_asym_closed_form(self):
         spec = spec_by_name("asym-chsh", alpha=1.7)
@@ -148,7 +170,7 @@ class TestBetaOfPBitIdentical:
 
     def test_cached_operators_are_read_only(self):
         ops = list(rates._honest_terms(spec_by_name("holz"))[1])
-        ops += [op for string in states._pauli_strings(3) for op in string]
+        ops += [table for tables in states._pauli_conjugations(3) for table in tables]
         for op in ops:
             with pytest.raises(ValueError):
                 op[0, 0] = 7.0
@@ -487,13 +509,16 @@ class TestThresholds:
 
         def failing(*args):
             calls.append(args)
-            if len(calls) == 3:
+            if len(calls) == fail_at:
                 raise NumericError("inner search failed")
             return grid(*args)
 
+        # asym-chsh's third call is a step of its root; holz's second its window
+        fail_at = 3 if ineq == "asym-chsh" else 2
         monkeypatch.setattr(rates, "rate_grid", failing)
         with pytest.raises(NumericError, match="^inner search failed$"):
             threshold_p(kind, spec_by_name(ineq), "local")
+        assert len(calls) == fail_at
 
     @pytest.mark.parametrize("kind, ineq, noise, gamma",
                              [(k, i, n, 0.0)
@@ -509,23 +534,45 @@ class TestThresholds:
     @pytest.mark.parametrize("ineq", ["holz", "parity-chsh", "mabk", "chsh"])
     @pytest.mark.parametrize("noise", ["local", "global"])
     def test_dire_threshold_calls(self, monkeypatch, ineq, noise):
-        # 16 p a call narrow [0, 1] to one ulp in 13 rounds after the ends' call
+        # the ends' call, then the window around the seed, which holds the
+        # sign change: the seed's own search builds no state
         sizes = rate_grid_sizes(monkeypatch)
         threshold_p("dire-spot", spec_by_name(ineq), noise, gamma=0.0)
-        assert len(sizes) <= 14 and sizes[0] == 2 and max(sizes[1:]) <= 16
+        assert sizes == [2, 16]
 
     @pytest.mark.parametrize("ineq, noise, calls", [
-        ("holz", "local", 13), ("holz", "global", 12),
-        ("parity-chsh", "local", 13), ("parity-chsh", "global", 14),
+        ("holz", "local", 2), ("holz", "global", 2),
+        ("parity-chsh", "local", 2), ("parity-chsh", "global", 2),
         ("asym-chsh", "local", 12), ("asym-chsh", "global", 12),
         ("chsh", "local", 12), ("chsh", "global", 12)])
     def test_dicka_threshold_one_point_calls(self, monkeypatch, ineq, noise, calls):
-        # a DICKA rate is smooth across its threshold: ITP, one p a step
-        # after both ends' call; asym-chsh and chsh solve the one root in
-        # s = p (their global search) under either noise kind
+        # holz and parity-chsh read a bound curve: the ends, then the window
+        # around the seed.  asym-chsh and chsh solve the one root in s = p
+        # (their global search) under either noise kind: ITP, one p a step
+        # after both ends' call
         sizes = rate_grid_sizes(monkeypatch)
         threshold_p("dicka", spec_by_name(ineq), noise)
-        assert sizes == [2] + [1] * (calls - 2)
+        assert sizes == ([2, 16] if calls == 2 else [2] + [1] * (calls - 2))
+
+    @pytest.mark.parametrize("kind, ineq, noise", [
+        ("dicka", "holz", "local"), ("dicka", "parity-chsh", "global"),
+        ("dire-spot", "mabk", "global"), ("dire-spot", "chsh", "local"),
+        ("dire-recycled", "chsh", "global")])
+    @pytest.mark.parametrize("shift", [-1e-6, 1e-6])
+    def test_seed_off_takes_the_fallback(self, monkeypatch, kind, ineq, noise, shift):
+        # a seed about 1e-6 off in p puts the sign change outside the window:
+        # the search on the bracket the window proved gives the same bits
+        seed = rates._seed_rates
+
+        def shifted(kind, spec, curve, noise, gamma, ps):
+            return seed(kind, spec, curve, noise, gamma, np.clip(ps + shift, 0.0, 1.0))
+
+        monkeypatch.setattr(rates, "_seed_rates", shifted)
+        sizes = rate_grid_sizes(monkeypatch)
+        spec = spec_by_name(ineq)
+        got = threshold_p(kind, spec, noise)
+        assert sizes[:2] == [2, 16] and len(sizes) > 2
+        assert got.hex() == bisected_threshold(kind, spec, noise, 0.0).hex()
 
     @pytest.mark.parametrize("first", ["local", "global"])
     def test_asym_dicka_root_solved_once(self, monkeypatch, first):
