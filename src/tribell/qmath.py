@@ -1,5 +1,5 @@
 """Dense complex linear algebra on small matrices, entropy primitives and
-the two bracketed sign-change searches.
+the bracketed sign-change search.
 
 All entropies are base-2 (bits).  Matrices are plain complex numpy arrays;
 dimensions are capped at 64 (six qubits), which is all the rest of the
@@ -15,8 +15,7 @@ from .errors import NumericError, ValidationError
 __all__ = ["MAX_DIM", "HERMITIAN_TOL", "TRACE_TOL", "EIG_NEGATIVE_TOL", "RANK_TOL", "as_matrix",
            "ensure_hermitian", "ensure_density_matrix", "kron_all", "eig_hermitian",
            "spectrum_entropy", "binary_entropy", "binary_entropy_deriv",
-           "validate_probability_vector", "shannon_entropy", "bracketed_roots", "bracketed_root",
-           "grid_sign_change"]
+           "validate_probability_vector", "shannon_entropy", "bracketed_roots", "bracketed_root"]
 
 MAX_DIM = 64
 HERMITIAN_TOL = 1e-10
@@ -217,28 +216,3 @@ def bracketed_root(f, lo: float, hi: float) -> float:
     """bracketed_roots for one lane, with f mapping a float to a float."""
     return float(bracketed_roots(lambda x: np.array([f(float(x[0]))]),
                                  [lo], [hi])[0])
-
-
-def grid_sign_change(f, lo: float, hi: float, points: int) -> float:
-    """The sign change of one f, bracketed_roots' contract and result, for an
-    f that costs little more on a grid of x than at one x.
-
-    f maps a 1-d array of x to values elementwise, with f(lo) <= 0 < f(hi),
-    both taken in one call.  Each round is one more call, on the floats of
-    np.linspace(lo, hi, points + 2)[1:-1], a point that rounds onto an end
-    moved one ulp inside; the bracket becomes the cell around the first
-    point whose value is not <= 0 (a NaN is the high side, as in
-    bracketed_roots), about log2(points + 1) bits narrower.  Once no float
-    lies strictly inside, it returns the upper end: the smallest x evaluated
-    with f(x) > 0, one ulp above the largest evaluated with f(x) <= 0.
-    """
-    lo, hi = float(lo), float(hi)
-    ends = f(np.array([lo, hi]))
-    _check_bracket(np.array([lo]), np.array([hi]), ends[:1], ends[1:])
-    while (inside := np.nextafter(lo, hi)) < hi:
-        x = np.clip(np.linspace(lo, hi, points + 2)[1:-1], inside, np.nextafter(hi, lo))
-        x = x[np.diff(x, prepend=lo) > 0.0]  # each float once (np.unique imports numpy.ma)
-        high = ~(f(x) <= 0.0)
-        k = int(np.argmax(high)) if high.any() else x.size
-        lo, hi = (float(x[k - 1]) if k else lo), (float(x[k]) if k < x.size else hi)
-    return hi

@@ -3,17 +3,15 @@ threshold finding in the depolarization parameter p, and the registry that
 picks the entropy bound curve for each inequality and outcome.
 
 Rates are signed; a threshold is the sign change of the signed rate
-between two adjacent floats p.  A rate that reads a bound curve finds it
-next to a seed: its search (one qmath.bracketed_roots (ITP) lane for a
-DICKA rate, which is smooth across its threshold; qmath.grid_sign_change,
-16 p a round, for a DIRE rate, which is flat below it, where ITP can only
-bisect) runs on the seed rate, the rate's own formula at the closed-form
-honest violation, which builds no state; one rate_grid call on the 16
-floats around the seed's answer then holds the sign change, or proves a
-bracket for the same search on the rate itself.  The closed form steers
-the search and never supplies a returned value.  asym-CHSH DICKA's two
+between two adjacent floats p.  One rate_grid call on the 16 floats around
+a start next to it holds the sign change, or proves a bracket for one
+qmath.bracketed_roots (ITP) lane on the rate itself.  A rate that reads a
+bound curve starts at its seed rate's sign change (the rate's own formula
+at the closed-form honest violation, which builds no state), one ITP lane
+from where that violation leaves the local bound.  asym-CHSH DICKA's two
 thresholds come from one root in the honest correlator s, kept for the
-process.  Every function of p takes (noise_kind, p); a grid of p is
+process, which starts at its shipped value.  No start is ever returned.
+Every function of p takes (noise_kind, p); a grid of p is
 computed on stacks of states (betas_of_p, rate_grid; the honest Bell
 values are bell's one sum over the honest row's cached terms), or for
 asym-CHSH DICKA in one lockstep alpha search (best_alpha_one_outcome),
@@ -297,11 +295,15 @@ def bound_curve(spec: BellSpec, outcome: str) -> BoundCurve:
 # rates
 
 RATE_KINDS = ("dicka", "dire-spot", "dire-recycled")
-_THRESHOLD_POINTS = 16  # p per grid_sign_change round, and per threshold window
+_THRESHOLD_POINTS = 16  # p per threshold window
 # the window's int64 offsets from p0's bit pattern, and the pattern of 1.0
 # (a non-negative float's pattern grows with it)
 _WINDOW = np.arange(_THRESHOLD_POINTS) - _THRESHOLD_POINTS // 2
 _ONE_BITS = np.array(1.0).view(np.int64)
+# s*, the asym-CHSH DICKA rate's sign change in the honest correlator s
+# (_asym_dicka_root), shipped so that no process spends 11 alpha searches
+# on it; tests/test_rates.py re-derives it bit for bit with the full search
+_ASYM_DICKA_ROOT = float.fromhex("0x1.b40ad1fd76d8dp-1")
 
 
 def best_alpha_one_outcome(noise_kind: str, ps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -396,70 +398,98 @@ def _signed_rates(kind: str, spec: BellSpec, noise_kind: str, gamma: float, ps) 
     return np.array([r.rate for r in rate_grid(kind, spec, noise_kind, ps, gamma)])
 
 
-def _sign_change(kind: str, rates_at, seed_at=None) -> float:
+def _sign_change(rates_at, seed=None) -> float:
     """threshold_p's search on rates_at, the signed rates at a 1-d array of
-    p.  One call takes the rates at p = 0 and 1, raising _NoSignChange with
-    them unless they bracket a sign change; any other failure passes
-    through.  Without seed_at, _search runs on [0, 1].  With it, _search on
-    seed_at, whose ends are those two values, gives p0, and one call takes
-    the rates at the _THRESHOLD_POINTS consecutive floats from 8 ulp below
-    p0, clipped to [0, 1]: a float there whose rate is positive above one
-    whose rate is not is the threshold, and otherwise _search runs on
-    rates_at in the bracket the window proved."""
-    ends = rates_at(np.array([0.0, 1.0]))
-    r0, r1 = ends.tolist()
+    p.  One call takes the rates r0, r1 at p = 0 and 1, raising
+    _NoSignChange with them unless they bracket a sign change; any other
+    failure passes through.  Without seed, _search runs on [0, 1].  With
+    it, seed(r0, r1) gives p0, and one call takes the rates at the
+    _THRESHOLD_POINTS consecutive floats from 8 ulp below p0, clipped to
+    [0, 1]: a float there whose rate is positive above one whose rate is
+    not is the threshold, and otherwise _search runs on rates_at in the
+    bracket the window proved."""
+    r0, r1 = rates_at(np.array([0.0, 1.0])).tolist()
     if not r0 <= 0.0 < r1:
         raise _NoSignChange(r0, r1)
-    if seed_at is None:
-        return _search(kind, rates_at, 0.0, 1.0, r0, r1)
-    p0 = _search(kind, seed_at, 0.0, 1.0, r0, r1)
+    if seed is None:
+        return _search(rates_at, 0.0, 1.0, r0, r1)
+    p0 = seed(r0, r1)
     window = np.clip(np.array(p0).view(np.int64) + _WINDOW, 0, _ONE_BITS).view(float)
     values = rates_at(window)
-    high = ~(values <= 0.0)  # a NaN is the high side, as in the searches
+    high = ~(values <= 0.0)  # a NaN is the high side, as in the search
     k = int(np.argmax(high)) if high.any() else window.size
     if 0 < k < window.size:  # two distinct values: adjacent floats
         return float(window[k])
     lo, f_lo = (float(window[-1]), values[-1]) if k else (0.0, r0)
     hi, f_hi = (float(window[0]), values[0]) if k == 0 else (1.0, r1)
-    return _search(kind, rates_at, lo, hi, f_lo, f_hi)
+    return _search(rates_at, lo, hi, f_lo, f_hi)
 
 
-def _search(kind: str, rates_at, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
-    """The sign change of rates_at on [lo, hi], whose rates f_lo <= 0 < f_hi
-    the search reads as its first values: ITP for a DICKA rate,
-    grid_sign_change for a DIRE one."""
-    first = ([np.array([f_lo]), np.array([f_hi])] if kind == "dicka"
-             else [np.array([f_lo, f_hi])])
+def _search(rates_at, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
+    """The sign change of rates_at on [lo, hi], one bracketed_roots (ITP)
+    lane that reads the rates f_lo <= 0 < f_hi there as its first values."""
+    first = [np.array([f_lo]), np.array([f_hi])]
+    return float(qmath.bracketed_roots(lambda ps: first.pop(0) if first else rates_at(ps),
+                                       [lo], [hi])[0])
 
-    def f(ps):
-        return first.pop(0) if first else rates_at(ps)
 
-    if kind == "dicka":
-        return float(qmath.bracketed_roots(f, [lo], [hi])[0])
-    return qmath.grid_sign_change(f, lo, hi, _THRESHOLD_POINTS)
+def _seed_p(kind: str, spec: BellSpec, curve: BoundCurve, noise_kind: str, gamma: float,
+            r0: float, r1: float) -> float:
+    """The sign change of the seed rate (_seed_rates), whose values at p = 0
+    and 1 are read as the rate's r0 and r1, searched on [p_cl, 1]
+    (_classical_p): a curve rate is <= 0 there, its bound 0 at or below the
+    local bound and the terms it subtracts >= 0.  A seed rate that is not
+    <= 0 at p_cl is searched on [0, 1]."""
+    seed_at = partial(_seed_rates, kind, spec, curve, noise_kind, gamma)
+    lo = _classical_p(spec, noise_kind)
+    f_lo = float(seed_at(np.array([lo]))[0])
+    if not f_lo <= 0.0:
+        lo, f_lo = 0.0, r0
+    return _search(seed_at, lo, 1.0, f_lo, r1)
+
+
+def _classical_p(spec: BellSpec, noise_kind: str) -> float:
+    """p_cl, the largest float p whose closed-form honest violation is at
+    most the local bound, from the closed form alone: eight Newton steps
+    from p = 1 (each slope a difference over 2^-26) land within an ulp or
+    two of it, and _least_float walks to the first float above it."""
+    p, h = 1.0, 2.0 ** -26
+    for _ in range(8):  # the closed forms are increasing and convex: p falls to the root
+        at_p, below = _closed_form(spec, noise_kind, np.array([p, p - h])).tolist()
+        p -= (at_p - spec.local_bound) * h / (at_p - below)
+    return float(np.nextafter(_least_float(
+        lambda x: _closed_form(spec, noise_kind, np.array([x]))[0] > spec.local_bound, p), 0.0))
 
 
 @lru_cache(maxsize=1)
 def _asym_dicka_root() -> float:
     """s*, the sign change of the asym-CHSH DICKA rate in the honest
     correlator s, which is the only way that rate reads p (_honest_scale):
-    the ITP search of the global threshold, where s = p.  It depends on no
-    gamma, noise kind or spec (asym-chsh at alpha = 1 is chsh), so a
-    process solves it once; a failure is not kept."""
-    return _sign_change("dicka", partial(_signed_rates, "dicka", asym_chsh(1.0), "global", 0.0))
+    its global threshold, where s = p.  It depends on no gamma, noise kind
+    or spec (asym-chsh at alpha = 1 is chsh).  _sign_change checks the
+    shipped _ASYM_DICKA_ROOT with two rate_grid calls, the ends and the
+    window around it (two best_alpha_bound searches), and searches the
+    bracket the window proved if the window does not hold it; a process
+    keeps the result, and a failure is not kept."""
+    return _sign_change(partial(_signed_rates, "dicka", asym_chsh(1.0), "global", 0.0),
+                        lambda r0, r1: _ASYM_DICKA_ROOT)
 
 
 def _least_p(noise_kind: str, s: float) -> float:
     """The smallest float p with _honest_scale(noise_kind, p) >= s, s in
     (0, 1]: s under global noise, sqrt(s) or a float neighbour of it under
     local noise (sqrt(s) alone can be an ulp low)."""
-    def scale(p):
-        return float(_honest_scale(noise_kind, np.array([p]))[0])
+    return _least_float(lambda p: float(_honest_scale(noise_kind, np.array([p]))[0]) >= s,
+                        s if noise_kind == "global" else math.sqrt(s))
 
-    p = s if noise_kind == "global" else math.sqrt(s)
-    while p > 0.0 and scale(below := float(np.nextafter(p, 0.0))) >= s:
+
+def _least_float(above, p: float) -> float:
+    """The smallest float in [0, 1] at which above holds, a predicate that
+    holds from some float on and at 1, walked to float by float from the
+    guess p, a few ulps from it."""
+    while p > 0.0 and above(below := float(np.nextafter(p, 0.0))):
         p = below
-    while scale(p) < s:
+    while not above(p):
         p = float(np.nextafter(p, 1.0))
     return p
 
@@ -470,39 +500,35 @@ def threshold_p(kind: str, spec: BellSpec, noise_kind: str, gamma: float = 0.0) 
     rates at p = 0 and 1: unless rate(0) <= 0 < rate(1) it is a
     NumericError naming the rate and both values.
 
-    A rate that reads a bound curve is then searched on its seed rate
-    (_seed_rates: rate_grid's own formula, _rate_values, at
-    beta_of_p_closed_form's honest violation clamped to the quantum bound;
-    no state is built), the two rates above read as the seed's ends.  A
-    DICKA rate is smooth across its threshold, so its search is one
-    bracketed_roots lane (ITP).  A DIRE rate is flat below its threshold
-    (its bound is 0 there), where ITP has nothing to interpolate and
-    bisects, so its search is grid_sign_change, _THRESHOLD_POINTS points a
-    round.  The seed's answer p0 lies within a few ulps of the threshold,
-    and one rate_grid call on the 16 consecutive floats p0 - 8 ulp ...
-    p0 + 7 ulp, clipped to [0, 1], holds the sign change: a float there
-    whose rate is positive, one ulp above one whose rate is not, is the
-    threshold.  Otherwise the window has proved a bracket, [0, its first
-    float] or [its last float, 1], and the same search runs there on
-    rate_grid, reading the bracket's known rates as its first values.  The
-    closed form steers the search but never supplies the value returned:
-    that is always a sign change of the rate itself between adjacent
-    floats, so a threshold keeps its bits.
+    One rate_grid call on the 16 consecutive floats p0 - 8 ulp ... p0 + 7
+    ulp around a start p0, clipped to [0, 1], then holds the sign change: a
+    float there whose rate is positive, one ulp above one whose rate is
+    not, is the threshold.  Otherwise the window has proved a bracket, [0,
+    its first float] or [its last float, 1], and one bracketed_roots (ITP)
+    lane searches it on rate_grid, reading its ends' known rates.  p0 only
+    steers the search, so a threshold keeps its bits.
+
+    For a rate that reads a bound curve, p0 is the sign change of its seed
+    rate (_seed_rates: rate_grid's own formula at beta_of_p_closed_form's
+    honest violation clamped to the quantum bound; no state is built), one
+    ITP lane on [p_cl, 1], p_cl the largest float whose closed-form
+    violation is at most the local bound: the rate is <= 0 there, its bound
+    0 and the terms it subtracts >= 0.
 
     The asym-CHSH (and CHSH) DICKA rate reads p only through the honest
     correlator s, p under global noise and p^2 under local, so both of its
     thresholds come from one root s* in s, kept for the process: the
     global threshold is s*, the local one the smallest float p whose s is
-    at least s*.  The second of them in a process calls no rate_grid; two
-    separate `tribell threshold` runs each solve the root.  Every argument
-    is checked before the kept root is read."""
+    at least s*.  Its p0 is the shipped s*, so the root costs two rate_grid
+    calls and the second threshold in a process none.  Every argument is
+    checked before the kept root is read."""
     curve = rate_curve(kind, spec, gamma)
     _checked_grid(noise_kind, [])  # the noise kind, which the kept root would skip
     try:
         if curve is None:
             return _least_p(noise_kind, _asym_dicka_root())
-        return _sign_change(kind, partial(_signed_rates, kind, spec, noise_kind, gamma),
-                            partial(_seed_rates, kind, spec, curve, noise_kind, gamma))
+        return _sign_change(partial(_signed_rates, kind, spec, noise_kind, gamma),
+                            partial(_seed_p, kind, spec, curve, noise_kind, gamma))
     except _NoSignChange as exc:
         name = spec.kind if spec.kind != "asym-chsh" else f"asym-chsh(alpha={spec.alpha!r})"
         at0, at1 = exc.args

@@ -16,7 +16,7 @@ from tribell.bounds import (asym_chsh_one_outcome, asym_tangent,
                             solve_beta_star_holz, solve_x, theta,
                             theta_at_optimum)
 from tribell.errors import NumericError, ValidationError
-from tribell.qmath import bracketed_root, bracketed_roots, grid_sign_change
+from tribell.qmath import bracketed_root, bracketed_roots
 
 SQRT2 = np.sqrt(2.0)
 
@@ -1103,49 +1103,54 @@ def recorded(f, calls):
 
 
 class TestGridSignChange:
+    """The sign-change contract every threshold search relies on, run on
+    bracketed_roots with `points` lanes of the same bracket at once."""
+
     def test_simple_root(self):
         f = lambda x: x * x - 2.0
         calls = []
-        root = grid_sign_change(recorded(f, calls), 0.0, 2.0, 16)
-        assert type(root) is float
+        roots = bracketed_roots(recorded(f, calls), [0.0], [2.0])
+        assert roots.dtype == np.float64 and roots.shape == (1,)
+        root = float(roots[0])
         assert f(root) > 0.0 >= f(np.nextafter(root, 0.0))
         assert root == bracketed_root(f, 0.0, 2.0)
-        np.testing.assert_array_equal(calls[0], [0.0, 2.0])  # both ends in one call
-        # each round's points are distinct floats strictly inside the bracket
-        assert all(1 <= x.size <= 16 and np.all(np.diff(x) > 0.0)
-                   and 0.0 < x[0] and x[-1] < 2.0 for x in calls[1:])
+        np.testing.assert_array_equal(np.concatenate(calls[:2]), [0.0, 2.0])  # ends first
+        # every later point is strictly inside the bracket
+        assert all(0.0 < x[0] < 2.0 for x in calls[2:])
 
     def test_flat_zero_returns_edge(self):
         # f <= 0 is the low side, so the answer is the smallest float with f > 0
         edge = 0.3
-        root = grid_sign_change(lambda x: np.maximum(x - edge, 0.0), 0.0, 1.0, 16)
+        root = bracketed_roots(lambda x: np.maximum(x - edge, 0.0), [0.0], [1.0])[0]
         assert root == np.nextafter(edge, 1.0)
 
     def test_no_bracket_names_it(self):
         with pytest.raises(NumericError, match=r"\[0\.5, 2\.0\].*f\(lo\)=0\.25"):
-            grid_sign_change(lambda x: x * x, 0.5, 2.0, 16)
+            bracketed_roots(lambda x: x * x, [0.5], [2.0])
         with pytest.raises(NumericError, match="does not change sign"):
-            grid_sign_change(lambda x: np.where(x < 1.0, -1.0, np.nan), 0.0, 1.0, 16)
+            bracketed_roots(lambda x: np.where(x < 1.0, -1.0, np.nan), [0.0], [1.0])
 
     def test_nan_is_the_high_side(self):
-        # as in bracketed_roots, whose step keeps the end whose f is not <= 0
+        # the step keeps the end whose f is not <= 0
         edge = 0.3
         f = lambda x: np.where(x == 1.0, 1.0, np.where(x <= edge, -1.0, np.nan))
-        assert grid_sign_change(f, 0.0, 1.0, 16) == np.nextafter(edge, 1.0)
+        assert bracketed_roots(f, [0.0], [1.0])[0] == np.nextafter(edge, 1.0)
         assert bracketed_root(lambda x: float(f(np.array(x))), 0.0, 1.0) \
             == np.nextafter(edge, 1.0)
 
     @pytest.mark.parametrize("points", [1, 2, 16, 33])
     def test_ends_on_one_ulp(self, points):
+        # a bracket one ulp wide is the answer; one two ulps wide takes one step
         lo = 1.0
-        for ulps, rounds in ((1, 0), (2, 1)):
+        for ulps, steps in ((1, 0), (2, 1)):
             hi = lo
             for _ in range(ulps):
                 hi = np.nextafter(hi, 2.0)
             calls = []
             below = np.nextafter(hi, lo)
-            root = grid_sign_change(recorded(lambda x: x - below, calls), lo, hi, points)
-            assert root == hi and len(calls) == 1 + rounds
+            roots = bracketed_roots(recorded(lambda x: x - below, calls),
+                                    np.full(points, lo), np.full(points, hi))
+            assert np.all(roots == hi) and len(calls) == 2 + steps
 
     @pytest.mark.parametrize("f, lo, hi", [
         (lambda x: x - np.cos(x), 0.0, 1.0),
@@ -1155,15 +1160,17 @@ class TestGridSignChange:
     ])
     @pytest.mark.parametrize("points", [1, 16])
     def test_same_float_as_bracketed_roots(self, f, lo, hi, points):
-        root = grid_sign_change(f, lo, hi, points)
-        assert f(root) > 0.0 >= f(np.nextafter(root, -np.inf))
-        assert root == bracketed_root(f, lo, hi)
-
-    def test_rounds_narrow_by_points_plus_one(self):
-        # 16 points a round leave a 17th of the bracket: 2^53 floats in 14 calls
+        # every lane ends on the smallest x evaluated with f(x) > 0, and the
+        # float below it was evaluated with f <= 0
         calls = []
-        grid_sign_change(recorded(lambda x: x - 0.85, calls), 0.0, 1.0, 16)
-        assert len(calls) == 14
+        roots = bracketed_roots(recorded(f, calls), np.full(points, lo), np.full(points, hi))
+        evaluated = np.concatenate(calls)
+        for root in roots:
+            low = np.nextafter(root, -np.inf)
+            assert root in evaluated and low in evaluated
+            assert f(root) > 0.0 >= f(low)
+            assert root == evaluated[f(evaluated) > 0.0].min()
+            assert root == bracketed_root(f, lo, hi)
 
 
 class TestCurveRegistry:
