@@ -3,16 +3,17 @@ find thresholds, run the entropy optimizer, and run the verification suite.
 
 CSV rows are `quantity,inequality,noise,p,beta,value,flags`, sorted stably
 by the grid column (p, or beta for a beta grid); a float is printed with 9
-significant digits, with ".0" appended to an integral value; a file is
-formatted in full, a column at a time, before it is opened for writing.
-Identical seeds give byte-identical files.
+significant digits, with ".0" appended to an integral value.  A file is
+formatted in full, each column once, into one string of joined rows before
+it is opened, and written with one write; no field holds a comma, a quote
+or a line break, so none is quoted.  Identical seeds give byte-identical
+files.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
 import json
 import math
@@ -76,28 +77,27 @@ def _write_csv(path, quantity, inequality, noise, *, p=(), beta=(), value, flags
     """Write grid rows to path: the constant quantity, inequality and noise;
     the float columns p, beta and value, each of one length or empty (); and
     flags, one string for every row or one per row.  Rows are sorted stably
-    by the grid column, p where given and beta otherwise, and every field is
-    text before path is opened."""
+    by the grid column, p where given and beta otherwise; the whole file is
+    one string, written with one write, before which path is not opened.
+    No field is quoted: every one is a float's text or a word of a fixed
+    vocabulary, none holding a comma, a quote or a line break."""
     # Python's stable sort of the grid's floats: numpy's stable argsort gives
     # the same order but maps about 0.13 MB more of numpy's code into a
     # process that sorts nothing else
     keys = np.asarray(p if len(p) else beta, dtype=float).tolist()
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    n = len(order)
-
-    def in_order(texts):
-        return [texts[i] for i in order]
+    n = len(keys)
 
     def text(column):
-        return in_order(_texts(column)) if len(column) else [""] * n
+        return _texts(column) if len(column) else [""] * n
 
-    flag_texts = [flags] * n if isinstance(flags, str) else in_order(flags)
-    rows = zip([quantity] * n, [inequality] * n, [noise] * n,
-               text(p), text(beta), text(value), flag_texts)
+    lead = f"{quantity},{inequality},{noise},"
+    flag_texts = [flags] * n if isinstance(flags, str) else flags
+    rows = [f"{lead}{a},{b},{c},{f}\n"
+            for a, b, c, f in zip(text(p), text(beta), text(value), flag_texts)]
+    body = ",".join(CSV_HEADER) + "\n" + "".join(
+        [rows[i] for i in sorted(range(n), key=keys.__getitem__)])
     with _overwrite(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        writer.writerows(rows)
+        fh.write(body)
 
 
 def _note_curve(name, flags) -> None:
@@ -147,9 +147,8 @@ def cmd_bound(args) -> int:
 # rate
 
 def _rate_columns(args, kind, spec, grid):
-    results = rates.rate_grid(kind, spec, args.noise, grid, args.gamma)
-    return ([r.rate for r in results], [r.beta_at_p for r in results],
-            [" ".join(r.flags) for r in results])
+    result = rates.rate_grid(kind, spec, args.noise, grid, args.gamma)
+    return result.rate, result.beta_at_p, " ".join(result.flags)
 
 
 def cmd_rate(args) -> int:
@@ -159,8 +158,8 @@ def cmd_rate(args) -> int:
     if args.grid is not None:
         return _sweep_csv(args, f"rate-{kind}",
                           lambda grid: _rate_columns(args, kind, spec, grid))
-    r = rates.rate_grid(kind, spec, args.noise, [args.p], args.gamma)[0]
-    print(_fmt(r.rate))
+    r = rates.rate_grid(kind, spec, args.noise, [args.p], args.gamma)
+    print(_fmt(r.rate[0]))
     _note_curve(r.bound_used, r.flags)
     return 0
 

@@ -15,7 +15,9 @@ Every function of p takes (noise_kind, p); a grid of p is
 computed on stacks of states (betas_of_p, rate_grid; the honest Bell
 values are bell's one sum over the honest row's cached terms), or for
 asym-CHSH DICKA in one lockstep alpha search (best_alpha_one_outcome),
-each value the one-point value bit for bit.
+each value the one-point value bit for bit.  rate_grid returns one
+RateResult per grid, float arrays of its rates and honest violations
+with the bound curve named once, and builds nothing per point.
 The two-outcome bounds for Parity-CHSH and CHSH are numeric curves
 produced by the optimizer, shipped as a monotone 200-point table and
 linearly interpolated (regenerate via the CLI).
@@ -51,8 +53,12 @@ SQRT2 = np.sqrt(2.0)
 
 @dataclass(frozen=True)
 class RateResult:
-    rate: float
-    beta_at_p: float
+    """The rate of one rate_grid call: the float arrays rate and beta_at_p,
+    one value per p of its grid, and once for the grid the name and flags
+    of the bound curve they rest on."""
+
+    rate: np.ndarray
+    beta_at_p: np.ndarray
     bound_used: str
     flags: tuple[str, ...] = ()  # the bound curve's flags
 
@@ -304,6 +310,9 @@ _ONE_BITS = np.array(1.0).view(np.int64)
 # (_asym_dicka_root), shipped so that no process spends 11 alpha searches
 # on it; tests/test_rates.py re-derives it bit for bit with the full search
 _ASYM_DICKA_ROOT = float.fromhex("0x1.b40ad1fd76d8dp-1")
+# the most floats _least_float walks from its guess; every guess it is
+# given lands within a float or two of its answer
+_LEAST_FLOAT_STEPS = 64
 
 
 def best_alpha_one_outcome(noise_kind: str, ps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -344,9 +353,10 @@ def rate_curve(kind: str, spec: BellSpec, gamma: float) -> BoundCurve | None:
 
 
 def rate_grid(kind: str, spec: BellSpec, noise_kind: str, ps,
-              gamma: float = GAMMA_DEFAULT) -> list[RateResult]:
-    """The rate of one of RATE_KINDS at every p of the 1-d ps, each that of
-    the one-point grid [p] bit for bit, from one betas_of_p and one fn call;
+              gamma: float = GAMMA_DEFAULT) -> RateResult:
+    """The rate of one of RATE_KINDS at every p of the 1-d ps, one RateResult
+    whose rate and beta_at_p arrays hold each p's value, that of the
+    one-point grid [p] bit for bit, from one betas_of_p and one fn call;
     gamma in [0, 1], dire-spot's test fraction, is checked for every kind.
     DICKA is the one-outcome bound minus h(Q); DIRE-spot the two-outcome
     bound minus the test cost r*gamma + h(gamma); DIRE-recycled the
@@ -357,14 +367,11 @@ def rate_grid(kind: str, spec: BellSpec, noise_kind: str, ps,
     ps = _checked_grid(noise_kind, ps)
     if curve is None:
         scale = _honest_scale(noise_kind, ps)
-        alpha, bound, betas = _best_alpha(scale)
-        values = 0.5 * (bound - h(_qber(scale)))
-        return [RateResult(value, beta, f"asym-chsh-one(alpha={a:.9g})")
-                for value, beta, a in zip(values.tolist(), betas.tolist(), alpha.tolist())]
+        _, bound, betas = _best_alpha(scale)
+        return RateResult(0.5 * (bound - h(_qber(scale))), betas, "asym-chsh-one(best alpha)")
     betas = _betas(spec, noise_kind, ps)
     values = _rate_values(kind, spec, curve, noise_kind, gamma, ps, betas)
-    return [RateResult(value, beta, curve.name, curve.flags)
-            for value, beta in zip(values.tolist(), betas.tolist())]
+    return RateResult(values, betas, curve.name, curve.flags)
 
 
 def _rate_values(kind: str, spec: BellSpec, curve: BoundCurve, noise_kind: str, gamma: float,
@@ -394,8 +401,8 @@ class _NoSignChange(NumericError):
 
 
 def _signed_rates(kind: str, spec: BellSpec, noise_kind: str, gamma: float, ps) -> np.ndarray:
-    """The signed rates of rate_grid at the 1-d ps, as an array."""
-    return np.array([r.rate for r in rate_grid(kind, spec, noise_kind, ps, gamma)])
+    """The signed rates of rate_grid at the 1-d ps."""
+    return rate_grid(kind, spec, noise_kind, ps, gamma).rate
 
 
 def _sign_change(rates_at, seed=None) -> float:
@@ -486,12 +493,18 @@ def _least_p(noise_kind: str, s: float) -> float:
 def _least_float(above, p: float) -> float:
     """The smallest float in [0, 1] at which above holds, a predicate that
     holds from some float on and at 1, walked to float by float from the
-    guess p, a few ulps from it."""
-    while p > 0.0 and above(below := float(np.nextafter(p, 0.0))):
-        p = below
-    while not above(p):
-        p = float(np.nextafter(p, 1.0))
-    return p
+    guess p, a few ulps from it; a NumericError names a guess from which
+    _LEAST_FLOAT_STEPS steps do not reach it."""
+    guess = p
+    for _ in range(_LEAST_FLOAT_STEPS):
+        if p > 0.0 and above(below := float(np.nextafter(p, 0.0))):
+            p = below
+        elif above(p):
+            return p
+        else:
+            p = float(np.nextafter(p, 1.0))
+    raise NumericError(f"the least float search from the guess p={guess!r} walked"
+                       f" {_LEAST_FLOAT_STEPS} floats without reaching its answer")
 
 
 def threshold_p(kind: str, spec: BellSpec, noise_kind: str, gamma: float = 0.0) -> float:

@@ -207,7 +207,7 @@ def test_criterion_8_full_convexity_as_stated():
     "Bell-diagonal AB state with Charlie in |+> reaches beta=1.200058 with "
     "H(A0B0|E)=0.49147, 0.158 bits below the curve's 0.64987 (ROADMAP item 11); "
     "the optimizer finds it (test_optimize.py::TestParityIsChshAtTwiceBeta::"
-    "test_below_the_shipped_curve), and the curve moves with item 5's re-recording"))
+    "test_below_the_shipped_curve), and the curve moves with item 11"))
 def test_parity_chsh_two_outcome_curve_is_a_lower_bound():
     # CHSH(A, B)/2 = beta embedded in Parity-CHSH: C0 = C1 = X on |+>
     lam = np.array([0.8616, 0.1382, 0.0, 0.0002])

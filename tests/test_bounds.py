@@ -507,8 +507,8 @@ class TestBestAlpha:
         from tribell.rates import rate_grid
         from tribell.bell import spec_by_name
 
-        (r,) = rate_grid("dicka", spec_by_name("asym-chsh"), "local", [0.915])
-        assert r.rate <= 0.0
+        (rate,) = rate_grid("dicka", spec_by_name("asym-chsh"), "local", [0.915]).rate
+        assert rate <= 0.0
 
     @pytest.mark.parametrize("block", [3, bounds._LANE_BLOCK])
     def test_grid_equals_the_point_by_point_search(self, monkeypatch, block):

@@ -18,7 +18,7 @@ import pytest
 import pins
 import tribell
 from tribell import bell, bounds, cli, optimize, rates, verification
-from tribell.bell import spec_by_name
+from tribell.bell import INEQUALITIES, spec_by_name
 from tribell.cli import main
 from tribell.errors import ValidationError
 
@@ -404,8 +404,8 @@ def point_columns(quantity, spec, noise, gamma, p):
     rates.betas_of_p and the bound curve."""
     kind = quantity.removeprefix("rate-")
     if kind in rates.RATE_KINDS:
-        r = rates.rate_grid(kind, spec, noise, [p], gamma)[0]
-        return r.rate, r.beta_at_p, r.flags
+        r = rates.rate_grid(kind, spec, noise, [p], gamma)
+        return r.rate[0], r.beta_at_p[0], r.flags
     beta = float(rates.betas_of_p(spec, noise, [p])[0])
     if quantity == "beta":
         return beta, "", ()
@@ -505,6 +505,86 @@ class TestNumberText:
         assert [row[5] for row in rows[1:]] == [t for _, t in NUMBER_TEXTS]
         assert [row[3] for row in rows[1:]] == [f"{i}.0" for i in range(len(xs))]
         assert {row[4] for row in rows[1:]} == {""}
+
+
+# what would make csv.writer quote a field; _write_csv joins its fields unquoted
+CSV_SPECIAL = frozenset(',"\r\n')
+
+
+def csv_writer_argvs():
+    """Every CSV-writing command over each word it writes into a field: the
+    quantity, inequality, noise kind and flags, each on a 3-point grid."""
+    for ineq in INEQUALITIES:
+        for outcome in ([], ["--two-outcome"], ["--recycled"]):
+            yield ["bound", "--inequality", ineq, "--grid", "0:1.2:3"] + outcome
+        for noise in ("local", "global"):
+            where = ["--inequality", ineq, "--noise", noise, "--grid", "0.9:1:3"]
+            for quantity in subparsers()["sweep"]._option_string_actions["--quantity"].choices:
+                yield ["sweep", "--quantity", quantity] + where
+            for kind in (["--dicka"], ["--dire", "spot"], ["--dire", "recycled"]):
+                yield ["rate"] + kind + where
+    for noise in ("local", "global"):
+        yield ["sweep", "--quantity", "bound-one", "--inequality", "chsh", "--optimize-alpha",
+               "--noise", noise, "--grid", "0.9:1:3"]
+    for ineq in optimize.MINIMIZERS:
+        yield ["optimize", "--inequality", ineq, "--grid", "1.1:1.3:3"]
+
+
+class TestCsvNeedsNoQuoting:
+    """_write_csv joins fields with commas and quotes none, as csv.writer
+    does only while no field holds a comma, a quote or a line break."""
+
+    def test_vocabulary(self):
+        words = set(cli.CSV_HEADER) | set(INEQUALITIES) | {"local", "global"}
+        words |= {f"bound-{outcome}" for outcome in ("one", "two", "recycled")}
+        words |= {f"rate-{kind}" for kind in rates.RATE_KINDS}
+        words |= set(subparsers()["sweep"]._option_string_actions["--quantity"].choices)
+        for ineq in INEQUALITIES:
+            for outcome in ("one", "two", "recycled"):
+                try:
+                    curve = rates.bound_curve(spec_by_name(ineq), outcome)
+                except ValidationError:
+                    continue
+                words |= {curve.name, " ".join(curve.flags)}
+        words |= set(cli._texts([x for x, _ in NUMBER_TEXTS]))
+        assert not [word for word in words if CSV_SPECIAL & set(word)]
+
+    def test_every_writer_round_trips(self, tmp_path, capsys, monkeypatch):
+        # optimize's two flags, from a stand-in sweep whose middle solve failed
+        monkeypatch.setattr(optimize, "sweep_two_outcome", lambda ineq, grid, cfg: [
+            SimpleNamespace(entropy=0.5, converged=i != 1) for i in range(len(grid))])
+        written, write = [], cli._write_csv
+
+        def recorded(path, *fields, **columns):
+            written.append((fields, columns["flags"]))
+            return write(path, *fields, **columns)
+
+        monkeypatch.setattr(cli, "_write_csv", recorded)
+        commands, flags = set(), set()
+        for argv in csv_writer_argvs():
+            path = tmp_path / "w.csv"
+            path.unlink(missing_ok=True)
+            del written[:]
+            code, _, _ = run_cli(argv + ["--out", str(path)], capsys)
+            if code == 2:  # a refused combination writes nothing
+                assert not path.exists() and not written
+                continue
+            assert code == 0 and len(written) == 1
+            (fields, flag), = written
+            assert not [f for f in fields if CSV_SPECIAL & set(f)]
+            flags.update([flag] if isinstance(flag, str) else flag)
+            text = path.read_text(encoding="utf-8")
+            assert not CSV_SPECIAL & set(text.replace(",", "").replace("\n", ""))
+            lines = text.split("\n")
+            assert lines.pop() == ""
+            with path.open(newline="", encoding="utf-8") as fh:
+                assert list(csv.reader(fh)) == [line.split(",") for line in lines]
+            assert {len(line.split(",")) for line in lines} == {len(cli.CSV_HEADER)}
+            assert lines[0].split(",") == cli.CSV_HEADER and len(lines) == 4
+            commands.add(argv[0])
+        assert commands == {"bound", "sweep", "rate", "optimize"}
+        assert {"non-certified", "non-certified infeasible", "conjectured"} <= flags
+        assert not [f for f in flags if CSV_SPECIAL & set(f)]
 
 
 class TestParserBuiltOnce:
@@ -901,7 +981,6 @@ class TestEveryOptionActsOrIsRefused:
                 return result(*args) if callable(result) else result
             return call
 
-        rate = SimpleNamespace(rate=0.5, beta_at_p=1.0, bound_used="curve", flags=())
         opt = SimpleNamespace(entropy=0.5, achieved_beta=1.0, converged=True,
                               restarts_used=1)
         monkeypatch.setattr(rates, "bound_curve", recorder("bound_curve", SimpleNamespace(
@@ -910,7 +989,9 @@ class TestEveryOptionActsOrIsRefused:
         monkeypatch.setattr(rates, "betas_of_p", recorder(
             "betas_of_p", lambda spec, noise, ps: np.full(len(ps), 2.0)))
         monkeypatch.setattr(rates, "rate_grid", recorder(
-            "rate_grid", lambda kind, spec, noise, ps, gamma: [rate] * len(ps)))
+            "rate_grid", lambda kind, spec, noise, ps, gamma: SimpleNamespace(
+                rate=np.full(len(ps), 0.5), beta_at_p=np.full(len(ps), 1.0),
+                bound_used="curve", flags=())))
         monkeypatch.setattr(rates, "best_alpha_one_outcome", recorder(
             "best_alpha", lambda noise, ps: (np.ones(len(ps)), np.full(len(ps), 0.5),
                                              np.full(len(ps), 2.5))))

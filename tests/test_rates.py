@@ -1,5 +1,6 @@
 """rates: honest violations, QBER, DICKA/DIRE rates, thresholds, tables."""
 
+import dataclasses
 import json
 import re
 from functools import partial
@@ -26,8 +27,10 @@ def beta_of_p(spec, noise, p):
 
 
 def rate(kind, spec, noise, p, gamma=rates.GAMMA_DEFAULT):
-    """The RateResult at one p: rate_grid's one-point grid."""
-    return rate_grid(kind, spec, noise, [p], gamma)[0]
+    """The RateResult at one p: rate_grid's one-point grid, its arrays read
+    as their one float."""
+    r = rate_grid(kind, spec, noise, [p], gamma)
+    return dataclasses.replace(r, rate=float(r.rate[0]), beta_at_p=float(r.beta_at_p[0]))
 
 
 def h2(x):
@@ -197,9 +200,10 @@ class TestRateGrid:
                     rates.rate_grid(kind, spec, noise, ps, 0.02)
                 continue
             got = rates.rate_grid(kind, spec, noise, ps, 0.02)
-            assert got == want
-            assert [np.float64(r.rate).view(np.uint64) for r in got] \
-                == [np.float64(r.rate).view(np.uint64) for r in want]
+            assert [x.hex() for x in got.rate.tolist()] == [r.rate.hex() for r in want]
+            assert [x.hex() for x in got.beta_at_p.tolist()] \
+                == [r.beta_at_p.hex() for r in want]
+            assert {(got.bound_used, got.flags)} == {(r.bound_used, r.flags) for r in want}
 
     def test_every_p_checked_before_any_alpha_search(self, monkeypatch):
         monkeypatch.setattr(bounds, "best_alpha_bound",
@@ -213,7 +217,8 @@ class TestRateGrid:
         assert beta[0] == 2.0 * np.hypot(1.0, alpha[0]) * p ** 2
 
     def test_asym_dicka_empty_grid(self):
-        assert rates.rate_grid("dicka", spec_by_name("chsh"), "local", []) == []
+        r = rates.rate_grid("dicka", spec_by_name("chsh"), "local", [])
+        assert r.rate.shape == r.beta_at_p.shape == (0,)
 
     @pytest.mark.parametrize("noise", ["local", "global"])
     @pytest.mark.parametrize("ps", [np.linspace(0.0, 1.0, 21), np.linspace(1.0, 0.5, 11),
@@ -229,9 +234,10 @@ class TestRateGrid:
         spec = spec_by_name("chsh")
         rows = rates.rate_grid("dicka", spec, noise, ps)
         points = [rate("dicka", spec, noise, p) for p in ps]
-        assert [(r.rate.hex(), r.beta_at_p.hex(), r.bound_used) for r in rows] \
+        assert [(r.hex(), b.hex(), rows.bound_used)
+                for r, b in zip(rows.rate.tolist(), rows.beta_at_p.tolist())] \
             == [(r.rate.hex(), r.beta_at_p.hex(), r.bound_used) for r in points]
-        assert {(type(r.rate), type(r.beta_at_p)) for r in rows} == {(float, float)}
+        assert (rows.rate.dtype, rows.beta_at_p.dtype) == (float, float)
 
     @pytest.mark.parametrize("args, message", [
         (("local", [[0.5]]), "1-d grid"),
@@ -310,8 +316,8 @@ class TestDicka:
         assert r.flags == ()
 
     def test_holz_threshold_sign_change(self):
-        below, above = rate_grid("dicka", spec_by_name("holz"), "local", [0.93, 0.94], 0.0)
-        assert below.rate < 0 < above.rate
+        below, above = rate_grid("dicka", spec_by_name("holz"), "local", [0.93, 0.94], 0.0).rate
+        assert below < 0 < above
 
     def test_mabk_unsupported(self):
         with pytest.raises(ValidationError):
@@ -572,8 +578,8 @@ class TestThresholds:
 
         def negative(kind, spec, noise, ps, gamma):
             sizes.append(len(ps))
-            return [RateResult(-2.0 - r.rate, r.beta_at_p, r.bound_used)
-                    for r in grid(kind, spec, noise, ps, gamma)]
+            r = grid(kind, spec, noise, ps, gamma)
+            return RateResult(-2.0 - r.rate, r.beta_at_p, r.bound_used)
 
         monkeypatch.setattr(rates, "rate_grid", negative)
         # the message names the caller's noise kind, and a failed root is not kept
@@ -731,6 +737,20 @@ class TestThresholds:
             assert rates._honest_scale(noise, np.array([p]))[0] >= s
             assert rates._honest_scale(noise, np.array([below]))[0] < s
 
+    @pytest.mark.parametrize("ulps", [-rates._LEAST_FLOAT_STEPS // 2, -1, 0, 1,
+                                      rates._LEAST_FLOAT_STEPS // 2])
+    def test_least_float_walks_from_a_near_guess(self, ulps):
+        guess = float((np.array(0.5).view(np.int64) + ulps).view(float))
+        assert rates._least_float(lambda x: x >= 0.5, guess) == 0.5
+
+    @pytest.mark.parametrize("guess", [1.0, 0.25, 0.0])
+    def test_least_float_refuses_a_far_guess(self, guess):
+        # each guess is at least 2^52 floats from 0.5: the walk stops at its
+        # bound and names the guess instead of stepping there float by float
+        with pytest.raises(NumericError, match=re.escape(
+                f"from the guess p={guess!r} walked {rates._LEAST_FLOAT_STEPS} floats")):
+            rates._least_float(lambda x: x >= 0.5, guess)
+
 
 class TestMonotonicity:
     @pytest.mark.parametrize("kind,ineq", [
@@ -742,7 +762,7 @@ class TestMonotonicity:
     @pytest.mark.parametrize("noise", ["local", "global"])
     def test_rates_nonincreasing_as_p_decreases(self, kind, ineq, noise):
         ps = np.linspace(0.0, 1.0, 100)
-        vals = np.array([r.rate for r in rate_grid(kind, spec_by_name(ineq), noise, ps, 0.0)])
+        vals = rate_grid(kind, spec_by_name(ineq), noise, ps, 0.0).rate
         assert np.all(np.diff(vals) >= -1e-10)
 
 
