@@ -44,6 +44,20 @@ def _fmt(x) -> str:
     return _texts([x])[0]
 
 
+def _allocatable(n: int) -> bool:
+    """Whether numpy can allocate n floats: it refuses a count past its own
+    limit (ValueError) or the machine's memory (MemoryError) at once, having
+    allocated nothing."""
+    try:
+        np.empty(n)
+    except (MemoryError, ValueError):
+        return False
+    return True
+
+
+SIZE = (_allocatable, "asks for more floats than numpy can allocate")
+
+
 def _parse_grid(text: str) -> np.ndarray:
     try:
         a, b, n = text.split(":")
@@ -54,6 +68,8 @@ def _parse_grid(text: str) -> np.ndarray:
         raise ValidationError(f"--grid {text!r} has a non-finite endpoint")
     if n < 1:
         raise ValidationError("grid needs at least one point")
+    if not _allocatable(n):
+        raise ValidationError(f"--grid {text!r} {SIZE[1]}")
     return np.linspace(a, b, n)
 
 
@@ -133,7 +149,7 @@ def cmd_bound(args) -> int:
     if args.grid is not None:
         grid = _parse_grid(args.grid)
         # `bound --recycled` CSVs have never carried the curve's conjectured
-        # flag; perfbench/golden_csv.json pins their bytes (ROADMAP item 5)
+        # flag; perfbench/golden_csv.json pins their bytes (ROADMAP item 31)
         flags = "" if args.recycled else " ".join(curve.flags)
         _write_csv(args.out, f"bound-{outcome}", args.inequality, "",
                    beta=grid, value=curve.fn(grid), flags=flags)
@@ -251,9 +267,9 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 # options
 
-def _opt(commands, flags, when=None, domain=None, **spec):
+def _opt(commands, flags, when=None, *domains, **spec):
     spec.setdefault("default", False if spec.get("action") == "store_true" else None)
-    return commands.split(), flags.split(), when, domain, spec
+    return commands.split(), flags.split(), when, domains, spec
 
 
 UNIT = (lambda x: 0.0 <= x <= 1.0, "outside [0, 1]")
@@ -263,7 +279,7 @@ OUT_PATH = (lambda p: os.path.isdir(os.path.dirname(p) or ".") and not os.path.i
 # Every option once: the commands that take it; its flag (two flags exclude
 # each other); when a command reads it, as a test on the parsed arguments and
 # the words that end "FLAG applies only" (with no default, it must then be
-# given); a test its values pass, and why one fails; its argparse spec.
+# given); the tests its values pass, each with why one fails; its argparse spec.
 OPTIONS = [
     _opt("bound rate threshold sweep", "--inequality", choices=list(INEQUALITIES), default="holz"),
     _opt("optimize", "--inequality", (lambda a: not a.regen_tables, "without --regen-tables"),
@@ -311,9 +327,10 @@ OPTIONS = [
     _opt("optimize", "--regen-tables", (lambda a: a.grid is None, "without --grid"),
          action="store_true", help="regenerate the numeric two-outcome tables JSON"),
     _opt("optimize", "--points", (lambda a: a.regen_tables, "with --regen-tables"),
-         (lambda n: n >= 2, "is below 2: a table needs at least 2 points"),
+         (lambda n: n >= 2, "is below 2: a table needs at least 2 points"), SIZE,
          type=int, default=200, help="table points (default 200)"),
-    _opt("verify", "--samples", None, (lambda n: n >= 2, "is below 2"), type=int, default=10000,
+    _opt("verify", "--samples", None, (lambda n: n >= 2, "is below 2"), SIZE, type=int,
+         default=10000,
          help="samples of the Appendix B check; the uncertainty and quantum-bound"
               " checks take 1/10 and 1/20 of it (at least 100 and 50)"),
 ]
@@ -346,13 +363,14 @@ def build_parser() -> argparse.ArgumentParser:
 def _check_args(args) -> None:
     """Refuse, naming the option, a value outside its domain (floats must be finite),
     away from its default where not read, or missing where it must be given."""
-    for commands, flags, when, domain, spec in OPTIONS:
+    for commands, flags, when, domains, spec in OPTIONS:
         for flag in flags if args.command in commands else ():
             value = getattr(args, flag[2:].replace("-", "_"))
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValidationError(f"{flag}={value!r} is not finite")
-            if domain and value is not None and not domain[0](value):
-                raise ValidationError(f"{flag}={value!r} {domain[1]}")
+            for test, why in domains:
+                if value is not None and not test(value):
+                    raise ValidationError(f"{flag}={value!r} {why}")
             if when and not when[0](args) and value != spec["default"]:
                 raise ValidationError(f"{flag} applies only {when[1]}")
             if when and when[0](args) and value is None:

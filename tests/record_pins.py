@@ -1,8 +1,10 @@
-"""Re-record pins.json from what tribell prints now: `python tests/record_pins.py`.
+"""Re-record pins.json from what tribell gives now: `python tests/record_pins.py`.
 
-Each entry's stdout, stderr and sha256 are rewritten, and every moved value
-is printed, old and new.  An entry whose commands fail is printed and kept
-as it was, and the script then exits 1."""
+A CLI entry's stdout, stderr and sha256 are rewritten, and a library entry's
+`out`; its inputs, `atol` among them, are kept.  Every moved value is
+printed, old and new, a float with the ulps it moved.  A CLI entry whose
+commands fail is printed and kept as it was, and the script then exits 1; a
+library call that raises stops the script before it writes."""
 
 import sys
 
@@ -14,11 +16,14 @@ if __name__ == "__main__":
     for entry in manifest:
         got = pins.run(entry)
         lines = pins.mismatches(entry, got)
-        if got["exit"] != 0 or None in got["sha256"].values():
+        if got["exit"] != 0 or None in got.get("sha256", {}).values():
             failed += lines
             continue
         moved += lines
-        for field, default in pins.PINNED.items():
+        if "call" in entry:
+            entry["out"] = {case: entry["out"][case] if pins.kept(entry, case, value) else value
+                            for case, value in got["out"].items()}
+        for field, default in pins.PINNED.items() if "argv" in entry else ():
             if field in entry or got[field] != default:
                 entry[field] = got[field]
     pins.MANIFEST.write_text(pins.dump(manifest), encoding="utf-8")

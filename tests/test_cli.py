@@ -147,11 +147,10 @@ class TestRate:
         assert "DICKA" in err
 
     def test_asym_dicka_alpha_one(self, capsys):
-        # DICKA maximizes over alpha itself, so `rate` takes no --alpha
+        # DICKA maximizes over alpha itself, so `rate` takes no --alpha;
+        # pins.json pins what it prints
         argv = ["rate", "--dicka", "--inequality", "asym-chsh", "--p", "0.95"]
-        code, out, _ = run_cli(argv, capsys)
-        assert code == 0
-        assert out.strip() == "0.137485256"
+        assert run_cli(argv, capsys)[0] == 0
         assert_usage_error(capsys, argv + ["--alpha", "1"], "--alpha")
 
     @pytest.mark.parametrize("argv", [
@@ -197,7 +196,7 @@ class TestThreshold:
                  "0.840896415": 2.0 ** (-0.25), "0.707106781": 2.0 ** (-0.5)}[want]
         assert cli._fmt(exact) == want
         argv = ["threshold", "--rate", kind, "--inequality", ineq, "--noise", noise]
-        assert [e["stdout"] for e in pins.load() if e["argv"] == argv] == [want + "\n"]
+        assert [e["stdout"] for e in pins.load() if e.get("argv") == argv] == [want + "\n"]
 
     def test_numeric_failure_exit_code(self, capsys):
         code, _, err = run_cli(["threshold", "--rate", "dire-spot",
@@ -318,6 +317,8 @@ class TestOptimizeRefusesIgnoredOptions:
         (["--beta", "1.3", "--seed", "-1"], "--seed"),
         (["--regen-tables", "--points", "1", "--out", "{tmp}/t.json"], "--points"),
         (["--regen-tables", "--points", "0", "--out", "{tmp}/t.json"], "--points"),
+        (["--regen-tables", "--points", str(10**16), "--out", "{tmp}/t.json"], "--points"),
+        (["--regen-tables", "--points", str(10**20), "--out", "{tmp}/t.json"], "--points"),
     ])
     def test_out_of_domain(self, tmp_path, monkeypatch, capsys, argv, flag):
         err = self.refused([a.format(tmp=tmp_path) for a in argv], monkeypatch, capsys)
@@ -643,6 +644,11 @@ class TestVerify:
         assert out == ""
         assert "--samples" in err
 
+    @pytest.mark.parametrize("samples", [10**16, 10**20])
+    def test_samples_numpy_cannot_allocate_rejected(self, capsys, samples):
+        code, out, err = run_cli(["verify", "--samples", str(samples)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: --samples={samples} asks for more floats than numpy can allocate\n"
 
     def test_unexpected_failure_exits_one(self, capsys, monkeypatch):
         monkeypatch.setattr(verification, "run_all", lambda **k: [
@@ -674,6 +680,9 @@ BAD_GRIDS = [
     ("0:1:0", "grid needs at least one point"),
     ("0.5:inf:5", "--grid '0.5:inf:5' has a non-finite endpoint"),
     ("nan:1:5", "--grid 'nan:1:5' has a non-finite endpoint"),
+    # numpy refuses either size at once, allocating nothing
+    *[(f"0:1:{n}", f"--grid '0:1:{n}' asks for more floats than numpy can allocate")
+      for n in (10**16, 10**20)],
 ]
 
 

@@ -1,6 +1,5 @@
 """optimize: entropy minimizers, convex hull, tightness sweeps."""
 
-import hashlib
 import os
 import platform
 import subprocess
@@ -17,6 +16,8 @@ from tribell.optimize import (OptConfig, convex_hull_lower, hull_value,
                               minimize_holz_two_outcome,
                               minimize_parity_two_outcome)
 from tribell.verification import verify_tightness
+
+import pins
 
 SQRT2 = np.sqrt(2.0)
 CFG = OptConfig(restarts=16, seed=1)
@@ -35,53 +36,18 @@ def eta_oracle(beta):
     return 2.0 + float((ps * np.log2(ps)).sum())
 
 
-@pytest.mark.parametrize("minimizer, beta, entropy", [
-    (minimize_holz_two_outcome, 1.3, 0.5815799328062696),
-    (minimize_parity_two_outcome, 1.2, 0.4911852871225544),  # CHSH's at 2.4
-], ids=["holz-1.3", "parity-chsh-1.2"])
-def test_fixed_seed_entropy_pinned(minimizer, beta, entropy):
-    # fixed-seed values; any change to the objective or the search moves them
-    got = minimizer(beta, OptConfig(restarts=8, seed=0)).entropy
-    assert got == pytest.approx(entropy, rel=1e-12, abs=0.0)
-
-
-def test_chsh_fixed_seed_pinned():
-    # fixed-seed values; any change to the CHSH objective or the search moves them
-    r = minimize_chsh_two_outcome(2.4, OptConfig(restarts=8, seed=0))
-    assert r.entropy == pytest.approx(0.4911852871225544, rel=1e-12, abs=0.0)
-    assert r.achieved_beta == pytest.approx(2.4, rel=1e-12, abs=0.0)
-    assert r.converged
-
-
-def _argmin_digest(res):
-    h = hashlib.sha256()
-    for key in sorted(res.argmin):
-        h.update(np.ascontiguousarray(res.argmin[key], dtype=float).tobytes())
-    return h.hexdigest()
-
-
-@pytest.mark.parametrize("minimizer, beta, entropy, achieved, digest", [
-    (minimize_holz_two_outcome, 1.45, "1.3622313043177936", "1.4499999999999997",
-     "24a72dc5b6523bae965d499d79b7e1dc61b4b1e75de43eeef0c6e2f778a46ce9"),
-    (minimize_parity_two_outcome, 1.3, "0.8492687986018936", "1.3",
-     "860e94053feb43a4c3a2b907a853922c87718e87ed53727b78105bd89c348db2"),
-    (minimize_chsh_two_outcome, 2.7, "1.072956584581774", "2.7",
-     "9cea432a1c3d9592e2e80d86d8e27e4779103e1137fcfc8185ba2137fd4e6992"),
-], ids=["holz-1.45", "parity-chsh-1.3", "chsh-2.7"])
-def test_fixed_seed_bits_pinned(minimizer, beta, entropy, achieved, digest):
-    # recorded with the lockstep L-BFGS: every bit of the entropy, the
-    # achieved value and the argmin, so any change to the objective, its
-    # gradient or the search shows here
-    res = minimizer(beta, OptConfig(restarts=8, seed=5))
-    assert (repr(res.entropy), repr(res.achieved_beta), res.converged) == (
-        entropy, achieved, True)
-    assert _argmin_digest(res) == digest
+@pytest.mark.parametrize("entry", pins.calls("minimize"),
+                         ids=lambda e: f"{e['inequality']}-{e['beta']}")
+def test_fixed_seed_bits_pinned(entry):
+    # every bit of the entropy, the achieved value and the argmin at a fixed
+    # seed, so any change to the objective, its gradient or the search shows here
+    assert pins.mismatches(entry) == []
 
 
 def _fields(res):
     """Every OptResult field: floats by repr, the argmin by its digest."""
     return (repr(res.entropy), repr(res.achieved_beta), res.converged, res.restarts_used,
-            repr(res.beta_target), _argmin_digest(res))
+            repr(res.beta_target), pins.argmin_digest(res))
 
 
 @pytest.mark.parametrize("ineq, betas", [
@@ -736,8 +702,8 @@ class TestParityIsChshAtTwiceBeta:
         parity = minimize_parity_two_outcome(beta, cfg)
         chsh = minimize_chsh_two_outcome(2 * beta, cfg)
         assert (repr(parity.entropy), parity.converged, parity.restarts_used,
-                _argmin_digest(parity)) == (repr(chsh.entropy), chsh.converged,
-                                            chsh.restarts_used, _argmin_digest(chsh))
+                pins.argmin_digest(parity)) == (repr(chsh.entropy), chsh.converged,
+                                                chsh.restarts_used, pins.argmin_digest(chsh))
         assert parity.achieved_beta == chsh.achieved_beta / 2.0
         assert parity.beta_target == beta
 
@@ -762,7 +728,7 @@ class TestParityIsChshAtTwiceBeta:
     def test_below_the_shipped_curve(self):
         # the shipped table holds the old block family's values, which froze
         # Charlie's difference angle at 0; CHSH at 2.4 is 0.158 bits lower
-        # (ROADMAP item 11; the table moves with item 5's re-recording)
+        # (ROADMAP item 11 replaces the table with CHSH's curve at 2 beta)
         r = minimize_parity_two_outcome(1.2, OptConfig(restarts=64, seed=0))
         curve = rates.bound_curve(bell.spec_by_name("parity-chsh"), "two").fn(1.2)
         assert r.converged

@@ -18,6 +18,8 @@ from tribell.rates import (RateResult, beta_of_p_closed_form, betas_of_p, qber, 
 from tribell.states import (I2, X, Y, Z, depolarize_global, depolarize_local, ghz_state,
                             observable_matrices)
 
+import pins
+
 SQRT2 = np.sqrt(2.0)
 
 
@@ -391,98 +393,9 @@ class TestDireRecycled:
         assert r.rate == pytest.approx(0.0, abs=1e-12)
 
 
-# float.hex() of the 16 paper thresholds (Tables 2 and 3, gamma = 0): the
-# CLI pins print 9 digits, these every bit
-PAPER_THRESHOLDS = {
-    ("dicka", "holz", "local"): "0x1.ddef51ef84878p-1",
-    ("dicka", "holz", "global"): "0x1.b54fd278efbc7p-1",
-    ("dicka", "parity-chsh", "local"): "0x1.dec0d167b8b21p-1",
-    ("dicka", "parity-chsh", "global"): "0x1.b6cadd4751526p-1",
-    ("dicka", "asym-chsh", "local"): "0x1.d87f4b0883983p-1",
-    ("dicka", "asym-chsh", "global"): "0x1.b40ad1fd76d8dp-1",
-    ("dire-spot", "mabk", "local"): "0x1.965fea53d6e3fp-1",
-    ("dire-spot", "mabk", "global"): "0x1.0000000000002p-1",
-    ("dire-spot", "parity-chsh", "local"): "0x1.bd49c213611b9p-1",
-    ("dire-spot", "parity-chsh", "global"): "0x1.6a09e667f3bcfp-1",
-    ("dire-spot", "holz", "local"): "0x1.b2c38e5b94fe2p-1",
-    ("dire-spot", "holz", "global"): "0x1.5555555555558p-1",
-    ("dire-spot", "chsh", "local"): "0x1.ae89f995ad3b0p-1",
-    ("dire-spot", "chsh", "global"): "0x1.6a09e667f3bd0p-1",
-    ("dire-recycled", "chsh", "local"): "0x1.ae89f995ad3b0p-1",
-    ("dire-recycled", "chsh", "global"): "0x1.6a09e667f3bd0p-1",
-}
-
-
-# threshold_p over 3 kinds x 5 inequalities x 2 noise kinds x THRESHOLD_GAMMAS
-# (180 cases): each threshold's float.hex(), or its error as
-# "ErrorClass: message", one entry per gamma
-THRESHOLD_GAMMAS = (0.0, 3.3e-4, 1e-3, 0.01, 0.05, 0.9)
-_MABK_DICKA = ("ValidationError: MABK cannot be used in a DICKA protocol (no shared"
-               " key-generation measurement achieves large violations)")
-
-
-def _no_recycled(ineq):
-    return (f"ValidationError: no 'recycled' bound for {ineq}, alpha=1.0 (the recycled-input"
-            " bound exists only for chsh, the asym-chsh two-outcome curve only for alpha=1)")
-
-
-def _no_sign_change(name, noise, at0, at1):
-    return (f"NumericError: the dire-spot rate of {name} under {noise} noise at gamma=0.9 does"
-            f" not change sign on p in [0, 1]: rate(p=0)={at0}, rate(p=1)={at1}")
-
-
-THRESHOLD_TABLE = {
-    ("dicka", "holz", "local"): ("0x1.ddef51ef84878p-1",) * 6,
-    ("dicka", "holz", "global"): ("0x1.b54fd278efbc7p-1",) * 6,
-    ("dicka", "parity-chsh", "local"): ("0x1.dec0d167b8b21p-1",) * 6,
-    ("dicka", "parity-chsh", "global"): ("0x1.b6cadd4751526p-1",) * 6,
-    ("dicka", "mabk", "local"): (_MABK_DICKA,) * 6,
-    ("dicka", "mabk", "global"): (_MABK_DICKA,) * 6,
-    ("dicka", "asym-chsh", "local"): ("0x1.d87f4b0883983p-1",) * 6,
-    ("dicka", "asym-chsh", "global"): ("0x1.b40ad1fd76d8dp-1",) * 6,
-    ("dicka", "chsh", "local"): ("0x1.d87f4b0883983p-1",) * 6,
-    ("dicka", "chsh", "global"): ("0x1.b40ad1fd76d8dp-1",) * 6,
-    ("dire-spot", "holz", "local"): ("0x1.b2c38e5b94fe2p-1", "0x1.b36893f0c5d0fp-1",
-        "0x1.b48268bdc5f54p-1", "0x1.bf3f3d22da833p-1", "0x1.da87fb0f3b8e9p-1",
-        _no_sign_change("holz", "local", "-3.169", "-1.35772")),
-    ("dire-spot", "holz", "global"): ("0x1.5555555555558p-1", "0x1.569450681de76p-1",
-        "0x1.58b6ca196efbep-1", "0x1.6dfa793047ec1p-1", "0x1.a7b62df962bc6p-1",
-        _no_sign_change("holz", "global", "-3.169", "-1.35772")),
-    ("dire-spot", "parity-chsh", "local"): ("0x1.bd49c213611b9p-1", "0x1.bd76185a9d744p-1",
-        "0x1.bdcc82152d701p-1", "0x1.c2813a6ce0f8fp-1", "0x1.d1f459f1c0367p-1",
-        _no_sign_change("parity-chsh", "local", "-2.269", "-0.66812")),
-    ("dire-spot", "parity-chsh", "global"): ("0x1.6a09e667f3bcfp-1", "0x1.6a62ca7655504p-1",
-        "0x1.6b1031ece0ae0p-1", "0x1.74972dc14ce76p-1", "0x1.94fb65ecd5c80p-1",
-        _no_sign_change("parity-chsh", "global", "-2.269", "-0.66812")),
-    ("dire-spot", "mabk", "local"): ("0x1.965fea53d6e3fp-1", "0x1.96e281aad5072p-1",
-        "0x1.97c8c6b4035a0p-1", "0x1.a1518a5ba680ap-1", "0x1.bd02a8e2e4da1p-1",
-        _no_sign_change("mabk", "local", "-3.169", "-1.169")),
-    ("dire-spot", "mabk", "global"): ("0x1.0000000000002p-1", "0x1.00f71c9e23077p-1",
-        "0x1.02ac5a45b8a22p-1", "0x1.153e9bfebe313p-1", "0x1.502dd05257d33p-1",
-        _no_sign_change("mabk", "global", "-3.169", "-1.169")),
-    ("dire-spot", "asym-chsh", "local"): ("0x1.ae89f995ad3b0p-1", "0x1.af39a9bfcaecbp-1",
-        "0x1.b052deb9d6d39p-1", "0x1.b9d10c33db44cp-1", "0x1.d0cc0709f9072p-1",
-        _no_sign_change("asym-chsh(alpha=1.0)", "local", "-2.269", "-0.66812")),
-    ("dire-spot", "asym-chsh", "global"): ("0x1.6a09e667f3bd0p-1", "0x1.6b319b486aa00p-1",
-        "0x1.6d0be54352ef4p-1", "0x1.7d40f35fcb59cp-1", "0x1.a5f21e0faf682p-1",
-        _no_sign_change("asym-chsh(alpha=1.0)", "global", "-2.269", "-0.66812")),
-    ("dire-spot", "chsh", "local"): ("0x1.ae89f995ad3b0p-1", "0x1.af39a9bfcaecbp-1",
-        "0x1.b052deb9d6d39p-1", "0x1.b9d10c33db44cp-1", "0x1.d0cc0709f9072p-1",
-        _no_sign_change("asym-chsh(alpha=1.0)", "local", "-2.269", "-0.66812")),
-    ("dire-spot", "chsh", "global"): ("0x1.6a09e667f3bd0p-1", "0x1.6b319b486aa00p-1",
-        "0x1.6d0be54352ef4p-1", "0x1.7d40f35fcb59cp-1", "0x1.a5f21e0faf682p-1",
-        _no_sign_change("asym-chsh(alpha=1.0)", "global", "-2.269", "-0.66812")),
-    ("dire-recycled", "holz", "local"): (_no_recycled("holz"),) * 6,
-    ("dire-recycled", "holz", "global"): (_no_recycled("holz"),) * 6,
-    ("dire-recycled", "parity-chsh", "local"): (_no_recycled("parity-chsh"),) * 6,
-    ("dire-recycled", "parity-chsh", "global"): (_no_recycled("parity-chsh"),) * 6,
-    ("dire-recycled", "mabk", "local"): (_no_recycled("mabk"),) * 6,
-    ("dire-recycled", "mabk", "global"): (_no_recycled("mabk"),) * 6,
-    ("dire-recycled", "asym-chsh", "local"): ("0x1.ae89f995ad3b0p-1",) * 6,
-    ("dire-recycled", "asym-chsh", "global"): ("0x1.6a09e667f3bd0p-1",) * 6,
-    ("dire-recycled", "chsh", "local"): ("0x1.ae89f995ad3b0p-1",) * 6,
-    ("dire-recycled", "chsh", "global"): ("0x1.6a09e667f3bd0p-1",) * 6,
-}
+# the asym-CHSH DICKA thresholds' float.hex() by noise kind, as pins.json records them
+ASYM_DICKA = {e["noise"]: e["out"]["gamma=0.0"] for e in pins.calls("threshold_p")
+              if (e["kind"], e["inequality"]) == ("dicka", "asym-chsh")}
 
 
 # every (kind, inequality) whose rate reads a bound curve
@@ -548,22 +461,15 @@ class TestThresholds:
         ]
         for kind, ineq, noise, expect in cases:
             thr = threshold_p(kind, spec_by_name(ineq), noise, gamma=0.0)
+            assert type(thr) is float
             assert thr == pytest.approx(expect, abs=1e-6)
 
-    @pytest.mark.parametrize("kind, ineq, noise", list(PAPER_THRESHOLDS))
-    def test_paper_threshold_bits(self, kind, ineq, noise):
-        thr = threshold_p(kind, spec_by_name(ineq), noise, gamma=0.0)
-        assert type(thr) is float
-        assert thr.hex() == PAPER_THRESHOLDS[kind, ineq, noise]
-
-    @pytest.mark.parametrize("kind, ineq, noise", list(THRESHOLD_TABLE))
-    def test_threshold_table(self, kind, ineq, noise):
-        for gamma, want in zip(THRESHOLD_GAMMAS, THRESHOLD_TABLE[kind, ineq, noise]):
-            try:
-                got = threshold_p(kind, spec_by_name(ineq), noise, gamma).hex()
-            except (NumericError, ValidationError) as exc:
-                got = f"{type(exc).__name__}: {exc}"
-            assert got == want, gamma
+    @pytest.mark.parametrize("entry", pins.calls("threshold_p"),
+                             ids=lambda e: f"{e['kind']}-{e['inequality']}-{e['noise']}")
+    def test_threshold_table(self, entry):
+        # pins.json's thresholds, run here so that they also run in a process
+        # of their own, each entry from a cold asym-CHSH root
+        assert pins.mismatches(entry) == []
 
     def test_no_sign_change_error(self, monkeypatch):
         sizes = rate_grid_sizes(monkeypatch)
@@ -666,15 +572,13 @@ class TestThresholds:
     @pytest.mark.parametrize("first", ["local", "global"])
     def test_asym_dicka_root_solved_once(self, monkeypatch, first):
         sizes = rate_grid_sizes(monkeypatch)
-        want = {noise: PAPER_THRESHOLDS["dicka", "asym-chsh", noise]
-                for noise in ("local", "global")}
-        assert threshold_p("dicka", spec_by_name("asym-chsh"), first).hex() == want[first]
+        assert threshold_p("dicka", spec_by_name("asym-chsh"), first).hex() == ASYM_DICKA[first]
         solved = len(sizes)
         for ineq in ("asym-chsh", "chsh"):
             for noise in ("local", "global"):
                 for gamma in (0.0, 0.5, 1.0):
                     assert threshold_p("dicka", spec_by_name(ineq), noise, gamma).hex() \
-                        == want[noise]
+                        == ASYM_DICKA[noise]
         assert len(sizes) == solved
 
     @pytest.mark.parametrize("spec, noise, gamma, message", [
@@ -709,7 +613,7 @@ class TestThresholds:
             sizes.clear()
             got = threshold_p("dicka", spec_by_name("asym-chsh"), noise)
             assert sizes[:2] == [2, 16] and len(sizes) > 2
-            assert got.hex() == PAPER_THRESHOLDS["dicka", "asym-chsh", noise]
+            assert got.hex() == ASYM_DICKA[noise]
 
     @pytest.mark.parametrize("ineq", list(INEQUALITIES))
     @pytest.mark.parametrize("noise", ["local", "global"])
@@ -727,7 +631,7 @@ class TestThresholds:
         assert beta_of_p_closed_form(spec, noise, p_cl) <= spec.local_bound \
             < beta_of_p_closed_form(spec, noise, float(np.nextafter(p_cl, 1.0)))
 
-    @pytest.mark.parametrize("s", [float.fromhex(PAPER_THRESHOLDS["dicka", "asym-chsh", "global"]),
+    @pytest.mark.parametrize("s", [float.fromhex(ASYM_DICKA["global"]),
                                    1.0, 0.5, 0.81, 0.49, 2.0 ** -60, 0.7071067811865476])
     def test_least_p_is_the_smallest_float(self, s):
         # the float p found, and not the one below it, reaches s under each noise kind
