@@ -398,6 +398,17 @@ ASYM_DICKA = {e["noise"]: e["out"]["gamma=0.0"] for e in pins.calls("threshold_p
               if (e["kind"], e["inequality"]) == ("dicka", "asym-chsh")}
 
 
+# every (kind, inequality) with a threshold in the paper's tables
+PAPER_RATES = [("dicka", "holz"), ("dicka", "parity-chsh"), ("dicka", "asym-chsh"),
+               ("dire-spot", "mabk"), ("dire-spot", "parity-chsh"), ("dire-spot", "holz"),
+               ("dire-spot", "chsh"), ("dire-recycled", "chsh")]
+# the pins.json entries of the 16 paper thresholds (Tables 2 and 3, gamma = 0),
+# which the CLI pins print to 9 digits, in the tables' order
+PAPER_THRESHOLD_ENTRIES = sorted(
+    (e for e in pins.calls("threshold_p") if (e["kind"], e["inequality"]) in PAPER_RATES),
+    key=lambda e: PAPER_RATES.index((e["kind"], e["inequality"])))
+
+
 # every (kind, inequality) whose rate reads a bound curve
 CURVE_RATES = [("dicka", "holz"), ("dicka", "parity-chsh"), ("dire-spot", "mabk"),
                ("dire-spot", "parity-chsh"), ("dire-spot", "holz"), ("dire-spot", "chsh"),
@@ -470,6 +481,14 @@ class TestThresholds:
         # pins.json's thresholds, run here so that they also run in a process
         # of their own, each entry from a cold asym-CHSH root
         assert pins.mismatches(entry) == []
+
+    @pytest.mark.parametrize("entry", PAPER_THRESHOLD_ENTRIES,
+                             ids=lambda e: f"{e['kind']}-{e['inequality']}-{e['noise']}")
+    def test_paper_threshold_bits(self, entry):
+        thr = threshold_p(entry["kind"], spec_by_name(entry["inequality"]), entry["noise"],
+                          gamma=0.0)
+        assert type(thr) is float
+        assert thr.hex() == entry["out"]["gamma=0.0"]
 
     def test_no_sign_change_error(self, monkeypatch):
         sizes = rate_grid_sizes(monkeypatch)
