@@ -64,21 +64,13 @@ def depolarize_local(rho, p: float, qubit_count: int) -> np.ndarray:
     rho = as_matrix(rho)
     if rho.shape[0] != 2 ** qubit_count:
         raise ValidationError(f"dimension {rho.shape[0]} != 2^{qubit_count}")
-    return _local_channel(rho, p, qubit_count)
-
-
-def _local_channel(rho: np.ndarray, p, qubit_count: int) -> np.ndarray:
-    """depolarize_local's Pauli mixture at a checked p: the (d, d) output
-    for a float, the (n, d, d) stack of them for an (n, 1, 1) column."""
     c0 = (1.0 + 3.0 * p) / 4.0
     c1 = (1.0 - p) / 4.0
     out = rho
-    d = rho.shape[-1]
     for index, sign in _pauli_conjugations(qubit_count):
         # X out X, Y out Y, Z out Z: signed permutations of out's entries,
         # exactly the matrix products' values; summed in turn
-        flips = out.reshape(out.shape[:-2] + (d * d,))[..., index] * sign
-        out = c0 * out + c1 * sum(np.moveaxis(flips, -3, 0))
+        out = c0 * out + c1 * sum(out.reshape(-1)[index] * sign)
     return out
 
 

@@ -56,13 +56,14 @@ class TestBetaOfP:
     @pytest.mark.parametrize("noise", ["local", "global"])
     def test_closed_form_float_formula_bit_for_bit(self, ineq, alpha, noise):
         # a grid is elementwise the float's value, and a float the closed
-        # form written on Python floats (C pow for p ** k)
+        # form written on Python floats, p^2 and p^3 as the products p * p
+        # and (p * p) * p
         spec = spec_by_name(ineq, alpha)
         qb = spec.quantum_bound
-        formula = {"holz": lambda p: 0.75 * (p ** 3 + p ** 2),
-                   "parity-chsh": lambda p: (p ** 3 + p ** 2) / SQRT2,
-                   "mabk": lambda p: 4.0 * p ** 3,
-                   "asym-chsh": lambda p: qb * p ** 2}[spec.kind]
+        formula = {"holz": lambda p: 0.75 * (p * p * p + p * p),
+                   "parity-chsh": lambda p: (p * p * p + p * p) / SQRT2,
+                   "mabk": lambda p: 4.0 * (p * p * p),
+                   "asym-chsh": lambda p: qb * (p * p)}[spec.kind]
         ps = np.linspace(0.0, 1.0, 10001)
         got = [beta_of_p_closed_form(spec, noise, p) for p in ps.tolist()]
         assert all(type(b) is float for b in got)
@@ -134,9 +135,17 @@ def fresh_beta_of_p(spec, noise, p):
             + corr(a1, b0, c0) - corr(a1, b1, c1))
 
 
+# the most betas_of_p's local closed form may differ from the per-call
+# matrix construction, in ulps of the quantum bound: 6 measured, Holz at
+# 200001 p in [0, 1] (within 10 ulps of beta itself on p in [0.5, 1])
+LOCAL_ORACLE_ULPS = 8
+
+
 class TestBetaOfPBitIdentical:
-    """The operators betas_of_p builds once per process give the bits of the
-    per-call construction."""
+    """betas_of_p has the bits of its definition: under global noise the
+    per-call matrix construction's, under local noise the closed form's
+    clamped to the quantum bound, within LOCAL_ORACLE_ULPS of the matrix
+    construction."""
 
     PS = np.concatenate([np.linspace(0.0, 1.0, 2001),
                          np.random.default_rng(2024).random(500)])
@@ -149,7 +158,12 @@ class TestBetaOfPBitIdentical:
         spec = spec_by_name(ineq, alpha)
         got = betas_of_p(spec, noise, self.PS)
         want = np.array([fresh_beta_of_p(spec, noise, p) for p in self.PS])
-        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        if noise == "global":
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+            return
+        closed = np.minimum(beta_of_p_closed_form(spec, noise, self.PS), spec.quantum_bound)
+        np.testing.assert_array_equal(got.view(np.uint64), closed.view(np.uint64))
+        assert np.abs(got - want).max() <= LOCAL_ORACLE_ULPS * np.spacing(spec.quantum_bound)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_depolarize_local(self, n):
@@ -180,7 +194,60 @@ class TestBetaOfPBitIdentical:
         for op in ops:
             with pytest.raises(ValueError):
                 op[0, 0] = 7.0
-        assert beta_of_p(spec_by_name("holz"), "local", 1.0) == pytest.approx(1.5, abs=1e-12)
+        assert beta_of_p(spec_by_name("holz"), "global", 1.0) == pytest.approx(1.5, abs=1e-12)
+        np.testing.assert_array_equal(depolarize_local(ghz_state(3), 1.0, 3), ghz_state(3))
+
+
+class TestLocalNoiseBuildsNoState:
+    """Under local noise betas_of_p, rate_grid and threshold_p read the
+    closed form alone: they run with the noiseless state and bell's sum of
+    terms made to fail."""
+
+    PS = np.linspace(0.0, 1.0, 201)
+
+    @pytest.fixture(autouse=True)
+    def no_state(self, monkeypatch):
+        monkeypatch.setattr(rates, "_bell_sum", lambda *args: pytest.fail("summed Bell terms"))
+        monkeypatch.setattr(rates, "_noiseless", lambda *args: pytest.fail("built a state"))
+
+    @pytest.mark.parametrize("ineq, alpha", [
+        ("holz", 1.0), ("parity-chsh", 1.0), ("mabk", 1.0), ("chsh", 1.0),
+        ("asym-chsh", 0.3), ("asym-chsh", 2.0)])
+    def test_betas_of_p(self, ineq, alpha):
+        assert betas_of_p(spec_by_name(ineq, alpha), "local", self.PS).shape == self.PS.shape
+
+    @pytest.mark.parametrize("ineq", sorted(INEQUALITIES))
+    def test_rate_grid(self, ineq):
+        spec = spec_by_name(ineq)
+        for kind in rates.RATE_KINDS:
+            try:
+                rates.rate_curve(kind, spec, 0.0)
+            except ValidationError:  # no such rate
+                continue
+            assert rate_grid(kind, spec, "local", self.PS, 0.0).rate.shape == self.PS.shape
+
+    @pytest.mark.parametrize("entry", [e for e in pins.calls("threshold_p")
+                                       if e["noise"] == "local"],
+                             ids=lambda e: f"{e['kind']}-{e['inequality']}")
+    def test_threshold_p(self, entry):
+        assert pins.mismatches(entry) == []
+
+    @pytest.mark.parametrize("ineq, ulps_below", [("holz", 0), ("mabk", 0), ("chsh", 0),
+                                                  ("parity-chsh", 1)])
+    def test_noiseless_is_the_quantum_bound(self, ineq, ulps_below):
+        # 2/sqrt2 rounds one ulp below sqrt2
+        spec = spec_by_name(ineq)
+        qb = spec.quantum_bound
+        assert beta_of_p(spec, "local", 1.0) == qb - ulps_below * np.spacing(qb)
+
+    def test_holz_dire_spot_noiseless_runs_no_root(self, monkeypatch):
+        # at beta = 3/2 exactly the curve's solve_x has no lane to solve
+        bounds._holz_tangent_slope()
+        lanes, roots = [], bounds.bracketed_roots
+        monkeypatch.setattr(bounds, "bracketed_roots",
+                            lambda f, lo, hi: lanes.append(len(lo)) or roots(f, lo, hi))
+        rate_grid("dire-spot", spec_by_name("holz"), "local", [1.0], 0.0)
+        assert lanes and not any(lanes)
 
 
 class TestRateGrid:
@@ -216,7 +283,7 @@ class TestRateGrid:
     def test_asym_local_scale_is_p_squared_as_a_float(self):
         p = float.fromhex("0x1.b4f6633355186p-2")  # p * p is one ulp below p ** 2 here
         alpha, _, beta = rates.best_alpha_one_outcome("local", [p])
-        assert beta[0] == 2.0 * np.hypot(1.0, alpha[0]) * p ** 2
+        assert beta[0] == 2.0 * np.hypot(1.0, alpha[0]) * (p * p)
 
     def test_asym_dicka_empty_grid(self):
         r = rates.rate_grid("dicka", spec_by_name("chsh"), "local", [])
@@ -295,10 +362,10 @@ class TestQber:
         ps = np.concatenate([np.linspace(0.0, 1.0, 100001), [special],
                              np.random.default_rng(33).random(100000)])
         got = qber("local", ps)
-        want = [(1.0 - p ** 2) / 2.0 for p in ps.tolist()]
+        want = [(1.0 - p * p) / 2.0 for p in ps.tolist()]
         assert got.shape == ps.shape
         assert [q.hex() for q in got.tolist()] == [q.hex() for q in want]
-        assert qber("local", special) == (1.0 - special ** 2) / 2.0
+        assert qber("local", special) == (1.0 - special * special) / 2.0
         assert type(qber("local", special)) is float
 
     @pytest.mark.parametrize("noise_kind, p, message", [
