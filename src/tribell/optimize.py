@@ -30,8 +30,7 @@ import numpy as np
 from .bell import _block_vbar, spec_by_name
 from .errors import ValidationError
 from .states import (_COS2T, _COSB, _COSH, _COST, _SIN2T, _SINB, _SINH, _SINT,
-                     BlockDiagState, _block_correlators, _block_lambdas, _block_trig,
-                     _block_zxx, _sum4, tau_state)
+                     BlockDiagState, _block_correlators, _block_trig, _block_zxx, tau_state)
 
 __all__ = ["OptConfig", "OptResult", "minimize_holz_two_outcome", "minimize_parity_two_outcome",
            "minimize_chsh_two_outcome", "MINIMIZERS", "sweep_two_outcome", "convex_hull_lower",
@@ -53,6 +52,7 @@ STEP_FLOOR = 1e-12
 FEASIBILITY_TOL = 1e-7
 JITTER = 1e-3  # the search starts this far (standard deviation) from the starts
 LANE_CAP = 4096  # most restarts (over all betas) sweep_two_outcome searches at once
+_LOG2E = 1.0 / np.log(2.0)
 
 
 def _xlog2x(a: np.ndarray) -> np.ndarray:
@@ -60,10 +60,11 @@ def _xlog2x(a: np.ndarray) -> np.ndarray:
     return a * np.log2(safe)
 
 
-def _dxlog2x(a: np.ndarray) -> np.ndarray:
-    """The derivative of _xlog2x, 0 where it is 0."""
+def _xlog2x_grad(a: np.ndarray):
+    """_xlog2x(a) and its derivative, 0 where _xlog2x is, from one log2."""
     live = a > 1e-18
-    return np.where(live, np.log2(np.where(live, a, 1.0)) + 1.0 / np.log(2.0), 0.0)
+    log2 = np.log2(np.where(live, a, 1.0))
+    return a * log2, np.where(live, log2 + _LOG2E, 0.0)
 
 
 def _weights(z: np.ndarray, k: int) -> np.ndarray:
@@ -100,8 +101,9 @@ def _penalty(v: np.ndarray, beta, pw: float, mu):
 # trig rows of states._block_trig.  Sums over the 8 weights are written out
 # pairwise, the order numpy's reductions take.
 _PLUS_MINUS = np.array([1.0, -1.0])[:, None]
-_SIGN_J, _SIGN_K = _PLUS_MINUS[:, None], _PLUS_MINUS[None]  # Z on Bob's, Charlie's bit
-_SIGN_JK = _SIGN_J * _SIGN_K
+_SIGN_I, _SIGN_J, _SIGN_K = _PLUS_MINUS[:, None, None], _PLUS_MINUS[:, None], _PLUS_MINUS[None]
+_SIGN_JK = _SIGN_J * _SIGN_K  # the signs of Z on Alice's (i), Bob's (j), Charlie's (k) bit
+_SQUARED = np.r_[np.arange(20)[_COST], np.arange(20)[_SINT], _COSH, _SINH, _SINH, _COSH]
 
 
 def _sum8(x: np.ndarray) -> np.ndarray:
@@ -109,36 +111,39 @@ def _sum8(x: np.ndarray) -> np.ndarray:
 
 
 def _gram(rho: np.ndarray, trig: np.ndarray):
-    """Charlie's 2x2 Gram blocks G[0, o] on columns rho (2, 2, 2, n): the
-    weights D[0, j, k], the diagonals g (o, k, n), the off-diagonal g01,
-    the discriminant (o, n) and the eigenvalues (o, +-, n), clipped at 0.
+    """Charlie's 2x2 Gram blocks G[0, o] on columns rho (2, 2, 2, n): their
+    eigenvalues e (o, +-, n), clipped at 0, and for _block_entropy_grad the
+    squares (cos^2 t, sin^2 t) (2, 2, 2, n), [[cu, su], [su, cu]] (j, o, n)
+    of Bob's cos^2, sin^2 (b0/2), the weights D[0, j, k], rho[0] - rho[1],
+    ZXX, the diagonals g (o, k, n), off-diagonal g01 and discriminant (o, n).
     D[1, j, k] is D[0, ~j, ~k] with its operands commuted, so G[1, o] is
-    G[0, 1-o] with its diagonal swapped and has the same eigenvalues bit for
-    bit."""
-    lam0, lam1 = _block_lambdas(rho, trig)
-    diag = 0.5 * (lam0 + lam1)  # D[0, j, k]
-    cs = trig[_COSH::_SINH - _COSH] ** 2  # Bob's eigenvector weights cu, su
-    g = cs[:, None] * diag[0] + cs[::-1, None] * diag[1]  # diagonal of G[0, o]: (o, k, n)
-    g01 = trig[_SINB] * _block_zxx(rho[0] - rho[1], trig) / 8.0
+    G[0, 1-o], its diagonal swapped, with the same eigenvalues bit for bit."""
+    sq = trig[_SQUARED] ** 2
+    sq_t, cs = sq[:8].reshape(2, 2, 2, -1), sq[8:].reshape(2, 2, -1)
+    lam = sq_t * rho[0] + sq_t[::-1] * rho[1]  # states._block_lambdas, lambda[1] unflipped
+    diag = 0.5 * (lam[0] + lam[1, ::-1, ::-1])  # D[0, j, k]
+    g = np.add(*(cs[:, :, None] * diag[:, None]))  # diagonal of G[0, o]: (o, k, n)
+    diff = rho[0] - rho[1]
+    zxx = _block_zxx(diff, trig)
+    g01 = trig[_SINB] * zxx / 8.0
     tr = g[:, 0] + g[:, 1]
     disc = np.sqrt((g[:, 0] - g[:, 1]) ** 2 + 4.0 * g01 ** 2)
     # (tr +- disc) / 2 as tr + (+-1 * disc): (o, +-, n)
     e = np.maximum((tr[:, None] + _PLUS_MINUS * disc[:, None]) / 2.0, 0.0)
-    return diag, g, g01, disc, e
+    return e, (sq_t, cs, diag, diff, zxx, g, g01, disc)
 
 
-def _gram_entropy(rho: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """H(A0 B0|E) from the weights rho (2, 2, 2, n) and the eigenvalues e of
-    G[0, 0] and G[0, 1] (_gram): the pairwise 8-term sum of the eigenvalue
-    entropies is S + S."""
-    x = _xlog2x(e)
-    half = (x[0, 0] + x[0, 1]) + (x[1, 0] + x[1, 1])
-    return _sum8(_xlog2x(rho.reshape(8, -1))) - (half + half)
+def _gram_entropy(x_rho: np.ndarray, x_e: np.ndarray) -> np.ndarray:
+    """H(A0 B0|E) from x log2 x of the weights rho (2, 2, 2, n) and of the
+    eigenvalues e of G[0, 0] and G[0, 1] (_gram): the pairwise 8-term sum
+    of the eigenvalue entropies is S + S."""
+    half = (x_e[0, 0] + x_e[0, 1]) + (x_e[1, 0] + x_e[1, 1])
+    return _sum8(x_rho.reshape(8, -1)) - (half + half)
 
 
 def _block_entropy(rho: np.ndarray, trig: np.ndarray) -> np.ndarray:
     """H(A0 B0|E) on columns rho (2, 2, 2, n); see _two_outcome_entropy."""
-    return _gram_entropy(rho, _gram(rho, trig)[-1])
+    return _gram_entropy(_xlog2x(rho), _xlog2x(_gram(rho, trig)[0]))
 
 
 def _block_rho(w: np.ndarray) -> np.ndarray:
@@ -164,9 +169,9 @@ def _two_outcome_entropy(rho: np.ndarray, t: np.ndarray, b0: np.ndarray) -> np.n
     return _block_entropy(np.moveaxis(rho, 0, -1), _block_trig(angles))
 
 
-def _block_vbar_grad(rho: np.ndarray, trig: np.ndarray):
+def _block_vbar_grad(rho: np.ndarray, trig: np.ndarray, c2t: np.ndarray, s2t: np.ndarray):
     """_block_vbar (the same bits) with its partials in rho (2, 2, 2, n), in
-    t (2, 2, n) and in b0."""
+    t (2, 2, n) and in b0; c2t, s2t are trig's cos 2t, sin 2t rows (2, 2, n)."""
     xxx, zxx, zzi, ziz, izz = _block_correlators(rho, trig)
     sb, cb = trig[_SINB], trig[_COSB]
     hh, m = zxx ** 2 + xxx ** 2, ziz + cb * izz
@@ -179,41 +184,35 @@ def _block_vbar_grad(rho: np.ndarray, trig: np.ndarray):
     d_b0 = sb * cb * hh * inv_r - sb * izz * d_ziz
     # the correlators are sums over (j, k) of d cos2t with signs, d sin2t
     # and the signed totals
-    c2t, s2t = trig[_COS2T].reshape(2, 2, -1), trig[_SIN2T].reshape(2, 2, -1)
     d_zxx = zxx * inv
     cos_part = xxx * inv - _SIGN_J * cb + _SIGN_K * d_ziz  # d v / d(d cos2t)
     lin = c2t * cos_part + s2t * d_zxx
-    tot = _SIGN_JK * d_izz
     d_t = 2.0 * (rho[0] - rho[1]) * (c2t * d_zxx - s2t * cos_part)
-    return v, np.stack([tot + lin, tot - lin]), d_t, d_b0 + sb * zzi
+    return v, _SIGN_JK * d_izz + _SIGN_I * lin, d_t, d_b0 + sb * zzi
 
 
-def _block_entropy_grad(rs: np.ndarray, trig: np.ndarray):
+def _block_entropy_grad(rs: np.ndarray, trig: np.ndarray, c2t: np.ndarray, s2t: np.ndarray):
     """_block_entropy of columns rs with its partials in rs (2, 2, 2, n), in
     t (2, 2, n) and in b0, through the 2x2 Gram spectra; where a block's
     discriminant vanishes (below _xlog2x's cutoff) the eigenvalues coincide
-    and only the trace moves them."""
-    diag, g, g01, disc, e = _gram(rs, trig)
+    and only the trace moves them.  c2t, s2t as for _block_vbar_grad."""
+    e, (sq_t, cs, diag, diff, zxx, g, g01, disc) = _gram(rs, trig)
+    (x_rs, d_rs0), (x_e, le) = _xlog2x_grad(rs), _xlog2x_grad(e)
     # dS/dg for the half-sum S = sum over (o, +-) of xlog2x(eigenvalue)
-    le = _dxlog2x(e)
     live = disc > 1e-18
     over_disc = np.where(live, 0.5 * (le[:, 0] - le[:, 1]) / np.where(live, disc, 1.0), 0.0)
     d_g = (0.5 * (le[:, 0] + le[:, 1])[:, None]
            + _PLUS_MINUS * (over_disc * (g[:, 0] - g[:, 1]))[:, None])  # (o, k, n)
     d_g01 = 4.0 * g01 * (over_disc[0] + over_disc[1])
-    cs = trig[_COSH::_SINH - _COSH] ** 2
-    d_diag = 0.5 * np.stack([(cs[:, None] * d_g).sum(0), (cs[::-1, None] * d_g).sum(0)])
+    d_diag = 0.5 * np.add(*(cs[:, :, None] * d_g[:, None]))  # cs is symmetric
     d_cs = (d_g * diag).sum(axis=(0, 1)), (d_g * diag[::-1]).sum(axis=(0, 1))  # d cu, d su
     sb, cb = trig[_SINB], trig[_COSB]
     d_zxx = d_g01 * sb / 8.0
-    ct2, st2 = trig[_COST].reshape(2, 2, -1) ** 2, trig[_SINT].reshape(2, 2, -1) ** 2
-    s2t, c2t = trig[_SIN2T].reshape(2, 2, -1), trig[_COS2T].reshape(2, 2, -1)
     p, q = d_diag, d_diag[::-1, ::-1]  # through lambda[0] and lambda[1]
-    d_rs = np.stack([ct2 * p + st2 * q + s2t * d_zxx, st2 * p + ct2 * q - s2t * d_zxx])
-    diff = rs[0] - rs[1]
+    d_rs = sq_t * p + sq_t[::-1] * q + _SIGN_I * (s2t * d_zxx)
     d_t = diff * (2.0 * c2t * d_zxx - s2t * (p - q))
-    d_b0 = 0.5 * sb * (d_cs[1] - d_cs[0]) + d_g01 * cb * _sum4(diff * s2t) / 8.0
-    return _gram_entropy(rs, e), _dxlog2x(rs) - 2.0 * d_rs, -2.0 * d_t, -2.0 * d_b0
+    d_b0 = 0.5 * sb * (d_cs[1] - d_cs[0]) + d_g01 * cb * zxx / 8.0
+    return _gram_entropy(x_rs, x_e), d_rs0 - 2.0 * d_rs, -2.0 * d_t, -2.0 * d_b0
 
 
 def _block_value_grad(z: np.ndarray, beta, pw: float, mu):
@@ -227,9 +226,10 @@ def _block_value_grad(z: np.ndarray, beta, pw: float, mu):
     norm = np.where(norm <= 0.0, 1.0, norm)
     rho = (w / norm).reshape(2, 2, 2, -1)
     trig = _block_trig(zt[8:])
-    v, dv_rho, dv_t, dv_b0 = _block_vbar_grad(rho, trig)
+    c2t, s2t = trig[_COS2T].reshape(2, 2, -1), trig[_SIN2T].reshape(2, 2, -1)
+    v, dv_rho, dv_t, dv_b0 = _block_vbar_grad(rho, trig, c2t, s2t)
     s = _beta_scale(v, beta)
-    ent, de_rs, de_t, de_b0 = _block_entropy_grad(s * rho + (1.0 - s) / 8, trig)
+    ent, de_rs, de_t, de_b0 = _block_entropy_grad(s * rho + (1.0 - s) / 8, trig, c2t, s2t)
     pen, k = _penalty(v, beta, pw, mu)
     # d f / d v: the penalty's, and through s = beta / v above beta
     k = k + np.where(v > beta, -s / np.fmax(v, beta), 0.0) * _sum8(
@@ -288,53 +288,60 @@ def _lbfgs_lockstep(value_grad, x0: np.ndarray, iters: int) -> np.ndarray:
     f, g = value_grad(x, np.arange(m))
     s_hist, y_hist = np.zeros((MEMORY, m, d)), np.zeros((MEMORY, m, d))
     inv_sy = np.zeros((MEMORY, m))
+    # the history's views at each slot, newest pair first, for the two-loop recursion
+    orders = [[(s_hist[j], y_hist[j], inv_sy[j]) for j in np.arange(k, k - MEMORY, -1) % MEMORY]
+              for k in range(MEMORY)]
     gamma = np.ones(m)  # initial inverse-Hessian scale, s.y / y.y of the last pair
     p = -g
-    step = np.minimum(1.0, MAX_STEP / np.max(np.abs(p), axis=1, initial=1e-300))
+    # every row's max |p| (at least 1e-300, which retires a row all the same)
+    p_max = np.maximum.reduce(np.abs(p), axis=1, initial=1e-300)
+    step = np.minimum(1.0, MAX_STEP / p_max)
     slope = np.einsum("ij,ij->i", g, p)
     for it in range(iters):
-        idx = np.flatnonzero(step * np.max(np.abs(p), axis=1) > STEP_FLOOR)
+        idx = (step * p_max > STEP_FLOOR).nonzero()[0]
         if not idx.size:
             break
-        xt = x[idx] + step[idx, None] * p[idx]
+        st = step[idx]
+        xt = x[idx] + st[:, None] * p[idx]
         ft, gt = value_grad(xt, idx)
-        ok = ft <= f[idx] + ARMIJO * step[idx] * slope[idx]
+        ok = ft <= f[idx] + ARMIJO * st * slope[idx]
         step[idx[~ok]] *= 0.25
         moved = idx[ok]
         slot = it % MEMORY
         s_hist[slot], y_hist[slot], inv_sy[slot] = 0.0, 0.0, 0.0
         if not moved.size:
             continue
-        s, y = xt[ok] - x[moved], gt[ok] - g[moved]
+        xo, go = xt[ok], gt[ok]
+        s, y = xo - x[moved], go - g[moved]
         sy, yy = np.einsum("ij,ij->i", s, y), np.einsum("ij,ij->i", y, y)
         curved = sy > 1e-12 * yy
         kept = moved[curved]
         s_hist[slot, kept], y_hist[slot, kept] = s[curved], y[curved]
         inv_sy[slot, kept] = 1.0 / sy[curved]
         gamma[kept] = sy[curved] / yy[curved]
-        x[moved], f[moved], g[moved] = xt[ok], ft[ok], gt[ok]
+        x[moved], f[moved], g[moved] = xo, ft[ok], go
         # the two-loop recursion, newest pair first, on every restart
         q = g.copy()
-        order = [(slot - j) % MEMORY for j in range(MEMORY)]
         alphas = []
-        for k in order:
-            a = inv_sy[k] * np.einsum("ij,ij->i", s_hist[k], q)
-            q -= a[:, None] * y_hist[k]
+        for sj, yj, ij in orders[slot]:
+            a = ij * np.einsum("ij,ij->i", sj, q)
+            q -= a[:, None] * yj
             alphas.append(a)
         q *= gamma[:, None]
-        for k, a in zip(order[::-1], alphas[::-1]):
-            q += (a - inv_sy[k] * np.einsum("ij,ij->i", y_hist[k], q))[:, None] * s_hist[k]
+        for (sj, yj, ij), a in zip(orders[slot][::-1], alphas[::-1]):
+            q += (a - ij * np.einsum("ij,ij->i", yj, q))[:, None] * sj
         pm = -q[moved]
-        sl = np.einsum("ij,ij->i", g[moved], pm)
+        sl = np.einsum("ij,ij->i", go, pm)
         # not a descent direction: forget the restart's pairs, go downhill
         lost = sl >= 0.0
-        if np.any(lost):
+        if lost.any():
             inv_sy[:, moved[lost]] = 0.0
             gamma[moved[lost]] = 1.0
-            pm[lost] = -g[moved[lost]]
+            pm[lost] = -go[lost]
             sl[lost] = -np.einsum("ij,ij->i", pm[lost], pm[lost])
         p[moved], slope[moved] = pm, sl
-        step[moved] = np.minimum(1.0, MAX_STEP / np.max(np.abs(pm), axis=1, initial=1e-300))
+        p_max[moved] = pm_max = np.maximum.reduce(np.abs(pm), axis=1, initial=1e-300)
+        step[moved] = np.minimum(1.0, MAX_STEP / pm_max)
     return x
 
 
@@ -529,30 +536,33 @@ def _chsh_value_grad(z: np.ndarray, beta, pw: float, mu):
     (n, a, b) correlator terms, the CHSH value and the entropy
     1 + h(2p) - H({lambda_ij}) of the weights mixed towards uniform so the
     (linear) CHSH value hits beta."""
-    lam = _weights(z, 4)
-    plus, minus = z[:, 4:6, None] + z[:, None, 6:8], z[:, 4:6, None] - z[:, None, 6:8]
-    d1, d2 = (lam[:, 0] - lam[:, 2])[:, None, None], (lam[:, 1] - lam[:, 3])[:, None, None]
-    cp, cm = np.cos(plus), np.cos(minus)
-    corr = cp * d1 + cm * d2
+    w = z[:, :4] ** 2
+    norm = np.add.reduce(w, axis=1, keepdims=True)
+    norm = np.where(norm <= 0.0, 1.0, norm)
+    lam = w / norm  # _weights, keeping the norm
+    # a +- b (+-, n, a, b) and the weight differences their cosines carry
+    ang = z[:, 4:6, None] + _SIGN_I * z[:, None, 6:8]
+    d12 = (lam[:, :2] - lam[:, 2:]).T[:, :, None, None]
+    cpm = np.cos(ang)
+    corr = np.add(*(cpm * d12))
     a0b0 = corr[:, 0, 0]
     v = a0b0 + corr[:, 0, 1] + corr[:, 1, 0] - corr[:, 1, 1]
     s = _beta_scale(v, beta)
-    q = np.clip((1.0 + s * a0b0) / 2.0, 0.0, 1.0)  # 2p
+    q = ((1.0 + s * a0b0) / 2.0).clip(0.0, 1.0)  # 2p
     mix = _mixed(lam, s)
     pen, k = _penalty(v, beta, pw, mu)
-    ent = 1.0 + (-_xlog2x(q) - _xlog2x(1.0 - q)) + _xlog2x(mix).sum(axis=1)
-    d_q = _dxlog2x(1.0 - q) - _dxlog2x(q)
-    d_mix = _dxlog2x(mix)
-    d_s = (d_mix * (lam - 0.25)).sum(axis=1) + d_q * a0b0 / 2.0
+    (x_q, dx_q), (x_1q, dx_1q), (x_mix, d_mix) = map(_xlog2x_grad, (q, 1.0 - q, mix))
+    ent = 1.0 + (-x_q - x_1q) + np.add.reduce(x_mix, axis=1)
+    d_q = dx_1q - dx_q
+    d_s = np.add.reduce(d_mix * (lam - 0.25), axis=1) + d_q * a0b0 / 2.0
     k = k + np.where(v > beta, -s / np.fmax(v, beta), 0.0) * d_s  # d f / d v
     w = (d_q * s / 2.0)[:, None, None] * _A0B0 + k[:, None, None] * _CHSH_SIGNS  # d f / d corr
-    d1_, d2_ = (w * cp).sum(axis=(1, 2)), (w * cm).sum(axis=(1, 2))
-    d_lam = s[:, None] * d_mix + np.column_stack([d1_, d2_, -d1_, -d2_])
-    norm = (z[:, :4] ** 2).sum(axis=1, keepdims=True)
-    d_w = (d_lam - (d_lam * lam).sum(axis=1, keepdims=True)) / np.where(norm <= 0.0, 1.0, norm)
-    d_plus, d_minus = -w * np.sin(plus) * d1, -w * np.sin(minus) * d2
-    return ent + pen, np.column_stack([2.0 * z[:, :4] * d_w, (d_plus + d_minus).sum(axis=2),
-                                       (d_plus - d_minus).sum(axis=1)]), v, ent
+    d_d12 = np.add.reduce(w * cpm, axis=(2, 3))
+    d_lam = s[:, None] * d_mix + np.concatenate([d_d12, -d_d12]).T
+    d_w = (d_lam - np.add.reduce(d_lam * lam, axis=1, keepdims=True)) / norm
+    d_plus, d_minus = -w * np.sin(ang) * d12
+    return ent + pen, np.concatenate([2.0 * z[:, :4] * d_w, np.add.reduce(d_plus + d_minus, axis=2),
+                                      np.add.reduce(d_plus - d_minus, axis=1)], axis=1), v, ent
 
 
 def _chsh_family(betas: list, cfg: OptConfig) -> list[OptResult]:

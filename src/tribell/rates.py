@@ -123,8 +123,8 @@ def qber(noise_kind: str, p):
 
 
 # grid points per kernel call of the global-noise matrix path: the largest
-# temporary, the three Pauli products of every state, stays at 98 KB
-# (3 x 32 8x8 complex matrices)
+# temporary, bell._bell_sum's rho @ ops (terms, 32, d, d) complex, stays at
+# 128 KiB (Holz's and MABK's 4 terms on 8x8 states)
 _GRID_BLOCK = 32
 
 

@@ -36,11 +36,17 @@ def eta_oracle(beta):
     return 2.0 + float((ps * np.log2(ps)).sum())
 
 
-@pytest.mark.parametrize("entry", pins.calls("minimize"),
-                         ids=lambda e: f"{e['inequality']}-{e['beta']}")
+def _pin_id(entry):
+    """{inequality}-{beta}, and -restarts=N past the first pins' 8 restarts."""
+    tail = "" if entry["restarts"] == 8 else f"-restarts={entry['restarts']}"
+    return f"{entry['inequality']}-{entry['beta']}{tail}"
+
+
+@pytest.mark.parametrize("entry", pins.calls("minimize"), ids=_pin_id)
 def test_fixed_seed_bits_pinned(entry):
     # every bit of the entropy, the achieved value and the argmin at a fixed
-    # seed, so any change to the objective, its gradient or the search shows here
+    # seed, so any change to the objective, its gradient or the search shows
+    # here; the 64-restart solves are the optimize benchmark's three points
     assert pins.mismatches(entry) == []
 
 
@@ -503,6 +509,24 @@ def test_kernel_bits_at_zero_penalty(monkeypatch, minimizer, beta, width):
     f, _, v, ent = seen["value_grad"](z, beta, 0.0, 0.0)
     np.testing.assert_array_equal(_bits(f), _bits(ent))
     np.testing.assert_array_equal(_bits(v), _bits(seen["value"](z)))
+
+
+def test_xlog2x_grad_is_xlog2x_and_its_derivative():
+    # the kernels' one log2 per array: the value is _xlog2x's bits, the
+    # derivative log2(a) + 1/ln 2 above the cutoff 1e-18 and 0 at and below
+    # it, on the cutoff and its neighbours, zeros, a subnormal, 1, NaN and
+    # the weights and Gram eigenvalues of the oracle rows
+    tiny = 1e-18
+    rho, t, b0 = _oracle_rows()
+    e = optimize._gram(*_columns(rho, t, b0))[0]
+    a = np.concatenate([[0.0, -0.0, tiny, np.nextafter(tiny, 0.0), np.nextafter(tiny, 1.0),
+                         5e-324, 1.0, np.nan], rho.ravel(), e.ravel()])
+    value, slope = optimize._xlog2x_grad(a)
+    live = a > tiny
+    want = np.where(live, np.log2(np.where(live, a, 1.0)) + 1.0 / np.log(2.0), 0.0)
+    np.testing.assert_array_equal(_bits(value), _bits(optimize._xlog2x(a)))
+    np.testing.assert_array_equal(_bits(slope), _bits(want))
+    assert np.all(slope[~live] == 0.0) and np.isnan(value[7])
 
 
 def _entropy_calls_while_snapping(monkeypatch, minimizer, beta, name):

@@ -43,8 +43,10 @@ def h2(x):
 
 class TestBetaOfP:
     @pytest.mark.parametrize("ineq", ["holz", "parity-chsh", "mabk", "chsh"])
-    @pytest.mark.parametrize("noise", ["local", "global"])
+    @pytest.mark.parametrize("noise", ["global"])
     def test_matrix_vs_closed_form(self, ineq, noise):
+        # local betas_of_p is the closed form itself, clamped; it meets the
+        # matrix construction in TestBetaOfPBitIdentical::test_beta_of_p
         spec = spec_by_name(ineq)
         ps = np.linspace(0.0, 1.0, 201)
         closed = beta_of_p_closed_form(spec, noise, ps)
