@@ -3,26 +3,22 @@ threshold finding in the depolarization parameter p, and the registry that
 picks the entropy bound curve for each inequality and outcome.
 
 Rates are signed; a threshold is the sign change of the signed rate
-between two adjacent floats p.  One rate_grid call on the 16 floats around
-a start next to it holds the sign change, or proves a bracket for one
-qmath.bracketed_roots (ITP) lane on the rate itself.  A rate that reads a
-bound curve starts at its seed rate's sign change (the rate's own formula
-at the closed-form honest violation, which builds no state), one ITP lane
-from where that violation leaves the local bound.  asym-CHSH DICKA's two
-thresholds come from one root in the honest correlator s, kept for the
-process, which starts at its shipped value.  No start is ever returned.
-Every function of p takes (noise_kind, p); a grid of p is
-computed at once, each value the one-point value bit for bit.  The honest
-Bell values (betas_of_p, rate_grid) are the closed form clamped to the
-quantum bound under local noise, which builds no state, and bell's one sum
-over the honest row's cached terms on stacks of noisy states under global
-noise; asym-CHSH DICKA runs one lockstep alpha search
-(best_alpha_one_outcome).  rate_grid returns one
-RateResult per grid, float arrays of its rates and honest violations
-with the bound curve named once, and builds nothing per point.
-The two-outcome bounds for Parity-CHSH and CHSH are numeric curves
-produced by the optimizer, shipped as a monotone 200-point table and
-linearly interpolated (regenerate via the CLI).
+between two adjacent floats p, found by _sign_change on rate_grid's own
+rates: one call at p = 0, a start or two and 1, then one
+qmath.bracketed_roots (ITP) lane in the bracket that call proved.
+asym-CHSH DICKA's two thresholds come from one root in the honest
+correlator s, kept for the process, which starts at its shipped value.
+Every function of p takes (noise_kind, p); a grid of p is computed at
+once, each value the one-point value bit for bit.  The honest Bell values
+(betas_of_p, rate_grid) are the closed form clamped to the quantum bound
+under local noise, which builds no state, and bell's one sum over the
+honest row's cached terms on stacks of noisy states under global noise;
+asym-CHSH DICKA runs one lockstep alpha search (best_alpha_one_outcome).
+rate_grid returns one RateResult per grid, float arrays of its rates and
+honest violations with the bound curve named once, and builds nothing per
+point.  The two-outcome bounds for Parity-CHSH and CHSH are numeric
+curves produced by the optimizer, shipped as a monotone 200-point table
+and linearly interpolated (regenerate via the CLI).
 """
 
 from __future__ import annotations
@@ -142,7 +138,7 @@ def _betas(spec: BellSpec, noise_kind: str, ps: np.ndarray) -> np.ndarray:
     if ps.size == 0:
         return np.empty(0)
     if noise_kind == "local":
-        betas = _clamped_closed_form(spec, noise_kind, ps)
+        betas = np.minimum(_closed_form(spec, noise_kind, ps), spec.quantum_bound)
     else:
         # the global closed form moves figure bytes recorded in the
         # benchmark's golden digests, so it waits for a change that
@@ -178,12 +174,6 @@ def _closed_form(spec: BellSpec, noise_kind: str, ps: np.ndarray) -> np.ndarray:
     if spec.kind == "asym-chsh":
         return spec.quantum_bound * p2
     raise ValidationError(f"no closed form for {spec.kind!r}")
-
-
-def _clamped_closed_form(spec: BellSpec, noise_kind: str, ps: np.ndarray) -> np.ndarray:
-    """The closed-form honest violations at the checked grid ps, clamped to
-    the quantum bound."""
-    return np.minimum(_closed_form(spec, noise_kind, ps), spec.quantum_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -319,11 +309,6 @@ def bound_curve(spec: BellSpec, outcome: str) -> BoundCurve:
 # rates
 
 RATE_KINDS = ("dicka", "dire-spot", "dire-recycled")
-_THRESHOLD_POINTS = 16  # p per threshold window
-# the window's int64 offsets from p0's bit pattern, and the pattern of 1.0
-# (a non-negative float's pattern grows with it)
-_WINDOW = np.arange(_THRESHOLD_POINTS) - _THRESHOLD_POINTS // 2
-_ONE_BITS = np.array(1.0).view(np.int64)
 # s*, the asym-CHSH DICKA rate's sign change in the honest correlator s
 # (_asym_dicka_root), shipped so that no process spends 11 alpha searches
 # on it; tests/test_rates.py re-derives it bit for bit with the full search
@@ -382,35 +367,27 @@ def rate_grid(kind: str, spec: BellSpec, noise_kind: str, ps,
     alpha at every p in one best_alpha_one_outcome call, and runs two
     concatenated two-party protocols, so its rate carries a factor 1/2."""
     curve = rate_curve(kind, spec, gamma)
-    ps = _checked_grid(noise_kind, ps)
+    values, betas = _rates(kind, spec, curve, noise_kind, gamma, _checked_grid(noise_kind, ps))
     if curve is None:
-        scale = _honest_scale(noise_kind, ps)
-        _, bound, betas = _best_alpha(scale)
-        return RateResult(0.5 * (bound - h(_qber(scale))), betas, "asym-chsh-one(best alpha)")
-    betas = _betas(spec, noise_kind, ps)
-    values = _rate_values(kind, spec, curve, noise_kind, gamma, ps, betas)
+        return RateResult(values, betas, "asym-chsh-one(best alpha)")
     return RateResult(values, betas, curve.name, curve.flags)
 
 
-def _rate_values(kind: str, spec: BellSpec, curve: BoundCurve, noise_kind: str, gamma: float,
-                 ps: np.ndarray, betas: np.ndarray) -> np.ndarray:
-    """The signed rates of a rate that reads `curve`, at the checked grid ps
-    whose honest violations are betas."""
+def _rates(kind: str, spec: BellSpec, curve: BoundCurve | None, noise_kind: str, gamma: float,
+           ps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """rate_grid's signed rates and honest violations at the checked grid
+    ps, curve the one rate_curve returns."""
+    if curve is None:
+        scale = _honest_scale(noise_kind, ps)
+        _, bound, betas = _best_alpha(scale)
+        return 0.5 * (bound - h(_qber(scale))), betas
+    betas = _betas(spec, noise_kind, ps)
     values = curve.fn(betas)
     if kind == "dicka":
         values = values - h(_qber(_honest_scale(noise_kind, ps)))
     elif kind == "dire-spot":
         values = values - spec.input_bits * gamma - h(gamma)
-    return values
-
-
-def _seed_rates(kind: str, spec: BellSpec, curve: BoundCurve, noise_kind: str, gamma: float,
-                ps: np.ndarray) -> np.ndarray:
-    """The seed rates of threshold_p at a grid ps in [0, 1]: the rate's own
-    formula with the closed-form honest violation, clamped to the quantum
-    bound; no state is built."""
-    betas = _clamped_closed_form(spec, noise_kind, ps)
-    return _rate_values(kind, spec, curve, noise_kind, gamma, ps, betas)
+    return values, betas
 
 
 class _NoSignChange(NumericError):
@@ -418,59 +395,29 @@ class _NoSignChange(NumericError):
     values at p = 0 and 1."""
 
 
-def _signed_rates(kind: str, spec: BellSpec, noise_kind: str, gamma: float, ps) -> np.ndarray:
-    """The signed rates of rate_grid at the 1-d ps."""
-    return rate_grid(kind, spec, noise_kind, ps, gamma).rate
-
-
-def _sign_change(rates_at, seed=None) -> float:
-    """threshold_p's search on rates_at, the signed rates at a 1-d array of
-    p.  One call takes the rates r0, r1 at p = 0 and 1, raising
-    _NoSignChange with them unless they bracket a sign change; any other
-    failure passes through.  Without seed, _search runs on [0, 1].  With
-    it, seed(r0, r1) gives p0, and one call takes the rates at the
-    _THRESHOLD_POINTS consecutive floats from 8 ulp below p0, clipped to
-    [0, 1]: a float there whose rate is positive above one whose rate is
-    not is the threshold, and otherwise _search runs on rates_at in the
-    bracket the window proved."""
-    r0, r1 = rates_at(np.array([0.0, 1.0])).tolist()
+def _sign_change(rates_at, starts) -> float:
+    """The smallest p evaluated whose signed rate is positive, one ulp above
+    one whose rate is not; rates_at maps a 1-d array of p to a pair whose
+    first item is their rates, as a _rates partial does.  One call takes the
+    rates at [0, *starts, 1], starts increasing in (0, 1), and raises
+    _NoSignChange with the rates r0, r1 at p = 0 and 1 unless r0 <= 0 < r1;
+    any other failure passes through.  The first of those points whose rate
+    is not <= 0 (a NaN is the high side, as in the search) and the point
+    below it bracket the sign change: the upper one if they are adjacent
+    floats, else one bracketed_roots (ITP) lane's root, which reads their
+    known rates as its first values."""
+    ps = np.array([0.0, *starts, 1.0])
+    values = rates_at(ps)[0]
+    r0, r1 = values[[0, -1]].tolist()
     if not r0 <= 0.0 < r1:
         raise _NoSignChange(r0, r1)
-    if seed is None:
-        return _search(rates_at, 0.0, 1.0, r0, r1)
-    p0 = seed(r0, r1)
-    window = np.clip(np.array(p0).view(np.int64) + _WINDOW, 0, _ONE_BITS).view(float)
-    values = rates_at(window)
-    high = ~(values <= 0.0)  # a NaN is the high side, as in the search
-    k = int(np.argmax(high)) if high.any() else window.size
-    if 0 < k < window.size:  # two distinct values: adjacent floats
-        return float(window[k])
-    lo, f_lo = (float(window[-1]), values[-1]) if k else (0.0, r0)
-    hi, f_hi = (float(window[0]), values[0]) if k == 0 else (1.0, r1)
-    return _search(rates_at, lo, hi, f_lo, f_hi)
-
-
-def _search(rates_at, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
-    """The sign change of rates_at on [lo, hi], one bracketed_roots (ITP)
-    lane that reads the rates f_lo <= 0 < f_hi there as its first values."""
-    first = [np.array([f_lo]), np.array([f_hi])]
-    return float(qmath.bracketed_roots(lambda ps: first.pop(0) if first else rates_at(ps),
-                                       [lo], [hi])[0])
-
-
-def _seed_p(kind: str, spec: BellSpec, curve: BoundCurve, noise_kind: str, gamma: float,
-            r0: float, r1: float) -> float:
-    """The sign change of the seed rate (_seed_rates), whose values at p = 0
-    and 1 are read as the rate's r0 and r1, searched on [p_cl, 1]
-    (_classical_p): a curve rate is <= 0 there, its bound 0 at or below the
-    local bound and the terms it subtracts >= 0.  A seed rate that is not
-    <= 0 at p_cl is searched on [0, 1]."""
-    seed_at = partial(_seed_rates, kind, spec, curve, noise_kind, gamma)
-    lo = _classical_p(spec, noise_kind)
-    f_lo = float(seed_at(np.array([lo]))[0])
-    if not f_lo <= 0.0:
-        lo, f_lo = 0.0, r0
-    return _search(seed_at, lo, 1.0, f_lo, r1)
+    k = int(np.argmax(~(values <= 0.0)))
+    lo, hi = ps[k - 1:k + 1].tolist()
+    if hi == np.nextafter(lo, 1.0):
+        return hi
+    first = [values[k - 1:k], values[k:k + 1]]
+    return float(qmath.bracketed_roots(
+        lambda x: first.pop(0) if first else rates_at(x)[0], [lo], [hi])[0])
 
 
 def _classical_p(spec: BellSpec, noise_kind: str) -> float:
@@ -492,12 +439,12 @@ def _asym_dicka_root() -> float:
     correlator s, which is the only way that rate reads p (_honest_scale):
     its global threshold, where s = p.  It depends on no gamma, noise kind
     or spec (asym-chsh at alpha = 1 is chsh).  _sign_change checks the
-    shipped _ASYM_DICKA_ROOT with two rate_grid calls, the ends and the
-    window around it (two best_alpha_bound searches), and searches the
-    bracket the window proved if the window does not hold it; a process
-    keeps the result, and a failure is not kept."""
-    return _sign_change(partial(_signed_rates, "dicka", asym_chsh(1.0), "global", 0.0),
-                        lambda r0, r1: _ASYM_DICKA_ROOT)
+    shipped _ASYM_DICKA_ROOT in one call at it, the float below it and the
+    ends (one best_alpha_bound search), and searches the bracket that call
+    proved if the root is off; a process keeps the result, and a failure is
+    not kept."""
+    return _sign_change(partial(_rates, "dicka", asym_chsh(1.0), None, "global", 0.0),
+                        (float(np.nextafter(_ASYM_DICKA_ROOT, 0.0)), _ASYM_DICKA_ROOT))
 
 
 def _least_p(noise_kind: str, s: float) -> float:
@@ -527,39 +474,31 @@ def _least_float(above, p: float) -> float:
 
 def threshold_p(kind: str, spec: BellSpec, noise_kind: str, gamma: float = 0.0) -> float:
     """Smallest p evaluated in [0, 1] whose signed rate is positive, one ulp
-    above a p whose rate is not.  One two-point rate_grid call gives the
-    rates at p = 0 and 1: unless rate(0) <= 0 < rate(1) it is a
-    NumericError naming the rate and both values.
+    above a p whose rate is not: _sign_change on rate_grid's own rates.  Its
+    first call takes the rates at p = 0 and 1 with its starts: unless
+    rate(0) <= 0 < rate(1) it is a NumericError naming the rate and both
+    values.
 
-    One rate_grid call on the 16 consecutive floats p0 - 8 ulp ... p0 + 7
-    ulp around a start p0, clipped to [0, 1], then holds the sign change: a
-    float there whose rate is positive, one ulp above one whose rate is
-    not, is the threshold.  Otherwise the window has proved a bracket, [0,
-    its first float] or [its last float, 1], and one bracketed_roots (ITP)
-    lane searches it on rate_grid, reading its ends' known rates.  p0 only
-    steers the search, so a threshold keeps its bits.
-
-    For a rate that reads a bound curve, p0 is the sign change of its seed
-    rate (_seed_rates: rate_grid's own formula at beta_of_p_closed_form's
-    honest violation clamped to the quantum bound; no state is built), one
-    ITP lane on [p_cl, 1], p_cl the largest float whose closed-form
-    violation is at most the local bound: the rate is <= 0 there, its bound
-    0 and the terms it subtracts >= 0.
+    A rate that reads a bound curve starts at p_cl, the largest float whose
+    closed-form violation is at most the local bound (_classical_p): the
+    rate is <= 0 there, its bound 0 and the terms it subtracts >= 0, so one
+    ITP lane searches [p_cl, 1], or [0, p_cl] if the rate at p_cl is
+    positive.  p_cl only steers the search, so a threshold keeps its bits.
 
     The asym-CHSH (and CHSH) DICKA rate reads p only through the honest
     correlator s, p under global noise and p^2 under local, so both of its
     thresholds come from one root s* in s, kept for the process: the
     global threshold is s*, the local one the smallest float p whose s is
-    at least s*.  Its p0 is the shipped s*, so the root costs two rate_grid
-    calls and the second threshold in a process none.  Every argument is
-    checked before the kept root is read."""
+    at least s*.  Its starts are the shipped s* and the float below it, so
+    the root costs one alpha search and the second threshold in a process
+    none.  Every argument is checked before the kept root is read."""
     curve = rate_curve(kind, spec, gamma)
     _checked_grid(noise_kind, [])  # the noise kind, which the kept root would skip
     try:
         if curve is None:
             return _least_p(noise_kind, _asym_dicka_root())
-        return _sign_change(partial(_signed_rates, kind, spec, noise_kind, gamma),
-                            partial(_seed_p, kind, spec, curve, noise_kind, gamma))
+        return _sign_change(partial(_rates, kind, spec, curve, noise_kind, gamma),
+                            (_classical_p(spec, noise_kind),))
     except _NoSignChange as exc:
         name = spec.kind if spec.kind != "asym-chsh" else f"asym-chsh(alpha={spec.alpha!r})"
         at0, at1 = exc.args

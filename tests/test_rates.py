@@ -13,8 +13,8 @@ from tribell import bounds, rates, states
 from tribell.bell import INEQUALITIES, asym_chsh, spec_by_name
 from tribell.errors import NumericError, ValidationError
 from tribell.qmath import kron_all
-from tribell.rates import (RateResult, beta_of_p_closed_form, betas_of_p, qber, rate_grid,
-                           threshold_p, two_outcome_numeric)
+from tribell.rates import (beta_of_p_closed_form, betas_of_p, qber, rate_grid, threshold_p,
+                           two_outcome_numeric)
 from tribell.states import (I2, X, Y, Z, depolarize_global, depolarize_local, ghz_state,
                             observable_matrices)
 
@@ -500,50 +500,29 @@ def bisected_threshold(kind, spec, noise, gamma):
 @pytest.fixture(autouse=True)
 def cold_asym_root():
     """Every test starts and ends without a kept asym-CHSH DICKA root, so a
-    test that replaces rate_grid sees the root solved through it."""
+    test that replaces rates._rates sees the root solved through it."""
     rates._asym_dicka_root.cache_clear()
     yield
     rates._asym_dicka_root.cache_clear()
 
 
-def rate_grid_sizes(monkeypatch) -> list:
-    """The size of every p grid rate_grid is given from now on."""
-    sizes, grid = [], rates.rate_grid
+def search_sizes(monkeypatch, points=None) -> list:
+    """The size of every p grid rates._rates, the function a threshold
+    searches (rate_grid's own rates), is given from now on; the list
+    points, if given, collects every p."""
+    sizes, rates_at = [], rates._rates
 
-    def counted(kind, spec, noise, ps, gamma=rates.GAMMA_DEFAULT):
+    def counted(kind, spec, curve, noise, gamma, ps):
         sizes.append(len(ps))
-        return grid(kind, spec, noise, ps, gamma)
+        if points is not None:
+            points.extend(np.asarray(ps).tolist())
+        return rates_at(kind, spec, curve, noise, gamma, ps)
 
-    monkeypatch.setattr(rates, "rate_grid", counted)
+    monkeypatch.setattr(rates, "_rates", counted)
     return sizes
 
 
 class TestThresholds:
-    def test_parity_dicka_local(self):
-        thr = threshold_p("dicka", spec_by_name("parity-chsh"), "local")
-        assert thr == pytest.approx(0.936, abs=1e-3)
-
-    def test_holz_dire_local(self):
-        thr = threshold_p("dire-spot", spec_by_name("holz"), "local", gamma=0.0)
-        assert thr == pytest.approx(0.849, abs=1e-3)
-
-    def test_parity_dire_local(self):
-        thr = threshold_p("dire-spot", spec_by_name("parity-chsh"), "local", gamma=0.0)
-        assert thr == pytest.approx(0.870, abs=1e-3)
-
-    def test_analytic_cross_checks(self):
-        cases = [
-            ("dire-spot", "mabk", "local", 2 ** (-1 / 3)),
-            ("dire-spot", "mabk", "global", 0.5),
-            ("dire-spot", "holz", "global", 2 / 3),
-            ("dire-recycled", "chsh", "local", 2 ** -0.25),
-            ("dire-recycled", "chsh", "global", 2 ** -0.5),
-        ]
-        for kind, ineq, noise, expect in cases:
-            thr = threshold_p(kind, spec_by_name(ineq), noise, gamma=0.0)
-            assert type(thr) is float
-            assert thr == pytest.approx(expect, abs=1e-6)
-
     @pytest.mark.parametrize("entry", pins.calls("threshold_p"),
                              ids=lambda e: f"{e['kind']}-{e['inequality']}-{e['noise']}")
     def test_threshold_table(self, entry):
@@ -560,22 +539,22 @@ class TestThresholds:
         assert thr.hex() == entry["out"]["gamma=0.0"]
 
     def test_no_sign_change_error(self, monkeypatch):
-        sizes = rate_grid_sizes(monkeypatch)
+        sizes = search_sizes(monkeypatch)
         with pytest.raises(NumericError, match=re.escape(
                 "the dire-spot rate of mabk under local noise at gamma=0.45 does not"
                 " change sign on p in [0, 1]: rate(p=0)=-2.34277, rate(p=1)=-0.342774")):
             threshold_p("dire-spot", spec_by_name("mabk"), "local", gamma=0.45)
-        assert sizes == [2]  # the message costs no evaluation of its own
+        assert sizes == [3]  # p = 0, p_cl and 1; the message costs no evaluation of its own
 
     def test_no_sign_change_error_one_lane(self, monkeypatch):
-        sizes, grid = [], rates.rate_grid
+        sizes, rates_at = [], rates._rates
 
-        def negative(kind, spec, noise, ps, gamma):
+        def negative(kind, spec, curve, noise, gamma, ps):
             sizes.append(len(ps))
-            r = grid(kind, spec, noise, ps, gamma)
-            return RateResult(-2.0 - r.rate, r.beta_at_p, r.bound_used)
+            values, betas = rates_at(kind, spec, curve, noise, gamma, ps)
+            return -2.0 - values, betas
 
-        monkeypatch.setattr(rates, "rate_grid", negative)
+        monkeypatch.setattr(rates, "_rates", negative)
         # the message names the caller's noise kind, and a failed root is not kept
         for noise in ("global", "local", "global"):
             sizes.clear()
@@ -583,22 +562,22 @@ class TestThresholds:
                     f"the dicka rate of asym-chsh(alpha=1.0) under {noise} noise at gamma=0.0"
                     " does not change sign on p in [0, 1]: rate(p=0)=-1.5, rate(p=1)=-2.5")):
                 threshold_p("dicka", spec_by_name("asym-chsh"), noise)
-            assert sizes == [2]  # both ends in one call, and the message costs none
+            assert sizes == [4]  # the ends and both starts in one call, the message none
 
     @pytest.mark.parametrize("kind, ineq", [("dicka", "asym-chsh"), ("dire-spot", "holz")])
     def test_failure_inside_the_rate_passes_through(self, monkeypatch, kind, ineq):
-        calls, grid = [], rates.rate_grid
+        calls, rates_at = [], rates._rates
 
         def failing(*args):
             calls.append(args)
             if len(calls) == fail_at:
                 raise NumericError("inner search failed")
-            return grid(*args)
+            return rates_at(*args)
 
-        # the second call is the window, around asym-chsh's shipped root and
-        # around holz's seed
-        fail_at = 2
-        monkeypatch.setattr(rates, "rate_grid", failing)
+        # asym-chsh's root is one call, at the ends and around the shipped
+        # root; holz's second call is the first step of its ITP lane
+        fail_at = 1 if ineq == "asym-chsh" else 2
+        monkeypatch.setattr(rates, "_rates", failing)
         with pytest.raises(NumericError, match="^inner search failed$"):
             threshold_p(kind, spec_by_name(ineq), "local")
         assert len(calls) == fail_at
@@ -617,49 +596,58 @@ class TestThresholds:
     @pytest.mark.parametrize("ineq", ["holz", "parity-chsh", "mabk", "chsh"])
     @pytest.mark.parametrize("noise", ["local", "global"])
     def test_dire_threshold_calls(self, monkeypatch, ineq, noise):
-        # the ends' call, then the window around the seed, which holds the
-        # sign change: the seed's own search builds no state
-        sizes = rate_grid_sizes(monkeypatch)
+        # p = 0, p_cl and 1 in one call, then the one-point steps of one ITP
+        # lane on [p_cl, 1], which evaluates no p twice; rate_grid itself is
+        # not called
+        points, grid_calls = [], []
+        sizes = search_sizes(monkeypatch, points)
+        monkeypatch.setattr(rates, "rate_grid", lambda *args: grid_calls.append(args))
         threshold_p("dire-spot", spec_by_name(ineq), noise, gamma=0.0)
-        assert sizes == [2, 16]
+        assert sizes[0] == 3 and sizes[1:] == [1] * (len(sizes) - 1)
+        assert len(set(points)) == len(points)
+        assert grid_calls == []
 
-    @pytest.mark.parametrize("ineq, noise, calls", [
+    @pytest.mark.parametrize("ineq, noise, ends", [
         ("holz", "local", 2), ("holz", "global", 2),
         ("parity-chsh", "local", 2), ("parity-chsh", "global", 2),
         ("asym-chsh", "local", 2), ("asym-chsh", "global", 2),
         ("chsh", "local", 2), ("chsh", "global", 2)])
-    def test_dicka_threshold_one_point_calls(self, monkeypatch, ineq, noise, calls):
-        # holz and parity-chsh read a bound curve: the ends, then the window
-        # around the seed.  asym-chsh and chsh check the one root in s = p
-        # (the global rate's) under either noise kind: the ends, then the
-        # window around the shipped root
-        sizes = rate_grid_sizes(monkeypatch)
+    def test_dicka_threshold_one_point_calls(self, monkeypatch, ineq, noise, ends):
+        # the first call reads the two ends, p = 0 and 1, and the starts.
+        # holz and parity-chsh read a bound curve: one start, p_cl, then the
+        # one-point steps of one ITP lane.  asym-chsh and chsh check the one
+        # root in s = p (the global rate's) under either noise kind: the
+        # shipped root and the float below it, and no step
+        points = []
+        sizes = search_sizes(monkeypatch, points)
         threshold_p("dicka", spec_by_name(ineq), noise)
-        assert sizes == ([2, 16] if calls == 2 else [2] + [1] * (calls - 2))
+        assert len(set(points)) == len(points)
+        if ineq in ("asym-chsh", "chsh"):
+            assert sizes == [ends + 2]
+        else:
+            assert sizes[0] == ends + 1 and len(sizes) > 1 and sizes[1:] == [1] * (len(sizes) - 1)
 
     @pytest.mark.parametrize("kind, ineq, noise", [
         ("dicka", "holz", "local"), ("dicka", "parity-chsh", "global"),
         ("dire-spot", "mabk", "global"), ("dire-spot", "chsh", "local"),
         ("dire-recycled", "chsh", "global")])
-    @pytest.mark.parametrize("shift", [-1e-6, 1e-6])
+    @pytest.mark.parametrize("shift", [-1e-6, 1e-6, 1.0])
     def test_seed_off_takes_the_fallback(self, monkeypatch, kind, ineq, noise, shift):
-        # a seed about 1e-6 off in p puts the sign change outside the window:
-        # the search on the bracket the window proved gives the same bits
-        seed = rates._seed_rates
-
-        def shifted(kind, spec, curve, noise, gamma, ps):
-            return seed(kind, spec, curve, noise, gamma, np.clip(ps + shift, 0.0, 1.0))
-
-        monkeypatch.setattr(rates, "_seed_rates", shifted)
-        sizes = rate_grid_sizes(monkeypatch)
+        # the search's start (its seed) moved off p_cl by 1e-6 either way, or
+        # to the float below 1, whose rate is positive, so that the lane
+        # searches [0, start]: the same bits from any bracket
         spec = spec_by_name(ineq)
-        got = threshold_p(kind, spec, noise)
-        assert sizes[:2] == [2, 16] and len(sizes) > 2
-        assert got.hex() == bisected_threshold(kind, spec, noise, 0.0).hex()
+        start = min(rates._classical_p(spec, noise) + shift, float(np.nextafter(1.0, 0.0)))
+        assert shift != 1.0 or rate(kind, spec, noise, start, 0.0).rate > 0.0
+        want = bisected_threshold(kind, spec, noise, 0.0)
+        monkeypatch.setattr(rates, "_classical_p", lambda spec, noise: start)
+        sizes = search_sizes(monkeypatch)
+        assert threshold_p(kind, spec, noise).hex() == want.hex()
+        assert sizes[0] == 3
 
     @pytest.mark.parametrize("first", ["local", "global"])
     def test_asym_dicka_root_solved_once(self, monkeypatch, first):
-        sizes = rate_grid_sizes(monkeypatch)
+        sizes = search_sizes(monkeypatch)
         assert threshold_p("dicka", spec_by_name("asym-chsh"), first).hex() == ASYM_DICKA[first]
         solved = len(sizes)
         for ineq in ("asym-chsh", "chsh"):
@@ -680,27 +668,37 @@ class TestThresholds:
     def test_arguments_checked_before_the_kept_root(self, monkeypatch, spec, noise, gamma,
                                                     message):
         threshold_p("dicka", spec_by_name("asym-chsh"), "global")
-        sizes = rate_grid_sizes(monkeypatch)
+        sizes = search_sizes(monkeypatch)
         with pytest.raises(ValidationError, match=message):
             threshold_p("dicka", spec, noise, gamma)
         assert sizes == []
 
     def test_shipped_asym_root_is_the_full_search(self):
         # _sign_change without a start runs ITP on [0, 1] on the global rate
-        rates_at = partial(rates._signed_rates, "dicka", asym_chsh(1.0), "global", 0.0)
-        assert rates._sign_change(rates_at).hex() == rates._ASYM_DICKA_ROOT.hex()
+        rates_at = partial(rates._rates, "dicka", asym_chsh(1.0), None, "global", 0.0)
+        assert rates._sign_change(rates_at, ()).hex() == rates._ASYM_DICKA_ROOT.hex()
+
+    def test_nan_rate_is_the_high_side(self):
+        # a start whose rate is NaN is above the sign change, as in the ITP
+        # steps: next to a start whose rate is <= 0 it is the threshold
+        def rates_at(ps):
+            return np.where(ps == 0.5, np.nan, ps - 0.5), ps
+
+        below = float(np.nextafter(0.5, 0.0))
+        assert rates._sign_change(rates_at, (below, 0.5)) == 0.5
 
     @pytest.mark.parametrize("shift", [-1e-9, 1e-9])
     def test_asym_root_off_takes_the_fallback(self, monkeypatch, shift):
-        # a shipped root 1e-9 off leaves the window without the sign change:
-        # the search on the bracket it proved gives both thresholds' bits
+        # a shipped root 1e-9 off leaves the sign change outside its first
+        # call: the search on the bracket that call proved gives both
+        # thresholds' bits
         monkeypatch.setattr(rates, "_ASYM_DICKA_ROOT", rates._ASYM_DICKA_ROOT + shift)
-        sizes = rate_grid_sizes(monkeypatch)
+        sizes = search_sizes(monkeypatch)
         for noise in ("local", "global"):
             rates._asym_dicka_root.cache_clear()
             sizes.clear()
             got = threshold_p("dicka", spec_by_name("asym-chsh"), noise)
-            assert sizes[:2] == [2, 16] and len(sizes) > 2
+            assert sizes[0] == 4 and len(sizes) > 1 and sizes[1:] == [1] * (len(sizes) - 1)
             assert got.hex() == ASYM_DICKA[noise]
 
     @pytest.mark.parametrize("ineq", list(INEQUALITIES))
@@ -712,7 +710,7 @@ class TestThresholds:
             raise AssertionError("p_cl read a state or a bound curve")
 
         monkeypatch.setattr(rates, "_betas", refuse)
-        monkeypatch.setattr(rates, "_rate_values", refuse)
+        monkeypatch.setattr(rates, "_rates", refuse)
         spec = spec_by_name(ineq)
         p_cl = rates._classical_p(spec, noise)
         assert type(p_cl) is float
