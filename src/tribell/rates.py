@@ -5,7 +5,8 @@ picks the entropy bound curve for each inequality and outcome.
 Rates are signed; a threshold is the sign change of the signed rate
 between two adjacent floats p, found by _sign_change on rate_grid's own
 rates: one call at p = 0, a start or two and 1, then one
-qmath.bracketed_roots (ITP) lane in the bracket that call proved.
+qmath.bracketed_roots (ITP) lane in the bracket that call proved, whose
+steps run in Python floats.
 asym-CHSH DICKA's two thresholds come from one root in the honest
 correlator s, kept for the process, which starts at its shipped value.
 Every function of p takes (noise_kind, p); a grid of p is computed at
@@ -46,7 +47,7 @@ __all__ = ["GAMMA_DEFAULT", "RateResult", "qber", "betas_of_p", "beta_of_p_close
            "rate_grid", "threshold_p"]
 
 GAMMA_DEFAULT = 3.3e-4  # the 0.033% test-round fraction used in the figures
-SQRT2 = np.sqrt(2.0)
+SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -100,7 +101,7 @@ def _checked_grid(noise_kind: str, ps) -> np.ndarray:
 
 def _honest_scale(noise_kind: str, ps: np.ndarray) -> np.ndarray:
     """s = <Z Z>, two parties' honest correlator, at every p of the checked
-    grid ps: p under global noise, p^2 under local."""
+    grid ps (or at one float p): p under global noise, p^2 under local."""
     # p * p, one IEEE product, the same bits on every platform (C pow, as
     # p ** 2 on a float, is not correctly rounded in every libm)
     return ps if noise_kind == "global" else ps * ps
@@ -159,8 +160,8 @@ def beta_of_p_closed_form(spec: BellSpec, noise_kind: str, p):
 
 
 def _closed_form(spec: BellSpec, noise_kind: str, ps: np.ndarray) -> np.ndarray:
-    """beta_of_p_closed_form on the checked grid ps, p^2 and p^3 taken as
-    the IEEE products p * p and (p * p) * p."""
+    """beta_of_p_closed_form on the checked grid ps, or at one float p, p^2
+    and p^3 taken as the IEEE products p * p and (p * p) * p."""
     if noise_kind == "global":
         return spec.quantum_bound * ps
     p2 = ps * ps
@@ -181,7 +182,6 @@ def _closed_form(spec: BellSpec, noise_kind: str, ps: np.ndarray) -> np.ndarray:
 
 TABLE_ENV = "TRIBELL_TABLES"
 NUMERIC_CURVES = ("parity-chsh", "chsh")
-_SPECS = {ineq: spec_by_name(ineq) for ineq in NUMERIC_CURVES}
 
 
 @lru_cache(maxsize=1)
@@ -224,18 +224,27 @@ def _load_tables() -> dict[str, tuple[np.ndarray, np.ndarray]]:
     return tables
 
 
-def two_outcome_numeric(ineq: str, beta):
-    """Interpolated numeric H(A0 B0|E) lower curve for parity-chsh or chsh;
-    its tables start at 0 at the classical bound."""
-    if ineq not in NUMERIC_CURVES:
-        raise ValidationError(f"no numeric two-outcome table for {ineq!r}")
-    spec = _SPECS[ineq]
+def _numeric_curve(ineq: str) -> Callable:
+    """The bound curve of ineq's numeric table, which it reads (_load_tables)
+    on every call, so a table file is first read on first use."""
+    spec = spec_by_name(ineq)
 
     @bounds._curve(spec.local_bound, spec.quantum_bound, repr(spec.quantum_bound))
     def curve(beta):
         return np.interp(beta, *_load_tables()[ineq])
 
-    return curve(beta)
+    return curve
+
+
+_NUMERIC = {ineq: _numeric_curve(ineq) for ineq in NUMERIC_CURVES}  # decorated once
+
+
+def two_outcome_numeric(ineq: str, beta):
+    """Interpolated numeric H(A0 B0|E) lower curve for parity-chsh or chsh;
+    its tables start at 0 at the classical bound."""
+    if ineq not in NUMERIC_CURVES:
+        raise ValidationError(f"no numeric two-outcome table for {ineq!r}")
+    return _NUMERIC[ineq](beta)
 
 
 def generate_two_outcome_table(ineq: str, points: int, restarts: int, seed: int) -> dict:
@@ -280,8 +289,7 @@ def bound_curve(spec: BellSpec, outcome: str) -> BoundCurve:
         ("holz", "two"): ("holz-two", bounds.holz_two_outcome, ("conjectured",)),
         ("parity-chsh", "one"): ("parity-chsh-one",
                                  bounds.parity_chsh_one_outcome, ()),
-        ("parity-chsh", "two"): ("numeric:parity-chsh-two",
-                                 partial(two_outcome_numeric, "parity-chsh"),
+        ("parity-chsh", "two"): ("numeric:parity-chsh-two", _NUMERIC["parity-chsh"],
                                  ("non-certified",)),
         ("mabk", "one"): ("mabk-one", bounds.mabk_one_outcome, ()),
         ("mabk", "two"): ("mabk-two", bounds.mabk_two_outcome, ()),
@@ -290,8 +298,7 @@ def bound_curve(spec: BellSpec, outcome: str) -> BoundCurve:
                                ()),
     }
     if spec.kind == "asym-chsh" and abs(alpha - 1.0) <= 1e-12:  # CHSH
-        curves[("asym-chsh", "two")] = ("numeric:chsh-two",
-                                        partial(two_outcome_numeric, "chsh"),
+        curves[("asym-chsh", "two")] = ("numeric:chsh-two", _NUMERIC["chsh"],
                                         ("non-certified",))
         curves[("asym-chsh", "recycled")] = ("colbeck-recycled",
                                              bounds.colbeck_recycled_two_outcome,
@@ -405,7 +412,9 @@ def _sign_change(rates_at, starts) -> float:
     is not <= 0 (a NaN is the high side, as in the search) and the point
     below it bracket the sign change: the upper one if they are adjacent
     floats, else one bracketed_roots (ITP) lane's root, which reads their
-    known rates as its first values."""
+    known rates as its first values.  A lane of one takes its ITP steps in
+    Python floats, the lockstep's bits without its numpy calls, and calls
+    rates_at on one p a step."""
     ps = np.array([0.0, *starts, 1.0])
     values = rates_at(ps)[0]
     r0, r1 = values[[0, -1]].tolist()
@@ -422,15 +431,16 @@ def _sign_change(rates_at, starts) -> float:
 
 def _classical_p(spec: BellSpec, noise_kind: str) -> float:
     """p_cl, the largest float p whose closed-form honest violation is at
-    most the local bound, from the closed form alone: eight Newton steps
-    from p = 1 (each slope a difference over 2^-26) land within an ulp or
-    two of it, and _least_float walks to the first float above it."""
+    most the local bound, from the closed form alone, on Python floats:
+    eight Newton steps from p = 1 (each slope a difference over 2^-26)
+    land within an ulp or two of it, and _least_float walks to the first
+    float above it."""
     p, h = 1.0, 2.0 ** -26
     for _ in range(8):  # the closed forms are increasing and convex: p falls to the root
-        at_p, below = _closed_form(spec, noise_kind, np.array([p, p - h])).tolist()
-        p -= (at_p - spec.local_bound) * h / (at_p - below)
-    return float(np.nextafter(_least_float(
-        lambda x: _closed_form(spec, noise_kind, np.array([x]))[0] > spec.local_bound, p), 0.0))
+        at_p = _closed_form(spec, noise_kind, p)
+        p -= (at_p - spec.local_bound) * h / (at_p - _closed_form(spec, noise_kind, p - h))
+    return math.nextafter(_least_float(
+        lambda x: _closed_form(spec, noise_kind, x) > spec.local_bound, p), 0.0)
 
 
 @lru_cache(maxsize=1)
@@ -451,7 +461,7 @@ def _least_p(noise_kind: str, s: float) -> float:
     """The smallest float p with _honest_scale(noise_kind, p) >= s, s in
     (0, 1]: s under global noise, sqrt(s) or a float neighbour of it under
     local noise (sqrt(s) alone can be an ulp low)."""
-    return _least_float(lambda p: float(_honest_scale(noise_kind, np.array([p]))[0]) >= s,
+    return _least_float(lambda p: _honest_scale(noise_kind, p) >= s,
                         s if noise_kind == "global" else math.sqrt(s))
 
 
@@ -462,12 +472,12 @@ def _least_float(above, p: float) -> float:
     _LEAST_FLOAT_STEPS steps do not reach it."""
     guess = p
     for _ in range(_LEAST_FLOAT_STEPS):
-        if p > 0.0 and above(below := float(np.nextafter(p, 0.0))):
+        if p > 0.0 and above(below := math.nextafter(p, 0.0)):
             p = below
         elif above(p):
             return p
         else:
-            p = float(np.nextafter(p, 1.0))
+            p = math.nextafter(p, 1.0)
     raise NumericError(f"the least float search from the guess p={guess!r} walked"
                        f" {_LEAST_FLOAT_STEPS} floats without reaching its answer")
 

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from tribell import bounds
+from tribell import bounds, qmath
 from tribell.bounds import (asym_chsh_one_outcome, asym_tangent,
                             best_alpha_bound, colbeck_g1,
                             colbeck_recycled_two_outcome, eta,
@@ -789,13 +789,22 @@ class TestRootFinding:
         assert len(calls) <= _bisection_steps(f, lo, hi)
 
     def test_batched_equals_scalar_bit_for_bit(self):
+        # each lockstep lane evaluates, as a prefix of its column, the points
+        # of its bracket searched alone (the float path), and ends on its root
         c = np.array([2.0, 3.0, 0.5, 10.0, 7.25, 0.0])
         lo = np.array([0.0, 1.0, -2.0, 0.0, 1.5, -1.0])
         hi = np.array([2.0, 1.5, 1.0, 100.0, 2.0, 0.5])
-        got = bracketed_roots(lambda x: x * x * x - c, lo, hi)
+        calls = []
+        got = bracketed_roots(recorded(lambda x: x * x * x - c, calls), lo, hi)
         for i in range(c.size):
-            want = bracketed_root(lambda x: x * x * x - c[i], lo[i], hi[i])
-            assert got[i] == want
+            alone = []
+            want = bracketed_root(recorded(lambda x: x * x * x - c[i], alone), lo[i], hi[i])
+            assert got[i].hex() == want.hex()
+            assert _hexes(x[i] for x in calls[:len(alone)]) == _hexes(alone)
+            lane = []
+            assert bracketed_roots(recorded(lambda x: x * x * x - c[i], lane),
+                                   [lo[i]], [hi[i]])[0].hex() == want.hex()
+            assert _hexes(lane) == _hexes(alone)
 
 
 def recorded(f, calls):
@@ -804,6 +813,54 @@ def recorded(f, calls):
         calls.append(np.array(x))
         return f(x)
     return call
+
+
+def _hexes(xs) -> list:
+    """float.hex of every x, in order: -0.0 and 0.0 differ."""
+    return [float(v).hex() for x in xs for v in np.ravel(x).tolist()]
+
+
+def _search(lanes, f, lo, hi):
+    """(the points lane 0 evaluates, as float.hex, and its root's, or the
+    NumericError text) of bracketed_roots on `lanes` copies of [lo, hi]."""
+    calls = []
+    try:
+        root = bracketed_roots(recorded(f, calls), np.full(lanes, lo), np.full(lanes, hi))[0]
+    except NumericError as exc:
+        return _hexes(x[0] for x in calls), str(exc)
+    return _hexes(x[0] for x in calls), root.hex()
+
+
+def _step(edge, low, high):
+    return lambda x: np.where(x < edge, low, high)
+
+
+# brackets whose search takes each special case of the float path's
+# arithmetic; every ITP state keeps x1 between x2 and x3, so xi lies in
+# [0, 1] and is exactly 1 (sqrt(1 - xi) = 0) on the first step of each
+PARITY = {
+    "smooth": (lambda x: x * x - 2.0, 0.0, 2.0),
+    # flat sides: f3 - f1 vanishes and phi is 1, or NaN at +-inf
+    "flat-both-sides": (_step(0.3, -1.0, 1.0), 0.0, 1.0),
+    "flat-low-side": (lambda x: np.where(x < 0.3, -1.0, x), 0.0, 1.0),
+    "overflowing-differences": (_step(0.3, -1e308, 1e308), 0.0, 1.0),
+    "infinite-values": (_step(0.7, -np.inf, np.inf), 0.0, 1.0),
+    "negative-zero-low-side": (_step(0.7, -0.0, 2.0), 0.0, 1.0),
+    "nan-high-side": (lambda x: np.where(x == 1.0, 1.0, np.where(x <= 0.3, -1.0, np.nan)),
+                      0.0, 1.0),
+    "flat-zero-edge": (lambda x: np.maximum(x - 0.3, 0.0), 0.0, 1.0),
+    "one-ulp": (lambda x: x - 1.0, 1.0, np.nextafter(1.0, 2.0)),
+    "two-ulps": (lambda x: x - np.nextafter(1.0, 2.0), 1.0, 1.0 + 2.0 * np.spacing(1.0)),
+    "negative": (lambda x: x + 2.5, -3.0, -1.0),
+    "sign-crossing": (lambda x: np.sin(30.0 * x) + 0.2, -0.5, 0.5),
+    "zero-crossing": (lambda x: x, -1.0, 1.0),
+    "signed-zero-point": (lambda x: x, -5e-324, 1e-323),
+    "subnormal": (lambda x: x - 3e-311, 0.0, 1e-310),
+    "wide": (lambda x: x - 1e300, -1e308, 1e308),
+    "no-sign-change": (lambda x: x * x, 0.5, 2.0),
+    "nan-at-lo": (lambda x: np.full(np.shape(x), np.nan), 0.0, 1.0),
+    "nan-at-hi": (lambda x: np.where(x < 1.0, -1.0, np.nan), 0.0, 1.0),
+}
 
 
 class TestGridSignChange:
@@ -855,6 +912,42 @@ class TestGridSignChange:
             roots = bracketed_roots(recorded(lambda x: x - below, calls),
                                     np.full(points, lo), np.full(points, hi))
             assert np.all(roots == hi) and len(calls) == 2 + steps
+
+    @pytest.mark.parametrize("case", PARITY)
+    def test_one_lane_is_a_lockstep_lane_bit_for_bit(self, case):
+        # the float path (one lane, and bracketed_root) evaluates the points,
+        # returns the root and raises the text of the same bracket run as
+        # one lane of a three-lane lockstep; k1 = 0.2/(hi - lo) overflows on
+        # a subnormal bracket in both
+        f, lo, hi = PARITY[case]
+        with np.errstate(over="ignore"):
+            want = _search(3, f, lo, hi)
+            assert _search(1, f, lo, hi) == want
+            calls = []
+            try:
+                got = bracketed_root(recorded(lambda x: f(np.array([x]))[0], calls), lo, hi).hex()
+            except NumericError as exc:
+                got = str(exc)
+        assert (_hexes(calls), got) == want
+
+    def test_one_lane_keeps_its_shape(self):
+        f = lambda x: x * x - 2.0
+        assert bracketed_roots(f, 0.0, 2.0).shape == ()
+        assert bracketed_roots(f, [[0.0]], 2.0).shape == (1, 1)
+        assert bracketed_roots(f, 0.0, 2.0) == bracketed_roots(f, [0.0, 0.0], [2.0, 2.0])[0]
+        with pytest.raises(NumericError, match=r"\[0\.5, 2\.0\]"):
+            bracketed_roots(lambda x: x * x, 0.5, 2.0)
+
+    @pytest.mark.parametrize("a", [0.0, -0.0, 1.0, -2.0, 5e-324, -np.inf, np.inf, np.nan])
+    def test_float_arithmetic_mirrors_numpy(self, a):
+        # the float path's division, maximum and minimum give numpy's bits
+        # under np.errstate: x / 0 is +-inf or NaN, NaN propagates, a tie
+        # (0.0 against -0.0) gives the second argument
+        for b in (0.0, -0.0, 1.0, -2.0, 5e-324, -np.inf, np.inf, np.nan):
+            with np.errstate(all="ignore"):
+                want = [np.divide(a, b), np.maximum(a, b), np.minimum(a, b)]
+            got = [qmath._div(a, b), qmath._max(a, b), qmath._min(a, b)]
+            assert _hexes(got) == _hexes(want), (a, b)
 
     @pytest.mark.parametrize("f, lo, hi", [
         (lambda x: x - np.cos(x), 0.0, 1.0),

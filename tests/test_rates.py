@@ -1,6 +1,7 @@
 """rates: honest violations, QBER, DICKA/DIRE rates, thresholds, tables."""
 
 import dataclasses
+import functools
 import json
 import re
 from functools import partial
@@ -9,7 +10,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from tribell import bounds, rates, states
+from tribell import bounds, qmath, rates, states
 from tribell.bell import INEQUALITIES, asym_chsh, spec_by_name
 from tribell.errors import NumericError, ValidationError
 from tribell.qmath import kron_all
@@ -250,6 +251,56 @@ class TestLocalNoiseBuildsNoState:
                             lambda f, lo, hi: lanes.append(len(lo)) or roots(f, lo, hi))
         rate_grid("dire-spot", spec_by_name("holz"), "local", [1.0], 0.0)
         assert lanes and not any(lanes)
+
+
+class TestOneLaneSearchesSkipTheLockstep:
+    """Every threshold search, bracketed_root and a one-lane solve_x run the
+    float path: they keep their bits with the numpy lockstep made to fail on
+    any lane.  The kept roots are cleared before and after, so each search
+    runs here."""
+
+    KEPT = (rates._asym_dicka_root, bounds.asym_tangent, bounds.solve_beta_star_colbeck,
+            bounds._holz_tangent_slope)
+
+    @pytest.fixture(autouse=True)
+    def cleared(self):
+        for fn in self.KEPT:
+            fn.cache_clear()
+        yield
+        for fn in self.KEPT:
+            fn.cache_clear()
+
+    @staticmethod
+    def refuse_lockstep(monkeypatch):
+        lockstep = qmath._lockstep
+
+        def refuse(f, x1, x2, f1, f2):
+            if np.broadcast(x1, x2).size:
+                pytest.fail(f"the lockstep ran {np.broadcast(x1, x2).size} lane(s)")
+            return lockstep(f, x1, x2, f1, f2)  # no lane: nothing to step
+        monkeypatch.setattr(qmath, "_lockstep", refuse)
+
+    @pytest.mark.parametrize("entry", pins.calls("threshold_p"), ids=lambda e: e["id"])
+    def test_threshold_p(self, entry, monkeypatch):
+        self.refuse_lockstep(monkeypatch)
+        assert pins.mismatches(entry) == []
+
+    def test_bracketed_root(self, monkeypatch):
+        want = bounds.solve_beta_star_colbeck()
+        bounds.solve_beta_star_colbeck.cache_clear()
+        self.refuse_lockstep(monkeypatch)
+        assert bounds.solve_beta_star_colbeck().hex() == want.hex()
+        root = qmath.bracketed_root(lambda x: x * x - 2.0, 0.0, 2.0)
+        assert root * root > 2.0 >= np.nextafter(root, 0.0) ** 2
+
+    def test_one_lane_solve_x(self, monkeypatch):
+        # near beta = 3/2, where solve_x takes the most steps; each lane of
+        # the lockstep's four-lane call is its one-lane call bit for bit
+        betas = np.array([1.45, 1.47, 1.49, 1.4999])
+        want = bounds.solve_x(betas)
+        self.refuse_lockstep(monkeypatch)
+        got = [bounds.solve_x(betas[i:i + 1])[0] for i in range(betas.size)]
+        assert [x.hex() for x in got] == [x.hex() for x in want.tolist()]
 
 
 class TestRateGrid:
@@ -774,6 +825,17 @@ class TestNumericTables:
     def test_unknown_table(self):
         with pytest.raises(ValidationError):
             two_outcome_numeric("mabk", 3.0)
+
+    def test_curves_decorated_once(self, monkeypatch):
+        # a call decorates nothing: each numeric curve is built once, at import
+        wrapped, update_wrapper = [], functools.update_wrapper
+        monkeypatch.setattr(functools, "update_wrapper",
+                            lambda *args, **kw: wrapped.append(args) or update_wrapper(*args, **kw))
+        for _ in range(2):
+            two_outcome_numeric("parity-chsh", 1.3)
+            two_outcome_numeric("chsh", np.array([2.1, 2.5]))
+            rate_grid("dire-spot", spec_by_name("chsh"), "local", [0.95], 0.0)
+        assert wrapped == []
 
     def test_regenerated_parity_table_is_chsh_table_at_half_beta(self):
         # the Parity-CHSH solve is CHSH's at 2 beta, and halving the grid's
