@@ -172,9 +172,13 @@ def _check_bracket(x1, x2, f1, f2) -> None:
 
 
 def _itp_start(x1, x2):
-    """(k1, the first width cap) of ITP on the bracket [x1, x2]."""
+    """(k1, the first width cap) of ITP on the bracket [x1, x2], in the
+    lockstep's np.errstate: k1 overflows to inf on a subnormal bracket and
+    the cap is NaN on a reversed one (x1 > x2), and either search then
+    bisects."""
     ulp = np.spacing(np.maximum(np.abs(x1), np.abs(x2)))
-    return 0.2 / (x2 - x1), ulp * 2.0 ** np.ceil(np.log2((x2 - x1) / ulp))
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        return 0.2 / (x2 - x1), ulp * 2.0 ** np.ceil(np.log2((x2 - x1) / ulp))
 
 
 def bracketed_roots(f, lo, hi) -> np.ndarray:

@@ -4,9 +4,10 @@ picks the entropy bound curve for each inequality and outcome.
 
 Rates are signed; a threshold is the sign change of the signed rate
 between two adjacent floats p, found by _sign_change on rate_grid's own
-rates: one call at p = 0, a start or two and 1, then one
-qmath.bracketed_roots (ITP) lane in the bracket that call proved, whose
-steps run in Python floats.
+rates: one call at p = 0, a start or two and 1, then calls of several p
+each, strictly inside the bracket the calls before proved (its midpoint,
+its secant point and points either side of it, or all its floats once
+there are at most 16), until its ends are adjacent floats.
 asym-CHSH DICKA's two thresholds come from one root in the honest
 correlator s, kept for the process, which starts at its shipped value.
 Every function of p takes (noise_kind, p); a grid of p is computed at
@@ -35,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import bounds, optimize, qmath
+from . import bounds, optimize
 from .bell import BellSpec, _bell_sum, _check_beta, asym_chsh, bell_terms, spec_by_name
 from .errors import NumericError, ValidationError
 from .qmath import binary_entropy as h
@@ -323,6 +324,10 @@ _ASYM_DICKA_ROOT = float.fromhex("0x1.b40ad1fd76d8dp-1")
 # the most floats _least_float walks from its guess; every guess it is
 # given lands within a float or two of its answer
 _LEAST_FLOAT_STEPS = 64
+# _probes: the most floats inside a bracket that one call evaluates whole,
+# and the offsets around the secant point, as fractions of the width
+_SCAN = 16
+_OFFSETS = tuple(s * 2.0 ** -e for e in (2, 7, 12) for s in (-1.0, 1.0))
 
 
 def best_alpha_one_outcome(noise_kind: str, ps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -409,24 +414,45 @@ def _sign_change(rates_at, starts) -> float:
     rates at [0, *starts, 1], starts increasing in (0, 1), and raises
     _NoSignChange with the rates r0, r1 at p = 0 and 1 unless r0 <= 0 < r1;
     any other failure passes through.  The first of those points whose rate
-    is not <= 0 (a NaN is the high side, as in the search) and the point
-    below it bracket the sign change: the upper one if they are adjacent
-    floats, else one bracketed_roots (ITP) lane's root, which reads their
-    known rates as its first values.  A lane of one takes its ITP steps in
-    Python floats, the lockstep's bits without its numpy calls, and calls
-    rates_at on one p a step."""
-    ps = np.array([0.0, *starts, 1.0])
-    values = rates_at(ps)[0]
-    r0, r1 = values[[0, -1]].tolist()
-    if not r0 <= 0.0 < r1:
-        raise _NoSignChange(r0, r1)
-    k = int(np.argmax(~(values <= 0.0)))
-    lo, hi = ps[k - 1:k + 1].tolist()
-    if hi == np.nextafter(lo, 1.0):
-        return hi
-    first = [values[k - 1:k], values[k:k + 1]]
-    return float(qmath.bracketed_roots(
-        lambda x: first.pop(0) if first else rates_at(x)[0], [lo], [hi])[0])
+    is not <= 0 (a NaN is the high side) and the point below it bracket the
+    sign change.  Every later call takes the rates at _probes, sorted
+    distinct floats strictly inside the bracket, which the same rule then
+    narrows to two of its points, until they are adjacent floats: the upper
+    one is the result.  Where the sign of the rate is monotone in p over
+    the bracket, that is its one sign change, whichever points were
+    probed."""
+    ps = [0.0, *starts, 1.0]
+    values = rates_at(np.array(ps))[0].tolist()
+    if not values[0] <= 0.0 < values[-1]:
+        raise _NoSignChange(values[0], values[-1])
+    while True:
+        k = next(i for i, r in enumerate(values) if not r <= 0.0)
+        (lo, hi), (r_lo, r_hi) = ps[k - 1:k + 1], values[k - 1:k + 1]
+        probes = _probes(lo, hi, r_lo, r_hi)
+        if not probes:
+            return hi
+        ps = [lo, *probes, hi]
+        values = [r_lo, *rates_at(np.array(probes))[0].tolist(), r_hi]
+
+
+def _probes(lo: float, hi: float, r_lo: float, r_hi: float) -> list[float]:
+    """The p _sign_change evaluates next in its bracket [lo, hi], whose ends
+    have the rates r_lo <= 0 and r_hi (> 0 or NaN): every float strictly
+    inside if there are at most _SCAN, else the midpoint, so that each call
+    at least halves the bracket, the secant point (the midpoint where a
+    rate is not finite), moved one ulp inside if it lies on an end, and
+    _OFFSETS of the width either side of it, sorted and distinct."""
+    inside, p = [], math.nextafter(lo, hi)
+    while p < hi and len(inside) <= _SCAN:
+        inside.append(p)
+        p = math.nextafter(p, hi)
+    if len(inside) <= _SCAN:
+        return inside
+    mid, width = 0.5 * (lo + hi), hi - lo
+    at = lo - r_lo / (r_hi - r_lo) * width if math.isfinite(r_lo + r_hi) else mid
+    at = min(max(at, math.nextafter(lo, hi)), math.nextafter(hi, lo))
+    return sorted({x for x in (mid, at, *(at + d * width for d in _OFFSETS))
+                   if lo < x < hi})
 
 
 def _classical_p(spec: BellSpec, noise_kind: str) -> float:
@@ -491,9 +517,12 @@ def threshold_p(kind: str, spec: BellSpec, noise_kind: str, gamma: float = 0.0) 
 
     A rate that reads a bound curve starts at p_cl, the largest float whose
     closed-form violation is at most the local bound (_classical_p): the
-    rate is <= 0 there, its bound 0 and the terms it subtracts >= 0, so one
-    ITP lane searches [p_cl, 1], or [0, p_cl] if the rate at p_cl is
-    positive.  p_cl only steers the search, so a threshold keeps its bits.
+    rate is <= 0 there, its bound 0 and the terms it subtracts >= 0, so the
+    search narrows [p_cl, 1], or [0, p_cl] if the rate at p_cl is positive.
+    Where the rate is 0 at p_cl (DIRE at gamma = 0), the secant point is
+    p_cl, moved one ulp inside: often the threshold, in the second call.
+    Neither p_cl nor the points probed supply a value, so a threshold keeps
+    its bits wherever the sign of the rate is monotone in p.
 
     The asym-CHSH (and CHSH) DICKA rate reads p only through the honest
     correlator s, p under global noise and p^2 under local, so both of its

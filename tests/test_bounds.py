@@ -856,6 +856,7 @@ PARITY = {
     "zero-crossing": (lambda x: x, -1.0, 1.0),
     "signed-zero-point": (lambda x: x, -5e-324, 1e-323),
     "subnormal": (lambda x: x - 3e-311, 0.0, 1e-310),
+    "reversed": (lambda x: 0.5 - x, 1.0, 0.0),
     "wide": (lambda x: x - 1e300, -1e308, 1e308),
     "no-sign-change": (lambda x: x * x, 0.5, 2.0),
     "nan-at-lo": (lambda x: np.full(np.shape(x), np.nan), 0.0, 1.0),
@@ -917,18 +918,28 @@ class TestGridSignChange:
     def test_one_lane_is_a_lockstep_lane_bit_for_bit(self, case):
         # the float path (one lane, and bracketed_root) evaluates the points,
         # returns the root and raises the text of the same bracket run as
-        # one lane of a three-lane lockstep; k1 = 0.2/(hi - lo) overflows on
-        # a subnormal bracket in both
+        # one lane of a three-lane lockstep
         f, lo, hi = PARITY[case]
-        with np.errstate(over="ignore"):
-            want = _search(3, f, lo, hi)
-            assert _search(1, f, lo, hi) == want
-            calls = []
-            try:
-                got = bracketed_root(recorded(lambda x: f(np.array([x]))[0], calls), lo, hi).hex()
-            except NumericError as exc:
-                got = str(exc)
+        want = _search(3, f, lo, hi)
+        assert _search(1, f, lo, hi) == want
+        calls = []
+        try:
+            got = bracketed_root(recorded(lambda x: f(np.array([x]))[0], calls), lo, hi).hex()
+        except NumericError as exc:
+            got = str(exc)
         assert (_hexes(calls), got) == want
+
+    @pytest.mark.parametrize("f, lo, hi, want", [
+        (lambda x: x - 30e-324, 15e-324, 50e-324, "0x0.0000000000007p-1022"),
+        (lambda x: 0.5 - x, 1.0, 0.0, "0x1.fffffffffffffp-2")])
+    def test_subnormal_and_reversed_brackets_warn_nothing(self, f, lo, hi, want):
+        # ITP's k1 = 0.2/(hi - lo) overflows on a subnormal bracket and its
+        # first width cap takes log2 of a negative width on a reversed one:
+        # no RuntimeWarning (an error here), and the one-lane, lockstep and
+        # bracketed_root paths return the same float
+        assert bracketed_root(f, lo, hi).hex() == want
+        assert bracketed_roots(f, [lo], [hi])[0].hex() == want
+        assert _hexes(bracketed_roots(f, [lo, lo], [hi, hi])) == [want, want]
 
     def test_one_lane_keeps_its_shape(self):
         f = lambda x: x * x - 2.0

@@ -254,10 +254,10 @@ class TestLocalNoiseBuildsNoState:
 
 
 class TestOneLaneSearchesSkipTheLockstep:
-    """Every threshold search, bracketed_root and a one-lane solve_x run the
-    float path: they keep their bits with the numpy lockstep made to fail on
-    any lane.  The kept roots are cleared before and after, so each search
-    runs here."""
+    """The threshold searches of pins.json, bracketed_root and a one-lane
+    solve_x keep their bits with the numpy lockstep made to fail on any
+    lane: none of them steps a lane in numpy.  The kept roots are cleared
+    before and after, so each search runs here."""
 
     KEPT = (rates._asym_dicka_root, bounds.asym_tangent, bounds.solve_beta_star_colbeck,
             bounds._holz_tangent_slope)
@@ -557,20 +557,43 @@ def cold_asym_root():
     rates._asym_dicka_root.cache_clear()
 
 
-def search_sizes(monkeypatch, points=None) -> list:
-    """The size of every p grid rates._rates, the function a threshold
-    searches (rate_grid's own rates), is given from now on; the list
-    points, if given, collects every p."""
-    sizes, rates_at = [], rates._rates
+def search_calls(monkeypatch) -> list:
+    """Every call from now on of rates._rates, the function a threshold
+    searches (rate_grid's own rates), as its p and its rates in two lists."""
+    calls, rates_at = [], rates._rates
 
-    def counted(kind, spec, curve, noise, gamma, ps):
-        sizes.append(len(ps))
-        if points is not None:
-            points.extend(np.asarray(ps).tolist())
-        return rates_at(kind, spec, curve, noise, gamma, ps)
+    def recorded(kind, spec, curve, noise, gamma, ps):
+        values, betas = rates_at(kind, spec, curve, noise, gamma, ps)
+        calls.append((np.asarray(ps).tolist(), values.tolist()))
+        return values, betas
 
-    monkeypatch.setattr(rates, "_rates", counted)
-    return sizes
+    monkeypatch.setattr(rates, "_rates", recorded)
+    return calls
+
+
+def proved_bracket(rates_by_p) -> tuple:
+    """The bracket the rates evaluated so far (a dict p -> rate) prove: the
+    smallest p whose rate is not <= 0 (a NaN is the high side), and the
+    largest p evaluated below it."""
+    hi = min(p for p, r in rates_by_p.items() if not r <= 0.0)
+    return max(p for p in rates_by_p if p < hi), hi
+
+
+def assert_probes(calls, result) -> None:
+    """The search contract on calls, the (p, rates) lists of one search's
+    calls in order: every call after the first evaluates sorted distinct p,
+    none evaluated before, strictly inside the bracket the calls before it
+    proved; result is the upper end of the last bracket, one ulp above its
+    lower end."""
+    rates_by_p = {}
+    for ps, values in calls:
+        if rates_by_p:
+            lo, hi = proved_bracket(rates_by_p)
+            assert ps == sorted(set(ps)) and not rates_by_p.keys() & set(ps)
+            assert lo < ps[0] and ps[-1] < hi
+        rates_by_p.update(zip(ps, values))
+    lo, hi = proved_bracket(rates_by_p)
+    assert result == hi == np.nextafter(lo, 1.0)
 
 
 class TestThresholds:
@@ -590,12 +613,12 @@ class TestThresholds:
         assert thr.hex() == entry["out"]["gamma=0.0"]
 
     def test_no_sign_change_error(self, monkeypatch):
-        sizes = search_sizes(monkeypatch)
+        calls = search_calls(monkeypatch)
         with pytest.raises(NumericError, match=re.escape(
                 "the dire-spot rate of mabk under local noise at gamma=0.45 does not"
                 " change sign on p in [0, 1]: rate(p=0)=-2.34277, rate(p=1)=-0.342774")):
             threshold_p("dire-spot", spec_by_name("mabk"), "local", gamma=0.45)
-        assert sizes == [3]  # p = 0, p_cl and 1; the message costs no evaluation of its own
+        assert [len(ps) for ps, _ in calls] == [3]  # p = 0, p_cl and 1; the message costs no evaluation of its own
 
     def test_no_sign_change_error_one_lane(self, monkeypatch):
         sizes, rates_at = [], rates._rates
@@ -626,7 +649,8 @@ class TestThresholds:
             return rates_at(*args)
 
         # asym-chsh's root is one call, at the ends and around the shipped
-        # root; holz's second call is the first step of its ITP lane
+        # root; holz's second call is its first call of probes inside the
+        # bracket the first proved
         fail_at = 1 if ineq == "asym-chsh" else 2
         monkeypatch.setattr(rates, "_rates", failing)
         with pytest.raises(NumericError, match="^inner search failed$"):
@@ -647,15 +671,15 @@ class TestThresholds:
     @pytest.mark.parametrize("ineq", ["holz", "parity-chsh", "mabk", "chsh"])
     @pytest.mark.parametrize("noise", ["local", "global"])
     def test_dire_threshold_calls(self, monkeypatch, ineq, noise):
-        # p = 0, p_cl and 1 in one call, then the one-point steps of one ITP
-        # lane on [p_cl, 1], which evaluates no p twice; rate_grid itself is
-        # not called
-        points, grid_calls = [], []
-        sizes = search_sizes(monkeypatch, points)
+        # p = 0, p_cl and 1 in one call, then calls of probes inside the
+        # bracket proved so far, which evaluate no p twice; rate_grid itself
+        # is not called
+        grid_calls = []
+        calls = search_calls(monkeypatch)
         monkeypatch.setattr(rates, "rate_grid", lambda *args: grid_calls.append(args))
-        threshold_p("dire-spot", spec_by_name(ineq), noise, gamma=0.0)
-        assert sizes[0] == 3 and sizes[1:] == [1] * (len(sizes) - 1)
-        assert len(set(points)) == len(points)
+        got = threshold_p("dire-spot", spec_by_name(ineq), noise, gamma=0.0)
+        assert len(calls[0][0]) == 3 and len(calls) > 1
+        assert_probes(calls, got)
         assert grid_calls == []
 
     @pytest.mark.parametrize("ineq, noise, ends", [
@@ -665,18 +689,18 @@ class TestThresholds:
         ("chsh", "local", 2), ("chsh", "global", 2)])
     def test_dicka_threshold_one_point_calls(self, monkeypatch, ineq, noise, ends):
         # the first call reads the two ends, p = 0 and 1, and the starts.
-        # holz and parity-chsh read a bound curve: one start, p_cl, then the
-        # one-point steps of one ITP lane.  asym-chsh and chsh check the one
-        # root in s = p (the global rate's) under either noise kind: the
-        # shipped root and the float below it, and no step
-        points = []
-        sizes = search_sizes(monkeypatch, points)
-        threshold_p("dicka", spec_by_name(ineq), noise)
-        assert len(set(points)) == len(points)
+        # holz and parity-chsh read a bound curve: one start, p_cl, then
+        # calls of probes inside the bracket proved so far.  asym-chsh and
+        # chsh check the one root in s = p (the global rate's) under either
+        # noise kind: the shipped root and the float below it, and no probe
+        calls = search_calls(monkeypatch)
+        got = threshold_p("dicka", spec_by_name(ineq), noise)
         if ineq in ("asym-chsh", "chsh"):
-            assert sizes == [ends + 2]
+            assert [len(ps) for ps, _ in calls] == [ends + 2]
+            assert_probes(calls, float.fromhex(ASYM_DICKA["global"]))
         else:
-            assert sizes[0] == ends + 1 and len(sizes) > 1 and sizes[1:] == [1] * (len(sizes) - 1)
+            assert len(calls[0][0]) == ends + 1 and len(calls) > 1
+            assert_probes(calls, got)
 
     @pytest.mark.parametrize("kind, ineq, noise", [
         ("dicka", "holz", "local"), ("dicka", "parity-chsh", "global"),
@@ -692,21 +716,21 @@ class TestThresholds:
         assert shift != 1.0 or rate(kind, spec, noise, start, 0.0).rate > 0.0
         want = bisected_threshold(kind, spec, noise, 0.0)
         monkeypatch.setattr(rates, "_classical_p", lambda spec, noise: start)
-        sizes = search_sizes(monkeypatch)
+        calls = search_calls(monkeypatch)
         assert threshold_p(kind, spec, noise).hex() == want.hex()
-        assert sizes[0] == 3
+        assert len(calls[0][0]) == 3
 
     @pytest.mark.parametrize("first", ["local", "global"])
     def test_asym_dicka_root_solved_once(self, monkeypatch, first):
-        sizes = search_sizes(monkeypatch)
+        calls = search_calls(monkeypatch)
         assert threshold_p("dicka", spec_by_name("asym-chsh"), first).hex() == ASYM_DICKA[first]
-        solved = len(sizes)
+        solved = len(calls)
         for ineq in ("asym-chsh", "chsh"):
             for noise in ("local", "global"):
                 for gamma in (0.0, 0.5, 1.0):
                     assert threshold_p("dicka", spec_by_name(ineq), noise, gamma).hex() \
                         == ASYM_DICKA[noise]
-        assert len(sizes) == solved
+        assert len(calls) == solved
 
     @pytest.mark.parametrize("spec, noise, gamma, message", [
         (asym_chsh(0.9), "local", 0.0, "alpha must be 1"),
@@ -719,19 +743,19 @@ class TestThresholds:
     def test_arguments_checked_before_the_kept_root(self, monkeypatch, spec, noise, gamma,
                                                     message):
         threshold_p("dicka", spec_by_name("asym-chsh"), "global")
-        sizes = search_sizes(monkeypatch)
+        calls = search_calls(monkeypatch)
         with pytest.raises(ValidationError, match=message):
             threshold_p("dicka", spec, noise, gamma)
-        assert sizes == []
+        assert calls == []
 
     def test_shipped_asym_root_is_the_full_search(self):
-        # _sign_change without a start runs ITP on [0, 1] on the global rate
+        # _sign_change without a start searches [0, 1] on the global rate
         rates_at = partial(rates._rates, "dicka", asym_chsh(1.0), None, "global", 0.0)
         assert rates._sign_change(rates_at, ()).hex() == rates._ASYM_DICKA_ROOT.hex()
 
     def test_nan_rate_is_the_high_side(self):
-        # a start whose rate is NaN is above the sign change, as in the ITP
-        # steps: next to a start whose rate is <= 0 it is the threshold
+        # a start whose rate is NaN is above the sign change, as in every
+        # later call: next to a start whose rate is <= 0 it is the threshold
         def rates_at(ps):
             return np.where(ps == 0.5, np.nan, ps - 0.5), ps
 
@@ -744,12 +768,13 @@ class TestThresholds:
         # call: the search on the bracket that call proved gives both
         # thresholds' bits
         monkeypatch.setattr(rates, "_ASYM_DICKA_ROOT", rates._ASYM_DICKA_ROOT + shift)
-        sizes = search_sizes(monkeypatch)
+        calls = search_calls(monkeypatch)
         for noise in ("local", "global"):
             rates._asym_dicka_root.cache_clear()
-            sizes.clear()
+            calls.clear()
             got = threshold_p("dicka", spec_by_name("asym-chsh"), noise)
-            assert sizes[0] == 4 and len(sizes) > 1 and sizes[1:] == [1] * (len(sizes) - 1)
+            assert len(calls[0][0]) == 4 and len(calls) > 1
+            assert_probes(calls, float.fromhex(ASYM_DICKA["global"]))  # the root in s = p
             assert got.hex() == ASYM_DICKA[noise]
 
     @pytest.mark.parametrize("ineq", list(INEQUALITIES))
@@ -791,6 +816,144 @@ class TestThresholds:
         with pytest.raises(NumericError, match=re.escape(
                 f"from the guess p={guess!r} walked {rates._LEAST_FLOAT_STEPS} floats")):
             rates._least_float(lambda x: x >= 0.5, guess)
+
+
+def above(p, n):
+    """The float n ulps above the non-negative float p."""
+    return float((np.array(p).view(np.int64) + n).view(float))
+
+
+def probed_search(rates_at, starts):
+    """_sign_change's result on rates_at, a function from an array of p to
+    their rates, and its calls as (p, rates) lists."""
+    calls = []
+
+    def recorded(ps):
+        values = np.asarray(rates_at(ps), dtype=float)
+        calls.append((ps.tolist(), values.tolist()))
+        return values, ps
+
+    return rates._sign_change(recorded, starts), calls
+
+
+def bisection(rates_at, starts):
+    """(result, calls) of plain bisection after _sign_change's first call,
+    one midpoint a call until no float lies between the ends of the
+    bracket."""
+    ps = np.array([0.0, *starts, 1.0])
+    k = int(np.argmax(~(rates_at(ps) <= 0.0)))
+    (lo, hi), calls = ps[k - 1:k + 1].tolist(), 1
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        calls += 1
+        if rates_at(np.array([mid]))[0] <= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return hi, calls
+
+
+def _steps(t):
+    return lambda ps: np.where(ps < t, -1.0, 1.0)
+
+
+def _lines(t):
+    below = np.nextafter(t, 0.0)
+    return lambda ps: ps - below
+
+
+PCL = rates._classical_p(spec_by_name("holz"), "local")
+# (rates_at, starts, threshold) of sign changes monotone in p: a step and a
+# line through known floats in brackets 1, 2, 16, 17, 18 and 2^52 floats
+# wide, at each end of the bracket and inside it; a NaN, an infinite and a
+# tiny high side; a flat zero low side; a sign change at p_cl's neighbour
+MONOTONE = {
+    **{f"{name}-{n}-wide-at-{at}": (shape(t), (0.25, above(0.25, n)), t)
+       for n in (1, 2, 16, 17, 18, 2 ** 52)
+       for at, t in (("first", above(0.25, 1)), ("middle", above(0.25, max(n // 2, 1))),
+                     ("last", above(0.25, n)))
+       for name, shape in (("steps", _steps), ("lines", _lines))},
+    "nan-high-side": (lambda ps: np.where(ps == 1.0, 1.0, np.where(ps < 0.3, -1.0, np.nan)),
+                      (), 0.3),
+    "inf-high-side": (lambda ps: np.where(ps < 0.3, -1.0, np.inf), (), 0.3),
+    "tiny-high-side": (lambda ps: np.where(ps < 0.3, -1.0, 5e-324), (0.1, 0.9), 0.3),
+    "flat-zero-low-side": (lambda ps: np.maximum(ps - 0.7, 0.0), (0.5,), above(0.7, 1)),
+    "p_cl-neighbour": (lambda ps: np.maximum(ps - PCL, 0.0), (PCL,), above(PCL, 1)),
+    "p_cl-neighbour-below-zero": (lambda ps: np.where(ps <= PCL, -1.0, 1e-300), (PCL,),
+                                  above(PCL, 1)),
+    "near-zero": (lambda ps: ps - 1e-300, (), above(1e-300, 1)),
+    "near-one": (_steps(np.nextafter(1.0, 0.0)), (), np.nextafter(1.0, 0.0)),
+}
+# rates whose sign changes more than once in p
+NOT_MONOTONE = {
+    "wiggle": (lambda ps: 2.0 * ps - 1.0 + 0.6 * np.sin(40.0 * ps), ()),
+    "islands": (lambda ps: np.where(((ps > 0.2) & (ps < 0.21)) | (ps > 0.7), 1.0, -1.0),
+                (0.5,)),
+    "nan-islands": (lambda ps: np.where(ps == 1.0, 1.0, np.where(np.sin(1e3 * ps) > 0.0,
+                                                                 np.nan, -1.0)), ()),
+}
+
+
+class TestSignChange:
+    """_sign_change on synthetic rates: each call after the first evaluates
+    sorted distinct p strictly inside the bracket proved so far, and the
+    result, the upper end of the last bracket, is plain bisection's in no
+    more calls."""
+
+    @pytest.mark.parametrize("case", MONOTONE)
+    def test_monotone_equals_bisection(self, case):
+        rates_at, starts, want = MONOTONE[case]
+        got, calls = probed_search(rates_at, starts)
+        bisected, bisection_calls = bisection(rates_at, starts)
+        assert got.hex() == bisected.hex() == float(want).hex()
+        assert_probes(calls, got)
+        assert len(calls) <= bisection_calls
+
+    @pytest.mark.parametrize("n", [1, 2, 16, 17, 18])
+    def test_narrow_bracket_is_scanned(self, n):
+        # a bracket with at most 16 floats inside is evaluated whole in one
+        # call, and one with 17 is not
+        lo = 0.25
+        _, calls = probed_search(_steps(above(lo, (n + 1) // 2)), (lo, above(lo, n)))
+        inside = [above(lo, i) for i in range(1, n)]
+        if n == 1:
+            assert len(calls) == 1
+        elif len(inside) <= 16:
+            assert len(calls) == 2 and calls[1][0] == inside
+        else:
+            assert len(calls) > 2 and len(calls[1][0]) < len(inside)
+
+    def test_p_cl_neighbour_in_two_calls(self):
+        # a rate that is 0 up to p_cl: its secant point is p_cl, moved one
+        # ulp inside, the threshold
+        rates_at, starts, want = MONOTONE["p_cl-neighbour"]
+        got, calls = probed_search(rates_at, starts)
+        assert got == want and len(calls) == 2
+
+    @pytest.mark.parametrize("case", NOT_MONOTONE)
+    def test_not_monotone_keeps_the_contract(self, case):
+        # the result is the smallest p evaluated whose rate is not <= 0, one
+        # ulp above a p evaluated whose rate is
+        rates_at, starts = NOT_MONOTONE[case]
+        got, calls = probed_search(rates_at, starts)
+        assert_probes(calls, got)
+        rates_by_p = {p: r for ps, values in calls for p, r in zip(ps, values)}
+        assert not rates_by_p[got] <= 0.0 and rates_by_p[np.nextafter(got, 0.0)] <= 0.0
+        assert all(r <= 0.0 for p, r in rates_by_p.items() if p < got)
+
+    def test_calls_over_the_pinned_thresholds(self, monkeypatch):
+        # each of pins.json's threshold_p entries from a cold asym-CHSH root
+        calls = search_calls(monkeypatch)
+        for entry in pins.calls("threshold_p"):
+            rates._asym_dicka_root.cache_clear()
+            assert pins.mismatches(entry) == []
+        assert len(calls) <= 600
+
+    def test_calls_over_the_paper_thresholds(self, monkeypatch):
+        calls = search_calls(monkeypatch)
+        for entry in PAPER_THRESHOLD_ENTRIES:
+            thr = threshold_p(entry["kind"], spec_by_name(entry["inequality"]), entry["noise"])
+            assert thr.hex() == entry["out"]["gamma=0.0"]
+        assert len(calls) <= 60
 
 
 class TestMonotonicity:
