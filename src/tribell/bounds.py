@@ -151,14 +151,11 @@ def solve_beta_star_holz() -> float:
     return bracketed_root(tangency, 1.42, 1.4995)
 
 
-# solve_beta_star_holz(), shipped so that no process spends the 17 ms of its
-# nested root solves; tests/test_bounds.py re-derives it bit for bit
+# solve_beta_star_holz() and the slope of its tangent, (theta_at_optimum(beta*)
+# - 1)/(beta* - sqrt2), shipped so that no process spends the root solves of
+# either; tests/test_bounds.py re-derives both bit for bit
 _HOLZ_BETA_STAR = 1.4898242537521285
-
-
-@functools.lru_cache(maxsize=1)
-def _holz_tangent_slope() -> float:
-    return (theta_at_optimum(_HOLZ_BETA_STAR) - 1.0) / (_HOLZ_BETA_STAR - SQRT2)
+_HOLZ_SLOPE = float.fromhex("0x1.1a64fe362d31bp+3")
 
 
 @_curve(1.0, 1.5, "3/2")
@@ -168,7 +165,7 @@ def holz_two_outcome(beta):
     out = eta(np.minimum(beta, SQRT2))
     line = beta > SQRT2
     if line.any():
-        out[line] = _holz_tangent_slope() * (beta[line] - SQRT2) + 1.0
+        out[line] = _HOLZ_SLOPE * (beta[line] - SQRT2) + 1.0
         top = beta > _HOLZ_BETA_STAR
         if top.any():
             out[top] = theta_at_optimum(beta[top])
@@ -464,9 +461,14 @@ def solve_beta_star_colbeck() -> float:
     return bracketed_root(f, 2.0 + 1e-6, 2.0 * SQRT2 - 1e-9)
 
 
+# solve_beta_star_colbeck(), shipped so that no process spends its root solve;
+# tests/test_bounds.py re-derives it bit for bit
+_COLBECK_BETA_STAR = float.fromhex("0x1.604a2a49513a7p+1")
+
+
 @_curve(2.0, 2.0 * SQRT2, "2*sqrt2")
 def colbeck_recycled_two_outcome(beta):
     """Conjectured bound on H(AB|XYE) for CHSH with recycled inputs:
     linear below beta*_C, g1 above."""
-    bstar = solve_beta_star_colbeck()
+    bstar = _COLBECK_BETA_STAR
     return np.where(beta <= bstar, _colbeck_g1_deriv(bstar) * (beta - 2.0), colbeck_g1(beta))

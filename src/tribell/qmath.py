@@ -1,5 +1,5 @@
 """Dense complex linear algebra on small matrices, entropy primitives and
-the bracketed sign-change search (one lane of it in Python floats).
+the bracketed sign-change search.
 
 All entropies are base-2 (bits).  Matrices are plain complex numpy arrays;
 dimensions are capped at 64 (six qubits), which is all the rest of the
@@ -7,8 +7,6 @@ library ever needs.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -162,23 +160,13 @@ def shannon_entropy(weights):
 
 
 def _check_bracket(x1, x2, f1, f2) -> None:
-    """NumericError naming the first lane where f(lo) <= 0 < f(hi) fails."""
+    """NumericError naming the first lane, in the flat order of the lanes,
+    where f(lo) <= 0 < f(hi) fails; 0-d lo and hi are one lane."""
     bad = ~((f1 <= 0.0) & (f2 > 0.0))
     if bad.any():
-        i = np.flatnonzero(bad)[0]
         raise NumericError(
-            f"f does not change sign on [{float(x1[i])!r}, {float(x2[i])!r}]: "
-            f"f(lo)={float(f1[i]):.6g}, f(hi)={float(f2[i]):.6g}")
-
-
-def _itp_start(x1, x2):
-    """(k1, the first width cap) of ITP on the bracket [x1, x2], in the
-    lockstep's np.errstate: k1 overflows to inf on a subnormal bracket and
-    the cap is NaN on a reversed one (x1 > x2), and either search then
-    bisects."""
-    ulp = np.spacing(np.maximum(np.abs(x1), np.abs(x2)))
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        return 0.2 / (x2 - x1), ulp * 2.0 ** np.ceil(np.log2((x2 - x1) / ulp))
+            f"f does not change sign on [{_first(x1, bad)!r}, {_first(x2, bad)!r}]: "
+            f"f(lo)={_first(f1, bad):.6g}, f(hi)={_first(f2, bad):.6g}")
 
 
 def bracketed_roots(f, lo, hi) -> np.ndarray:
@@ -193,26 +181,20 @@ def bracketed_roots(f, lo, hi) -> np.ndarray:
     f(x) > 0.  ITP keeps each bracket within one halving of bisection's;
     a point that rounds onto an endpoint moves one ulp inside, which ends
     a lane whose newest point has f = 0 next to the edge of {f > 0}.
-    Lanes step in lockstep on numpy arrays (_lockstep).  One lane (lo and
-    hi of size 1) takes the same steps in Python floats (_root), f called
-    on a size-1 array of their broadcast shape: the same points, root and
-    NumericError text, bit for bit, without the lockstep's numpy calls.
+    Every lane count, 0-d lo and hi too, steps the same numpy lockstep,
+    each lane's points its own: a lane's points, root and NumericError
+    text do not depend on the other lanes.  Under np.errstate, k1
+    overflows to inf on a subnormal bracket and the first width cap is
+    NaN on a reversed one (lo > hi); either lane then bisects.
     """
     x1, x2 = np.array(lo, dtype=float), np.array(hi, dtype=float)
     f1, f2 = f(x1), f(x2)
-    if x1.size == 1 == x2.size:
-        shape, item = (1,) * max(x1.ndim, x2.ndim), lambda y: np.asarray(y, dtype=float).item()
-        return np.array(_root(lambda x: item(f(np.array(x).reshape(shape))),
-                              x1.item(), x2.item(), item(f1), item(f2))).reshape(shape)
-    return _lockstep(f, x1, x2, f1, f2)
-
-
-def _lockstep(f, x1, x2, f1, f2) -> np.ndarray:
-    """bracketed_roots on numpy arrays, every lane in one step."""
     _check_bracket(x1, x2, f1, f2)
     x3, f3 = x1, np.full_like(x1, np.nan)  # x1: newest end, x3: dropped
-    k1, cap = _itp_start(x1, x2)  # cap: ITP's next width cap
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        k1 = 0.2 / (x2 - x1)
+        ulp = np.spacing(np.maximum(np.abs(x1), np.abs(x2)))
+        cap = ulp * 2.0 ** np.ceil(np.log2((x2 - x1) / ulp))  # ITP's next width cap
         while True:
             a, b = np.minimum(x1, x2), np.maximum(x1, x2)
             mid, width = 0.5 * (a + b), b - a
@@ -237,46 +219,4 @@ def _lockstep(f, x1, x2, f1, f2) -> np.ndarray:
 
 def bracketed_root(f, lo: float, hi: float) -> float:
     """bracketed_roots for one lane, with f mapping a float to a float."""
-    lo, hi = float(lo), float(hi)
-    return _root(lambda x: float(f(x)), lo, hi, float(f(lo)), float(f(hi)))
-
-
-# _lockstep's np.errstate arithmetic on Python floats: x / 0 is +-inf or NaN,
-# and numpy's maximum and minimum keep NaN and give the second on a tie
-def _div(a: float, b: float) -> float:
-    return a / b if b else a * math.copysign(math.inf, b)
-
-
-def _max(a: float, b: float) -> float:
-    return a if a > b or a != a else b
-
-
-def _min(a: float, b: float) -> float:
-    return a if a < b or a != a else b
-
-
-def _root(f, x1: float, x2: float, f1: float, f2: float) -> float:
-    """_lockstep's steps on one lane in Python floats, bit for bit."""
-    if not (f1 <= 0.0 and f2 > 0.0):
-        _check_bracket(*np.array([[x1], [x2], [f1], [f2]]))
-    x3, f3 = x1, math.nan
-    k1, cap = map(float, _itp_start(np.float64(x1), np.float64(x2)))
-    while True:
-        a, b = _min(x1, x2), _max(x1, x2)
-        mid, width = 0.5 * (a + b), b - a
-        if mid == a or mid == b:
-            return x2 if f1 <= 0.0 else x1
-        xi, phi = _div(x1 - x2, x3 - x2), _div(f1 - f2, f3 - f2)
-        guess = mid
-        if 0.0 <= xi <= 1.0 and 1.0 - math.sqrt(1.0 - xi) < phi < math.sqrt(xi):  # else NaN
-            t = (_div(_div(f1, f2 - f1) * f3, f2 - f3)
-                 + _div(_div(_div(x3 - x1, x2 - x1) * f1, f3 - f1) * f2, f3 - f2))
-            guess = x1 + t * (x2 - x1)
-        r, cap, d = _max(cap - 0.5 * width, 0.0), 0.5 * cap, mid - guess
-        step = _max(abs(d) - k1 * width * width, 0.0)
-        x = mid - ((d > 0.0) - (d < 0.0) if d == d else d) * _min(step, r)  # np.sign(d): 0 at +-0
-        x = mid if x != x else _min(_max(x, math.nextafter(a, b)), math.nextafter(b, a))
-        y = f(x)
-        if (y <= 0.0) != (f1 <= 0.0):
-            x1, f1, x2, f2 = x2, f2, x1, f1
-        x3, f3, x1, f1 = x1, f1, x, y
+    return float(bracketed_roots(lambda x: np.float64(f(float(x))), float(lo), float(hi)))

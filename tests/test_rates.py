@@ -10,7 +10,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from tribell import bounds, qmath, rates, states
+from tribell import bounds, rates, states
 from tribell.bell import INEQUALITIES, asym_chsh, spec_by_name
 from tribell.errors import NumericError, ValidationError
 from tribell.qmath import kron_all
@@ -245,62 +245,11 @@ class TestLocalNoiseBuildsNoState:
 
     def test_holz_dire_spot_noiseless_runs_no_root(self, monkeypatch):
         # at beta = 3/2 exactly the curve's solve_x has no lane to solve
-        bounds._holz_tangent_slope()
         lanes, roots = [], bounds.bracketed_roots
         monkeypatch.setattr(bounds, "bracketed_roots",
                             lambda f, lo, hi: lanes.append(len(lo)) or roots(f, lo, hi))
         rate_grid("dire-spot", spec_by_name("holz"), "local", [1.0], 0.0)
         assert lanes and not any(lanes)
-
-
-class TestOneLaneSearchesSkipTheLockstep:
-    """The threshold searches of pins.json, bracketed_root and a one-lane
-    solve_x keep their bits with the numpy lockstep made to fail on any
-    lane: none of them steps a lane in numpy.  The kept roots are cleared
-    before and after, so each search runs here."""
-
-    KEPT = (rates._asym_dicka_root, bounds.asym_tangent, bounds.solve_beta_star_colbeck,
-            bounds._holz_tangent_slope)
-
-    @pytest.fixture(autouse=True)
-    def cleared(self):
-        for fn in self.KEPT:
-            fn.cache_clear()
-        yield
-        for fn in self.KEPT:
-            fn.cache_clear()
-
-    @staticmethod
-    def refuse_lockstep(monkeypatch):
-        lockstep = qmath._lockstep
-
-        def refuse(f, x1, x2, f1, f2):
-            if np.broadcast(x1, x2).size:
-                pytest.fail(f"the lockstep ran {np.broadcast(x1, x2).size} lane(s)")
-            return lockstep(f, x1, x2, f1, f2)  # no lane: nothing to step
-        monkeypatch.setattr(qmath, "_lockstep", refuse)
-
-    @pytest.mark.parametrize("entry", pins.calls("threshold_p"), ids=lambda e: e["id"])
-    def test_threshold_p(self, entry, monkeypatch):
-        self.refuse_lockstep(monkeypatch)
-        assert pins.mismatches(entry) == []
-
-    def test_bracketed_root(self, monkeypatch):
-        want = bounds.solve_beta_star_colbeck()
-        bounds.solve_beta_star_colbeck.cache_clear()
-        self.refuse_lockstep(monkeypatch)
-        assert bounds.solve_beta_star_colbeck().hex() == want.hex()
-        root = qmath.bracketed_root(lambda x: x * x - 2.0, 0.0, 2.0)
-        assert root * root > 2.0 >= np.nextafter(root, 0.0) ** 2
-
-    def test_one_lane_solve_x(self, monkeypatch):
-        # near beta = 3/2, where solve_x takes the most steps; each lane of
-        # the lockstep's four-lane call is its one-lane call bit for bit
-        betas = np.array([1.45, 1.47, 1.49, 1.4999])
-        want = bounds.solve_x(betas)
-        self.refuse_lockstep(monkeypatch)
-        got = [bounds.solve_x(betas[i:i + 1])[0] for i in range(betas.size)]
-        assert [x.hex() for x in got] == [x.hex() for x in want.tolist()]
 
 
 class TestRateGrid:
@@ -687,7 +636,7 @@ class TestThresholds:
         ("parity-chsh", "local", 2), ("parity-chsh", "global", 2),
         ("asym-chsh", "local", 2), ("asym-chsh", "global", 2),
         ("chsh", "local", 2), ("chsh", "global", 2)])
-    def test_dicka_threshold_one_point_calls(self, monkeypatch, ineq, noise, ends):
+    def test_dicka_threshold_calls(self, monkeypatch, ineq, noise, ends):
         # the first call reads the two ends, p = 0 and 1, and the starts.
         # holz and parity-chsh read a bound curve: one start, p_cl, then
         # calls of probes inside the bracket proved so far.  asym-chsh and
