@@ -7,10 +7,13 @@ under `sha256` with that digest.  A library entry's `call` names a function
 of CALLS, which reads the entry's other fields as inputs and must give
 `out`, its outputs by case as text: a float as its float.hex() (which may
 move by its case's `atol`, if it has one), an error as "ErrorClass:
-message" and an array as the sha256 of its bytes.  RuntimeWarning is an
-error throughout.  `python tests/pins.py` runs every entry against the
-tribell that Python imports, prints where that package lives, lists every
-mismatch and exits 1 if there is one."""
+message" and an array as the sha256 of its bytes.  The `figures` call
+rebuilds perfbench's figures workload at the entry's seed from the
+checkout's perfbench/workloads.py, so that its argv keep one definition;
+its cases are the workload's row labels, each the sha256 of that row's CSV.
+RuntimeWarning is an error throughout.  `python tests/pins.py` runs every
+entry against the tribell that Python imports, prints where that package
+lives, lists every mismatch and exits 1 if there is one."""
 
 import contextlib
 import hashlib
@@ -26,11 +29,13 @@ from pathlib import Path
 
 import numpy as np
 
+import tribell
 from tribell import bounds, cli, optimize, rates, verification
 from tribell.bell import spec_by_name
 from tribell.errors import NumericError, ValidationError
 
 MANIFEST = Path(__file__).with_name("pins.json")
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 PINNED = {"stdout": "", "stderr": "", "sha256": {}}  # each pinned field and its default
 
 
@@ -196,8 +201,28 @@ def random_density_matrices(entry) -> dict:
     return {"sha256": hashlib.sha256(rho.tobytes()).hexdigest()}
 
 
+def figures(entry) -> dict:
+    """The sha256 of each CSV of perfbench's figures workload at the entry's
+    seed, by row label: each row's argv through cli.main, writing into a
+    temporary directory."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import workloads  # read only: its figures() builds the argv from the seed
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for op in workloads.figures(entry["seed"], Path(tmp), None).ops:
+            code, _ = op.run(tribell)
+            if code != 0:
+                raise RuntimeError(f"{entry['id']} {op.label}: exit {code}")
+            out[op.label] = hashlib.sha256(Path(tmp, op.label + ".csv").read_bytes()).hexdigest()
+    return out
+
+
 CALLS = {fn.__name__: fn for fn in (threshold_p, best_alpha_bound, asym_chsh_one_outcome,
-                                    bound_curve, minimize, run_all, random_density_matrices)}
+                                    bound_curve, minimize, run_all, random_density_matrices,
+                                    figures)}
 
 
 if __name__ == "__main__":

@@ -376,6 +376,38 @@ class TestSweepDeterminism:
             assert line.split(",")[6] == "conjectured"
 
 
+FIGURES = pins.calls("figures")
+
+
+class TestFigures:
+    """The benchmark's figure CSVs, 45 rows at each of 16 seeds, against
+    their digests in pins.json."""
+
+    @pytest.mark.parametrize("entry", FIGURES, ids=[entry["id"] for entry in FIGURES])
+    def test_pin(self, entry):
+        assert pins.mismatches(entry) == []
+
+    def test_pins_are_the_golden_digests(self):
+        # perfbench/golden_csv.json records the same 720 digests until the
+        # benchmark reads them from pins.json
+        golden = json.loads(Path(pins.PERFBENCH, "golden_csv.json").read_text())["sha256"]
+        assert {str(entry["seed"]): entry["out"] for entry in FIGURES} == golden
+
+    def test_a_moved_byte_is_named_by_seed_and_row(self, monkeypatch):
+        entry, row = FIGURES[3], "sweep-rate-dicka-holz-local"
+        write = cli._write_csv
+
+        def moved(path, *args, value, **kwargs):
+            if Path(path).name == row + ".csv":
+                value = np.array(value)
+                value[0] += 1e-6
+            write(path, *args, value=value, **kwargs)
+
+        monkeypatch.setattr(cli, "_write_csv", moved)
+        (line,) = pins.mismatches(entry)
+        assert line.startswith(f"figures-seed=3 {row}: expected {entry['out'][row]}, got ")
+
+
 class TestSweepOptimizeAlpha:
     @pytest.mark.parametrize("quantity, ineq", [
         ("bound-one", "holz"), ("bound-two", "chsh"), ("rate-dicka", "asym-chsh"),

@@ -7,13 +7,15 @@ The exact rate reads the closed-form honest violation beta(p) (q p under
 global noise, the local forms of rates._closed_form as exact polynomials),
 the curve's formula or exact linear interpolation between the table's float
 knots, and then subtracts the QBER's h((1 - s)/2) (DICKA) or the test cost
-input_bits gamma + h(gamma), gamma the float itself (DIRE-spot).  Bisection
-over the floats of [0, 1] on its sign gives the exact threshold, which the
-library's float must meet within MAX_ULPS.  The DICKA rate reads no gamma:
-its exact threshold is found once, and the library's float is the same at
-every gamma.  At gamma = 0.9 no DIRE-spot rate changes sign.  Global-noise
-thresholds read the matrix path's beta, which can round a few ulps off the
-closed form."""
+input_bits gamma + h(gamma), gamma the float itself (DIRE-spot).  The
+DIRE-recycled rate, of CHSH and of asym-CHSH at alpha = 1 alike, is the
+recycled-input bound itself: 0 at beta <= 2 and positive above it (a line,
+then colbeck_g1), so its sign is that of beta - 2.  Bisection over the floats of [0, 1] on the sign gives the exact
+threshold, which the library's float must meet within MAX_ULPS.  The DICKA
+and DIRE-recycled rates read no gamma: the exact threshold is found once,
+and the library's float is the same at every gamma.  At gamma = 0.9 no
+DIRE-spot rate changes sign.  Global-noise thresholds read the matrix
+path's beta, which can round a few ulps off the closed form."""
 
 import functools
 import struct
@@ -31,7 +33,8 @@ MAX_ULPS = 3
 GAMMAS = pins.calls("threshold_p")[0]["gamma"]
 CASES = [(kind, ineq, noise, gamma)
          for kind, ineq in (("dicka", "holz"), ("dicka", "parity-chsh"), ("dire-spot", "mabk"),
-                            ("dire-spot", "parity-chsh"), ("dire-spot", "chsh"))
+                            ("dire-spot", "parity-chsh"), ("dire-spot", "chsh"),
+                            ("dire-recycled", "chsh"), ("dire-recycled", "asym-chsh"))
          for noise in ("local", "global")
          for gamma in GAMMAS if not (kind == "dire-spot" and gamma == 0.9)]
 
@@ -55,9 +58,10 @@ def _h(x):
 def _beta(ineq, noise, p):
     if noise == "global":
         return {"holz": mp.mpf(3) / 2, "parity-chsh": mp.sqrt(2), "mabk": mp.mpf(4),
-                "chsh": 2 * mp.sqrt(2)}[ineq] * p
+                "chsh": 2 * mp.sqrt(2), "asym-chsh": 2 * mp.sqrt(2)}[ineq] * p
     return {"holz": mp.mpf(3) / 4 * (p**3 + p**2), "parity-chsh": (p**3 + p**2) / mp.sqrt(2),
-            "mabk": 4 * p**3, "chsh": 2 * mp.sqrt(2) * p**2}[ineq]
+            "mabk": 4 * p**3, "chsh": 2 * mp.sqrt(2) * p**2,
+            "asym-chsh": 2 * mp.sqrt(2) * p**2}[ineq]
 
 
 def _table(ineq, beta):
@@ -92,6 +96,8 @@ def _rate(kind, ineq, noise, gamma, p):
     """The exact signed rate at the float p and the float gamma."""
     p = mp.mpf(p)
     beta = _beta(ineq, noise, p)
+    if kind == "dire-recycled":  # only the bound's sign is read
+        return max(beta - 2, mp.mpf(0))
     if kind == "dire-spot":
         gamma = mp.mpf(gamma)
         return _two(ineq, beta) - spec_by_name(ineq).input_bits * gamma - _h(gamma)
@@ -119,7 +125,7 @@ def _exact_threshold(kind, ineq, noise, gamma) -> float:
                               for c in CASES])
 def test_within_ulps_of_the_exact_float(kind, ineq, noise, gamma):
     got = rates.threshold_p(kind, spec_by_name(ineq), noise, gamma)
-    if kind == "dicka":  # no gamma in the rate: one exact float, and one library float
+    if kind != "dire-spot":  # no gamma in the rate: one exact float, and one library float
         assert got.hex() == rates.threshold_p(kind, spec_by_name(ineq), noise, 0.0).hex()
         gamma = 0.0
     exact = _exact_threshold(kind, ineq, noise, gamma)

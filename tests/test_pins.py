@@ -47,6 +47,7 @@ H2 = "bound-holz-two-outcome-grid-1:1.5:201"
 DIGEST = BY_ID[H2]["sha256"]["h2.csv"]
 HOLZ, MABK = "threshold_p-dicka-holz-local", "threshold_p-dicka-mabk-local"
 RHO = "random_density_matrices-1000x8-seed=13"
+FIG, ROW = "figures-seed=0", "sweep-beta-holz-local"
 
 
 # a CLI entry's lines read "<id>: <field>: expected ...", a library entry's
@@ -65,8 +66,9 @@ RHO = "random_density_matrices-1000x8-seed=13"
     (HOLZ, " gamma=0.0", _set("gamma=0.0", _next_float(0.0)), " (+1 ulp)"),
     (MABK, " gamma=0.0", _set("gamma=0.0", _one_char), f", got {BY_ID[MABK]['out']['gamma=0.0']}"),
     (RHO, " sha256", _set("sha256", _one_char), f", got {BY_ID[RHO]['out']['sha256']}"),
+    (FIG, f" {ROW}", _set(ROW, _one_char), f", got {BY_ID[FIG]['out'][ROW]}"),
 ], ids=["stdout", "stderr", "sha256", "missing-file", "exit-2", "exit-2-usage",
-        "float-up", "float-down", "error-text", "digest"])
+        "float-up", "float-down", "error-text", "digest", "figure-digest"])
 def test_wrong_pin_is_named(entry_id, where, change, tail):
     entry = copy.deepcopy(BY_ID[entry_id])
     change(entry)
